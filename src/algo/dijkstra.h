@@ -72,7 +72,9 @@ void DijkstraSearch(const G& g, NodeId source, NodeId target,
 
 /// Single-source Dijkstra that stops once every node in `targets` is
 /// settled, run inside the caller's workspace. Used by the border-pair
-/// pre-computation, where only border-to-border distances matter.
+/// pre-computation, where only border-to-border distances matter. Also
+/// records the settle order (ws.settle_order()), which lets the caller
+/// sweep the shortest-path tree instead of walking parent chains.
 template <typename G>
 void DijkstraToTargets(const G& g, NodeId source,
                        const std::vector<NodeId>& targets,
@@ -91,6 +93,7 @@ void DijkstraToTargets(const G& g, NodeId source,
     heap.pop();
     if (d != ws.TentativeDist(v)) continue;
     ws.CountSettled();
+    ws.RecordSettled(v);
     if (ws.IsPending(v)) {
       ws.ClearPending(v);
       --remaining;

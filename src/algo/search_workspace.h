@@ -14,11 +14,11 @@ namespace airindex::algo {
 
 /// Reusable storage for shortest-path searches (Dijkstra / A*): tentative
 /// distances, parent pointers, the frontier heap, and the target-pending
-/// set of DijkstraToTargets. A fresh search costs O(n) just to initialize
-/// dist/parent; a workspace instead stamps every write with a generation
-/// counter and bumps the counter in BeginSearch, so per-search reset is
-/// O(1) and a reused workspace allocates nothing in steady state (arrays
-/// only grow to the largest graph seen).
+/// set and settle order of DijkstraToTargets. A fresh search costs O(n)
+/// just to initialize dist/parent; a workspace instead stamps every write
+/// with a generation counter and bumps the counter in BeginSearch, so
+/// per-search reset is O(1) and a reused workspace allocates nothing in
+/// steady state (arrays only grow to the largest graph seen).
 ///
 /// Ownership contract: a workspace is caller-owned scratch, single-threaded
 /// by design (one workspace per worker thread), and never an output channel
@@ -69,6 +69,7 @@ class SearchWorkspace {
       pending_generation_ = 1;
     }
     settled_ = 0;
+    settle_order_.clear();
     heap_.clear();
     astar_heap_.clear();
   }
@@ -95,6 +96,14 @@ class SearchWorkspace {
   /// Nodes settled by the current search (the paper's client-CPU proxy).
   size_t settled() const { return settled_; }
 
+  /// The nodes DijkstraToTargets settled, in settle order: distances are
+  /// non-decreasing and every node comes after its parent, so one forward
+  /// (or reverse) sweep visits the shortest-path tree top-down (bottom-up).
+  /// The other kernels do not record it and leave it empty.
+  const std::vector<graph::NodeId>& settle_order() const {
+    return settle_order_;
+  }
+
   // --- Kernel API (used by the search templates; callers normally only
   // --- read results through the accessors above). `v` must be < the `n`
   // --- of the last BeginSearch — same contract as indexing the legacy
@@ -120,6 +129,9 @@ class SearchWorkspace {
 
   void CountSettled() { ++settled_; }
 
+  /// Appends `v` to settle_order().
+  void RecordSettled(graph::NodeId v) { settle_order_.push_back(v); }
+
   /// Target-pending set of DijkstraToTargets. MarkPending returns false if
   /// `v` was already pending in this search (duplicate target).
   bool MarkPending(graph::NodeId v) {
@@ -143,6 +155,7 @@ class SearchWorkspace {
   uint32_t generation_ = 0;
   uint32_t pending_generation_ = 0;
   size_t settled_ = 0;
+  std::vector<graph::NodeId> settle_order_;
   DAryHeap<HeapItem> heap_;
   DAryHeap<AStarItem> astar_heap_;
 };

@@ -67,12 +67,15 @@ Result<BorderPrecompute> ComputeBorderPrecompute(
   pre.min_rr.assign(static_cast<size_t>(R) * R, graph::kInfDist);
   pre.max_rr.assign(static_cast<size_t>(R) * R, 0);
   pre.traversed.assign(static_cast<size_t>(R) * R * words, 0);
-  pre.cross_border.assign(g.num_nodes(), 0);
+  const size_t n = g.num_nodes();
+  pre.cross_border.assign(n, 0);
 
   const std::vector<graph::NodeId>& B = pre.borders.border_nodes;
+  const std::vector<graph::RegionId>& region = pre.part.node_region;
+  const std::vector<uint8_t>& is_border = pre.borders.is_border;
   std::mutex merge_mu;
 
-  // One search workspace + one set of row accumulators per worker thread,
+  // One search workspace + one set of accumulators per worker thread,
   // reused across every source the worker claims: the border-pair stage
   // runs |B| single-source searches, so the per-search O(n) allocate/
   // zero-fill it used to pay dominated server pre-computation. Sources are
@@ -89,9 +92,20 @@ Result<BorderPrecompute> ComputeBorderPrecompute(
     std::vector<graph::Dist> row_min;
     std::vector<graph::Dist> row_max;
     std::vector<uint64_t> row_masks;
-    std::vector<graph::NodeId> marked;
+    // Per node, `words` words: the regions on the tree path source -> v.
+    // Only nodes settled by the current search hold meaningful entries.
+    std::vector<uint64_t> path_mask;
+    // Per node: a reached border target lies in v's subtree (v included).
+    std::vector<uint8_t> below;
+    // Nodes this worker found cross-border; OR-merged after the pool joins.
+    std::vector<uint8_t> cross_border;
   };
   std::vector<WorkerState> workers(ResolveWorkers(B.size(), num_threads));
+  for (WorkerState& state : workers) {
+    state.path_mask.resize(n * words);
+    state.below.resize(n);
+    state.cross_border.assign(n, 0);
+  }
 
   ParallelForChunked(
       B.size(), kSourceChunk,
@@ -99,37 +113,54 @@ Result<BorderPrecompute> ComputeBorderPrecompute(
         WorkerState& state = workers[worker];
         for (size_t bi = begin; bi < end; ++bi) {
           const graph::NodeId b = B[bi];
-          const graph::RegionId rb = pre.part.node_region[b];
+          const graph::RegionId rb = region[b];
           algo::DijkstraToTargets(g, b, B, state.ws);
+          const std::vector<graph::NodeId>& order = state.ws.settle_order();
 
           // Per-source accumulators for row rb.
           std::vector<graph::Dist>& row_min = state.row_min;
           std::vector<graph::Dist>& row_max = state.row_max;
           std::vector<uint64_t>& row_masks = state.row_masks;
-          std::vector<graph::NodeId>& marked = state.marked;
           row_min.assign(R, graph::kInfDist);
           row_max.assign(R, 0);
           row_masks.assign(static_cast<size_t>(R) * words, 0);
-          marked.clear();
 
-          for (graph::NodeId b2 : B) {
-            const graph::Dist d = state.ws.DistTo(b2);
-            if (d == graph::kInfDist) continue;
-            const graph::RegionId r2 = pre.part.node_region[b2];
+          // Every reached border target is settled (the search stops only
+          // once all targets are settled or the heap runs dry), and a
+          // parent is settled before its child. So one forward sweep over
+          // the settle order derives each node's path-region mask from its
+          // parent's: O(settled * words) per source, where walking the
+          // tree path of every target costs O(|B| * path length).
+          for (graph::NodeId v : order) {
+            uint64_t* mask = state.path_mask.data() + v * words;
+            const graph::NodeId p = state.ws.ParentOf(v);
+            if (p == graph::kInvalidNode) {
+              std::fill(mask, mask + words, 0);
+            } else {
+              const uint64_t* parent_mask =
+                  state.path_mask.data() + p * words;
+              std::copy(parent_mask, parent_mask + words, mask);
+            }
+            mask[region[v] / 64] |= uint64_t{1} << (region[v] % 64);
+            state.below[v] = is_border[v];
+            if (!is_border[v]) continue;
+            const graph::Dist d = state.ws.DistTo(v);
+            const graph::RegionId r2 = region[v];
             row_min[r2] = std::min(row_min[r2], d);
             row_max[r2] = std::max(row_max[r2], d);
-            // Walk the recorded path b -> b2, collecting traversed regions
-            // and (for inter-region pairs per the paper; we include all
-            // pairs, a safe superset) marking nodes as cross-border.
-            uint64_t* mask =
-                row_masks.data() + static_cast<size_t>(r2) * words;
-            for (graph::NodeId v = b2; v != graph::kInvalidNode;
-                 v = state.ws.ParentOf(v)) {
-              const graph::RegionId rv = pre.part.node_region[v];
-              mask[rv / 64] |= uint64_t{1} << (rv % 64);
-              marked.push_back(v);
-              if (v == b) break;
-            }
+            uint64_t* row = row_masks.data() + static_cast<size_t>(r2) * words;
+            for (size_t w = 0; w < words; ++w) row[w] |= mask[w];
+          }
+          // A node lies on a recorded border-pair path (for inter-region
+          // pairs per the paper; we include all pairs, a safe superset)
+          // iff a reached border target lies below it in the tree. The
+          // reverse sweep visits children before parents.
+          for (auto it = order.rbegin(); it != order.rend(); ++it) {
+            const graph::NodeId v = *it;
+            if (!state.below[v]) continue;
+            state.cross_border[v] = 1;
+            const graph::NodeId p = state.ws.ParentOf(v);
+            if (p != graph::kInvalidNode) state.below[p] = 1;
           }
 
           std::lock_guard<std::mutex> lock(merge_mu);
@@ -143,10 +174,15 @@ Result<BorderPrecompute> ComputeBorderPrecompute(
                   row_masks[static_cast<size_t>(r2) * words + w];
             }
           }
-          for (graph::NodeId v : marked) pre.cross_border[v] = 1;
         }
       },
       num_threads);
+
+  for (const WorkerState& state : workers) {
+    for (size_t v = 0; v < n; ++v) {
+      pre.cross_border[v] |= state.cross_border[v];
+    }
+  }
 
   pre.seconds = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - start)

@@ -82,9 +82,11 @@ struct BorderPrecompute {
 };
 
 /// Runs the pre-computation, work-stealing chunks of border-node sources
-/// across up to `num_threads` workers (0 = hardware concurrency). All merge
-/// steps are commutative (min/max/bitwise-or), so the result is
-/// byte-identical for every thread count, including serial.
+/// across up to `num_threads` workers (0 = hardware concurrency). Each
+/// source costs one DijkstraToTargets plus two sweeps over its settle
+/// order, O(Dijkstra + settled * words_per_pair()). All merge steps are
+/// commutative (min/max/bitwise-or), so the result is byte-identical for
+/// every thread count, including serial.
 Result<BorderPrecompute> ComputeBorderPrecompute(
     const graph::Graph& g, partition::Partitioning part,
     unsigned num_threads = 0);

@@ -262,7 +262,8 @@ device::QueryMetrics NrSystem::RunQuery(
           }
         }
         const size_t decoded =
-            region.records.size() * 24 + region.border.size() * 4;
+            region.records.size() * PartialGraph::kModeledNodeBytes +
+            region.border.size() * 4;
         memory.Charge(decoded);
         super.AddRegion(region);
         memory.Release(decoded);

@@ -5,7 +5,9 @@
 #include <algorithm>
 
 #include "algo/dijkstra.h"
+#include "graph/graph.h"
 #include "partition/kd_tree.h"
+#include "partition/partitioning.h"
 #include "testing/test_graphs.h"
 
 namespace airindex::core {
@@ -23,6 +25,117 @@ Built Make(uint32_t nodes, uint32_t edges, uint64_t seed, uint32_t regions) {
   auto kd = partition::KdTreePartitioner::Build(g, regions).value();
   auto pre = ComputeBorderPrecompute(g, kd.Partition(g)).value();
   return {std::move(g), std::move(pre)};
+}
+
+// The four arrays as the straightforward per-target parent walk computes
+// them: for every border source, one Dijkstra to the border targets, then a
+// walk from each reached target back up to the source, or-ing in the
+// region of and marking cross-border every node on the way. This is the
+// O(|B|^2 * path length) definition ComputeBorderPrecompute's settle-order
+// sweeps must reproduce exactly.
+struct ParentWalkReference {
+  std::vector<graph::Dist> min_rr;
+  std::vector<graph::Dist> max_rr;
+  std::vector<uint64_t> traversed;
+  std::vector<uint8_t> cross_border;
+};
+
+ParentWalkReference ComputeByParentWalk(const graph::Graph& g,
+                                        const BorderPrecompute& pre) {
+  const uint32_t R = pre.num_regions;
+  const size_t words = pre.words_per_pair();
+  const auto& region = pre.part.node_region;
+  const std::vector<graph::NodeId>& B = pre.borders.border_nodes;
+  ParentWalkReference ref;
+  ref.min_rr.assign(static_cast<size_t>(R) * R, graph::kInfDist);
+  ref.max_rr.assign(static_cast<size_t>(R) * R, 0);
+  ref.traversed.assign(static_cast<size_t>(R) * R * words, 0);
+  ref.cross_border.assign(g.num_nodes(), 0);
+  for (graph::NodeId b : B) {
+    const algo::SearchTree tree = algo::DijkstraToTargets(g, b, B);
+    for (graph::NodeId b2 : B) {
+      const graph::Dist d = tree.dist[b2];
+      if (d == graph::kInfDist) continue;
+      const size_t cell = static_cast<size_t>(region[b]) * R + region[b2];
+      ref.min_rr[cell] = std::min(ref.min_rr[cell], d);
+      ref.max_rr[cell] = std::max(ref.max_rr[cell], d);
+      for (graph::NodeId v = b2; v != graph::kInvalidNode;
+           v = tree.parent[v]) {
+        ref.traversed[cell * words + region[v] / 64] |=
+            uint64_t{1} << (region[v] % 64);
+        ref.cross_border[v] = 1;
+        if (v == b) break;
+      }
+    }
+  }
+  return ref;
+}
+
+void ExpectMatchesParentWalk(const graph::Graph& g,
+                             const BorderPrecompute& pre) {
+  const ParentWalkReference ref = ComputeByParentWalk(g, pre);
+  EXPECT_EQ(pre.min_rr, ref.min_rr);
+  EXPECT_EQ(pre.max_rr, ref.max_rr);
+  EXPECT_EQ(pre.traversed, ref.traversed);
+  EXPECT_EQ(pre.cross_border, ref.cross_border);
+}
+
+TEST(BorderPrecomputeTest, MatchesParentWalkOnGeneratedGraphs) {
+  const graph::Graph g = SmallNetwork(1200, 1920, 10);
+  for (uint32_t regions : {4u, 32u, 128u}) {
+    auto kd = partition::KdTreePartitioner::Build(g, regions).value();
+    const partition::Partitioning part = kd.Partition(g);
+    for (unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << regions << " regions, " << threads << " threads");
+      auto pre = ComputeBorderPrecompute(g, part, threads);
+      ASSERT_TRUE(pre.ok()) << pre.status().ToString();
+      EXPECT_EQ(pre->words_per_pair(), regions > 64 ? 2u : 1u);
+      ExpectMatchesParentWalk(g, *pre);
+    }
+  }
+}
+
+TEST(BorderPrecomputeTest, MatchesParentWalkWithUnreachableTargets) {
+  // Three regions joined by one-way arcs only: 0 -> 1 -> 2. Region 2's
+  // border nodes reach no other region, so whole rows stay unreached.
+  // Region 0 is a one-way ring with a two-way dead-end spur (node 4) that
+  // lies on no border-pair path.
+  graph::GraphBuilder gb;
+  for (int i = 0; i < 13; ++i) {
+    gb.AddNode({static_cast<double>(i % 4), static_cast<double>(i / 4)});
+  }
+  gb.AddArc(0, 1, 2);  // region 0: ring 0 -> 1 -> 2 -> 3 -> 0
+  gb.AddArc(1, 2, 3);
+  gb.AddArc(2, 3, 1);
+  gb.AddArc(3, 0, 4);
+  gb.AddBidirectional(0, 4, 5);
+  gb.AddBidirectional(5, 6, 2);  // region 1: path 5 - 6 - 7 - 8
+  gb.AddBidirectional(6, 7, 2);
+  gb.AddBidirectional(7, 8, 1);
+  gb.AddArc(9, 10, 1);  // region 2: one-way chain 9 -> 10 -> 11 -> 12
+  gb.AddArc(10, 11, 1);
+  gb.AddArc(11, 12, 1);
+  gb.AddArc(1, 5, 4);  // 0 -> 1
+  gb.AddArc(3, 8, 1);  // 0 -> 1
+  gb.AddArc(7, 9, 3);  // 1 -> 2
+  gb.AddArc(6, 11, 6);  // 1 -> 2
+  const graph::Graph g = std::move(gb).Build().value();
+  const partition::Partitioning part = partition::MakePartitioning(
+      {0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2}, 3);
+
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    auto pre = ComputeBorderPrecompute(g, part, threads);
+    ASSERT_TRUE(pre.ok()) << pre.status().ToString();
+    ExpectMatchesParentWalk(g, *pre);
+    EXPECT_EQ(pre->MinDist(2, 0), graph::kInfDist);
+    EXPECT_EQ(pre->MinDist(1, 0), graph::kInfDist);
+    EXPECT_NE(pre->MinDist(0, 2), graph::kInfDist);
+    EXPECT_FALSE(pre->cross_border[4]);
+    // 12 is no border node and lies below no border target.
+    EXPECT_FALSE(pre->cross_border[12]);
+  }
 }
 
 TEST(BorderPrecomputeTest, MinMaxConsistency) {
