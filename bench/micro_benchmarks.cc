@@ -9,6 +9,7 @@
 #include "algo/search_workspace.h"
 #include "core/border_precompute.h"
 #include "core/dijkstra_on_air.h"
+#include "core/full_cycle.h"
 #include "core/nr.h"
 #include "core/query_scratch.h"
 #include "core/systems.h"
@@ -203,6 +204,44 @@ BENCHMARK(BM_RunQueryNrFresh)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RunQueryNrScratch)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RunQueryEbFresh)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RunQueryEbScratch)->Unit(benchmark::kMillisecond);
+
+// The full-cycle receive kernel (§3.2): one ReceiveFullCycle over a whole
+// cycle per iteration on a reused FullCycleScratch, no repair passes, the
+// callback only releasing what it is handed. Arg 0 picks the cycle (0 = DJ,
+// 1 = AF), arg 1 the independent loss rate in per mille. items/s is
+// packets heard per second, so 1e9 / items_per_second is ns per packet.
+void BM_ReceiveFullCycle(benchmark::State& state) {
+  const char* method = state.range(0) == 0 ? "DJ" : "AF";
+  const core::AirSystem& sys =
+      *core::SystemRegistry::Global().Get(BenchGraph(), method).value();
+  const broadcast::BroadcastCycle& cycle = sys.cycle();
+  broadcast::BroadcastChannel channel(
+      &cycle, static_cast<double>(state.range(1)) / 1000.0, 7);
+  core::FullCycleScratch scratch;
+  uint64_t start = 0;
+  for (auto _ : state) {
+    broadcast::ClientSession session(&channel, start);
+    device::MemoryTracker memory;
+    Status status = core::ReceiveFullCycle(
+        session, memory,
+        [](const broadcast::ReceivedSegment&) { return false; },
+        [&memory](broadcast::ReceivedSegment& seg) {
+          memory.Release(seg.payload.size());
+        },
+        /*max_repair_cycles=*/0, &scratch);
+    benchmark::DoNotOptimize(status.ok());
+    start += 7919;  // a different tune-in slot (and loss draw) each pass
+  }
+  state.SetLabel(method);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(cycle.total_packets()));
+}
+BENCHMARK(BM_ReceiveFullCycle)
+    ->Args({0, 0})
+    ->Args({0, 20})
+    ->Args({1, 0})
+    ->Args({1, 20})
+    ->Unit(benchmark::kMicrosecond);
 
 // Shared fixture for the engine benchmarks. The leaked Global() registry
 // keeps the NR system alive for the process lifetime.

@@ -11,8 +11,7 @@ namespace {
 
 /// Maps (from, to) pairs to CSR arc indexes via binary search in the sorted
 /// adjacency span.
-size_t ArcIndexOf(const graph::Graph& g,
-                  const std::vector<uint32_t>& first_arc, graph::NodeId from,
+size_t ArcIndexOf(const graph::Graph& g, graph::NodeId from,
                   graph::NodeId to) {
   auto arcs = g.OutArcs(from);
   size_t lo = 0, hi = arcs.size();
@@ -24,17 +23,7 @@ size_t ArcIndexOf(const graph::Graph& g,
       hi = mid;
     }
   }
-  return first_arc[from] + lo;
-}
-
-/// Prefix of out-degree counts: first_arc[v] = index of v's first arc in the
-/// CSR array.
-std::vector<uint32_t> FirstArcTable(const graph::Graph& g) {
-  std::vector<uint32_t> first(g.num_nodes() + 1, 0);
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    first[v + 1] = first[v] + static_cast<uint32_t>(g.OutDegree(v));
-  }
-  return first;
+  return g.ArcIndex(arcs[lo]);
 }
 
 }  // namespace
@@ -60,14 +49,11 @@ Result<ArcFlagIndex> ArcFlagIndex::Build(
   idx.node_region_ = node_region;
   idx.flags_.assign(g.num_arcs() * idx.words_per_arc_, 0);
 
-  const std::vector<uint32_t> first_arc = FirstArcTable(g);
-
   // Intra-region flags: an arc whose head lies in R may always be needed to
   // reach R's interior.
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (size_t i = 0; i < g.OutDegree(v); ++i) {
-      const auto& arc = g.OutArcs(v)[i];
-      idx.SetArcFlag(first_arc[v] + i, node_region[arc.to]);
+    for (const auto& arc : g.OutArcs(v)) {
+      idx.SetArcFlag(g.ArcIndex(arc), node_region[arc.to]);
     }
   }
 
@@ -100,7 +86,7 @@ Result<ArcFlagIndex> ArcFlagIndex::Build(
       if (p == graph::kInvalidNode) continue;
       // Reverse-tree arc p->v corresponds to forward arc v->p on a shortest
       // v -> b path.
-      flagged.push_back(ArcIndexOf(g, first_arc, v, p));
+      flagged.push_back(ArcIndexOf(g, v, p));
     }
     std::lock_guard<std::mutex> lock(merge_mu);
     for (size_t a : flagged) idx.SetArcFlag(a, region);
@@ -127,19 +113,23 @@ void ArcFlagIndex::SetAllFlags(size_t arc_index) {
 }
 
 graph::Path ArcFlagIndex::Query(const graph::Graph& g, graph::NodeId s,
-                                graph::NodeId t, size_t* settled_out) const {
+                                graph::NodeId t, SearchWorkspace& ws) const {
   const graph::RegionId target_region = node_region_[t];
-  const std::vector<uint32_t> first_arc = FirstArcTable(g);
+  DijkstraSearch(
+      g, s, t,
+      [&](graph::NodeId, const graph::Graph::Arc& arc) {
+        return ArcAllowed(g.ArcIndex(arc), target_region);
+      },
+      ws);
+  return ExtractPath(ws, s, t);
+}
 
-  // The edge filter needs the arc's CSR index; recover it from the span
-  // offset.
-  SearchTree tree = DijkstraSearch(
-      g, s, t, [&](graph::NodeId from, const graph::Graph::Arc& arc) {
-        const size_t offset = &arc - g.OutArcs(from).data();
-        return ArcAllowed(first_arc[from] + offset, target_region);
-      });
-  if (settled_out != nullptr) *settled_out = tree.settled;
-  return ExtractPath(tree, s, t);
+graph::Path ArcFlagIndex::Query(const graph::Graph& g, graph::NodeId s,
+                                graph::NodeId t, size_t* settled_out) const {
+  SearchWorkspace ws;
+  graph::Path path = Query(g, s, t, ws);
+  if (settled_out != nullptr) *settled_out = ws.settled();
+  return path;
 }
 
 }  // namespace airindex::algo

@@ -2,8 +2,10 @@
 #define AIRINDEX_ALGO_ARC_FLAGS_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "algo/search_workspace.h"
 #include "common/result.h"
 #include "graph/graph.h"
 #include "graph/types.h"
@@ -52,7 +54,13 @@ class ArcFlagIndex {
   /// Marks every region bit of an arc (the §6.2 loss fallback).
   void SetAllFlags(size_t arc_index);
 
-  /// Dijkstra restricted to arcs flagged for `t`'s region.
+  /// Dijkstra restricted to arcs flagged for `t`'s region, run inside the
+  /// caller's workspace (no allocation in steady state beyond the returned
+  /// path; ws.settled() counts the settled nodes).
+  graph::Path Query(const graph::Graph& g, graph::NodeId s, graph::NodeId t,
+                    SearchWorkspace& ws) const;
+
+  /// Same search in a throwaway workspace.
   graph::Path Query(const graph::Graph& g, graph::NodeId s, graph::NodeId t,
                     size_t* settled_out = nullptr) const;
 
@@ -77,6 +85,12 @@ class ArcFlagIndex {
 
   const std::vector<graph::RegionId>& node_region() const {
     return node_region_;
+  }
+
+  /// Replaces the node -> region map (a broadcast client learns it only
+  /// after the flags of a MakeEmpty index have streamed in).
+  void set_node_region(std::vector<graph::RegionId> node_region) {
+    node_region_ = std::move(node_region);
   }
 
  private:

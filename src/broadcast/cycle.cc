@@ -27,24 +27,22 @@ PacketView BroadcastCycle::PacketAt(uint32_t pos) const {
   if (chunk_begin < seg.payload.size()) {
     view.chunk = {seg.payload.data() + chunk_begin, chunk_end - chunk_begin};
   }
-  const uint32_t next = NextIndexStart(pos);
+  const uint32_t next = NextIndexStartIn(si, pos);
   view.next_index_offset =
       next >= pos ? next - pos : next + total_packets_ - pos;
   return view;
 }
 
 uint32_t BroadcastCycle::NextIndexStart(uint32_t pos) const {
-  // Scan segments starting at the one covering pos (cyclically). An index
-  // segment "starts at or after pos" unless pos is inside it past its first
-  // packet.
-  const size_t n = segments_.size();
-  size_t si = SegmentAt(pos);
+  return NextIndexStartIn(SegmentAt(pos), pos);
+}
+
+uint32_t BroadcastCycle::NextIndexStartIn(uint32_t si, uint32_t pos) const {
+  // An index segment "starts at or after pos" unless pos is inside it past
+  // its first packet; otherwise the answer is the next one after si.
   if (segments_[si].is_index && starts_[si] == pos) return pos;
-  for (size_t step = 1; step <= n; ++step) {
-    const size_t i = (si + step) % n;
-    if (segments_[i].is_index) return starts_[i];
-  }
-  return pos;  // no index segment in the cycle
+  const uint32_t next = next_index_[si];
+  return next == kNoIndex ? pos : next;
 }
 
 size_t BroadcastCycle::TotalPayloadBytes() const {
@@ -83,6 +81,18 @@ Result<BroadcastCycle> CycleBuilder::Finalize(bool require_index) && {
   }
   cycle.starts_.push_back(pos);
   cycle.total_packets_ = pos;
+
+  // next_index_[i] = start of the first index segment among i+1, ..., i+n
+  // (mod n). Walking the cycle unrolled twice, backwards, carries the
+  // nearest index start seen so far: O(n) instead of a scan per segment.
+  const size_t n = cycle.segments_.size();
+  cycle.next_index_.assign(n, BroadcastCycle::kNoIndex);
+  uint32_t next = BroadcastCycle::kNoIndex;
+  for (size_t k = 2 * n; k-- > 0;) {
+    const size_t i = k < n ? k : k - n;
+    if (k < n) cycle.next_index_[i] = next;
+    if (cycle.segments_[i].is_index) next = cycle.starts_[i];
+  }
   return cycle;
 }
 

@@ -47,7 +47,10 @@ class BroadcastCycle {
   PacketView PacketAt(uint32_t pos) const;
 
   /// Position of the first packet of the next index segment at or after
-  /// `pos` (cyclic). Returns `pos` itself if an index segment starts there.
+  /// `pos` (cyclic). Returns `pos` itself if an index segment starts there;
+  /// from inside an index segment it points at the next copy (the same
+  /// segment's start when it is the only one). A cycle with no index
+  /// segment returns `pos`. O(1) past the SegmentAt lookup.
   uint32_t NextIndexStart(uint32_t pos) const;
 
   /// Total serialized bytes (for reporting).
@@ -56,8 +59,18 @@ class BroadcastCycle {
  private:
   friend class CycleBuilder;
 
+  /// next_index_[i] value of a cycle without index segments.
+  static constexpr uint32_t kNoIndex = UINT32_MAX;
+
+  /// NextIndexStart for a `pos` already known to lie in segment `si`.
+  uint32_t NextIndexStartIn(uint32_t si, uint32_t pos) const;
+
   std::vector<Segment> segments_;
   std::vector<uint32_t> starts_;  // per segment, plus sentinel
+  /// Per segment: start of the first index segment after it in cyclic
+  /// order (an only index segment's own start, reached by wrapping round);
+  /// kNoIndex when the cycle has none. Filled by CycleBuilder::Finalize.
+  std::vector<uint32_t> next_index_;
   uint32_t total_packets_ = 0;
 };
 

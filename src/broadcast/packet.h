@@ -50,7 +50,8 @@ struct PacketView {
   /// Payload chunk carried by this packet.
   std::span<const uint8_t> chunk;
   /// Header pointer: packets from this one to the start of the next index
-  /// segment (cyclic; 0 = this packet starts an index segment).
+  /// segment (cyclic; 0 = this packet starts an index segment). In a cycle
+  /// with no index segment (the full-cycle methods) it is 0 on every packet.
   uint32_t next_index_offset = 0;
 };
 

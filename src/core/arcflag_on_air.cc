@@ -92,19 +92,18 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
   s.BeginQuery();
   s.session.BeginQueryStats();
 
-  // Collected network data (node-id addressed) and raw flag chunks. The
-  // coordinates are moved into the rebuilt Graph below, so they cannot be
-  // pooled; the edge list can.
+  // Collected network data (node-id addressed). The coordinates are moved
+  // into the rebuilt Graph below, so they cannot be pooled; the edge list
+  // can. Flags decode straight into the index, in the server's CSR arc
+  // order, as each flag segment arrives; its node -> region map follows
+  // once the header and the coordinates are in.
   std::vector<graph::Point> coords(num_nodes_);
   std::vector<graph::EdgeTriplet>& edges = s.edges;
   edges.reserve(num_arcs_);
   std::vector<double> splits;
-  struct FlagChunk {
-    uint32_t first_arc;
-    std::vector<uint8_t> bytes;
-    std::vector<bool> packet_ok;
-  };
-  std::vector<FlagChunk> flag_chunks;
+  algo::ArcFlagIndex idx =
+      algo::ArcFlagIndex::MakeEmpty(num_arcs_, num_regions_, {});
+  const size_t bytes_per_arc = idx.BytesPerArc();
   bool header_ok = false;
   double cpu_ms = 0.0;
 
@@ -157,15 +156,25 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
           memory.Charge(splits.size() * 8);
           memory.Release(seg.payload.size());
         } else {
-          FlagChunk chunk;
-          chunk.first_arc = (seg.segment_id - 1) * kFlagChunkArcs;
-          chunk.bytes = std::move(seg.payload);
-          chunk.packet_ok = std::move(seg.packet_ok);
-          flag_chunks.push_back(std::move(chunk));
-          // Raw flag bytes are retained until query time; keep the charge.
-          // (Moving them out of the scratch costs those segments a fresh
-          // buffer next query — AF is not on the allocation-free target
-          // path since it rebuilds a full Graph per query anyway.)
+          const size_t first_arc =
+              static_cast<size_t>(seg.segment_id - 1) * kFlagChunkArcs;
+          const size_t arcs_in_chunk = seg.payload.size() / bytes_per_arc;
+          for (size_t i = 0; i < arcs_in_chunk; ++i) {
+            const size_t arc = first_arc + i;
+            const size_t off = i * bytes_per_arc;
+            if (!seg.RangeOk(off, off + bytes_per_arc)) {
+              // §6.2: a lost flag vector is assumed all-ones.
+              idx.SetAllFlags(arc);
+              continue;
+            }
+            for (uint32_t r = 0; r < num_regions_; ++r) {
+              if (GetU16(seg.payload.data() + off + 2 * r) != 0) {
+                idx.SetArcFlag(arc, r);
+              }
+            }
+          }
+          // The modeled client retains the raw flag bytes until query
+          // time: keep their charge.
         }
         cpu_ms += sw.ElapsedMs();
       },
@@ -180,10 +189,10 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
     metrics.tuning_packets = session.tuned_packets();
     metrics.latency_packets = session.latency_packets();
     metrics.wait_packets = session.wait_packets();
-  metrics.corrupted_packets = session.corrupted_packets();
-  metrics.fec_recovered = session.fec_recovered();
-  metrics.wait_slots = session.wait_slots();
-  metrics.latency_slots = session.latency_slots();
+    metrics.corrupted_packets = session.corrupted_packets();
+    metrics.fec_recovered = session.fec_recovered();
+    metrics.wait_slots = session.wait_slots();
+    metrics.latency_slots = session.latency_slots();
     metrics.peak_memory_bytes = memory.peak();
     metrics.memory_exceeded = memory.exceeded();
     metrics.cpu_ms = cpu_ms + sw.ElapsedMs();
@@ -201,32 +210,10 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
     node_region[v] = kd->RegionOf(gr.Coord(v));
   }
 
-  algo::ArcFlagIndex idx = algo::ArcFlagIndex::MakeEmpty(
-      gr.num_arcs(), num_regions_, std::move(node_region));
+  idx.set_node_region(std::move(node_region));
   memory.Charge(idx.MemoryBytes());
-  const size_t bytes_per_arc = 2 * static_cast<size_t>(num_regions_);
-  for (const auto& chunk : flag_chunks) {
-    const size_t arcs_in_chunk = chunk.bytes.size() / bytes_per_arc;
-    for (size_t i = 0; i < arcs_in_chunk; ++i) {
-      const size_t arc = chunk.first_arc + i;
-      const size_t off = i * bytes_per_arc;
-      broadcast::ReceivedSegment probe;  // reuse RangeOk logic
-      probe.packet_ok = chunk.packet_ok;
-      if (!probe.RangeOk(off, off + bytes_per_arc)) {
-        // §6.2: a lost flag vector is assumed all-ones.
-        idx.SetAllFlags(arc);
-        continue;
-      }
-      for (uint32_t r = 0; r < num_regions_; ++r) {
-        if (GetU16(chunk.bytes.data() + off + 2 * r) != 0) {
-          idx.SetArcFlag(arc, r);
-        }
-      }
-    }
-  }
 
-  size_t settled = 0;
-  graph::Path path = idx.Query(gr, query.source, query.target, &settled);
+  graph::Path path = idx.Query(gr, query.source, query.target, s.search);
   cpu_ms += sw.ElapsedMs();
 
   metrics.tuning_packets = session.tuned_packets();

@@ -180,7 +180,7 @@ Status ReceiveFullCycle(broadcast::ClientSession& session,
 /// order, so callbacks with ordering expectations — e.g. Landmark's
 /// header-before-vectors — see the same sequence as a lossless cold pass)
 /// and hands each callback a *copy* (callbacks are free to mutate or move
-/// buffers out; ArcFlag does). Payload bytes are charged to `memory` as if
+/// buffers out). Payload bytes are charged to `memory` as if
 /// they had streamed in; callbacks release them as usual.
 ///
 /// Anything short of a full cache — cold session, evictions, a cycle

@@ -51,6 +51,12 @@ class Graph {
 
   size_t OutDegree(NodeId v) const { return offsets_[v + 1] - offsets_[v]; }
 
+  /// CSR position of `arc`, which must be an element of some OutArcs span
+  /// of this graph (per-arc side tables such as ArcFlag's are indexed so).
+  size_t ArcIndex(const Arc& arc) const {
+    return static_cast<size_t>(&arc - arcs_.data());
+  }
+
   const Point& Coord(NodeId v) const { return coords_[v]; }
   const std::vector<Point>& coords() const { return coords_; }
 

@@ -67,6 +67,34 @@ TEST_P(ArcFlagCorrectnessTest, QueryMatchesDijkstra) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ArcFlagCorrectnessTest,
                          ::testing::Values(10, 11, 12, 13));
 
+// The workspace overload indexes flags by the arc's CSR position (pointer
+// difference from the arc array); the reference here recomputes it from a
+// prefix sum of out-degrees and runs the legacy value-returning search. A
+// workspace reused across queries, after a search on a larger graph, must
+// give the same path and settled count every time.
+TEST(ArcFlagTest, WorkspaceQueryMatchesPrefixSumReference) {
+  auto built = Make(300, 480, 31, 8);
+  std::vector<size_t> first_arc(built.g.num_nodes() + 1, 0);
+  for (graph::NodeId v = 0; v < built.g.num_nodes(); ++v) {
+    first_arc[v + 1] = first_arc[v] + built.g.OutDegree(v);
+  }
+  SearchWorkspace ws;
+  DijkstraAll(SmallNetwork(600, 960, 32), 0, ws);
+  for (auto [s, t] : RandomPairs(built.g, 25, 33)) {
+    const graph::RegionId region = built.idx.node_region()[t];
+    SearchTree tree = DijkstraSearch(
+        built.g, s, t, [&](graph::NodeId from, const graph::Graph::Arc& arc) {
+          const size_t offset = &arc - built.g.OutArcs(from).data();
+          return built.idx.ArcAllowed(first_arc[from] + offset, region);
+        });
+    const Path want = ExtractPath(tree, s, t);
+    const Path got = built.idx.Query(built.g, s, t, ws);
+    EXPECT_EQ(got.dist, want.dist) << s << "->" << t;
+    EXPECT_EQ(got.nodes, want.nodes) << s << "->" << t;
+    EXPECT_EQ(ws.settled(), tree.settled) << s << "->" << t;
+  }
+}
+
 TEST(ArcFlagTest, PrunesSearchSpaceForCrossRegionQueries) {
   auto built = Make(800, 1280, 21, 16);
   size_t flagged_total = 0, plain_total = 0;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
+#include <vector>
 
 namespace airindex::broadcast {
 namespace {
@@ -203,6 +205,37 @@ TEST(ReceivedSegmentTest, RangeOkBoundaries) {
   EXPECT_FALSE(seg.RangeOk(kPayloadSize, 2 * kPayloadSize));
   EXPECT_TRUE(seg.RangeOk(2 * kPayloadSize, 3 * kPayloadSize));
   EXPECT_TRUE(seg.RangeOk(5, 5));  // empty range
+}
+
+// ArcFlag decodes each arc's flag vector only if RangeOk clears its byte
+// range in the flag segment's own packet mask (§6.2 all-ones otherwise).
+TEST(ReceivedSegmentTest, RangeOkEdgeCases) {
+  constexpr size_t P = kPayloadSize;
+  auto range_ok = [](std::vector<bool> mask, size_t begin, size_t end) {
+    ReceivedSegment seg;
+    seg.packet_ok = std::move(mask);
+    return seg.RangeOk(begin, end);
+  };
+  // An empty (or inverted) range is ok, even against an empty mask.
+  EXPECT_TRUE(range_ok({}, 0, 0));
+  EXPECT_TRUE(range_ok({false}, 3, 3));
+  EXPECT_TRUE(range_ok({false}, 7, 2));
+
+  // Crossing a packet boundary: both packets must have arrived.
+  EXPECT_FALSE(range_ok({true, false}, P - 2, P + 2));
+  EXPECT_FALSE(range_ok({false, true}, P - 2, P + 2));
+  EXPECT_TRUE(range_ok({true, true}, P - 2, P + 2));
+  EXPECT_TRUE(range_ok({true, false}, P - 2, P));  // ends on the boundary
+
+  // Inside the last, partial packet of a 2P + 10 byte payload: judged by
+  // that packet alone.
+  EXPECT_TRUE(range_ok({false, false, true}, 2 * P + 1, 2 * P + 10));
+  EXPECT_FALSE(range_ok({true, true, false}, 2 * P + 1, 2 * P + 10));
+
+  // Past the end of the mask: never ok, even if every packet arrived.
+  EXPECT_FALSE(range_ok({true, true}, 2 * P, 2 * P + 1));
+  EXPECT_FALSE(range_ok({true, true}, P, 2 * P + 1));
+  EXPECT_FALSE(range_ok({}, 0, 1));
 }
 
 }  // namespace
