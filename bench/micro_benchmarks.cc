@@ -118,6 +118,24 @@ void BM_BorderPrecompute(benchmark::State& state) {
 BENCHMARK(BM_BorderPrecompute)->Arg(16)->Arg(32)->Arg(128)->Unit(
     benchmark::kMillisecond);
 
+// NR then EB through BuildSystem on one thread, both systems dropped each
+// iteration: the pair shares one border pre-computation, and dropping them
+// expires it, so every iteration computes it exactly once. Registered ahead
+// of the benches whose registry-held NR systems would keep a computation on
+// this graph alive.
+void BM_BuildNrEb(benchmark::State& state) {
+  const graph::Graph& g = BenchGraph();
+  core::SystemParams params;
+  params.build.precompute_threads = 1;
+  for (auto _ : state) {
+    auto nr = core::BuildSystem(g, "NR", params).value();
+    auto eb = core::BuildSystem(g, "EB", params).value();
+    benchmark::DoNotOptimize(nr->cycle().total_packets());
+    benchmark::DoNotOptimize(eb->cycle().total_packets());
+  }
+}
+BENCHMARK(BM_BuildNrEb)->Unit(benchmark::kMillisecond);
+
 void BM_NetworkGeneration(benchmark::State& state) {
   graph::GeneratorOptions opts;
   opts.num_nodes = static_cast<uint32_t>(state.range(0));
@@ -354,7 +372,8 @@ BENCHMARK(BM_EventEngineFleetNrLossySharded)
 // readers. The threaded sweep pins the shared-lock fast path (a hit while
 // the cache is under capacity takes no exclusive lock); before the fix,
 // every hit took the write lock to stamp recency and the threads=4 row
-// collapsed to the single-lock rate.
+// collapsed to the single-lock rate. A hit includes the O(n + m)
+// graph::Fingerprint of the key, computed before any lock is taken.
 void BM_RegistryGetHit(benchmark::State& state) {
   const graph::Graph& g = BenchGraph();
   // Warm the entry once so the measured loop is pure hits.

@@ -10,6 +10,28 @@
 #include "common/thread_pool.h"
 
 namespace airindex::core {
+namespace {
+
+/// One live (or expired) shared pre-computation, with the identity of the
+/// graph it was computed on.
+struct MemoEntry {
+  uint64_t fingerprint = 0;
+  size_t nodes = 0;
+  size_t arcs = 0;
+  std::weak_ptr<const BorderPrecompute> pre;
+};
+
+struct PrecomputeMemo {
+  std::mutex mu;
+  std::vector<MemoEntry> entries;
+};
+
+PrecomputeMemo& Memo() {
+  static PrecomputeMemo* memo = new PrecomputeMemo();
+  return *memo;
+}
+
+}  // namespace
 
 std::vector<graph::RegionId> BorderPrecompute::NeededRegions(
     graph::RegionId i, graph::RegionId j) const {
@@ -187,6 +209,36 @@ Result<BorderPrecompute> ComputeBorderPrecompute(
   pre.seconds = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - start)
                     .count();
+  return pre;
+}
+
+Result<std::shared_ptr<const BorderPrecompute>> SharedBorderPrecompute(
+    const graph::Graph& g, partition::Partitioning part,
+    unsigned num_threads) {
+  const uint64_t fingerprint = graph::Fingerprint(g);
+  PrecomputeMemo& memo = Memo();
+  {
+    std::lock_guard<std::mutex> lock(memo.mu);
+    std::erase_if(memo.entries,
+                  [](const MemoEntry& e) { return e.pre.expired(); });
+    for (const MemoEntry& e : memo.entries) {
+      if (e.fingerprint != fingerprint || e.nodes != g.num_nodes() ||
+          e.arcs != g.num_arcs()) {
+        continue;
+      }
+      std::shared_ptr<const BorderPrecompute> pre = e.pre.lock();
+      if (pre != nullptr && pre->num_regions == part.num_regions &&
+          pre->part.node_region == part.node_region) {
+        return pre;
+      }
+    }
+  }
+  AIRINDEX_ASSIGN_OR_RETURN(
+      BorderPrecompute computed,
+      ComputeBorderPrecompute(g, std::move(part), num_threads));
+  auto pre = std::make_shared<const BorderPrecompute>(std::move(computed));
+  std::lock_guard<std::mutex> lock(memo.mu);
+  memo.entries.push_back({fingerprint, g.num_nodes(), g.num_arcs(), pre});
   return pre;
 }
 

@@ -2,6 +2,7 @@
 #define AIRINDEX_CORE_BORDER_PRECOMPUTE_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -88,6 +89,22 @@ struct BorderPrecompute {
 /// commutative (min/max/bitwise-or), so the result is byte-identical for
 /// every thread count, including serial.
 Result<BorderPrecompute> ComputeBorderPrecompute(
+    const graph::Graph& g, partition::Partitioning part,
+    unsigned num_threads = 0);
+
+/// ComputeBorderPrecompute, shared by graph content: returns the live
+/// pre-computation of an equal graph (graph::Fingerprint plus node and arc
+/// counts) under an identical partitioning when one exists, and computes a
+/// new one otherwise. EB and NR build from the same pre-computation (the
+/// paper's single "EB/NR" column of Table 3), so building both costs one.
+///
+/// The process-wide memo holds only weak references: a pre-computation
+/// lives exactly as long as some caller (a built system) keeps the returned
+/// pointer, and after that an equal graph recomputes. Thread-safe; a miss
+/// computes outside the memo's lock, so two racing callers may both
+/// compute (the results are byte-identical). `num_threads` never affects
+/// the result and is not part of the match.
+Result<std::shared_ptr<const BorderPrecompute>> SharedBorderPrecompute(
     const graph::Graph& g, partition::Partitioning part,
     unsigned num_threads = 0);
 

@@ -1,5 +1,7 @@
 #include "core/cycle_common.h"
 
+#include "core/region_data.h"
+
 namespace airindex::core {
 
 uint32_t AppendNetworkSegments(const graph::Graph& g,
@@ -22,6 +24,24 @@ uint32_t AppendNetworkSegments(const graph::Graph& g,
     }
   }
   return segments;
+}
+
+std::vector<RegionPayloads> EncodeRegionPayloads(
+    const graph::Graph& g, const BorderPrecompute& pre,
+    broadcast::CycleEncoding encoding) {
+  std::vector<RegionPayloads> payloads(pre.num_regions);
+  for (graph::RegionId r = 0; r < pre.num_regions; ++r) {
+    std::vector<graph::NodeId> cross_nodes, local_nodes;
+    for (graph::NodeId v : pre.part.region_nodes[r]) {
+      (pre.cross_border[v] ? cross_nodes : local_nodes).push_back(v);
+    }
+    payloads[r].cross = EncodeRegionData(g, pre.borders.region_border[r],
+                                         cross_nodes, encoding);
+    if (!local_nodes.empty()) {
+      payloads[r].local = EncodeRegionData(g, {}, local_nodes, encoding);
+    }
+  }
+  return payloads;
 }
 
 }  // namespace airindex::core

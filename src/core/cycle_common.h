@@ -6,6 +6,7 @@
 
 #include "broadcast/cycle.h"
 #include "broadcast/serialization.h"
+#include "core/border_precompute.h"
 #include "graph/graph.h"
 
 namespace airindex::core {
@@ -43,6 +44,20 @@ uint32_t AppendNetworkSegments(
     const graph::Graph& g, broadcast::CycleBuilder* builder,
     uint32_t chunk_nodes = kNetworkChunkNodes,
     broadcast::CycleEncoding encoding = broadcast::CycleEncoding::kLegacy);
+
+/// One region's data under the §4.1 split: the cross-border nodes headed by
+/// the region's border list, and the remaining local nodes (empty when the
+/// region has none).
+struct RegionPayloads {
+  std::vector<uint8_t> cross;
+  std::vector<uint8_t> local;
+};
+
+/// Encodes every region's cross/local payloads from `pre`'s partitioning
+/// and cross-border classification, as EB and NR broadcast them.
+std::vector<RegionPayloads> EncodeRegionPayloads(
+    const graph::Graph& g, const BorderPrecompute& pre,
+    broadcast::CycleEncoding encoding);
 
 }  // namespace airindex::core
 

@@ -30,12 +30,16 @@ namespace airindex::core {
 class EbSystem : public AirSystem {
  public:
   /// `num_regions` must be a power of two (paper default for Germany: 32).
+  /// The pre-computation comes from SharedBorderPrecompute, so an NR
+  /// system alive on an equal graph and region count lends EB its own.
   static Result<std::unique_ptr<EbSystem>> Build(const graph::Graph& g,
                                                  uint32_t num_regions,
                                                  const BuildConfig& config = {});
 
-  /// Builds from an existing pre-computation (lets NR/EB share one, as the
-  /// paper notes their pre-computation is identical).
+  /// Builds from a caller-held pre-computation, bypassing the shared memo
+  /// (the paper notes EB's and NR's pre-computations are identical; Build()
+  /// already shares one between them). precompute_seconds() reports
+  /// `pre.seconds`, the computation's own wall time.
   static Result<std::unique_ptr<EbSystem>> BuildFromPrecompute(
       const graph::Graph& g, const BorderPrecompute& pre,
       const BuildConfig& config = {});
@@ -53,6 +57,12 @@ class EbSystem : public AirSystem {
   uint32_t interleaving_m() const { return interleaving_m_; }
   const EbIndex& index() const { return index_; }
 
+  /// The shared pre-computation Build() took from SharedBorderPrecompute
+  /// (null when built by BuildFromPrecompute).
+  const std::shared_ptr<const BorderPrecompute>& precompute() const {
+    return precompute_;
+  }
+
  private:
   EbSystem() = default;
 
@@ -61,6 +71,9 @@ class EbSystem : public AirSystem {
   broadcast::CycleEncoding encoding_ = broadcast::CycleEncoding::kLegacy;
   uint32_t interleaving_m_ = 1;
   double precompute_seconds_ = 0.0;
+  /// Holding the shared pre-computation keeps it available to the other
+  /// method's Build() on an equal graph for as long as this system lives.
+  std::shared_ptr<const BorderPrecompute> precompute_;
 };
 
 }  // namespace airindex::core

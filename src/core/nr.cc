@@ -56,9 +56,11 @@ Result<std::unique_ptr<NrSystem>> NrSystem::Build(const graph::Graph& g,
   AIRINDEX_ASSIGN_OR_RETURN(
       auto kd, partition::KdTreePartitioner::Build(g, num_regions));
   AIRINDEX_ASSIGN_OR_RETURN(
-      auto pre, ComputeBorderPrecompute(g, kd.Partition(g),
-                                        config.precompute_threads));
-  return BuildFromPrecompute(g, pre, config);
+      auto pre, SharedBorderPrecompute(g, kd.Partition(g),
+                                       config.precompute_threads));
+  AIRINDEX_ASSIGN_OR_RETURN(auto sys, BuildFromPrecompute(g, *pre, config));
+  sys->precompute_ = std::move(pre);
+  return sys;
 }
 
 Result<std::unique_ptr<NrSystem>> NrSystem::BuildFromPrecompute(
@@ -77,23 +79,8 @@ Result<std::unique_ptr<NrSystem>> NrSystem::BuildFromPrecompute(
   // Region payloads with the §4.1 cross-border/local split (NR clients
   // receive only the cross segment of intermediate regions, which is what
   // makes NR's tuning time a subset of EB's).
-  struct RegionPayloads {
-    std::vector<uint8_t> cross;
-    std::vector<uint8_t> local;
-  };
-  std::vector<RegionPayloads> payloads(R);
-  for (graph::RegionId r = 0; r < R; ++r) {
-    std::vector<graph::NodeId> cross_nodes, local_nodes;
-    for (graph::NodeId v : pre.part.region_nodes[r]) {
-      (pre.cross_border[v] ? cross_nodes : local_nodes).push_back(v);
-    }
-    payloads[r].cross = EncodeRegionData(g, pre.borders.region_border[r],
-                                         cross_nodes, config.encoding);
-    if (!local_nodes.empty()) {
-      payloads[r].local = EncodeRegionData(g, {}, local_nodes,
-                                           config.encoding);
-    }
-  }
+  std::vector<RegionPayloads> payloads =
+      EncodeRegionPayloads(g, pre, config.encoding);
 
   // Layout: [A^0][cross_0][local_0?][A^1][cross_1]... with fixed-size local
   // indexes.

@@ -30,7 +30,9 @@ namespace airindex::core {
 /// adjacent region is received anyway (§6.2).
 class NrSystem : public AirSystem {
  public:
-  /// `num_regions`: power of two, at most 256 (paper default 32).
+  /// `num_regions`: power of two, at most 256 (paper default 32). The
+  /// pre-computation comes from SharedBorderPrecompute, shared with an EB
+  /// system alive on an equal graph and region count.
   static Result<std::unique_ptr<NrSystem>> Build(const graph::Graph& g,
                                                  uint32_t num_regions,
                                                  const BuildConfig& config = {});
@@ -51,6 +53,12 @@ class NrSystem : public AirSystem {
   /// The local index preceding region m (server-side introspection).
   const NrIndex& local_index(graph::RegionId m) const { return indexes_[m]; }
 
+  /// The shared pre-computation Build() took from SharedBorderPrecompute
+  /// (null when built by BuildFromPrecompute).
+  const std::shared_ptr<const BorderPrecompute>& precompute() const {
+    return precompute_;
+  }
+
  private:
   NrSystem() = default;
 
@@ -58,6 +66,9 @@ class NrSystem : public AirSystem {
   std::vector<NrIndex> indexes_;
   broadcast::CycleEncoding encoding_ = broadcast::CycleEncoding::kLegacy;
   double precompute_seconds_ = 0.0;
+  /// Holding the shared pre-computation keeps it available to the other
+  /// method's Build() on an equal graph for as long as this system lives.
+  std::shared_ptr<const BorderPrecompute> precompute_;
 };
 
 }  // namespace airindex::core

@@ -89,7 +89,7 @@ Result<std::vector<std::unique_ptr<AirSystem>>> BuildSystems(
 
 size_t SystemRegistry::KeyHash::operator()(const Key& k) const {
   // Boost-style hash combining over the key fields.
-  size_t h = std::hash<const void*>{}(k.graph);
+  size_t h = std::hash<uint64_t>{}(k.fingerprint);
   auto mix = [&h](size_t v) {
     h ^= v + 0x9E3779B97f4A7C15ULL + (h << 6) + (h >> 2);
   };
@@ -109,8 +109,9 @@ SystemRegistry& SystemRegistry::Global() {
 Result<std::shared_ptr<const AirSystem>> SystemRegistry::Get(
     const graph::Graph& g, std::string_view method,
     const SystemParams& params) {
-  Key key{&g, g.num_nodes(), g.num_arcs(), std::string(method),
-          MethodKnob(method, params), params.build.encoding};
+  Key key{graph::Fingerprint(g), g.num_nodes(), g.num_arcs(),
+          std::string(method), MethodKnob(method, params),
+          params.build.encoding};
   {
     // Fast path: a shared lock suffices for a hit while the cache is under
     // capacity — recency stamps only matter once an eviction is possible,
@@ -189,9 +190,12 @@ void SystemRegistry::Clear() {
 }
 
 void SystemRegistry::Evict(const graph::Graph& g) {
+  const uint64_t fingerprint = graph::Fingerprint(g);
   std::unique_lock<std::shared_mutex> lock(mu_);
   for (auto it = cache_.begin(); it != cache_.end();) {
-    if (it->first.graph == &g) {
+    const Key& key = it->first;
+    if (key.fingerprint == fingerprint && key.nodes == g.num_nodes() &&
+        key.arcs == g.num_arcs()) {
       it = cache_.erase(it);
     } else {
       ++it;

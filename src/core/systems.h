@@ -56,17 +56,19 @@ Result<std::vector<std::unique_ptr<AirSystem>>> BuildSystems(
 /// A list of ready broadcast systems, shared with the registry cache.
 using SharedSystems = std::vector<std::shared_ptr<const AirSystem>>;
 
-/// Process-wide cache of built systems keyed by (graph identity, method,
+/// Process-wide cache of built systems keyed by (graph content, method,
 /// relevant parameter). Building a method's broadcast cycle dominates
 /// experiment start-up (border-pair Dijkstras, kd-tree splits, cycle
 /// layout); the registry pays that cost once per (graph, config) and hands
 /// every caller the same immutable instance. Thread-safe; the returned
 /// systems are safe for concurrent RunQuery calls (see air_system.h).
 ///
-/// The cache key includes the graph's address plus its node/arc counts, so
-/// entries are only valid while the caller keeps the graph alive; call
-/// Clear() when discarding graphs wholesale (e.g. between networks of a
-/// memory-tight sweep).
+/// The cache key identifies the graph by content (graph::Fingerprint plus
+/// its node/arc counts), not by address: a freed graph's successor at the
+/// same address gets its own systems, and equal graphs share theirs.
+/// Systems hold no reference to the graph. Each Get hashes the graph, an
+/// O(n + m) pass. Call Clear() when discarding graphs wholesale (e.g.
+/// between networks of a memory-tight sweep).
 class SystemRegistry {
  public:
   /// The process-wide instance used by benches and the CLI.
@@ -100,15 +102,16 @@ class SystemRegistry {
   /// Drops every cached system.
   void Clear();
 
-  /// Drops the cached systems of one graph (all methods/knobs). Callers
-  /// that own a graph with a narrower lifetime than the process — the
-  /// scenario runner, per-network bench loops — evict on teardown instead
-  /// of clearing other graphs' caches wholesale.
+  /// Drops the cached systems of one graph (all methods/knobs), matched by
+  /// content, so an equal graph's entries go too. Callers that own a graph
+  /// with a narrower lifetime than the process — the scenario runner,
+  /// per-network bench loops — evict on teardown instead of clearing other
+  /// graphs' caches wholesale.
   void Evict(const graph::Graph& g);
 
  private:
   struct Key {
-    const graph::Graph* graph = nullptr;
+    uint64_t fingerprint = 0;
     size_t nodes = 0;
     size_t arcs = 0;
     std::string method;

@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 namespace airindex::graph {
@@ -63,6 +64,32 @@ Graph Graph::Reversed() const {
 size_t Graph::MemoryBytes() const {
   return offsets_.size() * sizeof(uint32_t) + arcs_.size() * sizeof(Arc) +
          coords_.size() * sizeof(Point);
+}
+
+uint64_t Fingerprint(const Graph& g) {
+  // One multiply-xorshift step per 64-bit word (each step is a bijection of
+  // the state for a fixed word), then a splitmix64 finalizer.
+  uint64_t h = 0x243F6A8885A308D3ULL;
+  auto add = [&h](uint64_t word) {
+    h = (h ^ word) * 0x9E3779B97F4A7C15ULL;
+    h ^= h >> 29;
+  };
+  add(g.num_nodes());
+  add(g.num_arcs());
+  for (uint32_t offset : g.offsets_) add(offset);
+  for (const Graph::Arc& a : g.arcs_) {
+    add(uint64_t{a.to} << 32 | a.weight);
+  }
+  for (const Point& p : g.coords_) {
+    add(std::bit_cast<uint64_t>(p.x));
+    add(std::bit_cast<uint64_t>(p.y));
+  }
+  h ^= h >> 30;
+  h *= 0xBF58476D1CE4E5B9ULL;
+  h ^= h >> 27;
+  h *= 0x94D049BB133111EBULL;
+  h ^= h >> 31;
+  return h;
 }
 
 bool Graph::IsStronglyConnected() const {

@@ -2,6 +2,7 @@
 #define AIRINDEX_GRAPH_GRAPH_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -73,6 +74,8 @@ class Graph {
   bool IsStronglyConnected() const;
 
  private:
+  friend uint64_t Fingerprint(const Graph& g);
+
   // CSR arrays are 64-byte aligned (SoA, one cache line per array start) so
   // sequential arc scans at million-node scale never straddle lines shared
   // with other allocations. Coordinates stay a plain vector: Build moves the
@@ -81,6 +84,14 @@ class Graph {
   AlignedVector<Arc> arcs_;
   std::vector<Point> coords_;
 };
+
+/// 64-bit content hash of `g`: node and arc counts, every CSR offset, every
+/// arc's (to, weight) and every coordinate's bit pattern, in O(n + m). Equal
+/// graphs hash equal wherever they live, so caches of derived structures
+/// key on it instead of on a graph's address (which a freed graph's
+/// successor can reuse). Computed on demand and never cached in the Graph:
+/// per-query graph rebuilds (ArcFlag's client) must not pay for it.
+uint64_t Fingerprint(const Graph& g);
 
 /// Incremental edge-list builder (convenience wrapper over Graph::Build).
 class GraphBuilder {

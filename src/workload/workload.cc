@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "algo/dijkstra.h"
+#include "algo/search_workspace.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "partition/kd_tree.h"
@@ -128,11 +129,14 @@ Result<Workload> GenerateWorkload(const graph::Graph& g,
       w.queries[i].arrival_ms = arrivals[i];
     }
   }
-  ParallelFor(spec.count, [&](size_t i) {
+  // Ground truth: one reused search workspace per worker, so a query costs
+  // its early-exit search and nothing else.
+  std::vector<algo::SearchWorkspace> workspaces(ResolveWorkers(spec.count, 0));
+  ParallelForWorker(spec.count, [&](unsigned worker, size_t i) {
     auto& q = w.queries[i];
-    q.true_dist = algo::DijkstraSearch(g, q.source, q.target,
-                                       algo::AllEdges{})
-                      .dist[q.target];
+    algo::SearchWorkspace& ws = workspaces[worker];
+    algo::DijkstraSearch(g, q.source, q.target, algo::AllEdges{}, ws);
+    q.true_dist = ws.DistTo(q.target);
   });
   for (const auto& q : w.queries) {
     if (q.true_dist == graph::kInfDist) {

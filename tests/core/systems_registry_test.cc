@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/systems.h"
 #include "testing/test_graphs.h"
 
@@ -129,6 +131,51 @@ TEST(SystemRegistryTest, ShrinkingCapacityEvictsImmediately) {
   EXPECT_EQ(registry.size(), 1u);
   // The survivor is the most recently used entry.
   EXPECT_EQ(registry.Get(g, "EB").value().get(), eb.get());
+  EXPECT_EQ(registry.size(), 1u);
+}
+
+TEST(SystemRegistryTest, NewGraphAtAFreedGraphsAddressGetsItsOwnSystem) {
+  // The key is the graph's content: a different graph with the same node
+  // and arc counts, placed where a freed graph lived, must not be served
+  // the freed graph's system.
+  SystemRegistry registry;
+  std::optional<graph::Graph> storage;
+  storage.emplace(SmallNetwork(300, 480, 21));
+  const graph::Graph* address = &*storage;
+  const size_t nodes = storage->num_nodes();
+  const size_t arcs = storage->num_arcs();
+  auto a = registry.Get(*storage, "NR").value();
+  storage.reset();
+
+  storage.emplace(SmallNetwork(300, 480, 22));
+  ASSERT_EQ(&*storage, address);
+  ASSERT_EQ(storage->num_nodes(), nodes);
+  ASSERT_EQ(storage->num_arcs(), arcs);
+  auto b = registry.Get(*storage, "NR").value();
+  EXPECT_NE(a.get(), b.get());
+  EXPECT_EQ(registry.size(), 2u);
+
+  const broadcast::BroadcastCycle& ca = a->cycle();
+  const broadcast::BroadcastCycle& cb = b->cycle();
+  bool differs = ca.num_segments() != cb.num_segments();
+  for (size_t i = 0; !differs && i < ca.num_segments(); ++i) {
+    differs = ca.segment(i).payload != cb.segment(i).payload;
+  }
+  EXPECT_TRUE(differs);
+
+  // Eviction matches on content too: evicting the live graph drops its
+  // entry and leaves the freed graph's.
+  registry.Evict(*storage);
+  EXPECT_EQ(registry.size(), 1u);
+}
+
+TEST(SystemRegistryTest, EqualGraphsShareOneEntry) {
+  SystemRegistry registry;
+  const graph::Graph g = SmallNetwork(300, 480, 21);
+  const graph::Graph copy = g;
+  auto a = registry.Get(g, "DJ").value();
+  auto b = registry.Get(copy, "DJ").value();
+  EXPECT_EQ(a.get(), b.get());
   EXPECT_EQ(registry.size(), 1u);
 }
 

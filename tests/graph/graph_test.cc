@@ -98,5 +98,32 @@ TEST(GraphTest, CoordsPreserved) {
   EXPECT_DOUBLE_EQ(g.Coord(a).y, -2.25);
 }
 
+TEST(GraphTest, FingerprintFollowsContentNotAddress) {
+  const Graph g = Diamond();
+  const Graph copy = g;
+  EXPECT_EQ(Fingerprint(g), Fingerprint(copy));
+  EXPECT_EQ(Fingerprint(g), Fingerprint(Diamond()));
+
+  // Same counts, one field changed each: a coordinate, an arc's target
+  // (the same degrees, so equal offsets), and an arc's weight.
+  std::vector<Point> coords = g.coords();
+  coords[3].y = 1e-9;
+  std::vector<EdgeTriplet> edges;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (const Graph::Arc& arc : g.OutArcs(v)) {
+      edges.push_back({v, arc.to, arc.weight});
+    }
+  }
+  EXPECT_NE(Fingerprint(g), Fingerprint(Graph::Build(coords, edges).value()));
+  std::vector<EdgeTriplet> retargeted = edges;
+  retargeted.front().to = 3;  // 0 -> 1 becomes 0 -> 3
+  EXPECT_NE(Fingerprint(g),
+            Fingerprint(Graph::Build(g.coords(), retargeted).value()));
+  std::vector<EdgeTriplet> reweighted = edges;
+  reweighted.front().weight += 1;
+  EXPECT_NE(Fingerprint(g),
+            Fingerprint(Graph::Build(g.coords(), reweighted).value()));
+}
+
 }  // namespace
 }  // namespace airindex::graph
