@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <set>
+
 #include "algo/dijkstra.h"
 #include "algo/search_workspace.h"
 #include "core/border_precompute.h"
@@ -15,7 +17,9 @@
 #include "core/systems.h"
 #include "graph/catalog.h"
 #include "graph/generator.h"
+#include "graph/pendant_forest.h"
 #include "partition/kd_tree.h"
+#include "partition/partitioning.h"
 #include "sim/event_engine.h"
 #include "sim/simulator.h"
 #include "workload/workload.h"
@@ -113,6 +117,24 @@ void BM_BorderPrecompute(benchmark::State& state) {
                    .value();
     benchmark::DoNotOptimize(pre.min_rr.data());
   }
+  // The work the pendant-forest decomposition leaves: the core's size, the
+  // border nodes served by tree paths, and one core search per distinct
+  // root of a border node (every border node reaches its root here: the
+  // catalog networks are strongly connected).
+  const graph::PendantForest forest = graph::DecomposePendantForest(g);
+  const partition::BorderInfo borders =
+      partition::ComputeBorders(g, kd.Partition(g));
+  std::set<graph::NodeId> roots;
+  size_t pendant_borders = 0;
+  for (graph::NodeId b : borders.border_nodes) {
+    pendant_borders += !forest.IsCore(b);
+    roots.insert(forest.root[b]);
+  }
+  state.counters["core_nodes"] =
+      static_cast<double>(forest.core_nodes.size());
+  state.counters["pendant_border_nodes"] =
+      static_cast<double>(pendant_borders);
+  state.counters["core_searches"] = static_cast<double>(roots.size());
 }
 // 128 regions need two mask words per region pair.
 BENCHMARK(BM_BorderPrecompute)->Arg(16)->Arg(32)->Arg(128)->Unit(
@@ -372,8 +394,9 @@ BENCHMARK(BM_EventEngineFleetNrLossySharded)
 // readers. The threaded sweep pins the shared-lock fast path (a hit while
 // the cache is under capacity takes no exclusive lock); before the fix,
 // every hit took the write lock to stamp recency and the threads=4 row
-// collapsed to the single-lock rate. A hit includes the O(n + m)
-// graph::Fingerprint of the key, computed before any lock is taken.
+// collapsed to the single-lock rate. A hit reads the graph's cached
+// graph::Fingerprint (hashed once, by the warm-up Get) before any lock is
+// taken.
 void BM_RegistryGetHit(benchmark::State& state) {
   const graph::Graph& g = BenchGraph();
   // Warm the entry once so the measured loop is pure hits.

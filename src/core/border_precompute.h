@@ -82,12 +82,16 @@ struct BorderPrecompute {
                          uint64_t* words) const;
 };
 
-/// Runs the pre-computation, work-stealing chunks of border-node sources
-/// across up to `num_threads` workers (0 = hardware concurrency). Each
-/// source costs one DijkstraToTargets plus two sweeps over its settle
-/// order, O(Dijkstra + settled * words_per_pair()). All merge steps are
-/// commutative (min/max/bitwise-or), so the result is byte-identical for
-/// every thread count, including serial.
+/// Runs the pre-computation over the graph's pendant-forest decomposition
+/// (graph::DecomposePendantForest), work-stealing chunks of root groups
+/// across up to `num_threads` workers (0 = hardware concurrency). Border
+/// nodes are grouped by the core node their pendant tree hangs from; each
+/// group costs one DijkstraToTargets over the core from that root plus two
+/// sweeps over its settle order, and each source adds a walk over its own
+/// tree and an O(num_regions * words_per_pair()) row merge. The result
+/// equals one full-graph search per border node (the test oracle). All
+/// merge steps are commutative (min/max/bitwise-or), so the result is
+/// byte-identical for every thread count, including serial.
 Result<BorderPrecompute> ComputeBorderPrecompute(
     const graph::Graph& g, partition::Partitioning part,
     unsigned num_threads = 0);

@@ -66,8 +66,9 @@ using SharedSystems = std::vector<std::shared_ptr<const AirSystem>>;
 /// The cache key identifies the graph by content (graph::Fingerprint plus
 /// its node/arc counts), not by address: a freed graph's successor at the
 /// same address gets its own systems, and equal graphs share theirs.
-/// Systems hold no reference to the graph. Each Get hashes the graph, an
-/// O(n + m) pass. Call Clear() when discarding graphs wholesale (e.g.
+/// Systems hold no reference to the graph. The first Get on a graph
+/// hashes it, an O(n + m) pass the graph then caches, so later Gets are
+/// O(1) in its size. Call Clear() when discarding graphs wholesale (e.g.
 /// between networks of a memory-tight sweep).
 class SystemRegistry {
  public:

@@ -5,6 +5,8 @@
 #include <algorithm>
 
 #include "algo/dijkstra.h"
+#include "common/rng.h"
+#include "graph/catalog.h"
 #include "graph/graph.h"
 #include "partition/kd_tree.h"
 #include "partition/partitioning.h"
@@ -135,6 +137,240 @@ TEST(BorderPrecomputeTest, MatchesParentWalkWithUnreachableTargets) {
     EXPECT_FALSE(pre->cross_border[4]);
     // 12 is no border node and lies below no border target.
     EXPECT_FALSE(pre->cross_border[12]);
+  }
+}
+
+// Builds a graph over `num_nodes` nodes from directed arcs (from, to, w).
+graph::Graph FromArcs(size_t num_nodes,
+                      const std::vector<graph::EdgeTriplet>& arcs) {
+  std::vector<graph::Point> coords(num_nodes);
+  for (size_t i = 0; i < num_nodes; ++i) {
+    coords[i] = {static_cast<double>(i), 0.0};
+  }
+  return graph::Graph::Build(std::move(coords), arcs).value();
+}
+
+// Adds a -> b and b -> a, both of weight w.
+void AddBoth(std::vector<graph::EdgeTriplet>* arcs, graph::NodeId a,
+             graph::NodeId b, graph::Weight w) {
+  arcs->push_back({a, b, w});
+  arcs->push_back({b, a, w});
+}
+
+void ExpectMatchesParentWalkAtOneAndFourThreads(
+    const graph::Graph& g, const partition::Partitioning& part) {
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    auto pre = ComputeBorderPrecompute(g, part, threads);
+    ASSERT_TRUE(pre.ok()) << pre.status().ToString();
+    ExpectMatchesParentWalk(g, *pre);
+  }
+}
+
+TEST(BorderPrecomputeTest, MatchesParentWalkWithBordersInPendantTrees) {
+  // Core: the ring 0 - 1 - 2 - 3 - 0. Node 0 carries three pendant trees
+  // (4 - 5 - {6, 7}, 8, and 9 - 10), node 2 one (11 - 12 - 13), and the
+  // region boundaries run through the trees, so most border nodes are
+  // pendant and several trees share a root.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 1, 4);
+  AddBoth(&arcs, 1, 2, 3);
+  AddBoth(&arcs, 2, 3, 5);
+  AddBoth(&arcs, 3, 0, 2);
+  AddBoth(&arcs, 0, 4, 1);
+  AddBoth(&arcs, 4, 5, 2);
+  AddBoth(&arcs, 5, 6, 3);
+  AddBoth(&arcs, 5, 7, 1);
+  AddBoth(&arcs, 0, 8, 6);
+  AddBoth(&arcs, 0, 9, 2);
+  AddBoth(&arcs, 9, 10, 2);
+  AddBoth(&arcs, 2, 11, 1);
+  AddBoth(&arcs, 11, 12, 4);
+  AddBoth(&arcs, 12, 13, 1);
+  const graph::Graph g = FromArcs(14, arcs);
+  const partition::Partitioning part = partition::MakePartitioning(
+      {0, 0, 1, 1, 0, 2, 3, 2, 1, 0, 3, 1, 2, 3}, 4);
+  ExpectMatchesParentWalkAtOneAndFourThreads(g, part);
+}
+
+TEST(BorderPrecomputeTest, MatchesParentWalkWithinOneTree) {
+  // Source and target in one pendant tree on different branches: the
+  // tree 2 - 3 - {4 - 5, 6 - {7, 8}} hangs off the triangle 0 - 1 - 2, and
+  // only the tree's leaves leave region 0.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 1, 2);
+  AddBoth(&arcs, 1, 2, 2);
+  AddBoth(&arcs, 2, 0, 2);
+  AddBoth(&arcs, 2, 3, 1);
+  AddBoth(&arcs, 3, 4, 5);
+  AddBoth(&arcs, 4, 5, 1);
+  AddBoth(&arcs, 3, 6, 2);
+  AddBoth(&arcs, 6, 7, 1);
+  AddBoth(&arcs, 6, 8, 3);
+  const graph::Graph g = FromArcs(9, arcs);
+  const partition::Partitioning part = partition::MakePartitioning(
+      {0, 0, 0, 0, 0, 1, 0, 2, 1}, 3);
+  ExpectMatchesParentWalkAtOneAndFourThreads(g, part);
+}
+
+TEST(BorderPrecomputeTest, MatchesParentWalkWithOneWayTreeArcs) {
+  // Square core 0 - 1 - 2 - 3 - 0. Node 1's tree is one-way down
+  // (1 -> 4 -> 5), node 3's one-way up (7 -> 6 -> 3), and node 0's mixes
+  // both (0 -> 8, 8 - 9, 10 -> 8), so some border pairs are unreachable
+  // in one direction only.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 1, 3);
+  AddBoth(&arcs, 1, 2, 3);
+  AddBoth(&arcs, 2, 3, 3);
+  AddBoth(&arcs, 3, 0, 3);
+  arcs.push_back({1, 4, 2});
+  arcs.push_back({4, 5, 2});
+  arcs.push_back({7, 6, 1});
+  arcs.push_back({6, 3, 1});
+  arcs.push_back({0, 8, 2});
+  AddBoth(&arcs, 8, 9, 1);
+  arcs.push_back({10, 8, 4});
+  const graph::Graph g = FromArcs(11, arcs);
+  const partition::Partitioning part = partition::MakePartitioning(
+      {0, 0, 1, 1, 1, 2, 2, 0, 0, 2, 1}, 3);
+  ExpectMatchesParentWalkAtOneAndFourThreads(g, part);
+}
+
+TEST(BorderPrecomputeTest, MatchesParentWalkOnAOneWayChainToANonBorderRoot) {
+  // The ring 0 - 1 - 2 - 3 has one border-free node, 1, and the chain
+  // 4 -> 5 -> 6 -> 1 runs into it one way. Node 6 is no border node and
+  // is reached from no other source, but lies on every path from 5 to the
+  // ring's border nodes.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 1, 1);
+  AddBoth(&arcs, 1, 2, 1);
+  AddBoth(&arcs, 2, 3, 1);
+  AddBoth(&arcs, 3, 0, 1);
+  arcs.push_back({4, 5, 1});
+  arcs.push_back({5, 6, 1});
+  arcs.push_back({6, 1, 1});
+  const graph::Graph g = FromArcs(7, arcs);
+  const partition::Partitioning part =
+      partition::MakePartitioning({0, 0, 0, 1, 1, 0, 0}, 2);
+  ExpectMatchesParentWalkAtOneAndFourThreads(g, part);
+  auto pre = ComputeBorderPrecompute(g, part);
+  ASSERT_TRUE(pre.ok());
+  EXPECT_TRUE(pre->cross_border[6]);
+}
+
+TEST(BorderPrecomputeTest, MatchesParentWalkWhenOnlyOneTreeHasBorders) {
+  // The ring 0 - 1 - 2 - 3 lies in one region, so every border node is in
+  // the tree 0 - 4 - 5 - {6, 7} and no search enters that tree from
+  // outside: node 4 lies above border nodes but on no border-pair path.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 1, 1);
+  AddBoth(&arcs, 1, 2, 1);
+  AddBoth(&arcs, 2, 3, 1);
+  AddBoth(&arcs, 3, 0, 1);
+  AddBoth(&arcs, 0, 4, 2);
+  AddBoth(&arcs, 4, 5, 2);
+  AddBoth(&arcs, 5, 6, 1);
+  AddBoth(&arcs, 5, 7, 3);
+  const graph::Graph g = FromArcs(8, arcs);
+  const partition::Partitioning part =
+      partition::MakePartitioning({0, 0, 0, 0, 0, 0, 1, 0}, 2);
+  ExpectMatchesParentWalkAtOneAndFourThreads(g, part);
+  auto pre = ComputeBorderPrecompute(g, part);
+  ASSERT_TRUE(pre.ok());
+  EXPECT_FALSE(pre->cross_border[4]);
+}
+
+TEST(BorderPrecomputeTest, MatchesParentWalkWithZeroWeightAndParallelArcs) {
+  // Zero-weight arcs make equal-distance ties in the core and in the
+  // trees; parallel arcs of different weights (in both the core and a
+  // tree) must resolve to the lighter one, and a one-way pair of parallel
+  // arcs still counts as one neighbour.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 1, 0);
+  AddBoth(&arcs, 1, 2, 2);
+  AddBoth(&arcs, 0, 3, 2);
+  AddBoth(&arcs, 3, 2, 0);
+  AddBoth(&arcs, 1, 3, 2);
+  arcs.push_back({0, 1, 5});  // parallel to the zero-weight 0 -> 1
+  AddBoth(&arcs, 2, 4, 0);
+  AddBoth(&arcs, 4, 5, 3);
+  arcs.push_back({4, 5, 1});  // parallel, lighter, one direction only
+  AddBoth(&arcs, 4, 6, 0);
+  arcs.push_back({3, 7, 0});
+  arcs.push_back({3, 7, 4});
+  AddBoth(&arcs, 7, 8, 0);
+  const graph::Graph g = FromArcs(9, arcs);
+  const partition::Partitioning part = partition::MakePartitioning(
+      {0, 1, 0, 1, 2, 0, 1, 2, 0}, 3);
+  ExpectMatchesParentWalkAtOneAndFourThreads(g, part);
+}
+
+TEST(BorderPrecomputeTest, MatchesParentWalkOnAComponentThatIsATree) {
+  // Two components: a tree 0 - 1 - {2, 3 - 4} with an empty 2-core, and a
+  // one-way two-node path 5 -> 6; plus an isolated node 7.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 1, 2);
+  AddBoth(&arcs, 1, 2, 1);
+  AddBoth(&arcs, 1, 3, 3);
+  AddBoth(&arcs, 3, 4, 1);
+  arcs.push_back({5, 6, 2});
+  const graph::Graph g = FromArcs(8, arcs);
+  const partition::Partitioning part = partition::MakePartitioning(
+      {0, 1, 0, 1, 2, 2, 0, 1}, 3);
+  ExpectMatchesParentWalkAtOneAndFourThreads(g, part);
+}
+
+TEST(BorderPrecomputeTest, MatchesParentWalkOnRandomTreeHeavyGraphs) {
+  // Small random graphs, mostly trees with a few extra arcs: random
+  // weights including 0, one-way and parallel arcs, random regions.
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    const size_t n = 8 + rng.NextBounded(40);
+    std::vector<graph::EdgeTriplet> arcs;
+    auto add = [&](graph::NodeId a, graph::NodeId b) {
+      const auto w = static_cast<graph::Weight>(rng.NextBounded(4));
+      switch (rng.NextBounded(6)) {
+        case 0: arcs.push_back({a, b, w}); break;
+        case 1: arcs.push_back({b, a, w}); break;
+        case 2:
+          AddBoth(&arcs, a, b, w);
+          arcs.push_back({a, b, w + 1});
+          break;
+        default: AddBoth(&arcs, a, b, w); break;
+      }
+    };
+    // Regions mostly follow the tree, so runs of non-border nodes lie
+    // between border nodes.
+    const uint32_t regions = 2 + static_cast<uint32_t>(rng.NextBounded(4));
+    std::vector<graph::RegionId> node_region(n);
+    node_region[0] = 0;
+    for (graph::NodeId v = 1; v < n; ++v) {
+      const auto parent = static_cast<graph::NodeId>(rng.NextBounded(v));
+      add(parent, v);
+      node_region[v] =
+          rng.NextBounded(4) == 0
+              ? static_cast<graph::RegionId>(rng.NextBounded(regions))
+              : node_region[parent];
+    }
+    for (uint64_t extra = rng.NextBounded(4); extra > 0; --extra) {
+      const auto a = static_cast<graph::NodeId>(rng.NextBounded(n));
+      const auto b = static_cast<graph::NodeId>(rng.NextBounded(n));
+      if (a != b) add(a, b);
+    }
+    const graph::Graph g = FromArcs(n, arcs);
+    ExpectMatchesParentWalkAtOneAndFourThreads(
+        g, partition::MakePartitioning(std::move(node_region), regions));
+  }
+}
+
+TEST(BorderPrecomputeTest, MatchesParentWalkOnGermany) {
+  const graph::Graph g =
+      graph::MakeNetwork(graph::FindNetwork("Germany").value(), 0.1).value();
+  for (uint32_t regions : {32u, 128u}) {
+    SCOPED_TRACE(::testing::Message() << regions << " regions");
+    auto kd = partition::KdTreePartitioner::Build(g, regions).value();
+    ExpectMatchesParentWalkAtOneAndFourThreads(g, kd.Partition(g));
   }
 }
 

@@ -123,7 +123,9 @@ TEST(SystemsLossTest, ArcFlagHeaderRepairClosesTheGap) {
 
     if (!m_off.ok) ++failures_off;
     if (!m_on.ok) ++failures_on;
-    if (m_on.ok) EXPECT_EQ(m_on.distance, w.queries[i].true_dist);
+    if (m_on.ok) {
+      EXPECT_EQ(m_on.distance, w.queries[i].true_dist);
+    }
 
     // Off must be byte-identical to a default-options run (the option
     // changes nothing unless switched on)...

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <thread>
+#include <vector>
 
 #include "core/systems.h"
 #include "testing/test_graphs.h"
@@ -176,6 +178,31 @@ TEST(SystemRegistryTest, EqualGraphsShareOneEntry) {
   auto a = registry.Get(g, "DJ").value();
   auto b = registry.Get(copy, "DJ").value();
   EXPECT_EQ(a.get(), b.get());
+  EXPECT_EQ(registry.size(), 1u);
+}
+
+TEST(SystemRegistryTest, ConcurrentFirstLookupsHashTheGraphOnce) {
+  // Several threads make the first Get on a fresh graph at once: each
+  // computes and caches the same fingerprint (a benign race on an atomic),
+  // and all of them end up on one entry.
+  SystemRegistry registry;
+  const graph::Graph g = SmallNetwork(300, 480, 21);
+  const uint64_t expected = graph::Fingerprint(SmallNetwork(300, 480, 21));
+  constexpr int kThreads = 4;
+  std::vector<uint64_t> fingerprints(kThreads, 0);
+  std::vector<const AirSystem*> systems(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      fingerprints[t] = graph::Fingerprint(g);
+      systems[t] = registry.Get(g, "DJ").value().get();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(fingerprints[t], expected);
+    EXPECT_EQ(systems[t], systems[0]);
+  }
   EXPECT_EQ(registry.size(), 1u);
 }
 

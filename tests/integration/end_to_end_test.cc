@@ -73,6 +73,7 @@ TEST(EndToEndTest, DeterministicReplay) {
                                            .eb_regions = 8,
                                            .nr_regions = 8,
                                            .landmarks = 2,
+                                           .build = {},
                                        })
                      .value();
   auto w = workload::GenerateWorkload(g, 5, 4243).value();
