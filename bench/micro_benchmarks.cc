@@ -1,12 +1,13 @@
 // Micro benchmarks (google-benchmark) for the hot substrate operations:
-// Dijkstra throughput, kd-tree construction, border-pair pre-computation,
-// network generation, broadcast-cycle assembly, and the parallel
-// simulation engine's end-to-end client throughput.
+// Dijkstra throughput, kd-tree construction, border-pair and ArcFlag
+// pre-computation, network generation, broadcast-cycle assembly, and the
+// parallel simulation engine's end-to-end client throughput.
 
 #include <benchmark/benchmark.h>
 
 #include <set>
 
+#include "algo/arc_flags.h"
 #include "algo/dijkstra.h"
 #include "algo/search_workspace.h"
 #include "core/border_precompute.h"
@@ -105,25 +106,15 @@ void BM_KdTreeBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_KdTreeBuild)->Arg(16)->Arg(32)->Arg(64);
 
-void BM_BorderPrecompute(benchmark::State& state) {
-  const graph::Graph& g = BenchGraph();
-  auto kd = partition::KdTreePartitioner::Build(
-                g, static_cast<uint32_t>(state.range(0)))
-                .value();
-  for (auto _ : state) {
-    // One thread, so this times the per-source kernel and not the pool.
-    auto pre = core::ComputeBorderPrecompute(g, kd.Partition(g),
-                                             /*num_threads=*/1)
-                   .value();
-    benchmark::DoNotOptimize(pre.min_rr.data());
-  }
-  // The work the pendant-forest decomposition leaves: the core's size, the
-  // border nodes served by tree paths, and one core search per distinct
-  // root of a border node (every border node reaches its root here: the
-  // catalog networks are strongly connected).
+// The work the pendant-forest decomposition leaves the border and ArcFlag
+// pre-computations: the core's size, the border nodes served by tree
+// paths, and one core search per distinct root of a border node (every
+// border node reaches its root here: the catalog networks are strongly
+// connected).
+void SetForestCounters(benchmark::State& state, const graph::Graph& g,
+                       const partition::Partitioning& part) {
   const graph::PendantForest forest = graph::DecomposePendantForest(g);
-  const partition::BorderInfo borders =
-      partition::ComputeBorders(g, kd.Partition(g));
+  const partition::BorderInfo borders = partition::ComputeBorders(g, part);
   std::set<graph::NodeId> roots;
   size_t pendant_borders = 0;
   for (graph::NodeId b : borders.border_nodes) {
@@ -136,9 +127,40 @@ void BM_BorderPrecompute(benchmark::State& state) {
       static_cast<double>(pendant_borders);
   state.counters["core_searches"] = static_cast<double>(roots.size());
 }
+
+void BM_BorderPrecompute(benchmark::State& state) {
+  const graph::Graph& g = BenchGraph();
+  auto kd = partition::KdTreePartitioner::Build(
+                g, static_cast<uint32_t>(state.range(0)))
+                .value();
+  for (auto _ : state) {
+    // One thread, so this times the per-source kernel and not the pool.
+    auto pre = core::ComputeBorderPrecompute(g, kd.Partition(g),
+                                             /*num_threads=*/1)
+                   .value();
+    benchmark::DoNotOptimize(pre.min_rr.data());
+  }
+  SetForestCounters(state, g, kd.Partition(g));
+}
 // 128 regions need two mask words per region pair.
 BENCHMARK(BM_BorderPrecompute)->Arg(16)->Arg(32)->Arg(128)->Unit(
     benchmark::kMillisecond);
+
+void BM_ArcFlagBuild(benchmark::State& state) {
+  const graph::Graph& g = BenchGraph();
+  const auto regions = static_cast<uint32_t>(state.range(0));
+  auto kd = partition::KdTreePartitioner::Build(g, regions).value();
+  const partition::Partitioning part = kd.Partition(g);
+  for (auto _ : state) {
+    // One thread, so this times the kernel and not the pool.
+    auto idx = algo::ArcFlagIndex::Build(g, part.node_region, regions,
+                                         /*num_threads=*/1)
+                   .value();
+    benchmark::DoNotOptimize(idx.ArcWords(0));
+  }
+  SetForestCounters(state, g, part);
+}
+BENCHMARK(BM_ArcFlagBuild)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 
 // NR then EB through BuildSystem on one thread, both systems dropped each
 // iteration: the pair shares one border pre-computation, and dropping them

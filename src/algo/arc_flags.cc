@@ -1,9 +1,12 @@
 #include "algo/arc_flags.h"
 
-#include <mutex>
+#include <algorithm>
+#include <span>
 
 #include "algo/dijkstra.h"
 #include "common/thread_pool.h"
+#include "graph/pendant_forest.h"
+#include "partition/partitioning.h"
 
 namespace airindex::algo {
 
@@ -26,11 +29,19 @@ size_t ArcIndexOf(const graph::Graph& g, graph::NodeId from,
   return g.ArcIndex(arcs[lo]);
 }
 
+void SetBit(uint64_t* mask, graph::RegionId r) {
+  mask[r / 64] |= uint64_t{1} << (r % 64);
+}
+
+void OrInto(uint64_t* dst, const uint64_t* src, size_t words) {
+  for (size_t w = 0; w < words; ++w) dst[w] |= src[w];
+}
+
 }  // namespace
 
 Result<ArcFlagIndex> ArcFlagIndex::Build(
     const graph::Graph& g, const std::vector<graph::RegionId>& node_region,
-    uint32_t num_regions) {
+    uint32_t num_regions, unsigned num_threads) {
   if (node_region.size() != g.num_nodes()) {
     return Status::InvalidArgument("node_region size mismatch");
   }
@@ -57,41 +68,175 @@ Result<ArcFlagIndex> ArcFlagIndex::Build(
     }
   }
 
-  // Border nodes: head of some arc that crosses regions.
-  std::vector<graph::NodeId> border;
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    bool is_border = false;
-    for (const auto& arc : g.OutArcs(v)) {
-      if (node_region[arc.to] != node_region[v]) {
-        is_border = true;
-        break;
-      }
+  // The flag sources: both endpoints of every region-crossing arc. A query
+  // enters its target region at the head of such an arc, so every head
+  // must be one.
+  const partition::BorderInfo borders = partition::ComputeBorders(
+      g, partition::MakePartitioning(node_region, num_regions));
+
+  // Every path between a pendant tree and the rest of the network passes
+  // the tree's root, so a source's backward search splits into its own
+  // branch (the root's child subtree holding it), where paths are tree
+  // paths, and the rest, which it reaches through its root: one backward
+  // search over the core from each root serves every source hanging from
+  // it. docs/perf.md argues why the flags equal the per-source full-graph
+  // searches' bit for bit.
+  const graph::PendantForest forest = graph::DecomposePendantForest(g);
+  const size_t n = g.num_nodes();
+  const size_t core_n = forest.core_nodes.size();
+  const size_t words = idx.words_per_arc_;
+  auto flag_words = [&](graph::NodeId from, graph::NodeId to) {
+    return idx.flags_.data() + ArcIndexOf(g, from, to) * words;
+  };
+
+  // Per node, `words` words each. At a root: the regions of the sources
+  // that reach it backwards (down[b] finite; a core source is its own
+  // root). At a branch top: the same for the sources in its branch.
+  std::vector<uint64_t> root_mask(n * words, 0);
+  std::vector<uint64_t> branch_mask(n * words, 0);
+  // Per pendant node: the child of its root it hangs below. Roots first.
+  std::vector<graph::NodeId> branch(n, graph::kInvalidNode);
+  for (auto it = forest.peel_order.rbegin(); it != forest.peel_order.rend();
+       ++it) {
+    const graph::NodeId p = forest.parent[*it];
+    branch[*it] = forest.IsCore(p) ? *it : branch[p];
+  }
+  for (graph::NodeId b : borders.border_nodes) {
+    if (forest.down[b] == graph::kInfDist) continue;
+    SetBit(&root_mask[forest.root[b] * words], node_region[b]);
+    if (!forest.IsCore(b)) {
+      SetBit(&branch_mask[branch[b] * words], node_region[b]);
     }
-    if (is_border) border.push_back(v);
   }
 
-  graph::Graph rev = g.Reversed();
-
-  // One backward Dijkstra per border node; each worker accumulates flags
-  // locally, then merges under a mutex (flag OR is commutative).
-  std::mutex merge_mu;
-  ParallelFor(border.size(), [&](size_t bi) {
-    const graph::NodeId b = border[bi];
-    const graph::RegionId region = node_region[b];
-    SearchTree tree = DijkstraAll(rev, b);
-    std::vector<size_t> flagged;
-    flagged.reserve(g.num_nodes());
-    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      graph::NodeId p = tree.parent[v];
-      if (p == graph::kInvalidNode) continue;
-      // Reverse-tree arc p->v corresponds to forward arc v->p on a shortest
-      // v -> b path.
-      flagged.push_back(ArcIndexOf(g, v, p));
+  // A pendant node that reaches its root is flagged toward every source
+  // at that root outside its own branch. Per branch top, those are the
+  // root's regions minus the ones whose every source lies in the branch:
+  // the regions of more than one contributor (the root itself, each
+  // branch) stay.
+  std::vector<uint64_t> outside_branch(n * words, 0);
+  std::vector<uint64_t> shared(words);
+  std::vector<uint64_t> seen(words);
+  for (graph::NodeId r : forest.core_nodes) {
+    const std::span<const graph::NodeId> tops = forest.Children(r);
+    if (tops.empty()) continue;
+    std::fill(shared.begin(), shared.end(), 0);
+    std::fill(seen.begin(), seen.end(), 0);
+    if (borders.is_border[r]) SetBit(seen.data(), node_region[r]);
+    for (graph::NodeId c : tops) {
+      for (size_t w = 0; w < words; ++w) {
+        shared[w] |= seen[w] & branch_mask[c * words + w];
+        seen[w] |= branch_mask[c * words + w];
+      }
     }
-    std::lock_guard<std::mutex> lock(merge_mu);
-    for (size_t a : flagged) idx.SetArcFlag(a, region);
-  });
+    for (graph::NodeId c : tops) {
+      for (size_t w = 0; w < words; ++w) {
+        outside_branch[c * words + w] =
+            root_mask[r * words + w] &
+            ~(branch_mask[c * words + w] & ~shared[w]);
+      }
+    }
+  }
 
+  // One backward search over the core per root with sources. Every core
+  // node it settles, the root aside, reaches the root's sources through
+  // its parent there: flag that arc for them. The search's parents are the
+  // full-graph search's (strict-improvement relaxation, and core ids keep
+  // the nodes' order, so the (dist, node) pop order is the same).
+  std::vector<graph::NodeId> roots;
+  for (graph::NodeId c = 0; c < core_n; ++c) {
+    const uint64_t* mask = &root_mask[forest.core_nodes[c] * words];
+    if (std::any_of(mask, mask + words, [](uint64_t w) { return w != 0; })) {
+      roots.push_back(c);
+    }
+  }
+  const graph::Graph core_rev = forest.core.Reversed();
+  // Work stealing over the roots, chunks of kRootChunk. Each worker ORs
+  // into its own flags over the core's arcs, merged after the pool joins,
+  // so the result is the same at any thread count.
+  constexpr size_t kRootChunk = 4;
+  struct WorkerState {
+    SearchWorkspace ws;
+    std::vector<uint64_t> core_flags;
+  };
+  const size_t core_words = forest.core.num_arcs() * words;
+  std::vector<WorkerState> workers(ResolveWorkers(roots.size(), num_threads));
+  for (WorkerState& state : workers) state.core_flags.assign(core_words, 0);
+  ParallelForChunked(
+      roots.size(), kRootChunk,
+      [&](unsigned worker, size_t begin, size_t end) {
+        WorkerState& state = workers[worker];
+        for (size_t i = begin; i < end; ++i) {
+          const graph::NodeId rc = roots[i];
+          const uint64_t* mask = &root_mask[forest.core_nodes[rc] * words];
+          DijkstraAll(core_rev, rc, state.ws);
+          for (graph::NodeId c = 0; c < core_n; ++c) {
+            const graph::NodeId p = state.ws.ParentOf(c);
+            if (p == graph::kInvalidNode) continue;
+            OrInto(&state.core_flags[ArcIndexOf(forest.core, c, p) * words],
+                   mask, words);
+          }
+        }
+      },
+      num_threads);
+  std::vector<uint64_t>& core_flags = workers.front().core_flags;
+  for (size_t k = 1; k < workers.size(); ++k) {
+    OrInto(core_flags.data(), workers[k].core_flags.data(), core_words);
+  }
+  // Per core id, `words` words: the regions of the sources at the other
+  // roots whose search settled it. Each such search flagged exactly one of
+  // its arcs.
+  std::vector<uint64_t> reach(core_n * words, 0);
+  for (graph::NodeId c = 0; c < core_n; ++c) {
+    for (const graph::Graph::Arc& arc : forest.core.OutArcs(c)) {
+      const uint64_t* mask = &core_flags[forest.core.ArcIndex(arc) * words];
+      OrInto(flag_words(forest.core_nodes[c], forest.core_nodes[arc.to]),
+             mask, words);
+      OrInto(&reach[c * words], mask, words);
+    }
+  }
+
+  // Pendant nodes that reach their root: toward the sources the root's
+  // backward searches reached, and toward the root's own sources outside
+  // the node's branch, the path leaves through the node's parent.
+  for (graph::NodeId u : forest.peel_order) {
+    if (forest.up[u] == graph::kInfDist) continue;
+    const uint64_t* from_core =
+        &reach[forest.core_id[forest.root[u]] * words];
+    const uint64_t* from_root = &outside_branch[branch[u] * words];
+    uint64_t* arc = flag_words(u, forest.parent[u]);
+    for (size_t w = 0; w < words; ++w) arc[w] |= from_core[w] | from_root[w];
+  }
+
+  // Pendant sources: a backward walk over the source's own branch along
+  // the tree arcs that lead toward it, up to the root.
+  std::vector<graph::NodeId> walk;
+  std::vector<graph::NodeId> walk_from(n);
+  for (graph::NodeId b : borders.border_nodes) {
+    if (forest.IsCore(b)) continue;
+    const graph::RegionId region = node_region[b];
+    walk.assign(1, b);
+    walk_from[b] = graph::kInvalidNode;
+    for (size_t i = 0; i < walk.size(); ++i) {
+      const graph::NodeId x = walk[i];
+      const graph::NodeId p = forest.parent[x];
+      if (p != walk_from[x] && forest.down_step[x] != graph::kInfDist) {
+        SetBit(flag_words(p, x), region);
+        if (!forest.IsCore(p)) {
+          walk_from[p] = x;
+          walk.push_back(p);
+        }
+      }
+      for (graph::NodeId c : forest.Children(x)) {
+        if (c == walk_from[x] || forest.up_step[c] == graph::kInfDist) {
+          continue;
+        }
+        SetBit(flag_words(c, x), region);
+        walk_from[c] = x;
+        walk.push_back(c);
+      }
+    }
+  }
   return idx;
 }
 

@@ -18,20 +18,25 @@ namespace airindex::algo {
 /// R. A query toward target t then only relaxes arcs whose bit for t's
 /// region is set.
 ///
-/// Flags are computed the standard way: for every region R and every border
-/// node b of R, a backward Dijkstra from b builds a reverse shortest-path
-/// tree and flags every tree arc for R. Arcs whose head lies in R are
+/// Flags are computed from backward shortest-path trees: for every border
+/// node b (an endpoint of an arc that crosses regions, so every node a
+/// query can enter its target region at), every arc of the backward tree
+/// toward b is flagged for b's region. Arcs whose head lies in R are
 /// flagged for R unconditionally so the search can move within the target
 /// region.
 class ArcFlagIndex {
  public:
   /// `node_region[v]` maps each node to its region id in
-  /// [0, num_regions). Runs one backward Dijkstra per border node
-  /// (parallelized across cores).
+  /// [0, num_regions). Works on the network's 2-core: one backward
+  /// Dijkstra over the core per root that border nodes reach (a core
+  /// border node is its own root), on up to `num_threads` workers
+  /// (0 = hardware concurrency), then linear passes over the pendant
+  /// trees. The flags do not depend on `num_threads`.
   static Result<ArcFlagIndex> Build(const graph::Graph& g,
                                     const std::vector<graph::RegionId>&
                                         node_region,
-                                    uint32_t num_regions);
+                                    uint32_t num_regions,
+                                    unsigned num_threads = 0);
 
   uint32_t num_regions() const { return num_regions_; }
   size_t words_per_arc() const { return words_per_arc_; }

@@ -95,7 +95,8 @@ bool RegionUnder(RegionId r, uint32_t h, uint32_t num_regions) {
 }  // namespace
 
 Result<HiTiIndex> HiTiIndex::Build(const graph::Graph& g,
-                                   const partition::KdTreePartitioner& kd) {
+                                   const partition::KdTreePartitioner& kd,
+                                   unsigned num_threads) {
   HiTiIndex idx;
   idx.num_regions_ = kd.num_regions();
   idx.depth_ = kd.depth();
@@ -184,17 +185,20 @@ Result<HiTiIndex> HiTiIndex::Build(const graph::Graph& g,
     }
 
     // One Dijkstra per border node of this sub-graph, parallel.
-    ParallelFor(nb, [&](size_t i) {
-      const uint32_t src = local.local_of.at(sub.border[i]);
-      LocalGraph::LocalTree tree = local.Dijkstra(src);
-      for (size_t j = 0; j < nb; ++j) {
-        const uint32_t dst = local.local_of.at(sub.border[j]);
-        sub.dmat[i * nb + j] = tree.dist[dst];
-        const uint32_t hop = local.FirstHop(tree, src, dst);
-        sub.next_hop[i * nb + j] =
-            hop == UINT32_MAX ? graph::kInvalidNode : local.globals[hop];
-      }
-    });
+    ParallelFor(
+        nb,
+        [&](size_t i) {
+          const uint32_t src = local.local_of.at(sub.border[i]);
+          LocalGraph::LocalTree tree = local.Dijkstra(src);
+          for (size_t j = 0; j < nb; ++j) {
+            const uint32_t dst = local.local_of.at(sub.border[j]);
+            sub.dmat[i * nb + j] = tree.dist[dst];
+            const uint32_t hop = local.FirstHop(tree, src, dst);
+            sub.next_hop[i * nb + j] =
+                hop == UINT32_MAX ? graph::kInvalidNode : local.globals[hop];
+          }
+        },
+        num_threads);
     if (h == 1) break;
   }
   return idx;

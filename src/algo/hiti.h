@@ -46,9 +46,11 @@ class HiTiIndex {
   };
 
   /// Builds the index bottom-up over the kd hierarchy. One local Dijkstra
-  /// per (sub-graph, border node) pair, parallelized.
+  /// per (sub-graph, border node) pair, on up to `num_threads` workers
+  /// (0 = hardware concurrency).
   static Result<HiTiIndex> Build(const graph::Graph& g,
-                                 const partition::KdTreePartitioner& kd);
+                                 const partition::KdTreePartitioner& kd,
+                                 unsigned num_threads = 0);
 
   uint32_t num_regions() const { return num_regions_; }
 

@@ -136,7 +136,8 @@ SpqIndex::Tree BuildTreeFor(const graph::Graph& g, NodeId source,
 
 }  // namespace
 
-Result<SpqIndex> SpqIndex::Build(const graph::Graph& g) {
+Result<SpqIndex> SpqIndex::Build(const graph::Graph& g,
+                                 unsigned num_threads) {
   if (g.num_nodes() < 2) return Status::InvalidArgument("graph too small");
   SpqIndex idx;
   const RootCell root = ComputeRootCell(g);
@@ -144,9 +145,12 @@ Result<SpqIndex> SpqIndex::Build(const graph::Graph& g) {
   idx.min_y_ = root.min_y;
   idx.size_ = root.size;
   idx.trees_.resize(g.num_nodes());
-  ParallelFor(g.num_nodes(), [&](size_t v) {
-    idx.trees_[v] = BuildTreeFor(g, static_cast<NodeId>(v), root);
-  });
+  ParallelFor(
+      g.num_nodes(),
+      [&](size_t v) {
+        idx.trees_[v] = BuildTreeFor(g, static_cast<NodeId>(v), root);
+      },
+      num_threads);
   return idx;
 }
 

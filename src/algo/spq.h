@@ -37,9 +37,11 @@ class SpqIndex {
   };
 
   /// Builds the full index: one all-targets Dijkstra plus one quadtree per
-  /// node (parallelized). Memory grows with num_nodes * quadtree size, so
-  /// use BuildSizeOnly for large networks when only the footprint matters.
-  static Result<SpqIndex> Build(const graph::Graph& g);
+  /// node (on up to `num_threads` workers, 0 = hardware concurrency).
+  /// Memory grows with num_nodes * quadtree size, so use BuildSizeOnly for
+  /// large networks when only the footprint matters.
+  static Result<SpqIndex> Build(const graph::Graph& g,
+                                unsigned num_threads = 0);
 
   /// Computes the serialized broadcast size of the index without retaining
   /// the trees (used for Table 1/2 at larger scales).

@@ -34,7 +34,8 @@ Result<std::unique_ptr<ArcFlagOnAir>> ArcFlagOnAir::Build(
   const auto start = std::chrono::steady_clock::now();
   AIRINDEX_ASSIGN_OR_RETURN(
       sys->index_,
-      algo::ArcFlagIndex::Build(g, part.node_region, num_regions));
+      algo::ArcFlagIndex::Build(g, part.node_region, num_regions,
+                                config.precompute_threads));
   sys->precompute_seconds_ =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

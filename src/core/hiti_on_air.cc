@@ -36,7 +36,9 @@ Result<std::unique_ptr<HiTiOnAir>> HiTiOnAir::Build(const graph::Graph& g,
   sys->splits_ = kd.splits_bfs();
 
   const auto start = std::chrono::steady_clock::now();
-  AIRINDEX_ASSIGN_OR_RETURN(sys->index_, algo::HiTiIndex::Build(g, kd));
+  AIRINDEX_ASSIGN_OR_RETURN(
+      sys->index_,
+      algo::HiTiIndex::Build(g, kd, config.precompute_threads));
   sys->precompute_seconds_ =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

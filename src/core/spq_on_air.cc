@@ -71,7 +71,8 @@ Result<std::unique_ptr<SpqOnAir>> SpqOnAir::Build(const graph::Graph& g,
   sys->num_nodes_ = static_cast<uint32_t>(g.num_nodes());
 
   const auto start = std::chrono::steady_clock::now();
-  AIRINDEX_ASSIGN_OR_RETURN(auto idx, algo::SpqIndex::Build(g));
+  AIRINDEX_ASSIGN_OR_RETURN(
+      auto idx, algo::SpqIndex::Build(g, config.precompute_threads));
   sys->index_ = std::make_unique<algo::SpqIndex>(std::move(idx));
   sys->precompute_seconds_ =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -2,13 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "algo/dijkstra.h"
+#include "common/rng.h"
+#include "graph/catalog.h"
 #include "partition/kd_tree.h"
+#include "partition/partitioning.h"
 #include "testing/test_graphs.h"
 
 namespace airindex::algo {
 namespace {
 
+using testing_support::AddBoth;
+using testing_support::FromArcs;
 using testing_support::RandomPairs;
 using testing_support::SmallNetwork;
 
@@ -145,6 +152,242 @@ TEST(ArcFlagTest, WordSerializationRoundTrip) {
               built.idx.Query(built.g, s, t).dist);
   }
 }
+
+// The flag words as one backward Dijkstra over the whole reversed graph per
+// border node computes them: every node the search reaches flags the first
+// arc to its search parent (the next hop of a shortest path to the border
+// node) for the border node's region, on top of the intra-region flags.
+// Border nodes are both endpoints of every region-crossing arc, so the
+// heads, where queries enter a region, are among them. This is the
+// O(|B| * m log n) definition ArcFlagIndex::Build's core searches and tree
+// passes must reproduce exactly.
+std::vector<uint64_t> FlagsByFullGraphSearches(
+    const graph::Graph& g, const partition::Partitioning& part) {
+  const std::vector<graph::RegionId>& region = part.node_region;
+  const size_t words = (part.num_regions + 63) / 64;
+  std::vector<uint64_t> flags(g.num_arcs() * words, 0);
+  auto set = [&](size_t arc, graph::RegionId r) {
+    flags[arc * words + r / 64] |= uint64_t{1} << (r % 64);
+  };
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (const auto& arc : g.OutArcs(v)) {
+      set(g.ArcIndex(arc), region[arc.to]);
+    }
+  }
+  const graph::Graph rev = g.Reversed();
+  for (graph::NodeId b : partition::ComputeBorders(g, part).border_nodes) {
+    const SearchTree tree = DijkstraAll(rev, b);
+    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+      const graph::NodeId p = tree.parent[v];
+      if (p == graph::kInvalidNode) continue;
+      const auto arcs = g.OutArcs(v);
+      const auto first = std::lower_bound(
+          arcs.begin(), arcs.end(), p,
+          [](const graph::Graph::Arc& a, graph::NodeId to) {
+            return a.to < to;
+          });
+      set(g.ArcIndex(*first), region[b]);
+    }
+  }
+  return flags;
+}
+
+void ExpectFlagsMatchFullGraphSearches(const graph::Graph& g,
+                                       const partition::Partitioning& part) {
+  const std::vector<uint64_t> want = FlagsByFullGraphSearches(g, part);
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    auto idx = ArcFlagIndex::Build(g, part.node_region, part.num_regions,
+                                   threads);
+    ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+    std::vector<uint64_t> got;
+    for (size_t a = 0; a < g.num_arcs(); ++a) {
+      got.insert(got.end(), idx->ArcWords(a),
+                 idx->ArcWords(a) + idx->words_per_arc());
+    }
+    EXPECT_EQ(got, want);
+  }
+}
+
+TEST(ArcFlagOracleTest, MatchesOnGeneratedGraphs) {
+  const graph::Graph g = SmallNetwork(600, 960, 40);
+  for (uint32_t regions : {4u, 16u, 128u}) {
+    SCOPED_TRACE(::testing::Message() << regions << " regions");
+    auto kd = partition::KdTreePartitioner::Build(g, regions).value();
+    ExpectFlagsMatchFullGraphSearches(g, kd.Partition(g));
+  }
+}
+
+TEST(ArcFlagOracleTest, MatchesWithSeveralTreesOnOneRoot) {
+  // Core: the ring 0 - 1 - 2 - 3 - 0. Node 0 carries three trees
+  // (4 - 5, 6, and 7 - {8, 9}). Region 2 has sources in two of them,
+  // region 3 only in the last, region 1 in the first and at the root.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 1, 3);
+  AddBoth(&arcs, 1, 2, 2);
+  AddBoth(&arcs, 2, 3, 4);
+  AddBoth(&arcs, 3, 0, 1);
+  AddBoth(&arcs, 0, 4, 2);
+  AddBoth(&arcs, 4, 5, 1);
+  AddBoth(&arcs, 0, 6, 5);
+  AddBoth(&arcs, 0, 7, 1);
+  AddBoth(&arcs, 7, 8, 2);
+  AddBoth(&arcs, 7, 9, 3);
+  const graph::Graph g = FromArcs(10, arcs);
+  ExpectFlagsMatchFullGraphSearches(
+      g, partition::MakePartitioning({1, 0, 0, 1, 1, 2, 2, 0, 2, 3}, 4));
+}
+
+TEST(ArcFlagOracleTest, MatchesWithBordersOnDifferentBranchesOfOneTree) {
+  // The tree 2 - 3 - {4 - 5, 6 - {7, 8}} hangs off the triangle
+  // 0 - 1 - 2 and node 0 carries the tree 0 - 9 - 10. Border nodes sit
+  // on several sub-branches below 3 and in the other tree.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 1, 2);
+  AddBoth(&arcs, 1, 2, 2);
+  AddBoth(&arcs, 2, 0, 2);
+  AddBoth(&arcs, 2, 3, 1);
+  AddBoth(&arcs, 3, 4, 5);
+  AddBoth(&arcs, 4, 5, 1);
+  AddBoth(&arcs, 3, 6, 2);
+  AddBoth(&arcs, 6, 7, 1);
+  AddBoth(&arcs, 6, 8, 3);
+  AddBoth(&arcs, 0, 9, 1);
+  AddBoth(&arcs, 9, 10, 4);
+  const graph::Graph g = FromArcs(11, arcs);
+  ExpectFlagsMatchFullGraphSearches(
+      g, partition::MakePartitioning({0, 0, 0, 0, 0, 1, 0, 2, 1, 0, 2}, 3));
+}
+
+TEST(ArcFlagOracleTest, MatchesWithOneWayTreeArcs) {
+  // Square core 0 - 1 - 2 - 3 - 0. Node 1's tree is one-way down
+  // (1 -> 4 -> 5), so no backward search from 4 or 5 reaches the root;
+  // node 3's is one-way up (7 -> 6 -> 3), and node 0's mixes both
+  // (0 -> 8, 8 - 9, 10 -> 8).
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 1, 3);
+  AddBoth(&arcs, 1, 2, 3);
+  AddBoth(&arcs, 2, 3, 3);
+  AddBoth(&arcs, 3, 0, 3);
+  arcs.push_back({1, 4, 2});
+  arcs.push_back({4, 5, 2});
+  arcs.push_back({7, 6, 1});
+  arcs.push_back({6, 3, 1});
+  arcs.push_back({0, 8, 2});
+  AddBoth(&arcs, 8, 9, 1);
+  arcs.push_back({10, 8, 4});
+  const graph::Graph g = FromArcs(11, arcs);
+  ExpectFlagsMatchFullGraphSearches(
+      g, partition::MakePartitioning({0, 0, 1, 1, 1, 2, 2, 0, 0, 2, 1}, 3));
+}
+
+TEST(ArcFlagOracleTest, MatchesWithZeroWeightAndParallelArcs) {
+  // Zero-weight arcs tie distances in the core and in the trees, and
+  // parallel arcs of different weights sit in both; the flag goes on the
+  // first arc to the search parent.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 1, 0);
+  AddBoth(&arcs, 1, 2, 2);
+  AddBoth(&arcs, 0, 3, 2);
+  AddBoth(&arcs, 3, 2, 0);
+  AddBoth(&arcs, 1, 3, 2);
+  arcs.push_back({0, 1, 5});
+  AddBoth(&arcs, 2, 4, 0);
+  AddBoth(&arcs, 4, 5, 3);
+  arcs.push_back({4, 5, 1});
+  AddBoth(&arcs, 4, 6, 0);
+  arcs.push_back({3, 7, 0});
+  arcs.push_back({3, 7, 4});
+  AddBoth(&arcs, 7, 8, 0);
+  const graph::Graph g = FromArcs(9, arcs);
+  ExpectFlagsMatchFullGraphSearches(
+      g, partition::MakePartitioning({0, 1, 0, 1, 2, 0, 1, 2, 0}, 3));
+}
+
+TEST(ArcFlagOracleTest, MatchesOnAComponentThatIsATree) {
+  // A tree 0 - 1 - {2, 3 - 4} with an empty 2-core, a one-way two-node
+  // path 5 -> 6, and an isolated node 7.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 1, 2);
+  AddBoth(&arcs, 1, 2, 1);
+  AddBoth(&arcs, 1, 3, 3);
+  AddBoth(&arcs, 3, 4, 1);
+  arcs.push_back({5, 6, 2});
+  const graph::Graph g = FromArcs(8, arcs);
+  ExpectFlagsMatchFullGraphSearches(
+      g, partition::MakePartitioning({0, 1, 0, 1, 2, 2, 0, 1}, 3));
+}
+
+TEST(ArcFlagOracleTest, MatchesOnRandomTreeHeavyGraphs) {
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    const testing_support::PartitionedGraph pg =
+        testing_support::RandomTreeHeavyGraph(seed);
+    ExpectFlagsMatchFullGraphSearches(pg.g, pg.part);
+  }
+}
+
+TEST(ArcFlagOracleTest, MatchesOnGermany) {
+  const graph::Graph g =
+      graph::MakeNetwork(graph::FindNetwork("Germany").value(), 0.1).value();
+  for (uint32_t regions : {16u, 32u}) {
+    SCOPED_TRACE(::testing::Message() << regions << " regions");
+    auto kd = partition::KdTreePartitioner::Build(g, regions).value();
+    ExpectFlagsMatchFullGraphSearches(g, kd.Partition(g));
+  }
+}
+
+// A random graph of one-way arcs only: a ring through a random order of
+// the nodes (so every node reaches every other) plus random chords, none
+// with its reverse, at random positions.
+graph::Graph OneWayNetwork(uint32_t nodes, uint32_t chords, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<graph::Point> coords(nodes);
+  for (graph::Point& p : coords) {
+    p = {static_cast<double>(rng.NextBounded(10000)),
+         static_cast<double>(rng.NextBounded(10000))};
+  }
+  std::vector<graph::NodeId> order(nodes);
+  for (graph::NodeId v = 0; v < nodes; ++v) order[v] = v;
+  for (size_t i = nodes - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.NextBounded(i + 1)]);
+  }
+  std::vector<std::vector<uint8_t>> linked(nodes,
+                                           std::vector<uint8_t>(nodes, 0));
+  std::vector<graph::EdgeTriplet> arcs;
+  auto add = [&](graph::NodeId a, graph::NodeId b) {
+    if (a == b || linked[a][b] || linked[b][a]) return;
+    linked[a][b] = 1;
+    arcs.push_back({a, b, static_cast<graph::Weight>(1 + rng.NextBounded(9))});
+  };
+  for (uint32_t i = 0; i < nodes; ++i) add(order[i], order[(i + 1) % nodes]);
+  for (uint32_t i = 0; i < chords; ++i) {
+    add(static_cast<graph::NodeId>(rng.NextBounded(nodes)),
+        static_cast<graph::NodeId>(rng.NextBounded(nodes)));
+  }
+  return graph::Graph::Build(std::move(coords), arcs).value();
+}
+
+class ArcFlagOneWayTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ArcFlagOneWayTest, QueryMatchesDijkstra) {
+  // A query enters its target region at the head of a crossing arc. On a
+  // one-way network that head need not be the tail of any crossing arc,
+  // so the flags toward its region must come from a search from it.
+  const graph::Graph g = OneWayNetwork(120, 120, GetParam());
+  auto kd = partition::KdTreePartitioner::Build(g, 8).value();
+  const partition::Partitioning part = kd.Partition(g);
+  auto idx = ArcFlagIndex::Build(g, part.node_region, 8).value();
+  for (graph::NodeId s = 0; s < g.num_nodes(); s += 3) {
+    const SearchTree truth = DijkstraAll(g, s);
+    for (graph::NodeId t = 0; t < g.num_nodes(); ++t) {
+      EXPECT_EQ(idx.Query(g, s, t).dist, truth.dist[t]) << s << "->" << t;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ArcFlagOneWayTest,
+                         ::testing::Values(1, 2, 3, 4, 5));
 
 }  // namespace
 }  // namespace airindex::algo

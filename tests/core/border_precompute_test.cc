@@ -5,7 +5,6 @@
 #include <algorithm>
 
 #include "algo/dijkstra.h"
-#include "common/rng.h"
 #include "graph/catalog.h"
 #include "graph/graph.h"
 #include "partition/kd_tree.h"
@@ -15,6 +14,8 @@
 namespace airindex::core {
 namespace {
 
+using testing_support::AddBoth;
+using testing_support::FromArcs;
 using testing_support::SmallNetwork;
 
 struct Built {
@@ -138,23 +139,6 @@ TEST(BorderPrecomputeTest, MatchesParentWalkWithUnreachableTargets) {
     // 12 is no border node and lies below no border target.
     EXPECT_FALSE(pre->cross_border[12]);
   }
-}
-
-// Builds a graph over `num_nodes` nodes from directed arcs (from, to, w).
-graph::Graph FromArcs(size_t num_nodes,
-                      const std::vector<graph::EdgeTriplet>& arcs) {
-  std::vector<graph::Point> coords(num_nodes);
-  for (size_t i = 0; i < num_nodes; ++i) {
-    coords[i] = {static_cast<double>(i), 0.0};
-  }
-  return graph::Graph::Build(std::move(coords), arcs).value();
-}
-
-// Adds a -> b and b -> a, both of weight w.
-void AddBoth(std::vector<graph::EdgeTriplet>* arcs, graph::NodeId a,
-             graph::NodeId b, graph::Weight w) {
-  arcs->push_back({a, b, w});
-  arcs->push_back({b, a, w});
 }
 
 void ExpectMatchesParentWalkAtOneAndFourThreads(
@@ -321,46 +305,11 @@ TEST(BorderPrecomputeTest, MatchesParentWalkOnAComponentThatIsATree) {
 }
 
 TEST(BorderPrecomputeTest, MatchesParentWalkOnRandomTreeHeavyGraphs) {
-  // Small random graphs, mostly trees with a few extra arcs: random
-  // weights including 0, one-way and parallel arcs, random regions.
   for (uint64_t seed = 1; seed <= 300; ++seed) {
     SCOPED_TRACE(::testing::Message() << "seed " << seed);
-    Rng rng(seed);
-    const size_t n = 8 + rng.NextBounded(40);
-    std::vector<graph::EdgeTriplet> arcs;
-    auto add = [&](graph::NodeId a, graph::NodeId b) {
-      const auto w = static_cast<graph::Weight>(rng.NextBounded(4));
-      switch (rng.NextBounded(6)) {
-        case 0: arcs.push_back({a, b, w}); break;
-        case 1: arcs.push_back({b, a, w}); break;
-        case 2:
-          AddBoth(&arcs, a, b, w);
-          arcs.push_back({a, b, w + 1});
-          break;
-        default: AddBoth(&arcs, a, b, w); break;
-      }
-    };
-    // Regions mostly follow the tree, so runs of non-border nodes lie
-    // between border nodes.
-    const uint32_t regions = 2 + static_cast<uint32_t>(rng.NextBounded(4));
-    std::vector<graph::RegionId> node_region(n);
-    node_region[0] = 0;
-    for (graph::NodeId v = 1; v < n; ++v) {
-      const auto parent = static_cast<graph::NodeId>(rng.NextBounded(v));
-      add(parent, v);
-      node_region[v] =
-          rng.NextBounded(4) == 0
-              ? static_cast<graph::RegionId>(rng.NextBounded(regions))
-              : node_region[parent];
-    }
-    for (uint64_t extra = rng.NextBounded(4); extra > 0; --extra) {
-      const auto a = static_cast<graph::NodeId>(rng.NextBounded(n));
-      const auto b = static_cast<graph::NodeId>(rng.NextBounded(n));
-      if (a != b) add(a, b);
-    }
-    const graph::Graph g = FromArcs(n, arcs);
-    ExpectMatchesParentWalkAtOneAndFourThreads(
-        g, partition::MakePartitioning(std::move(node_region), regions));
+    const testing_support::PartitionedGraph pg =
+        testing_support::RandomTreeHeavyGraph(seed);
+    ExpectMatchesParentWalkAtOneAndFourThreads(pg.g, pg.part);
   }
 }
 

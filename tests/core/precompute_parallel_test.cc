@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/border_precompute.h"
 #include "core/systems.h"
@@ -91,6 +92,59 @@ TEST(PrecomputeParallelTest, AllSystemsCyclesUnaffectedByThreads) {
       EXPECT_EQ(sa.type, sb.type) << method << " segment " << i;
       EXPECT_EQ(sa.id, sb.id) << method << " segment " << i;
       EXPECT_EQ(sa.payload, sb.payload) << method << " segment " << i;
+    }
+  }
+}
+
+/// The segments of the cycle `method` builds with `threads`
+/// pre-computation workers. The system is dropped before returning, so the
+/// next build cannot reuse a pre-computation it shared (NR and EB share one
+/// per graph and partitioning while a system built from it is alive).
+std::vector<broadcast::Segment> CycleSegments(const graph::Graph& g,
+                                              const char* method,
+                                              SystemParams params,
+                                              unsigned threads) {
+  params.build.precompute_threads = threads;
+  auto sys = BuildSystem(g, method, params);
+  if (!sys.ok()) {
+    ADD_FAILURE() << method << ": " << sys.status().ToString();
+    return {};
+  }
+  const broadcast::BroadcastCycle& cycle = (*sys)->cycle();
+  std::vector<broadcast::Segment> segments;
+  for (size_t i = 0; i < cycle.num_segments(); ++i) {
+    segments.push_back(cycle.segment(i));
+  }
+  return segments;
+}
+
+/// The same contract at thread counts that differ on any machine: one
+/// worker, two and four. Every method's pre-computation honours
+/// `precompute_threads`, so each count runs its own schedule.
+TEST(PrecomputeParallelTest, AllSystemsCyclesEqualAtOneTwoAndFourThreads) {
+  const graph::Graph g = MakeGraph(500, 34);
+  SystemParams params;
+  params.nr_regions = 8;
+  params.eb_regions = 8;
+  params.arcflag_regions = 8;
+  params.hiti_regions = 8;
+  params.landmarks = 2;
+
+  for (const char* method : {"DJ", "NR", "EB", "LD", "AF", "SPQ", "HiTi"}) {
+    const std::vector<broadcast::Segment> want =
+        CycleSegments(g, method, params, 1);
+    ASSERT_FALSE(want.empty()) << method;
+    for (unsigned threads : {2u, 4u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << method << ", " << threads << " threads");
+      const std::vector<broadcast::Segment> got =
+          CycleSegments(g, method, params, threads);
+      ASSERT_EQ(want.size(), got.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(want[i].type, got[i].type) << "segment " << i;
+        EXPECT_EQ(want[i].id, got[i].id) << "segment " << i;
+        EXPECT_EQ(want[i].payload, got[i].payload) << "segment " << i;
+      }
     }
   }
 }
