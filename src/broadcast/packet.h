@@ -16,6 +16,13 @@ inline constexpr size_t kPacketSize = 128;
 inline constexpr size_t kHeaderSize = 8;
 inline constexpr size_t kPayloadSize = kPacketSize - kHeaderSize;
 
+/// Version of the cycle wire format: packet framing, segment layout and
+/// every payload encoding. Bump it with any change that alters the bytes a
+/// system broadcasts for the same network and knobs, so the change shows
+/// up as a named version step (the golden corpus in tests/golden/ stamps
+/// every file with it) rather than as an unexplained diff.
+inline constexpr uint32_t kCycleFormatVersion = 1;
+
 /// What a packet's payload belongs to. The broadcast cycle is a sequence of
 /// *segments*, each packetized separately (a packet never mixes segments —
 /// this is also how the paper separates adjacency data from pre-computed
