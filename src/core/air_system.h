@@ -81,7 +81,11 @@ struct QueryScratch;
 /// each worker thread its own (sim::Simulator keeps one per worker and
 /// reuses it across the thread's whole query slice), and results are
 /// byte-identical whether scratch is shared across queries, fresh, or
-/// absent. Implementers of new methods must preserve both guarantees.
+/// absent. Implementers of new methods must preserve both guarantees; the
+/// way to do so is to build RunQuery on core::ClientRun
+/// (core/client_run.h), which owns the per-query session, memory account
+/// and scratch binding (including the null-scratch case) and emits the
+/// QueryMetrics.
 class AirSystem {
  public:
   virtual ~AirSystem() = default;
@@ -97,7 +101,8 @@ class AirSystem {
   /// cycle. Never throws; failures surface as !metrics.ok. `scratch`, when
   /// non-null, supplies every reusable client buffer (reset on entry), so
   /// a caller that keeps one scratch per thread runs the steady-state
-  /// query path without allocating; null falls back to throwaway locals.
+  /// query path without allocating; null gives the query a throwaway
+  /// scratch (handled once, in core::ClientRun).
   virtual device::QueryMetrics RunQuery(
       const broadcast::BroadcastChannel& channel, const AirQuery& query,
       const ClientOptions& options = {},

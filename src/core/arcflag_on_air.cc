@@ -2,13 +2,11 @@
 
 #include <bit>
 #include <chrono>
-#include <optional>
 
 #include "common/byte_io.h"
+#include "core/client_run.h"
 #include "core/cycle_common.h"
 #include "core/full_cycle.h"
-#include "core/query_scratch.h"
-#include "device/memory_tracker.h"
 
 namespace airindex::core {
 namespace {
@@ -83,15 +81,9 @@ Result<std::unique_ptr<ArcFlagOnAir>> ArcFlagOnAir::Build(
 device::QueryMetrics ArcFlagOnAir::RunQuery(
     const broadcast::BroadcastChannel& channel, const AirQuery& query,
     const ClientOptions& options, QueryScratch* scratch) const {
-  device::QueryMetrics metrics;
-  device::MemoryTracker memory(options.heap_bytes);
-  broadcast::ClientSession session(&channel, StartPosition(channel, query));
-
-  std::optional<QueryScratch> local_scratch;
-  QueryScratch& s =
-      scratch != nullptr ? *scratch : local_scratch.emplace();
-  s.BeginQuery();
-  s.session.BeginQueryStats();
+  ClientRun run(channel, StartPosition(channel, query), options, scratch);
+  QueryScratch& s = run.scratch();
+  device::MemoryTracker& memory = run.memory;
 
   // Collected network data (node-id addressed). The coordinates are moved
   // into the rebuilt Graph below, so they cannot be pooled; the edge list
@@ -106,10 +98,9 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
       algo::ArcFlagIndex::MakeEmpty(num_arcs_, num_regions_, {});
   const size_t bytes_per_arc = idx.BytesPerArc();
   bool header_ok = false;
-  double cpu_ms = 0.0;
 
   Status receive_status = ReceiveFullCycleCached(
-      session, memory, &s.session,
+      run.session, memory, &s.session,
       [&options](const broadcast::ReceivedSegment& seg) {
         if (seg.type == broadcast::SegmentType::kNetworkData) return true;
         // A lost flag chunk degrades to all-ones (§6.2), but a lost header
@@ -177,7 +168,7 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
           // The modeled client retains the raw flag bytes until query
           // time: keep their charge.
         }
-        cpu_ms += sw.ElapsedMs();
+        run.cpu_ms += sw.ElapsedMs();
       },
       options.max_repair_cycles, &s.full_cycle);
 
@@ -187,20 +178,8 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
   auto built = graph::Graph::Build(std::move(coords), edges);
   if (!built.ok() || !header_ok) {
     // Without splits there is no region mapping; ArcFlag cannot run.
-    metrics.tuning_packets = session.tuned_packets();
-    metrics.latency_packets = session.latency_packets();
-    metrics.wait_packets = session.wait_packets();
-    metrics.corrupted_packets = session.corrupted_packets();
-    metrics.fec_recovered = session.fec_recovered();
-    metrics.wait_slots = session.wait_slots();
-    metrics.latency_slots = session.latency_slots();
-    metrics.peak_memory_bytes = memory.peak();
-    metrics.memory_exceeded = memory.exceeded();
-    metrics.cpu_ms = cpu_ms + sw.ElapsedMs();
-    metrics.cache_hits = s.session.query_hits();
-    metrics.warm = metrics.cache_hits > 0;
-    metrics.ok = false;
-    return metrics;
+    run.cpu_ms += sw.ElapsedMs();
+    return run.Finish(graph::kInfDist, false);
   }
   graph::Graph gr = std::move(built).value();
   memory.Charge(gr.MemoryBytes());
@@ -215,23 +194,8 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
   memory.Charge(idx.MemoryBytes());
 
   graph::Path path = idx.Query(gr, query.source, query.target, s.search);
-  cpu_ms += sw.ElapsedMs();
-
-  metrics.tuning_packets = session.tuned_packets();
-  metrics.latency_packets = session.latency_packets();
-  metrics.wait_packets = session.wait_packets();
-  metrics.corrupted_packets = session.corrupted_packets();
-  metrics.fec_recovered = session.fec_recovered();
-  metrics.wait_slots = session.wait_slots();
-  metrics.latency_slots = session.latency_slots();
-  metrics.peak_memory_bytes = memory.peak();
-  metrics.memory_exceeded = memory.exceeded();
-  metrics.cpu_ms = cpu_ms;
-  metrics.cache_hits = s.session.query_hits();
-  metrics.warm = metrics.cache_hits > 0;
-  metrics.distance = path.dist;
-  metrics.ok = receive_status.ok() && path.found();
-  return metrics;
+  run.cpu_ms += sw.ElapsedMs();
+  return run.Finish(path.dist, receive_status.ok() && path.found());
 }
 
 }  // namespace airindex::core

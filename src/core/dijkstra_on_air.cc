@@ -1,13 +1,10 @@
 #include "core/dijkstra_on_air.h"
 
-#include <optional>
-
 #include "algo/dijkstra.h"
+#include "core/client_run.h"
 #include "core/cycle_common.h"
 #include "core/full_cycle.h"
 #include "core/partial_graph.h"
-#include "core/query_scratch.h"
-#include "device/memory_tracker.h"
 
 namespace airindex::core {
 
@@ -25,19 +22,13 @@ Result<std::unique_ptr<DijkstraOnAir>> DijkstraOnAir::Build(
 device::QueryMetrics DijkstraOnAir::RunQuery(
     const broadcast::BroadcastChannel& channel, const AirQuery& query,
     const ClientOptions& options, QueryScratch* scratch) const {
-  device::QueryMetrics metrics;
-  device::MemoryTracker memory(options.heap_bytes);
-  broadcast::ClientSession session(&channel, StartPosition(channel, query));
-
-  std::optional<QueryScratch> local;
-  QueryScratch& s = scratch != nullptr ? *scratch : local.emplace();
-  s.BeginQuery();
-
+  ClientRun run(channel, StartPosition(channel, query), options, scratch);
+  QueryScratch& s = run.scratch();
+  device::MemoryTracker& memory = run.memory;
   PartialGraph& pg = s.partial_graph;
-  s.session.BeginQueryStats();
-  double cpu_ms = 0.0;
+
   Status receive_status = ReceiveFullCycleCached(
-      session, memory, &s.session,
+      run.session, memory, &s.session,
       [](const broadcast::ReceivedSegment&) {
         return true;  // all data is adjacency
       },
@@ -53,7 +44,7 @@ device::QueryMetrics DijkstraOnAir::RunQuery(
         }
         memory.Charge(pg.MemoryBytes() - before);
         memory.Release(seg.payload.size());
-        cpu_ms += sw.ElapsedMs();
+        run.cpu_ms += sw.ElapsedMs();
       },
       options.max_repair_cycles, &s.full_cycle);
 
@@ -61,23 +52,8 @@ device::QueryMetrics DijkstraOnAir::RunQuery(
   algo::DijkstraSearch(pg, query.source, query.target, KnownEdgeFilter{&pg},
                        s.search);
   const graph::Dist dist = s.search.DistTo(query.target);
-  cpu_ms += sw.ElapsedMs();
-
-  metrics.tuning_packets = session.tuned_packets();
-  metrics.latency_packets = session.latency_packets();
-  metrics.wait_packets = session.wait_packets();
-  metrics.corrupted_packets = session.corrupted_packets();
-  metrics.fec_recovered = session.fec_recovered();
-  metrics.wait_slots = session.wait_slots();
-  metrics.latency_slots = session.latency_slots();
-  metrics.peak_memory_bytes = memory.peak();
-  metrics.memory_exceeded = memory.exceeded();
-  metrics.cpu_ms = cpu_ms;
-  metrics.cache_hits = s.session.query_hits();
-  metrics.warm = metrics.cache_hits > 0;
-  metrics.distance = dist;
-  metrics.ok = receive_status.ok() && dist != graph::kInfDist;
-  return metrics;
+  run.cpu_ms += sw.ElapsedMs();
+  return run.Finish(dist, receive_status.ok() && dist != graph::kInfDist);
 }
 
 }  // namespace airindex::core

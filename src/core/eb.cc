@@ -2,17 +2,15 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 
 #include "algo/dijkstra.h"
 #include "broadcast/interleave.h"
 #include "common/byte_io.h"
+#include "core/client_run.h"
 #include "core/partial_graph.h"
-#include "core/query_scratch.h"
 #include "core/region_data.h"
 #include "core/repair.h"
 #include "core/super_edge.h"
-#include "device/memory_tracker.h"
 #include "partition/kd_tree.h"
 
 namespace airindex::core {
@@ -208,17 +206,11 @@ Result<std::unique_ptr<EbSystem>> EbSystem::BuildFromPrecompute(
 device::QueryMetrics EbSystem::RunQuery(
     const broadcast::BroadcastChannel& channel, const AirQuery& query,
     const ClientOptions& options, QueryScratch* scratch) const {
-  device::QueryMetrics metrics;
-  device::MemoryTracker memory(options.heap_bytes);
-  broadcast::ClientSession session(&channel, StartPosition(channel, query));
+  ClientRun run(channel, StartPosition(channel, query), options, scratch);
+  broadcast::ClientSession& session = run.session;
+  device::MemoryTracker& memory = run.memory;
+  QueryScratch& s = run.scratch();
   const uint32_t total = cycle_.total_packets();
-  double cpu_ms = 0.0;
-
-  std::optional<QueryScratch> local_scratch;
-  QueryScratch& s =
-      scratch != nullptr ? *scratch : local_scratch.emplace();
-  s.BeginQuery();
-  s.session.BeginQueryStats();
   const bool cache_on = s.session.Ready(channel);
 
   // --- 1. Find and receive the next index copy (tuning in right at an
@@ -245,7 +237,7 @@ device::QueryMetrics EbSystem::RunQuery(
         broadcast::ReceiveSegmentAt(session, index_start, index_seg);
       }
     }
-    if (!found) return metrics;  // channel effectively dead
+    if (!found) return {};  // channel effectively dead
     if (cache_on) s.session.StoreIndex(index_start, *index_seg);
   }
   memory.Charge(index_seg->payload.size());
@@ -288,33 +280,33 @@ device::QueryMetrics EbSystem::RunQuery(
   if (!ensure_ranges({{0, index_seg->payload.size() < 6
                               ? index_seg->payload.size()
                               : 6}})) {
-    return metrics;
+    return {};
   }
   const uint32_t R =
       index_seg->payload.size() >= 2 ? GetU16(index_seg->payload.data()) : 0;
-  if (R < 2) return metrics;
+  if (R < 2) return {};
   // Header + splits.
   if (!ensure_ranges({{0, 6 + (static_cast<size_t>(R) - 1) * 8}})) {
-    return metrics;
+    return {};
   }
 
   device::Stopwatch sw_map;
   if (!EbIndex::Decode(index_seg->payload, &s.eb_index).ok()) {
-    return metrics;
+    return {};
   }
   auto kd = partition::KdTreePartitioner::FromSplits(s.eb_index.splits);
-  if (!kd.ok()) return metrics;
+  if (!kd.ok()) return {};
   const graph::RegionId rs = kd->RegionOf(query.source_coord);
   const graph::RegionId rt = kd->RegionOf(query.target_coord);
-  cpu_ms += sw_map.ElapsedMs();
+  run.cpu_ms += sw_map.ElapsedMs();
 
-  if (!ensure_ranges(EbIndex::NeededByteRanges(R, rs, rt))) return metrics;
+  if (!ensure_ranges(EbIndex::NeededByteRanges(R, rs, rt))) return {};
 
   device::Stopwatch sw_prune;
   // Re-decode: ensure_ranges may have repaired matrix bytes since the
   // header decode above. The scratch index's storage is reused.
   if (!EbIndex::Decode(index_seg->payload, &s.eb_index).ok()) {
-    return metrics;
+    return {};
   }
   // Persist any bytes the repair passes filled in, so the next query of
   // the session starts from the most complete copy seen so far.
@@ -337,7 +329,7 @@ device::QueryMetrics EbSystem::RunQuery(
       needed.push_back(r);
     }
   }
-  cpu_ms += sw_prune.ElapsedMs();
+  run.cpu_ms += sw_prune.ElapsedMs();
 
   // --- 4. Receive needed regions in broadcast order ---------------------
   std::sort(needed.begin(), needed.end(),
@@ -353,6 +345,7 @@ device::QueryMetrics EbSystem::RunQuery(
   PartialGraph& pg = s.partial_graph;
   SuperEdgeProcessor super(query.source, query.target);
   size_t super_mem = 0;
+  uint32_t regions = 0;
 
   auto ingest_region = [&](ReceivedSegment& cross, ReceivedSegment* local,
                            bool has_local) {
@@ -403,8 +396,8 @@ device::QueryMetrics EbSystem::RunQuery(
     }
     memory.Release(cross.payload.size());
     if (has_local) memory.Release(local->payload.size());
-    ++metrics.regions_received;
-    cpu_ms += sw.ElapsedMs();
+    ++regions;
+    run.cpu_ms += sw.ElapsedMs();
   };
 
   // One pass over the cycle collects every needed region; segments with
@@ -489,22 +482,9 @@ device::QueryMetrics EbSystem::RunQuery(
                          KnownEdgeFilter{&pg}, s.search);
     dist = s.search.DistTo(query.target);
   }
-  cpu_ms += sw_search.ElapsedMs();
-
-  metrics.tuning_packets = session.tuned_packets();
-  metrics.latency_packets = session.latency_packets();
-  metrics.wait_packets = session.wait_packets();
-  metrics.corrupted_packets = session.corrupted_packets();
-  metrics.fec_recovered = session.fec_recovered();
-  metrics.wait_slots = session.wait_slots();
-  metrics.latency_slots = session.latency_slots();
-  metrics.peak_memory_bytes = memory.peak();
-  metrics.memory_exceeded = memory.exceeded();
-  metrics.cpu_ms = cpu_ms;
-  metrics.cache_hits = s.session.query_hits();
-  metrics.warm = metrics.cache_hits > 0;
-  metrics.distance = dist;
-  metrics.ok = dist != graph::kInfDist;
+  run.cpu_ms += sw_search.ElapsedMs();
+  device::QueryMetrics metrics = run.Finish(dist, dist != graph::kInfDist);
+  metrics.regions_received = regions;
   return metrics;
 }
 

@@ -4,10 +4,10 @@
 #include <deque>
 
 #include "algo/dijkstra.h"
+#include "core/client_run.h"
 #include "core/partial_graph.h"
 #include "core/region_data.h"
 #include "core/repair.h"
-#include "device/memory_tracker.h"
 #include "partition/kd_tree.h"
 
 namespace airindex::core {
@@ -22,11 +22,10 @@ KnnResult RunKnnQuery(const EbSystem& system,
     result.metrics.ok = true;
     return result;
   }
-  device::MemoryTracker memory(options.heap_bytes);
-  const broadcast::BroadcastCycle& cycle = system.cycle();
-  broadcast::ClientSession session(&channel,
-                                   TuneInPosition(cycle, query.tune_phase));
-  double cpu_ms = 0.0;
+  ClientRun run(channel, TuneInPosition(system.cycle(), query.tune_phase),
+                options, nullptr);
+  broadcast::ClientSession& session = run.session;
+  device::MemoryTracker& memory = run.memory;
 
   // Receive the next index copy.
   uint32_t index_start = 0;
@@ -77,9 +76,10 @@ KnnResult RunKnnQuery(const EbSystem& system,
     if (p >= is_poi.size()) is_poi.resize(p + 1, 0);
     is_poi[p] = 1;
   }
-  cpu_ms += sw_setup.ElapsedMs();
+  run.cpu_ms += sw_setup.ElapsedMs();
 
   PartialGraph pg;
+  uint32_t regions = 0;
   auto receive_region = [&](graph::RegionId r) {
     const EbIndex::RegionDir& d = index.dir[r];
     std::deque<broadcast::ReceivedSegment> segs;
@@ -103,8 +103,8 @@ KnnResult RunKnnQuery(const EbSystem& system,
       }
       memory.Release(seg.payload.size());
     }
-    ++result.metrics.regions_received;
-    cpu_ms += sw.ElapsedMs();
+    ++regions;
+    run.cpu_ms += sw.ElapsedMs();
   };
 
   // Incremental expansion: receive the next-closest region, re-evaluate
@@ -125,7 +125,7 @@ KnnResult RunKnnQuery(const EbSystem& system,
     if (found.size() > query.k) found.resize(query.k);
     result.neighbors.clear();
     for (auto [d, v] : found) result.neighbors.emplace_back(v, d);
-    cpu_ms += sw.ElapsedMs();
+    run.cpu_ms += sw.ElapsedMs();
     return found.size() == query.k ? found.back().first : graph::kInfDist;
   };
 
@@ -136,17 +136,8 @@ KnnResult RunKnnQuery(const EbSystem& system,
     bound = kth_best();
   }
 
-  result.metrics.tuning_packets = session.tuned_packets();
-  result.metrics.latency_packets = session.latency_packets();
-  result.metrics.wait_packets = session.wait_packets();
-  result.metrics.corrupted_packets = session.corrupted_packets();
-  result.metrics.fec_recovered = session.fec_recovered();
-  result.metrics.wait_slots = session.wait_slots();
-  result.metrics.latency_slots = session.latency_slots();
-  result.metrics.peak_memory_bytes = memory.peak();
-  result.metrics.memory_exceeded = memory.exceeded();
-  result.metrics.cpu_ms = cpu_ms;
-  result.metrics.ok = true;
+  result.metrics = run.Finish(graph::kInfDist, true);
+  result.metrics.regions_received = regions;
   return result;
 }
 

@@ -1,16 +1,14 @@
 #include "core/landmark_on_air.h"
 
 #include <chrono>
-#include <optional>
 
 #include "algo/astar.h"
 #include "broadcast/packet.h"
 #include "common/byte_io.h"
+#include "core/client_run.h"
 #include "core/cycle_common.h"
 #include "core/full_cycle.h"
 #include "core/partial_graph.h"
-#include "core/query_scratch.h"
-#include "device/memory_tracker.h"
 
 namespace airindex::core {
 namespace {
@@ -87,17 +85,10 @@ Result<std::unique_ptr<LandmarkOnAir>> LandmarkOnAir::Build(
 device::QueryMetrics LandmarkOnAir::RunQuery(
     const broadcast::BroadcastChannel& channel, const AirQuery& query,
     const ClientOptions& options, QueryScratch* scratch) const {
-  device::QueryMetrics metrics;
-  device::MemoryTracker memory(options.heap_bytes);
-  broadcast::ClientSession session(&channel, StartPosition(channel, query));
-
-  std::optional<QueryScratch> local_scratch;
-  QueryScratch& s =
-      scratch != nullptr ? *scratch : local_scratch.emplace();
-  s.BeginQuery();
-
+  ClientRun run(channel, StartPosition(channel, query), options, scratch);
+  QueryScratch& s = run.scratch();
+  device::MemoryTracker& memory = run.memory;
   PartialGraph& pg = s.partial_graph;
-  s.session.BeginQueryStats();
   uint32_t k = 0;
   std::vector<graph::NodeId> landmarks;
   // to_vec[l * n + v] = d(v, L_l); from_vec likewise d(L_l, v).
@@ -105,7 +96,6 @@ device::QueryMetrics LandmarkOnAir::RunQuery(
   std::vector<graph::Dist>& from_vec = s.ld_from;
   to_vec.clear();
   from_vec.clear();
-  double cpu_ms = 0.0;
 
   auto handle_aux = [&](const broadcast::ReceivedSegment& seg) {
     if (seg.segment_id == kHeaderSegment) {
@@ -140,7 +130,7 @@ device::QueryMetrics LandmarkOnAir::RunQuery(
   };
 
   Status receive_status = ReceiveFullCycleCached(
-      session, memory, &s.session,
+      run.session, memory, &s.session,
       [](const broadcast::ReceivedSegment& seg) {
         // Only adjacency must be complete; lost vectors degrade the bound.
         return seg.type == broadcast::SegmentType::kNetworkData;
@@ -162,7 +152,7 @@ device::QueryMetrics LandmarkOnAir::RunQuery(
           handle_aux(seg);
         }
         memory.Release(seg.payload.size());
-        cpu_ms += sw.ElapsedMs();
+        run.cpu_ms += sw.ElapsedMs();
       },
       options.max_repair_cycles, &s.full_cycle);
 
@@ -188,23 +178,8 @@ device::QueryMetrics LandmarkOnAir::RunQuery(
   };
   algo::AStarSearch(pg, query.source, query.target, lower_bound, s.search);
   const graph::Dist dist = s.search.DistTo(query.target);
-  cpu_ms += sw.ElapsedMs();
-
-  metrics.tuning_packets = session.tuned_packets();
-  metrics.latency_packets = session.latency_packets();
-  metrics.wait_packets = session.wait_packets();
-  metrics.corrupted_packets = session.corrupted_packets();
-  metrics.fec_recovered = session.fec_recovered();
-  metrics.wait_slots = session.wait_slots();
-  metrics.latency_slots = session.latency_slots();
-  metrics.peak_memory_bytes = memory.peak();
-  metrics.memory_exceeded = memory.exceeded();
-  metrics.cpu_ms = cpu_ms;
-  metrics.cache_hits = s.session.query_hits();
-  metrics.warm = metrics.cache_hits > 0;
-  metrics.distance = dist;
-  metrics.ok = receive_status.ok() && dist != graph::kInfDist;
-  return metrics;
+  run.cpu_ms += sw.ElapsedMs();
+  return run.Finish(dist, receive_status.ok() && dist != graph::kInfDist);
 }
 
 }  // namespace airindex::core

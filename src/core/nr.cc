@@ -1,16 +1,14 @@
 #include "core/nr.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "algo/dijkstra.h"
 #include "common/byte_io.h"
+#include "core/client_run.h"
 #include "core/partial_graph.h"
-#include "core/query_scratch.h"
 #include "core/region_data.h"
 #include "core/repair.h"
 #include "core/super_edge.h"
-#include "device/memory_tracker.h"
 #include "partition/kd_tree.h"
 
 namespace airindex::core {
@@ -170,17 +168,11 @@ Result<std::unique_ptr<NrSystem>> NrSystem::BuildFromPrecompute(
 device::QueryMetrics NrSystem::RunQuery(
     const broadcast::BroadcastChannel& channel, const AirQuery& query,
     const ClientOptions& options, QueryScratch* scratch) const {
-  device::QueryMetrics metrics;
-  device::MemoryTracker memory(options.heap_bytes);
-  broadcast::ClientSession session(&channel, StartPosition(channel, query));
+  ClientRun run(channel, StartPosition(channel, query), options, scratch);
+  broadcast::ClientSession& session = run.session;
+  device::MemoryTracker& memory = run.memory;
+  QueryScratch& s = run.scratch();
   const uint32_t total = cycle_.total_packets();
-  double cpu_ms = 0.0;
-
-  std::optional<QueryScratch> local_scratch;
-  QueryScratch& s =
-      scratch != nullptr ? *scratch : local_scratch.emplace();
-  s.BeginQuery();
-  s.session.BeginQueryStats();
   const bool cache_on = s.session.Ready(channel);
 
   // Serves a segment from the session cache when possible; otherwise
@@ -221,6 +213,7 @@ device::QueryMetrics NrSystem::RunQuery(
   PartialGraph& pg = s.partial_graph;
   SuperEdgeProcessor super(query.source, query.target);
   size_t super_mem = 0;
+  uint32_t regions = 0;
   std::vector<uint8_t>& received = s.region_flags;
   received.clear();
   bool mapped = false;
@@ -257,7 +250,7 @@ device::QueryMetrics NrSystem::RunQuery(
         memory.Release(super_mem);
         super_mem = super.MemoryBytes();
         memory.Charge(super_mem);
-        ++metrics.regions_received;
+        ++regions;
       }
     } else {
       // Allocation-free path: validate (all-or-nothing, like the old
@@ -280,12 +273,12 @@ device::QueryMetrics NrSystem::RunQuery(
           while (local_cursor.Next(&s.record)) pg.AddRecord(s.record);
         }
         memory.Charge(pg.MemoryBytes() - before);
-        ++metrics.regions_received;
+        ++regions;
       }
     }
     memory.Release(cross.payload.size());
     if (has_local) memory.Release(local->payload.size());
-    cpu_ms += sw.ElapsedMs();
+    run.cpu_ms += sw.ElapsedMs();
   };
 
   // --- 2. Chain through local indexes (Algorithm 2 + §6.2) --------------
@@ -310,7 +303,7 @@ device::QueryMetrics NrSystem::RunQuery(
   } else {
     receive_some_index(idx_seg, &found);
   }
-  if (!found) return metrics;
+  if (!found) return {};
   if (!index_charged) {
     memory.Charge(idx_seg->payload.size());
     index_charged = true;
@@ -332,15 +325,15 @@ device::QueryMetrics NrSystem::RunQuery(
       if (!header_ok) {
         bool ok = false;
         receive_some_index(idx_seg, &ok);
-        if (!ok) return metrics;
+        if (!ok) return {};
         continue;
       }
       device::Stopwatch sw_map;
       if (!NrIndex::Decode(idx_seg->payload, &s.nr_index).ok()) {
-        return metrics;
+        return {};
       }
       auto kd = partition::KdTreePartitioner::FromSplits(s.nr_index.splits);
-      if (!kd.ok()) return metrics;
+      if (!kd.ok()) return {};
       rs = kd->RegionOf(query.source_coord);
       rt = kd->RegionOf(query.target_coord);
       R = reg_count;
@@ -351,7 +344,7 @@ device::QueryMetrics NrSystem::RunQuery(
       }
       first_index_id = static_cast<int>(s.nr_index.region_id);
       expected_id = first_index_id;
-      cpu_ms += sw_map.ElapsedMs();
+      run.cpu_ms += sw_map.ElapsedMs();
     } else if (expected_id == first_index_id && progressed) {
       break;  // wrapped around the whole cycle (Algorithm 2 guard)
     }
@@ -368,7 +361,7 @@ device::QueryMetrics NrSystem::RunQuery(
     if (cell_ok) {
       const graph::RegionId next_r =
           idx_seg->payload[NrIndex::CellRange(R, rs, rt).first];
-      if (next_r >= R) return metrics;
+      if (next_r >= R) return {};
       if (received[next_r]) break;  // client already possesses R_nxt
       if (RangeOkClamped(*idx_seg, NrIndex::PositionRange(R, next_r))) {
         region_id = next_r;
@@ -473,22 +466,9 @@ device::QueryMetrics NrSystem::RunQuery(
       dist = s.search.DistTo(query.target);
     }
   }
-  cpu_ms += sw_search.ElapsedMs();
-
-  metrics.tuning_packets = session.tuned_packets();
-  metrics.latency_packets = session.latency_packets();
-  metrics.wait_packets = session.wait_packets();
-  metrics.corrupted_packets = session.corrupted_packets();
-  metrics.fec_recovered = session.fec_recovered();
-  metrics.wait_slots = session.wait_slots();
-  metrics.latency_slots = session.latency_slots();
-  metrics.peak_memory_bytes = memory.peak();
-  metrics.memory_exceeded = memory.exceeded();
-  metrics.cpu_ms = cpu_ms;
-  metrics.cache_hits = s.session.query_hits();
-  metrics.warm = metrics.cache_hits > 0;
-  metrics.distance = dist;
-  metrics.ok = dist != graph::kInfDist;
+  run.cpu_ms += sw_search.ElapsedMs();
+  device::QueryMetrics metrics = run.Finish(dist, dist != graph::kInfDist);
+  metrics.regions_received = regions;
   return metrics;
 }
 

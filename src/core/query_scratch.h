@@ -65,8 +65,9 @@ class SegmentArena {
 /// worker thread, never shared concurrently (sim::Simulator keeps one per
 /// worker and reuses it across the thread's whole query slice). RunQuery
 /// resets it on entry, so callers never clean up between queries; contents
-/// are meaningless between calls. Passing nullptr makes RunQuery use a
-/// throwaway local — the historical allocate-per-query behaviour.
+/// are meaningless between calls. Passing nullptr gives the query a
+/// throwaway scratch of its own; core::ClientRun (core/client_run.h) is the
+/// one place that handles that case.
 struct QueryScratch {
   /// Dijkstra / A* state (dist, parent, frontier heaps).
   algo::SearchWorkspace search;

@@ -5,10 +5,10 @@
 
 #include "algo/dijkstra.h"
 #include "common/byte_io.h"
+#include "core/client_run.h"
 #include "core/partial_graph.h"
 #include "core/region_data.h"
 #include "core/repair.h"
-#include "device/memory_tracker.h"
 #include "partition/kd_tree.h"
 
 namespace airindex::core {
@@ -18,12 +18,12 @@ RangeResult RunRangeQuery(const EbSystem& system,
                           const RangeQuery& query,
                           const ClientOptions& options) {
   RangeResult result;
-  device::MemoryTracker memory(options.heap_bytes);
   const broadcast::BroadcastCycle& cycle = system.cycle();
-  broadcast::ClientSession session(&channel,
-                                   TuneInPosition(cycle, query.tune_phase));
+  ClientRun run(channel, TuneInPosition(cycle, query.tune_phase), options,
+                nullptr);
+  broadcast::ClientSession& session = run.session;
+  device::MemoryTracker& memory = run.memory;
   const uint32_t total = cycle.total_packets();
-  double cpu_ms = 0.0;
 
   // Receive the next index copy (same protocol as the shortest-path
   // client; simple whole-copy repair is enough here).
@@ -67,7 +67,7 @@ RangeResult RunRangeQuery(const EbSystem& system,
   for (graph::RegionId r = 0; r < R; ++r) {
     if (r == rs || index.MinDist(rs, r) <= query.radius) needed.push_back(r);
   }
-  cpu_ms += sw_prune.ElapsedMs();
+  run.cpu_ms += sw_prune.ElapsedMs();
 
   // Receive the needed regions (cross + local: results may be any node)
   // in broadcast order; batch-repair losses.
@@ -82,6 +82,7 @@ RangeResult RunRangeQuery(const EbSystem& system,
             });
 
   PartialGraph pg;
+  uint32_t regions = 0;
   std::deque<broadcast::ReceivedSegment> stash;
   std::vector<PendingRepair> pending;
   auto ingest = [&](broadcast::ReceivedSegment&& seg) {
@@ -91,10 +92,10 @@ RangeResult RunRangeQuery(const EbSystem& system,
       const size_t before = pg.MemoryBytes();
       for (const auto& rec : data->records) pg.AddRecord(rec);
       memory.Charge(pg.MemoryBytes() - before);
-      ++result.metrics.regions_received;
+      ++regions;
     }
     memory.Release(seg.payload.size());
-    cpu_ms += sw.ElapsedMs();
+    run.cpu_ms += sw.ElapsedMs();
   };
 
   for (graph::RegionId r : needed) {
@@ -132,19 +133,10 @@ RangeResult RunRangeQuery(const EbSystem& system,
               return a.second < b.second ||
                      (a.second == b.second && a.first < b.first);
             });
-  cpu_ms += sw_search.ElapsedMs();
+  run.cpu_ms += sw_search.ElapsedMs();
 
-  result.metrics.tuning_packets = session.tuned_packets();
-  result.metrics.latency_packets = session.latency_packets();
-  result.metrics.wait_packets = session.wait_packets();
-  result.metrics.corrupted_packets = session.corrupted_packets();
-  result.metrics.fec_recovered = session.fec_recovered();
-  result.metrics.wait_slots = session.wait_slots();
-  result.metrics.latency_slots = session.latency_slots();
-  result.metrics.peak_memory_bytes = memory.peak();
-  result.metrics.memory_exceeded = memory.exceeded();
-  result.metrics.cpu_ms = cpu_ms;
-  result.metrics.ok = true;
+  result.metrics = run.Finish(graph::kInfDist, true);
+  result.metrics.regions_received = regions;
   return result;
 }
 

@@ -2,13 +2,11 @@
 
 #include <bit>
 #include <chrono>
-#include <optional>
 
 #include "common/byte_io.h"
+#include "core/client_run.h"
 #include "core/cycle_common.h"
 #include "core/full_cycle.h"
-#include "core/query_scratch.h"
-#include "device/memory_tracker.h"
 
 namespace airindex::core {
 namespace {
@@ -111,14 +109,9 @@ Result<std::unique_ptr<SpqOnAir>> SpqOnAir::Build(const graph::Graph& g,
 device::QueryMetrics SpqOnAir::RunQuery(
     const broadcast::BroadcastChannel& channel, const AirQuery& query,
     const ClientOptions& options, QueryScratch* scratch) const {
-  device::QueryMetrics metrics;
-  device::MemoryTracker memory(options.heap_bytes);
-  broadcast::ClientSession session(&channel, StartPosition(channel, query));
-
-  std::optional<QueryScratch> local_scratch;
-  QueryScratch& s =
-      scratch != nullptr ? *scratch : local_scratch.emplace();
-  s.BeginQuery();
+  ClientRun run(channel, StartPosition(channel, query), options, scratch);
+  QueryScratch& s = run.scratch();
+  device::MemoryTracker& memory = run.memory;
 
   // coords/trees are moved into the rebuilt Graph / SpqIndex below, so
   // they cannot be pooled; the edge list can.
@@ -127,11 +120,9 @@ device::QueryMetrics SpqOnAir::RunQuery(
   std::vector<algo::SpqIndex::Tree> trees(num_nodes_);
   double root[3] = {0, 0, 1};
   bool header_ok = false;
-  double cpu_ms = 0.0;
-  s.session.BeginQueryStats();
 
   Status receive_status = ReceiveFullCycleCached(
-      session, memory, &s.session,
+      run.session, memory, &s.session,
       [](const broadcast::ReceivedSegment&) { return true; },
       [&](broadcast::ReceivedSegment& seg) {
         device::Stopwatch sw;
@@ -174,7 +165,7 @@ device::QueryMetrics SpqOnAir::RunQuery(
           }
         }
         memory.Release(seg.payload.size());
-        cpu_ms += sw.ElapsedMs();
+        run.cpu_ms += sw.ElapsedMs();
       },
       options.max_repair_cycles, &s.full_cycle);
 
@@ -189,23 +180,8 @@ device::QueryMetrics SpqOnAir::RunQuery(
     graph::Path path = idx.Query(gr, query.source, query.target);
     dist = path.dist;
   }
-  cpu_ms += sw.ElapsedMs();
-
-  metrics.tuning_packets = session.tuned_packets();
-  metrics.latency_packets = session.latency_packets();
-  metrics.wait_packets = session.wait_packets();
-  metrics.corrupted_packets = session.corrupted_packets();
-  metrics.fec_recovered = session.fec_recovered();
-  metrics.wait_slots = session.wait_slots();
-  metrics.latency_slots = session.latency_slots();
-  metrics.peak_memory_bytes = memory.peak();
-  metrics.memory_exceeded = memory.exceeded();
-  metrics.cpu_ms = cpu_ms;
-  metrics.cache_hits = s.session.query_hits();
-  metrics.warm = metrics.cache_hits > 0;
-  metrics.distance = dist;
-  metrics.ok = receive_status.ok() && dist != graph::kInfDist;
-  return metrics;
+  run.cpu_ms += sw.ElapsedMs();
+  return run.Finish(dist, receive_status.ok() && dist != graph::kInfDist);
 }
 
 }  // namespace airindex::core
