@@ -8,29 +8,24 @@
 
 #include "common/thread_pool.h"
 #include "core/query_scratch.h"
+#include "sim/fan_out.h"
 
 namespace airindex::sim {
 
 namespace {
 
-/// Wait/listen pricing shared by every event-engine path. With FEC on, the
-/// on-air timeline is longer than the logical packet count (parity slots),
-/// so the session's physical-slot window is priced; the FEC-off branch
-/// keeps the historical packet-count formula verbatim — bit-identical when
-/// the code is off.
-void PriceLatency(device::QueryMetrics& m, double boundary_ms, double pkt_ms,
-                  double slot_ms, bool fec_on) {
-  if (fec_on) {
-    m.wait_ms = (boundary_ms > 0.0 ? boundary_ms : 0.0) +
-                static_cast<double>(m.wait_slots) * slot_ms;
-    m.listen_ms =
-        static_cast<double>(m.latency_slots - m.wait_slots) * slot_ms;
-  } else {
-    m.wait_ms = (boundary_ms > 0.0 ? boundary_ms : 0.0) +
-                static_cast<double>(m.wait_packets) * pkt_ms;
-    m.listen_ms =
-        static_cast<double>(m.latency_packets - m.wait_packets) * pkt_ms;
-  }
+/// The station an engine of `o` stands up for `cycle`, transmitting
+/// `schedule` (null = the flat cycle).
+broadcast::StationOptions StationOptionsOf(
+    const EventOptions& o, const broadcast::BroadcastSchedule* schedule) {
+  broadcast::StationOptions so;
+  so.bits_per_second = o.bits_per_second;
+  so.loss = o.loss;
+  so.seed = o.station_seed;
+  so.subchannels = o.subchannels;
+  so.fec = o.fec;
+  so.schedule = schedule;
+  return so;
 }
 
 }  // namespace
@@ -41,13 +36,7 @@ unsigned EventEngine::effective_threads() const {
 
 broadcast::Station EventEngine::MakeStation(
     const core::AirSystem& sys) const {
-  broadcast::StationOptions so;
-  so.bits_per_second = options_.bits_per_second;
-  so.loss = options_.loss;
-  so.seed = options_.station_seed;
-  so.subchannels = options_.subchannels;
-  so.fec = options_.fec;
-  return broadcast::Station(&sys.cycle(), so);
+  return broadcast::Station(&sys.cycle(), StationOptionsOf(options_, nullptr));
 }
 
 SystemResult EventEngine::RunSystem(const core::AirSystem& sys,
@@ -61,30 +50,13 @@ SystemResult EventEngine::RunSystem(const core::AirSystem& sys,
   result.per_query.resize(w.queries.size());
 
   // Static broadcast-disk schedule: planned once from the analytic demand
-  // profile and transmitted for the whole run. A flat policy (or a planner
-  // that collapses to the flat spec) leaves the station schedule-free —
-  // the historical timeline, bit for bit.
-  std::optional<broadcast::BroadcastSchedule> sched;
-  broadcast::StationOptions so;
-  so.bits_per_second = options_.bits_per_second;
-  so.loss = options_.loss;
-  so.seed = options_.station_seed;
-  so.subchannels = options_.subchannels;
-  so.fec = options_.fec;
-  if (options_.schedule.mode == SchedulePolicy::Mode::kStatic) {
-    broadcast::ScheduleSpec spec =
-        PlanStaticSpec(sys.cycle(), options_.schedule_demand,
-                       options_.schedule, options_.encoding);
-    if (!spec.flat()) {
-      auto compiled =
-          broadcast::BroadcastSchedule::Compile(&sys.cycle(), std::move(spec));
-      if (compiled.ok()) {
-        sched = std::move(compiled).value();
-        so.schedule = &*sched;
-      }
-    }
-  }
-  const broadcast::Station station(&sys.cycle(), so);
+  // profile and transmitted for the whole run.
+  const std::optional<broadcast::BroadcastSchedule> sched =
+      StaticSchedule(sys.cycle(), options_.schedule_demand, options_.schedule,
+                     options_.encoding);
+  const broadcast::Station station(
+      &sys.cycle(),
+      StationOptionsOf(options_, sched.has_value() ? &*sched : nullptr));
   const double pkt_ms = station.PacketMs();
   const double slot_ms = station.SlotMs();
   const double cycle_ms = station.CycleMs();
@@ -103,117 +75,72 @@ SystemResult EventEngine::RunSystem(const core::AirSystem& sys,
       std::max<uint32_t>(1u, options_.session.queries);
   if (per_session > 1 || options_.cache_bytes > 0) {
     const size_t n = w.queries.size();
-    const size_t num_sessions = (n + per_session - 1) / per_session;
     core::DecodedSlotCache decode_cache(
         station.channel(0).cycle_version());
-    std::vector<core::QueryScratch> scratch(
-        ResolveWorkers(num_sessions, options_.threads));
-
-    const unsigned repeat = std::max(1u, options_.repeat);
-    double best_wall = 0.0;
-    for (unsigned rep = 0; rep < repeat; ++rep) {
-      const auto start = std::chrono::steady_clock::now();
-      ParallelForWorker(
-          num_sessions,
-          [&](unsigned worker, size_t sidx) {
-            core::QueryScratch& sc = scratch[worker];
-            sc.session.BeginSession(options_.cache_bytes);
-            sc.decode_cache =
-                options_.cache_bytes > 0 ? &decode_cache : nullptr;
-            const size_t first = sidx * per_session;
-            const size_t last = std::min(n, first + per_session);
-            const uint32_t sub = station.SubchannelOf(sidx);
-            double arrival_ms = 0.0;
-            for (size_t i = first; i < last; ++i) {
-              const workload::Query& wq = w.queries[i];
-              if (i == first) {
-                arrival_ms = wq.arrival_ms >= 0.0
-                                 ? wq.arrival_ms
-                                 : wq.tune_phase * cycle_ms;
-              }
-              core::AirQuery q = core::MakeAirQuery(*graph_, wq);
-              q.arrival_pos = station.PositionAt(arrival_ms, sub);
-              device::QueryMetrics m = sys.RunQuery(
-                  station.channel(sub), q, options_.client, &sc);
-              // A fully-warm query answers from the cache without the
-              // radio ever waking: no packet-boundary doze either.
-              const bool silent =
-                  m.tuning_packets == 0 && m.latency_packets == 0;
-              const double boundary_ms =
-                  silent ? 0.0
-                         : station.TimeAtMs(q.arrival_pos, sub) - arrival_ms;
-              PriceLatency(m, boundary_ms, pkt_ms, slot_ms, fec_on);
-              if (options_.deterministic) m.cpu_ms = 0.0;
-              result.per_query[i] = m;
-              // Next query of the session arrives once this answer landed
-              // and the client thought about it.
-              arrival_ms += m.wait_ms + m.listen_ms +
-                            options_.session.think_ms;
+    TimedFanOut(
+        (n + per_session - 1) / per_session, options_.threads,
+        options_.repeat, energy_model(),
+        [&](core::QueryScratch& sc, size_t sidx) {
+          sc.session.BeginSession(options_.cache_bytes);
+          sc.decode_cache = options_.cache_bytes > 0 ? &decode_cache : nullptr;
+          const size_t first = sidx * per_session;
+          const size_t last = std::min(n, first + per_session);
+          const uint32_t sub = station.SubchannelOf(sidx);
+          double arrival_ms = 0.0;
+          for (size_t i = first; i < last; ++i) {
+            const workload::Query& wq = w.queries[i];
+            if (i == first) {
+              arrival_ms = wq.arrival_ms >= 0.0 ? wq.arrival_ms
+                                                : wq.tune_phase * cycle_ms;
             }
-          },
-          options_.threads);
-      const double wall =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      best_wall = rep == 0 ? wall : std::min(best_wall, wall);
-    }
-    result.wall_seconds = best_wall;
-    result.queries_per_second =
-        result.wall_seconds > 0.0
-            ? static_cast<double>(n) / result.wall_seconds
-            : 0.0;
-    result.aggregate =
-        Aggregate::Of(result.system, result.per_query, energy_model());
+            core::AirQuery q = core::MakeAirQuery(*graph_, wq);
+            q.arrival_pos = station.PositionAt(arrival_ms, sub);
+            device::QueryMetrics m =
+                sys.RunQuery(station.channel(sub), q, options_.client, &sc);
+            // A fully-warm query answers from the cache without the radio
+            // ever waking: no packet-boundary doze either.
+            const bool silent =
+                m.tuning_packets == 0 && m.latency_packets == 0;
+            const double boundary_ms =
+                silent ? 0.0
+                       : station.TimeAtMs(q.arrival_pos, sub) - arrival_ms;
+            PriceLatency(m, boundary_ms, pkt_ms, slot_ms, fec_on);
+            if (options_.deterministic) m.cpu_ms = 0.0;
+            result.per_query[i] = m;
+            // Next query of the session arrives once this answer landed
+            // and the client thought about it.
+            arrival_ms +=
+                m.wait_ms + m.listen_ms + options_.session.think_ms;
+          }
+        },
+        result);
     return result;
   }
 
-  std::vector<core::QueryScratch> scratch(
-      ResolveWorkers(w.queries.size(), options_.threads));
-
-  const unsigned repeat = std::max(1u, options_.repeat);
-  double best_wall = 0.0;
-  for (unsigned rep = 0; rep < repeat; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    ParallelForWorker(
-        w.queries.size(),
-        [&](unsigned worker, size_t i) {
-          const workload::Query& wq = w.queries[i];
-          // Arrival instant on the station clock: the process timestamp
-          // when present, else the phase-derived fallback (one cycle's
-          // worth of arrivals).
-          const double arrival_ms = wq.arrival_ms >= 0.0
-                                        ? wq.arrival_ms
-                                        : wq.tune_phase * cycle_ms;
-          const uint32_t sub = station.SubchannelOf(i);
-          core::AirQuery q = core::MakeAirQuery(*graph_, wq);
-          q.arrival_pos = station.PositionAt(arrival_ms, sub);
-          device::QueryMetrics m = sys.RunQuery(
-              station.channel(sub), q, options_.client, &scratch[worker]);
-          // Wait starts at the arrival *instant*, not at the packet
-          // boundary the client joins: the sub-packet remainder until the
-          // joined packet starts transmitting is dozing too.
-          const double boundary_ms =
-              station.TimeAtMs(q.arrival_pos, sub) - arrival_ms;
-          PriceLatency(m, boundary_ms, pkt_ms, slot_ms, fec_on);
-          if (options_.deterministic) m.cpu_ms = 0.0;
-          result.per_query[i] = m;
-        },
-        options_.threads);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    best_wall = rep == 0 ? wall : std::min(best_wall, wall);
-  }
-  result.wall_seconds = best_wall;
-  result.queries_per_second =
-      result.wall_seconds > 0.0
-          ? static_cast<double>(w.queries.size()) / result.wall_seconds
-          : 0.0;
-
-  result.aggregate =
-      Aggregate::Of(result.system, result.per_query, energy_model());
+  TimedFanOut(
+      w.queries.size(), options_.threads, options_.repeat, energy_model(),
+      [&](core::QueryScratch& sc, size_t i) {
+        const workload::Query& wq = w.queries[i];
+        // Arrival instant on the station clock: the process timestamp when
+        // present, else the phase-derived fallback (one cycle's worth of
+        // arrivals).
+        const double arrival_ms =
+            wq.arrival_ms >= 0.0 ? wq.arrival_ms : wq.tune_phase * cycle_ms;
+        const uint32_t sub = station.SubchannelOf(i);
+        core::AirQuery q = core::MakeAirQuery(*graph_, wq);
+        q.arrival_pos = station.PositionAt(arrival_ms, sub);
+        device::QueryMetrics m =
+            sys.RunQuery(station.channel(sub), q, options_.client, &sc);
+        // Wait starts at the arrival *instant*, not at the packet boundary
+        // the client joins: the sub-packet remainder until the joined
+        // packet starts transmitting is dozing too.
+        const double boundary_ms =
+            station.TimeAtMs(q.arrival_pos, sub) - arrival_ms;
+        PriceLatency(m, boundary_ms, pkt_ms, slot_ms, fec_on);
+        if (options_.deterministic) m.cpu_ms = 0.0;
+        result.per_query[i] = m;
+      },
+      result);
   return result;
 }
 
@@ -239,20 +166,15 @@ SystemResult EventEngine::RunSystemOnline(const core::AirSystem& sys,
   std::deque<broadcast::BroadcastSchedule> schedules;
   std::deque<broadcast::Station> stations;
   auto push_station = [&](const broadcast::ScheduleSpec& spec) {
-    broadcast::StationOptions so;
-    so.bits_per_second = options_.bits_per_second;
-    so.loss = options_.loss;
-    so.seed = options_.station_seed;
-    so.subchannels = options_.subchannels;
-    so.fec = options_.fec;
+    const broadcast::BroadcastSchedule* schedule = nullptr;
     if (!spec.flat()) {
       auto compiled = broadcast::BroadcastSchedule::Compile(&cycle, spec);
       if (compiled.ok()) {
         schedules.push_back(std::move(compiled).value());
-        so.schedule = &schedules.back();
+        schedule = &schedules.back();
       }
     }
-    stations.emplace_back(&cycle, so);
+    stations.emplace_back(&cycle, StationOptionsOf(options_, schedule));
     return &stations.back();
   };
   const broadcast::Station* station = push_station(planner.spec());
@@ -298,44 +220,22 @@ SystemResult EventEngine::RunSystemOnline(const core::AirSystem& sys,
     epoch_start = epoch_end;
   }
 
-  std::vector<core::QueryScratch> scratch(
-      ResolveWorkers(n, options_.threads));
-
-  const unsigned repeat = std::max(1u, options_.repeat);
-  double best_wall = 0.0;
-  for (unsigned rep = 0; rep < repeat; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    ParallelForWorker(
-        n,
-        [&](unsigned worker, size_t i) {
-          const broadcast::Station& st = *station_of[i];
-          const double local_ms = arrival[i] - epoch_start_of[i];
-          const uint32_t sub = st.SubchannelOf(i);
-          core::AirQuery q = core::MakeAirQuery(*graph_, w.queries[i]);
-          q.arrival_pos = st.PositionAt(local_ms, sub);
-          device::QueryMetrics m = sys.RunQuery(
-              st.channel(sub), q, options_.client, &scratch[worker]);
-          const double boundary_ms =
-              st.TimeAtMs(q.arrival_pos, sub) - local_ms;
-          PriceLatency(m, boundary_ms, st.PacketMs(), st.SlotMs(), fec_on);
-          if (options_.deterministic) m.cpu_ms = 0.0;
-          result.per_query[i] = m;
-        },
-        options_.threads);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    best_wall = rep == 0 ? wall : std::min(best_wall, wall);
-  }
-  result.wall_seconds = best_wall;
-  result.queries_per_second =
-      result.wall_seconds > 0.0
-          ? static_cast<double>(n) / result.wall_seconds
-          : 0.0;
-
-  result.aggregate =
-      Aggregate::Of(result.system, result.per_query, energy_model());
+  TimedFanOut(
+      n, options_.threads, options_.repeat, energy_model(),
+      [&](core::QueryScratch& sc, size_t i) {
+        const broadcast::Station& st = *station_of[i];
+        const double local_ms = arrival[i] - epoch_start_of[i];
+        const uint32_t sub = st.SubchannelOf(i);
+        core::AirQuery q = core::MakeAirQuery(*graph_, w.queries[i]);
+        q.arrival_pos = st.PositionAt(local_ms, sub);
+        device::QueryMetrics m =
+            sys.RunQuery(st.channel(sub), q, options_.client, &sc);
+        const double boundary_ms = st.TimeAtMs(q.arrival_pos, sub) - local_ms;
+        PriceLatency(m, boundary_ms, st.PacketMs(), st.SlotMs(), fec_on);
+        if (options_.deterministic) m.cpu_ms = 0.0;
+        result.per_query[i] = m;
+      },
+      result);
   return result;
 }
 

@@ -1,0 +1,52 @@
+#include "sim/fan_out.h"
+
+#include <algorithm>
+#include <chrono>
+#include <vector>
+
+#include "common/thread_pool.h"
+
+namespace airindex::sim {
+
+void TimedFanOut(
+    size_t units, unsigned threads, unsigned repeat,
+    const device::EnergyModel& energy,
+    const std::function<void(core::QueryScratch&, size_t)>& body,
+    SystemResult& result) {
+  std::vector<core::QueryScratch> scratch(ResolveWorkers(units, threads));
+  double best_wall = 0.0;
+  for (unsigned rep = 0; rep < std::max(1u, repeat); ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    ParallelForWorker(
+        units,
+        [&](unsigned worker, size_t unit) { body(scratch[worker], unit); },
+        threads);
+    const double wall =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start)
+            .count();
+    best_wall = rep == 0 ? wall : std::min(best_wall, wall);
+  }
+  result.wall_seconds = best_wall;
+  result.queries_per_second =
+      best_wall > 0.0 ? static_cast<double>(result.per_query.size()) / best_wall
+                      : 0.0;
+  result.aggregate = Aggregate::Of(result.system, result.per_query, energy);
+}
+
+void PriceLatency(device::QueryMetrics& m, double boundary_ms, double pkt_ms,
+                  double slot_ms, bool fec_on) {
+  if (fec_on) {
+    m.wait_ms = (boundary_ms > 0.0 ? boundary_ms : 0.0) +
+                static_cast<double>(m.wait_slots) * slot_ms;
+    m.listen_ms =
+        static_cast<double>(m.latency_slots - m.wait_slots) * slot_ms;
+  } else {
+    m.wait_ms = (boundary_ms > 0.0 ? boundary_ms : 0.0) +
+                static_cast<double>(m.wait_packets) * pkt_ms;
+    m.listen_ms =
+        static_cast<double>(m.latency_packets - m.wait_packets) * pkt_ms;
+  }
+}
+
+}  // namespace airindex::sim

@@ -264,4 +264,17 @@ bool OnlineReplanner::Replan() {
   return true;
 }
 
+std::optional<broadcast::BroadcastSchedule> StaticSchedule(
+    const broadcast::BroadcastCycle& cycle, std::span<const double> demand,
+    const SchedulePolicy& policy, broadcast::CycleEncoding encoding) {
+  if (policy.mode != SchedulePolicy::Mode::kStatic) return std::nullopt;
+  broadcast::ScheduleSpec spec =
+      PlanStaticSpec(cycle, demand, policy, encoding);
+  if (spec.flat()) return std::nullopt;
+  auto compiled =
+      broadcast::BroadcastSchedule::Compile(&cycle, std::move(spec));
+  if (!compiled.ok()) return std::nullopt;
+  return std::move(compiled).value();
+}
+
 }  // namespace airindex::sim

@@ -2,6 +2,7 @@
 #define AIRINDEX_SIM_SCHEDULE_PLAN_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -79,6 +80,14 @@ broadcast::ScheduleSpec PlanStaticSpec(const broadcast::BroadcastCycle& cycle,
                                        std::span<const double> node_weight,
                                        const SchedulePolicy& policy,
                                        broadcast::CycleEncoding encoding);
+
+/// The static broadcast-disk schedule of `cycle`, planned once from the
+/// analytic demand profile. Empty when the policy is not kStatic, or when
+/// the planner collapses to the flat spec: the channel then stays
+/// schedule-free, bit for bit the flat timeline.
+std::optional<broadcast::BroadcastSchedule> StaticSchedule(
+    const broadcast::BroadcastCycle& cycle, std::span<const double> demand,
+    const SchedulePolicy& policy, broadcast::CycleEncoding encoding);
 
 /// The online demand estimator: counts destination demand per interleave
 /// group as queries arrive, and re-plans the spec at epoch boundaries from

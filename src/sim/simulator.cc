@@ -6,6 +6,7 @@
 
 #include "common/thread_pool.h"
 #include "core/query_scratch.h"
+#include "sim/fan_out.h"
 
 namespace airindex::sim {
 
@@ -27,83 +28,36 @@ SystemResult Simulator::RunSystem(const core::AirSystem& sys,
   result.system = std::string(sys.name());
   result.per_query.resize(w.queries.size());
 
-  // One scratch per worker thread, reused across the thread's whole query
-  // slice (and across repetitions) — the allocation-free steady state.
-  std::vector<core::QueryScratch> scratch(
-      ResolveWorkers(w.queries.size(), options_.threads));
-
   // Static broadcast-disk schedule: planned once per system, shared
-  // read-only by every per-query channel replay. Flat mode (and a planner
-  // that collapses to the flat spec) keeps the channels schedule-free —
-  // the historical construction, bit for bit. Online mode has no meaning
+  // read-only by every per-query channel replay. Online mode has no meaning
   // here (no shared timeline); callers reject it before reaching the
   // engine, and a policy that slips through degrades to flat.
-  std::optional<broadcast::BroadcastSchedule> sched;
-  if (options_.schedule.mode == SchedulePolicy::Mode::kStatic) {
-    broadcast::ScheduleSpec spec = PlanStaticSpec(
-        sys.cycle(), options_.schedule_demand, options_.schedule,
-        options_.encoding);
-    if (!spec.flat()) {
-      auto compiled =
-          broadcast::BroadcastSchedule::Compile(&sys.cycle(), std::move(spec));
-      if (compiled.ok()) sched = std::move(compiled).value();
-    }
-  }
+  const std::optional<broadcast::BroadcastSchedule> sched =
+      StaticSchedule(sys.cycle(), options_.schedule_demand, options_.schedule,
+                     options_.encoding);
   const broadcast::BroadcastSchedule* schedule =
       sched.has_value() ? &*sched : nullptr;
 
-  // Packet duration on this engine's (single, full-rate) channel — prices
-  // the wait/listen split of the latency window in milliseconds. With FEC
-  // on, the on-air timeline is longer than the logical packet count
-  // (parity slots), so the pricing switches to the session's physical-slot
-  // window; the historical packet-count formula is kept verbatim otherwise
-  // so FEC-off runs stay bit-identical.
+  // Packet duration on this engine's (single, full-rate) channel; with no
+  // shared timeline there is no boundary doze and a slot lasts a packet.
   const double pkt_ms =
       device::PacketSeconds(options_.bits_per_second) * 1000.0;
   const bool fec_on = options_.fec.enabled();
 
-  const unsigned repeat = std::max(1u, options_.repeat);
-  double best_wall = 0.0;
-  for (unsigned rep = 0; rep < repeat; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    ParallelForWorker(
-        w.queries.size(),
-        [&](unsigned worker, size_t i) {
-          broadcast::BroadcastChannel channel(
-              &sys.cycle(), options_.loss,
-              QueryLossSeed(options_.loss_seed, i), options_.fec, schedule);
-          device::QueryMetrics m = sys.RunQuery(
-              channel, core::MakeAirQuery(*graph_, w.queries[i]),
-              options_.client, &scratch[worker]);
-          if (fec_on) {
-            m.wait_ms = static_cast<double>(m.wait_slots) * pkt_ms;
-            m.listen_ms =
-                static_cast<double>(m.latency_slots - m.wait_slots) *
-                pkt_ms;
-          } else {
-            m.wait_ms = static_cast<double>(m.wait_packets) * pkt_ms;
-            m.listen_ms =
-                static_cast<double>(m.latency_packets - m.wait_packets) *
-                pkt_ms;
-          }
-          if (options_.deterministic) m.cpu_ms = 0.0;
-          result.per_query[i] = m;
-        },
-        options_.threads);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    best_wall = rep == 0 ? wall : std::min(best_wall, wall);
-  }
-  result.wall_seconds = best_wall;
-  result.queries_per_second =
-      result.wall_seconds > 0.0
-          ? static_cast<double>(w.queries.size()) / result.wall_seconds
-          : 0.0;
-
-  result.aggregate =
-      Aggregate::Of(result.system, result.per_query, energy_model());
+  TimedFanOut(
+      w.queries.size(), options_.threads, options_.repeat, energy_model(),
+      [&](core::QueryScratch& scratch, size_t i) {
+        broadcast::BroadcastChannel channel(
+            &sys.cycle(), options_.loss,
+            QueryLossSeed(options_.loss_seed, i), options_.fec, schedule);
+        device::QueryMetrics m =
+            sys.RunQuery(channel, core::MakeAirQuery(*graph_, w.queries[i]),
+                         options_.client, &scratch);
+        PriceLatency(m, 0.0, pkt_ms, pkt_ms, fec_on);
+        if (options_.deterministic) m.cpu_ms = 0.0;
+        result.per_query[i] = m;
+      },
+      result);
   return result;
 }
 
