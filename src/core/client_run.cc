@@ -14,6 +14,22 @@ ClientRun::ClientRun(const broadcast::BroadcastChannel& channel,
   scratch_->session.BeginQueryStats();
 }
 
+std::optional<uint32_t> ClientRun::ReceiveNextIndex(
+    broadcast::ReceivedSegment* out, int max_probes) {
+  for (int probe = 0; probe < max_probes; ++probe) {
+    auto view = session.ReceiveNext();
+    if (!view.has_value()) continue;
+    if (view->next_index_offset == 0 && view->seq == 0) {
+      broadcast::CompleteSegmentFrom(session, *view, out);
+      return view->cycle_pos;
+    }
+    const uint32_t start = broadcast::NextIndexTarget(session, *view);
+    broadcast::ReceiveSegmentAt(session, start, out);
+    return start;
+  }
+  return std::nullopt;
+}
+
 device::QueryMetrics ClientRun::Finish(graph::Dist distance, bool ok) const {
   device::QueryMetrics m;
   m.tuning_packets = session.tuned_packets();

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "broadcast/channel.h"
 #include "core/air_system.h"
@@ -36,6 +37,13 @@ class ClientRun {
             const ClientOptions& options, QueryScratch* scratch);
 
   QueryScratch& scratch() const { return *scratch_; }
+
+  /// Tunes in on an indexed cycle: listens until a packet arrives (at most
+  /// `max_probes` packets), then receives the index copy its header points
+  /// at into `out` (that very copy when the packet starts one). Returns the
+  /// copy's start, or nullopt when every probe was lost.
+  std::optional<uint32_t> ReceiveNextIndex(broadcast::ReceivedSegment* out,
+                                           int max_probes);
 
   /// The query's metrics: every radio, memory and cache field from this
   /// run, plus the answer. Method-specific fields (regions_received) are

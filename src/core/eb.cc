@@ -224,20 +224,9 @@ device::QueryMetrics EbSystem::RunQuery(
     s.session.LoadIndex(index_seg);
     s.session.CountHit();
   } else {
-    bool found = false;
-    for (int attempts = 0; attempts < 64 && !found; ++attempts) {
-      auto view = session.ReceiveNext();
-      if (!view.has_value()) continue;
-      found = true;
-      if (view->next_index_offset == 0 && view->seq == 0) {
-        index_start = view->cycle_pos;
-        broadcast::CompleteSegmentFrom(session, *view, index_seg);
-      } else {
-        index_start = broadcast::NextIndexTarget(session, *view);
-        broadcast::ReceiveSegmentAt(session, index_start, index_seg);
-      }
-    }
-    if (!found) return {};  // channel effectively dead
+    const std::optional<uint32_t> start = run.ReceiveNextIndex(index_seg, 64);
+    if (!start.has_value()) return {};  // channel effectively dead
+    index_start = *start;
     if (cache_on) s.session.StoreIndex(index_start, *index_seg);
   }
   memory.Charge(index_seg->payload.size());

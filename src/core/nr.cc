@@ -191,24 +191,11 @@ device::QueryMetrics NrSystem::RunQuery(
   // --- 1. Find and receive the next local index (every header points at
   // one; tuning in right at an index start uses that very copy) ----------
   uint32_t idx_start = 0;
-  auto receive_some_index = [&](ReceivedSegment* out, bool* ok) {
-    for (int attempts = 0; attempts < 256; ++attempts) {
-      auto view = session.ReceiveNext();
-      if (!view.has_value()) continue;
-      *ok = true;
-      if (view->next_index_offset == 0 && view->seq == 0) {
-        idx_start = view->cycle_pos;
-        broadcast::CompleteSegmentFrom(session, *view, out);
-        return;
-      }
-      idx_start = broadcast::NextIndexTarget(session, *view);
-      broadcast::ReceiveSegmentAt(session, idx_start, out);
-      return;
-    }
-    *ok = false;
+  auto receive_some_index = [&](ReceivedSegment* out) {
+    const std::optional<uint32_t> start = run.ReceiveNextIndex(out, 256);
+    if (start.has_value()) idx_start = *start;
+    return start.has_value();
   };
-
-  bool found = false;
 
   PartialGraph& pg = s.partial_graph;
   SuperEdgeProcessor super(query.source, query.target);
@@ -221,7 +208,6 @@ device::QueryMetrics NrSystem::RunQuery(
   uint32_t R = 0;
   int first_index_id = -1;
   int expected_id = -1;  // id of the index currently in *idx_seg
-  bool index_charged = false;
   bool progressed = false;
 
   auto ingest_region = [&](ReceivedSegment& cross, ReceivedSegment* local,
@@ -299,15 +285,10 @@ device::QueryMetrics NrSystem::RunQuery(
     idx_start = s.session.index_start();
     s.session.LoadIndex(idx_seg);
     s.session.CountHit();
-    found = true;
-  } else {
-    receive_some_index(idx_seg, &found);
+  } else if (!receive_some_index(idx_seg)) {
+    return {};
   }
-  if (!found) return {};
-  if (!index_charged) {
-    memory.Charge(idx_seg->payload.size());
-    index_charged = true;
-  }
+  memory.Charge(idx_seg->payload.size());
 
   const uint32_t kMaxSteps = 2 * 256 + 32;
   for (uint32_t step = 0; step < kMaxSteps; ++step) {
@@ -323,9 +304,7 @@ device::QueryMetrics NrSystem::RunQuery(
           reg_count >= 2 && reg_count <= 256 &&
           RangeOkClamped(*idx_seg, NrIndex::SplitsRange(reg_count));
       if (!header_ok) {
-        bool ok = false;
-        receive_some_index(idx_seg, &ok);
-        if (!ok) return {};
+        if (!receive_some_index(idx_seg)) return {};
         continue;
       }
       device::Stopwatch sw_map;

@@ -27,26 +27,12 @@ RangeResult RunRangeQuery(const EbSystem& system,
 
   // Receive the next index copy (same protocol as the shortest-path
   // client; simple whole-copy repair is enough here).
-  uint32_t index_start = 0;
   broadcast::ReceivedSegment index_seg;
-  {
-    bool found = false;
-    for (int attempts = 0; attempts < 64 && !found; ++attempts) {
-      auto view = session.ReceiveNext();
-      if (!view.has_value()) continue;
-      found = true;
-      if (view->next_index_offset == 0 && view->seq == 0) {
-        index_start = view->cycle_pos;
-        index_seg = broadcast::CompleteSegmentFrom(session, *view);
-      } else {
-        index_start = broadcast::NextIndexTarget(session, *view);
-        index_seg = ReceiveSegmentAt(session, index_start);
-      }
-    }
-    if (!found) return result;
-  }
+  const std::optional<uint32_t> index_start =
+      run.ReceiveNextIndex(&index_seg, 64);
+  if (!index_start.has_value()) return result;
   if (!index_seg.complete &&
-      !RepairSegment(session, index_start, &index_seg,
+      !RepairSegment(session, *index_start, &index_seg,
                      options.max_repair_cycles)) {
     return result;
   }
