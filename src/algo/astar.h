@@ -32,6 +32,7 @@ template <typename G, typename LowerBound>
 void AStarSearch(const G& g, NodeId source, NodeId target,
                  LowerBound lower_bound, SearchWorkspace& ws) {
   ws.BeginSearch(g.num_nodes());
+  if (source >= g.num_nodes()) return;  // see DijkstraSearch
   auto& heap = ws.astar_heap();
   ws.TryImprove(source, 0, kInvalidNode);
   heap.push({static_cast<Dist>(lower_bound(source)), 0, source});

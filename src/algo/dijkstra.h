@@ -52,6 +52,9 @@ template <typename G, typename EdgeFilter>
 void DijkstraSearch(const G& g, NodeId source, NodeId target,
                     EdgeFilter edge_filter, SearchWorkspace& ws) {
   ws.BeginSearch(g.num_nodes());
+  // A source the graph does not hold (a client that never received its
+  // region) reaches nothing.
+  if (source >= g.num_nodes()) return;
   auto& heap = ws.heap();
   ws.TryImprove(source, 0, kInvalidNode);
   heap.push({0, source});

@@ -22,6 +22,16 @@ TEST(AStarTest, ZeroBoundEqualsDijkstra) {
   }
 }
 
+// See DijkstraTest.SourceOutsideTheGraphReachesNothing.
+TEST(AStarTest, SourceOutsideTheGraphReachesNothing) {
+  graph::Graph g = SmallNetwork();
+  const auto outside = static_cast<graph::NodeId>(g.num_nodes() + 3);
+  SearchWorkspace ws;
+  AStarSearch(g, outside, 0, [](graph::NodeId) { return 0; }, ws);
+  EXPECT_EQ(ws.DistTo(0), graph::kInfDist);
+  EXPECT_EQ(ws.settled(), 0u);
+}
+
 TEST(AStarTest, ExactBoundSettlesOnlyPathNodes) {
   graph::Graph g = SmallNetwork();
   const graph::NodeId s = 3, t = 200;

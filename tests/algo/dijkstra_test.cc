@@ -55,6 +55,18 @@ TEST(DijkstraTest, UnreachableWithoutEdges) {
   EXPECT_EQ(p.dist, graph::kInfDist);
 }
 
+// A client's partial graph may not hold the query source at all (its
+// region never arrived). The search then reaches nothing, and a fresh
+// workspace sized to the graph is never indexed by the source.
+TEST(DijkstraTest, SourceOutsideTheGraphReachesNothing) {
+  graph::Graph g = Line();
+  SearchWorkspace ws;
+  DijkstraSearch(g, 9, 2, AllEdges{}, ws);
+  EXPECT_EQ(ws.DistTo(2), graph::kInfDist);
+  EXPECT_EQ(ws.DistTo(9), graph::kInfDist);
+  EXPECT_EQ(ws.settled(), 0u);
+}
+
 TEST(DijkstraTest, EdgeFilterBlocksPath) {
   graph::Graph g = Line();
   // Block every arc into node 2: path 0 -> 4 must fail.
