@@ -212,6 +212,14 @@ device::QueryMetrics EbSystem::RunQuery(
   QueryScratch& s = run.scratch();
   const uint32_t total = cycle_.total_packets();
   const bool cache_on = s.session.Ready(channel);
+  uint32_t regions = 0;
+  // The query's metrics, on success and on every early exit alike: a
+  // failed query still reports what its radio did.
+  auto finish = [&](graph::Dist dist) {
+    device::QueryMetrics metrics = run.Finish(dist, dist != graph::kInfDist);
+    metrics.regions_received = regions;
+    return metrics;
+  };
 
   // --- 1. Find and receive the next index copy (tuning in right at an
   // index start uses that very copy). A warm session skips the probe
@@ -225,7 +233,8 @@ device::QueryMetrics EbSystem::RunQuery(
     s.session.CountHit();
   } else {
     const std::optional<uint32_t> start = run.ReceiveNextIndex(index_seg, 64);
-    if (!start.has_value()) return {};  // channel effectively dead
+    // No probe arrived: the channel is effectively dead.
+    if (!start.has_value()) return finish(graph::kInfDist);
     index_start = *start;
     if (cache_on) s.session.StoreIndex(index_start, *index_seg);
   }
@@ -269,33 +278,35 @@ device::QueryMetrics EbSystem::RunQuery(
   if (!ensure_ranges({{0, index_seg->payload.size() < 6
                               ? index_seg->payload.size()
                               : 6}})) {
-    return {};
+    return finish(graph::kInfDist);
   }
   const uint32_t R =
       index_seg->payload.size() >= 2 ? GetU16(index_seg->payload.data()) : 0;
-  if (R < 2) return {};
+  if (R < 2) return finish(graph::kInfDist);
   // Header + splits.
   if (!ensure_ranges({{0, 6 + (static_cast<size_t>(R) - 1) * 8}})) {
-    return {};
+    return finish(graph::kInfDist);
   }
 
   device::Stopwatch sw_map;
   if (!EbIndex::Decode(index_seg->payload, &s.eb_index).ok()) {
-    return {};
+    return finish(graph::kInfDist);
   }
   auto kd = partition::KdTreePartitioner::FromSplits(s.eb_index.splits);
-  if (!kd.ok()) return {};
+  if (!kd.ok()) return finish(graph::kInfDist);
   const graph::RegionId rs = kd->RegionOf(query.source_coord);
   const graph::RegionId rt = kd->RegionOf(query.target_coord);
   run.cpu_ms += sw_map.ElapsedMs();
 
-  if (!ensure_ranges(EbIndex::NeededByteRanges(R, rs, rt))) return {};
+  if (!ensure_ranges(EbIndex::NeededByteRanges(R, rs, rt))) {
+    return finish(graph::kInfDist);
+  }
 
   device::Stopwatch sw_prune;
   // Re-decode: ensure_ranges may have repaired matrix bytes since the
   // header decode above. The scratch index's storage is reused.
   if (!EbIndex::Decode(index_seg->payload, &s.eb_index).ok()) {
-    return {};
+    return finish(graph::kInfDist);
   }
   // Persist any bytes the repair passes filled in, so the next query of
   // the session starts from the most complete copy seen so far.
@@ -334,7 +345,6 @@ device::QueryMetrics EbSystem::RunQuery(
   PartialGraph& pg = s.partial_graph;
   SuperEdgeProcessor super(query.source, query.target);
   size_t super_mem = 0;
-  uint32_t regions = 0;
 
   auto ingest_region = [&](ReceivedSegment& cross, ReceivedSegment* local,
                            bool has_local) {
@@ -472,9 +482,7 @@ device::QueryMetrics EbSystem::RunQuery(
     dist = s.search.DistTo(query.target);
   }
   run.cpu_ms += sw_search.ElapsedMs();
-  device::QueryMetrics metrics = run.Finish(dist, dist != graph::kInfDist);
-  metrics.regions_received = regions;
-  return metrics;
+  return finish(dist);
 }
 
 }  // namespace airindex::core

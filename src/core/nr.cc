@@ -201,6 +201,13 @@ device::QueryMetrics NrSystem::RunQuery(
   SuperEdgeProcessor super(query.source, query.target);
   size_t super_mem = 0;
   uint32_t regions = 0;
+  // The query's metrics, on success and on every early exit alike: a
+  // failed query still reports what its radio did.
+  auto finish = [&](graph::Dist dist) {
+    device::QueryMetrics metrics = run.Finish(dist, dist != graph::kInfDist);
+    metrics.regions_received = regions;
+    return metrics;
+  };
   std::vector<uint8_t>& received = s.region_flags;
   received.clear();
   bool mapped = false;
@@ -286,7 +293,7 @@ device::QueryMetrics NrSystem::RunQuery(
     s.session.LoadIndex(idx_seg);
     s.session.CountHit();
   } else if (!receive_some_index(idx_seg)) {
-    return {};
+    return finish(graph::kInfDist);
   }
   memory.Charge(idx_seg->payload.size());
 
@@ -304,15 +311,15 @@ device::QueryMetrics NrSystem::RunQuery(
           reg_count >= 2 && reg_count <= 256 &&
           RangeOkClamped(*idx_seg, NrIndex::SplitsRange(reg_count));
       if (!header_ok) {
-        if (!receive_some_index(idx_seg)) return {};
+        if (!receive_some_index(idx_seg)) return finish(graph::kInfDist);
         continue;
       }
       device::Stopwatch sw_map;
       if (!NrIndex::Decode(idx_seg->payload, &s.nr_index).ok()) {
-        return {};
+        return finish(graph::kInfDist);
       }
       auto kd = partition::KdTreePartitioner::FromSplits(s.nr_index.splits);
-      if (!kd.ok()) return {};
+      if (!kd.ok()) return finish(graph::kInfDist);
       rs = kd->RegionOf(query.source_coord);
       rt = kd->RegionOf(query.target_coord);
       R = reg_count;
@@ -340,7 +347,7 @@ device::QueryMetrics NrSystem::RunQuery(
     if (cell_ok) {
       const graph::RegionId next_r =
           idx_seg->payload[NrIndex::CellRange(R, rs, rt).first];
-      if (next_r >= R) return {};
+      if (next_r >= R) return finish(graph::kInfDist);
       if (received[next_r]) break;  // client already possesses R_nxt
       if (RangeOkClamped(*idx_seg, NrIndex::PositionRange(R, next_r))) {
         region_id = next_r;
@@ -446,9 +453,7 @@ device::QueryMetrics NrSystem::RunQuery(
     }
   }
   run.cpu_ms += sw_search.ElapsedMs();
-  device::QueryMetrics metrics = run.Finish(dist, dist != graph::kInfDist);
-  metrics.regions_received = regions;
-  return metrics;
+  return finish(dist);
 }
 
 }  // namespace airindex::core

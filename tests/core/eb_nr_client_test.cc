@@ -114,6 +114,40 @@ TEST(EbNrClientTest, EveryTuneInPhaseIsExact) {
   }
 }
 
+/// A failed query still reports what its radio did: every packet it
+/// listened to before giving up counts toward tuning time and latency, so
+/// aggregates and the event engine's session clock see it. Heavy loss with
+/// no repair cycles makes EB and NR give up early (index bytes lost for
+/// good); a dead channel makes them give up while probing for an index.
+TEST(EbNrClientTest, FailedQueriesReportTheirRadioCounters) {
+  graph::Graph g = SmallNetwork(400, 640, 709);
+  auto eb = EbSystem::Build(g, 8).value();
+  auto nr = NrSystem::Build(g, 8).value();
+  auto w = workload::GenerateWorkload(g, 40, 710).value();
+  ClientOptions options;
+  options.max_repair_cycles = 0;
+
+  for (const AirSystem* sys : {static_cast<const AirSystem*>(eb.get()),
+                               static_cast<const AirSystem*>(nr.get())}) {
+    size_t failures = 0;
+    for (double loss : {0.3, 0.6, 1.0}) {
+      for (size_t i = 0; i < w.queries.size(); ++i) {
+        broadcast::BroadcastChannel channel(
+            &sys->cycle(), broadcast::LossModel::Independent(loss), 900 + i);
+        const device::QueryMetrics m =
+            sys->RunQuery(channel, MakeAirQuery(g, w.queries[i]), options);
+        if (m.ok) continue;
+        ++failures;
+        EXPECT_GT(m.tuning_packets, 0u)
+            << sys->name() << " loss " << loss << " query " << i;
+        EXPECT_GE(m.latency_packets, m.tuning_packets)
+            << sys->name() << " loss " << loss << " query " << i;
+      }
+    }
+    EXPECT_GT(failures, 0u) << sys->name();
+  }
+}
+
 /// Same pre-computation => both systems report the same Table 3 time.
 TEST(EbNrClientTest, SharedPrecomputeReportsSameSeconds) {
   graph::Graph g = SmallNetwork(200, 320, 708);
