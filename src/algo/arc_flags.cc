@@ -12,8 +12,11 @@ namespace airindex::algo {
 
 namespace {
 
-/// Maps (from, to) pairs to CSR arc indexes via binary search in the sorted
-/// adjacency span.
+/// The CSR index of the arc from -> to that a shortest path takes: the
+/// lightest of the parallel arcs between the two (the first in CSR order
+/// on a tie), found by binary search in the sorted adjacency span. A
+/// heavier parallel arc is never on a shortest path, so flagging it instead
+/// would leave a query only the heavier way.
 size_t ArcIndexOf(const graph::Graph& g, graph::NodeId from,
                   graph::NodeId to) {
   auto arcs = g.OutArcs(from);
@@ -26,7 +29,11 @@ size_t ArcIndexOf(const graph::Graph& g, graph::NodeId from,
       hi = mid;
     }
   }
-  return g.ArcIndex(arcs[lo]);
+  size_t best = lo;
+  for (size_t i = lo + 1; i < arcs.size() && arcs[i].to == to; ++i) {
+    if (arcs[i].weight < arcs[best].weight) best = i;
+  }
+  return g.ArcIndex(arcs[best]);
 }
 
 void SetBit(uint64_t* mask, graph::RegionId r) {

@@ -154,9 +154,10 @@ TEST(ArcFlagTest, WordSerializationRoundTrip) {
 }
 
 // The flag words as one backward Dijkstra over the whole reversed graph per
-// border node computes them: every node the search reaches flags the first
-// arc to its search parent (the next hop of a shortest path to the border
-// node) for the border node's region, on top of the intra-region flags.
+// border node computes them: every node the search reaches flags the
+// lightest arc to its search parent (the next hop of a shortest path to the
+// border node; the first such arc in CSR order on a tie) for the border
+// node's region, on top of the intra-region flags.
 // Border nodes are both endpoints of every region-crossing arc, so the
 // heads, where queries enter a region, are among them. This is the
 // O(|B| * m log n) definition ArcFlagIndex::Build's core searches and tree
@@ -180,13 +181,14 @@ std::vector<uint64_t> FlagsByFullGraphSearches(
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
       const graph::NodeId p = tree.parent[v];
       if (p == graph::kInvalidNode) continue;
-      const auto arcs = g.OutArcs(v);
-      const auto first = std::lower_bound(
-          arcs.begin(), arcs.end(), p,
-          [](const graph::Graph::Arc& a, graph::NodeId to) {
-            return a.to < to;
-          });
-      set(g.ArcIndex(*first), region[b]);
+      const graph::Graph::Arc* lightest = nullptr;
+      for (const graph::Graph::Arc& arc : g.OutArcs(v)) {
+        if (arc.to == p &&
+            (lightest == nullptr || arc.weight < lightest->weight)) {
+          lightest = &arc;
+        }
+      }
+      set(g.ArcIndex(*lightest), region[b]);
     }
   }
   return flags;
@@ -283,8 +285,9 @@ TEST(ArcFlagOracleTest, MatchesWithOneWayTreeArcs) {
 
 TEST(ArcFlagOracleTest, MatchesWithZeroWeightAndParallelArcs) {
   // Zero-weight arcs tie distances in the core and in the trees, and
-  // parallel arcs of different weights sit in both; the flag goes on the
-  // first arc to the search parent.
+  // parallel arcs of different weights sit in both, the lighter one first
+  // or last in input order; the flag goes on the lightest arc to the
+  // search parent.
   std::vector<graph::EdgeTriplet> arcs;
   AddBoth(&arcs, 0, 1, 0);
   AddBoth(&arcs, 1, 2, 2);
@@ -324,6 +327,25 @@ TEST(ArcFlagOracleTest, MatchesOnRandomTreeHeavyGraphs) {
     const testing_support::PartitionedGraph pg =
         testing_support::RandomTreeHeavyGraph(seed);
     ExpectFlagsMatchFullGraphSearches(pg.g, pg.part);
+  }
+}
+
+// Every query on the random tree-heavy graphs, whose parallel arcs come in
+// either weight order, answers with Dijkstra's distance.
+TEST(ArcFlagTest, AllPairsMatchDijkstraOnRandomTreeHeavyGraphs) {
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    const testing_support::PartitionedGraph pg =
+        testing_support::RandomTreeHeavyGraph(seed);
+    auto idx = ArcFlagIndex::Build(pg.g, pg.part.node_region,
+                                   pg.part.num_regions);
+    ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+    for (graph::NodeId s = 0; s < pg.g.num_nodes(); ++s) {
+      const SearchTree truth = DijkstraAll(pg.g, s);
+      for (graph::NodeId t = 0; t < pg.g.num_nodes(); ++t) {
+        ASSERT_EQ(idx->Query(pg.g, s, t).dist, truth.dist[t])
+            << "seed " << seed << ": " << s << "->" << t;
+      }
+    }
   }
 }
 
