@@ -91,8 +91,7 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
   // order, as each flag segment arrives; its node -> region map follows
   // once the header and the coordinates are in.
   std::vector<graph::Point> coords(num_nodes_);
-  std::vector<graph::EdgeTriplet>& edges = s.edges;
-  edges.reserve(num_arcs_);
+  s.edges.reserve(num_arcs_);
   std::vector<double> splits;
   algo::ArcFlagIndex idx =
       algo::ArcFlagIndex::MakeEmpty(num_arcs_, num_regions_, {});
@@ -114,24 +113,7 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
       [&](broadcast::ReceivedSegment& seg) {
         device::Stopwatch sw;
         if (seg.type == broadcast::SegmentType::kNetworkData) {
-          const bool valid = MemoValidate(s.decode_cache, seg, [&] {
-            return broadcast::ValidateNodeRecords(seg.payload, encoding_)
-                .ok();
-          });
-          if (valid) {
-            size_t added = 0;
-            size_t record_count = 0;
-            broadcast::NodeRecordCursor cursor(seg.payload, encoding_);
-            while (cursor.Next(&s.record)) {
-              ++record_count;
-              coords[s.record.id] = s.record.coord;
-              for (const auto& arc : s.record.arcs) {
-                edges.push_back({s.record.id, arc.to, arc.weight});
-                ++added;
-              }
-            }
-            memory.Charge(added * 12 + record_count * 20);
-          }
+          run.DecodeNetworkRecords(seg, encoding_, coords);
           memory.Release(seg.payload.size());
         } else if (seg.segment_id == kHeaderSegment) {
           if (seg.complete) {
@@ -175,7 +157,7 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
   device::Stopwatch sw;
   // Rebuild the graph; CSR layout matches the server's (same edges, same
   // per-node sort order).
-  auto built = graph::Graph::Build(std::move(coords), edges);
+  auto built = graph::Graph::Build(std::move(coords), s.edges);
   if (!built.ok() || !header_ok) {
     // Without splits there is no region mapping; ArcFlag cannot run.
     run.cpu_ms += sw.ElapsedMs();

@@ -30,6 +30,29 @@ std::optional<uint32_t> ClientRun::ReceiveNextIndex(
   return std::nullopt;
 }
 
+void ClientRun::DecodeNetworkRecords(const broadcast::ReceivedSegment& seg,
+                                     broadcast::CycleEncoding encoding,
+                                     std::vector<graph::Point>& coords) {
+  QueryScratch& s = *scratch_;
+  const bool valid = MemoValidate(s.decode_cache, seg, [&] {
+    return broadcast::ValidateNodeRecords(seg.payload, encoding).ok();
+  });
+  if (!valid) return;
+  size_t added = 0;
+  size_t record_count = 0;
+  broadcast::NodeRecordCursor cursor(seg.payload, encoding);
+  while (cursor.Next(&s.record)) {
+    ++record_count;
+    if (s.record.id >= coords.size()) coords.resize(s.record.id + 1);
+    coords[s.record.id] = s.record.coord;
+    for (const auto& arc : s.record.arcs) {
+      s.edges.push_back({s.record.id, arc.to, arc.weight});
+      ++added;
+    }
+  }
+  memory.Charge(added * 12 + record_count * 20);
+}
+
 device::QueryMetrics ClientRun::Finish(graph::Dist distance, bool ok) const {
   device::QueryMetrics m;
   m.tuning_packets = session.tuned_packets();

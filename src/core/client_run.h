@@ -4,8 +4,10 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "broadcast/channel.h"
+#include "broadcast/serialization.h"
 #include "core/air_system.h"
 #include "core/query_scratch.h"
 #include "device/memory_tracker.h"
@@ -44,6 +46,15 @@ class ClientRun {
   /// copy's start, or nullopt when every probe was lost.
   std::optional<uint32_t> ReceiveNextIndex(broadcast::ReceivedSegment* out,
                                            int max_probes);
+
+  /// Decodes a network-data segment for the clients that rebuild a
+  /// graph::Graph (AF, SPQ, HiTi): each record's coordinate into `coords`
+  /// (grown as ids need) and its arcs onto scratch().edges, charging the
+  /// modeled 20 bytes per node and 12 per arc. A segment that fails
+  /// validation adds nothing.
+  void DecodeNetworkRecords(const broadcast::ReceivedSegment& seg,
+                            broadcast::CycleEncoding encoding,
+                            std::vector<graph::Point>& coords);
 
   /// The query's metrics: every radio, memory and cache field from this
   /// run, plus the answer. Method-specific fields (regions_received) are

@@ -82,9 +82,8 @@ device::QueryMetrics HiTiOnAir::RunQuery(
   device::MemoryTracker& memory = run.memory;
 
   // coords/subs are moved into the rebuilt Graph / HiTiIndex below, so
-  // they cannot be pooled; the edge list can.
+  // they cannot be pooled; the edge list (scratch) can.
   std::vector<graph::Point> coords;
-  std::vector<graph::EdgeTriplet>& edges = s.edges;
   std::vector<double> splits;
   std::vector<algo::HiTiIndex::SubgraphInfo> subs(2 * num_regions_);
   bool header_ok = false;
@@ -97,27 +96,7 @@ device::QueryMetrics HiTiOnAir::RunQuery(
       [&](broadcast::ReceivedSegment& seg) {
         device::Stopwatch sw;
         if (seg.type == broadcast::SegmentType::kNetworkData) {
-          const bool valid = MemoValidate(s.decode_cache, seg, [&] {
-            return broadcast::ValidateNodeRecords(seg.payload, encoding_)
-                .ok();
-          });
-          if (valid) {
-            size_t added = 0;
-            size_t record_count = 0;
-            broadcast::NodeRecordCursor cursor(seg.payload, encoding_);
-            while (cursor.Next(&s.record)) {
-              ++record_count;
-              if (s.record.id >= coords.size()) {
-                coords.resize(s.record.id + 1);
-              }
-              coords[s.record.id] = s.record.coord;
-              for (const auto& arc : s.record.arcs) {
-                edges.push_back({s.record.id, arc.to, arc.weight});
-                ++added;
-              }
-            }
-            memory.Charge(added * 12 + record_count * 20);
-          }
+          run.DecodeNetworkRecords(seg, encoding_, coords);
         } else if (seg.segment_id == kHeaderSegment) {
           if (seg.complete && seg.payload.size() >= 6) {
             ByteReader reader(seg.payload);
@@ -157,7 +136,7 @@ device::QueryMetrics HiTiOnAir::RunQuery(
 
   device::Stopwatch sw;
   graph::Dist dist = graph::kInfDist;
-  auto built = graph::Graph::Build(std::move(coords), edges);
+  auto built = graph::Graph::Build(std::move(coords), s.edges);
   if (built.ok() && header_ok) {
     graph::Graph gr = std::move(built).value();
     memory.Charge(gr.MemoryBytes());

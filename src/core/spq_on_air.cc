@@ -114,9 +114,8 @@ device::QueryMetrics SpqOnAir::RunQuery(
   device::MemoryTracker& memory = run.memory;
 
   // coords/trees are moved into the rebuilt Graph / SpqIndex below, so
-  // they cannot be pooled; the edge list can.
+  // they cannot be pooled; the edge list (scratch) can.
   std::vector<graph::Point> coords(num_nodes_);
-  std::vector<graph::EdgeTriplet>& edges = s.edges;
   std::vector<algo::SpqIndex::Tree> trees(num_nodes_);
   double root[3] = {0, 0, 1};
   bool header_ok = false;
@@ -127,24 +126,7 @@ device::QueryMetrics SpqOnAir::RunQuery(
       [&](broadcast::ReceivedSegment& seg) {
         device::Stopwatch sw;
         if (seg.type == broadcast::SegmentType::kNetworkData) {
-          const bool valid = MemoValidate(s.decode_cache, seg, [&] {
-            return broadcast::ValidateNodeRecords(seg.payload, encoding_)
-                .ok();
-          });
-          if (valid) {
-            size_t added = 0;
-            size_t record_count = 0;
-            broadcast::NodeRecordCursor cursor(seg.payload, encoding_);
-            while (cursor.Next(&s.record)) {
-              ++record_count;
-              coords[s.record.id] = s.record.coord;
-              for (const auto& arc : s.record.arcs) {
-                edges.push_back({s.record.id, arc.to, arc.weight});
-                ++added;
-              }
-            }
-            memory.Charge(added * 12 + record_count * 20);
-          }
+          run.DecodeNetworkRecords(seg, encoding_, coords);
         } else if (seg.segment_id == kHeaderSegment) {
           if (seg.complete && seg.payload.size() >= 32) {
             root[0] = std::bit_cast<double>(GetU64(seg.payload.data()));
@@ -171,7 +153,7 @@ device::QueryMetrics SpqOnAir::RunQuery(
 
   device::Stopwatch sw;
   graph::Dist dist = graph::kInfDist;
-  auto built = graph::Graph::Build(std::move(coords), edges);
+  auto built = graph::Graph::Build(std::move(coords), s.edges);
   if (built.ok() && header_ok) {
     graph::Graph gr = std::move(built).value();
     memory.Charge(gr.MemoryBytes());
