@@ -64,81 +64,52 @@ SystemResult EventEngine::RunSystem(const core::AirSystem& sys,
 
   // Persistent-client sessions: a run of session.queries consecutive
   // workload queries becomes one client that stays tuned to the station
-  // across them, carrying its SessionCache (cold-start path below stays
-  // byte-identical to pre-session builds). Each session is one worker's
+  // across them, carrying its SessionCache. A one-shot fleet is sessions
+  // of one query with the cache off. Each session is one worker's
   // sequential chain — the arrival of query j+1 is the completion instant
   // of query j plus think time — and sessions are mutually independent, so
   // the fleet fans across threads bit-identically. The per-station decode
   // memo is shared by every co-listening client; it only affects cpu_ms
   // (already outside the determinism contract).
+  const size_t n = w.queries.size();
   const uint32_t per_session =
       std::max<uint32_t>(1u, options_.session.queries);
-  if (per_session > 1 || options_.cache_bytes > 0) {
-    const size_t n = w.queries.size();
-    core::DecodedSlotCache decode_cache(
-        station.channel(0).cycle_version());
-    TimedFanOut(
-        (n + per_session - 1) / per_session, options_.threads,
-        options_.repeat, energy_model(),
-        [&](core::QueryScratch& sc, size_t sidx) {
-          sc.session.BeginSession(options_.cache_bytes);
-          sc.decode_cache = options_.cache_bytes > 0 ? &decode_cache : nullptr;
-          const size_t first = sidx * per_session;
-          const size_t last = std::min(n, first + per_session);
-          const uint32_t sub = station.SubchannelOf(sidx);
-          double arrival_ms = 0.0;
-          for (size_t i = first; i < last; ++i) {
-            const workload::Query& wq = w.queries[i];
-            if (i == first) {
-              arrival_ms = wq.arrival_ms >= 0.0 ? wq.arrival_ms
-                                                : wq.tune_phase * cycle_ms;
-            }
-            core::AirQuery q = core::MakeAirQuery(*graph_, wq);
-            q.arrival_pos = station.PositionAt(arrival_ms, sub);
-            device::QueryMetrics m =
-                sys.RunQuery(station.channel(sub), q, options_.client, &sc);
-            // A fully-warm query answers from the cache without the radio
-            // ever waking: no packet-boundary doze either.
-            const bool silent =
-                m.tuning_packets == 0 && m.latency_packets == 0;
-            const double boundary_ms =
-                silent ? 0.0
-                       : station.TimeAtMs(q.arrival_pos, sub) - arrival_ms;
-            PriceLatency(m, boundary_ms, pkt_ms, slot_ms, fec_on);
-            if (options_.deterministic) m.cpu_ms = 0.0;
-            result.per_query[i] = m;
-            // Next query of the session arrives once this answer landed
-            // and the client thought about it.
-            arrival_ms +=
-                m.wait_ms + m.listen_ms + options_.session.think_ms;
-          }
-        },
-        result);
-    return result;
-  }
-
+  core::DecodedSlotCache decode_cache(station.channel(0).cycle_version());
   TimedFanOut(
-      w.queries.size(), options_.threads, options_.repeat, energy_model(),
-      [&](core::QueryScratch& sc, size_t i) {
-        const workload::Query& wq = w.queries[i];
+      (n + per_session - 1) / per_session, options_.threads, options_.repeat,
+      energy_model(),
+      [&](core::QueryScratch& sc, size_t sidx) {
+        sc.session.BeginSession(options_.cache_bytes);
+        sc.decode_cache = options_.cache_bytes > 0 ? &decode_cache : nullptr;
+        const size_t first = sidx * per_session;
+        const size_t last = std::min(n, first + per_session);
+        const uint32_t sub = station.SubchannelOf(sidx);
         // Arrival instant on the station clock: the process timestamp when
         // present, else the phase-derived fallback (one cycle's worth of
         // arrivals).
-        const double arrival_ms =
-            wq.arrival_ms >= 0.0 ? wq.arrival_ms : wq.tune_phase * cycle_ms;
-        const uint32_t sub = station.SubchannelOf(i);
-        core::AirQuery q = core::MakeAirQuery(*graph_, wq);
-        q.arrival_pos = station.PositionAt(arrival_ms, sub);
-        device::QueryMetrics m =
-            sys.RunQuery(station.channel(sub), q, options_.client, &sc);
-        // Wait starts at the arrival *instant*, not at the packet boundary
-        // the client joins: the sub-packet remainder until the joined
-        // packet starts transmitting is dozing too.
-        const double boundary_ms =
-            station.TimeAtMs(q.arrival_pos, sub) - arrival_ms;
-        PriceLatency(m, boundary_ms, pkt_ms, slot_ms, fec_on);
-        if (options_.deterministic) m.cpu_ms = 0.0;
-        result.per_query[i] = m;
+        double arrival_ms = w.queries[first].arrival_ms >= 0.0
+                                ? w.queries[first].arrival_ms
+                                : w.queries[first].tune_phase * cycle_ms;
+        for (size_t i = first; i < last; ++i) {
+          core::AirQuery q = core::MakeAirQuery(*graph_, w.queries[i]);
+          q.arrival_pos = station.PositionAt(arrival_ms, sub);
+          device::QueryMetrics m =
+              sys.RunQuery(station.channel(sub), q, options_.client, &sc);
+          // Wait starts at the arrival *instant*, not at the packet
+          // boundary the client joins: the sub-packet remainder until the
+          // joined packet starts transmitting is dozing too. A fully-warm
+          // query answers from the cache without the radio ever waking, so
+          // it has no such doze.
+          const bool silent = m.tuning_packets == 0 && m.latency_packets == 0;
+          const double boundary_ms =
+              silent ? 0.0 : station.TimeAtMs(q.arrival_pos, sub) - arrival_ms;
+          PriceLatency(m, boundary_ms, pkt_ms, slot_ms, fec_on);
+          if (options_.deterministic) m.cpu_ms = 0.0;
+          result.per_query[i] = m;
+          // Next query of the session arrives once this answer landed and
+          // the client thought about it.
+          arrival_ms += m.wait_ms + m.listen_ms + options_.session.think_ms;
+        }
       },
       result);
   return result;
