@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "algo/dijkstra.h"
 #include "broadcast/interleave.h"

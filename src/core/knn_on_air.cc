@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 
 #include "algo/dijkstra.h"
 #include "core/client_run.h"

@@ -1,6 +1,7 @@
 #include "core/nr.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "algo/dijkstra.h"
 #include "common/byte_io.h"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 
 #include "algo/dijkstra.h"
 #include "common/byte_io.h"
