@@ -51,9 +51,9 @@ struct EventOptions {
   /// Client sessions: consecutive runs of `session.queries` workload
   /// queries are posed by one persistent client whose SessionCache
   /// (budgeted by `cache_bytes`) carries decoded segments across them.
-  /// queries = 1 with cache_bytes = 0 is the historical one-shot fleet —
-  /// that path is byte-identical to pre-session builds. Ignored by the
-  /// kOnline scheduling path (callers validate; see scenario.cc).
+  /// queries = 1 with cache_bytes = 0 is the one-shot fleet, byte-identical
+  /// to builds without sessions. Ignored by the kOnline scheduling path
+  /// (callers validate; see scenario.cc).
   workload::WorkloadSpec::SessionSpec session;
   /// Per-client session cache budget in payload bytes (0 = caching off).
   size_t cache_bytes = 0;
