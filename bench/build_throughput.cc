@@ -4,30 +4,31 @@
 // For each generated network size the sweep measures
 //   * the synthetic generator itself (nodes/s),
 //   * the border pre-computation, serial vs work-stealing (nodes/s and the
-//     parallel speedup — the CI artifact that pins the >=1.5x-at-4-threads
-//     claim, since dev containers may be single-core),
+//     parallel speedup, the evidence for the >=1.5x-at-4-threads claim),
 //   * each requested method's full build (nodes/s, cycle bytes/node),
 //   * the network-data footprint under both cycle encodings (the compact
 //     varint/delta encoding's bytes/node next to the legacy fixed-width
 //     one).
 //
-// Results print as a table and, with --json=FILE, land in an
-// airindex.bench.build/v1 document for tools/perf_compare.py.
+// Results print as a table on stdout.
 //
 //   build_throughput [--sizes=10000,100000] [--methods=DJ,NR]
 //       [--regions=32] [--gen-threads=0] [--precompute-threads=4]
-//       [--repeat=1] [--json=FILE]
+//       [--repeat=1] [--serial-max=200000]
 
-#include <cerrno>
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "broadcast/serialization.h"
+#include "common/flags.h"
 #include "core/border_precompute.h"
 #include "core/systems.h"
 #include "graph/generator.h"
@@ -50,42 +51,26 @@ struct Options {
   /// better part of an hour, which only the work-stealing path needs to
   /// prove it can cover.
   uint32_t serial_max = 200000;
-  std::string json_path;
 };
 
-/// One measured row of the sweep; fields that do not apply stay negative
-/// and are omitted from the JSON.
-struct Entry {
-  std::string name;
-  uint64_t nodes = 0;
-  uint64_t arcs = 0;
-  double seconds = -1.0;
-  double nodes_per_second = -1.0;
-  double bytes_per_node = -1.0;
-  double speedup = -1.0;
-};
-
-[[noreturn]] void UsageExit(const char* why) {
+[[noreturn]] void UsageExit() {
   std::fprintf(stderr,
-               "%s\n"
                "usage: build_throughput [--sizes=N,N,...] "
                "[--methods=DJ,NR,...]\n"
                "  [--regions=N] [--gen-threads=N] [--precompute-threads=N]\n"
-               "  [--repeat=N] [--serial-max=N] [--json=FILE]\n",
-               why);
+               "  [--repeat=N] [--serial-max=N]\n");
   std::exit(2);
 }
 
-/// Strict unsigned parse of a --flag=value argument (same contract as the
-/// CLI: the whole value must consume, no sign characters).
-uint64_t ParseUint(const char* arg, size_t prefix) {
-  const char* value = arg + prefix;
-  if (*value == '\0' || *value == '-' || *value == '+') UsageExit(arg);
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE) UsageExit(arg);
-  return v;
+/// Strict unsigned parse of a --flag=value argument that must fit in 32
+/// bits; a malformed value names the flag and exits with usage.
+uint32_t ParseUint32Flag(const char* arg, size_t prefix) {
+  uint64_t v = 0;
+  if (!ParseUint(std::string_view(arg, prefix - 1), arg + prefix, &v,
+                 0xFFFFFFFFull)) {
+    UsageExit();
+  }
+  return static_cast<uint32_t>(v);
 }
 
 std::vector<std::string> SplitCsv(const char* csv) {
@@ -110,29 +95,29 @@ Options Parse(int argc, char** argv) {
     if (std::strncmp(arg, "--sizes=", 8) == 0) {
       opts.sizes.clear();
       for (const std::string& s : SplitCsv(arg + 8)) {
-        const uint64_t v = ParseUint(s.c_str(), 0);
-        if (v < 2 || v > 0xFFFFFFFFull) UsageExit(arg);
+        uint64_t v = 0;
+        if (!ParseUint("--sizes", s.c_str(), &v, 0xFFFFFFFFull) || v < 2) {
+          UsageExit();
+        }
         opts.sizes.push_back(static_cast<uint32_t>(v));
       }
-      if (opts.sizes.empty()) UsageExit(arg);
+      if (opts.sizes.empty()) UsageExit();
     } else if (std::strncmp(arg, "--methods=", 10) == 0) {
       opts.methods = SplitCsv(arg + 10);
-      if (opts.methods.empty()) UsageExit(arg);
+      if (opts.methods.empty()) UsageExit();
     } else if (std::strncmp(arg, "--regions=", 10) == 0) {
-      opts.regions = static_cast<uint32_t>(ParseUint(arg, 10));
+      opts.regions = ParseUint32Flag(arg, 10);
     } else if (std::strncmp(arg, "--gen-threads=", 14) == 0) {
-      opts.gen_threads = static_cast<unsigned>(ParseUint(arg, 14));
+      opts.gen_threads = ParseUint32Flag(arg, 14);
     } else if (std::strncmp(arg, "--precompute-threads=", 21) == 0) {
-      opts.precompute_threads = static_cast<unsigned>(ParseUint(arg, 21));
+      opts.precompute_threads = ParseUint32Flag(arg, 21);
     } else if (std::strncmp(arg, "--repeat=", 9) == 0) {
-      const uint64_t v = ParseUint(arg, 9);
-      opts.repeat = v > 1 ? static_cast<unsigned>(v) : 1;
+      opts.repeat = std::max(ParseUint32Flag(arg, 9), 1u);
     } else if (std::strncmp(arg, "--serial-max=", 13) == 0) {
-      opts.serial_max = static_cast<uint32_t>(ParseUint(arg, 13));
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      opts.json_path = arg + 7;
+      opts.serial_max = ParseUint32Flag(arg, 13);
     } else {
-      UsageExit(arg);
+      std::fprintf(stderr, "unknown flag \"%s\"\n", arg);
+      UsageExit();
     }
   }
   return opts;
@@ -144,10 +129,8 @@ double Now() {
       .count();
 }
 
-/// Peak resident set size in bytes (VmHWM), 0 where /proc is unavailable.
-/// The value is a process-lifetime high-water mark, so per-entry readings
-/// are cumulative — the interesting number is the final one (the sweep's
-/// peak), the per-entry ones bound which stage pushed it there.
+/// Peak resident set size in bytes (VmHWM) of the whole sweep, 0 where
+/// /proc is unavailable.
 uint64_t PeakRssBytes() {
   std::ifstream status("/proc/self/status");
   std::string line;
@@ -173,46 +156,29 @@ double MinSeconds(unsigned repeat, Fn&& fn) {
   return best;
 }
 
-void AppendJson(std::string* out, const Entry& e, uint64_t peak_rss) {
-  char buf[256];
-  *out += "    {\"name\": \"" + e.name + "\"";
-  std::snprintf(buf, sizeof(buf), ", \"nodes\": %llu, \"arcs\": %llu",
-                static_cast<unsigned long long>(e.nodes),
-                static_cast<unsigned long long>(e.arcs));
-  *out += buf;
-  if (e.seconds >= 0.0) {
-    std::snprintf(buf, sizeof(buf), ", \"seconds\": %.6f", e.seconds);
-    *out += buf;
+/// One table row; a negative `seconds` or `bytes_per_node` prints "-".
+void PrintRow(const std::string& name, uint64_t nodes, double seconds,
+              double bytes_per_node, const std::string& note = "") {
+  char sec[16] = "-";
+  char rate[16] = "-";
+  char bytes[16] = "-";
+  if (seconds >= 0.0) {
+    std::snprintf(sec, sizeof(sec), "%.3f", seconds);
+    std::snprintf(rate, sizeof(rate), "%.0f",
+                  static_cast<double>(nodes) / seconds);
   }
-  if (e.nodes_per_second >= 0.0) {
-    std::snprintf(buf, sizeof(buf), ", \"nodes_per_second\": %.1f",
-                  e.nodes_per_second);
-    *out += buf;
+  if (bytes_per_node >= 0.0) {
+    std::snprintf(bytes, sizeof(bytes), "%.1f", bytes_per_node);
   }
-  if (e.bytes_per_node >= 0.0) {
-    std::snprintf(buf, sizeof(buf), ", \"bytes_per_node\": %.3f",
-                  e.bytes_per_node);
-    *out += buf;
-  }
-  if (e.speedup >= 0.0) {
-    std::snprintf(buf, sizeof(buf), ", \"speedup\": %.3f", e.speedup);
-    *out += buf;
-  }
-  std::snprintf(buf, sizeof(buf), ", \"peak_rss_bytes\": %llu}",
-                static_cast<unsigned long long>(peak_rss));
-  *out += buf;
+  std::printf("%-28s %10llu %10s %12s %12s%s\n", name.c_str(),
+              static_cast<unsigned long long>(nodes), sec, rate, bytes,
+              note.c_str());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const Options opts = Parse(argc, argv);
-  std::vector<Entry> entries;
-  std::vector<uint64_t> rss_at_entry;
-  auto push = [&](Entry e) {
-    rss_at_entry.push_back(PeakRssBytes());
-    entries.push_back(std::move(e));
-  };
 
   std::printf("# build-pipeline throughput (precompute-threads=%u, "
               "repeat=%u)\n",
@@ -221,62 +187,40 @@ int main(int argc, char** argv) {
               "nodes/s", "bytes/node");
 
   for (uint32_t n : opts.sizes) {
+    std::string suffix = "/";
+    suffix += std::to_string(n);
     graph::GenSpec spec;
     spec.num_nodes = n;
     spec.seed = 1;
     spec.threads = opts.gen_threads;
 
     graph::Graph g;
-    {
-      Entry e;
-      e.name = "gen/" + std::to_string(n);
-      e.seconds = MinSeconds(opts.repeat, [&] {
-        auto built = graph::GenerateRoadNetwork(spec);
-        if (!built.ok()) {
-          std::fprintf(stderr, "%s\n", built.status().ToString().c_str());
-          std::exit(1);
-        }
-        g = std::move(built).value();
-      });
-      e.nodes = g.num_nodes();
-      e.arcs = g.num_arcs();
-      e.nodes_per_second = e.nodes / e.seconds;
-      std::printf("%-28s %10llu %10.3f %12.0f %12s\n", e.name.c_str(),
-                  static_cast<unsigned long long>(e.nodes), e.seconds,
-                  e.nodes_per_second, "-");
-      push(std::move(e));
-    }
+    const double gen_seconds = MinSeconds(opts.repeat, [&] {
+      auto built = graph::GenerateRoadNetwork(spec);
+      if (!built.ok()) {
+        std::fprintf(stderr, "%s\n", built.status().ToString().c_str());
+        std::exit(1);
+      }
+      g = std::move(built).value();
+    });
+    const uint64_t nodes = g.num_nodes();
+    PrintRow("gen" + suffix, nodes, gen_seconds, -1.0);
 
     // Network-data footprint under both encodings (server-side sizing
     // only; no cycle build needed).
-    {
-      const double legacy =
-          static_cast<double>(broadcast::NetworkDataBytes(
-              g, broadcast::CycleEncoding::kLegacy)) /
-          static_cast<double>(g.num_nodes());
-      const double compact =
-          static_cast<double>(broadcast::NetworkDataBytes(
-              g, broadcast::CycleEncoding::kCompact)) /
-          static_cast<double>(g.num_nodes());
-      Entry e;
-      e.name = "network_bytes_legacy/" + std::to_string(n);
-      e.nodes = g.num_nodes();
-      e.arcs = g.num_arcs();
-      e.bytes_per_node = legacy;
-      std::printf("%-28s %10llu %10s %12s %12.1f\n", e.name.c_str(),
-                  static_cast<unsigned long long>(e.nodes), "-", "-", legacy);
-      push(std::move(e));
-      Entry c;
-      c.name = "network_bytes_compact/" + std::to_string(n);
-      c.nodes = g.num_nodes();
-      c.arcs = g.num_arcs();
-      c.bytes_per_node = compact;
-      std::printf("%-28s %10llu %10s %12s %12.1f  (%.1f%% of legacy)\n",
-                  c.name.c_str(),
-                  static_cast<unsigned long long>(c.nodes), "-", "-", compact,
+    const double legacy =
+        static_cast<double>(broadcast::NetworkDataBytes(
+            g, broadcast::CycleEncoding::kLegacy)) /
+        static_cast<double>(nodes);
+    const double compact =
+        static_cast<double>(broadcast::NetworkDataBytes(
+            g, broadcast::CycleEncoding::kCompact)) /
+        static_cast<double>(nodes);
+    PrintRow("network_bytes_legacy" + suffix, nodes, -1.0, legacy);
+    char note[64];
+    std::snprintf(note, sizeof(note), "  (%.1f%% of legacy)",
                   100.0 * compact / legacy);
-      push(std::move(c));
-    }
+    PrintRow("network_bytes_compact" + suffix, nodes, -1.0, compact, note);
 
     // Border pre-computation: serial baseline vs the work-stealing pool.
     // The outputs are byte-identical (pinned by test); only the wall time
@@ -286,46 +230,25 @@ int main(int argc, char** argv) {
       const partition::Partitioning part = kd.Partition(g);
       double serial_seconds = -1.0;
       if (n <= opts.serial_max) {
-        Entry serial;
-        serial.name = "precompute_serial/" + std::to_string(n);
-        serial.nodes = g.num_nodes();
-        serial.arcs = g.num_arcs();
-        serial.seconds = MinSeconds(opts.repeat, [&] {
+        serial_seconds = MinSeconds(opts.repeat, [&] {
           auto pre =
               core::ComputeBorderPrecompute(g, part, /*num_threads=*/1);
           if (!pre.ok()) std::exit(1);
         });
-        serial.nodes_per_second = serial.nodes / serial.seconds;
-        serial_seconds = serial.seconds;
-        std::printf("%-28s %10llu %10.3f %12.0f %12s\n",
-                    serial.name.c_str(),
-                    static_cast<unsigned long long>(serial.nodes),
-                    serial.seconds, serial.nodes_per_second, "-");
-        push(std::move(serial));
+        PrintRow("precompute_serial" + suffix, nodes, serial_seconds, -1.0);
       }
-
-      Entry par;
-      par.name = "precompute_parallel/" + std::to_string(n);
-      par.nodes = g.num_nodes();
-      par.arcs = g.num_arcs();
-      par.seconds = MinSeconds(opts.repeat, [&] {
+      const double par_seconds = MinSeconds(opts.repeat, [&] {
         auto pre =
             core::ComputeBorderPrecompute(g, part, opts.precompute_threads);
         if (!pre.ok()) std::exit(1);
       });
-      par.nodes_per_second = par.nodes / par.seconds;
+      note[0] = '\0';
       if (serial_seconds >= 0.0) {
-        par.speedup = serial_seconds / par.seconds;
-        std::printf("%-28s %10llu %10.3f %12.0f %12s  (%.2fx serial)\n",
-                    par.name.c_str(),
-                    static_cast<unsigned long long>(par.nodes), par.seconds,
-                    par.nodes_per_second, "-", par.speedup);
-      } else {
-        std::printf("%-28s %10llu %10.3f %12.0f %12s\n", par.name.c_str(),
-                    static_cast<unsigned long long>(par.nodes), par.seconds,
-                    par.nodes_per_second, "-");
+        std::snprintf(note, sizeof(note), "  (%.2fx serial)",
+                      serial_seconds / par_seconds);
       }
-      push(std::move(par));
+      PrintRow("precompute_parallel" + suffix, nodes, par_seconds, -1.0,
+               note);
     }
 
     // Full system builds (legacy encoding — the reproduction path).
@@ -336,12 +259,8 @@ int main(int argc, char** argv) {
     params.hiti_regions = opts.regions;
     params.build.precompute_threads = opts.precompute_threads;
     for (const std::string& method : opts.methods) {
-      Entry e;
-      e.name = method + "/" + std::to_string(n);
-      e.nodes = g.num_nodes();
-      e.arcs = g.num_arcs();
       std::unique_ptr<core::AirSystem> sys;
-      e.seconds = MinSeconds(opts.repeat, [&] {
+      const double seconds = MinSeconds(opts.repeat, [&] {
         auto built = core::BuildSystem(g, method, params);
         if (!built.ok()) {
           std::fprintf(stderr, "%s\n", built.status().ToString().c_str());
@@ -349,38 +268,12 @@ int main(int argc, char** argv) {
         }
         sys = std::move(built).value();
       });
-      e.nodes_per_second = e.nodes / e.seconds;
-      e.bytes_per_node =
-          static_cast<double>(sys->cycle().TotalPayloadBytes()) /
-          static_cast<double>(g.num_nodes());
-      std::printf("%-28s %10llu %10.3f %12.0f %12.1f\n", e.name.c_str(),
-                  static_cast<unsigned long long>(e.nodes), e.seconds,
-                  e.nodes_per_second, e.bytes_per_node);
-      push(std::move(e));
+      PrintRow(method + suffix, nodes, seconds,
+               static_cast<double>(sys->cycle().TotalPayloadBytes()) /
+                   static_cast<double>(nodes));
     }
   }
 
   std::printf("# peak RSS: %.1f MB\n", PeakRssBytes() / (1024.0 * 1024.0));
-
-  if (!opts.json_path.empty()) {
-    std::string json = "{\n  \"schema\": \"airindex.bench.build/v1\",\n";
-    json += "  \"precompute_threads\": " +
-            std::to_string(opts.precompute_threads) + ",\n";
-    json += "  \"repeat\": " + std::to_string(opts.repeat) + ",\n";
-    json += "  \"entries\": [\n";
-    for (size_t i = 0; i < entries.size(); ++i) {
-      AppendJson(&json, entries[i], rss_at_entry[i]);
-      json += i + 1 < entries.size() ? ",\n" : "\n";
-    }
-    json += "  ]\n}\n";
-    std::FILE* f = std::fopen(opts.json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", opts.json_path.c_str());
-      return 1;
-    }
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", opts.json_path.c_str());
-  }
   return 0;
 }

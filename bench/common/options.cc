@@ -1,53 +1,26 @@
 #include "common/options.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+
+#include "common/flags.h"
 
 namespace airindex::bench {
 
 namespace {
 
-[[noreturn]] void UsageExit(const char* prog) {
-  std::fprintf(stderr,
+void PrintUsage(std::FILE* out, const char* prog) {
+  std::fprintf(out,
                "usage: %s [--scale=F] [--queries=N] [--seed=N] "
-               "[--loss=F] [--burst=N] [--corrupt=F] [--fec-rate=F] "
+               "[--loss=F] [--burst=N] [--corrupt=F] "
                "[--threads=N] [--repeat=N] [--full] [--no-heavy]\n",
                prog);
+}
+
+[[noreturn]] void UsageExit(const char* prog) {
+  PrintUsage(stderr, prog);
   std::exit(2);
-}
-
-/// Strict double parse of a --flag=value argument; the whole value must be
-/// a number (atof read "abc" as 0.0 and benchmarked the wrong config
-/// without a word). Aborts with the offending flag and usage on failure.
-double ParseDoubleFlag(const char* prog, const char* arg, size_t prefix) {
-  const char* value = arg + prefix;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (end == value || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "invalid value for %.*s: \"%s\"\n",
-                 static_cast<int>(prefix - 1), arg, value);
-    UsageExit(prog);
-  }
-  return v;
-}
-
-/// Strict unsigned parse. Rejects a leading sign: strtoull wraps "-1" to
-/// 2^64-1 instead of failing.
-uint64_t ParseUintFlag(const char* prog, const char* arg, size_t prefix) {
-  const char* value = arg + prefix;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value, &end, 10);
-  if (*value == '-' || *value == '+' || end == value || *end != '\0' ||
-      errno == ERANGE) {
-    std::fprintf(stderr, "invalid value for %.*s: \"%s\"\n",
-                 static_cast<int>(prefix - 1), arg, value);
-    UsageExit(prog);
-  }
-  return v;
 }
 
 }  // namespace
@@ -59,51 +32,46 @@ size_t BenchOptions::ScaledHeapBytes() const {
 
 BenchOptions ParseBenchOptions(int argc, char** argv) {
   BenchOptions opts;
+  uint64_t u = 0;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
+    bool ok = true;
     if (std::strncmp(arg, "--scale=", 8) == 0) {
-      opts.scale = ParseDoubleFlag(argv[0], arg, 8);
+      ok = ParseDoubleFlag(arg, 8, &opts.scale);
     } else if (std::strncmp(arg, "--queries=", 10) == 0) {
-      opts.queries = static_cast<size_t>(ParseUintFlag(argv[0], arg, 10));
+      ok = ParseUintFlag(arg, 10, &u);
+      opts.queries = static_cast<size_t>(u);
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opts.seed = ParseUintFlag(argv[0], arg, 7);
+      ok = ParseUintFlag(arg, 7, &opts.seed);
     } else if (std::strncmp(arg, "--loss=", 7) == 0) {
-      opts.loss = ParseDoubleFlag(argv[0], arg, 7);
+      ok = ParseDoubleFlag(arg, 7, &opts.loss);
     } else if (std::strncmp(arg, "--burst=", 8) == 0) {
-      const uint64_t burst = ParseUintFlag(argv[0], arg, 8);
-      opts.burst = burst > 1 ? static_cast<uint32_t>(burst) : 1;
+      ok = ParseUintFlag(arg, 8, &u);
+      opts.burst = u > 1 ? static_cast<uint32_t>(u) : 1;
     } else if (std::strncmp(arg, "--corrupt=", 10) == 0) {
-      opts.corrupt = ParseDoubleFlag(argv[0], arg, 10);
-      if (!(opts.corrupt >= 0.0) || opts.corrupt >= 1.0) {
+      ok = ParseDoubleFlag(arg, 10, &opts.corrupt);
+      if (ok && (!(opts.corrupt >= 0.0) || opts.corrupt >= 1.0)) {
         std::fprintf(stderr, "--corrupt must be in [0, 1)\n");
         std::exit(2);
       }
-    } else if (std::strncmp(arg, "--fec-rate=", 11) == 0) {
-      opts.fec_rate = ParseDoubleFlag(argv[0], arg, 11);
-      if (!(opts.fec_rate >= 0.0) || opts.fec_rate > 1.0) {
-        std::fprintf(stderr, "--fec-rate must be in [0, 1]\n");
-        std::exit(2);
-      }
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      opts.threads = static_cast<unsigned>(ParseUintFlag(argv[0], arg, 10));
+      ok = ParseUintFlag(arg, 10, &u);
+      opts.threads = static_cast<unsigned>(u);
     } else if (std::strncmp(arg, "--repeat=", 9) == 0) {
-      const uint64_t repeat = ParseUintFlag(argv[0], arg, 9);
-      opts.repeat = repeat > 1 ? static_cast<unsigned>(repeat) : 1;
+      ok = ParseUintFlag(arg, 9, &u);
+      opts.repeat = u > 1 ? static_cast<unsigned>(u) : 1;
     } else if (std::strcmp(arg, "--full") == 0) {
       opts.full = true;
     } else if (std::strcmp(arg, "--no-heavy") == 0) {
       opts.no_heavy = true;
     } else if (std::strcmp(arg, "--help") == 0) {
-      std::fprintf(stdout,
-                   "usage: %s [--scale=F] [--queries=N] [--seed=N] "
-                   "[--loss=F] [--burst=N] [--corrupt=F] [--fec-rate=F] "
-                   "[--threads=N] [--repeat=N] [--full] [--no-heavy]\n",
-                   argv[0]);
+      PrintUsage(stdout, argv[0]);
       std::exit(0);
     } else {
       std::fprintf(stderr, "unknown flag \"%s\"\n", arg);
-      UsageExit(argv[0]);
+      ok = false;
     }
+    if (!ok) UsageExit(argv[0]);
   }
   if (opts.full) {
     opts.scale = 1.0;

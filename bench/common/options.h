@@ -26,9 +26,6 @@ struct BenchOptions {
   /// Per-bit corruption rate of packets that survive erasure (CRC-detected
   /// on the client; 0 = pristine payloads).
   double corrupt = 0.0;
-  /// Station FEC code rate: round(fec_rate * 16) parity packets per
-  /// 16-packet group (0 = no parity).
-  double fec_rate = 0.0;
   bool full = false;
   /// Skip SPQ/HiTi (whose pre-computation is all-pairs-flavoured) even in
   /// benches that normally include them.
@@ -40,7 +37,7 @@ struct BenchOptions {
   unsigned threads = 1;
   /// Run each measured batch N times and report the minimum wall time
   /// (min-of-N): scheduler/cache noise only ever slows a run down, so the
-  /// minimum is the stable number CI perf comparisons want. Metrics other
+  /// minimum is the stable number to compare. Metrics other
   /// than wall time and the wall-clock-measured cpu_ms (which comes from
   /// the last repetition) are identical across repetitions.
   unsigned repeat = 1;
@@ -52,15 +49,10 @@ struct BenchOptions {
   broadcast::LossModel Loss() const {
     return broadcast::LossModel::Of(loss, burst, corrupt);
   }
-
-  /// The configured station FEC scheme (--fec-rate).
-  broadcast::FecScheme Fec() const {
-    return broadcast::FecScheme::OfRate(fec_rate);
-  }
 };
 
 /// Parses --scale=, --queries=, --seed=, --loss=, --burst=, --corrupt=,
-/// --fec-rate=, --threads=, --repeat=, --full, --no-heavy. Numeric values
+/// --threads=, --repeat=, --full, --no-heavy. Numeric values
 /// are validated strictly; a malformed or unknown flag aborts with a usage
 /// message (exit 2).
 BenchOptions ParseBenchOptions(int argc, char** argv);

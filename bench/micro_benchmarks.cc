@@ -290,7 +290,7 @@ void BM_ReceiveFullCycle(benchmark::State& state) {
         [&memory](broadcast::ReceivedSegment& seg) {
           memory.Release(seg.payload.size());
         },
-        /*max_repair_cycles=*/0, &scratch);
+        /*max_repair_cycles=*/0, scratch);
     benchmark::DoNotOptimize(status.ok());
     start += 7919;  // a different tune-in slot (and loss draw) each pass
   }
@@ -321,7 +321,7 @@ const workload::Workload& SimBenchWorkload() {
 
 // End-to-end engine throughput: a whole workload of NR clients fanned
 // across N worker threads. items/s is simulated queries per second; the
-// Arg sweep exposes the engine's thread scaling in CI perf tracking.
+// Arg sweep exposes the engine's thread scaling in the CI perf job's log.
 // The lossy variant adds 1% packet loss: repair traffic lengthens each
 // client's session, which is the heavy-traffic case the engine exists
 // for.

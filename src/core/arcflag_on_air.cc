@@ -152,7 +152,7 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
         }
         run.cpu_ms += sw.ElapsedMs();
       },
-      options.max_repair_cycles, &s.full_cycle);
+      options.max_repair_cycles, s.full_cycle);
 
   device::Stopwatch sw;
   // Rebuild the graph; CSR layout matches the server's (same edges, same

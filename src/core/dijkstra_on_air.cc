@@ -46,7 +46,7 @@ device::QueryMetrics DijkstraOnAir::RunQuery(
         memory.Release(seg.payload.size());
         run.cpu_ms += sw.ElapsedMs();
       },
-      options.max_repair_cycles, &s.full_cycle);
+      options.max_repair_cycles, s.full_cycle);
 
   device::Stopwatch sw;
   algo::DijkstraSearch(pg, query.source, query.target, KnownEdgeFilter{&pg},

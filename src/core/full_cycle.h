@@ -42,19 +42,15 @@ struct FullCycleScratch {
 /// delivered incomplete (packet_ok flags show the holes) so the
 /// method-specific fallback can apply.
 ///
-/// `scratch` may be null (a throwaway local is used — the historical
-/// behaviour); generic callables avoid the std::function type-erasure
-/// allocation the old interface paid per call.
+/// `s` holds the reassembly buffers; one that lives across queries keeps
+/// the client off the allocator. Generic callables avoid the
+/// std::function type-erasure allocation the old interface paid per call.
 template <typename MustRepair, typename OnSegment>
 Status ReceiveFullCycle(broadcast::ClientSession& session,
                         device::MemoryTracker& memory,
                         MustRepair&& must_repair, OnSegment&& on_segment,
-                        int max_repair_cycles,
-                        FullCycleScratch* scratch = nullptr) {
+                        int max_repair_cycles, FullCycleScratch& s) {
   using broadcast::ReceivedSegment;
-
-  FullCycleScratch local;
-  FullCycleScratch& s = scratch != nullptr ? *scratch : local;
 
   const broadcast::BroadcastCycle& cycle = session.cycle();
   const size_t num_segments = cycle.num_segments();
@@ -191,7 +187,7 @@ Status ReceiveFullCycleCached(broadcast::ClientSession& session,
                               device::MemoryTracker& memory,
                               SessionCache* cache, MustRepair&& must_repair,
                               OnSegment&& on_segment, int max_repair_cycles,
-                              FullCycleScratch* scratch = nullptr) {
+                              FullCycleScratch& scratch) {
   const bool cache_on =
       cache != nullptr && cache->Ready(session.channel());
   if (!cache_on) {

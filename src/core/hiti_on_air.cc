@@ -132,7 +132,7 @@ device::QueryMetrics HiTiOnAir::RunQuery(
         memory.Release(seg.payload.size());
         run.cpu_ms += sw.ElapsedMs();
       },
-      options.max_repair_cycles, &s.full_cycle);
+      options.max_repair_cycles, s.full_cycle);
 
   device::Stopwatch sw;
   graph::Dist dist = graph::kInfDist;

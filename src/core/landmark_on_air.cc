@@ -154,7 +154,7 @@ device::QueryMetrics LandmarkOnAir::RunQuery(
         memory.Release(seg.payload.size());
         run.cpu_ms += sw.ElapsedMs();
       },
-      options.max_repair_cycles, &s.full_cycle);
+      options.max_repair_cycles, s.full_cycle);
 
   device::Stopwatch sw;
   const graph::NodeId t = query.target;

@@ -32,13 +32,14 @@ TEST(FullCycleTest, DeliversEverySegmentOnce) {
   BroadcastChannel channel(&cycle, 0.0);
   ClientSession session(&channel, 3);  // tune in mid-cycle
   device::MemoryTracker mem;
+  FullCycleScratch scratch;
   std::map<uint32_t, ReceivedSegment> got;
   Status st = ReceiveFullCycle(
       session, mem, [](const broadcast::ReceivedSegment&) { return true; },
       [&](ReceivedSegment& seg) {
         EXPECT_TRUE(got.emplace(seg.segment_index, std::move(seg)).second);
       },
-      4);
+      4, scratch);
   ASSERT_TRUE(st.ok());
   ASSERT_EQ(got.size(), 4u);
   for (auto& [si, seg] : got) {
@@ -55,13 +56,14 @@ TEST(FullCycleTest, RepairsLostDataSegments) {
   BroadcastChannel channel(&cycle, 0.2, 77);
   ClientSession session(&channel, 0);
   device::MemoryTracker mem;
+  FullCycleScratch scratch;
   std::map<uint32_t, ReceivedSegment> got;
   Status st = ReceiveFullCycle(
       session, mem, [](const broadcast::ReceivedSegment& s) { return s.type == SegmentType::kNetworkData; },
       [&](ReceivedSegment& seg) {
         got.emplace(seg.segment_index, std::move(seg));
       },
-      16);
+      16, scratch);
   ASSERT_TRUE(st.ok());
   for (auto& [si, seg] : got) {
     if (seg.type == SegmentType::kNetworkData) {
@@ -77,6 +79,7 @@ TEST(FullCycleTest, NonRepairableSegmentsDeliveredIncomplete) {
   BroadcastChannel channel(&cycle, 0.35, 13);
   ClientSession session(&channel, 0);
   device::MemoryTracker mem;
+  FullCycleScratch scratch;
   bool any_incomplete_aux = false;
   Status st = ReceiveFullCycle(
       session, mem, [](const broadcast::ReceivedSegment& s) { return s.type == SegmentType::kNetworkData; },
@@ -85,7 +88,7 @@ TEST(FullCycleTest, NonRepairableSegmentsDeliveredIncomplete) {
           any_incomplete_aux = true;
         }
       },
-      16);
+      16, scratch);
   ASSERT_TRUE(st.ok());
   // 35% loss over ~12 aux packets: holes are near-certain.
   EXPECT_TRUE(any_incomplete_aux);
@@ -96,9 +99,10 @@ TEST(FullCycleTest, ChargesRawBytesToMemory) {
   BroadcastChannel channel(&cycle, 0.0);
   ClientSession session(&channel, 0);
   device::MemoryTracker mem;
+  FullCycleScratch scratch;
   ReceiveFullCycle(
       session, mem, [](const broadcast::ReceivedSegment&) { return true; },
-      [](ReceivedSegment&) {}, 2);
+      [](ReceivedSegment&) {}, 2, scratch);
   EXPECT_GE(mem.peak(), cycle.TotalPayloadBytes());
 }
 

@@ -36,6 +36,7 @@
 
 #include "broadcast/channel.h"
 #include "broadcast/schedule.h"
+#include "common/flags.h"
 #include "core/systems.h"
 #include "device/energy.h"
 #include "device/profile_catalog.h"
@@ -150,46 +151,6 @@ int Usage() {
   return 2;
 }
 
-/// Reports a flag whose value failed strict numeric parsing. `arg` is the
-/// whole "--name=value" argument, `prefix` the length of "--name=".
-bool BadFlagValue(const char* arg, size_t prefix) {
-  std::fprintf(stderr, "invalid value for %.*s: \"%s\"\n",
-               static_cast<int>(prefix - 1), arg, arg + prefix);
-  return false;
-}
-
-/// Strict double parse of a --flag=value argument: the value must consume
-/// entirely as a finite number (the atof it replaces read "abc" as 0.0
-/// without a word). Prints the offending flag on failure.
-bool ParseDoubleFlag(const char* arg, size_t prefix, double* out) {
-  const char* value = arg + prefix;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (end == value || *end != '\0' || errno == ERANGE) {
-    return BadFlagValue(arg, prefix);
-  }
-  *out = v;
-  return true;
-}
-
-/// Strict unsigned parse of a --flag=value argument. Rejects a leading
-/// '-' explicitly: strtoull would happily wrap "-1" to 2^64-1.
-bool ParseUintFlag(const char* arg, size_t prefix, uint64_t* out) {
-  const char* value = arg + prefix;
-  if (*value == '\0' || *value == '-' || *value == '+') {
-    return BadFlagValue(arg, prefix);
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE) {
-    return BadFlagValue(arg, prefix);
-  }
-  *out = v;
-  return true;
-}
-
 /// Parses a --schedule= value: "flat", "disks[:K[:r1,r2,...]]", or
 /// "online[:R[,decay]]" (K = disk count, r_i = spin rates fastest-first,
 /// R = re-plan epoch in cycles). Prints the offense and returns false on
@@ -202,6 +163,14 @@ bool ParseScheduleFlag(const char* value, sim::SchedulePolicy* out) {
                  value);
     return false;
   };
+  // strtoul skips spaces and wraps "-1" to ULONG_MAX, so each number must
+  // start with a digit and fit the uint32_t it is stored in.
+  auto number = [](const char* p, char** end, unsigned long* n) {
+    if (*p < '0' || *p > '9') return false;
+    errno = 0;
+    *n = std::strtoul(p, end, 10);
+    return errno != ERANGE && *n <= 0xFFFFFFFFul;
+  };
   *out = sim::SchedulePolicy{};
   const std::string v(value);
   if (v == "flat") return true;
@@ -212,15 +181,15 @@ bool ParseScheduleFlag(const char* value, sim::SchedulePolicy* out) {
     if (*rest != ':') return fail();
     ++rest;
     char* end = nullptr;
-    const unsigned long k = std::strtoul(rest, &end, 10);
-    if (end == rest || k < 1 || k > 16) return fail();
+    unsigned long k = 0;
+    if (!number(rest, &end, &k) || k < 1 || k > 16) return fail();
     out->disks = static_cast<uint32_t>(k);
     if (*end == '\0') return true;
     if (*end != ':') return fail();
     rest = end + 1;
     while (*rest != '\0') {
-      const unsigned long r = std::strtoul(rest, &end, 10);
-      if (end == rest || r < 1) return fail();
+      unsigned long r = 0;
+      if (!number(rest, &end, &r) || r < 1) return fail();
       out->rates.push_back(static_cast<uint32_t>(r));
       rest = end;
       if (*rest == ',') ++rest;
@@ -242,8 +211,8 @@ bool ParseScheduleFlag(const char* value, sim::SchedulePolicy* out) {
     if (*rest != ':') return fail();
     ++rest;
     char* end = nullptr;
-    const unsigned long r = std::strtoul(rest, &end, 10);
-    if (end == rest || r < 1) return fail();
+    unsigned long r = 0;
+    if (!number(rest, &end, &r) || r < 1) return fail();
     out->replan_cycles = static_cast<uint32_t>(r);
     if (*end == '\0') return true;
     if (*end != ',') return fail();
@@ -355,9 +324,15 @@ int Gen(int argc, char** argv) {
 int Generate(int argc, char** argv) {
   if (argc != 7) return Usage();
   graph::GeneratorOptions opts;
-  opts.num_nodes = static_cast<uint32_t>(std::atoi(argv[2]));
-  opts.num_edges = static_cast<uint32_t>(std::atoi(argv[3]));
-  opts.seed = static_cast<uint64_t>(std::atoll(argv[4]));
+  uint64_t nodes = 0;
+  uint64_t edges = 0;
+  if (!ParseUint("<nodes>", argv[2], &nodes, 0xFFFFFFFFull) ||
+      !ParseUint("<edges>", argv[3], &edges, 0xFFFFFFFFull) ||
+      !ParseUint("<seed>", argv[4], &opts.seed)) {
+    return 2;
+  }
+  opts.num_nodes = static_cast<uint32_t>(nodes);
+  opts.num_edges = static_cast<uint32_t>(edges);
   auto g = graph::GenerateRoadNetwork(opts);
   if (!g.ok()) {
     std::fprintf(stderr, "%s\n", g.status().ToString().c_str());
@@ -375,10 +350,15 @@ int Generate(int argc, char** argv) {
 
 int Inspect(int argc, char** argv) {
   if (argc < 3) return Usage();
-  const double scale = argc > 3 ? std::atof(argv[3]) : 0.2;
+  double scale = 0.2;
+  if (argc > 3 && !ParseDouble("<scale>", argv[3], &scale)) return 2;
   const std::string method = argc > 4 ? argv[4] : "NR";
-  const uint32_t regions =
-      argc > 5 ? static_cast<uint32_t>(std::atoi(argv[5])) : 32;
+  uint64_t regions_arg = 32;
+  if (argc > 5 &&
+      !ParseUint("<regions>", argv[5], &regions_arg, 0xFFFFFFFFull)) {
+    return 2;
+  }
+  const uint32_t regions = static_cast<uint32_t>(regions_arg);
   broadcast::CycleEncoding encoding = broadcast::CycleEncoding::kLegacy;
   if (argc > 6) {
     if (std::strcmp(argv[6], "compact") == 0) {
@@ -391,7 +371,8 @@ int Inspect(int argc, char** argv) {
   }
   sim::SchedulePolicy schedule;
   if (argc > 7 && !ParseScheduleFlag(argv[7], &schedule)) return 2;
-  const double zipf_s = argc > 8 ? std::atof(argv[8]) : 0.9;
+  double zipf_s = 0.9;
+  if (argc > 8 && !ParseDouble("<zipf_s>", argv[8], &zipf_s)) return 2;
 
   auto spec = graph::FindNetwork(argv[2]);
   if (!spec.ok()) {
@@ -523,12 +504,20 @@ int Inspect(int argc, char** argv) {
 
 int Query(int argc, char** argv) {
   if (argc != 7) return Usage();
+  double scale = 0;
+  uint64_t source = 0;
+  uint64_t target = 0;
+  if (!ParseDouble("<scale>", argv[3], &scale) ||
+      !ParseUint("<source>", argv[5], &source, 0xFFFFFFFFull) ||
+      !ParseUint("<target>", argv[6], &target, 0xFFFFFFFFull)) {
+    return 2;
+  }
   auto spec = graph::FindNetwork(argv[2]);
   if (!spec.ok()) {
     std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
     return 1;
   }
-  auto g = graph::MakeNetwork(*spec, std::atof(argv[3]));
+  auto g = graph::MakeNetwork(*spec, scale);
   if (!g.ok()) {
     std::fprintf(stderr, "%s\n", g.status().ToString().c_str());
     return 1;
@@ -539,8 +528,8 @@ int Query(int argc, char** argv) {
     return 1;
   }
   workload::Query q;
-  q.source = static_cast<graph::NodeId>(std::atoi(argv[5]));
-  q.target = static_cast<graph::NodeId>(std::atoi(argv[6]));
+  q.source = static_cast<graph::NodeId>(source);
+  q.target = static_cast<graph::NodeId>(target);
   if (q.source >= g->num_nodes() || q.target >= g->num_nodes()) {
     std::fprintf(stderr, "node id out of range (max %zu)\n",
                  g->num_nodes() - 1);
