@@ -10,6 +10,7 @@
 #include "algo/arc_flags.h"
 #include "algo/dijkstra.h"
 #include "algo/search_workspace.h"
+#include "core/arcflag_on_air.h"
 #include "core/border_precompute.h"
 #include "core/dijkstra_on_air.h"
 #include "core/full_cycle.h"
@@ -304,6 +305,41 @@ BENCHMARK(BM_ReceiveFullCycle)
     ->Args({1, 0})
     ->Args({1, 20})
     ->Unit(benchmark::kMicrosecond);
+
+// The ArcFlag client's flag decode: every flag segment of the Germany 0.1
+// AF cycle per iteration, received whole, through DecodeArcFlagSegment (the
+// packed four-lanes-per-word path). items/s is arcs decoded per second, so
+// 1e9 / items_per_second is ns per arc.
+void BM_DecodeArcFlags(benchmark::State& state) {
+  const graph::Graph& g = BenchGraph();
+  const auto& af = static_cast<const core::ArcFlagOnAir&>(
+      *core::SystemRegistry::Global().Get(g, "AF").value());
+  const uint32_t regions = af.index().num_regions();
+  const broadcast::BroadcastCycle& cycle = af.cycle();
+  std::vector<broadcast::ReceivedSegment> flag_segments;
+  for (size_t si = 0; si < cycle.num_segments(); ++si) {
+    const broadcast::Segment& src = cycle.segment(si);
+    if (src.type != broadcast::SegmentType::kAuxData || src.id == 0) continue;
+    broadcast::ReceivedSegment seg;
+    seg.type = src.type;
+    seg.segment_id = src.id;
+    seg.payload = src.payload;
+    seg.packet_ok.assign(src.PacketCount(), true);
+    seg.complete = true;
+    flag_segments.push_back(std::move(seg));
+  }
+  std::vector<uint64_t> flags(g.num_arcs() * algo::ArcFlagWords(regions));
+  for (auto _ : state) {
+    for (const auto& seg : flag_segments) {
+      core::DecodeArcFlagSegment(seg, regions, flags);
+    }
+    benchmark::DoNotOptimize(flags.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(g.num_arcs()));
+}
+BENCHMARK(BM_DecodeArcFlags)->Unit(benchmark::kMicrosecond);
 
 // Shared fixture for the engine benchmarks. The leaked Global() registry
 // keeps the NR system alive for the process lifetime.

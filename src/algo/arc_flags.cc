@@ -63,7 +63,7 @@ Result<ArcFlagIndex> ArcFlagIndex::Build(
 
   ArcFlagIndex idx;
   idx.num_regions_ = num_regions;
-  idx.words_per_arc_ = (num_regions + 63) / 64;
+  idx.words_per_arc_ = ArcFlagWords(num_regions);
   idx.node_region_ = node_region;
   idx.flags_.assign(g.num_arcs() * idx.words_per_arc_, 0);
 
@@ -252,7 +252,7 @@ ArcFlagIndex ArcFlagIndex::MakeEmpty(size_t num_arcs, uint32_t num_regions,
                                          node_region) {
   ArcFlagIndex idx;
   idx.num_regions_ = num_regions;
-  idx.words_per_arc_ = (num_regions + 63) / 64;
+  idx.words_per_arc_ = ArcFlagWords(num_regions);
   idx.node_region_ = std::move(node_region);
   idx.flags_.assign(num_arcs * idx.words_per_arc_, 0);
   return idx;

@@ -1,11 +1,13 @@
 #ifndef AIRINDEX_ALGO_ARC_FLAGS_H_
 #define AIRINDEX_ALGO_ARC_FLAGS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "algo/search_workspace.h"
+#include "common/byte_io.h"
 #include "common/result.h"
 #include "graph/graph.h"
 #include "graph/types.h"
@@ -92,12 +94,6 @@ class ArcFlagIndex {
     return node_region_;
   }
 
-  /// Replaces the node -> region map (a broadcast client learns it only
-  /// after the flags of a MakeEmpty index have streamed in).
-  void set_node_region(std::vector<graph::RegionId> node_region) {
-    node_region_ = std::move(node_region);
-  }
-
  private:
   ArcFlagIndex() = default;
 
@@ -107,6 +103,49 @@ class ArcFlagIndex {
   // flags_[arc * words_per_arc_ + w]: bit r%64 of word r/64 = region r.
   std::vector<uint64_t> flags_;
 };
+
+/// Flag words per arc for `num_regions` regions (bit r % 64 of word r / 64
+/// is region r), as ArcFlagIndex lays them out.
+inline size_t ArcFlagWords(uint32_t num_regions) {
+  return (static_cast<size_t>(num_regions) + 63) / 64;
+}
+
+/// Packs one arc's broadcast flag vector — `num_regions` little-endian u16
+/// lanes at `wire` (ArcFlagIndex::BytesPerArc bytes), a nonzero lane
+/// meaning the region's flag is set — into its ArcFlagWords(num_regions)
+/// flag words at `out`, overwriting them. Four lanes at a time, without a
+/// branch per region: fold each lane's high byte into its low byte, turn
+/// "low byte nonzero" into the lane's bit 0 by a carry out of +0xFF, then
+/// gather the four lane bits (at 0, 16, 32, 48) into bits 45..48 with one
+/// multiply.
+inline void PackArcFlags(const uint8_t* wire, uint32_t num_regions,
+                         uint64_t* out) {
+  constexpr uint64_t kLowBytes = 0x00FF00FF00FF00FFULL;
+  constexpr uint64_t kLaneBit0 = 0x0001000100010001ULL;
+  // Lane bit j (at 16j) lands at 16j + 45 - 15j = 45 + j; no two partial
+  // products share a bit position, so nothing carries into 45..48.
+  constexpr uint64_t kGather = 0x0000200040008001ULL;
+  const size_t words = ArcFlagWords(num_regions);
+  uint32_t r = 0;
+  for (size_t w = 0; w < words; ++w) {
+    // A word holds 64 lanes, a multiple of four: no group straddles two.
+    const uint32_t end =
+        static_cast<uint32_t>(std::min<size_t>(num_regions, 64 * (w + 1)));
+    uint64_t word = 0;
+    for (; r + 4 <= end; r += 4) {
+      const uint64_t x = GetU64(wire + 2 * static_cast<size_t>(r));
+      const uint64_t nonzero = (x | (x >> 8)) & kLowBytes;
+      const uint64_t bits = ((nonzero + kLowBytes) >> 8) & kLaneBit0;
+      word |= ((bits * kGather) >> 45 & 0xF) << (r % 64);
+    }
+    for (; r < end; ++r) {
+      word |= static_cast<uint64_t>(
+                  GetU16(wire + 2 * static_cast<size_t>(r)) != 0)
+              << (r % 64);
+    }
+    out[w] = word;
+  }
+}
 
 }  // namespace airindex::algo
 

@@ -1,18 +1,44 @@
 #include "core/arcflag_on_air.h"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 
+#include "algo/dijkstra.h"
 #include "common/byte_io.h"
 #include "core/client_run.h"
 #include "core/cycle_common.h"
 #include "core/full_cycle.h"
+#include "core/partial_graph.h"
+#include "partition/kd_tree.h"
 
 namespace airindex::core {
 namespace {
 
 constexpr uint32_t kHeaderSegment = 0;
 constexpr uint32_t kFlagChunkArcs = 4096;
+/// Header bytes before the splits: region count u16, node and arc counts
+/// u32 each.
+constexpr size_t kHeaderFixedBytes = 10;
+
+/// Modeled client memory of what the query builds after the cycle: a CSR
+/// graph as graph::Graph::MemoryBytes counts it — (n + 1) offsets, m arcs,
+/// n coordinates — and the flag index, one word per 64 regions per
+/// broadcast arc. Properties of the paper's client, independent of how
+/// this process stores the same data.
+constexpr size_t kCsrOffsetBytes = sizeof(uint32_t);
+constexpr size_t kCsrArcBytes = sizeof(graph::Graph::Arc);
+constexpr size_t kCoordBytes = sizeof(graph::Point);
+constexpr size_t kFlagWordBytes = sizeof(uint64_t);
+static_assert(kCsrOffsetBytes == 4 && kCsrArcBytes == 8 &&
+                  kCoordBytes == 16 && kFlagWordBytes == 8,
+              "modeled client memory charges must not drift (the golden "
+              "metrics depend on them)");
+
+size_t ModeledCsrBytes(size_t nodes, size_t arcs) {
+  return (nodes + 1) * kCsrOffsetBytes + arcs * kCsrArcBytes +
+         nodes * kCoordBytes;
+}
 
 }  // namespace
 
@@ -42,7 +68,7 @@ Result<std::unique_ptr<ArcFlagOnAir>> ArcFlagOnAir::Build(
   AppendNetworkSegments(g, &builder, kNetworkChunkNodes, config.encoding);
 
   // Header: region count + node/arc counts + kd split values (the client
-  // re-derives every node's region from these plus the coordinates).
+  // locates the target's region from these and its received coordinate).
   {
     broadcast::Segment seg;
     seg.type = broadcast::SegmentType::kAuxData;
@@ -78,25 +104,49 @@ Result<std::unique_ptr<ArcFlagOnAir>> ArcFlagOnAir::Build(
   return sys;
 }
 
+void DecodeArcFlagSegment(const broadcast::ReceivedSegment& seg,
+                          uint32_t num_regions, std::span<uint64_t> flags) {
+  const size_t words = algo::ArcFlagWords(num_regions);
+  const size_t bytes_per_arc = 2 * static_cast<size_t>(num_regions);
+  const size_t num_arcs = flags.size() / words;
+  const size_t first_arc =
+      static_cast<size_t>(seg.segment_id - 1) * kFlagChunkArcs;
+  if (first_arc >= num_arcs) return;
+  const size_t count =
+      std::min(seg.payload.size() / bytes_per_arc, num_arcs - first_arc);
+  const uint8_t* wire = seg.payload.data();
+  const bool whole = seg.complete;
+  uint64_t* out = flags.data() + first_arc * words;
+  for (size_t i = 0; i < count; ++i, out += words) {
+    const size_t off = i * bytes_per_arc;
+    if (whole || seg.RangeOk(off, off + bytes_per_arc)) {
+      algo::PackArcFlags(wire + off, num_regions, out);
+    } else {
+      // §6.2: a lost flag vector is assumed all-ones.
+      std::fill(out, out + words, ~uint64_t{0});
+    }
+  }
+}
+
 device::QueryMetrics ArcFlagOnAir::RunQuery(
     const broadcast::BroadcastChannel& channel, const AirQuery& query,
     const ClientOptions& options, QueryScratch* scratch) const {
   ClientRun run(channel, StartPosition(channel, query), options, scratch);
   QueryScratch& s = run.scratch();
   device::MemoryTracker& memory = run.memory;
+  PartialGraph& pg = s.partial_graph;
 
-  // Collected network data (node-id addressed). The coordinates are moved
-  // into the rebuilt Graph below, so they cannot be pooled; the edge list
-  // can. Flags decode straight into the index, in the server's CSR arc
-  // order, as each flag segment arrives; its node -> region map follows
-  // once the header and the coordinates are in.
-  std::vector<graph::Point> coords(num_nodes_);
-  s.edges.reserve(num_arcs_);
-  std::vector<double> splits;
-  algo::ArcFlagIndex idx =
-      algo::ArcFlagIndex::MakeEmpty(num_arcs_, num_regions_, {});
-  const size_t bytes_per_arc = idx.BytesPerArc();
+  // Records decode into the pooled partial graph; flags decode straight
+  // into flag words in the server's CSR arc order as each flag segment
+  // arrives. Arcs of a flag segment that never arrives keep no flag.
+  const size_t words = algo::ArcFlagWords(num_regions_);
+  std::vector<uint64_t>& flags = s.af_flags;
+  flags.assign(static_cast<size_t>(num_arcs_) * words, 0);
+  std::vector<double>& splits = s.af_splits;
+  splits.clear();
   bool header_ok = false;
+  // The extent of everything decoded; see DecodedRecords.
+  ClientRun::DecodedRecords decoded;
 
   Status receive_status = ReceiveFullCycleCached(
       run.session, memory, &s.session,
@@ -113,40 +163,34 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
       [&](broadcast::ReceivedSegment& seg) {
         device::Stopwatch sw;
         if (seg.type == broadcast::SegmentType::kNetworkData) {
-          run.DecodeNetworkRecords(seg, encoding_, coords);
+          const ClientRun::DecodedRecords added =
+              run.DecodeIntoPartialGraph(seg, encoding_);
+          memory.Charge(added.arcs * ClientRun::kEdgeListArcBytes +
+                        added.records * ClientRun::kEdgeListRecordBytes);
+          decoded.arcs += added.arcs;
+          decoded.id_bound = std::max(decoded.id_bound, added.id_bound);
+          decoded.head_bound = std::max(decoded.head_bound, added.head_bound);
+          decoded.self_loop |= added.self_loop;
           memory.Release(seg.payload.size());
         } else if (seg.segment_id == kHeaderSegment) {
-          if (seg.complete) {
+          // Only a header of this system's region count is usable; its
+          // splits then form a complete kd tree.
+          if (seg.complete && seg.payload.size() >= kHeaderFixedBytes) {
             ByteReader reader(seg.payload);
             const uint16_t regions = reader.ReadU16();
-            reader.ReadU32();  // node count (known)
-            reader.ReadU32();  // arc count (known)
-            splits.reserve(regions - 1);
-            for (uint16_t i = 0; i + 1 < regions; ++i) {
-              splits.push_back(std::bit_cast<double>(reader.ReadU64()));
+            reader.Skip(8);  // node and arc counts (known)
+            if (regions == num_regions_ &&
+                reader.remaining() >= (regions - size_t{1}) * 8) {
+              for (uint16_t i = 0; i + 1 < regions; ++i) {
+                splits.push_back(std::bit_cast<double>(reader.ReadU64()));
+              }
+              header_ok = true;
             }
-            header_ok = true;
           }
           memory.Charge(splits.size() * 8);
           memory.Release(seg.payload.size());
         } else {
-          const size_t first_arc =
-              static_cast<size_t>(seg.segment_id - 1) * kFlagChunkArcs;
-          const size_t arcs_in_chunk = seg.payload.size() / bytes_per_arc;
-          for (size_t i = 0; i < arcs_in_chunk; ++i) {
-            const size_t arc = first_arc + i;
-            const size_t off = i * bytes_per_arc;
-            if (!seg.RangeOk(off, off + bytes_per_arc)) {
-              // §6.2: a lost flag vector is assumed all-ones.
-              idx.SetAllFlags(arc);
-              continue;
-            }
-            for (uint32_t r = 0; r < num_regions_; ++r) {
-              if (GetU16(seg.payload.data() + off + 2 * r) != 0) {
-                idx.SetArcFlag(arc, r);
-              }
-            }
-          }
+          DecodeArcFlagSegment(seg, num_regions_, flags);
           // The modeled client retains the raw flag bytes until query
           // time: keep their charge.
         }
@@ -155,29 +199,55 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
       options.max_repair_cycles, s.full_cycle);
 
   device::Stopwatch sw;
-  // Rebuild the graph; CSR layout matches the server's (same edges, same
-  // per-node sort order).
-  auto built = graph::Graph::Build(std::move(coords), s.edges);
-  if (!built.ok() || !header_ok) {
-    // Without splits there is no region mapping; ArcFlag cannot run.
+  // The paper's client rebuilds a CSR graph from the records: a node per
+  // id up to the largest received one (at least the network's), the
+  // received arcs in node-id order. That rebuild rejects a head outside
+  // the graph and a self-loop; so does this query.
+  const size_t nodes = std::max<size_t>(num_nodes_, decoded.id_bound);
+  // More arcs than the flags cover cannot come from this system's cycle.
+  if (!header_ok || decoded.self_loop || decoded.head_bound > nodes ||
+      decoded.arcs > num_arcs_) {
     run.cpu_ms += sw.ElapsedMs();
     return run.Finish(graph::kInfDist, false);
   }
-  graph::Graph gr = std::move(built).value();
-  memory.Charge(gr.MemoryBytes());
-
-  auto kd = partition::KdTreePartitioner::FromSplits(splits);
-  std::vector<graph::RegionId> node_region(gr.num_nodes());
-  for (graph::NodeId v = 0; v < gr.num_nodes(); ++v) {
-    node_region[v] = kd->RegionOf(gr.Coord(v));
+  // The rebuilt graph's CSR index of an arc is a per-node base plus the
+  // arc's position in OutArcs: records carry each node's arcs in the
+  // server's CSR order, sorted by head, which the rebuild keeps, and an
+  // unreceived node holds no arcs. So the base is a prefix sum of the
+  // received out-degrees in node-id order.
+  std::vector<uint32_t>& arc_base = s.af_arc_base;
+  arc_base.resize(decoded.id_bound);
+  uint32_t base = 0;
+  for (graph::NodeId v = 0; v < decoded.id_bound; ++v) {
+    arc_base[v] = base;
+    base += static_cast<uint32_t>(pg.OutArcs(v).size());
   }
+  // Only the target's region matters; the rebuilt graph gave unreceived
+  // nodes a zero coordinate.
+  const graph::NodeId t = query.target;
+  const auto target_region = partition::KdRegionOf(
+      splits, pg.Has(t) ? pg.Coord(t) : graph::Point{});
+  if (!target_region.ok()) {
+    run.cpu_ms += sw.ElapsedMs();
+    return run.Finish(graph::kInfDist, false);
+  }
+  memory.Charge(ModeledCsrBytes(nodes, decoded.arcs));
+  memory.Charge(static_cast<size_t>(num_arcs_) * words * kFlagWordBytes);
 
-  idx.set_node_region(std::move(node_region));
-  memory.Charge(idx.MemoryBytes());
-
-  graph::Path path = idx.Query(gr, query.source, query.target, s.search);
+  const size_t word = *target_region / 64;
+  const uint32_t bit = *target_region % 64;
+  auto flagged = [&](graph::NodeId v, const graph::Graph::Arc& arc) {
+    const size_t index =
+        arc_base[v] + static_cast<size_t>(&arc - pg.OutArcs(v).data());
+    return (flags[index * words + word] >> bit) & 1;
+  };
+  // Arcs into unreceived nodes are relaxed, as over the rebuilt graph, so
+  // the search must address every node of it.
+  pg.ReserveNodes(nodes);
+  algo::DijkstraSearch(pg, query.source, t, flagged, s.search);
+  const graph::Dist dist = s.search.DistTo(t);
   run.cpu_ms += sw.ElapsedMs();
-  return run.Finish(path.dist, receive_status.ok() && path.found());
+  return run.Finish(dist, receive_status.ok() && dist != graph::kInfDist);
 }
 
 }  // namespace airindex::core

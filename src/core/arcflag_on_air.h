@@ -1,9 +1,12 @@
 #ifndef AIRINDEX_CORE_ARCFLAG_ON_AIR_H_
 #define AIRINDEX_CORE_ARCFLAG_ON_AIR_H_
 
+#include <cstdint>
 #include <memory>
+#include <span>
 
 #include "algo/arc_flags.h"
+#include "broadcast/channel.h"
 #include "common/result.h"
 #include "core/air_system.h"
 #include "core/cycle_common.h"
@@ -51,6 +54,14 @@ class ArcFlagOnAir : public AirSystem {
   uint32_t num_arcs_ = 0;
   double precompute_seconds_ = 0.0;
 };
+
+/// Decodes one received AF flag segment (aux segment id >= 1; its arcs
+/// start at (id - 1) * 4096 in the server's CSR order) into `flags`, a
+/// flag array of algo::ArcFlagWords(num_regions) words per arc, via
+/// algo::PackArcFlags. Arcs whose bytes a lost packet touched become
+/// all-ones (§6.2); arcs past the end of `flags` are ignored.
+void DecodeArcFlagSegment(const broadcast::ReceivedSegment& seg,
+                          uint32_t num_regions, std::span<uint64_t> flags);
 
 }  // namespace airindex::core
 

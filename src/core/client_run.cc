@@ -1,5 +1,7 @@
 #include "core/client_run.h"
 
+#include <algorithm>
+
 namespace airindex::core {
 
 ClientRun::ClientRun(const broadcast::BroadcastChannel& channel,
@@ -30,14 +32,44 @@ std::optional<uint32_t> ClientRun::ReceiveNextIndex(
   return std::nullopt;
 }
 
+bool ClientRun::Decodable(const broadcast::ReceivedSegment& seg,
+                          broadcast::CycleEncoding encoding) const {
+  // An incomplete segment's holes are zero bytes that can still parse,
+  // as garbage ids and arcs; the receive already reports DataLoss for it.
+  if (!seg.complete) return false;
+  return MemoValidate(scratch_->decode_cache, seg, [&] {
+    return broadcast::ValidateNodeRecords(seg.payload, encoding).ok();
+  });
+}
+
+ClientRun::DecodedRecords ClientRun::DecodeIntoPartialGraph(
+    const broadcast::ReceivedSegment& seg, broadcast::CycleEncoding encoding) {
+  if (!Decodable(seg, encoding)) return {};
+  QueryScratch& s = *scratch_;
+  size_t records = 0, arcs = 0;
+  graph::NodeId max_id = 0, max_head = 0;
+  bool self_loop = false;
+  broadcast::NodeRecordCursor cursor(seg.payload, encoding);
+  while (cursor.Next(&s.record)) {
+    const broadcast::NodeRecord& rec = s.record;
+    s.partial_graph.AddRecord(rec);
+    ++records;
+    arcs += rec.arcs.size();
+    max_id = std::max(max_id, rec.id);
+    for (const graph::Graph::Arc& arc : rec.arcs) {
+      max_head = std::max(max_head, arc.to);
+      self_loop |= arc.to == rec.id;
+    }
+  }
+  return {records, arcs, records == 0 ? 0 : size_t{max_id} + 1,
+          arcs == 0 ? 0 : size_t{max_head} + 1, self_loop};
+}
+
 void ClientRun::DecodeNetworkRecords(const broadcast::ReceivedSegment& seg,
                                      broadcast::CycleEncoding encoding,
                                      std::vector<graph::Point>& coords) {
+  if (!Decodable(seg, encoding)) return;
   QueryScratch& s = *scratch_;
-  const bool valid = MemoValidate(s.decode_cache, seg, [&] {
-    return broadcast::ValidateNodeRecords(seg.payload, encoding).ok();
-  });
-  if (!valid) return;
   size_t added = 0;
   size_t record_count = 0;
   broadcast::NodeRecordCursor cursor(seg.payload, encoding);
@@ -50,7 +82,8 @@ void ClientRun::DecodeNetworkRecords(const broadcast::ReceivedSegment& seg,
       ++added;
     }
   }
-  memory.Charge(added * 12 + record_count * 20);
+  memory.Charge(added * kEdgeListArcBytes +
+                record_count * kEdgeListRecordBytes);
 }
 
 device::QueryMetrics ClientRun::Finish(graph::Dist distance, bool ok) const {

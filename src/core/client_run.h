@@ -1,6 +1,7 @@
 #ifndef AIRINDEX_CORE_CLIENT_RUN_H_
 #define AIRINDEX_CORE_CLIENT_RUN_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -47,11 +48,34 @@ class ClientRun {
   std::optional<uint32_t> ReceiveNextIndex(broadcast::ReceivedSegment* out,
                                            int max_probes);
 
+  /// Modeled client memory of a network record decoded into an edge list:
+  /// the <id, x, y> tuple per record, a <from, to, weight> triplet per arc.
+  static constexpr size_t kEdgeListRecordBytes = 20;
+  static constexpr size_t kEdgeListArcBytes = 12;
+
+  /// What one network-data segment added: its counts, and the extent a
+  /// client that rebuilds a CSR graph checks (the node count must cover
+  /// every id and head; a self-loop is rejected).
+  struct DecodedRecords {
+    size_t records = 0;
+    size_t arcs = 0;
+    size_t id_bound = 0;    // one past the largest record id
+    size_t head_bound = 0;  // one past the largest arc head
+    bool self_loop = false;
+  };
+
+  /// Decodes a network-data segment into scratch().partial_graph (DJ, LD,
+  /// AF) and returns what it added; the modeled charge is the caller's. A
+  /// segment that is incomplete (force-delivered once the repair budget
+  /// ran out: its holes are zero bytes) or fails validation adds nothing.
+  DecodedRecords DecodeIntoPartialGraph(const broadcast::ReceivedSegment& seg,
+                                        broadcast::CycleEncoding encoding);
+
   /// Decodes a network-data segment for the clients that rebuild a
-  /// graph::Graph (AF, SPQ, HiTi): each record's coordinate into `coords`
-  /// (grown as ids need) and its arcs onto scratch().edges, charging the
-  /// modeled 20 bytes per node and 12 per arc. A segment that fails
-  /// validation adds nothing.
+  /// graph::Graph (SPQ, HiTi): each record's coordinate into `coords`
+  /// (grown as ids need) and its arcs onto scratch().edges, charging
+  /// kEdgeListRecordBytes per node and kEdgeListArcBytes per arc. A segment
+  /// that is incomplete or fails validation adds nothing.
   void DecodeNetworkRecords(const broadcast::ReceivedSegment& seg,
                             broadcast::CycleEncoding encoding,
                             std::vector<graph::Point>& coords);
@@ -67,6 +91,11 @@ class ClientRun {
   double cpu_ms = 0.0;
 
  private:
+  /// Whether a network-data segment may be decoded: complete, and its
+  /// records well-formed (memoized through scratch().decode_cache).
+  bool Decodable(const broadcast::ReceivedSegment& seg,
+                 broadcast::CycleEncoding encoding) const;
+
   std::unique_ptr<QueryScratch> local_;
   QueryScratch* scratch_;
 };

@@ -35,13 +35,7 @@ device::QueryMetrics DijkstraOnAir::RunQuery(
       [&](broadcast::ReceivedSegment& seg) {
         device::Stopwatch sw;
         const size_t before = pg.MemoryBytes();
-        const bool valid = MemoValidate(s.decode_cache, seg, [&] {
-          return broadcast::ValidateNodeRecords(seg.payload, encoding_).ok();
-        });
-        if (valid) {
-          broadcast::NodeRecordCursor cursor(seg.payload, encoding_);
-          while (cursor.Next(&s.record)) pg.AddRecord(s.record);
-        }
+        run.DecodeIntoPartialGraph(seg, encoding_);
         memory.Charge(pg.MemoryBytes() - before);
         memory.Release(seg.payload.size());
         run.cpu_ms += sw.ElapsedMs();

@@ -293,10 +293,13 @@ device::QueryMetrics EbSystem::RunQuery(
   if (!EbIndex::Decode(index_seg->payload, &s.eb_index).ok()) {
     return finish(graph::kInfDist);
   }
-  auto kd = partition::KdTreePartitioner::FromSplits(s.eb_index.splits);
-  if (!kd.ok()) return finish(graph::kInfDist);
-  const graph::RegionId rs = kd->RegionOf(query.source_coord);
-  const graph::RegionId rt = kd->RegionOf(query.target_coord);
+  const auto rs_or =
+      partition::KdRegionOf(s.eb_index.splits, query.source_coord);
+  const auto rt_or =
+      partition::KdRegionOf(s.eb_index.splits, query.target_coord);
+  if (!rs_or.ok() || !rt_or.ok()) return finish(graph::kInfDist);
+  const graph::RegionId rs = *rs_or;
+  const graph::RegionId rt = *rt_or;
   run.cpu_ms += sw_map.ElapsedMs();
 
   if (!ensure_ranges(EbIndex::NeededByteRanges(R, rs, rt))) {
@@ -404,14 +407,8 @@ device::QueryMetrics EbSystem::RunQuery(
   // lost packets are stashed and repaired together in per-cycle sweeps
   // (§6.2 — one extra cycle fixes all damaged regions, not one region per
   // cycle).
-  struct StashedRegion {
-    ReceivedSegment* cross = nullptr;
-    ReceivedSegment* local = nullptr;
-    bool want_local = false;
-    uint32_t cross_start = 0;
-    uint32_t local_start = 0;
-  };
-  std::vector<StashedRegion> stash;  // loss path only; empty => no alloc
+  // Loss path only; the pooled list stays empty on a lossless pass.
+  std::vector<RegionStash::Region>& stash = s.stash.regions;
   for (graph::RegionId r : needed) {
     const EbIndex::RegionDir& d = index.dir[r];
     ReceivedSegment* cross = s.segments.Acquire();
@@ -452,7 +449,7 @@ device::QueryMetrics EbSystem::RunQuery(
     }
   }
   if (!stash.empty()) {
-    std::vector<PendingRepair> pending;
+    std::vector<PendingRepair>& pending = s.stash.pending;
     for (auto& st : stash) {
       if (!st.cross->complete) {
         pending.push_back({st.cross_start, st.cross});
@@ -461,7 +458,8 @@ device::QueryMetrics EbSystem::RunQuery(
         pending.push_back({st.local_start, st.local});
       }
     }
-    RepairAllSegments(session, pending, options.max_repair_cycles);
+    RepairAllSegments(session, pending, options.max_repair_cycles,
+                      s.stash.missing);
     for (auto& st : stash) {
       if (cache_on) {
         // Store() keeps only segments the repairs completed.

@@ -28,6 +28,7 @@ Result<std::unique_ptr<HiTiOnAir>> HiTiOnAir::Build(const graph::Graph& g,
   auto sys = std::unique_ptr<HiTiOnAir>(new HiTiOnAir());
   sys->encoding_ = config.encoding;
   sys->num_regions_ = num_regions;
+  sys->num_nodes_ = static_cast<uint32_t>(g.num_nodes());
 
   AIRINDEX_ASSIGN_OR_RETURN(
       auto kd, partition::KdTreePartitioner::Build(g, num_regions));
@@ -83,7 +84,9 @@ device::QueryMetrics HiTiOnAir::RunQuery(
 
   // coords/subs are moved into the rebuilt Graph / HiTiIndex below, so
   // they cannot be pooled; the edge list (scratch) can.
-  std::vector<graph::Point> coords;
+  // Sized to the network so that a lost network segment leaves its nodes
+  // arc-less, not out of range of the query endpoints and border lists.
+  std::vector<graph::Point> coords(num_nodes_);
   std::vector<double> splits;
   std::vector<algo::HiTiIndex::SubgraphInfo> subs(2 * num_regions_);
   bool header_ok = false;
@@ -109,8 +112,10 @@ device::QueryMetrics HiTiOnAir::RunQuery(
             memory.Charge(splits.size() * 8);
           }
         } else if (seg.segment_id < subs.size()) {
+          // A table with holes (the repair budget ran out) would read zero
+          // bytes as border ids and sizes; the receive reports DataLoss.
           ByteReader reader(seg.payload);
-          if (seg.payload.size() >= 4) {
+          if (seg.complete && seg.payload.size() >= 4) {
             const uint32_t nb = reader.ReadU32();
             auto& sub = subs[seg.segment_id];
             sub.border.reserve(nb);

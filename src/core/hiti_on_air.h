@@ -43,6 +43,7 @@ class HiTiOnAir : public AirSystem {
   std::vector<double> splits_;
   broadcast::CycleEncoding encoding_ = broadcast::CycleEncoding::kLegacy;
   uint32_t num_regions_ = 0;
+  uint32_t num_nodes_ = 0;
   double precompute_seconds_ = 0.0;
 };
 

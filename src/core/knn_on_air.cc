@@ -44,9 +44,9 @@ KnnResult RunKnnQuery(const EbSystem& system,
   auto index_or = EbIndex::Decode(index_seg.payload);
   if (!index_or.ok()) return result;
   const EbIndex index = std::move(index_or).value();
-  auto kd = partition::KdTreePartitioner::FromSplits(index.splits);
-  if (!kd.ok()) return result;
-  const graph::RegionId rs = kd->RegionOf(query.source_coord);
+  const auto rs_or = partition::KdRegionOf(index.splits, query.source_coord);
+  if (!rs_or.ok()) return result;
+  const graph::RegionId rs = *rs_or;
   const uint32_t R = index.num_regions;
 
   // Regions by ascending minimum network distance from Rs (Rs itself
@@ -78,7 +78,8 @@ KnnResult RunKnnQuery(const EbSystem& system,
       if (!segs.back().complete) pending.push_back({start, &segs.back()});
     }
     if (!pending.empty()) {
-      RepairAllSegments(session, pending, options.max_repair_cycles);
+      RepairAllSegments(session, pending, options.max_repair_cycles,
+                        run.scratch().stash.missing);
     }
     device::Stopwatch sw;
     for (auto& seg : segs) {

@@ -90,7 +90,6 @@ device::QueryMetrics LandmarkOnAir::RunQuery(
   device::MemoryTracker& memory = run.memory;
   PartialGraph& pg = s.partial_graph;
   uint32_t k = 0;
-  std::vector<graph::NodeId> landmarks;
   // to_vec[l * n + v] = d(v, L_l); from_vec likewise d(L_l, v).
   std::vector<graph::Dist>& to_vec = s.ld_to;
   std::vector<graph::Dist>& from_vec = s.ld_from;
@@ -103,8 +102,7 @@ device::QueryMetrics LandmarkOnAir::RunQuery(
       ByteReader reader(seg.payload);
       k = reader.ReadU16();
       const uint32_t n = reader.ReadU32();
-      landmarks.reserve(k);
-      for (uint32_t l = 0; l < k; ++l) landmarks.push_back(reader.ReadU32());
+      // The landmark ids follow; the bounds need only the vectors.
       to_vec.assign(static_cast<size_t>(k) * n, graph::kInfDist);
       from_vec.assign(static_cast<size_t>(k) * n, graph::kInfDist);
       memory.Charge(to_vec.size() * 4 * 2);  // client stores u32 vectors
@@ -139,14 +137,7 @@ device::QueryMetrics LandmarkOnAir::RunQuery(
         device::Stopwatch sw;
         if (seg.type == broadcast::SegmentType::kNetworkData) {
           const size_t before = pg.MemoryBytes();
-          const bool valid = MemoValidate(s.decode_cache, seg, [&] {
-            return broadcast::ValidateNodeRecords(seg.payload, encoding_)
-                .ok();
-          });
-          if (valid) {
-            broadcast::NodeRecordCursor cursor(seg.payload, encoding_);
-            while (cursor.Next(&s.record)) pg.AddRecord(s.record);
-          }
+          run.DecodeIntoPartialGraph(seg, encoding_);
           memory.Charge(pg.MemoryBytes() - before);
         } else {
           handle_aux(seg);
@@ -176,6 +167,9 @@ device::QueryMetrics LandmarkOnAir::RunQuery(
     }
     return best;
   };
+  // A* relaxes arcs into nodes never received (a lost segment's), whose
+  // ids the search must be able to address.
+  pg.ReserveNodes(num_nodes_);
   algo::AStarSearch(pg, query.source, query.target, lower_bound, s.search);
   const graph::Dist dist = s.search.DistTo(query.target);
   run.cpu_ms += sw.ElapsedMs();

@@ -276,14 +276,8 @@ device::QueryMetrics NrSystem::RunQuery(
   };
 
   // --- 2. Chain through local indexes (Algorithm 2 + §6.2) --------------
-  struct StashedRegion {
-    ReceivedSegment* cross = nullptr;
-    ReceivedSegment* local = nullptr;
-    bool want_local = false;
-    uint32_t cross_start = 0;
-    uint32_t local_start = 0;
-  };
-  std::vector<StashedRegion> stash;  // loss path only; empty => no alloc
+  // Loss path only; the pooled list stays empty on a lossless pass.
+  std::vector<RegionStash::Region>& stash = s.stash.regions;
 
   ReceivedSegment* idx_seg = s.segments.Acquire();
   // A warm session replays the remembered entry index instead of probing
@@ -319,10 +313,13 @@ device::QueryMetrics NrSystem::RunQuery(
       if (!NrIndex::Decode(idx_seg->payload, &s.nr_index).ok()) {
         return finish(graph::kInfDist);
       }
-      auto kd = partition::KdTreePartitioner::FromSplits(s.nr_index.splits);
-      if (!kd.ok()) return finish(graph::kInfDist);
-      rs = kd->RegionOf(query.source_coord);
-      rt = kd->RegionOf(query.target_coord);
+      const auto rs_or =
+          partition::KdRegionOf(s.nr_index.splits, query.source_coord);
+      const auto rt_or =
+          partition::KdRegionOf(s.nr_index.splits, query.target_coord);
+      if (!rs_or.ok() || !rt_or.ok()) return finish(graph::kInfDist);
+      rs = *rs_or;
+      rt = *rt_or;
       R = reg_count;
       received.assign(R, 0);
       mapped = true;
@@ -421,7 +418,7 @@ device::QueryMetrics NrSystem::RunQuery(
 
   // Repair sweep over everything the chain could not complete, then ingest.
   if (!stash.empty()) {
-    std::vector<PendingRepair> pending;
+    std::vector<PendingRepair>& pending = s.stash.pending;
     for (auto& st : stash) {
       if (!st.cross->complete) {
         pending.push_back({st.cross_start, st.cross});
@@ -430,7 +427,8 @@ device::QueryMetrics NrSystem::RunQuery(
         pending.push_back({st.local_start, st.local});
       }
     }
-    RepairAllSegments(session, pending, options.max_repair_cycles);
+    RepairAllSegments(session, pending, options.max_repair_cycles,
+                      s.stash.missing);
     for (auto& st : stash) {
       if (cache_on) {
         // Store() keeps only segments the repairs completed.

@@ -26,12 +26,15 @@ std::vector<graph::Graph::Arc>& PartialGraph::ChunkWithRoom(size_t need) {
   return chunks_.back();
 }
 
+void PartialGraph::ReserveNodes(size_t n) {
+  if (n <= entries_.size()) return;
+  entries_.resize(n);
+  coords_.resize(n);
+  node_gen_.resize(n, 0);
+}
+
 void PartialGraph::AddRecord(const broadcast::NodeRecord& rec) {
-  if (rec.id >= entries_.size()) {
-    entries_.resize(rec.id + 1);
-    coords_.resize(rec.id + 1);
-    node_gen_.resize(rec.id + 1, 0);
-  }
+  ReserveNodes(size_t{rec.id} + 1);
   if (node_gen_[rec.id] == generation_) return;
   node_gen_[rec.id] = generation_;
   ++known_count_;

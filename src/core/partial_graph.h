@@ -49,6 +49,12 @@ class PartialGraph {
   /// received again during loss repair) is a no-op.
   void AddRecord(const broadcast::NodeRecord& rec);
 
+  /// Makes every id below `n` addressable (not received unless a record
+  /// says otherwise), so that num_nodes() >= n. A search that relaxes arcs
+  /// into nodes never received (no KnownEdgeFilter) sizes its state by
+  /// num_nodes() and needs it to cover every arc head.
+  void ReserveNodes(size_t n);
+
   bool Has(graph::NodeId v) const {
     return v < node_gen_.size() && node_gen_[v] == generation_;
   }

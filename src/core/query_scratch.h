@@ -13,6 +13,7 @@
 #include "core/full_cycle.h"
 #include "core/nr_index.h"
 #include "core/partial_graph.h"
+#include "core/repair.h"
 #include "core/session_cache.h"
 #include "graph/types.h"
 
@@ -42,7 +43,12 @@ class SegmentArena {
   void Reset() {
     free_.clear();
     free_.reserve(slots_.size());
-    for (auto& slot : slots_) free_.push_back(&slot);
+    // Acquire pops from the back, so each query gets the slots in creation
+    // order: a query shape seen before lands in the same slots, whose
+    // buffers already fit, however much the arena grew since.
+    for (auto it = slots_.rbegin(); it != slots_.rend(); ++it) {
+      free_.push_back(&*it);
+    }
   }
 
   size_t slot_count() const { return slots_.size(); }
@@ -50,6 +56,22 @@ class SegmentArena {
  private:
   std::deque<broadcast::ReceivedSegment> slots_;
   std::vector<broadcast::ReceivedSegment*> free_;
+};
+
+/// The §6.2 loss path of the selective-tuning clients (EB/NR): regions
+/// whose segments arrived damaged wait here for one repair sweep after the
+/// pass over the cycle, next to that sweep's work lists.
+struct RegionStash {
+  struct Region {
+    broadcast::ReceivedSegment* cross = nullptr;
+    broadcast::ReceivedSegment* local = nullptr;
+    bool want_local = false;
+    uint32_t cross_start = 0;
+    uint32_t local_start = 0;
+  };
+  std::vector<Region> regions;
+  std::vector<PendingRepair> pending;
+  std::vector<MissingPacket> missing;
 };
 
 /// Caller-owned scratch memory for AirSystem::RunQuery: everything a client
@@ -75,6 +97,8 @@ struct QueryScratch {
   PartialGraph partial_graph;
   /// Segment buffers of the selective-tuning clients (EB/NR).
   SegmentArena segments;
+  /// Their damaged regions awaiting repair.
+  RegionStash stash;
   /// Segment buffers of the full-cycle clients (DJ/LD/AF/SPQ/HiTi).
   FullCycleScratch full_cycle;
   /// Streaming-decode record (arc storage reused across records).
@@ -89,8 +113,13 @@ struct QueryScratch {
   /// LD's landmark distance vectors (k * n entries each).
   std::vector<graph::Dist> ld_to;
   std::vector<graph::Dist> ld_from;
+  /// AF's flag words in the server's CSR arc order (ArcFlagWords per
+  /// arc), each received node's first CSR arc index, and the kd splits.
+  std::vector<uint64_t> af_flags;
+  std::vector<uint32_t> af_arc_base;
+  std::vector<double> af_splits;
   /// Edge accumulator of the clients that rebuild a full graph::Graph
-  /// (AF/SPQ/HiTi).
+  /// (SPQ/HiTi).
   std::vector<graph::EdgeTriplet> edges;
   /// Cross-query session cache (disabled unless the owner arms it via
   /// BeginSession — the event engine's warm-session path does). NOT reset
@@ -106,10 +135,13 @@ struct QueryScratch {
     partial_graph.Reset();
     segments.Reset();
     needed_regions.clear();
+    stash.regions.clear();
+    stash.pending.clear();
     edges.clear();
-    // search workspaces reset per search (BeginSearch); ld_to/ld_from are
-    // assign()ed by the LD client; full_cycle re-primes per call. The
-    // session cache deliberately survives (it is per-session state).
+    // search workspaces reset per search (BeginSearch); ld_to/ld_from and
+    // the af_ vectors are refilled by their clients; full_cycle re-primes
+    // per call. The session cache deliberately survives (it is per-session
+    // state).
   }
 };
 

@@ -43,9 +43,9 @@ RangeResult RunRangeQuery(const EbSystem& system,
   auto index_or = EbIndex::Decode(index_seg.payload);
   if (!index_or.ok()) return result;
   const EbIndex index = std::move(index_or).value();
-  auto kd = partition::KdTreePartitioner::FromSplits(index.splits);
-  if (!kd.ok()) return result;
-  const graph::RegionId rs = kd->RegionOf(query.source_coord);
+  const auto rs_or = partition::KdRegionOf(index.splits, query.source_coord);
+  if (!rs_or.ok()) return result;
+  const graph::RegionId rs = *rs_or;
   const uint32_t R = index.num_regions;
 
   // Pruning: regions whose minimum border distance from Rs exceeds the
@@ -100,7 +100,8 @@ RangeResult RunRangeQuery(const EbSystem& system,
     }
   }
   if (!pending.empty()) {
-    RepairAllSegments(session, pending, options.max_repair_cycles);
+    RepairAllSegments(session, pending, options.max_repair_cycles,
+                      run.scratch().stash.missing);
     for (auto& seg : stash) ingest(std::move(seg));
   }
 

@@ -5,22 +5,12 @@
 
 namespace airindex::core {
 
-namespace {
-
-struct MissingPacket {
-  uint32_t cycle_pos;
-  broadcast::ReceivedSegment* seg;
-  uint32_t seq;
-};
-
-}  // namespace
-
 bool RepairAllSegments(broadcast::ClientSession& session,
                        const std::vector<PendingRepair>& pending,
-                       int max_cycles) {
+                       int max_cycles, std::vector<MissingPacket>& missing) {
   const uint32_t total = session.cycle().total_packets();
   for (int pass = 0; pass < max_cycles; ++pass) {
-    std::vector<MissingPacket> missing;
+    missing.clear();
     for (const PendingRepair& p : pending) {
       for (uint32_t seq = 0; seq < p.seg->packet_ok.size(); ++seq) {
         if (!p.seg->packet_ok[seq]) {

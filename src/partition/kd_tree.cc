@@ -17,6 +17,27 @@ double CoordOnAxis(const graph::Point& p, bool on_y) {
   return on_y ? p.y : p.x;
 }
 
+/// Whether `count` splits form a complete tree: 2^d - 1 for d >= 1.
+bool ValidSplitCount(size_t count) {
+  return count != 0 && std::has_single_bit(count + 1);
+}
+
+/// Descends the implicit tree over `splits` (heap node i+1 at index i) for
+/// `depth` levels. Region ids are the top-down concatenation of the
+/// below/above decisions.
+graph::RegionId Descend(const double* splits, uint32_t depth,
+                        graph::Point p) {
+  uint32_t heap = 1;
+  graph::RegionId region = 0;
+  for (uint32_t level = 0; level < depth; ++level) {
+    const bool on_y = SplitsOnY(level);
+    const bool above = CoordOnAxis(p, on_y) >= splits[heap - 1];
+    region = (region << 1) | static_cast<graph::RegionId>(above);
+    heap = 2 * heap + (above ? 1 : 0);
+  }
+  return region;
+}
+
 }  // namespace
 
 Result<KdTreePartitioner> KdTreePartitioner::Build(const graph::Graph& g,
@@ -74,7 +95,7 @@ Result<KdTreePartitioner> KdTreePartitioner::Build(const graph::Graph& g,
 Result<KdTreePartitioner> KdTreePartitioner::FromSplits(
     std::vector<double> splits_bfs) {
   const size_t count = splits_bfs.size();
-  if (!IsPowerOfTwo(static_cast<uint32_t>(count + 1)) || count == 0) {
+  if (!ValidSplitCount(count)) {
     return Status::InvalidArgument(
         "split sequence length must be 2^d - 1 for d >= 1");
   }
@@ -86,15 +107,7 @@ Result<KdTreePartitioner> KdTreePartitioner::FromSplits(
 }
 
 graph::RegionId KdTreePartitioner::RegionOf(graph::Point p) const {
-  uint32_t heap = 1;
-  graph::RegionId region = 0;
-  for (uint32_t level = 0; level < depth_; ++level) {
-    const bool on_y = SplitsOnY(level);
-    const bool above = CoordOnAxis(p, on_y) >= splits_[heap - 1];
-    region = (region << 1) | static_cast<graph::RegionId>(above);
-    heap = 2 * heap + (above ? 1 : 0);
-  }
-  return region;
+  return Descend(splits_.data(), depth_, p);
 }
 
 Partitioning KdTreePartitioner::Partition(const graph::Graph& g) const {
@@ -103,6 +116,17 @@ Partitioning KdTreePartitioner::Partition(const graph::Graph& g) const {
     labels[v] = RegionOf(g.Coord(v));
   }
   return MakePartitioning(std::move(labels), num_regions_);
+}
+
+Result<graph::RegionId> KdRegionOf(std::span<const double> splits_bfs,
+                                   graph::Point p) {
+  if (!ValidSplitCount(splits_bfs.size())) {
+    return Status::InvalidArgument(
+        "split sequence length must be 2^d - 1 for d >= 1");
+  }
+  const auto depth =
+      static_cast<uint32_t>(std::countr_zero(splits_bfs.size() + 1));
+  return Descend(splits_bfs.data(), depth, p);
 }
 
 }  // namespace airindex::partition

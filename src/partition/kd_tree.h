@@ -2,6 +2,7 @@
 #define AIRINDEX_PARTITION_KD_TREE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -57,6 +58,13 @@ class KdTreePartitioner {
   uint32_t num_regions_ = 0;
   uint32_t depth_ = 0;
 };
+
+/// Region of `p` under a broadcast split sequence (`splits_bfs`, BFS order,
+/// 2^d - 1 values for d >= 1): the descent RegionOf makes, read straight
+/// from the caller's splits, so a client maps a coordinate without copying
+/// the sequence or allocating. A sequence of any other length is an error.
+Result<graph::RegionId> KdRegionOf(std::span<const double> splits_bfs,
+                                   graph::Point p);
 
 }  // namespace airindex::partition
 

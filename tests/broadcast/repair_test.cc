@@ -77,7 +77,8 @@ TEST(RepairAllSegmentsTest, OnePassFixesManySegmentsWithinOneCycle) {
   ASSERT_GT(damaged, 1u);  // 25% loss over 78 packets damages many
 
   const uint64_t before = session.position();
-  bool done = RepairAllSegments(session, pending, 32);
+  std::vector<MissingPacket> missing;
+  bool done = RepairAllSegments(session, pending, 32, missing);
   EXPECT_TRUE(done);
   for (const auto& s : segs) EXPECT_TRUE(s.complete);
   // Batched sweeping: repairing all segments should take only a handful of
@@ -90,7 +91,8 @@ TEST(RepairAllSegmentsTest, EmptyPendingIsTrue) {
   BroadcastCycle cycle = MakeCycle();
   BroadcastChannel channel(&cycle, 0.0);
   ClientSession session(&channel, 0);
-  EXPECT_TRUE(RepairAllSegments(session, {}, 4));
+  std::vector<MissingPacket> missing;
+  EXPECT_TRUE(RepairAllSegments(session, {}, 4, missing));
 }
 
 TEST(RepairAllSegmentsTest, GivesUpAfterBudget) {
@@ -102,7 +104,8 @@ TEST(RepairAllSegmentsTest, GivesUpAfterBudget) {
       broadcast::ReceiveSegmentAt(session, cycle.SegmentStart(1));
   ASSERT_FALSE(seg.complete);
   std::vector<PendingRepair> pending = {{cycle.SegmentStart(1), &seg}};
-  EXPECT_FALSE(RepairAllSegments(session, pending, 3));
+  std::vector<MissingPacket> missing;
+  EXPECT_FALSE(RepairAllSegments(session, pending, 3, missing));
 }
 
 }  // namespace

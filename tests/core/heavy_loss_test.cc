@@ -1,0 +1,79 @@
+// Full-cycle clients under heavy loss. Once the repair budget runs out,
+// ReceiveFullCycle force-delivers segments that still have holes (zero
+// bytes). Decoding those as records used to feed garbage node ids to the
+// partial graph and the edge list: a crash or an exhausted heap instead of
+// a failed query. Every query must return, and every answer reported ok
+// must still be exact.
+
+#include <gtest/gtest.h>
+
+#include <string>
+#include <tuple>
+
+#include "broadcast/channel.h"
+#include "core/query_scratch.h"
+#include "core/systems.h"
+#include "graph/catalog.h"
+#include "workload/workload.h"
+
+namespace airindex::core {
+namespace {
+
+class HeavyLossTest
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
+
+TEST_P(HeavyLossTest, QueriesReturnAndOkAnswersAreExact) {
+  const auto& [method, loss] = GetParam();
+  static const graph::Graph& g = *new graph::Graph(
+      graph::MakeNetwork(graph::FindNetwork("Germany").value(), 0.1)
+          .value());
+  // The CLI's `run` knobs.
+  SystemParams params;
+  params.nr_regions = 32;
+  params.eb_regions = 32;
+  params.arcflag_regions = 32;
+  params.hiti_regions = 32;
+  params.include_spq = true;
+  params.include_hiti = true;
+  auto sys = SystemRegistry::Global().Get(g, method, params);
+  ASSERT_TRUE(sys.ok()) << sys.status().ToString();
+  auto w = workload::GenerateWorkload(g, 48, 11);
+  ASSERT_TRUE(w.ok());
+
+  for (int repair_cycles : {0, 1, 8}) {
+    ClientOptions options;
+    options.max_repair_cycles = repair_cycles;
+    QueryScratch scratch;
+    size_t ok = 0;
+    for (size_t i = 0; i < w->queries.size(); ++i) {
+      const workload::Query& q = w->queries[i];
+      // A loss stream per query, as the batch engine draws them.
+      broadcast::BroadcastChannel channel(&(*sys)->cycle(), loss, 1000 + i);
+      const device::QueryMetrics m =
+          (*sys)->RunQuery(channel, MakeAirQuery(g, q), options, &scratch);
+      if (!m.ok) continue;
+      ++ok;
+      EXPECT_EQ(m.distance, q.true_dist)
+          << method << " loss=" << loss << " repair=" << repair_cycles
+          << " " << q.source << "->" << q.target;
+    }
+    // At 30% loss eight repair passes complete the cycle for some queries,
+    // so the exactness check above is not vacuous.
+    if (repair_cycles == 8 && loss < 0.35) {
+      EXPECT_GT(ok, 0u) << method;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FullCycle, HeavyLossTest,
+    ::testing::Combine(::testing::Values("DJ", "LD", "AF", "SPQ", "HiTi"),
+                       ::testing::Values(0.3, 0.4)),
+    [](const auto& info) {
+      return std::get<0>(info.param) + "_loss" +
+             std::to_string(
+                 static_cast<int>(std::get<1>(info.param) * 100));
+    });
+
+}  // namespace
+}  // namespace airindex::core

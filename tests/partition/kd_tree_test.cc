@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "testing/test_graphs.h"
 
 namespace airindex::partition {
@@ -65,6 +68,30 @@ TEST(KdTreeTest, ClientReconstructionMatchesServer) {
 TEST(KdTreeTest, FromSplitsRejectsBadLength) {
   EXPECT_FALSE(KdTreePartitioner::FromSplits({}).ok());
   EXPECT_FALSE(KdTreePartitioner::FromSplits({1.0, 2.0}).ok());  // len 2
+}
+
+TEST(KdTreeTest, KdRegionOfMatchesRegionOf) {
+  // The allocation-free lookup over a split span agrees with the
+  // partitioner at every node, for every tree depth.
+  graph::Graph g = SmallNetwork(500, 800, 5);
+  for (uint32_t regions : {2u, 4u, 16u, 32u}) {
+    auto server = KdTreePartitioner::Build(g, regions).value();
+    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+      auto r = KdRegionOf(server.splits_bfs(), g.Coord(v));
+      ASSERT_TRUE(r.ok());
+      EXPECT_EQ(*r, server.RegionOf(g.Coord(v))) << regions << " " << v;
+    }
+  }
+}
+
+TEST(KdTreeTest, KdRegionOfRejectsBadLength) {
+  const std::vector<double> splits = {1.0, 2.0, 3.0, 4.0};
+  const std::span<const double> all(splits);
+  EXPECT_FALSE(KdRegionOf(all.first(0), {}).ok());
+  EXPECT_FALSE(KdRegionOf(all.first(2), {}).ok());
+  EXPECT_FALSE(KdRegionOf(all.first(4), {}).ok());
+  EXPECT_TRUE(KdRegionOf(all.first(1), {}).ok());
+  EXPECT_TRUE(KdRegionOf(all.first(3), {}).ok());
 }
 
 TEST(KdTreeTest, PaperExampleRegionNumbering) {
