@@ -13,8 +13,8 @@ namespace airindex::bench {
 /// The default `scale` shrinks the paper's networks (same topology style and
 /// edge/node ratio) so the whole suite runs in minutes; pass --full (or
 /// --scale=1) to reproduce at paper scale. The device heap is scaled with
-/// the network so Table-2-style applicability keeps its shape (see
-/// EXPERIMENTS.md).
+/// the network (ScaledHeapBytes: the paper's 8 MB heap times `scale`) so
+/// Table-2-style applicability keeps its shape.
 struct BenchOptions {
   double scale = 0.2;
   size_t queries = 100;

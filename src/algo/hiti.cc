@@ -1,7 +1,6 @@
 #include "algo/hiti.h"
 
 #include <algorithm>
-#include <bit>
 #include <queue>
 #include <unordered_map>
 
@@ -83,15 +82,6 @@ struct LocalGraph {
   }
 };
 
-/// True iff region r belongs to the sub-tree rooted at heap node h of a
-/// complete binary tree with `num_regions` leaves (leaf of region r has heap
-/// index num_regions + r).
-bool RegionUnder(RegionId r, uint32_t h, uint32_t num_regions) {
-  uint32_t leaf = num_regions + r;
-  while (leaf > h) leaf >>= 1;
-  return leaf == h;
-}
-
 }  // namespace
 
 Result<HiTiIndex> HiTiIndex::Build(const graph::Graph& g,
@@ -99,7 +89,6 @@ Result<HiTiIndex> HiTiIndex::Build(const graph::Graph& g,
                                    unsigned num_threads) {
   HiTiIndex idx;
   idx.num_regions_ = kd.num_regions();
-  idx.depth_ = kd.depth();
   idx.part_ = kd.Partition(g);
   const uint32_t R = idx.num_regions_;
   idx.subs_.resize(2 * R);
@@ -209,94 +198,9 @@ HiTiIndex HiTiIndex::FromTables(uint32_t num_regions,
                                 std::vector<SubgraphInfo> subs) {
   HiTiIndex idx;
   idx.num_regions_ = num_regions;
-  idx.depth_ = static_cast<uint32_t>(std::countr_zero(num_regions));
   idx.part_ = std::move(part);
   idx.subs_ = std::move(subs);
   return idx;
-}
-
-graph::Dist HiTiIndex::QueryDistance(const graph::Graph& g, graph::NodeId s,
-                                     graph::NodeId t,
-                                     size_t* settled_out) const {
-  const uint32_t R = num_regions_;
-  const RegionId rs = part_.node_region[s];
-  const RegionId rt = part_.node_region[t];
-  const uint32_t leaf_s = R + rs;
-  const uint32_t leaf_t = R + rt;
-
-  // Ancestor set of the two leaves.
-  std::vector<uint8_t> is_ancestor(2 * R, 0);
-  for (uint32_t h = leaf_s; h >= 1; h >>= 1) is_ancestor[h] = 1;
-  for (uint32_t h = leaf_t; h >= 1; h >>= 1) is_ancestor[h] = 1;
-
-  // Used super-edge sub-graphs: maximal sub-trees containing neither leaf.
-  std::vector<uint32_t> used;
-  for (uint32_t h = 2; h < 2 * R; ++h) {
-    if (!is_ancestor[h] && is_ancestor[h / 2]) used.push_back(h);
-  }
-
-  // Overlay adjacency keyed by global node id.
-  std::unordered_map<NodeId, std::vector<std::pair<NodeId, Dist>>> adj;
-  auto add_arc = [&adj](NodeId a, NodeId b, Dist w) {
-    adj[a].emplace_back(b, w);
-  };
-
-  // Full detail inside the two leaf regions (arcs may exit toward border
-  // nodes of used sub-graphs, which are present in the overlay).
-  for (RegionId r : {rs, rt}) {
-    for (NodeId v : part_.region_nodes[r]) {
-      for (const auto& arc : g.OutArcs(v)) {
-        add_arc(v, arc.to, arc.weight);
-      }
-    }
-    if (rs == rt) break;
-  }
-
-  // Super-edges of used sub-graphs plus their outgoing crossing arcs.
-  for (uint32_t h : used) {
-    const SubgraphInfo& sub = subs_[h];
-    const size_t nb = sub.border.size();
-    for (size_t i = 0; i < nb; ++i) {
-      for (size_t j = 0; j < nb; ++j) {
-        const Dist d = sub.dmat[i * nb + j];
-        if (i != j && d != kInfDist) add_arc(sub.border[i], sub.border[j], d);
-      }
-      for (const auto& arc : g.OutArcs(sub.border[i])) {
-        if (!RegionUnder(part_.node_region[arc.to], h, R)) {
-          add_arc(sub.border[i], arc.to, arc.weight);
-        }
-      }
-    }
-  }
-
-  // Plain Dijkstra over the overlay.
-  std::unordered_map<NodeId, Dist> dist;
-  using Item = std::pair<Dist, NodeId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  dist[s] = 0;
-  heap.emplace(0, s);
-  size_t settled = 0;
-  while (!heap.empty()) {
-    auto [d, v] = heap.top();
-    heap.pop();
-    auto it = dist.find(v);
-    if (it == dist.end() || it->second != d) continue;
-    ++settled;
-    if (v == t) {
-      if (settled_out != nullptr) *settled_out = settled;
-      return d;
-    }
-    auto adj_it = adj.find(v);
-    if (adj_it == adj.end()) continue;
-    for (auto [to, w] : adj_it->second) {
-      auto [dit, inserted] = dist.try_emplace(to, d + w);
-      if (!inserted && dit->second <= d + w) continue;
-      dit->second = d + w;
-      heap.emplace(d + w, to);
-    }
-  }
-  if (settled_out != nullptr) *settled_out = settled;
-  return kInfDist;
 }
 
 size_t HiTiIndex::IndexBytes() const {

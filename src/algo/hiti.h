@@ -1,7 +1,12 @@
 #ifndef AIRINDEX_ALGO_HITI_H_
 #define AIRINDEX_ALGO_HITI_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <queue>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -54,10 +59,13 @@ class HiTiIndex {
 
   uint32_t num_regions() const { return num_regions_; }
 
-  /// Exact point-to-point distance via the hierarchy overlay search.
-  graph::Dist QueryDistance(const graph::Graph& g, graph::NodeId s,
-                            graph::NodeId t, size_t* settled_out =
-                                                  nullptr) const;
+  /// Exact point-to-point distance via the hierarchy overlay search. `G`
+  /// is the graph concept of DijkstraSearch: graph::Graph, or a client's
+  /// partial graph holding the two leaf regions' and the border nodes'
+  /// arcs.
+  template <typename G>
+  graph::Dist QueryDistance(const G& g, graph::NodeId s,
+                            graph::NodeId t) const;
 
   /// Super-edge table of heap node `heap` (1-based; leaves are
   /// num_regions()..2*num_regions()-1).
@@ -81,13 +89,101 @@ class HiTiIndex {
                               std::vector<SubgraphInfo> subs);
 
  private:
+  /// True iff region r belongs to the sub-tree rooted at heap node h of a
+  /// complete binary tree with `num_regions` leaves (leaf of region r has
+  /// heap index num_regions + r).
+  static bool RegionUnder(graph::RegionId r, uint32_t h,
+                          uint32_t num_regions) {
+    uint32_t leaf = num_regions + r;
+    while (leaf > h) leaf >>= 1;
+    return leaf == h;
+  }
 
   uint32_t num_regions_ = 0;
-  uint32_t depth_ = 0;
   partition::Partitioning part_;
   /// subs_[heap] for heap in [1, 2*num_regions); subs_[0] unused.
   std::vector<SubgraphInfo> subs_;
 };
+
+template <typename G>
+graph::Dist HiTiIndex::QueryDistance(const G& g, graph::NodeId s,
+                                     graph::NodeId t) const {
+  using graph::Dist;
+  using graph::NodeId;
+  const uint32_t R = num_regions_;
+  const graph::RegionId rs = part_.node_region[s];
+  const graph::RegionId rt = part_.node_region[t];
+
+  // Ancestor set of the two leaves (heap indexes R + rs and R + rt).
+  std::vector<uint8_t> is_ancestor(2 * R, 0);
+  for (uint32_t h = R + rs; h >= 1; h >>= 1) is_ancestor[h] = 1;
+  for (uint32_t h = R + rt; h >= 1; h >>= 1) is_ancestor[h] = 1;
+
+  // Used super-edge sub-graphs: maximal sub-trees containing neither leaf.
+  std::vector<uint32_t> used;
+  for (uint32_t h = 2; h < 2 * R; ++h) {
+    if (!is_ancestor[h] && is_ancestor[h / 2]) used.push_back(h);
+  }
+
+  // Overlay adjacency keyed by global node id.
+  std::unordered_map<NodeId, std::vector<std::pair<NodeId, Dist>>> adj;
+  auto add_arc = [&adj](NodeId a, NodeId b, Dist w) {
+    adj[a].emplace_back(b, w);
+  };
+
+  // Full detail inside the two leaf regions (arcs may exit toward border
+  // nodes of used sub-graphs, which are present in the overlay).
+  for (graph::RegionId r : {rs, rt}) {
+    for (NodeId v : part_.region_nodes[r]) {
+      for (const auto& arc : g.OutArcs(v)) {
+        add_arc(v, arc.to, arc.weight);
+      }
+    }
+    if (rs == rt) break;
+  }
+
+  // Super-edges of used sub-graphs plus their outgoing crossing arcs.
+  for (uint32_t h : used) {
+    const SubgraphInfo& sub = subs_[h];
+    const size_t nb = sub.border.size();
+    for (size_t i = 0; i < nb; ++i) {
+      for (size_t j = 0; j < nb; ++j) {
+        const Dist d = sub.dmat[i * nb + j];
+        if (i != j && d != graph::kInfDist) {
+          add_arc(sub.border[i], sub.border[j], d);
+        }
+      }
+      for (const auto& arc : g.OutArcs(sub.border[i])) {
+        if (!RegionUnder(part_.node_region[arc.to], h, R)) {
+          add_arc(sub.border[i], arc.to, arc.weight);
+        }
+      }
+    }
+  }
+
+  // Plain Dijkstra over the overlay.
+  std::unordered_map<NodeId, Dist> dist;
+  using Item = std::pair<Dist, NodeId>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+  dist[s] = 0;
+  heap.emplace(0, s);
+  while (!heap.empty()) {
+    auto [d, v] = heap.top();
+    heap.pop();
+    auto it = dist.find(v);
+    if (it == dist.end() || it->second != d) continue;
+    if (v == t) return d;
+    auto adj_it = adj.find(v);
+    if (adj_it == adj.end()) continue;
+    for (auto [to, w] : adj_it->second) {
+      auto [dit, inserted] = dist.try_emplace(to, d + w);
+      if (!inserted && dit->second <= d + w) continue;
+      dit->second = d + w;
+      heap.emplace(d + w, to);
+    }
+  }
+  return graph::kInfDist;
+}
 
 }  // namespace airindex::algo
 

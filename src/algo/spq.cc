@@ -176,6 +176,7 @@ SpqIndex SpqIndex::FromParts(double min_x, double min_y, double size,
 }
 
 int32_t SpqIndex::ColorOf(graph::NodeId v, graph::Point p) const {
+  if (v >= trees_.size() || trees_[v].nodes.empty()) return QtNode::kNoColor;
   const Tree& tree = trees_[v];
   double x = min_x_, y = min_y_, size = size_;
   int32_t cur = 0;
@@ -188,29 +189,6 @@ int32_t SpqIndex::ColorOf(graph::NodeId v, graph::Point p) const {
     cur = tree.nodes[cur].child[q];
   }
   return tree.nodes[cur].color;
-}
-
-graph::Path SpqIndex::Query(const graph::Graph& g, graph::NodeId s,
-                            graph::NodeId t) const {
-  graph::Path path;
-  path.nodes.push_back(s);
-  graph::Dist total = 0;
-  NodeId cur = s;
-  const graph::Point target = g.Coord(t);
-  for (size_t step = 0; cur != t; ++step) {
-    if (step > g.num_nodes()) return graph::Path{};  // corrupt index
-    const int32_t color = ColorOf(cur, target);
-    if (color < 0 ||
-        static_cast<size_t>(color) >= g.OutDegree(cur)) {
-      return graph::Path{};  // unreachable / corrupt
-    }
-    const auto& arc = g.OutArcs(cur)[color];
-    total += arc.weight;
-    cur = arc.to;
-    path.nodes.push_back(cur);
-  }
-  path.dist = total;
-  return path;
 }
 
 size_t SpqIndex::TreeBytes(const Tree& tree) {

@@ -48,12 +48,36 @@ class SpqIndex {
   static Result<size_t> BuildSizeOnly(const graph::Graph& g);
 
   /// First-hop arc ordinal at `v` for a target located at `p`, or
-  /// QtNode::kNoColor if the cell is empty (never happens for real targets).
+  /// QtNode::kNoColor if the cell is empty (never happens for real targets)
+  /// or `v` has no tree (a client that never received it).
   int32_t ColorOf(graph::NodeId v, graph::Point p) const;
 
-  /// Follows first-hop colours from s to t; exact shortest path.
-  graph::Path Query(const graph::Graph& g, graph::NodeId s,
-                    graph::NodeId t) const;
+  /// Follows first-hop colours from s to t; exact shortest path. `G` is
+  /// the graph concept of DijkstraSearch plus `Coord(NodeId)`: graph::Graph,
+  /// or a client's partial graph, whose OutArcs(v)[c] is the arc the
+  /// colour c names when it holds v's arcs in the server's order.
+  template <typename G>
+  graph::Path Query(const G& g, graph::NodeId s, graph::NodeId t) const {
+    graph::Path path;
+    path.nodes.push_back(s);
+    graph::Dist total = 0;
+    graph::NodeId cur = s;
+    const graph::Point target = g.Coord(t);
+    for (size_t step = 0; cur != t; ++step) {
+      if (step > g.num_nodes()) return graph::Path{};  // corrupt index
+      const int32_t color = ColorOf(cur, target);
+      const auto arcs = g.OutArcs(cur);
+      if (color < 0 || static_cast<size_t>(color) >= arcs.size()) {
+        return graph::Path{};  // unreachable / corrupt
+      }
+      const auto& arc = arcs[color];
+      total += arc.weight;
+      cur = arc.to;
+      path.nodes.push_back(cur);
+    }
+    path.dist = total;
+    return path;
+  }
 
   /// Serialized size: per quadtree cell 1 tag byte, plus 2 colour bytes for
   /// leaves. Drives the SPQ row of Table 1.

@@ -67,66 +67,81 @@ bool ReceivedSegment::RangeOk(size_t begin, size_t end) const {
   return last < packet_ok.size();
 }
 
-namespace {
-
-/// Writes the true on-air bytes of the packet at absolute position
-/// `abs_pos` into `out` — the FEC fill callback: a decoded parity group
-/// hands back exactly what the station transmitted.
-void FillRecovered(const ClientSession& session, uint64_t abs_pos,
-                   ReceivedSegment* out) {
-  const PacketView view =
-      session.cycle().PacketAt(session.channel().CyclePos(abs_pos));
+void AcceptPacket(const PacketView& view, ReceivedSegment* out) {
+  if (view.segment_index != out->segment_index ||
+      view.seq >= out->packet_ok.size()) {
+    return;
+  }
   out->packet_ok[view.seq] = true;
   std::memcpy(out->payload.data() +
                   static_cast<size_t>(view.seq) * kPayloadSize,
               view.chunk.data(), view.chunk.size());
 }
 
-}  // namespace
+namespace {
 
-void ReceiveSegmentAt(ClientSession& session, uint32_t segment_start,
-                      ReceivedSegment* out) {
-  session.SleepUntilCyclePos(segment_start);
-  // Everything before this packet was wait (probing headers, dozing to the
-  // segment); the demanded segment starts here.
-  session.MarkContentStart();
+bool AllArrived(const std::vector<bool>& packet_ok) {
+  return std::all_of(packet_ok.begin(), packet_ok.end(),
+                     [](bool b) { return b; });
+}
 
-  const BroadcastCycle& cycle = session.cycle();
-  const uint32_t si = cycle.SegmentAt(segment_start);
+/// Points `out` at segment `si` of the cycle: zeroed payload, every packet
+/// missing.
+void PrimeSegment(const BroadcastCycle& cycle, uint32_t si,
+                  ReceivedSegment* out) {
   const Segment& seg = cycle.segment(si);
   out->segment_index = si;
   out->type = seg.type;
   out->segment_id = seg.id;
   out->payload.assign(seg.payload.size(), 0);
-  const uint32_t packets = seg.PacketCount();
-  out->packet_ok.assign(packets, false);
+  out->packet_ok.assign(seg.PacketCount(), false);
+}
 
+/// Listens from the session cursor, which is at packet `from` of the
+/// segment `out` is primed for, to the segment's end, then settles
+/// `complete`. With FEC on, a decoded parity group hands back exactly what
+/// the station transmitted; `heard_before` opens the group run with the
+/// packet behind the cursor, which the caller already accepted.
+void ListenToSegmentEnd(ClientSession& session, uint32_t from,
+                        bool heard_before, ReceivedSegment* out) {
   const bool fec_on = session.channel().fec().enabled();
   FecGroupRun fec_run;
-  auto fill = [&](uint64_t abs) { FillRecovered(session, abs, out); };
-
-  out->complete = true;
-  for (uint32_t p = 0; p < packets; ++p) {
+  auto fill = [&](uint64_t abs) {
+    AcceptPacket(session.cycle().PacketAt(session.channel().CyclePos(abs)),
+                 out);
+  };
+  if (fec_on && heard_before) {
+    fec_run.Observe(session, session.position() - 1, true, fill);
+  }
+  for (uint32_t p = from; p < out->packet_ok.size(); ++p) {
     const uint64_t abs = session.position();
     auto view = session.ReceiveNext();
     if (fec_on) fec_run.Observe(session, abs, view.has_value(), fill);
-    if (!view.has_value()) {
-      out->complete = false;
-      continue;
-    }
-    out->packet_ok[view->seq] = true;
-    std::memcpy(out->payload.data() +
-                    static_cast<size_t>(view->seq) * kPayloadSize,
-                view->chunk.data(), view->chunk.size());
+    if (view.has_value()) AcceptPacket(*view, out);
   }
-  if (fec_on) {
-    fec_run.Flush(session, fill);
-    if (!out->complete) {
-      out->complete = std::all_of(out->packet_ok.begin(),
-                                  out->packet_ok.end(),
-                                  [](bool b) { return b; });
-    }
+  if (fec_on) fec_run.Flush(session, fill);
+  out->complete = AllArrived(out->packet_ok);
+}
+
+}  // namespace
+
+void ReceiveSegmentAt(ClientSession& session, uint32_t segment_start,
+                      ReceivedSegment* out) {
+  const BroadcastCycle& cycle = session.cycle();
+  if (segment_start >= cycle.total_packets()) {
+    // No segment starts past the cycle: one missing packet of no segment
+    // index, which no packet and so no repair completes.
+    *out = ReceivedSegment{};
+    out->segment_index = static_cast<uint32_t>(cycle.num_segments());
+    out->packet_ok.assign(1, false);
+    return;
   }
+  session.SleepUntilCyclePos(segment_start);
+  // Everything before this packet was wait (probing headers, dozing to the
+  // segment); the demanded segment starts here.
+  session.MarkContentStart();
+  PrimeSegment(cycle, cycle.SegmentAt(segment_start), out);
+  ListenToSegmentEnd(session, 0, /*heard_before=*/false, out);
 }
 
 ReceivedSegment ReceiveSegmentAt(ClientSession& session,
@@ -141,39 +156,9 @@ void CompleteSegmentFrom(ClientSession& session, const PacketView& first,
   // `first` was already received by the caller — it is the content start
   // (one behind the session cursor).
   session.MarkContentStart(session.position() - 1);
-  const BroadcastCycle& cycle = session.cycle();
-  const Segment& seg = cycle.segment(first.segment_index);
-  out->segment_index = first.segment_index;
-  out->type = seg.type;
-  out->segment_id = seg.id;
-  out->payload.assign(seg.payload.size(), 0);
-  const uint32_t packets = seg.PacketCount();
-  out->packet_ok.assign(packets, false);
-
-  const bool fec_on = session.channel().fec().enabled();
-  FecGroupRun fec_run;
-  auto fill = [&](uint64_t abs) { FillRecovered(session, abs, out); };
-
-  out->packet_ok[first.seq] = true;
-  std::memcpy(out->payload.data() +
-                  static_cast<size_t>(first.seq) * kPayloadSize,
-              first.chunk.data(), first.chunk.size());
-  if (fec_on) {
-    fec_run.Observe(session, session.position() - 1, true, fill);
-  }
-  for (uint32_t p = first.seq + 1; p < packets; ++p) {
-    const uint64_t abs = session.position();
-    auto view = session.ReceiveNext();
-    if (fec_on) fec_run.Observe(session, abs, view.has_value(), fill);
-    if (!view.has_value()) continue;
-    out->packet_ok[view->seq] = true;
-    std::memcpy(out->payload.data() +
-                    static_cast<size_t>(view->seq) * kPayloadSize,
-                view->chunk.data(), view->chunk.size());
-  }
-  if (fec_on) fec_run.Flush(session, fill);
-  out->complete = std::all_of(out->packet_ok.begin(), out->packet_ok.end(),
-                              [](bool b) { return b; });
+  PrimeSegment(session.cycle(), first.segment_index, out);
+  AcceptPacket(first, out);
+  ListenToSegmentEnd(session, first.seq + 1, /*heard_before=*/true, out);
 }
 
 ReceivedSegment CompleteSegmentFrom(ClientSession& session,
@@ -194,14 +179,9 @@ bool RepairSegment(ClientSession& session, uint32_t segment_start,
       session.SleepUntilCyclePos(
           (segment_start + p) % cycle.total_packets());
       auto view = session.ReceiveNext();
-      if (!view.has_value()) continue;
-      seg->packet_ok[view->seq] = true;
-      std::memcpy(seg->payload.data() +
-                      static_cast<size_t>(view->seq) * kPayloadSize,
-                  view->chunk.data(), view->chunk.size());
+      if (view.has_value()) AcceptPacket(*view, seg);
     }
-    seg->complete = std::all_of(seg->packet_ok.begin(), seg->packet_ok.end(),
-                                [](bool b) { return b; });
+    seg->complete = AllArrived(seg->packet_ok);
     if (seg->complete) return true;
   }
   return false;

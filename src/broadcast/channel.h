@@ -425,9 +425,15 @@ struct ReceivedSegment {
   bool RangeOk(size_t begin, size_t end) const;
 };
 
+/// The packet-accept step of every receive and repair below: copies `view`
+/// into `out` only when it is a packet of the segment `out` assembles (the
+/// same segment index, seq inside the buffer). Any other counts as lost.
+void AcceptPacket(const PacketView& view, ReceivedSegment* out);
+
 /// Sleeps to `segment_start` (a cycle position) and listens to every packet
 /// of the segment that starts there. Lost packets leave zeroed payload
 /// bytes and a false mask entry; retry policy is the caller's.
+/// A start past the cycle yields an incomplete segment no repair completes.
 ///
 /// The out-parameter form overwrites `*out`, reusing its payload/mask
 /// buffers — the allocation-free path when `out` lives in a

@@ -17,28 +17,9 @@ namespace {
 
 constexpr uint32_t kHeaderSegment = 0;
 constexpr uint32_t kFlagChunkArcs = 4096;
-/// Header bytes before the splits: region count u16, node and arc counts
-/// u32 each.
-constexpr size_t kHeaderFixedBytes = 10;
-
-/// Modeled client memory of what the query builds after the cycle: a CSR
-/// graph as graph::Graph::MemoryBytes counts it — (n + 1) offsets, m arcs,
-/// n coordinates — and the flag index, one word per 64 regions per
-/// broadcast arc. Properties of the paper's client, independent of how
-/// this process stores the same data.
-constexpr size_t kCsrOffsetBytes = sizeof(uint32_t);
-constexpr size_t kCsrArcBytes = sizeof(graph::Graph::Arc);
-constexpr size_t kCoordBytes = sizeof(graph::Point);
-constexpr size_t kFlagWordBytes = sizeof(uint64_t);
-static_assert(kCsrOffsetBytes == 4 && kCsrArcBytes == 8 &&
-                  kCoordBytes == 16 && kFlagWordBytes == 8,
-              "modeled client memory charges must not drift (the golden "
-              "metrics depend on them)");
-
-size_t ModeledCsrBytes(size_t nodes, size_t arcs) {
-  return (nodes + 1) * kCsrOffsetBytes + arcs * kCsrArcBytes +
-         nodes * kCoordBytes;
-}
+/// Header bytes between the region count and the splits: the node and
+/// arc counts, u32 each.
+constexpr size_t kHeaderFixedBytes = 8;
 
 }  // namespace
 
@@ -145,8 +126,7 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
   std::vector<double>& splits = s.af_splits;
   splits.clear();
   bool header_ok = false;
-  // The extent of everything decoded; see DecodedRecords.
-  ClientRun::DecodedRecords decoded;
+  CsrRebuild rebuild{num_nodes_};
 
   Status receive_status = ReceiveFullCycleCached(
       run.session, memory, &s.session,
@@ -163,30 +143,13 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
       [&](broadcast::ReceivedSegment& seg) {
         device::Stopwatch sw;
         if (seg.type == broadcast::SegmentType::kNetworkData) {
-          const ClientRun::DecodedRecords added =
-              run.DecodeIntoPartialGraph(seg, encoding_);
-          memory.Charge(added.arcs * ClientRun::kEdgeListArcBytes +
-                        added.records * ClientRun::kEdgeListRecordBytes);
-          decoded.arcs += added.arcs;
-          decoded.id_bound = std::max(decoded.id_bound, added.id_bound);
-          decoded.head_bound = std::max(decoded.head_bound, added.head_bound);
-          decoded.self_loop |= added.self_loop;
+          run.DecodeIntoPartialGraph(seg, encoding_, &rebuild);
           memory.Release(seg.payload.size());
         } else if (seg.segment_id == kHeaderSegment) {
           // Only a header of this system's region count is usable; its
           // splits then form a complete kd tree.
-          if (seg.complete && seg.payload.size() >= kHeaderFixedBytes) {
-            ByteReader reader(seg.payload);
-            const uint16_t regions = reader.ReadU16();
-            reader.Skip(8);  // node and arc counts (known)
-            if (regions == num_regions_ &&
-                reader.remaining() >= (regions - size_t{1}) * 8) {
-              for (uint16_t i = 0; i + 1 < regions; ++i) {
-                splits.push_back(std::bit_cast<double>(reader.ReadU64()));
-              }
-              header_ok = true;
-            }
-          }
+          header_ok = ReadKdSplits(seg, num_regions_, kHeaderFixedBytes,
+                                   &splits);
           memory.Charge(splits.size() * 8);
           memory.Release(seg.payload.size());
         } else {
@@ -199,14 +162,9 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
       options.max_repair_cycles, s.full_cycle);
 
   device::Stopwatch sw;
-  // The paper's client rebuilds a CSR graph from the records: a node per
-  // id up to the largest received one (at least the network's), the
-  // received arcs in node-id order. That rebuild rejects a head outside
-  // the graph and a self-loop; so does this query.
-  const size_t nodes = std::max<size_t>(num_nodes_, decoded.id_bound);
-  // More arcs than the flags cover cannot come from this system's cycle.
-  if (!header_ok || decoded.self_loop || decoded.head_bound > nodes ||
-      decoded.arcs > num_arcs_) {
+  // The rebuild's rejections fail the query. More arcs than the flags
+  // cover cannot come from this system's cycle.
+  if (!header_ok || rebuild.Rejected() || rebuild.arcs > num_arcs_) {
     run.cpu_ms += sw.ElapsedMs();
     return run.Finish(graph::kInfDist, false);
   }
@@ -216,23 +174,22 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
   // unreceived node holds no arcs. So the base is a prefix sum of the
   // received out-degrees in node-id order.
   std::vector<uint32_t>& arc_base = s.af_arc_base;
-  arc_base.resize(decoded.id_bound);
+  arc_base.resize(rebuild.id_bound);
   uint32_t base = 0;
-  for (graph::NodeId v = 0; v < decoded.id_bound; ++v) {
+  for (graph::NodeId v = 0; v < rebuild.id_bound; ++v) {
     arc_base[v] = base;
     base += static_cast<uint32_t>(pg.OutArcs(v).size());
   }
-  // Only the target's region matters; the rebuilt graph gave unreceived
-  // nodes a zero coordinate.
+  // Only the target's region matters.
   const graph::NodeId t = query.target;
-  const auto target_region = partition::KdRegionOf(
-      splits, pg.Has(t) ? pg.Coord(t) : graph::Point{});
+  const auto target_region = partition::KdRegionOf(splits, pg.Coord(t));
   if (!target_region.ok()) {
     run.cpu_ms += sw.ElapsedMs();
     return run.Finish(graph::kInfDist, false);
   }
-  memory.Charge(ModeledCsrBytes(nodes, decoded.arcs));
-  memory.Charge(static_cast<size_t>(num_arcs_) * words * kFlagWordBytes);
+  memory.Charge(rebuild.ModeledCsrBytes());
+  // The flag index: one eight-byte word per 64 regions per arc.
+  memory.Charge(static_cast<size_t>(num_arcs_) * words * 8);
 
   const size_t word = *target_region / 64;
   const uint32_t bit = *target_region % 64;
@@ -243,7 +200,7 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
   };
   // Arcs into unreceived nodes are relaxed, as over the rebuilt graph, so
   // the search must address every node of it.
-  pg.ReserveNodes(nodes);
+  pg.ReserveNodes(rebuild.nodes());
   algo::DijkstraSearch(pg, query.source, t, flagged, s.search);
   const graph::Dist dist = s.search.DistTo(t);
   run.cpu_ms += sw.ElapsedMs();

@@ -42,12 +42,12 @@ bool ClientRun::Decodable(const broadcast::ReceivedSegment& seg,
   });
 }
 
-ClientRun::DecodedRecords ClientRun::DecodeIntoPartialGraph(
-    const broadcast::ReceivedSegment& seg, broadcast::CycleEncoding encoding) {
-  if (!Decodable(seg, encoding)) return {};
+void ClientRun::DecodeIntoPartialGraph(const broadcast::ReceivedSegment& seg,
+                                       broadcast::CycleEncoding encoding,
+                                       CsrRebuild* rebuild) {
+  if (!Decodable(seg, encoding)) return;
   QueryScratch& s = *scratch_;
-  size_t records = 0, arcs = 0;
-  graph::NodeId max_id = 0, max_head = 0;
+  size_t records = 0, arcs = 0, id_bound = 0, head_bound = 0;
   bool self_loop = false;
   broadcast::NodeRecordCursor cursor(seg.payload, encoding);
   while (cursor.Next(&s.record)) {
@@ -55,35 +55,19 @@ ClientRun::DecodedRecords ClientRun::DecodeIntoPartialGraph(
     s.partial_graph.AddRecord(rec);
     ++records;
     arcs += rec.arcs.size();
-    max_id = std::max(max_id, rec.id);
+    id_bound = std::max(id_bound, size_t{rec.id} + 1);
     for (const graph::Graph::Arc& arc : rec.arcs) {
-      max_head = std::max(max_head, arc.to);
+      head_bound = std::max(head_bound, size_t{arc.to} + 1);
       self_loop |= arc.to == rec.id;
     }
   }
-  return {records, arcs, records == 0 ? 0 : size_t{max_id} + 1,
-          arcs == 0 ? 0 : size_t{max_head} + 1, self_loop};
-}
-
-void ClientRun::DecodeNetworkRecords(const broadcast::ReceivedSegment& seg,
-                                     broadcast::CycleEncoding encoding,
-                                     std::vector<graph::Point>& coords) {
-  if (!Decodable(seg, encoding)) return;
-  QueryScratch& s = *scratch_;
-  size_t added = 0;
-  size_t record_count = 0;
-  broadcast::NodeRecordCursor cursor(seg.payload, encoding);
-  while (cursor.Next(&s.record)) {
-    ++record_count;
-    if (s.record.id >= coords.size()) coords.resize(s.record.id + 1);
-    coords[s.record.id] = s.record.coord;
-    for (const auto& arc : s.record.arcs) {
-      s.edges.push_back({s.record.id, arc.to, arc.weight});
-      ++added;
-    }
-  }
-  memory.Charge(added * kEdgeListArcBytes +
-                record_count * kEdgeListRecordBytes);
+  if (rebuild == nullptr) return;
+  memory.Charge(arcs * CsrRebuild::kEdgeListArcBytes +
+                records * CsrRebuild::kEdgeListRecordBytes);
+  rebuild->arcs += arcs;
+  rebuild->id_bound = std::max(rebuild->id_bound, id_bound);
+  rebuild->head_bound = std::max(rebuild->head_bound, head_bound);
+  rebuild->self_loop |= self_loop;
 }
 
 device::QueryMetrics ClientRun::Finish(graph::Dist distance, bool ok) const {

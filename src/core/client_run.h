@@ -1,11 +1,11 @@
 #ifndef AIRINDEX_CORE_CLIENT_RUN_H_
 #define AIRINDEX_CORE_CLIENT_RUN_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "broadcast/channel.h"
 #include "broadcast/serialization.h"
@@ -16,6 +16,44 @@
 #include "graph/types.h"
 
 namespace airindex::core {
+
+/// The graph the paper's AF, SPQ and HiTi clients rebuild (§3.2) from the
+/// cycle's records: an edge list, then a CSR graph::Graph. These clients
+/// search scratch().partial_graph instead (docs/perf.md, "Full-cycle
+/// clients without a per-query graph rebuild"); CsrRebuild models the
+/// rebuild's memory and the records it rejects. DecodeIntoPartialGraph
+/// fills it.
+struct CsrRebuild {
+  /// Modeled client memory of a record decoded into the edge list: the
+  /// <id, x, y> tuple per record, a <from, to, weight> triplet per arc.
+  static constexpr size_t kEdgeListRecordBytes = 20;
+  static constexpr size_t kEdgeListArcBytes = 12;
+
+  /// The node count the system was built with.
+  size_t network_nodes = 0;
+  /// What the decoded records hold: arcs, one past the largest record id
+  /// and arc head, and whether an arc is a self-loop.
+  size_t arcs = 0;
+  size_t id_bound = 0;
+  size_t head_bound = 0;
+  bool self_loop = false;
+
+  /// The rebuilt graph's node count: a node per id up to the largest
+  /// received one, at least the network's. A node without a record holds
+  /// no arcs and sits at Point{}.
+  size_t nodes() const { return std::max(network_nodes, id_bound); }
+
+  /// Whether the rebuild rejects the records, as graph::Graph's CSR build
+  /// does: an arc head at or past nodes(), or a self-loop.
+  bool Rejected() const { return self_loop || head_bound > nodes(); }
+
+  /// The rebuilt graph as graph::Graph::MemoryBytes counts it: (n + 1)
+  /// four-byte offsets, m eight-byte arcs and n 16-byte coordinates.
+  size_t ModeledCsrBytes() const {
+    const size_t n = nodes();
+    return (n + 1) * 4 + arcs * 8 + n * 16;
+  }
+};
 
 /// The skeleton every client query is built on. The paper's methods share
 /// one client protocol (tune in, doze, receive, decode, search locally)
@@ -48,37 +86,14 @@ class ClientRun {
   std::optional<uint32_t> ReceiveNextIndex(broadcast::ReceivedSegment* out,
                                            int max_probes);
 
-  /// Modeled client memory of a network record decoded into an edge list:
-  /// the <id, x, y> tuple per record, a <from, to, weight> triplet per arc.
-  static constexpr size_t kEdgeListRecordBytes = 20;
-  static constexpr size_t kEdgeListArcBytes = 12;
-
-  /// What one network-data segment added: its counts, and the extent a
-  /// client that rebuilds a CSR graph checks (the node count must cover
-  /// every id and head; a self-loop is rejected).
-  struct DecodedRecords {
-    size_t records = 0;
-    size_t arcs = 0;
-    size_t id_bound = 0;    // one past the largest record id
-    size_t head_bound = 0;  // one past the largest arc head
-    bool self_loop = false;
-  };
-
-  /// Decodes a network-data segment into scratch().partial_graph (DJ, LD,
-  /// AF) and returns what it added; the modeled charge is the caller's. A
-  /// segment that is incomplete (force-delivered once the repair budget
-  /// ran out: its holes are zero bytes) or fails validation adds nothing.
-  DecodedRecords DecodeIntoPartialGraph(const broadcast::ReceivedSegment& seg,
-                                        broadcast::CycleEncoding encoding);
-
-  /// Decodes a network-data segment for the clients that rebuild a
-  /// graph::Graph (SPQ, HiTi): each record's coordinate into `coords`
-  /// (grown as ids need) and its arcs onto scratch().edges, charging
-  /// kEdgeListRecordBytes per node and kEdgeListArcBytes per arc. A segment
-  /// that is incomplete or fails validation adds nothing.
-  void DecodeNetworkRecords(const broadcast::ReceivedSegment& seg,
-                            broadcast::CycleEncoding encoding,
-                            std::vector<graph::Point>& coords);
+  /// Decodes a network-data segment into scratch().partial_graph. With a
+  /// `rebuild` (AF, SPQ, HiTi), also charges the edge list it models to
+  /// `memory` and grows its counts and extent. A segment that is
+  /// incomplete (force-delivered once the repair budget ran out: its holes
+  /// are zero bytes) or fails validation adds nothing.
+  void DecodeIntoPartialGraph(const broadcast::ReceivedSegment& seg,
+                              broadcast::CycleEncoding encoding,
+                              CsrRebuild* rebuild = nullptr);
 
   /// The query's metrics: every radio, memory and cache field from this
   /// run, plus the answer. Method-specific fields (regions_received) are

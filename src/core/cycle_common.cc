@@ -1,8 +1,27 @@
 #include "core/cycle_common.h"
 
+#include <bit>
+
+#include "common/byte_io.h"
 #include "core/region_data.h"
 
 namespace airindex::core {
+
+bool ReadKdSplits(const broadcast::ReceivedSegment& seg, uint32_t regions,
+                  size_t fixed, std::vector<double>* splits) {
+  splits->clear();
+  if (!seg.complete ||
+      seg.payload.size() != 2 + fixed + (regions - size_t{1}) * 8 ||
+      GetU16(seg.payload.data()) != regions) {
+    return false;
+  }
+  ByteReader reader(seg.payload);
+  reader.Skip(2 + fixed);
+  for (uint32_t i = 0; i + 1 < regions; ++i) {
+    splits->push_back(std::bit_cast<double>(reader.ReadU64()));
+  }
+  return true;
+}
 
 uint32_t AppendNetworkSegments(const graph::Graph& g,
                                broadcast::CycleBuilder* builder,

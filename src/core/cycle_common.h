@@ -1,9 +1,11 @@
 #ifndef AIRINDEX_CORE_CYCLE_COMMON_H_
 #define AIRINDEX_CORE_CYCLE_COMMON_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "broadcast/channel.h"
 #include "broadcast/cycle.h"
 #include "broadcast/serialization.h"
 #include "core/border_precompute.h"
@@ -44,6 +46,13 @@ uint32_t AppendNetworkSegments(
     const graph::Graph& g, broadcast::CycleBuilder* builder,
     uint32_t chunk_nodes = kNetworkChunkNodes,
     broadcast::CycleEncoding encoding = broadcast::CycleEncoding::kLegacy);
+
+/// Reads the kd splits of a full-cycle header (AF, HiTi): a u16 region
+/// count, `fixed` more bytes, then one f64 per split, regions - 1 of them.
+/// Only a complete header of exactly `regions` regions and that length is
+/// usable; for any other this returns false and leaves `splits` empty.
+bool ReadKdSplits(const broadcast::ReceivedSegment& seg, uint32_t regions,
+                  size_t fixed, std::vector<double>* splits);
 
 /// One region's data under the §4.1 split: the cross-border nodes headed by
 /// the region's border list, and the remaining local nodes (empty when the

@@ -1,7 +1,6 @@
 #include "core/eb.h"
 
 #include <algorithm>
-#include <cstring>
 #include <optional>
 
 #include "algo/dijkstra.h"
@@ -27,21 +26,27 @@ uint32_t PayloadPackets(size_t bytes) {
 }
 
 /// Re-listens to the given still-missing packets of an index segment at
-/// another copy located at `copy_start` (copies are byte-identical).
+/// another copy located at `copy_start` (copies are byte-identical, so the
+/// segment is assembled from that copy on). A `copy_start` the index names
+/// that is not the start of an index segment of the same length repairs
+/// nothing.
 void RepairIndexPackets(broadcast::ClientSession& session,
                         uint32_t copy_start,
                         const std::vector<uint32_t>& seqs,
                         ReceivedSegment* seg) {
-  const uint32_t total = session.cycle().total_packets();
-  for (uint32_t seq : seqs) {
-    if (seg->packet_ok[seq]) continue;
-    session.SleepUntilCyclePos((copy_start + seq) % total);
-    auto view = session.ReceiveNext();
-    if (!view.has_value()) continue;
-    seg->packet_ok[seq] = true;
-    std::memcpy(seg->payload.data() +
-                    static_cast<size_t>(seq) * kPayloadSize,
-                view->chunk.data(), view->chunk.size());
+  const broadcast::BroadcastCycle& cycle = session.cycle();
+  const uint32_t copy = cycle.SegmentAt(copy_start);
+  if (copy_start < cycle.total_packets() &&
+      cycle.SegmentStart(copy) == copy_start &&
+      cycle.segment(copy).is_index &&
+      cycle.segment(copy).payload.size() == seg->payload.size()) {
+    seg->segment_index = copy;
+    for (uint32_t seq : seqs) {
+      if (seg->packet_ok[seq]) continue;
+      session.SleepUntilCyclePos(copy_start + seq);
+      auto view = session.ReceiveNext();
+      if (view.has_value()) broadcast::AcceptPacket(*view, seg);
+    }
   }
   seg->complete = std::all_of(seg->packet_ok.begin(), seg->packet_ok.end(),
                               [](bool b) { return b; });

@@ -1,5 +1,6 @@
 #include "core/hiti_on_air.h"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 
@@ -7,6 +8,7 @@
 #include "core/client_run.h"
 #include "core/cycle_common.h"
 #include "core/full_cycle.h"
+#include "core/partial_graph.h"
 #include "partition/kd_tree.h"
 
 namespace airindex::core {
@@ -82,13 +84,12 @@ device::QueryMetrics HiTiOnAir::RunQuery(
   QueryScratch& s = run.scratch();
   device::MemoryTracker& memory = run.memory;
 
-  // coords/subs are moved into the rebuilt Graph / HiTiIndex below, so
-  // they cannot be pooled; the edge list (scratch) can.
-  // Sized to the network so that a lost network segment leaves its nodes
-  // arc-less, not out of range of the query endpoints and border lists.
-  std::vector<graph::Point> coords(num_nodes_);
+  CsrRebuild rebuild{num_nodes_};
+  const uint32_t R = num_regions_;
   std::vector<double> splits;
-  std::vector<algo::HiTiIndex::SubgraphInfo> subs(2 * num_regions_);
+  // The tables are moved into the query-time HiTiIndex below.
+  std::vector<algo::HiTiIndex::SubgraphInfo> subs(2 * R);
+  std::vector<uint8_t> have_table(2 * R, 0);
   bool header_ok = false;
 
   Status receive_status = ReceiveFullCycleCached(
@@ -98,40 +99,38 @@ device::QueryMetrics HiTiOnAir::RunQuery(
       },
       [&](broadcast::ReceivedSegment& seg) {
         device::Stopwatch sw;
+        // A segment with holes (the repair budget ran out) would read zero
+        // bytes as counts and ids; the receive reports DataLoss for it.
         if (seg.type == broadcast::SegmentType::kNetworkData) {
-          run.DecodeNetworkRecords(seg, encoding_, coords);
+          run.DecodeIntoPartialGraph(seg, encoding_, &rebuild);
         } else if (seg.segment_id == kHeaderSegment) {
-          if (seg.complete && seg.payload.size() >= 6) {
-            ByteReader reader(seg.payload);
-            const uint16_t regions = reader.ReadU16();
-            reader.ReadU32();
-            for (uint16_t i = 0; i + 1 < regions; ++i) {
-              splits.push_back(std::bit_cast<double>(reader.ReadU64()));
-            }
+          // Only a header of this system's region count is usable; a u32
+          // node count sits between the count and the splits.
+          if (!header_ok && ReadKdSplits(seg, R, 4, &splits)) {
             header_ok = true;
             memory.Charge(splits.size() * 8);
           }
-        } else if (seg.segment_id < subs.size()) {
-          // A table with holes (the repair budget ran out) would read zero
-          // bytes as border ids and sizes; the receive reports DataLoss.
+        } else if (seg.segment_id < subs.size() && seg.complete) {
+          // A table is its border count nb, nb border ids, then the nb x nb
+          // distance and first-hop matrices, four bytes an entry. A table
+          // of another length is skipped.
+          const size_t size = seg.payload.size();
           ByteReader reader(seg.payload);
-          if (seg.complete && seg.payload.size() >= 4) {
-            const uint32_t nb = reader.ReadU32();
+          const uint64_t nb = size >= 4 ? reader.ReadU32() : 0;
+          const uint64_t cells = nb * nb;  // nb < size: cannot overflow
+          if (size >= 4 && nb < size && size == 4 + 4 * nb + 8 * cells) {
+            have_table[seg.segment_id] = 1;
             auto& sub = subs[seg.segment_id];
-            sub.border.reserve(nb);
-            for (uint32_t i = 0; i < nb; ++i) {
-              sub.border.push_back(reader.ReadU32());
-            }
-            sub.dmat.reserve(static_cast<size_t>(nb) * nb);
-            for (size_t i = 0; i < static_cast<size_t>(nb) * nb; ++i) {
+            sub.border.resize(nb);
+            for (auto& b : sub.border) b = reader.ReadU32();
+            sub.dmat.resize(cells);
+            for (auto& d : sub.dmat) {
               const uint32_t v = reader.ReadU32();
-              sub.dmat.push_back(v == kInfU32 ? graph::kInfDist : v);
+              d = v == kInfU32 ? graph::kInfDist : v;
             }
-            sub.next_hop.reserve(static_cast<size_t>(nb) * nb);
-            for (size_t i = 0; i < static_cast<size_t>(nb) * nb; ++i) {
-              sub.next_hop.push_back(reader.ReadU32());
-            }
-            memory.Charge(nb * 4 + static_cast<size_t>(nb) * nb * 12);
+            sub.next_hop.resize(cells);
+            for (auto& hop : sub.next_hop) hop = reader.ReadU32();
+            memory.Charge(nb * 4 + cells * 12);
           }
         }
         memory.Release(seg.payload.size());
@@ -141,16 +140,24 @@ device::QueryMetrics HiTiOnAir::RunQuery(
 
   device::Stopwatch sw;
   graph::Dist dist = graph::kInfDist;
-  auto built = graph::Graph::Build(std::move(coords), s.edges);
-  if (built.ok() && header_ok) {
-    graph::Graph gr = std::move(built).value();
-    memory.Charge(gr.MemoryBytes());
-    auto kd = partition::KdTreePartitioner::FromSplits(splits);
-    if (kd.ok()) {
+  if (!rebuild.Rejected() && header_ok) {
+    memory.Charge(rebuild.ModeledCsrBytes());
+    // The overlay search is exact only over every table.
+    if (std::all_of(have_table.begin() + 1, have_table.end(),
+                    [](uint8_t have) { return have != 0; })) {
+      // Every node of the rebuilt graph is labelled by its coordinate,
+      // Point{} for a node never received. The header held R - 1 splits,
+      // a complete kd tree: Build made one of R regions.
+      PartialGraph& pg = s.partial_graph;
+      pg.ReserveNodes(rebuild.nodes());
+      std::vector<graph::RegionId> labels(rebuild.nodes());
+      for (graph::NodeId v = 0; v < labels.size(); ++v) {
+        labels[v] = partition::KdRegionOf(splits, pg.Coord(v)).value();
+      }
       algo::HiTiIndex idx = algo::HiTiIndex::FromTables(
-          num_regions_, kd->Partition(gr), std::move(subs));
-      size_t settled = 0;
-      dist = idx.QueryDistance(gr, query.source, query.target, &settled);
+          R, partition::MakePartitioning(std::move(labels), R),
+          std::move(subs));
+      dist = idx.QueryDistance(pg, query.source, query.target);
     }
   }
   run.cpu_ms += sw.ElapsedMs();

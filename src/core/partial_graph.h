@@ -73,7 +73,10 @@ class PartialGraph {
     return {chunks_[e.chunk].data() + e.offset, e.count};
   }
 
-  const graph::Point& Coord(graph::NodeId v) const { return coords_[v]; }
+  /// Point{} for a node not received, as in a graph rebuilt from records.
+  graph::Point Coord(graph::NodeId v) const {
+    return Has(v) ? coords_[v] : graph::Point{};
+  }
 
   /// Client memory estimate: node table + adjacency entries. Matches the
   /// MemoryTracker charges the clients make.

@@ -93,7 +93,9 @@ struct RegionStash {
 struct QueryScratch {
   /// Dijkstra / A* state (dist, parent, frontier heaps).
   algo::SearchWorkspace search;
-  /// The client-side network picture (pooled arc storage).
+  /// The client-side network picture (pooled arc storage): the one graph
+  /// every client that receives adjacency records decodes into, the
+  /// full-cycle clients DJ/LD/AF/SPQ/HiTi included.
   PartialGraph partial_graph;
   /// Segment buffers of the selective-tuning clients (EB/NR).
   SegmentArena segments;
@@ -118,9 +120,6 @@ struct QueryScratch {
   std::vector<uint64_t> af_flags;
   std::vector<uint32_t> af_arc_base;
   std::vector<double> af_splits;
-  /// Edge accumulator of the clients that rebuild a full graph::Graph
-  /// (SPQ/HiTi).
-  std::vector<graph::EdgeTriplet> edges;
   /// Cross-query session cache (disabled unless the owner arms it via
   /// BeginSession — the event engine's warm-session path does). NOT reset
   /// by BeginQuery: its whole point is surviving to the next query.
@@ -137,7 +136,6 @@ struct QueryScratch {
     needed_regions.clear();
     stash.regions.clear();
     stash.pending.clear();
-    edges.clear();
     // search workspaces reset per search (BeginSearch); ld_to/ld_from and
     // the af_ vectors are refilled by their clients; full_cycle re-primes
     // per call. The session cache deliberately survives (it is per-session

@@ -1,7 +1,6 @@
 #include "core/repair.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace airindex::core {
 
@@ -14,7 +13,7 @@ bool RepairAllSegments(broadcast::ClientSession& session,
     for (const PendingRepair& p : pending) {
       for (uint32_t seq = 0; seq < p.seg->packet_ok.size(); ++seq) {
         if (!p.seg->packet_ok[seq]) {
-          missing.push_back({(p.segment_start + seq) % total, p.seg, seq});
+          missing.push_back({(p.segment_start + seq) % total, p.seg});
         }
       }
     }
@@ -36,11 +35,7 @@ bool RepairAllSegments(broadcast::ClientSession& session,
     for (const MissingPacket& m : missing) {
       session.SleepUntilCyclePos(m.cycle_pos);
       auto view = session.ReceiveNext();
-      if (!view.has_value()) continue;
-      m.seg->packet_ok[m.seq] = true;
-      std::memcpy(m.seg->payload.data() +
-                      static_cast<size_t>(m.seq) * broadcast::kPayloadSize,
-                  view->chunk.data(), view->chunk.size());
+      if (view.has_value()) broadcast::AcceptPacket(*view, m.seg);
     }
     for (const PendingRepair& p : pending) {
       p.seg->complete =

@@ -14,12 +14,11 @@ struct PendingRepair {
   broadcast::ReceivedSegment* seg = nullptr;
 };
 
-/// A packet a repair pass re-listens to: its cycle position and where its
-/// bytes go.
+/// A packet a repair pass re-listens to: its cycle position and the
+/// segment it belongs to.
 struct MissingPacket {
   uint32_t cycle_pos = 0;
   broadcast::ReceivedSegment* seg = nullptr;
-  uint32_t seq = 0;
 };
 
 /// Re-listens to every still-missing packet across all pending segments,

@@ -7,6 +7,7 @@
 #include "core/client_run.h"
 #include "core/cycle_common.h"
 #include "core/full_cycle.h"
+#include "core/partial_graph.h"
 
 namespace airindex::core {
 namespace {
@@ -30,10 +31,6 @@ void EncodeCell(const algo::SpqIndex::Tree& tree, int32_t cell,
   }
   out->push_back(1);
   for (int q = 0; q < 4; ++q) EncodeCell(tree, node.child[q], out);
-}
-
-void EncodeTree(const algo::SpqIndex::Tree& tree, std::vector<uint8_t>* out) {
-  EncodeCell(tree, 0, out);
 }
 
 /// Recursive decoder; returns the new cell's index or -1 on truncation.
@@ -97,7 +94,7 @@ Result<std::unique_ptr<SpqOnAir>> SpqOnAir::Build(const graph::Graph& g,
     const uint32_t last =
         std::min<uint32_t>(first + kTreesPerChunk, sys->num_nodes_);
     for (uint32_t v = first; v < last; ++v) {
-      EncodeTree(sys->index_->TreeOf(v), &seg.payload);
+      EncodeCell(sys->index_->TreeOf(v), 0, &seg.payload);
     }
     builder.Add(std::move(seg));
   }
@@ -113,9 +110,8 @@ device::QueryMetrics SpqOnAir::RunQuery(
   QueryScratch& s = run.scratch();
   device::MemoryTracker& memory = run.memory;
 
-  // coords/trees are moved into the rebuilt Graph / SpqIndex below, so
-  // they cannot be pooled; the edge list (scratch) can.
-  std::vector<graph::Point> coords(num_nodes_);
+  CsrRebuild rebuild{num_nodes_};
+  // The trees are moved into the query-time SpqIndex below.
   std::vector<algo::SpqIndex::Tree> trees(num_nodes_);
   double root[3] = {0, 0, 1};
   bool header_ok = false;
@@ -126,7 +122,7 @@ device::QueryMetrics SpqOnAir::RunQuery(
       [&](broadcast::ReceivedSegment& seg) {
         device::Stopwatch sw;
         if (seg.type == broadcast::SegmentType::kNetworkData) {
-          run.DecodeNetworkRecords(seg, encoding_, coords);
+          run.DecodeIntoPartialGraph(seg, encoding_, &rebuild);
         } else if (seg.segment_id == kHeaderSegment) {
           if (seg.complete && seg.payload.size() >= 32) {
             root[0] = std::bit_cast<double>(GetU64(seg.payload.data()));
@@ -153,14 +149,15 @@ device::QueryMetrics SpqOnAir::RunQuery(
 
   device::Stopwatch sw;
   graph::Dist dist = graph::kInfDist;
-  auto built = graph::Graph::Build(std::move(coords), s.edges);
-  if (built.ok() && header_ok) {
-    graph::Graph gr = std::move(built).value();
-    memory.Charge(gr.MemoryBytes());
+  if (!rebuild.Rejected() && header_ok) {
+    memory.Charge(rebuild.ModeledCsrBytes());
+    // A colour is an arc ordinal at the owning node, which the partial
+    // graph's OutArcs keep as the rebuilt graph did (docs/perf.md).
+    PartialGraph& pg = s.partial_graph;
+    pg.ReserveNodes(rebuild.nodes());
     algo::SpqIndex idx = algo::SpqIndex::FromParts(root[0], root[1], root[2],
                                                    std::move(trees));
-    graph::Path path = idx.Query(gr, query.source, query.target);
-    dist = path.dist;
+    dist = idx.Query(pg, query.source, query.target).dist;
   }
   run.cpu_ms += sw.ElapsedMs();
   return run.Finish(dist, receive_status.ok() && dist != graph::kInfDist);

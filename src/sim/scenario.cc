@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "device/energy.h"
 #include "device/profile_catalog.h"
@@ -34,6 +35,22 @@ constexpr uint64_t kLossSalt = 0x10552AAull;
 uint64_t DeriveSeed(uint64_t scenario_seed, uint64_t salt,
                     size_t group_index) {
   return QueryLossSeed(scenario_seed ^ salt, group_index);
+}
+
+constexpr uint64_t kU32Max = 0xFFFFFFFFull;
+
+/// An array entry stored as uint32_t: a JSON integer in [min, 2^32 - 1].
+/// A fraction or an out-of-range value is rejected, not truncated (the
+/// CLI's --schedule parser applies the same rule).
+Result<uint32_t> U32Entry(const JsonValue& v, uint32_t min,
+                          const std::string& field) {
+  if (v.type != JsonValue::Type::kNumber || !(v.number >= min) ||
+      v.number > static_cast<double>(kU32Max) ||
+      v.number != std::floor(v.number)) {
+    return Status::InvalidArgument(field + " must hold integers in [" +
+                                   std::to_string(min) + ", 4294967295]");
+  }
+  return static_cast<uint32_t>(v.number);
 }
 
 const std::vector<std::string>& AllSystems() {
@@ -352,16 +369,18 @@ Result<workload::WorkloadSpec> WorkloadSpecFromJson(const JsonValue& obj) {
   AIRINDEX_ASSIGN_OR_RETURN(
       uint64_t cells,
       GetUint64Or(obj, "partition_regions", w.partition_regions));
+  if (cells > kU32Max) {
+    return Status::InvalidArgument("partition_regions must be <= 4294967295");
+  }
   w.partition_regions = static_cast<uint32_t>(cells);
   if (auto it = obj.object.find("source_regions"); it != obj.object.end()) {
     if (it->second.type != JsonValue::Type::kArray) {
       return Status::InvalidArgument("source_regions must be an array");
     }
     for (const JsonValue& v : it->second.array) {
-      if (v.type != JsonValue::Type::kNumber) {
-        return Status::InvalidArgument("source_regions must hold numbers");
-      }
-      w.source_regions.push_back(static_cast<uint32_t>(v.number));
+      AIRINDEX_ASSIGN_OR_RETURN(uint32_t region,
+                                U32Entry(v, 0, "source_regions"));
+      w.source_regions.push_back(region);
     }
   }
 
@@ -552,11 +571,9 @@ Result<SchedulePolicy> ScheduleFromJson(const JsonValue& obj) {
       return Status::InvalidArgument("schedule rates must be an array");
     }
     for (const JsonValue& v : it->second.array) {
-      if (v.type != JsonValue::Type::kNumber || !(v.number >= 1.0)) {
-        return Status::InvalidArgument(
-            "schedule rates must hold numbers >= 1");
-      }
-      p.rates.push_back(static_cast<uint32_t>(v.number));
+      AIRINDEX_ASSIGN_OR_RETURN(uint32_t rate,
+                                U32Entry(v, 1, "schedule rates"));
+      p.rates.push_back(rate);
     }
     if (p.rates.size() != p.disks) {
       return Status::InvalidArgument(
@@ -565,8 +582,9 @@ Result<SchedulePolicy> ScheduleFromJson(const JsonValue& obj) {
   }
   AIRINDEX_ASSIGN_OR_RETURN(
       uint64_t replan, GetUint64Or(obj, "replan_cycles", p.replan_cycles));
-  if (replan == 0) {
-    return Status::InvalidArgument("schedule replan_cycles must be >= 1");
+  if (replan == 0 || replan > kU32Max) {
+    return Status::InvalidArgument(
+        "schedule replan_cycles must be in [1, 4294967295]");
   }
   p.replan_cycles = static_cast<uint32_t>(replan);
   AIRINDEX_ASSIGN_OR_RETURN(p.decay, GetNumberOr(obj, "decay", p.decay));

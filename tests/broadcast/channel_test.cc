@@ -196,6 +196,48 @@ TEST(ReceiveSegmentTest, RepairCompletesOverNextCycles) {
   for (uint8_t byte : seg.payload) EXPECT_EQ(byte, 2);
 }
 
+// A start in the middle of a segment: the receive listens for as many
+// packets as the segment has, so its tail reaches into the next segment.
+// Those packets are the next segment's and count as lost; they must not
+// land in (and complete) the segment being assembled.
+TEST(ReceiveSegmentTest, MidSegmentStartKeepsOnlyItsOwnPackets) {
+  BroadcastCycle cycle = MakeCycle(3, 400);
+  BroadcastChannel channel(&cycle, 0.0);
+  ClientSession session(&channel, 0);
+  ReceivedSegment seg = ReceiveSegmentAt(session, cycle.SegmentStart(1) + 1);
+  EXPECT_EQ(seg.segment_id, 1u);
+  EXPECT_FALSE(seg.complete);
+  ASSERT_EQ(seg.payload.size(), 400u);
+  ASSERT_GT(seg.packet_ok.size(), 1u);
+  EXPECT_FALSE(seg.packet_ok[0]);
+  for (size_t p = 1; p < seg.packet_ok.size(); ++p) {
+    EXPECT_TRUE(seg.packet_ok[p]) << p;
+  }
+  for (size_t b = 0; b < seg.payload.size(); ++b) {
+    EXPECT_EQ(seg.payload[b], b < kPayloadSize ? 0 : 2) << b;
+  }
+  // The repair fetches the missing head from the segment's real start.
+  EXPECT_TRUE(RepairSegment(session, cycle.SegmentStart(1), &seg, 2));
+  for (uint8_t byte : seg.payload) EXPECT_EQ(byte, 2);
+}
+
+// A start at or past the cycle's end names no segment, so there is no
+// segment table entry to size the buffer from: the receive hands back an
+// incomplete segment that no repair completes.
+TEST(ReceiveSegmentTest, StartPastTheCycleYieldsAnIncompleteSegment) {
+  BroadcastCycle cycle = MakeCycle(3, 400);
+  BroadcastChannel channel(&cycle, 0.0);
+  for (uint32_t start : {cycle.total_packets(), cycle.total_packets() + 7}) {
+    ClientSession session(&channel, 0);
+    ReceivedSegment seg;
+    ReceiveSegmentAt(session, start, &seg);
+    EXPECT_FALSE(seg.complete) << start;
+    EXPECT_TRUE(seg.payload.empty()) << start;
+    EXPECT_FALSE(RepairSegment(session, start, &seg, 2)) << start;
+    EXPECT_FALSE(seg.complete) << start;
+  }
+}
+
 TEST(ReceivedSegmentTest, RangeOkBoundaries) {
   ReceivedSegment seg;
   seg.payload.assign(3 * kPayloadSize, 0);

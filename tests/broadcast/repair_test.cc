@@ -108,5 +108,33 @@ TEST(RepairAllSegmentsTest, GivesUpAfterBudget) {
   EXPECT_FALSE(RepairAllSegments(session, pending, 3, missing));
 }
 
+// A start one packet into a segment, or past the cycle, names no segment
+// start, so the positions the sweep re-listens to hold other packets than
+// the missing ones. The sweep keeps only packets of the segment it repairs
+// (each in its own slot) and gives up on the rest.
+TEST(RepairAllSegmentsTest, KeepsOnlyPacketsOfTheSegmentItRepairs) {
+  BroadcastCycle cycle = MakeCycle();
+  BroadcastChannel channel(&cycle, 0.0);
+  ClientSession session(&channel, 0);
+  const uint32_t late = cycle.SegmentStart(1) + 1;
+  ReceivedSegment shifted, past;
+  broadcast::ReceiveSegmentAt(session, late, &shifted);
+  broadcast::ReceiveSegmentAt(session, cycle.total_packets(), &past);
+  ASSERT_FALSE(shifted.complete);
+  ASSERT_FALSE(past.complete);
+  std::vector<PendingRepair> pending = {{late, &shifted},
+                                        {cycle.total_packets(), &past}};
+  std::vector<MissingPacket> missing;
+  EXPECT_FALSE(RepairAllSegments(session, pending, 2, missing));
+  EXPECT_FALSE(shifted.packet_ok[0]);
+  for (size_t b = 0; b < broadcast::kPayloadSize; ++b) {
+    EXPECT_EQ(shifted.payload[b], 0) << b;
+  }
+  for (size_t b = broadcast::kPayloadSize; b < shifted.payload.size(); ++b) {
+    EXPECT_EQ(shifted.payload[b], 2) << b;
+  }
+  EXPECT_FALSE(past.complete);
+}
+
 }  // namespace
 }  // namespace airindex::core

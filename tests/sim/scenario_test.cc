@@ -371,6 +371,42 @@ TEST(ScenarioSpecJsonTest, ParsesFecAndCorruption) {
                    .ok());
 }
 
+TEST(ScenarioSpecJsonTest, RejectsNumbersOutsideTheirUint32Fields) {
+  // Each of these fields is stored as a uint32_t. A value past 2^32 - 1 or
+  // a fraction is rejected by name instead of being wrapped or truncated.
+  auto parse = [](const std::string& schedule, const std::string& regions) {
+    return ScenarioFromJson(
+        R"({"schema": "airindex.sim.scenario/v1", "name": "x",
+            "schedule": )" +
+        schedule + R"(,
+            "groups": [{"name": "g", "queries": 1,
+                        "workload": {"sources": "clustered",
+                                     "source_regions": )" +
+        regions + "}}]}");
+  };
+  auto rejects = [&](const std::string& schedule, const std::string& regions,
+                     const std::string& field) {
+    auto s = parse(schedule, regions);
+    ASSERT_FALSE(s.ok()) << schedule << " " << regions;
+    EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(s.status().ToString().find(field), std::string::npos)
+        << s.status().ToString();
+  };
+  const std::string disks = R"({"mode": "disks", "disks": 2, "rates": )";
+  const std::string online = R"({"mode": "online", "replan_cycles": )";
+  ASSERT_TRUE(parse(disks + "[4, 1]}", "[0, 1]").ok());
+  ASSERT_TRUE(parse(online + "4294967295}", "[4294967295]").ok());
+
+  rejects(disks + "[1e10, 1]}", "[0]", "rates");
+  rejects(disks + "[2.5, 1]}", "[0]", "rates");
+  rejects(disks + "[4294967296, 1]}", "[0]", "rates");
+  rejects(online + "4294967296}", "[0]", "replan_cycles");
+  rejects(online + "8589934593}", "[0]", "replan_cycles");
+  rejects(R"({"mode": "flat"})", "[1e10]", "source_regions");
+  rejects(R"({"mode": "flat"})", "[-1]", "source_regions");
+  rejects(R"({"mode": "flat"})", "[0.5]", "source_regions");
+}
+
 TEST(ScenarioSpecJsonTest, DecodesStandardStringEscapes) {
   // Hand-written spec files may use any standard JSON escape, not just
   // the \" and \\ this library's writers emit.
