@@ -10,12 +10,15 @@
 // The matrix: Germany 0.1, Milan 0.2 and a 40x40 lattice, 48 queries each
 // (the `airindex_cli run` defaults otherwise), over a lossless channel, 2%
 // loss, bursty 2%x8 loss, FEC 0.125 with bit corruption at 2% loss, a
-// broadcast-disk schedule, the compact encoding, and the event engine with
-// 4-query sessions and 50 MB caches. Every configuration runs at 1 and at
-// 4 threads, and both must match the same file. The lattice is there for
-// its ties: the catalog networks' jittered weights almost never give a
-// node two shortest-path predecessors at equal distance, so they cannot
-// see a change in how the search heap breaks ties.
+// broadcast-disk schedule, the compact encoding, the event engine with
+// 4-query sessions and 50 MB caches, §6.1 memory-bound clients at 2% loss,
+// and the event engine with bursty 2%x4 loss, 8-query sessions and
+// 256 KiB caches (perfbench's lossy-session-fleet shape). Every
+// configuration runs at 1 and at 4 threads, and both must match the same
+// file. The lattice is there for its ties: the catalog networks' jittered
+// weights almost never give a node two shortest-path predecessors at equal
+// distance, so they cannot see a change in how the search heap breaks
+// ties.
 //
 // On a mismatch the test writes the file it computed into its build
 // directory and prints the path. Regenerating the corpus means copying that
@@ -163,6 +166,7 @@ struct Config {
   bool compact = false;
   uint32_t session_queries = 1;
   size_t cache_bytes = 0;
+  bool memory_bound = false;
 };
 
 std::vector<Config> Matrix() {
@@ -180,6 +184,14 @@ std::vector<Config> Matrix() {
                .event = true,
                .session_queries = 4,
                .cache_bytes = 50u << 20});
+  m.push_back({.name = "memory_bound",
+               .loss = broadcast::LossModel::Of(0.02, 1),
+               .memory_bound = true});
+  m.push_back({.name = "lossy_sessions",
+               .event = true,
+               .loss = broadcast::LossModel::Of(0.02, 4),
+               .session_queries = 8,
+               .cache_bytes = 256u << 10});
   return m;
 }
 
@@ -195,7 +207,10 @@ std::string ConfigLine(const std::string& network, const Config& c) {
       c.loss.rate, c.loss.burst_len, c.loss.corrupt_bit, c.fec_rate,
       c.disks ? "disks" : "flat", c.disks ? "zipf" : "uniform",
       c.compact ? "compact" : "legacy", c.session_queries, c.cache_bytes);
-  return buf;
+  std::string line = buf;
+  // Appended only when set, so the older columns' files keep their bytes.
+  if (c.memory_bound) line += " client=memory_bound";
+  return line;
 }
 
 sim::BatchResult RunConfig(const graph::Graph& g, const Config& c,
@@ -222,6 +237,7 @@ sim::BatchResult RunConfig(const graph::Graph& g, const Config& c,
     eo.encoding = encoding;
     eo.session.queries = c.session_queries;
     eo.cache_bytes = c.cache_bytes;
+    eo.client.memory_bound = c.memory_bound;
     return sim::EventEngine(g, eo).Run(ptrs, w);
   }
   sim::SimOptions so;
@@ -233,6 +249,7 @@ sim::BatchResult RunConfig(const graph::Graph& g, const Config& c,
   so.schedule = schedule;
   so.schedule_demand = demand;
   so.encoding = encoding;
+  so.client.memory_bound = c.memory_bound;
   return sim::Simulator(g, so).Run(ptrs, w);
 }
 
