@@ -13,7 +13,9 @@
 // broadcast-disk schedule, the compact encoding, the event engine with
 // 4-query sessions and 50 MB caches, §6.1 memory-bound clients at 2% loss,
 // and the event engine with bursty 2%x4 loss, 8-query sessions and
-// 256 KiB caches (perfbench's lossy-session-fleet shape). Every
+// 256 KiB caches (perfbench's lossy-session-fleet shape) or 48 KiB ones.
+// Every corpus cycle fits in 256 KiB; only the 48 KiB caches evict, so
+// only they see the order in which EB stores a region's segments. Every
 // configuration runs at 1 and at 4 threads, and both must match the same
 // file. The lattice is there for its ties: the catalog networks' jittered
 // weights almost never give a node two shortest-path predecessors at equal
@@ -192,6 +194,11 @@ std::vector<Config> Matrix() {
                .loss = broadcast::LossModel::Of(0.02, 4),
                .session_queries = 8,
                .cache_bytes = 256u << 10});
+  m.push_back({.name = "evicting_sessions",
+               .event = true,
+               .loss = broadcast::LossModel::Of(0.02, 4),
+               .session_queries = 8,
+               .cache_bytes = 48u << 10});
   return m;
 }
 
