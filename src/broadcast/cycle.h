@@ -18,12 +18,7 @@ struct Segment {
   bool is_index = false;
   std::vector<uint8_t> payload;
 
-  uint32_t PacketCount() const {
-    return payload.empty()
-               ? 1
-               : static_cast<uint32_t>(
-                     (payload.size() + kPayloadSize - 1) / kPayloadSize);
-  }
+  uint32_t PacketCount() const { return PayloadPackets(payload.size()); }
 };
 
 /// An immutable, fully laid-out broadcast cycle: the server's program that

@@ -16,6 +16,14 @@ inline constexpr size_t kPacketSize = 128;
 inline constexpr size_t kHeaderSize = 8;
 inline constexpr size_t kPayloadSize = kPacketSize - kHeaderSize;
 
+/// Packets a segment of `bytes` payload bytes occupies: ceil(bytes /
+/// kPayloadSize), and one for an empty payload.
+inline constexpr uint32_t PayloadPackets(size_t bytes) {
+  return bytes == 0 ? 1
+                    : static_cast<uint32_t>((bytes + kPayloadSize - 1) /
+                                            kPayloadSize);
+}
+
 /// Version of the cycle wire format: packet framing, segment layout and
 /// every payload encoding. Bump it with any change that alters the bytes a
 /// system broadcasts for the same network and knobs, so the change shows

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/region_data.h"
+
 namespace airindex::core {
 
 ClientRun::ClientRun(const broadcast::BroadcastChannel& channel,
@@ -33,12 +35,14 @@ std::optional<uint32_t> ClientRun::ReceiveNextIndex(
 }
 
 bool ClientRun::Decodable(const broadcast::ReceivedSegment& seg,
-                          broadcast::CycleEncoding encoding) const {
-  // An incomplete segment's holes are zero bytes that can still parse,
-  // as garbage ids and arcs; the receive already reports DataLoss for it.
+                          broadcast::CycleEncoding encoding,
+                          Payload payload) const {
   if (!seg.complete) return false;
   return MemoValidate(scratch_->decode_cache, seg, [&] {
-    return broadcast::ValidateNodeRecords(seg.payload, encoding).ok();
+    return (payload == Payload::kRegion
+                ? ValidateRegionData(seg.payload, encoding)
+                : broadcast::ValidateNodeRecords(seg.payload, encoding))
+        .ok();
   });
 }
 

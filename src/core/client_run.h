@@ -61,8 +61,7 @@ struct CsrRebuild {
 /// protocol keeps and turns it into QueryMetrics, so a RunQuery body is
 /// only its algorithm:
 ///   * `session`: the radio, opened at the start position the caller
-///     passes (StartPosition for RunQuery, TuneInPosition for the kNN and
-///     range clients);
+///     passes (StartPosition);
 ///   * `memory`: the client working-memory account, budgeted by
 ///     ClientOptions::heap_bytes;
 ///   * `scratch()`: the caller's QueryScratch, or a throwaway one this run
@@ -86,11 +85,25 @@ class ClientRun {
   std::optional<uint32_t> ReceiveNextIndex(broadcast::ReceivedSegment* out,
                                            int max_probes);
 
+  /// What a network-data segment carries: bare node records (the
+  /// full-cycle methods) or a §4.1 region payload, a border list ahead of
+  /// the records (EB, NR; core/region_data.h).
+  enum class Payload { kRecords, kRegion };
+
+  /// The gate every decode of network data passes: the segment is
+  /// complete, and its payload is well-formed (memoized through
+  /// scratch().decode_cache). An incomplete segment, force-delivered once
+  /// the repair budget ran out, has zero bytes for holes that can still
+  /// parse, as garbage ids and arcs; the receive already reports DataLoss
+  /// for it.
+  bool Decodable(const broadcast::ReceivedSegment& seg,
+                 broadcast::CycleEncoding encoding,
+                 Payload payload = Payload::kRecords) const;
+
   /// Decodes a network-data segment into scratch().partial_graph. With a
   /// `rebuild` (AF, SPQ, HiTi), also charges the edge list it models to
-  /// `memory` and grows its counts and extent. A segment that is
-  /// incomplete (force-delivered once the repair budget ran out: its holes
-  /// are zero bytes) or fails validation adds nothing.
+  /// `memory` and grows its counts and extent. A segment Decodable rejects
+  /// adds nothing.
   void DecodeIntoPartialGraph(const broadcast::ReceivedSegment& seg,
                               broadcast::CycleEncoding encoding,
                               CsrRebuild* rebuild = nullptr);
@@ -106,11 +119,6 @@ class ClientRun {
   double cpu_ms = 0.0;
 
  private:
-  /// Whether a network-data segment may be decoded: complete, and its
-  /// records well-formed (memoized through scratch().decode_cache).
-  bool Decodable(const broadcast::ReceivedSegment& seg,
-                 broadcast::CycleEncoding encoding) const;
-
   std::unique_ptr<QueryScratch> local_;
   QueryScratch* scratch_;
 };

@@ -3,27 +3,18 @@
 #include <algorithm>
 #include <optional>
 
-#include "algo/dijkstra.h"
 #include "broadcast/interleave.h"
 #include "common/byte_io.h"
 #include "core/client_run.h"
-#include "core/partial_graph.h"
-#include "core/region_data.h"
-#include "core/repair.h"
-#include "core/super_edge.h"
+#include "core/region_client.h"
 #include "partition/kd_tree.h"
 
 namespace airindex::core {
 namespace {
 
 using broadcast::kPayloadSize;
+using broadcast::PayloadPackets;
 using broadcast::ReceivedSegment;
-
-uint32_t PayloadPackets(size_t bytes) {
-  return bytes == 0 ? 1
-                    : static_cast<uint32_t>((bytes + kPayloadSize - 1) /
-                                            kPayloadSize);
-}
 
 /// Re-listens to the given still-missing packets of an index segment at
 /// another copy located at `copy_start` (copies are byte-identical, so the
@@ -52,11 +43,14 @@ void RepairIndexPackets(broadcast::ClientSession& session,
                               [](bool b) { return b; });
 }
 
-/// Packets covering the needed byte ranges that are still missing.
-std::vector<uint32_t> MissingNeededPackets(
+/// Overwrites `*out` with the packets covering the needed byte ranges that
+/// are still missing, ascending.
+void MissingNeededPackets(
     const ReceivedSegment& seg,
-    const std::vector<std::pair<size_t, size_t>>& ranges) {
-  std::vector<uint32_t> missing;
+    const std::vector<std::pair<size_t, size_t>>& ranges,
+    std::vector<uint32_t>* out) {
+  std::vector<uint32_t>& missing = *out;
+  missing.clear();
   for (auto [begin, end] : ranges) {
     end = std::min(end, seg.payload.size());
     if (begin >= end) continue;
@@ -68,7 +62,6 @@ std::vector<uint32_t> MissingNeededPackets(
   }
   std::sort(missing.begin(), missing.end());
   missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
-  return missing;
 }
 
 }  // namespace
@@ -213,19 +206,12 @@ device::QueryMetrics EbSystem::RunQuery(
     const broadcast::BroadcastChannel& channel, const AirQuery& query,
     const ClientOptions& options, QueryScratch* scratch) const {
   ClientRun run(channel, StartPosition(channel, query), options, scratch);
+  RegionClient region(run, query, options, encoding_,
+                      RegionClient::CacheOrder::kWholeRegion);
   broadcast::ClientSession& session = run.session;
-  device::MemoryTracker& memory = run.memory;
   QueryScratch& s = run.scratch();
   const uint32_t total = cycle_.total_packets();
-  const bool cache_on = s.session.Ready(channel);
-  uint32_t regions = 0;
-  // The query's metrics, on success and on every early exit alike: a
-  // failed query still reports what its radio did.
-  auto finish = [&](graph::Dist dist) {
-    device::QueryMetrics metrics = run.Finish(dist, dist != graph::kInfDist);
-    metrics.regions_received = regions;
-    return metrics;
-  };
+  const bool cache_on = region.cache_on();
 
   // --- 1. Find and receive the next index copy (tuning in right at an
   // index start uses that very copy). A warm session skips the probe
@@ -240,27 +226,27 @@ device::QueryMetrics EbSystem::RunQuery(
   } else {
     const std::optional<uint32_t> start = run.ReceiveNextIndex(index_seg, 64);
     // No probe arrived: the channel is effectively dead.
-    if (!start.has_value()) return finish(graph::kInfDist);
+    if (!start.has_value()) return region.Fail();
     index_start = *start;
     if (cache_on) s.session.StoreIndex(index_start, *index_seg);
   }
-  memory.Charge(index_seg->payload.size());
+  run.memory.Charge(index_seg->payload.size());
 
   // --- 2. Make sure the needed index bytes arrived (§6.2) ---------------
   // Region mapping first: header + splits live at the payload front; the
-  // needed matrix row/column depends on Rs/Rt which need the splits.
-  auto ensure_ranges =
-      [&](const std::vector<std::pair<size_t, size_t>>& ranges) -> bool {
+  // needed matrix row/column depends on Rs/Rt which need the splits. The
+  // ranges in s.eb_ranges are what must be intact.
+  std::vector<uint32_t>& missing = s.eb_missing;
+  auto ensure_ranges = [&]() -> bool {
     for (int attempt = 0; attempt <= options.max_repair_cycles; ++attempt) {
-      std::vector<uint32_t> missing =
-          MissingNeededPackets(*index_seg, ranges);
+      MissingNeededPackets(*index_seg, s.eb_ranges, &missing);
       if (missing.empty()) return true;
       // Prefer the next copy if we already know the copy list; fall back to
       // this copy next cycle.
       uint32_t repair_start = index_start;
-      auto decoded = EbIndex::Decode(index_seg->payload);
-      if (decoded.ok() && !decoded->copy_starts.empty()) {
-        const auto& copies = decoded->copy_starts;
+      if (EbIndex::DecodeCopyStarts(index_seg->payload, &s.eb_index) &&
+          !s.eb_index.copy_starts.empty()) {
+        const auto& copies = s.eb_index.copy_starts;
         const uint32_t cur = session.cycle_pos();
         uint32_t best = copies.front();
         uint32_t best_ahead = UINT32_MAX;
@@ -278,44 +264,45 @@ device::QueryMetrics EbSystem::RunQuery(
       }
       RepairIndexPackets(session, repair_start, missing, index_seg);
     }
-    return MissingNeededPackets(*index_seg, ranges).empty();
+    MissingNeededPackets(*index_seg, s.eb_ranges, &missing);
+    return missing.empty();
+  };
+  auto ensure_prefix = [&](size_t bytes) {
+    s.eb_ranges.assign(1, {0, bytes});
+    return ensure_ranges();
   };
 
-  if (!ensure_ranges({{0, index_seg->payload.size() < 6
-                              ? index_seg->payload.size()
-                              : 6}})) {
-    return finish(graph::kInfDist);
+  if (!ensure_prefix(std::min<size_t>(index_seg->payload.size(), 6))) {
+    return region.Fail();
   }
   const uint32_t R =
       index_seg->payload.size() >= 2 ? GetU16(index_seg->payload.data()) : 0;
-  if (R < 2) return finish(graph::kInfDist);
+  if (R < 2) return region.Fail();
   // Header + splits.
-  if (!ensure_ranges({{0, 6 + (static_cast<size_t>(R) - 1) * 8}})) {
-    return finish(graph::kInfDist);
+  if (!ensure_prefix(6 + (static_cast<size_t>(R) - 1) * 8)) {
+    return region.Fail();
   }
 
   device::Stopwatch sw_map;
-  if (!EbIndex::Decode(index_seg->payload, &s.eb_index).ok()) {
-    return finish(graph::kInfDist);
+  if (!EbIndex::DecodeSplits(index_seg->payload, &s.eb_index)) {
+    return region.Fail();
   }
   const auto rs_or =
       partition::KdRegionOf(s.eb_index.splits, query.source_coord);
   const auto rt_or =
       partition::KdRegionOf(s.eb_index.splits, query.target_coord);
-  if (!rs_or.ok() || !rt_or.ok()) return finish(graph::kInfDist);
+  if (!rs_or.ok() || !rt_or.ok()) return region.Fail();
   const graph::RegionId rs = *rs_or;
   const graph::RegionId rt = *rt_or;
   run.cpu_ms += sw_map.ElapsedMs();
 
-  if (!ensure_ranges(EbIndex::NeededByteRanges(R, rs, rt))) {
-    return finish(graph::kInfDist);
-  }
+  EbIndex::NeededByteRanges(R, rs, rt, &s.eb_ranges);
+  if (!ensure_ranges()) return region.Fail();
 
   device::Stopwatch sw_prune;
-  // Re-decode: ensure_ranges may have repaired matrix bytes since the
-  // header decode above. The scratch index's storage is reused.
+  // The one full decode, once every byte the query needs is intact.
   if (!EbIndex::Decode(index_seg->payload, &s.eb_index).ok()) {
-    return finish(graph::kInfDist);
+    return region.Fail();
   }
   // Persist any bytes the repair passes filled in, so the next query of
   // the session starts from the most complete copy seen so far.
@@ -340,7 +327,8 @@ device::QueryMetrics EbSystem::RunQuery(
   }
   run.cpu_ms += sw_prune.ElapsedMs();
 
-  // --- 4. Receive needed regions in broadcast order ---------------------
+  // --- 4. Receive needed regions in broadcast order, in one pass over the
+  // cycle; RegionClient repairs the damaged ones and searches. ------------
   std::sort(needed.begin(), needed.end(),
             [&](graph::RegionId a, graph::RegionId b) {
               const uint32_t cur = session.cycle_pos();
@@ -350,143 +338,16 @@ device::QueryMetrics EbSystem::RunQuery(
               };
               return ahead(a) < ahead(b);
             });
-
-  PartialGraph& pg = s.partial_graph;
-  SuperEdgeProcessor super(query.source, query.target);
-  size_t super_mem = 0;
-
-  auto ingest_region = [&](ReceivedSegment& cross, ReceivedSegment* local,
-                           bool has_local) {
-    device::Stopwatch sw;
-    if (options.memory_bound) {
-      // §6.1: collapse into super-edges, drop the region data.
-      auto cross_data = DecodeRegionData(cross.payload, encoding_);
-      if (!cross_data.ok()) return;
-      RegionData region = std::move(cross_data).value();
-      if (has_local) {
-        auto local_data = DecodeRegionData(local->payload, encoding_);
-        if (local_data.ok()) {
-          for (auto& rec : local_data->records) {
-            region.records.push_back(std::move(rec));
-          }
-        }
-      }
-      const size_t decoded =
-          region.records.size() * PartialGraph::kModeledNodeBytes +
-          region.border.size() * 4;
-      memory.Charge(decoded);
-      super.AddRegion(region);
-      memory.Release(decoded);
-      memory.Release(super_mem);
-      super_mem = super.MemoryBytes();
-      memory.Charge(super_mem);
-    } else {
-      // Allocation-free path: validate (all-or-nothing, like the old
-      // wholesale decode) and stream records straight into the pool.
-      const bool cross_valid = MemoValidate(s.decode_cache, cross, [&] {
-        return ValidateRegionData(cross.payload, encoding_).ok();
-      });
-      if (!cross_valid) return;
-      const size_t before = pg.MemoryBytes();
-      RegionDataView view(cross.payload, encoding_);
-      auto cursor = view.records();
-      while (cursor.Next(&s.record)) pg.AddRecord(s.record);
-      const bool local_valid =
-          has_local && MemoValidate(s.decode_cache, *local, [&] {
-            return ValidateRegionData(local->payload, encoding_).ok();
-          });
-      if (local_valid) {
-        RegionDataView local_view(local->payload, encoding_);
-        auto local_cursor = local_view.records();
-        while (local_cursor.Next(&s.record)) pg.AddRecord(s.record);
-      }
-      memory.Charge(pg.MemoryBytes() - before);
-    }
-    memory.Release(cross.payload.size());
-    if (has_local) memory.Release(local->payload.size());
-    ++regions;
-    run.cpu_ms += sw.ElapsedMs();
-  };
-
-  // One pass over the cycle collects every needed region; segments with
-  // lost packets are stashed and repaired together in per-cycle sweeps
-  // (§6.2 — one extra cycle fixes all damaged regions, not one region per
-  // cycle).
-  // Loss path only; the pooled list stays empty on a lossless pass.
-  std::vector<RegionStash::Region>& stash = s.stash.regions;
   for (graph::RegionId r : needed) {
     const EbIndex::RegionDir& d = index.dir[r];
-    ReceivedSegment* cross = s.segments.Acquire();
-    const bool cross_cached =
-        cache_on && s.session.Load(d.cross_start, cross);
-    if (cross_cached) {
-      s.session.CountHit();
-    } else {
-      broadcast::ReceiveSegmentAt(session, d.cross_start, cross);
-    }
-    memory.Charge(cross->payload.size());
     const bool want_local =
         d.local_packets > 0 &&
         (r == rs || r == rt || !options.cross_border_opt);
-    ReceivedSegment* local = nullptr;
-    bool local_cached = false;
-    if (want_local) {
-      local = s.segments.Acquire();
-      local_cached = cache_on && s.session.Load(d.local_start, local);
-      if (local_cached) {
-        s.session.CountHit();
-      } else {
-        broadcast::ReceiveSegmentAt(session, d.local_start, local);
-      }
-      memory.Charge(local->payload.size());
-    }
-    if (cross->complete && (!want_local || local->complete)) {
-      if (cache_on && !cross_cached) s.session.Store(d.cross_start, *cross);
-      if (cache_on && want_local && !local_cached) {
-        s.session.Store(d.local_start, *local);
-      }
-      ingest_region(*cross, local, want_local);
-      s.segments.Recycle(cross);
-      if (local != nullptr) s.segments.Recycle(local);
-    } else {
-      stash.push_back({cross, local, want_local, d.cross_start,
-                       d.local_start});
-    }
+    region.ReceiveRegion(d.cross_start, want_local
+                                            ? std::optional(d.local_start)
+                                            : std::nullopt);
   }
-  if (!stash.empty()) {
-    std::vector<PendingRepair>& pending = s.stash.pending;
-    for (auto& st : stash) {
-      if (!st.cross->complete) {
-        pending.push_back({st.cross_start, st.cross});
-      }
-      if (st.want_local && !st.local->complete) {
-        pending.push_back({st.local_start, st.local});
-      }
-    }
-    RepairAllSegments(session, pending, options.max_repair_cycles,
-                      s.stash.missing);
-    for (auto& st : stash) {
-      if (cache_on) {
-        // Store() keeps only segments the repairs completed.
-        s.session.Store(st.cross_start, *st.cross);
-        if (st.want_local) s.session.Store(st.local_start, *st.local);
-      }
-      ingest_region(*st.cross, st.local, st.want_local);
-    }
-  }
-
-  // --- 5. Local search ----------------------------------------------------
-  device::Stopwatch sw_search;
-  graph::Dist dist = graph::kInfDist;
-  if (options.memory_bound) {
-    dist = super.Solve();
-  } else {
-    algo::DijkstraSearch(pg, query.source, query.target,
-                         KnownEdgeFilter{&pg}, s.search);
-    dist = s.search.DistTo(query.target);
-  }
-  run.cpu_ms += sw_search.ElapsedMs();
-  return finish(dist);
+  return region.Finish();
 }
 
 }  // namespace airindex::core

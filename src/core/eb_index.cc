@@ -101,22 +101,50 @@ std::vector<uint8_t> EbIndex::Encode() const {
   return out;
 }
 
-Status EbIndex::Decode(const std::vector<uint8_t>& payload, EbIndex* out) {
-  if (payload.size() < 6) return Status::DataLoss("truncated EB index");
-  out->num_regions = GetU16(payload.data());
-  out->num_nodes = GetU32(payload.data() + 2);
-  if (out->num_regions < 2 ||
-      payload.size() < EncodedBytes(out->num_regions, 0)) {
-    return Status::DataLoss("EB index payload size mismatch");
-  }
-  ByteReader reader(payload);
-  reader.Skip(6);
-  out->splits.clear();
-  out->splits.reserve(out->num_regions - 1);
-  for (uint32_t i = 0; i + 1 < out->num_regions; ++i) {
-    out->splits.push_back(std::bit_cast<double>(reader.ReadU64()));
-  }
+uint32_t EbIndex::CheckedRegions(const std::vector<uint8_t>& payload) {
+  if (payload.size() < 6) return 0;
+  const uint32_t R = GetU16(payload.data());
+  return R >= 2 && payload.size() >= EncodedBytes(R, 0) ? R : 0;
+}
 
+bool EbIndex::DecodeSplits(const std::vector<uint8_t>& payload,
+                           EbIndex* out) {
+  const uint32_t R = CheckedRegions(payload);
+  if (R == 0) return false;
+  out->num_regions = R;
+  out->num_nodes = GetU32(payload.data() + 2);
+  out->splits.clear();
+  out->splits.reserve(R - 1);
+  for (uint32_t i = 0; i + 1 < R; ++i) {
+    out->splits.push_back(
+        std::bit_cast<double>(GetU64(payload.data() + 6 + size_t{i} * 8)));
+  }
+  return true;
+}
+
+bool EbIndex::DecodeCopyStarts(const std::vector<uint8_t>& payload,
+                               EbIndex* out) {
+  const uint32_t R = CheckedRegions(payload);
+  if (R == 0) return false;
+  // The list follows the directory: a u16 count, then the u32 starts. A
+  // count the payload cannot hold reads as no copies.
+  const size_t at = EncodedBytes(R, 0) - 2;
+  const uint16_t copies = GetU16(payload.data() + at);
+  out->copy_starts.clear();
+  if (payload.size() - at - 2 >= static_cast<size_t>(copies) * 4) {
+    out->copy_starts.reserve(copies);
+    for (uint16_t i = 0; i < copies; ++i) {
+      out->copy_starts.push_back(
+          GetU32(payload.data() + at + 2 + size_t{i} * 4));
+    }
+  }
+  return true;
+}
+
+Status EbIndex::Decode(const std::vector<uint8_t>& payload, EbIndex* out) {
+  if (!DecodeSplits(payload, out)) {
+    return Status::DataLoss("EB index shorter than its region count needs");
+  }
   const uint32_t R = out->num_regions;
   out->min_rr.resize(static_cast<size_t>(R) * R);
   out->max_rr.resize(static_cast<size_t>(R) * R);
@@ -140,16 +168,7 @@ Status EbIndex::Decode(const std::vector<uint8_t>& payload, EbIndex* out) {
     d.local_start = dir_reader.ReadU32();
     d.local_packets = dir_reader.ReadU32();
   }
-  out->copy_starts.clear();
-  if (dir_reader.remaining() >= 2) {
-    const uint16_t copies = dir_reader.ReadU16();
-    if (dir_reader.remaining() >= static_cast<size_t>(copies) * 4) {
-      out->copy_starts.reserve(copies);
-      for (uint16_t i = 0; i < copies; ++i) {
-        out->copy_starts.push_back(dir_reader.ReadU32());
-      }
-    }
-  }
+  DecodeCopyStarts(payload, out);  // passes the check DecodeSplits passed
   return Status::OK();
 }
 
@@ -159,9 +178,11 @@ Result<EbIndex> EbIndex::Decode(const std::vector<uint8_t>& payload) {
   return idx;
 }
 
-std::vector<std::pair<size_t, size_t>> EbIndex::NeededByteRanges(
-    uint32_t num_regions, graph::RegionId rs, graph::RegionId rt) {
-  std::vector<std::pair<size_t, size_t>> ranges;
+void EbIndex::NeededByteRanges(uint32_t num_regions, graph::RegionId rs,
+                               graph::RegionId rt,
+                               std::vector<std::pair<size_t, size_t>>* out) {
+  std::vector<std::pair<size_t, size_t>>& ranges = *out;
+  ranges.clear();
   // Header + splits.
   ranges.emplace_back(0, HeaderBytes(num_regions));
   // Row rs and column rt of the matrix.
@@ -178,7 +199,6 @@ std::vector<std::pair<size_t, size_t>> EbIndex::NeededByteRanges(
   const size_t dir_begin = HeaderBytes(num_regions) +
                            MatrixBytes(num_regions);
   ranges.emplace_back(dir_begin, SIZE_MAX);
-  return ranges;
 }
 
 }  // namespace airindex::core

@@ -65,6 +65,16 @@ class EbIndex {
   /// allocation-free client path). `*out` is unspecified on failure.
   static Status Decode(const std::vector<uint8_t>& payload, EbIndex* out);
 
+  /// The parts of Decode a client reads before every byte it needs has
+  /// arrived: the header and kd splits (to map its endpoints to regions),
+  /// and the copy-start list (to repair from the nearest copy). Each
+  /// returns false where Decode fails, and fills only its own fields of
+  /// `*out`. They allocate nothing once `*out` has held an index, the
+  /// failure included: a client calls them on payloads with holes.
+  static bool DecodeSplits(const std::vector<uint8_t>& payload, EbIndex* out);
+  static bool DecodeCopyStarts(const std::vector<uint8_t>& payload,
+                               EbIndex* out);
+
   /// Serialized size for a given region and copy count (fixed-width
   /// layout).
   static size_t EncodedBytes(uint32_t num_regions, uint32_t num_copies);
@@ -76,9 +86,11 @@ class EbIndex {
 
   /// Byte ranges of the payload a client with source region `rs` and
   /// destination region `rt` must have intact: header + splits, the
-  /// directory, row `rs` and column `rt` of the matrix (§6.2).
-  static std::vector<std::pair<size_t, size_t>> NeededByteRanges(
-      uint32_t num_regions, graph::RegionId rs, graph::RegionId rt);
+  /// directory, row `rs` and column `rt` of the matrix (§6.2). Overwrites
+  /// `*out`, reusing its capacity.
+  static void NeededByteRanges(uint32_t num_regions, graph::RegionId rs,
+                               graph::RegionId rt,
+                               std::vector<std::pair<size_t, size_t>>* out);
 
  private:
   static size_t HeaderBytes(uint32_t num_regions) {
@@ -87,6 +99,10 @@ class EbIndex {
   static size_t MatrixBytes(uint32_t num_regions) {
     return static_cast<size_t>(num_regions) * num_regions * 8;
   }
+  /// The region count the payload's header names, or 0 when it names
+  /// fewer than two or more than the payload holds the header, matrix and
+  /// directory of (every decode fails there).
+  static uint32_t CheckedRegions(const std::vector<uint8_t>& payload);
 };
 
 }  // namespace airindex::core

@@ -3,26 +3,16 @@
 #include <algorithm>
 #include <optional>
 
-#include "algo/dijkstra.h"
 #include "common/byte_io.h"
 #include "core/client_run.h"
-#include "core/partial_graph.h"
-#include "core/region_data.h"
-#include "core/repair.h"
-#include "core/super_edge.h"
+#include "core/region_client.h"
 #include "partition/kd_tree.h"
 
 namespace airindex::core {
 namespace {
 
-using broadcast::kPayloadSize;
+using broadcast::PayloadPackets;
 using broadcast::ReceivedSegment;
-
-uint32_t PayloadPackets(size_t bytes) {
-  return bytes == 0 ? 1
-                    : static_cast<uint32_t>((bytes + kPayloadSize - 1) /
-                                            kPayloadSize);
-}
 
 bool RangeOkClamped(const ReceivedSegment& seg, size_t begin, size_t end) {
   return seg.RangeOk(begin, std::min(end, seg.payload.size()));
@@ -170,24 +160,12 @@ device::QueryMetrics NrSystem::RunQuery(
     const broadcast::BroadcastChannel& channel, const AirQuery& query,
     const ClientOptions& options, QueryScratch* scratch) const {
   ClientRun run(channel, StartPosition(channel, query), options, scratch);
+  RegionClient region(run, query, options, encoding_,
+                      RegionClient::CacheOrder::kOnReceive);
   broadcast::ClientSession& session = run.session;
-  device::MemoryTracker& memory = run.memory;
   QueryScratch& s = run.scratch();
   const uint32_t total = cycle_.total_packets();
-  const bool cache_on = s.session.Ready(channel);
-
-  // Serves a segment from the session cache when possible; otherwise
-  // listens for it and caches the result. Cached copies are complete by
-  // construction, so downstream completeness checks behave as on a
-  // lossless channel.
-  auto fetch_segment = [&](uint32_t start, ReceivedSegment* out) {
-    if (cache_on && s.session.Load(start, out)) {
-      s.session.CountHit();
-      return;
-    }
-    broadcast::ReceiveSegmentAt(session, start, out);
-    if (cache_on) s.session.Store(start, *out);
-  };
+  const bool cache_on = region.cache_on();
 
   // --- 1. Find and receive the next local index (every header points at
   // one; tuning in right at an index start uses that very copy) ----------
@@ -198,17 +176,6 @@ device::QueryMetrics NrSystem::RunQuery(
     return start.has_value();
   };
 
-  PartialGraph& pg = s.partial_graph;
-  SuperEdgeProcessor super(query.source, query.target);
-  size_t super_mem = 0;
-  uint32_t regions = 0;
-  // The query's metrics, on success and on every early exit alike: a
-  // failed query still reports what its radio did.
-  auto finish = [&](graph::Dist dist) {
-    device::QueryMetrics metrics = run.Finish(dist, dist != graph::kInfDist);
-    metrics.regions_received = regions;
-    return metrics;
-  };
   std::vector<uint8_t>& received = s.region_flags;
   received.clear();
   bool mapped = false;
@@ -218,67 +185,7 @@ device::QueryMetrics NrSystem::RunQuery(
   int expected_id = -1;  // id of the index currently in *idx_seg
   bool progressed = false;
 
-  auto ingest_region = [&](ReceivedSegment& cross, ReceivedSegment* local,
-                           bool has_local) {
-    device::Stopwatch sw;
-    if (options.memory_bound) {
-      // §6.1 path: the region is materialized, collapsed into super-edges,
-      // and dropped; decode allocations are part of the modeled charge.
-      auto cross_or = DecodeRegionData(cross.payload, encoding_);
-      if (cross_or.ok()) {
-        RegionData region = std::move(cross_or).value();
-        if (has_local) {
-          auto local_or = DecodeRegionData(local->payload, encoding_);
-          if (local_or.ok()) {
-            for (auto& rec : local_or->records) {
-              region.records.push_back(std::move(rec));
-            }
-          }
-        }
-        const size_t decoded =
-            region.records.size() * PartialGraph::kModeledNodeBytes +
-            region.border.size() * 4;
-        memory.Charge(decoded);
-        super.AddRegion(region);
-        memory.Release(decoded);
-        memory.Release(super_mem);
-        super_mem = super.MemoryBytes();
-        memory.Charge(super_mem);
-        ++regions;
-      }
-    } else {
-      // Allocation-free path: validate (all-or-nothing, like the old
-      // wholesale decode) and stream records straight into the pool.
-      const bool cross_valid = MemoValidate(s.decode_cache, cross, [&] {
-        return ValidateRegionData(cross.payload, encoding_).ok();
-      });
-      if (cross_valid) {
-        const size_t before = pg.MemoryBytes();
-        RegionDataView view(cross.payload, encoding_);
-        auto cursor = view.records();
-        while (cursor.Next(&s.record)) pg.AddRecord(s.record);
-        const bool local_valid =
-            has_local && MemoValidate(s.decode_cache, *local, [&] {
-              return ValidateRegionData(local->payload, encoding_).ok();
-            });
-        if (local_valid) {
-          RegionDataView local_view(local->payload, encoding_);
-          auto local_cursor = local_view.records();
-          while (local_cursor.Next(&s.record)) pg.AddRecord(s.record);
-        }
-        memory.Charge(pg.MemoryBytes() - before);
-        ++regions;
-      }
-    }
-    memory.Release(cross.payload.size());
-    if (has_local) memory.Release(local->payload.size());
-    run.cpu_ms += sw.ElapsedMs();
-  };
-
   // --- 2. Chain through local indexes (Algorithm 2 + §6.2) --------------
-  // Loss path only; the pooled list stays empty on a lossless pass.
-  std::vector<RegionStash::Region>& stash = s.stash.regions;
-
   ReceivedSegment* idx_seg = s.segments.Acquire();
   // A warm session replays the remembered entry index instead of probing
   // the air for one — the chain then starts without the radio waking up.
@@ -288,9 +195,9 @@ device::QueryMetrics NrSystem::RunQuery(
     s.session.LoadIndex(idx_seg);
     s.session.CountHit();
   } else if (!receive_some_index(idx_seg)) {
-    return finish(graph::kInfDist);
+    return region.Fail();
   }
-  memory.Charge(idx_seg->payload.size());
+  run.memory.Charge(idx_seg->payload.size());
 
   const uint32_t kMaxSteps = 2 * 256 + 32;
   for (uint32_t step = 0; step < kMaxSteps; ++step) {
@@ -306,18 +213,18 @@ device::QueryMetrics NrSystem::RunQuery(
           reg_count >= 2 && reg_count <= 256 &&
           RangeOkClamped(*idx_seg, NrIndex::SplitsRange(reg_count));
       if (!header_ok) {
-        if (!receive_some_index(idx_seg)) return finish(graph::kInfDist);
+        if (!receive_some_index(idx_seg)) return region.Fail();
         continue;
       }
       device::Stopwatch sw_map;
       if (!NrIndex::Decode(idx_seg->payload, &s.nr_index).ok()) {
-        return finish(graph::kInfDist);
+        return region.Fail();
       }
       const auto rs_or =
           partition::KdRegionOf(s.nr_index.splits, query.source_coord);
       const auto rt_or =
           partition::KdRegionOf(s.nr_index.splits, query.target_coord);
-      if (!rs_or.ok() || !rt_or.ok()) return finish(graph::kInfDist);
+      if (!rs_or.ok() || !rt_or.ok()) return region.Fail();
       rs = *rs_or;
       rt = *rt_or;
       R = reg_count;
@@ -345,7 +252,7 @@ device::QueryMetrics NrSystem::RunQuery(
     if (cell_ok) {
       const graph::RegionId next_r =
           idx_seg->payload[NrIndex::CellRange(R, rs, rt).first];
-      if (next_r >= R) return finish(graph::kInfDist);
+      if (next_r >= R) return region.Fail();
       if (received[next_r]) break;  // client already possesses R_nxt
       if (RangeOkClamped(*idx_seg, NrIndex::PositionRange(R, next_r))) {
         region_id = next_r;
@@ -373,41 +280,26 @@ device::QueryMetrics NrSystem::RunQuery(
         idx_start =
             (geom.cross_start + geom.cross_packets + geom.local_packets) %
             total;
-        fetch_segment(idx_start, idx_seg);
+        region.Fetch(idx_start, idx_seg);
         expected_id = (expected_id + 1) % static_cast<int>(R);
         progressed = true;
         continue;
       }
     }
 
-    // Receive the region's cross segment, optionally its local segment
-    // (endpoint regions only), then the adjacent next index. Damaged
-    // regions are stashed and repaired together after the chain finishes
-    // (§6.2 — one repair sweep per cycle fixes everything that was lost).
-    ReceivedSegment* cross = s.segments.Acquire();
-    fetch_segment(geom.cross_start, cross);
-    memory.Charge(cross->payload.size());
+    // Receive the region's cross segment, its local segment too for an
+    // endpoint region, then the adjacent next index.
     const bool want_local =
         geom.local_packets > 0 && (region_id == rs || region_id == rt);
-    ReceivedSegment* local = nullptr;
-    if (want_local) {
-      local = s.segments.Acquire();
-      fetch_segment((geom.cross_start + geom.cross_packets) % total, local);
-      memory.Charge(local->payload.size());
-    }
+    region.ReceiveRegion(
+        geom.cross_start,
+        want_local ? std::optional((geom.cross_start + geom.cross_packets) %
+                                   total)
+                   : std::nullopt);
     const uint32_t next_idx_start =
         (geom.cross_start + geom.cross_packets + geom.local_packets) % total;
     ReceivedSegment* next_idx = s.segments.Acquire();
-    fetch_segment(next_idx_start, next_idx);
-
-    if (cross->complete && (!want_local || local->complete)) {
-      ingest_region(*cross, local, want_local);
-      s.segments.Recycle(cross);
-      if (local != nullptr) s.segments.Recycle(local);
-    } else {
-      stash.push_back({cross, local, want_local, geom.cross_start,
-                       (geom.cross_start + geom.cross_packets) % total});
-    }
+    region.Fetch(next_idx_start, next_idx);
     received[region_id] = 1;
     progressed = true;
     s.segments.Recycle(idx_seg);
@@ -415,44 +307,8 @@ device::QueryMetrics NrSystem::RunQuery(
     idx_start = next_idx_start;
     expected_id = static_cast<int>((region_id + 1) % R);
   }
-
-  // Repair sweep over everything the chain could not complete, then ingest.
-  if (!stash.empty()) {
-    std::vector<PendingRepair>& pending = s.stash.pending;
-    for (auto& st : stash) {
-      if (!st.cross->complete) {
-        pending.push_back({st.cross_start, st.cross});
-      }
-      if (st.want_local && !st.local->complete) {
-        pending.push_back({st.local_start, st.local});
-      }
-    }
-    RepairAllSegments(session, pending, options.max_repair_cycles,
-                      s.stash.missing);
-    for (auto& st : stash) {
-      if (cache_on) {
-        // Store() keeps only segments the repairs completed.
-        s.session.Store(st.cross_start, *st.cross);
-        if (st.want_local) s.session.Store(st.local_start, *st.local);
-      }
-      ingest_region(*st.cross, st.local, st.want_local);
-    }
-  }
-
-  // --- 3. Local search ----------------------------------------------------
-  device::Stopwatch sw_search;
-  graph::Dist dist = graph::kInfDist;
-  if (mapped) {
-    if (options.memory_bound) {
-      dist = super.Solve();
-    } else {
-      algo::DijkstraSearch(pg, query.source, query.target,
-                           KnownEdgeFilter{&pg}, s.search);
-      dist = s.search.DistTo(query.target);
-    }
-  }
-  run.cpu_ms += sw_search.ElapsedMs();
-  return finish(dist);
+  if (!mapped) return region.Fail();
+  return region.Finish();
 }
 
 }  // namespace airindex::core

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <deque>
+#include <utility>
 #include <vector>
 
 #include "algo/search_workspace.h"
@@ -58,14 +59,15 @@ class SegmentArena {
   std::vector<broadcast::ReceivedSegment*> free_;
 };
 
-/// The §6.2 loss path of the selective-tuning clients (EB/NR): regions
-/// whose segments arrived damaged wait here for one repair sweep after the
-/// pass over the cycle, next to that sweep's work lists.
+/// The §6.2 loss path of the selective-tuning clients (EB/NR, through
+/// core::RegionClient): regions whose segments arrived damaged wait here
+/// for one repair sweep after the pass over the cycle, next to that
+/// sweep's work lists.
 struct RegionStash {
   struct Region {
     broadcast::ReceivedSegment* cross = nullptr;
+    /// Null when the region's local segment was not wanted.
     broadcast::ReceivedSegment* local = nullptr;
-    bool want_local = false;
     uint32_t cross_start = 0;
     uint32_t local_start = 0;
   };
@@ -108,6 +110,10 @@ struct QueryScratch {
   /// Decoded index scratch of the EB / NR clients.
   EbIndex eb_index;
   NrIndex nr_index;
+  /// EB's index byte ranges the query needs intact, and the index packets
+  /// covering them that are still missing (§6.2).
+  std::vector<std::pair<size_t, size_t>> eb_ranges;
+  std::vector<uint32_t> eb_missing;
   /// EB's pruned needed-region list.
   std::vector<graph::RegionId> needed_regions;
   /// NR's received-region flags.

@@ -3,10 +3,10 @@
 // from malloc/aligned_alloc, back to free), so a warm QueryScratch can be
 // held to zero allocations per RunQuery.
 //
-// Covered: DJ, LD, AF and NR, lossless and at 2% loss. Not yet
-// allocation-free, so not covered: EB (its index re-decode and missing-range
-// list), SPQ and HiTi (each rebuilds a graph::Graph and its index per
-// query).
+// Covered: DJ, LD, AF, NR and EB, lossless and at 2% loss. Not yet
+// allocation-free, so not covered: SPQ (it decodes every quadtree of the
+// cycle into fresh vectors) and HiTi (its tables, node labels and overlay
+// maps), per query.
 
 #include <gtest/gtest.h>
 
@@ -143,7 +143,7 @@ TEST_P(AllocFreeTest, WarmScratchQueriesDoNotAllocate) {
 
 INSTANTIATE_TEST_SUITE_P(
     Clients, AllocFreeTest,
-    ::testing::Combine(::testing::Values("DJ", "LD", "AF", "NR"),
+    ::testing::Combine(::testing::Values("DJ", "LD", "AF", "NR", "EB"),
                        ::testing::Values(0.0, 0.02)),
     [](const auto& info) {
       return std::get<0>(info.param) +

@@ -96,7 +96,8 @@ TEST(EbIndexTest, SquarePackingKeepsBlockContiguous) {
 
 TEST(EbIndexTest, NeededRangesCoverRowColumnAndDirectory) {
   const uint32_t R = 8;
-  auto ranges = EbIndex::NeededByteRanges(R, 2, 5);
+  std::vector<std::pair<size_t, size_t>> ranges;
+  EbIndex::NeededByteRanges(R, 2, 5, &ranges);
   // Row 2 and column 5 cells must each be inside some range.
   auto covered = [&](size_t off) {
     for (auto [b, e] : ranges) {

@@ -1,12 +1,14 @@
-// Full-cycle clients under heavy loss. Once the repair budget runs out,
-// ReceiveFullCycle force-delivers segments that still have holes (zero
-// bytes). Decoding those as records used to feed garbage node ids to the
-// partial graph and the edge list: a crash or an exhausted heap instead of
-// a failed query. Every query must return, and every answer reported ok
-// must still be exact.
+// Clients under heavy loss. Once the repair budget runs out, the full-cycle
+// clients (ReceiveFullCycle) and the region clients of EB and NR (the
+// repair sweep) are left with segments that still have holes (zero bytes).
+// Decoding those as records used to feed garbage node ids to the partial
+// graph and the edge list: a crash (std::bad_alloc out of RunQuery) or an
+// exhausted heap instead of a failed query. Every query must return, and
+// every answer reported ok must still be exact.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <tuple>
 
@@ -65,15 +67,25 @@ TEST_P(HeavyLossTest, QueriesReturnAndOkAnswersAreExact) {
   }
 }
 
+std::string CaseName(
+    const ::testing::TestParamInfo<HeavyLossTest::ParamType>& info) {
+  return std::get<0>(info.param) + "_loss" +
+         std::to_string(std::lround(std::get<1>(info.param) * 100));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     FullCycle, HeavyLossTest,
     ::testing::Combine(::testing::Values("DJ", "LD", "AF", "SPQ", "HiTi"),
                        ::testing::Values(0.3, 0.4)),
-    [](const auto& info) {
-      return std::get<0>(info.param) + "_loss" +
-             std::to_string(
-                 static_cast<int>(std::get<1>(info.param) * 100));
-    });
+    CaseName);
+
+// EB and NR crashed from 10% loss with no repair pass, and up to 40% with
+// one.
+INSTANTIATE_TEST_SUITE_P(
+    Region, HeavyLossTest,
+    ::testing::Combine(::testing::Values("EB", "NR"),
+                       ::testing::Values(0.1, 0.2, 0.3, 0.4)),
+    CaseName);
 
 }  // namespace
 }  // namespace airindex::core
