@@ -1,5 +1,7 @@
 #include "common/options.h"
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,7 +48,7 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
     } else if (std::strncmp(arg, "--loss=", 7) == 0) {
       ok = ParseDoubleFlag(arg, 7, &opts.loss);
     } else if (std::strncmp(arg, "--burst=", 8) == 0) {
-      ok = ParseUintFlag(arg, 8, &u);
+      ok = ParseUintFlag(arg, 8, &u, UINT32_MAX);
       opts.burst = u > 1 ? static_cast<uint32_t>(u) : 1;
     } else if (std::strncmp(arg, "--corrupt=", 10) == 0) {
       ok = ParseDoubleFlag(arg, 10, &opts.corrupt);
@@ -55,10 +57,10 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
         std::exit(2);
       }
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      ok = ParseUintFlag(arg, 10, &u);
+      ok = ParseUintFlag(arg, 10, &u, UINT_MAX);
       opts.threads = static_cast<unsigned>(u);
     } else if (std::strncmp(arg, "--repeat=", 9) == 0) {
-      ok = ParseUintFlag(arg, 9, &u);
+      ok = ParseUintFlag(arg, 9, &u, UINT_MAX);
       opts.repeat = u > 1 ? static_cast<unsigned>(u) : 1;
     } else if (std::strcmp(arg, "--full") == 0) {
       opts.full = true;

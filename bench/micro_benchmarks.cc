@@ -41,8 +41,9 @@ void BM_DijkstraFull(benchmark::State& state) {
   const graph::Graph& g = BenchGraph();
   graph::NodeId source = 0;
   for (auto _ : state) {
-    auto tree = algo::DijkstraAll(g, source);
-    benchmark::DoNotOptimize(tree.dist.data());
+    algo::SearchWorkspace fresh;  // allocated and zero-filled per call
+    algo::DijkstraAll(g, source, fresh);
+    benchmark::DoNotOptimize(fresh.settled());
     source = (source + 97) % g.num_nodes();
   }
   state.SetItemsProcessed(state.iterations() *
@@ -65,9 +66,9 @@ BENCHMARK(BM_DijkstraPointToPoint);
 
 // The allocation-free kernel: same searches as BM_DijkstraFull /
 // BM_DijkstraPointToPoint, but run inside one reused SearchWorkspace
-// (generation-stamped O(1) reset + 4-ary heap) instead of allocating and
-// zero-filling dist/parent per call. The pairwise delta is the search-
-// kernel half of this PR's win; results are bit-identical (see
+// (generation-stamped O(1) reset + 4-ary heap) instead of a fresh one that
+// allocates and zero-fills its arrays per call. The pairwise delta is what
+// reuse saves; results are bit-identical (see
 // tests/algo/search_workspace_test.cc).
 void BM_DijkstraWorkspaceFull(benchmark::State& state) {
   const graph::Graph& g = BenchGraph();
@@ -211,19 +212,22 @@ void BM_NrClientQuery(benchmark::State& state) {
   static const auto& w =
       *new workload::Workload(workload::GenerateWorkload(g, 64, 9).value());
   broadcast::BroadcastChannel channel(&nr->cycle(), 0.0);
+  core::QueryScratch scratch;
   size_t qi = 0;
   for (auto _ : state) {
-    auto m = nr->RunQuery(channel, core::MakeAirQuery(g, w.queries[qi]));
+    auto m = nr->RunQuery(channel, core::MakeAirQuery(g, w.queries[qi]), {},
+                          &scratch);
     benchmark::DoNotOptimize(m.distance);
     qi = (qi + 1) % w.queries.size();
   }
 }
 BENCHMARK(BM_NrClientQuery)->Unit(benchmark::kMillisecond);
 
-// End-to-end RunQuery with and without a reused QueryScratch, per method.
-// The fresh/scratch pairs isolate the whole-client half of the win
-// (pooled PartialGraph, reused segment/decode buffers, workspace search);
-// metrics are byte-identical either way (tests/sim golden test).
+// End-to-end RunQuery on a fresh QueryScratch per query and on one reused
+// scratch, per method. The fresh/scratch pairs isolate the whole-client
+// half of the win (pooled PartialGraph, reused segment/decode buffers,
+// workspace search); metrics are byte-identical either way (tests/sim
+// golden test).
 void RunQueryBench(benchmark::State& state, const char* method,
                    bool use_scratch) {
   const graph::Graph& g = BenchGraph();
@@ -232,11 +236,12 @@ void RunQueryBench(benchmark::State& state, const char* method,
   static const auto& w =
       *new workload::Workload(workload::GenerateWorkload(g, 64, 9).value());
   broadcast::BroadcastChannel channel(&sys.cycle(), 0.0);
-  core::QueryScratch scratch;
+  core::QueryScratch reused;
   size_t qi = 0;
   for (auto _ : state) {
+    core::QueryScratch fresh;
     auto m = sys.RunQuery(channel, core::MakeAirQuery(g, w.queries[qi]), {},
-                          use_scratch ? &scratch : nullptr);
+                          use_scratch ? &reused : &fresh);
     benchmark::DoNotOptimize(m.distance);
     qi = (qi + 1) % w.queries.size();
   }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "broadcast/channel.h"
+#include "core/query_scratch.h"
 #include "core/systems.h"
 #include "device/energy.h"
 #include "graph/catalog.h"
@@ -37,12 +38,14 @@ int main() {
 
   std::printf("%-6s %12s %12s %10s %10s %10s\n", "method", "tuning[pkt]",
               "latency[s]", "mem[KB]", "cpu[ms]", "energy[J]");
+  core::QueryScratch scratch;
   for (const auto& sys : systems) {
     broadcast::BroadcastChannel channel(&sys->cycle(), 0.0);
     std::vector<device::QueryMetrics> metrics;
     double joules = 0;
     for (const auto& q : commuters.queries) {
-      auto m = sys->RunQuery(channel, core::MakeAirQuery(city, q));
+      auto m =
+          sys->RunQuery(channel, core::MakeAirQuery(city, q), {}, &scratch);
       joules += energy.QueryJoules(m);
       metrics.push_back(m);
     }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "broadcast/channel.h"
+#include "core/query_scratch.h"
 #include "core/systems.h"
 #include "device/profile_catalog.h"
 #include "graph/generator.h"
@@ -41,6 +42,7 @@ int main() {
 
   std::printf("%-4s %-14s %12s %10s %8s\n", "", "mode", "peak mem[KB]",
               "cpu[ms]", "exact");
+  core::QueryScratch scratch;
   for (const auto& sys : systems) {
     for (bool membound : {false, true}) {
       broadcast::BroadcastChannel channel(&sys->cycle(), 0.0);
@@ -51,7 +53,7 @@ int main() {
       bool all_exact = true;
       for (const auto& q : w.queries) {
         auto m = sys->RunQuery(channel, core::MakeAirQuery(network, q),
-                               opts);
+                               opts, &scratch);
         mem += static_cast<double>(m.peak_memory_bytes);
         cpu += m.cpu_ms;
         all_exact &= m.ok && m.distance == q.true_dist;

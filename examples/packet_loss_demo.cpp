@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "broadcast/channel.h"
+#include "core/query_scratch.h"
 #include "core/systems.h"
 #include "graph/generator.h"
 #include "workload/workload.h"
@@ -41,6 +42,7 @@ int main() {
 
   std::printf("%-14s %-6s %14s %14s %8s\n", "loss", "method", "tuning[pkt]",
               "latency[pkt]", "exact");
+  core::QueryScratch scratch;
   for (const broadcast::LossModel& loss : models) {
     for (const auto& sys : systems) {
       broadcast::BroadcastChannel channel(&sys->cycle(), loss, 555);
@@ -50,7 +52,7 @@ int main() {
       bool all_exact = true;
       for (const auto& q : w.queries) {
         auto m = sys->RunQuery(channel, core::MakeAirQuery(network, q),
-                               opts);
+                               opts, &scratch);
         tuning += static_cast<double>(m.tuning_packets);
         latency += static_cast<double>(m.latency_packets);
         all_exact &= m.ok && m.distance == q.true_dist;

@@ -7,6 +7,7 @@
 
 #include "broadcast/channel.h"
 #include "core/nr.h"
+#include "core/query_scratch.h"
 #include "device/energy.h"
 #include "graph/generator.h"
 #include "workload/workload.h"
@@ -39,8 +40,9 @@ int main() {
   query.source = 17;
   query.target = 1860;
   query.tune_phase = 0.42;  // tune in 42% into the cycle
-  device::QueryMetrics result =
-      server->RunQuery(channel, core::MakeAirQuery(network, query));
+  core::QueryScratch scratch;  // the client's reusable working memory
+  device::QueryMetrics result = server->RunQuery(
+      channel, core::MakeAirQuery(network, query), {}, &scratch);
 
   // 4. What did it cost? (the paper's §3.1 performance factors)
   device::EnergyModel energy(device::DeviceProfile::J2mePhone(),

@@ -276,12 +276,4 @@ graph::Path ArcFlagIndex::Query(const graph::Graph& g, graph::NodeId s,
   return ExtractPath(ws, s, t);
 }
 
-graph::Path ArcFlagIndex::Query(const graph::Graph& g, graph::NodeId s,
-                                graph::NodeId t, size_t* settled_out) const {
-  SearchWorkspace ws;
-  graph::Path path = Query(g, s, t, ws);
-  if (settled_out != nullptr) *settled_out = ws.settled();
-  return path;
-}
-
 }  // namespace airindex::algo

@@ -67,10 +67,6 @@ class ArcFlagIndex {
   graph::Path Query(const graph::Graph& g, graph::NodeId s, graph::NodeId t,
                     SearchWorkspace& ws) const;
 
-  /// Same search in a throwaway workspace.
-  graph::Path Query(const graph::Graph& g, graph::NodeId s, graph::NodeId t,
-                    size_t* settled_out = nullptr) const;
-
   /// Bytes of flag data per arc when broadcast: two bytes per region.
   /// Working the paper's own Table 1 backwards — (29233 - 14019) packets x
   /// 128 B over Germany's 60 858 directed arcs at the tuned 16 regions —

@@ -4,32 +4,16 @@
 
 namespace airindex::algo {
 
-SearchTree MaterializeSearchTree(const SearchWorkspace& ws, size_t n) {
-  SearchTree out;
-  out.dist.resize(n);
-  out.parent.resize(n);
-  for (NodeId v = 0; v < n; ++v) {
-    out.dist[v] = ws.DistTo(v);
-    out.parent[v] = ws.ParentOf(v);
-  }
-  out.settled = ws.settled();
-  return out;
-}
-
-namespace {
-
-template <typename DistOf, typename ParentOf>
-Path ExtractPathImpl(DistOf dist_of, ParentOf parent_of, NodeId source,
-                     NodeId target) {
+Path ExtractPath(const SearchWorkspace& ws, NodeId source, NodeId target) {
   Path p;
-  const Dist d = dist_of(target);
+  const Dist d = ws.DistTo(target);
   if (d == kInfDist) return p;
   p.dist = d;
   NodeId v = target;
   while (v != kInvalidNode) {
     p.nodes.push_back(v);
     if (v == source) break;
-    v = parent_of(v);
+    v = ws.ParentOf(v);
   }
   std::reverse(p.nodes.begin(), p.nodes.end());
   if (p.nodes.empty() || p.nodes.front() != source) {
@@ -37,21 +21,6 @@ Path ExtractPathImpl(DistOf dist_of, ParentOf parent_of, NodeId source,
     return Path{};
   }
   return p;
-}
-
-}  // namespace
-
-Path ExtractPath(const SearchTree& tree, NodeId source, NodeId target) {
-  if (target >= tree.dist.size()) return Path{};
-  return ExtractPathImpl([&](NodeId v) { return tree.dist[v]; },
-                         [&](NodeId v) { return tree.parent[v]; }, source,
-                         target);
-}
-
-Path ExtractPath(const SearchWorkspace& ws, NodeId source, NodeId target) {
-  return ExtractPathImpl([&](NodeId v) { return ws.DistTo(v); },
-                         [&](NodeId v) { return ws.ParentOf(v); }, source,
-                         target);
 }
 
 Dist PathLength(const Graph& g, const std::vector<NodeId>& nodes) {

@@ -18,15 +18,6 @@ using graph::kInvalidNode;
 using graph::NodeId;
 using graph::Path;
 
-/// Result of a Dijkstra run: per-node distances, the shortest-path tree
-/// (parent pointers), and the number of settled nodes (the paper's proxy for
-/// client CPU work).
-struct SearchTree {
-  std::vector<Dist> dist;
-  std::vector<NodeId> parent;
-  size_t settled = 0;
-};
-
 /// Accept-everything edge filter.
 struct AllEdges {
   template <typename Arc>
@@ -115,42 +106,9 @@ void DijkstraAll(const G& g, NodeId source, SearchWorkspace& ws) {
   DijkstraSearch(g, source, kInvalidNode, AllEdges{}, ws);
 }
 
-/// Copies the workspace's current search into a standalone SearchTree of
-/// `n` nodes (unreached entries become kInfDist / kInvalidNode). This is
-/// how the legacy value-returning API is produced from a workspace run.
-SearchTree MaterializeSearchTree(const SearchWorkspace& ws, size_t n);
-
-/// Legacy value-returning Dijkstra: runs in a throwaway workspace and
-/// materializes the tree. Bit-identical to the historical implementation;
-/// hot paths should prefer the workspace overload above.
-template <typename G, typename EdgeFilter>
-SearchTree DijkstraSearch(const G& g, NodeId source, NodeId target,
-                          EdgeFilter edge_filter) {
-  SearchWorkspace ws;
-  DijkstraSearch(g, source, target, edge_filter, ws);
-  return MaterializeSearchTree(ws, g.num_nodes());
-}
-
-/// Full single-source Dijkstra (settles every reachable node).
-template <typename G>
-SearchTree DijkstraAll(const G& g, NodeId source) {
-  return DijkstraSearch(g, source, kInvalidNode, AllEdges{});
-}
-
-/// Legacy value-returning variant of DijkstraToTargets.
-template <typename G>
-SearchTree DijkstraToTargets(const G& g, NodeId source,
-                             const std::vector<NodeId>& targets) {
-  SearchWorkspace ws;
-  DijkstraToTargets(g, source, targets, ws);
-  return MaterializeSearchTree(ws, g.num_nodes());
-}
-
-/// Walks the parent chain of `tree` (a search from `source`) backwards from
-/// `target`. Returns an unreachable Path if target was not reached.
-Path ExtractPath(const SearchTree& tree, NodeId source, NodeId target);
-
-/// Same, reading straight out of a workspace search.
+/// Walks the parent chain of the workspace's current search (from
+/// `source`) backwards from `target`. Returns an unreachable Path if target
+/// was not reached.
 Path ExtractPath(const SearchWorkspace& ws, NodeId source, NodeId target);
 
 /// Point-to-point shortest path on a full graph (the paper's baseline query

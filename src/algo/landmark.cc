@@ -27,14 +27,16 @@ Result<LandmarkIndex> LandmarkIndex::Build(const graph::Graph& g,
   // Harrelson that the paper cites.
   NodeId start = static_cast<NodeId>(rng.NextBounded(n));
   std::vector<Dist> min_dist(n, kInfDist);
+  SearchWorkspace ws;
   NodeId current = start;
   for (uint32_t l = 0; l < num_landmarks; ++l) {
-    SearchTree tree = DijkstraAll(g, current);
+    DijkstraAll(g, current, ws);
     NodeId farthest = current;
     Dist best = 0;
     for (NodeId v = 0; v < n; ++v) {
-      if (tree.dist[v] == kInfDist) continue;
-      min_dist[v] = std::min(min_dist[v], tree.dist[v]);
+      const Dist d = ws.DistTo(v);
+      if (d == kInfDist) continue;
+      min_dist[v] = std::min(min_dist[v], d);
       if (min_dist[v] >= best &&
           std::find(idx.landmarks_.begin(), idx.landmarks_.end(), v) ==
               idx.landmarks_.end()) {
@@ -49,17 +51,24 @@ Result<LandmarkIndex> LandmarkIndex::Build(const graph::Graph& g,
     idx.landmarks_.push_back(farthest);
     current = farthest;
     // Fold the new landmark's distances in for the next selection round.
-    SearchTree from_new = DijkstraAll(g, farthest);
+    DijkstraAll(g, farthest, ws);
     for (NodeId v = 0; v < n; ++v) {
-      min_dist[v] = std::min(min_dist[v], from_new.dist[v]);
+      min_dist[v] = std::min(min_dist[v], ws.DistTo(v));
     }
   }
 
+  // One full search per landmark and direction, copied out of `ws`.
+  auto all_dists = [&](const graph::Graph& graph, NodeId source) {
+    DijkstraAll(graph, source, ws);
+    std::vector<Dist> dist(n);
+    for (NodeId v = 0; v < n; ++v) dist[v] = ws.DistTo(v);
+    return dist;
+  };
   idx.from_.resize(num_landmarks);
   idx.to_.resize(num_landmarks);
   for (uint32_t l = 0; l < num_landmarks; ++l) {
-    idx.from_[l] = DijkstraAll(g, idx.landmarks_[l]).dist;
-    idx.to_[l] = DijkstraAll(rev, idx.landmarks_[l]).dist;
+    idx.from_[l] = all_dists(g, idx.landmarks_[l]);
+    idx.to_[l] = all_dists(rev, idx.landmarks_[l]);
   }
   return idx;
 }

@@ -24,8 +24,7 @@ namespace airindex::algo {
 /// by design (one workspace per worker thread), and never an output channel
 /// — results read back through DistTo/ParentOf are only valid until the
 /// next BeginSearch. The search kernels in dijkstra.h / astar.h run inside
-/// a workspace passed by the caller; the legacy SearchTree-returning
-/// signatures wrap a local workspace and stay bit-identical.
+/// a workspace passed by the caller.
 class SearchWorkspace {
  public:
   /// Heap entry of the Dijkstra kernels: (tentative distance, node).
@@ -83,7 +82,7 @@ class SearchWorkspace {
   }
 
   /// Tentative/final distance of the current search (kInfDist when
-  /// unreached, matching SearchTree::dist of the legacy API).
+  /// unreached).
   graph::Dist DistTo(graph::NodeId v) const {
     return Visited(v) ? dist_[v] : graph::kInfDist;
   }
@@ -106,8 +105,7 @@ class SearchWorkspace {
 
   // --- Kernel API (used by the search templates; callers normally only
   // --- read results through the accessors above). `v` must be < the `n`
-  // --- of the last BeginSearch — same contract as indexing the legacy
-  // --- SearchTree vectors.
+  // --- of the last BeginSearch.
 
   /// Records `d` via `parent` if it improves on the current tentative
   /// distance; returns whether it did (i.e. whether to push a heap entry).

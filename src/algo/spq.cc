@@ -66,23 +66,24 @@ struct QtBuilder {
 };
 
 /// First-hop arc ordinal at `source` for every node, derived from one full
-/// Dijkstra: process nodes by increasing distance and inherit the parent's
-/// colour (direct children of source get their arc's ordinal).
-std::vector<int32_t> FirstHopColors(const graph::Graph& g, NodeId source) {
-  SearchTree tree = DijkstraAll(g, source);
+/// Dijkstra in `ws`: process nodes by increasing distance and inherit the
+/// parent's colour (direct children of source get their arc's ordinal).
+std::vector<int32_t> FirstHopColors(const graph::Graph& g, NodeId source,
+                                    SearchWorkspace& ws) {
+  DijkstraAll(g, source, ws);
   const size_t n = g.num_nodes();
   std::vector<int32_t> colors(n, SpqIndex::QtNode::kNoColor);
 
   std::vector<NodeId> order(n);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    return tree.dist[a] < tree.dist[b];
+    return ws.DistTo(a) < ws.DistTo(b);
   });
 
   auto arcs = g.OutArcs(source);
   for (NodeId v : order) {
-    if (v == source || tree.dist[v] == graph::kInfDist) continue;
-    const NodeId p = tree.parent[v];
+    if (v == source || ws.DistTo(v) == graph::kInfDist) continue;
+    const NodeId p = ws.ParentOf(v);
     if (p == source) {
       // Ordinal of arc source->v (adjacency is sorted by head id).
       size_t lo = 0, hi = arcs.size();
@@ -121,9 +122,9 @@ RootCell ComputeRootCell(const graph::Graph& g) {
 }
 
 SpqIndex::Tree BuildTreeFor(const graph::Graph& g, NodeId source,
-                            const RootCell& root) {
+                            const RootCell& root, SearchWorkspace& ws) {
   SpqIndex::Tree tree;
-  std::vector<int32_t> colors = FirstHopColors(g, source);
+  std::vector<int32_t> colors = FirstHopColors(g, source, ws);
   std::vector<uint32_t> items;
   items.reserve(g.num_nodes() - 1);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -145,10 +146,12 @@ Result<SpqIndex> SpqIndex::Build(const graph::Graph& g,
   idx.min_y_ = root.min_y;
   idx.size_ = root.size;
   idx.trees_.resize(g.num_nodes());
-  ParallelFor(
+  std::vector<SearchWorkspace> ws(ResolveWorkers(g.num_nodes(), num_threads));
+  ParallelForWorker(
       g.num_nodes(),
-      [&](size_t v) {
-        idx.trees_[v] = BuildTreeFor(g, static_cast<NodeId>(v), root);
+      [&](unsigned worker, size_t v) {
+        idx.trees_[v] =
+            BuildTreeFor(g, static_cast<NodeId>(v), root, ws[worker]);
       },
       num_threads);
   return idx;
@@ -158,8 +161,9 @@ Result<size_t> SpqIndex::BuildSizeOnly(const graph::Graph& g) {
   if (g.num_nodes() < 2) return Status::InvalidArgument("graph too small");
   const RootCell root = ComputeRootCell(g);
   std::atomic<size_t> total{0};
-  ParallelFor(g.num_nodes(), [&](size_t v) {
-    Tree tree = BuildTreeFor(g, static_cast<NodeId>(v), root);
+  std::vector<SearchWorkspace> ws(ResolveWorkers(g.num_nodes(), 0));
+  ParallelForWorker(g.num_nodes(), [&](unsigned worker, size_t v) {
+    Tree tree = BuildTreeFor(g, static_cast<NodeId>(v), root, ws[worker]);
     total.fetch_add(TreeBytes(tree), std::memory_order_relaxed);
   });
   return total.load();

@@ -144,13 +144,6 @@ void ReceiveSegmentAt(ClientSession& session, uint32_t segment_start,
   ListenToSegmentEnd(session, 0, /*heard_before=*/false, out);
 }
 
-ReceivedSegment ReceiveSegmentAt(ClientSession& session,
-                                 uint32_t segment_start) {
-  ReceivedSegment out;
-  ReceiveSegmentAt(session, segment_start, &out);
-  return out;
-}
-
 void CompleteSegmentFrom(ClientSession& session, const PacketView& first,
                          ReceivedSegment* out) {
   // `first` was already received by the caller — it is the content start
@@ -159,13 +152,6 @@ void CompleteSegmentFrom(ClientSession& session, const PacketView& first,
   PrimeSegment(session.cycle(), first.segment_index, out);
   AcceptPacket(first, out);
   ListenToSegmentEnd(session, first.seq + 1, /*heard_before=*/true, out);
-}
-
-ReceivedSegment CompleteSegmentFrom(ClientSession& session,
-                                    const PacketView& first) {
-  ReceivedSegment out;
-  CompleteSegmentFrom(session, first, &out);
-  return out;
 }
 
 bool RepairSegment(ClientSession& session, uint32_t segment_start,

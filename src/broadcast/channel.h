@@ -435,13 +435,10 @@ void AcceptPacket(const PacketView& view, ReceivedSegment* out);
 /// bytes and a false mask entry; retry policy is the caller's.
 /// A start past the cycle yields an incomplete segment no repair completes.
 ///
-/// The out-parameter form overwrites `*out`, reusing its payload/mask
-/// buffers — the allocation-free path when `out` lives in a
-/// core::QueryScratch segment arena.
+/// Overwrites `*out`, reusing its payload/mask buffers, so a receive into a
+/// core::QueryScratch segment arena allocates nothing.
 void ReceiveSegmentAt(ClientSession& session, uint32_t segment_start,
                       ReceivedSegment* out);
-ReceivedSegment ReceiveSegmentAt(ClientSession& session,
-                                 uint32_t segment_start);
 
 /// Completes the segment a just-received packet belongs to: ingests `first`
 /// and listens to the rest of its segment. Packets before `first.seq` are
@@ -450,8 +447,6 @@ ReceivedSegment ReceiveSegmentAt(ClientSession& session,
 /// for the next one.
 void CompleteSegmentFrom(ClientSession& session, const PacketView& first,
                          ReceivedSegment* out);
-ReceivedSegment CompleteSegmentFrom(ClientSession& session,
-                                    const PacketView& first);
 
 /// Re-listens (next cycle) to the still-missing packets of `seg` in
 /// broadcast order, up to `max_extra_cycles` additional cycles. Returns true

@@ -216,16 +216,6 @@ bool NodeRecordCursor::Next(NodeRecord* rec) {
                                              : NextCompact(rec);
 }
 
-Result<std::vector<NodeRecord>> DecodeNodeRecords(
-    const std::vector<uint8_t>& buf, CycleEncoding encoding) {
-  std::vector<NodeRecord> records;
-  NodeRecordCursor cursor(buf, encoding);
-  NodeRecord rec;
-  while (cursor.Next(&rec)) records.push_back(rec);
-  if (!cursor.status().ok()) return cursor.status();
-  return records;
-}
-
 size_t NetworkDataBytes(const graph::Graph& g, CycleEncoding encoding) {
   size_t bytes = encoding == CycleEncoding::kCompact ? 1 : 0;
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {

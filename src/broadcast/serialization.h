@@ -76,7 +76,7 @@ std::vector<uint8_t> EncodeNodeRecords(
     CycleEncoding encoding = CycleEncoding::kLegacy);
 
 /// Checks that `[data, data + size)` is a well-formed record sequence
-/// without materializing anything (the exact checks DecodeNodeRecords
+/// without materializing anything (the exact checks NodeRecordCursor
 /// applies). Clients validate a segment first and then stream it with a
 /// NodeRecordCursor, preserving the historical all-or-nothing ingest on
 /// damaged payloads while allocating nothing per record.
@@ -122,11 +122,6 @@ class NodeRecordCursor {
   size_t pos_ = 0;
   Status status_ = Status::OK();
 };
-
-/// Decodes every record in `buf`. Fails on truncation.
-Result<std::vector<NodeRecord>> DecodeNodeRecords(
-    const std::vector<uint8_t>& buf,
-    CycleEncoding encoding = CycleEncoding::kLegacy);
 
 /// Serialized bytes of the whole network data (all records; for kCompact
 /// plus the version byte of a single enclosing blob — callers that chunk

@@ -25,12 +25,16 @@ bool ParseUint(std::string_view name, const char* value, uint64_t* out,
                uint64_t max = UINT64_MAX);
 
 /// The --name=value forms: `arg` is the whole argument and `prefix` the
-/// length of "--name=".
+/// length of "--name=". A flag stored in a narrower field passes that
+/// field's limit as `max`, so a value past it is rejected by name instead
+/// of wrapping in the cast.
 inline bool ParseDoubleFlag(const char* arg, size_t prefix, double* out) {
   return ParseDouble(std::string_view(arg, prefix - 1), arg + prefix, out);
 }
-inline bool ParseUintFlag(const char* arg, size_t prefix, uint64_t* out) {
-  return ParseUint(std::string_view(arg, prefix - 1), arg + prefix, out);
+inline bool ParseUintFlag(const char* arg, size_t prefix, uint64_t* out,
+                          uint64_t max = UINT64_MAX) {
+  return ParseUint(std::string_view(arg, prefix - 1), arg + prefix, out,
+                   max);
 }
 
 }  // namespace airindex

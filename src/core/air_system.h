@@ -80,12 +80,11 @@ struct QueryScratch;
 /// scratch instance itself is single-threaded — callers that fan out give
 /// each worker thread its own (sim::Simulator keeps one per worker and
 /// reuses it across the thread's whole query slice), and results are
-/// byte-identical whether scratch is shared across queries, fresh, or
-/// absent. Implementers of new methods must preserve both guarantees; the
-/// way to do so is to build RunQuery on core::ClientRun
-/// (core/client_run.h), which owns the per-query session, memory account
-/// and scratch binding (including the null-scratch case) and emits the
-/// QueryMetrics.
+/// byte-identical whether a scratch is shared across queries or fresh.
+/// Implementers of new methods must preserve both guarantees; the way to
+/// do so is to build RunQuery on core::ClientRun (core/client_run.h),
+/// which owns the per-query session, memory account and scratch binding
+/// and emits the QueryMetrics.
 class AirSystem {
  public:
   virtual ~AirSystem() = default;
@@ -98,15 +97,13 @@ class AirSystem {
   virtual const broadcast::BroadcastCycle& cycle() const = 0;
 
   /// Executes one client query against a channel carrying this system's
-  /// cycle. Never throws; failures surface as !metrics.ok. `scratch`, when
-  /// non-null, supplies every reusable client buffer (reset on entry), so
-  /// a caller that keeps one scratch per thread runs the steady-state
-  /// query path without allocating; null gives the query a throwaway
-  /// scratch (handled once, in core::ClientRun).
+  /// cycle. Never throws; failures surface as !metrics.ok. `scratch` must
+  /// not be null: it supplies every reusable client buffer (reset on
+  /// entry), so a caller that keeps one scratch per thread runs the
+  /// steady-state query path without allocating.
   virtual device::QueryMetrics RunQuery(
       const broadcast::BroadcastChannel& channel, const AirQuery& query,
-      const ClientOptions& options = {},
-      QueryScratch* scratch = nullptr) const = 0;
+      const ClientOptions& options, QueryScratch* scratch) const = 0;
 
   /// Server-side pre-computation wall time in seconds (Table 3).
   virtual double precompute_seconds() const { return 0.0; }

@@ -112,7 +112,7 @@ void DecodeArcFlagSegment(const broadcast::ReceivedSegment& seg,
 device::QueryMetrics ArcFlagOnAir::RunQuery(
     const broadcast::BroadcastChannel& channel, const AirQuery& query,
     const ClientOptions& options, QueryScratch* scratch) const {
-  ClientRun run(channel, StartPosition(channel, query), options, scratch);
+  ClientRun run(channel, StartPosition(channel, query), options, *scratch);
   QueryScratch& s = run.scratch();
   device::MemoryTracker& memory = run.memory;
   PartialGraph& pg = s.partial_graph;

@@ -1,7 +1,6 @@
 #include "core/border_precompute.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <mutex>
 #include <numeric>
@@ -138,34 +137,6 @@ AttachedTargets BuildAttachedTargets(const graph::PendantForest& forest,
 }
 
 }  // namespace
-
-std::vector<graph::RegionId> BorderPrecompute::NeededRegions(
-    graph::RegionId i, graph::RegionId j) const {
-  std::vector<graph::RegionId> out;
-  NeededRegionsInto(i, j, &out);
-  return out;
-}
-
-void BorderPrecompute::NeededRegionsInto(
-    graph::RegionId i, graph::RegionId j,
-    std::vector<graph::RegionId>* out) const {
-  out->clear();
-  const size_t words = words_per_pair();
-  const uint64_t* mask =
-      traversed.data() + (static_cast<size_t>(i) * num_regions + j) * words;
-  for (size_t w = 0; w < words; ++w) {
-    uint64_t bits = mask[w];
-    // Endpoint regions are always needed, whether or not a recorded path
-    // touches them.
-    if (i / 64 == w) bits |= uint64_t{1} << (i % 64);
-    if (j / 64 == w) bits |= uint64_t{1} << (j % 64);
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      out->push_back(static_cast<graph::RegionId>(w * 64 + bit));
-      bits &= bits - 1;
-    }
-  }
-}
 
 void BorderPrecompute::NeededRegionsMask(graph::RegionId i, graph::RegionId j,
                                          uint64_t* words) const {

@@ -63,21 +63,10 @@ struct BorderPrecompute {
     return (traversed[base + k / 64] >> (k % 64)) & 1;
   }
 
-  /// NR's needed-region set for the ordered pair (i, j): the traversal set
-  /// plus both endpoint regions, ascending.
-  std::vector<graph::RegionId> NeededRegions(graph::RegionId i,
-                                             graph::RegionId j) const;
-
-  /// Allocation-free variant: clears `*out` and fills it with the needed
-  /// regions for (i, j), reusing the vector's capacity. Cycle construction
-  /// calls this once per ordered region pair (R^2 times), so the fresh
-  /// vector the value-returning overload allocates is measurable there.
-  void NeededRegionsInto(graph::RegionId i, graph::RegionId j,
-                         std::vector<graph::RegionId>* out) const;
-
-  /// Bitset variant: writes words_per_pair() little-endian words into
-  /// `words` — the traversal mask with bits i and j forced on. `words`
-  /// must hold at least words_per_pair() entries.
+  /// NR's needed-region set for the ordered pair (i, j), as a bitset:
+  /// writes words_per_pair() little-endian words into `words` — the
+  /// traversal mask with bits i and j forced on (the endpoint regions are
+  /// always needed). `words` must hold at least words_per_pair() entries.
   void NeededRegionsMask(graph::RegionId i, graph::RegionId j,
                          uint64_t* words) const;
 };

@@ -8,14 +8,12 @@ namespace airindex::core {
 
 ClientRun::ClientRun(const broadcast::BroadcastChannel& channel,
                      uint64_t start_pos, const ClientOptions& options,
-                     QueryScratch* scratch)
+                     QueryScratch& scratch)
     : session(&channel, start_pos),
       memory(options.heap_bytes),
-      local_(scratch == nullptr ? std::make_unique<QueryScratch>()
-                                : nullptr),
-      scratch_(scratch != nullptr ? scratch : local_.get()) {
-  scratch_->BeginQuery();
-  scratch_->session.BeginQueryStats();
+      scratch_(scratch) {
+  scratch_.BeginQuery();
+  scratch_.session.BeginQueryStats();
 }
 
 std::optional<uint32_t> ClientRun::ReceiveNextIndex(
@@ -38,7 +36,7 @@ bool ClientRun::Decodable(const broadcast::ReceivedSegment& seg,
                           broadcast::CycleEncoding encoding,
                           Payload payload) const {
   if (!seg.complete) return false;
-  return MemoValidate(scratch_->decode_cache, seg, [&] {
+  return MemoValidate(scratch_.decode_cache, seg, [&] {
     return (payload == Payload::kRegion
                 ? ValidateRegionData(seg.payload, encoding)
                 : broadcast::ValidateNodeRecords(seg.payload, encoding))
@@ -50,7 +48,7 @@ void ClientRun::DecodeIntoPartialGraph(const broadcast::ReceivedSegment& seg,
                                        broadcast::CycleEncoding encoding,
                                        CsrRebuild* rebuild) {
   if (!Decodable(seg, encoding)) return;
-  QueryScratch& s = *scratch_;
+  QueryScratch& s = scratch_;
   size_t records = 0, arcs = 0, id_bound = 0, head_bound = 0;
   bool self_loop = false;
   broadcast::NodeRecordCursor cursor(seg.payload, encoding);
@@ -86,7 +84,7 @@ device::QueryMetrics ClientRun::Finish(graph::Dist distance, bool ok) const {
   m.peak_memory_bytes = memory.peak();
   m.memory_exceeded = memory.exceeded();
   m.cpu_ms = cpu_ms;
-  m.cache_hits = scratch_->session.query_hits();
+  m.cache_hits = scratch_.session.query_hits();
   m.warm = m.cache_hits > 0;
   m.distance = distance;
   m.ok = ok;

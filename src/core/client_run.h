@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "broadcast/channel.h"
@@ -64,9 +63,7 @@ struct CsrRebuild {
 ///     passes (StartPosition);
 ///   * `memory`: the client working-memory account, budgeted by
 ///     ClientOptions::heap_bytes;
-///   * `scratch()`: the caller's QueryScratch, or a throwaway one this run
-///     owns when the caller passed null. This is the one place that
-///     handles a null scratch;
+///   * `scratch()`: the caller's QueryScratch;
 ///   * `cpu_ms`: the client computation time the body accumulates.
 ///
 /// Construction readies the scratch for the query (BeginQuery and the
@@ -74,9 +71,9 @@ struct CsrRebuild {
 class ClientRun {
  public:
   ClientRun(const broadcast::BroadcastChannel& channel, uint64_t start_pos,
-            const ClientOptions& options, QueryScratch* scratch);
+            const ClientOptions& options, QueryScratch& scratch);
 
-  QueryScratch& scratch() const { return *scratch_; }
+  QueryScratch& scratch() const { return scratch_; }
 
   /// Tunes in on an indexed cycle: listens until a packet arrives (at most
   /// `max_probes` packets), then receives the index copy its header points
@@ -119,8 +116,7 @@ class ClientRun {
   double cpu_ms = 0.0;
 
  private:
-  std::unique_ptr<QueryScratch> local_;
-  QueryScratch* scratch_;
+  QueryScratch& scratch_;
 };
 
 }  // namespace airindex::core

@@ -22,7 +22,7 @@ Result<std::unique_ptr<DijkstraOnAir>> DijkstraOnAir::Build(
 device::QueryMetrics DijkstraOnAir::RunQuery(
     const broadcast::BroadcastChannel& channel, const AirQuery& query,
     const ClientOptions& options, QueryScratch* scratch) const {
-  ClientRun run(channel, StartPosition(channel, query), options, scratch);
+  ClientRun run(channel, StartPosition(channel, query), options, *scratch);
   QueryScratch& s = run.scratch();
   device::MemoryTracker& memory = run.memory;
   PartialGraph& pg = s.partial_graph;

@@ -24,9 +24,8 @@ class DijkstraOnAir : public AirSystem {
   const broadcast::BroadcastCycle& cycle() const override { return cycle_; }
   device::QueryMetrics RunQuery(const broadcast::BroadcastChannel& channel,
                                 const AirQuery& query,
-                                const ClientOptions& options = {},
-                                QueryScratch* scratch =
-                                    nullptr) const override;
+                                const ClientOptions& options,
+                                QueryScratch* scratch) const override;
 
  private:
   DijkstraOnAir() = default;

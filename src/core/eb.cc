@@ -205,7 +205,7 @@ Result<std::unique_ptr<EbSystem>> EbSystem::BuildFromPrecompute(
 device::QueryMetrics EbSystem::RunQuery(
     const broadcast::BroadcastChannel& channel, const AirQuery& query,
     const ClientOptions& options, QueryScratch* scratch) const {
-  ClientRun run(channel, StartPosition(channel, query), options, scratch);
+  ClientRun run(channel, StartPosition(channel, query), options, *scratch);
   RegionClient region(run, query, options, encoding_,
                       RegionClient::CacheOrder::kWholeRegion);
   broadcast::ClientSession& session = run.session;

@@ -48,9 +48,8 @@ class EbSystem : public AirSystem {
   const broadcast::BroadcastCycle& cycle() const override { return cycle_; }
   device::QueryMetrics RunQuery(const broadcast::BroadcastChannel& channel,
                                 const AirQuery& query,
-                                const ClientOptions& options = {},
-                                QueryScratch* scratch =
-                                    nullptr) const override;
+                                const ClientOptions& options,
+                                QueryScratch* scratch) const override;
   double precompute_seconds() const override { return precompute_seconds_; }
 
   /// The replication factor chosen by the (1,m) analysis.

@@ -172,12 +172,6 @@ Status EbIndex::Decode(const std::vector<uint8_t>& payload, EbIndex* out) {
   return Status::OK();
 }
 
-Result<EbIndex> EbIndex::Decode(const std::vector<uint8_t>& payload) {
-  EbIndex idx;
-  AIRINDEX_RETURN_IF_ERROR(Decode(payload, &idx));
-  return idx;
-}
-
 void EbIndex::NeededByteRanges(uint32_t num_regions, graph::RegionId rs,
                                graph::RegionId rt,
                                std::vector<std::pair<size_t, size_t>>* out) {

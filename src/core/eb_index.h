@@ -60,8 +60,7 @@ class EbIndex {
   }
 
   std::vector<uint8_t> Encode() const;
-  static Result<EbIndex> Decode(const std::vector<uint8_t>& payload);
-  /// Decode into an existing index, reusing its vector capacity (the
+  /// Decodes into an existing index, reusing its vector capacity (the
   /// allocation-free client path). `*out` is unspecified on failure.
   static Status Decode(const std::vector<uint8_t>& payload, EbIndex* out);
 

@@ -80,7 +80,7 @@ Result<std::unique_ptr<HiTiOnAir>> HiTiOnAir::Build(const graph::Graph& g,
 device::QueryMetrics HiTiOnAir::RunQuery(
     const broadcast::BroadcastChannel& channel, const AirQuery& query,
     const ClientOptions& options, QueryScratch* scratch) const {
-  ClientRun run(channel, StartPosition(channel, query), options, scratch);
+  ClientRun run(channel, StartPosition(channel, query), options, *scratch);
   QueryScratch& s = run.scratch();
   device::MemoryTracker& memory = run.memory;
 

@@ -30,9 +30,8 @@ class LandmarkOnAir : public AirSystem {
   const broadcast::BroadcastCycle& cycle() const override { return cycle_; }
   device::QueryMetrics RunQuery(const broadcast::BroadcastChannel& channel,
                                 const AirQuery& query,
-                                const ClientOptions& options = {},
-                                QueryScratch* scratch =
-                                    nullptr) const override;
+                                const ClientOptions& options,
+                                QueryScratch* scratch) const override;
   double precompute_seconds() const override { return precompute_seconds_; }
 
   const algo::LandmarkIndex& index() const { return index_; }

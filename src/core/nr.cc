@@ -107,8 +107,8 @@ Result<std::unique_ptr<NrSystem>> NrSystem::BuildFromPrecompute(
     idx.next_region.assign(static_cast<size_t>(R) * R, 0);
   }
   std::vector<uint8_t> next_at(2 * R);
-  // One reused bitset per pair instead of a fresh NeededRegions vector:
-  // this loop runs R^2 times and sits on the cycle-construction hot path.
+  // One reused bitset for all pairs: this loop runs R^2 times and sits on
+  // the cycle-construction hot path.
   std::vector<uint64_t> needed(pre.words_per_pair());
   for (graph::RegionId i = 0; i < R; ++i) {
     for (graph::RegionId j = 0; j < R; ++j) {
@@ -159,7 +159,7 @@ Result<std::unique_ptr<NrSystem>> NrSystem::BuildFromPrecompute(
 device::QueryMetrics NrSystem::RunQuery(
     const broadcast::BroadcastChannel& channel, const AirQuery& query,
     const ClientOptions& options, QueryScratch* scratch) const {
-  ClientRun run(channel, StartPosition(channel, query), options, scratch);
+  ClientRun run(channel, StartPosition(channel, query), options, *scratch);
   RegionClient region(run, query, options, encoding_,
                       RegionClient::CacheOrder::kOnReceive);
   broadcast::ClientSession& session = run.session;

@@ -58,12 +58,6 @@ Status NrIndex::Decode(const std::vector<uint8_t>& payload, NrIndex* out) {
   return Status::OK();
 }
 
-Result<NrIndex> NrIndex::Decode(const std::vector<uint8_t>& payload) {
-  NrIndex idx;
-  AIRINDEX_RETURN_IF_ERROR(Decode(payload, &idx));
-  return idx;
-}
-
 std::pair<size_t, size_t> NrIndex::SplitsRange(uint32_t num_regions) {
   return {0, HeaderBytes(num_regions)};
 }

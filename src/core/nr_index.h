@@ -49,8 +49,7 @@ class NrIndex {
   }
 
   std::vector<uint8_t> Encode() const;
-  static Result<NrIndex> Decode(const std::vector<uint8_t>& payload);
-  /// Decode into an existing index, reusing its vector capacity (the
+  /// Decodes into an existing index, reusing its vector capacity (the
   /// allocation-free client path). `*out` is unspecified on failure.
   static Status Decode(const std::vector<uint8_t>& payload, NrIndex* out);
 

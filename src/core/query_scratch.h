@@ -80,18 +80,16 @@ struct RegionStash {
 /// allocates per query — the search workspace, the partial graph it
 /// rebuilds from the air, segment reassembly buffers, decode scratch —
 /// lives here so a reused scratch makes the steady-state query path
-/// allocation-free. Reported QueryMetrics are byte-identical with or
-/// without a scratch (and regardless of what ran in it before): scratch
-/// only changes *where* the client's working memory comes from, never what
-/// the client computes (the golden test in tests/sim pins this).
+/// allocation-free. Reported QueryMetrics are byte-identical whether a
+/// scratch is fresh or reused (whatever ran in it before): scratch only
+/// changes *where* the client's working memory comes from, never what the
+/// client computes (the golden test in tests/sim pins this).
 ///
 /// Ownership contract: a QueryScratch is single-threaded — one scratch per
 /// worker thread, never shared concurrently (sim::Simulator keeps one per
 /// worker and reuses it across the thread's whole query slice). RunQuery
 /// resets it on entry, so callers never clean up between queries; contents
-/// are meaningless between calls. Passing nullptr gives the query a
-/// throwaway scratch of its own; core::ClientRun (core/client_run.h) is the
-/// one place that handles that case.
+/// are meaningless between calls.
 struct QueryScratch {
   /// Dijkstra / A* state (dist, parent, frontier heaps).
   algo::SearchWorkspace search;

@@ -106,7 +106,7 @@ Result<std::unique_ptr<SpqOnAir>> SpqOnAir::Build(const graph::Graph& g,
 device::QueryMetrics SpqOnAir::RunQuery(
     const broadcast::BroadcastChannel& channel, const AirQuery& query,
     const ClientOptions& options, QueryScratch* scratch) const {
-  ClientRun run(channel, StartPosition(channel, query), options, scratch);
+  ClientRun run(channel, StartPosition(channel, query), options, *scratch);
   QueryScratch& s = run.scratch();
   device::MemoryTracker& memory = run.memory;
 

@@ -8,15 +8,20 @@
 
 namespace airindex::sim::jsonutil {
 
+namespace {
+
+/// Shortest representation that round-trips through a double exactly.
 std::string DoubleToString(double v) {
   // JSON has no NaN/inf literals: to_chars would emit "nan"/"inf", which
   // no reader (including this library's) round-trips. Emit null instead;
-  // GetNumber maps it back to NaN.
+  // the number accessors map it back to NaN.
   if (!std::isfinite(v)) return "null";
   std::array<char, 32> buf;
   auto [end, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), v);
   return std::string(buf.data(), end);
 }
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // JsonWriter
@@ -84,27 +89,6 @@ void JsonWriter::Field(std::string_view key, std::string_view v) {
   }
   out_ += '"';
   pending_ = false;
-}
-
-void JsonWriter::FieldBool(std::string_view key, bool v) {
-  Key(key);
-  out_ += v ? "true" : "false";
-  pending_ = false;
-}
-
-void JsonWriter::Element(uint64_t v) {
-  Separate();
-  out_ += std::to_string(v);
-}
-
-void JsonWriter::Element(std::string_view v) {
-  Separate();
-  out_ += '"';
-  for (char c : v) {
-    if (c == '"' || c == '\\') out_ += '\\';
-    out_ += c;
-  }
-  out_ += '"';
 }
 
 void JsonWriter::Indent() {
@@ -350,12 +334,8 @@ class JsonParser {
   size_t pos_ = 0;
 };
 
-}  // namespace
-
-Result<JsonValue> ParseJson(std::string_view text) {
-  return JsonParser(text).Parse();
-}
-
+/// Required numeric members behind GetNumberOr/GetUint64Or:
+/// InvalidArgument when missing or mistyped.
 Result<double> GetNumber(const JsonValue& obj, std::string_view key) {
   auto it = obj.object.find(key);
   if (it == obj.object.end()) {
@@ -363,7 +343,7 @@ Result<double> GetNumber(const JsonValue& obj, std::string_view key) {
                                    std::string(key));
   }
   // The writer serializes non-finite doubles as null (JSON has no NaN
-  // literal); map them back so a report with a NaN metric round-trips.
+  // literal); read a null back as NaN.
   if (it->second.type == JsonValue::Type::kNull) {
     return std::numeric_limits<double>::quiet_NaN();
   }
@@ -389,6 +369,12 @@ Result<uint64_t> GetUint64(const JsonValue& obj, std::string_view key) {
                                    " is not an unsigned integer");
   }
   return v;
+}
+
+}  // namespace
+
+Result<JsonValue> ParseJson(std::string_view text) {
+  return JsonParser(text).Parse();
 }
 
 Result<std::string> GetString(const JsonValue& obj, std::string_view key) {

@@ -11,9 +11,6 @@
 
 namespace airindex::sim::jsonutil {
 
-/// Shortest representation that round-trips through a double exactly.
-std::string DoubleToString(double v);
-
 /// Streaming writer for the stable-key-order reports the sim layer emits
 /// (objects, arrays, strings, numbers — the subset JsonParser reads back).
 class JsonWriter {
@@ -30,10 +27,6 @@ class JsonWriter {
   void Field(std::string_view key, double v);
   void Field(std::string_view key, uint64_t v);
   void Field(std::string_view key, std::string_view v);
-  void FieldBool(std::string_view key, bool v);
-  /// Scalar array elements (between BeginArray/EndArray).
-  void Element(uint64_t v);
-  void Element(std::string_view v);
 
  private:
   void Indent();
@@ -53,7 +46,7 @@ struct JsonValue {
   bool boolean = false;
   double number = 0.0;
   /// For numbers, the raw token — integer fields re-parse it as uint64 so
-  /// seeds above 2^53 survive the round-trip exactly.
+  /// seeds above 2^53 stay exact.
   std::string string;
   std::map<std::string, JsonValue, std::less<>> object;
   std::vector<JsonValue> array;
@@ -62,9 +55,7 @@ struct JsonValue {
 /// Parses `text` into a JsonValue, rejecting trailing garbage.
 Result<JsonValue> ParseJson(std::string_view text);
 
-/// Typed member accessors; InvalidArgument when missing or mistyped.
-Result<double> GetNumber(const JsonValue& obj, std::string_view key);
-Result<uint64_t> GetUint64(const JsonValue& obj, std::string_view key);
+/// Typed member accessor; InvalidArgument when missing or mistyped.
 Result<std::string> GetString(const JsonValue& obj, std::string_view key);
 
 /// Optional variants: the default when the key is absent, InvalidArgument

@@ -6,13 +6,6 @@ namespace airindex::sim {
 
 namespace {
 
-using jsonutil::GetNumber;
-using jsonutil::GetNumberOr;
-using jsonutil::GetString;
-using jsonutil::GetStringOr;
-using jsonutil::GetUint64;
-using jsonutil::GetUint64Or;
-using jsonutil::JsonValue;
 using jsonutil::JsonWriter;
 
 void WriteStat(JsonWriter& w, std::string_view key, const Stat& s) {
@@ -24,30 +17,6 @@ void WriteStat(JsonWriter& w, std::string_view key, const Stat& s) {
   w.Field("p99", s.p99);
   w.Field("max", s.max);
   w.EndObject();
-}
-
-Result<Stat> StatFromJson(const JsonValue& obj, std::string_view key) {
-  auto it = obj.object.find(key);
-  if (it == obj.object.end() ||
-      it->second.type != JsonValue::Type::kObject) {
-    return Status::InvalidArgument("missing stat field " + std::string(key));
-  }
-  Stat s;
-  AIRINDEX_ASSIGN_OR_RETURN(s.mean, GetNumber(it->second, "mean"));
-  AIRINDEX_ASSIGN_OR_RETURN(s.p50, GetNumber(it->second, "p50"));
-  AIRINDEX_ASSIGN_OR_RETURN(s.p95, GetNumber(it->second, "p95"));
-  // Additive in-schema field: older v1 writers stop at p95; their tails
-  // read back as 0 rather than failing the document.
-  AIRINDEX_ASSIGN_OR_RETURN(s.p99, GetNumberOr(it->second, "p99", 0.0));
-  AIRINDEX_ASSIGN_OR_RETURN(s.max, GetNumber(it->second, "max"));
-  return s;
-}
-
-/// Additive-field variant: zeros when the stat is absent (documents from
-/// writers predating the wait/listen split).
-Result<Stat> StatFromJsonOr(const JsonValue& obj, std::string_view key) {
-  if (obj.object.find(key) == obj.object.end()) return Stat{};
-  return StatFromJson(obj, key);
 }
 
 }  // namespace
@@ -112,51 +81,6 @@ void WriteSystemEntry(JsonWriter& w, const SystemResult& r) {
     WriteStat(w, "warm_tuning", a.warm_tuning);
   }
   w.EndObject();
-}
-
-Result<SystemResult> SystemEntryFromJson(const JsonValue& entry) {
-  if (entry.type != JsonValue::Type::kObject) {
-    return Status::InvalidArgument("system entry must be an object");
-  }
-  SystemResult r;
-  Aggregate& a = r.aggregate;
-  AIRINDEX_ASSIGN_OR_RETURN(a.system, GetString(entry, "system"));
-  r.system = a.system;
-  AIRINDEX_ASSIGN_OR_RETURN(uint64_t queries, GetUint64(entry, "queries"));
-  a.queries = static_cast<size_t>(queries);
-  AIRINDEX_ASSIGN_OR_RETURN(uint64_t failures, GetUint64(entry, "failures"));
-  a.failures = static_cast<size_t>(failures);
-  AIRINDEX_ASSIGN_OR_RETURN(uint64_t exceeded,
-                            GetUint64(entry, "memory_exceeded"));
-  a.memory_exceeded = static_cast<size_t>(exceeded);
-  AIRINDEX_ASSIGN_OR_RETURN(r.wall_seconds,
-                            GetNumber(entry, "wall_seconds"));
-  AIRINDEX_ASSIGN_OR_RETURN(r.queries_per_second,
-                            GetNumber(entry, "queries_per_second"));
-  AIRINDEX_ASSIGN_OR_RETURN(a.tuning_packets,
-                            StatFromJson(entry, "tuning_packets"));
-  AIRINDEX_ASSIGN_OR_RETURN(a.latency_packets,
-                            StatFromJson(entry, "latency_packets"));
-  // Additive in-schema stats: absent in reports from older v1 writers.
-  AIRINDEX_ASSIGN_OR_RETURN(a.wait_ms, StatFromJsonOr(entry, "wait_ms"));
-  AIRINDEX_ASSIGN_OR_RETURN(a.listen_ms, StatFromJsonOr(entry, "listen_ms"));
-  AIRINDEX_ASSIGN_OR_RETURN(a.peak_memory_bytes,
-                            StatFromJson(entry, "peak_memory_bytes"));
-  AIRINDEX_ASSIGN_OR_RETURN(a.cpu_ms, StatFromJson(entry, "cpu_ms"));
-  AIRINDEX_ASSIGN_OR_RETURN(a.energy_joules,
-                            StatFromJson(entry, "energy_joules"));
-  AIRINDEX_ASSIGN_OR_RETURN(a.corrupted_packets,
-                            StatFromJsonOr(entry, "corrupted_packets"));
-  AIRINDEX_ASSIGN_OR_RETURN(a.fec_recovered,
-                            StatFromJsonOr(entry, "fec_recovered"));
-  AIRINDEX_ASSIGN_OR_RETURN(a.cache_hits,
-                            StatFromJsonOr(entry, "cache_hits"));
-  AIRINDEX_ASSIGN_OR_RETURN(uint64_t warm,
-                            GetUint64Or(entry, "warm_queries", 0));
-  a.warm_queries = static_cast<size_t>(warm);
-  AIRINDEX_ASSIGN_OR_RETURN(a.warm_tuning,
-                            StatFromJsonOr(entry, "warm_tuning"));
-  return r;
 }
 
 }  // namespace detail
@@ -240,65 +164,6 @@ std::string ToJson(const BatchResult& batch) {
   std::string out = std::move(w).Take();
   out += '\n';
   return out;
-}
-
-Result<BatchResult> FromJson(std::string_view json) {
-  AIRINDEX_ASSIGN_OR_RETURN(JsonValue root, jsonutil::ParseJson(json));
-  if (root.type != JsonValue::Type::kObject) {
-    return Status::InvalidArgument("report root must be a JSON object");
-  }
-  AIRINDEX_ASSIGN_OR_RETURN(std::string schema, GetString(root, "schema"));
-  if (schema != kReportSchema) {
-    return Status::InvalidArgument("unsupported report schema " + schema);
-  }
-
-  BatchResult batch;
-  // Additive in-schema field: older v1 writers only knew the batch engine.
-  AIRINDEX_ASSIGN_OR_RETURN(batch.engine,
-                            GetStringOr(root, "engine", "batch"));
-  AIRINDEX_ASSIGN_OR_RETURN(batch.schedule_mode,
-                            GetStringOr(root, "schedule", "flat"));
-  AIRINDEX_ASSIGN_OR_RETURN(uint64_t nq, GetUint64(root, "num_queries"));
-  batch.num_queries = static_cast<size_t>(nq);
-  AIRINDEX_ASSIGN_OR_RETURN(uint64_t threads, GetUint64(root, "threads"));
-  batch.threads = static_cast<unsigned>(threads);
-  AIRINDEX_ASSIGN_OR_RETURN(batch.loss_rate, GetNumber(root, "loss_rate"));
-  // Additive in-schema field: absent in reports from older v1 writers.
-  AIRINDEX_ASSIGN_OR_RETURN(uint64_t burst,
-                            GetUint64Or(root, "loss_burst_len", 1));
-  batch.loss_burst_len = static_cast<uint32_t>(burst);
-  AIRINDEX_ASSIGN_OR_RETURN(batch.corrupt_bit,
-                            GetNumberOr(root, "corrupt_bit", 0.0));
-  AIRINDEX_ASSIGN_OR_RETURN(batch.loss_seed, GetUint64(root, "loss_seed"));
-  AIRINDEX_ASSIGN_OR_RETURN(uint64_t subs,
-                            GetUint64Or(root, "subchannels", 1));
-  batch.subchannels = static_cast<uint32_t>(subs);
-  AIRINDEX_ASSIGN_OR_RETURN(uint64_t fec_data,
-                            GetUint64Or(root, "fec_data", 16));
-  batch.fec.data_per_group = static_cast<uint32_t>(fec_data);
-  AIRINDEX_ASSIGN_OR_RETURN(uint64_t fec_parity,
-                            GetUint64Or(root, "fec_parity", 0));
-  batch.fec.parity_per_group = static_cast<uint32_t>(fec_parity);
-  AIRINDEX_ASSIGN_OR_RETURN(uint64_t session_queries,
-                            GetUint64Or(root, "session_queries", 1));
-  batch.session_queries = static_cast<uint32_t>(session_queries);
-  AIRINDEX_ASSIGN_OR_RETURN(uint64_t cache_bytes,
-                            GetUint64Or(root, "cache_bytes", 0));
-  batch.cache_bytes = static_cast<size_t>(cache_bytes);
-  AIRINDEX_ASSIGN_OR_RETURN(batch.wall_seconds,
-                            GetNumber(root, "wall_seconds"));
-
-  auto it = root.object.find("systems");
-  if (it == root.object.end() ||
-      it->second.type != JsonValue::Type::kArray) {
-    return Status::InvalidArgument("missing systems array");
-  }
-  for (const JsonValue& entry : it->second.array) {
-    AIRINDEX_ASSIGN_OR_RETURN(SystemResult r,
-                              detail::SystemEntryFromJson(entry));
-    batch.systems.push_back(std::move(r));
-  }
-  return batch;
 }
 
 }  // namespace airindex::sim

@@ -5,13 +5,12 @@
 #include <string>
 #include <string_view>
 
-#include "common/result.h"
 #include "sim/json.h"
 #include "sim/simulator.h"
 
 namespace airindex::sim {
 
-/// Identifier stamped into every batch JSON report; FromJson rejects others.
+/// Identifier stamped into every batch JSON report.
 inline constexpr std::string_view kReportSchema = "airindex.sim.batch/v1";
 
 /// Human-readable table of a batch (one row per system: mean/p50/p95 of
@@ -19,16 +18,11 @@ inline constexpr std::string_view kReportSchema = "airindex.sim.batch/v1";
 std::string ToText(const BatchResult& batch);
 
 /// Serializes the batch aggregates as JSON (stable key order; doubles
-/// printed shortest-round-trip so FromJson reproduces them exactly).
+/// printed shortest-round-trip, so a parser reads back the exact bits;
+/// non-finite values are written as null).
 /// Per-query metric vectors are deliberately not serialized — reports
 /// carry the distribution summaries, not megabytes of raw samples.
 std::string ToJson(const BatchResult& batch);
-
-/// Parses a ToJson report back into a BatchResult (per_query left empty).
-/// Returns InvalidArgument on malformed input or a schema mismatch.
-/// Accepts documents without the additive loss_burst_len field (older
-/// airindex.sim.batch/v1 writers), defaulting the burst length to 1.
-Result<BatchResult> FromJson(std::string_view json);
 
 namespace detail {
 
@@ -42,9 +36,6 @@ void AppendSystemTable(std::string& out,
 /// batch report's "systems" array). Shared with the scenario report writer
 /// so group and fleet entries stay field-compatible with batch entries.
 void WriteSystemEntry(jsonutil::JsonWriter& w, const SystemResult& r);
-
-/// Parses one system entry written by WriteSystemEntry (per_query empty).
-Result<SystemResult> SystemEntryFromJson(const jsonutil::JsonValue& entry);
 
 }  // namespace detail
 

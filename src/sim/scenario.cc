@@ -17,11 +17,9 @@ namespace airindex::sim {
 namespace {
 
 using jsonutil::GetBoolOr;
-using jsonutil::GetNumber;
 using jsonutil::GetNumberOr;
 using jsonutil::GetString;
 using jsonutil::GetStringOr;
-using jsonutil::GetUint64;
 using jsonutil::GetUint64Or;
 using jsonutil::JsonValue;
 using jsonutil::JsonWriter;
@@ -164,8 +162,9 @@ Result<ScenarioResult> ScenarioRunner::Run(const Scenario& s) const {
   AIRINDEX_ASSIGN_OR_RETURN(graph::Graph g,
                             graph::MakeNetwork(spec, s.scale));
   auto result = Run(s, g);
-  // The graph dies with this frame; its registry entries must not outlive
-  // it (cache keys are graph-address-based).
+  // Registry keys are the graph's content fingerprint, so the entries stay
+  // valid after this frame's graph dies; they are evicted only to free the
+  // systems built for a run that no longer needs them.
   core::SystemRegistry::Global().Evict(g);
   return result;
 }
@@ -184,29 +183,12 @@ Result<ScenarioResult> ScenarioRunner::Run(const Scenario& s,
     return Status::InvalidArgument("unknown engine \"" + engine +
                                    "\" (batch|event)");
   }
-  if (s.schedule.mode == SchedulePolicy::Mode::kOnline &&
-      engine != "event") {
-    return Status::InvalidArgument(
-        "online schedule re-planning needs --engine=event (the batch "
-        "engine's private per-query replays have no shared timeline to "
-        "observe demand on)");
-  }
   bool has_sessions = s.cache_bytes > 0;
   for (const ClientGroupSpec& g : s.groups) {
     has_sessions = has_sessions || g.workload.session.queries > 1;
   }
-  if (has_sessions && engine != "event") {
-    return Status::InvalidArgument(
-        "persistent-client sessions (workload session / cache bytes) need "
-        "--engine=event (the batch engine replays every query on a private "
-        "channel, so there is no client to keep warm)");
-  }
-  if (has_sessions && s.schedule.mode == SchedulePolicy::Mode::kOnline) {
-    return Status::InvalidArgument(
-        "persistent-client sessions are not supported with the online "
-        "schedule re-planner (its demand estimator assumes one-shot "
-        "arrivals)");
-  }
+  AIRINDEX_RETURN_IF_ERROR(
+      CheckEngineCombination(engine, s.schedule, has_sessions));
 
   // Static broadcast-disk planning weights groups by the fleet's merged
   // destination distribution: each group's analytic per-node demand,
@@ -714,165 +696,6 @@ Result<Scenario> ScenarioFromJson(std::string_view json) {
   return s;
 }
 
-namespace {
-
-void WriteWorkloadSpec(JsonWriter& w, const workload::WorkloadSpec& spec) {
-  w.Key("workload");
-  w.BeginObject();
-  w.Field("destinations",
-          spec.dest == workload::WorkloadSpec::Dest::kZipf ? "zipf"
-                                                           : "uniform");
-  if (spec.dest == workload::WorkloadSpec::Dest::kZipf) {
-    w.Field("zipf_s", spec.zipf_s);
-  }
-  w.Field("sources",
-          spec.source == workload::WorkloadSpec::Source::kClustered
-              ? "clustered"
-              : "uniform");
-  if (spec.source == workload::WorkloadSpec::Source::kClustered) {
-    w.Field("partition_regions",
-            static_cast<uint64_t>(spec.partition_regions));
-    w.BeginArray("source_regions");
-    for (uint32_t cell : spec.source_regions) {
-      w.Element(static_cast<uint64_t>(cell));
-    }
-    w.EndArray();
-  }
-  w.Field("phases",
-          spec.phase == workload::WorkloadSpec::Phase::kRushHour
-              ? "rush-hour"
-              : "uniform");
-  if (spec.phase == workload::WorkloadSpec::Phase::kRushHour) {
-    w.Field("phase_peak", spec.phase_peak);
-    w.Field("phase_width", spec.phase_width);
-  }
-  if (spec.arrival.kind != workload::ArrivalSpec::Kind::kNone) {
-    w.Field("arrivals", workload::ArrivalKindName(spec.arrival.kind));
-    w.Field("arrival_rate", spec.arrival.rate_per_second);
-    if (spec.arrival.kind == workload::ArrivalSpec::Kind::kRushHour) {
-      w.Field("arrival_peak_s", spec.arrival.peak_seconds);
-      w.Field("arrival_width_s", spec.arrival.width_seconds);
-      w.Field("arrival_peak_multiplier", spec.arrival.peak_multiplier);
-    }
-    if (spec.arrival.seed != 0) {
-      w.Field("arrival_seed", static_cast<uint64_t>(spec.arrival.seed));
-    }
-  }
-  if (spec.session.queries > 1 || spec.session.think_ms > 0.0) {
-    w.Key("session");
-    w.BeginObject();
-    w.Field("queries", static_cast<uint64_t>(spec.session.queries));
-    if (spec.session.think_ms > 0.0) {
-      w.Field("think_ms", spec.session.think_ms);
-    }
-    w.EndObject();
-  }
-  if (spec.seed != 0) w.Field("seed", static_cast<uint64_t>(spec.seed));
-  w.EndObject();
-}
-
-}  // namespace
-
-std::string ScenarioToJson(const Scenario& s) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Field("schema", kScenarioSchema);
-  w.Field("name", s.name);
-  w.Field("description", s.description);
-  w.Field("network", s.network);
-  w.Field("scale", s.scale);
-  w.Field("seed", static_cast<uint64_t>(s.seed));
-  w.Field("total_queries", static_cast<uint64_t>(s.total_queries));
-  w.Field("engine", s.engine);
-  w.Field("subchannels", static_cast<uint64_t>(s.subchannels));
-  if (!s.schedule.flat()) {
-    w.Key("schedule");
-    w.BeginObject();
-    w.Field("mode", s.schedule.mode == SchedulePolicy::Mode::kOnline
-                        ? "online"
-                        : "disks");
-    w.Field("disks", static_cast<uint64_t>(s.schedule.disks));
-    if (!s.schedule.rates.empty()) {
-      w.BeginArray("rates");
-      for (uint32_t r : s.schedule.rates) {
-        w.Element(static_cast<uint64_t>(r));
-      }
-      w.EndArray();
-    }
-    if (s.schedule.mode == SchedulePolicy::Mode::kOnline) {
-      w.Field("replan_cycles",
-              static_cast<uint64_t>(s.schedule.replan_cycles));
-      w.Field("decay", s.schedule.decay);
-      w.Field("hysteresis", s.schedule.hysteresis);
-    }
-    if (s.schedule.min_skew != SchedulePolicy{}.min_skew) {
-      w.Field("min_skew", s.schedule.min_skew);
-    }
-    w.EndObject();
-  }
-  if (s.cache_bytes > 0) {
-    w.Key("cache");
-    w.BeginObject();
-    w.Field("bytes", static_cast<uint64_t>(s.cache_bytes));
-    w.EndObject();
-  }
-  w.BeginArray("systems");
-  for (const std::string& name : s.EffectiveSystems()) w.Element(name);
-  w.EndArray();
-  w.Key("params");
-  w.BeginObject();
-  w.Field("arcflag_regions", static_cast<uint64_t>(s.params.arcflag_regions));
-  w.Field("eb_regions", static_cast<uint64_t>(s.params.eb_regions));
-  w.Field("nr_regions", static_cast<uint64_t>(s.params.nr_regions));
-  w.Field("landmarks", static_cast<uint64_t>(s.params.landmarks));
-  w.Field("hiti_regions", static_cast<uint64_t>(s.params.hiti_regions));
-  w.EndObject();
-  w.BeginArray("groups");
-  for (const ClientGroupSpec& g : s.groups) {
-    w.BeginObject();
-    w.Field("name", g.name);
-    if (g.queries > 0) {
-      w.Field("queries", static_cast<uint64_t>(g.queries));
-    } else {
-      w.Field("weight", g.weight);
-    }
-    w.Field("profile", g.profile);
-    w.Field("bits_per_second", g.bits_per_second);
-    w.Key("loss");
-    w.BeginObject();
-    w.Field("rate", g.loss.rate);
-    w.Field("burst_len", static_cast<uint64_t>(g.loss.burst_len));
-    if (g.loss.corrupt_bit > 0.0) {
-      w.Field("corrupt_bit", g.loss.corrupt_bit);
-    }
-    w.EndObject();
-    if (g.fec.enabled()) {
-      w.Key("fec");
-      w.BeginObject();
-      w.Field("data_per_group", static_cast<uint64_t>(g.fec.data_per_group));
-      w.Field("parity_per_group",
-              static_cast<uint64_t>(g.fec.parity_per_group));
-      w.EndObject();
-    }
-    w.Key("client");
-    w.BeginObject();
-    w.Field("heap_bytes", static_cast<uint64_t>(g.client.heap_bytes));
-    w.FieldBool("memory_bound", g.client.memory_bound);
-    w.FieldBool("cross_border_opt", g.client.cross_border_opt);
-    w.Field("max_repair_cycles",
-            static_cast<uint64_t>(g.client.max_repair_cycles));
-    w.FieldBool("repair_header", g.client.repair_header);
-    w.EndObject();
-    WriteWorkloadSpec(w, g.workload);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-  std::string out = std::move(w).Take();
-  out += '\n';
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Reports
 // ---------------------------------------------------------------------------
@@ -995,94 +818,6 @@ std::string ScenarioReportToJson(const ScenarioResult& r) {
   std::string out = std::move(w).Take();
   out += '\n';
   return out;
-}
-
-Result<ScenarioResult> ScenarioReportFromJson(std::string_view json) {
-  AIRINDEX_ASSIGN_OR_RETURN(JsonValue root, jsonutil::ParseJson(json));
-  if (root.type != JsonValue::Type::kObject) {
-    return Status::InvalidArgument("report root must be a JSON object");
-  }
-  AIRINDEX_ASSIGN_OR_RETURN(std::string schema, GetString(root, "schema"));
-  if (schema != kScenarioSchema) {
-    return Status::InvalidArgument("unsupported scenario schema " + schema);
-  }
-  auto fleet_it = root.object.find("fleet");
-  if (fleet_it == root.object.end() ||
-      fleet_it->second.type != JsonValue::Type::kArray) {
-    return Status::InvalidArgument(
-        "missing fleet array (is this a spec, not a report?)");
-  }
-
-  ScenarioResult r;
-  AIRINDEX_ASSIGN_OR_RETURN(r.scenario, GetString(root, "scenario"));
-  AIRINDEX_ASSIGN_OR_RETURN(r.network, GetString(root, "network"));
-  // Additive in-schema fields: older v1 reports are batch-engine runs.
-  AIRINDEX_ASSIGN_OR_RETURN(r.engine, GetStringOr(root, "engine", "batch"));
-  AIRINDEX_ASSIGN_OR_RETURN(uint64_t subs,
-                            GetUint64Or(root, "subchannels", 1));
-  r.subchannels = static_cast<uint32_t>(subs);
-  AIRINDEX_ASSIGN_OR_RETURN(r.schedule_mode,
-                            GetStringOr(root, "schedule", "flat"));
-  AIRINDEX_ASSIGN_OR_RETURN(r.scale, GetNumber(root, "scale"));
-  AIRINDEX_ASSIGN_OR_RETURN(uint64_t nq, GetUint64(root, "num_queries"));
-  r.num_queries = static_cast<size_t>(nq);
-  AIRINDEX_ASSIGN_OR_RETURN(uint64_t threads, GetUint64(root, "threads"));
-  r.threads = static_cast<unsigned>(threads);
-  AIRINDEX_ASSIGN_OR_RETURN(r.wall_seconds,
-                            GetNumber(root, "wall_seconds"));
-
-  auto groups_it = root.object.find("groups");
-  if (groups_it == root.object.end() ||
-      groups_it->second.type != JsonValue::Type::kArray) {
-    return Status::InvalidArgument("missing groups array");
-  }
-  for (const JsonValue& entry : groups_it->second.array) {
-    if (entry.type != JsonValue::Type::kObject) {
-      return Status::InvalidArgument("group entry must be an object");
-    }
-    GroupResult gr;
-    AIRINDEX_ASSIGN_OR_RETURN(gr.spec.name, GetString(entry, "group"));
-    AIRINDEX_ASSIGN_OR_RETURN(uint64_t queries,
-                              GetUint64(entry, "queries"));
-    gr.spec.queries = static_cast<size_t>(queries);
-    AIRINDEX_ASSIGN_OR_RETURN(gr.spec.profile, GetString(entry, "profile"));
-    AIRINDEX_ASSIGN_OR_RETURN(gr.spec.bits_per_second,
-                              GetNumber(entry, "bits_per_second"));
-    AIRINDEX_ASSIGN_OR_RETURN(gr.spec.loss.rate,
-                              GetNumber(entry, "loss_rate"));
-    AIRINDEX_ASSIGN_OR_RETURN(uint64_t burst,
-                              GetUint64(entry, "loss_burst_len"));
-    gr.spec.loss.burst_len = static_cast<uint32_t>(burst);
-    AIRINDEX_ASSIGN_OR_RETURN(
-        gr.spec.loss.corrupt_bit, GetNumberOr(entry, "corrupt_bit", 0.0));
-    AIRINDEX_ASSIGN_OR_RETURN(
-        uint64_t fec_data,
-        GetUint64Or(entry, "fec_data", gr.spec.fec.data_per_group));
-    AIRINDEX_ASSIGN_OR_RETURN(uint64_t fec_parity,
-                              GetUint64Or(entry, "fec_parity", 0));
-    gr.spec.fec.data_per_group = static_cast<uint32_t>(fec_data);
-    gr.spec.fec.parity_per_group = static_cast<uint32_t>(fec_parity);
-    AIRINDEX_ASSIGN_OR_RETURN(gr.loss_seed, GetUint64(entry, "loss_seed"));
-    AIRINDEX_ASSIGN_OR_RETURN(gr.workload_seed,
-                              GetUint64(entry, "workload_seed"));
-    auto sys_it = entry.object.find("systems");
-    if (sys_it == entry.object.end() ||
-        sys_it->second.type != JsonValue::Type::kArray) {
-      return Status::InvalidArgument("group entry missing systems array");
-    }
-    for (const JsonValue& sys_entry : sys_it->second.array) {
-      AIRINDEX_ASSIGN_OR_RETURN(SystemResult sr,
-                                detail::SystemEntryFromJson(sys_entry));
-      gr.systems.push_back(std::move(sr));
-    }
-    r.groups.push_back(std::move(gr));
-  }
-  for (const JsonValue& sys_entry : fleet_it->second.array) {
-    AIRINDEX_ASSIGN_OR_RETURN(SystemResult sr,
-                              detail::SystemEntryFromJson(sys_entry));
-    r.fleet.push_back(std::move(sr));
-  }
-  return r;
 }
 
 }  // namespace airindex::sim

@@ -181,18 +181,12 @@ class ScenarioRunner {
 /// fields are ignored; missing optional fields keep their defaults.
 Result<Scenario> ScenarioFromJson(std::string_view json);
 
-/// Serializes a scenario spec (round-trips through ScenarioFromJson).
-std::string ScenarioToJson(const Scenario& s);
-
 /// Human-readable report: one table per group plus the fleet table.
 std::string ScenarioToText(const ScenarioResult& r);
 
 /// Scenario report JSON (schema airindex.sim.scenario/v1): per-group and
 /// fleet aggregate entries, field-compatible with batch system entries.
 std::string ScenarioReportToJson(const ScenarioResult& r);
-
-/// Parses a scenario report back (per-query vectors left empty).
-Result<ScenarioResult> ScenarioReportFromJson(std::string_view json);
 
 }  // namespace airindex::sim
 

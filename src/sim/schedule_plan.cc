@@ -117,6 +117,7 @@ std::vector<uint32_t> NodeGroups(const broadcast::BroadcastCycle& cycle,
       group_of_node[id] = group;
     }
   };
+  broadcast::NodeRecord record;
   for (uint32_t si = 0; si < cycle.num_segments(); ++si) {
     const broadcast::Segment& seg = cycle.segment(si);
     if (seg.type != broadcast::SegmentType::kNetworkData) continue;
@@ -131,9 +132,10 @@ std::vector<uint32_t> NodeGroups(const broadcast::BroadcastCycle& cycle,
       }
       continue;
     }
-    auto records = broadcast::DecodeNodeRecords(seg.payload, encoding);
-    if (!records.ok()) continue;  // opaque payload: contributes no mapping
-    for (const auto& rec : *records) place(rec.id, group_of_segment[si]);
+    // An opaque payload contributes no mapping.
+    if (!broadcast::ValidateNodeRecords(seg.payload, encoding).ok()) continue;
+    broadcast::NodeRecordCursor cursor(seg.payload, encoding);
+    while (cursor.Next(&record)) place(record.id, group_of_segment[si]);
   }
   return group_of_node;
 }

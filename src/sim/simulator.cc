@@ -9,6 +9,30 @@
 
 namespace airindex::sim {
 
+Status CheckEngineCombination(std::string_view engine,
+                              const SchedulePolicy& schedule,
+                              bool sessions) {
+  const bool online = schedule.mode == SchedulePolicy::Mode::kOnline;
+  if (online && engine != "event") {
+    return Status::InvalidArgument(
+        "the online schedule needs the event engine (re-planning observes "
+        "demand on the shared station timeline)");
+  }
+  if (sessions && engine != "event") {
+    return Status::InvalidArgument(
+        "persistent-client sessions and session caches need the event "
+        "engine (the batch engine replays every query on a private channel, "
+        "so there is no client to keep warm)");
+  }
+  if (sessions && online) {
+    return Status::InvalidArgument(
+        "persistent-client sessions and session caches are not supported "
+        "with the online schedule (its demand estimator assumes one-shot "
+        "arrivals)");
+  }
+  return Status::OK();
+}
+
 unsigned Simulator::effective_threads() const {
   return ResolveThreads(options_.threads);
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "broadcast/channel.h"
+#include "common/status.h"
 #include "core/air_system.h"
 #include "device/device_profile.h"
 #include "device/metrics.h"
@@ -80,6 +81,14 @@ struct SystemResult {
 inline bool IsKnownEngine(std::string_view name) {
   return name == "batch" || name == "event";
 }
+
+/// The engine-combination rules the scenario runner and the CLI's `run`
+/// share: the online schedule needs the event engine, persistent sessions
+/// (`sessions`: more than one query per client, or a session cache) need
+/// the event engine, and sessions are rejected together with the online
+/// schedule. InvalidArgument names the broken rule.
+Status CheckEngineCombination(std::string_view engine,
+                              const SchedulePolicy& schedule, bool sessions);
 
 /// A whole batch: every requested system over the same workload.
 struct BatchResult {

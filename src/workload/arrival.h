@@ -56,7 +56,7 @@ Result<std::vector<double>> GenerateArrivals(const ArrivalSpec& spec,
 
 /// The schema/CLI name of an arrival kind ("none" | "uniform" | "poisson"
 /// | "rush-hour") and its inverse. The one mapping every consumer — the
-/// scenario JSON writer/parser and the CLI flag — goes through.
+/// scenario spec parser and the CLI flag — goes through.
 std::string_view ArrivalKindName(ArrivalSpec::Kind kind);
 Result<ArrivalSpec::Kind> ParseArrivalKind(std::string_view name);
 

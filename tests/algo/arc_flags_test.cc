@@ -63,8 +63,9 @@ class ArcFlagCorrectnessTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ArcFlagCorrectnessTest, QueryMatchesDijkstra) {
   auto built = Make(300, 480, GetParam(), 8);
+  SearchWorkspace ws;
   for (auto [s, t] : RandomPairs(built.g, 25, GetParam() + 5)) {
-    Path flagged = built.idx.Query(built.g, s, t);
+    Path flagged = built.idx.Query(built.g, s, t, ws);
     Path truth = DijkstraPath(built.g, s, t);
     EXPECT_EQ(flagged.dist, truth.dist) << s << "->" << t;
     EXPECT_EQ(PathLength(built.g, flagged.nodes), flagged.dist);
@@ -74,11 +75,11 @@ TEST_P(ArcFlagCorrectnessTest, QueryMatchesDijkstra) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ArcFlagCorrectnessTest,
                          ::testing::Values(10, 11, 12, 13));
 
-// The workspace overload indexes flags by the arc's CSR position (pointer
-// difference from the arc array); the reference here recomputes it from a
-// prefix sum of out-degrees and runs the legacy value-returning search. A
-// workspace reused across queries, after a search on a larger graph, must
-// give the same path and settled count every time.
+// Query indexes flags by the arc's CSR position (pointer difference from
+// the arc array); the reference here recomputes it from a prefix sum of
+// out-degrees and runs its search in a fresh workspace. A workspace reused
+// across queries, after a search on a larger graph, must give the same
+// path and settled count every time.
 TEST(ArcFlagTest, WorkspaceQueryMatchesPrefixSumReference) {
   auto built = Make(300, 480, 31, 8);
   std::vector<size_t> first_arc(built.g.num_nodes() + 1, 0);
@@ -89,27 +90,31 @@ TEST(ArcFlagTest, WorkspaceQueryMatchesPrefixSumReference) {
   DijkstraAll(SmallNetwork(600, 960, 32), 0, ws);
   for (auto [s, t] : RandomPairs(built.g, 25, 33)) {
     const graph::RegionId region = built.idx.node_region()[t];
-    SearchTree tree = DijkstraSearch(
-        built.g, s, t, [&](graph::NodeId from, const graph::Graph::Arc& arc) {
+    SearchWorkspace fresh;
+    DijkstraSearch(
+        built.g, s, t,
+        [&](graph::NodeId from, const graph::Graph::Arc& arc) {
           const size_t offset = &arc - built.g.OutArcs(from).data();
           return built.idx.ArcAllowed(first_arc[from] + offset, region);
-        });
-    const Path want = ExtractPath(tree, s, t);
+        },
+        fresh);
+    const Path want = ExtractPath(fresh, s, t);
     const Path got = built.idx.Query(built.g, s, t, ws);
     EXPECT_EQ(got.dist, want.dist) << s << "->" << t;
     EXPECT_EQ(got.nodes, want.nodes) << s << "->" << t;
-    EXPECT_EQ(ws.settled(), tree.settled) << s << "->" << t;
+    EXPECT_EQ(ws.settled(), fresh.settled()) << s << "->" << t;
   }
 }
 
 TEST(ArcFlagTest, PrunesSearchSpaceForCrossRegionQueries) {
   auto built = Make(800, 1280, 21, 16);
   size_t flagged_total = 0, plain_total = 0;
+  SearchWorkspace ws;
   for (auto [s, t] : RandomPairs(built.g, 30, 22)) {
-    size_t settled = 0;
-    built.idx.Query(built.g, s, t, &settled);
-    flagged_total += settled;
-    plain_total += DijkstraSearch(built.g, s, t, AllEdges{}).settled;
+    built.idx.Query(built.g, s, t, ws);
+    flagged_total += ws.settled();
+    DijkstraSearch(built.g, s, t, AllEdges{}, ws);
+    plain_total += ws.settled();
   }
   EXPECT_LT(flagged_total, plain_total);
 }
@@ -131,8 +136,9 @@ TEST(ArcFlagTest, AllOnesIndexStillExact) {
   ArcFlagIndex allones = ArcFlagIndex::MakeEmpty(built.g.num_arcs(), 8,
                                                  built.idx.node_region());
   for (size_t a = 0; a < built.g.num_arcs(); ++a) allones.SetAllFlags(a);
+  SearchWorkspace ws;
   for (auto [s, t] : RandomPairs(built.g, 10, 6)) {
-    EXPECT_EQ(allones.Query(built.g, s, t).dist,
+    EXPECT_EQ(allones.Query(built.g, s, t, ws).dist,
               DijkstraPath(built.g, s, t).dist);
   }
 }
@@ -147,9 +153,10 @@ TEST(ArcFlagTest, WordSerializationRoundTrip) {
       if (built.idx.ArcAllowed(a, r)) copy.SetArcFlag(a, r);
     }
   }
+  SearchWorkspace ws;
   for (auto [s, t] : RandomPairs(built.g, 10, 8)) {
-    EXPECT_EQ(copy.Query(built.g, s, t).dist,
-              built.idx.Query(built.g, s, t).dist);
+    EXPECT_EQ(copy.Query(built.g, s, t, ws).dist,
+              built.idx.Query(built.g, s, t, ws).dist);
   }
 }
 
@@ -176,10 +183,11 @@ std::vector<uint64_t> FlagsByFullGraphSearches(
     }
   }
   const graph::Graph rev = g.Reversed();
+  SearchWorkspace tree;
   for (graph::NodeId b : partition::ComputeBorders(g, part).border_nodes) {
-    const SearchTree tree = DijkstraAll(rev, b);
+    DijkstraAll(rev, b, tree);
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      const graph::NodeId p = tree.parent[v];
+      const graph::NodeId p = tree.ParentOf(v);
       if (p == graph::kInvalidNode) continue;
       const graph::Graph::Arc* lightest = nullptr;
       for (const graph::Graph::Arc& arc : g.OutArcs(v)) {
@@ -339,10 +347,11 @@ TEST(ArcFlagTest, AllPairsMatchDijkstraOnRandomTreeHeavyGraphs) {
     auto idx = ArcFlagIndex::Build(pg.g, pg.part.node_region,
                                    pg.part.num_regions);
     ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+    SearchWorkspace truth, ws;
     for (graph::NodeId s = 0; s < pg.g.num_nodes(); ++s) {
-      const SearchTree truth = DijkstraAll(pg.g, s);
+      DijkstraAll(pg.g, s, truth);
       for (graph::NodeId t = 0; t < pg.g.num_nodes(); ++t) {
-        ASSERT_EQ(idx->Query(pg.g, s, t).dist, truth.dist[t])
+        ASSERT_EQ(idx->Query(pg.g, s, t, ws).dist, truth.DistTo(t))
             << "seed " << seed << ": " << s << "->" << t;
       }
     }
@@ -400,10 +409,12 @@ TEST_P(ArcFlagOneWayTest, QueryMatchesDijkstra) {
   auto kd = partition::KdTreePartitioner::Build(g, 8).value();
   const partition::Partitioning part = kd.Partition(g);
   auto idx = ArcFlagIndex::Build(g, part.node_region, 8).value();
+  SearchWorkspace truth, ws;
   for (graph::NodeId s = 0; s < g.num_nodes(); s += 3) {
-    const SearchTree truth = DijkstraAll(g, s);
+    DijkstraAll(g, s, truth);
     for (graph::NodeId t = 0; t < g.num_nodes(); ++t) {
-      EXPECT_EQ(idx.Query(g, s, t).dist, truth.dist[t]) << s << "->" << t;
+      EXPECT_EQ(idx.Query(g, s, t, ws).dist, truth.DistTo(t))
+          << s << "->" << t;
     }
   }
 }

@@ -37,10 +37,11 @@ TEST(AStarTest, ExactBoundSettlesOnlyPathNodes) {
   const graph::NodeId s = 3, t = 200;
   // Perfect heuristic: true remaining distance.
   graph::Graph rev = g.Reversed();
-  SearchTree to_t = DijkstraAll(rev, t);
+  SearchWorkspace to_t;
+  DijkstraAll(rev, t, to_t);
   size_t settled_exact = 0;
   Path p = AStarPath(
-      g, s, t, [&](graph::NodeId v) { return to_t.dist[v]; },
+      g, s, t, [&](graph::NodeId v) { return to_t.DistTo(v); },
       &settled_exact);
   size_t settled_zero = 0;
   AStarPath(

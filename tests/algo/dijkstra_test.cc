@@ -19,12 +19,13 @@ graph::Graph Line() {
 
 TEST(DijkstraTest, LineGraphDistances) {
   graph::Graph g = Line();
-  SearchTree tree = DijkstraAll(g, 0);
-  EXPECT_EQ(tree.dist[0], 0u);
-  EXPECT_EQ(tree.dist[1], 1u);
-  EXPECT_EQ(tree.dist[2], 3u);
-  EXPECT_EQ(tree.dist[3], 6u);
-  EXPECT_EQ(tree.dist[4], 10u);
+  SearchWorkspace ws;
+  DijkstraAll(g, 0, ws);
+  EXPECT_EQ(ws.DistTo(0), 0u);
+  EXPECT_EQ(ws.DistTo(1), 1u);
+  EXPECT_EQ(ws.DistTo(2), 3u);
+  EXPECT_EQ(ws.DistTo(3), 6u);
+  EXPECT_EQ(ws.DistTo(4), 10u);
 }
 
 TEST(DijkstraTest, ParentChainReconstructsPath) {
@@ -38,9 +39,10 @@ TEST(DijkstraTest, ParentChainReconstructsPath) {
 
 TEST(DijkstraTest, EarlyStopSettlesFewerNodes) {
   graph::Graph g = SmallNetwork();
-  SearchTree full = DijkstraAll(g, 0);
-  SearchTree targeted = DijkstraSearch(g, 0, 1, AllEdges{});
-  EXPECT_LE(targeted.settled, full.settled);
+  SearchWorkspace full, targeted;
+  DijkstraAll(g, 0, full);
+  DijkstraSearch(g, 0, 1, AllEdges{}, targeted);
+  EXPECT_LE(targeted.settled(), full.settled());
 }
 
 TEST(DijkstraTest, UnreachableWithoutEdges) {
@@ -70,23 +72,26 @@ TEST(DijkstraTest, SourceOutsideTheGraphReachesNothing) {
 TEST(DijkstraTest, EdgeFilterBlocksPath) {
   graph::Graph g = Line();
   // Block every arc into node 2: path 0 -> 4 must fail.
-  SearchTree tree = DijkstraSearch(
+  SearchWorkspace ws;
+  DijkstraSearch(
       g, 0, 4,
       [](graph::NodeId, const graph::Graph::Arc& arc) {
         return arc.to != 2;
-      });
-  EXPECT_EQ(tree.dist[4], graph::kInfDist);
+      },
+      ws);
+  EXPECT_EQ(ws.DistTo(4), graph::kInfDist);
 }
 
 TEST(DijkstraTest, MultiTargetStopsWhenAllSettled) {
   graph::Graph g = SmallNetwork();
   std::vector<graph::NodeId> targets = {1, 2, 3};
-  SearchTree tree = DijkstraToTargets(g, 0, targets);
-  SearchTree full = DijkstraAll(g, 0);
+  SearchWorkspace tree, full;
+  DijkstraToTargets(g, 0, targets, tree);
+  DijkstraAll(g, 0, full);
   for (graph::NodeId t : targets) {
-    EXPECT_EQ(tree.dist[t], full.dist[t]);
+    EXPECT_EQ(tree.DistTo(t), full.DistTo(t));
   }
-  EXPECT_LE(tree.settled, full.settled);
+  EXPECT_LE(tree.settled(), full.settled());
 }
 
 TEST(DijkstraTest, PathLengthDetectsMissingHop) {
@@ -109,32 +114,34 @@ class DijkstraPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DijkstraPropertyTest, TreeIsConsistent) {
   graph::Graph g = SmallNetwork(300, 480, GetParam());
-  SearchTree tree = DijkstraAll(g, 0);
+  SearchWorkspace tree;
+  DijkstraAll(g, 0, tree);
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    ASSERT_NE(tree.dist[v], graph::kInfDist);
+    ASSERT_NE(tree.DistTo(v), graph::kInfDist);
     for (const auto& arc : g.OutArcs(v)) {
-      EXPECT_LE(tree.dist[arc.to], tree.dist[v] + arc.weight);
+      EXPECT_LE(tree.DistTo(arc.to), tree.DistTo(v) + arc.weight);
     }
     if (v != 0) {
-      const graph::NodeId p = tree.parent[v];
+      const graph::NodeId p = tree.ParentOf(v);
       ASSERT_NE(p, graph::kInvalidNode);
       // Parent edge is tight.
       graph::Dist w = graph::kInfDist;
       for (const auto& arc : g.OutArcs(p)) {
         if (arc.to == v) w = std::min<graph::Dist>(w, arc.weight);
       }
-      EXPECT_EQ(tree.dist[v], tree.dist[p] + w);
+      EXPECT_EQ(tree.DistTo(v), tree.DistTo(p) + w);
     }
   }
 }
 
 TEST_P(DijkstraPropertyTest, TargetedMatchesFull) {
   graph::Graph g = SmallNetwork(250, 400, GetParam() + 1000);
-  SearchTree full = DijkstraAll(g, 5);
+  SearchWorkspace full;
+  DijkstraAll(g, 5, full);
   for (auto [s, t] : RandomPairs(g, 10, GetParam())) {
     (void)s;
     Path p = DijkstraPath(g, 5, t);
-    EXPECT_EQ(p.dist, full.dist[t]);
+    EXPECT_EQ(p.dist, full.DistTo(t));
     EXPECT_EQ(PathLength(g, p.nodes), p.dist);
   }
 }

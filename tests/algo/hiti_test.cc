@@ -61,10 +61,11 @@ TEST(HiTiTest, SuperEdgesAreAtLeastGlobalDistances) {
     const auto& sub = built.idx.Info(h);
     const size_t nb = sub.border.size();
     for (size_t i = 0; i < nb && i < 4; ++i) {
-      SearchTree tree = DijkstraAll(built.g, sub.border[i]);
+      SearchWorkspace tree;
+      DijkstraAll(built.g, sub.border[i], tree);
       for (size_t j = 0; j < nb; ++j) {
         if (sub.dmat[i * nb + j] == graph::kInfDist) continue;
-        EXPECT_GE(sub.dmat[i * nb + j], tree.dist[sub.border[j]]);
+        EXPECT_GE(sub.dmat[i * nb + j], tree.DistTo(sub.border[j]));
       }
     }
   }

@@ -36,11 +36,12 @@ TEST(LandmarkTest, DistanceVectorsMatchDijkstra) {
   graph::Graph rev = g.Reversed();
   for (uint32_t l = 0; l < 3; ++l) {
     const graph::NodeId lm = idx->landmarks()[l];
-    SearchTree fwd = DijkstraAll(g, lm);
-    SearchTree bwd = DijkstraAll(rev, lm);
+    SearchWorkspace fwd, bwd;
+    DijkstraAll(g, lm, fwd);
+    DijkstraAll(rev, lm, bwd);
     for (graph::NodeId v = 0; v < g.num_nodes(); v += 17) {
-      EXPECT_EQ(idx->FromLandmark(l, v), fwd.dist[v]);
-      EXPECT_EQ(idx->ToLandmark(l, v), bwd.dist[v]);
+      EXPECT_EQ(idx->FromLandmark(l, v), fwd.DistTo(v));
+      EXPECT_EQ(idx->ToLandmark(l, v), bwd.DistTo(v));
     }
   }
 }
@@ -77,12 +78,13 @@ TEST(LandmarkTest, QueryUsuallySettlesFewerThanDijkstra) {
   auto idx = LandmarkIndex::Build(g, 8);
   ASSERT_TRUE(idx.ok());
   size_t alt_total = 0, dj_total = 0;
+  SearchWorkspace ws;
   for (auto [s, t] : RandomPairs(g, 30, 32)) {
     size_t settled = 0;
     idx->Query(g, s, t, &settled);
     alt_total += settled;
-    SearchTree tree = DijkstraSearch(g, s, t, AllEdges{});
-    dj_total += tree.settled;
+    DijkstraSearch(g, s, t, AllEdges{}, ws);
+    dj_total += ws.settled();
   }
   EXPECT_LT(alt_total, dj_total);
 }

@@ -53,47 +53,50 @@ TEST(DAryHeapTest, InterleavedPushPopMatchesReference) {
   }
 }
 
-// The workspace overloads must produce exactly the legacy SearchTree
-// results: same dist, same parent, same settled count.
-TEST(SearchWorkspaceTest, DijkstraMatchesLegacyBitExactly) {
+// A workspace reused across searches must produce exactly what a fresh
+// one does: same dist, same parent, same settled count.
+TEST(SearchWorkspaceTest, ReusedMatchesFreshBitExactly) {
   graph::Graph g = SmallNetwork(500, 800, 42);
   SearchWorkspace ws;
   for (auto [s, t] : RandomPairs(g, 25, 91)) {
-    SearchTree legacy = DijkstraSearch(g, s, t, AllEdges{});
+    SearchWorkspace fresh;
+    DijkstraSearch(g, s, t, AllEdges{}, fresh);
     DijkstraSearch(g, s, t, AllEdges{}, ws);
-    EXPECT_EQ(legacy.settled, ws.settled());
+    EXPECT_EQ(fresh.settled(), ws.settled());
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      ASSERT_EQ(legacy.dist[v], ws.DistTo(v)) << "node " << v;
-      ASSERT_EQ(legacy.parent[v], ws.ParentOf(v)) << "node " << v;
+      ASSERT_EQ(fresh.DistTo(v), ws.DistTo(v)) << "node " << v;
+      ASSERT_EQ(fresh.ParentOf(v), ws.ParentOf(v)) << "node " << v;
     }
   }
 }
 
-TEST(SearchWorkspaceTest, ToTargetsMatchesLegacy) {
+TEST(SearchWorkspaceTest, ToTargetsReusedMatchesFresh) {
   graph::Graph g = SmallNetwork(400, 640, 7);
   std::vector<graph::NodeId> targets = {3, 17, 17, 255, 399};  // incl. dup
   SearchWorkspace ws;
   for (graph::NodeId s : {0u, 5u, 123u}) {
-    SearchTree legacy = DijkstraToTargets(g, s, targets);
+    SearchWorkspace fresh;
+    DijkstraToTargets(g, s, targets, fresh);
     DijkstraToTargets(g, s, targets, ws);
-    EXPECT_EQ(legacy.settled, ws.settled());
+    EXPECT_EQ(fresh.settled(), ws.settled());
     for (graph::NodeId t : targets) {
-      EXPECT_EQ(legacy.dist[t], ws.DistTo(t));
+      EXPECT_EQ(fresh.DistTo(t), ws.DistTo(t));
     }
   }
 }
 
 // DijkstraToTargets records the settle order: one entry per settled node,
-// by non-decreasing distance, each node after its parent. Recording it
-// leaves the legacy SearchTree overload's output as it was: the same tree
-// at every node, with exact distances wherever a node was settled.
+// by non-decreasing distance, each node after its parent. A reused
+// workspace records the same tree a fresh one does at every node, with
+// exact distances wherever a node was settled.
 TEST(SearchWorkspaceTest, ToTargetsRecordsSettleOrder) {
   graph::Graph g = SmallNetwork(400, 640, 7);
   std::vector<graph::NodeId> targets = {3, 17, 17, 255, 399};  // incl. dup
   SearchWorkspace ws;
   for (graph::NodeId s : {0u, 5u, 123u}) {
-    SearchTree legacy = DijkstraToTargets(g, s, targets);
-    SearchTree full = DijkstraAll(g, s);
+    SearchWorkspace fresh, full;
+    DijkstraToTargets(g, s, targets, fresh);
+    DijkstraAll(g, s, full);
     DijkstraToTargets(g, s, targets, ws);
     const std::vector<graph::NodeId>& order = ws.settle_order();
     ASSERT_EQ(order.size(), ws.settled());
@@ -114,14 +117,14 @@ TEST(SearchWorkspaceTest, ToTargetsRecordsSettleOrder) {
         EXPECT_TRUE(seen[p]) << "parent of " << v << " settled later";
       }
       seen[v] = true;
-      EXPECT_EQ(full.dist[v], legacy.dist[v]) << "node " << v;
+      EXPECT_EQ(full.DistTo(v), fresh.DistTo(v)) << "node " << v;
     }
     for (graph::NodeId t : targets) EXPECT_TRUE(seen[t]) << "target " << t;
 
-    EXPECT_EQ(legacy.settled, ws.settled());
+    EXPECT_EQ(fresh.settled(), ws.settled());
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      ASSERT_EQ(legacy.dist[v], ws.DistTo(v)) << "node " << v;
-      ASSERT_EQ(legacy.parent[v], ws.ParentOf(v)) << "node " << v;
+      ASSERT_EQ(fresh.DistTo(v), ws.DistTo(v)) << "node " << v;
+      ASSERT_EQ(fresh.ParentOf(v), ws.ParentOf(v)) << "node " << v;
     }
   }
   // The other kernels record nothing, and a new search drops the old order.
@@ -139,9 +142,10 @@ TEST(SearchWorkspaceTest, ReuseAcrossGraphSizesIsClean) {
     const graph::Graph& g = (round % 2 == 0) ? big : small;
     for (auto [s, t] : RandomPairs(g, 8, 100 + round)) {
       DijkstraSearch(g, s, t, AllEdges{}, ws);
-      SearchTree legacy = DijkstraSearch(g, s, t, AllEdges{});
-      EXPECT_EQ(legacy.settled, ws.settled());
-      EXPECT_EQ(legacy.dist[t], ws.DistTo(t));
+      SearchWorkspace fresh;
+      DijkstraSearch(g, s, t, AllEdges{}, fresh);
+      EXPECT_EQ(fresh.settled(), ws.settled());
+      EXPECT_EQ(fresh.DistTo(t), ws.DistTo(t));
       // Nodes beyond the small graph must read as unreached even though
       // the arrays still hold the big graph's stale entries.
       if (g.num_nodes() < big.num_nodes()) {
@@ -150,19 +154,6 @@ TEST(SearchWorkspaceTest, ReuseAcrossGraphSizesIsClean) {
                   graph::kInfDist);
       }
     }
-  }
-}
-
-TEST(SearchWorkspaceTest, ExtractPathMatchesLegacyExtract) {
-  graph::Graph g = SmallNetwork(300, 480, 3);
-  SearchWorkspace ws;
-  for (auto [s, t] : RandomPairs(g, 10, 55)) {
-    SearchTree legacy = DijkstraSearch(g, s, t, AllEdges{});
-    Path from_tree = ExtractPath(legacy, s, t);
-    DijkstraSearch(g, s, t, AllEdges{}, ws);
-    Path from_ws = ExtractPath(ws, s, t);
-    EXPECT_EQ(from_tree.dist, from_ws.dist);
-    EXPECT_EQ(from_tree.nodes, from_ws.nodes);
   }
 }
 

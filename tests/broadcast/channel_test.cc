@@ -161,7 +161,8 @@ TEST(ReceiveSegmentTest, AssemblesWholePayload) {
   BroadcastChannel channel(&cycle, 0.0);
   ClientSession session(&channel, 0);
   const uint32_t start = cycle.SegmentStart(1);
-  ReceivedSegment seg = ReceiveSegmentAt(session, start);
+  ReceivedSegment seg;
+  ReceiveSegmentAt(session, start, &seg);
   EXPECT_TRUE(seg.complete);
   EXPECT_EQ(seg.segment_id, 1u);
   ASSERT_EQ(seg.payload.size(), 400u);
@@ -172,7 +173,8 @@ TEST(ReceiveSegmentTest, LossLeavesHolesAndMask) {
   BroadcastCycle cycle = MakeCycle(2, 2000);
   BroadcastChannel channel(&cycle, 0.4, 3);
   ClientSession session(&channel, 0);
-  ReceivedSegment seg = ReceiveSegmentAt(session, cycle.SegmentStart(1));
+  ReceivedSegment seg;
+  ReceiveSegmentAt(session, cycle.SegmentStart(1), &seg);
   // With 40% loss over ~17 packets a hole is near-certain.
   ASSERT_FALSE(seg.complete);
   bool any_missing = false;
@@ -190,7 +192,8 @@ TEST(ReceiveSegmentTest, RepairCompletesOverNextCycles) {
   BroadcastChannel channel(&cycle, 0.3, 5);
   ClientSession session(&channel, 0);
   const uint32_t start = cycle.SegmentStart(1);
-  ReceivedSegment seg = ReceiveSegmentAt(session, start);
+  ReceivedSegment seg;
+  ReceiveSegmentAt(session, start, &seg);
   EXPECT_TRUE(RepairSegment(session, start, &seg, 32));
   EXPECT_TRUE(seg.complete);
   for (uint8_t byte : seg.payload) EXPECT_EQ(byte, 2);
@@ -204,7 +207,8 @@ TEST(ReceiveSegmentTest, MidSegmentStartKeepsOnlyItsOwnPackets) {
   BroadcastCycle cycle = MakeCycle(3, 400);
   BroadcastChannel channel(&cycle, 0.0);
   ClientSession session(&channel, 0);
-  ReceivedSegment seg = ReceiveSegmentAt(session, cycle.SegmentStart(1) + 1);
+  ReceivedSegment seg;
+  ReceiveSegmentAt(session, cycle.SegmentStart(1) + 1, &seg);
   EXPECT_EQ(seg.segment_id, 1u);
   EXPECT_FALSE(seg.complete);
   ASSERT_EQ(seg.payload.size(), 400u);

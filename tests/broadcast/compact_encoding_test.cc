@@ -5,9 +5,12 @@
 #include "broadcast/serialization.h"
 #include "graph/generator.h"
 #include "graph/graph.h"
+#include "testing/node_records.h"
 
 namespace airindex::broadcast {
 namespace {
+
+using testing_support::ReadAllRecords;
 
 graph::Graph TestGraph(uint32_t nodes = 800, uint64_t seed = 13) {
   graph::GenSpec spec;
@@ -50,8 +53,8 @@ TEST(CompactEncodingTest, RoundTripMatchesLegacyDecode) {
   ASSERT_TRUE(ValidateNodeRecords(legacy, CycleEncoding::kLegacy).ok());
   ASSERT_TRUE(ValidateNodeRecords(compact, CycleEncoding::kCompact).ok());
 
-  auto from_legacy = DecodeNodeRecords(legacy, CycleEncoding::kLegacy);
-  auto from_compact = DecodeNodeRecords(compact, CycleEncoding::kCompact);
+  auto from_legacy = ReadAllRecords(legacy, CycleEncoding::kLegacy);
+  auto from_compact = ReadAllRecords(compact, CycleEncoding::kCompact);
   ASSERT_TRUE(from_legacy.ok());
   ASSERT_TRUE(from_compact.ok()) << from_compact.status().ToString();
   ExpectSameRecords(*from_legacy, *from_compact);
@@ -67,7 +70,7 @@ TEST(CompactEncodingTest, LegacyDefaultUnchanged) {
             EncodeNodeRecords(g, nodes, CycleEncoding::kLegacy));
   EXPECT_EQ(NetworkDataBytes(g),
             NetworkDataBytes(g, CycleEncoding::kLegacy));
-  auto decoded = DecodeNodeRecords(EncodeNodeRecords(g, nodes));
+  auto decoded = ReadAllRecords(EncodeNodeRecords(g, nodes));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->size(), g.num_nodes());
 }

@@ -34,7 +34,8 @@ TEST(CompleteSegmentFromTest, AssemblesFromFirstPacket) {
   auto first = session.ReceiveNext();
   ASSERT_TRUE(first.has_value());
   ASSERT_EQ(first->seq, 0u);
-  ReceivedSegment seg = broadcast::CompleteSegmentFrom(session, *first);
+  ReceivedSegment seg;
+  broadcast::CompleteSegmentFrom(session, *first, &seg);
   EXPECT_TRUE(seg.complete);
   EXPECT_EQ(seg.segment_id, 2u);
   for (uint8_t byte : seg.payload) EXPECT_EQ(byte, 3);
@@ -47,7 +48,8 @@ TEST(CompleteSegmentFromTest, MidSegmentLeavesHeadHoles) {
   auto view = session.ReceiveNext();
   ASSERT_TRUE(view.has_value());
   ASSERT_EQ(view->seq, 3u);
-  ReceivedSegment seg = broadcast::CompleteSegmentFrom(session, *view);
+  ReceivedSegment seg;
+  broadcast::CompleteSegmentFrom(session, *view, &seg);
   EXPECT_FALSE(seg.complete);
   EXPECT_FALSE(seg.packet_ok[0]);
   EXPECT_FALSE(seg.packet_ok[2]);
@@ -61,10 +63,9 @@ TEST(RepairAllSegmentsTest, OnePassFixesManySegmentsWithinOneCycle) {
   ClientSession session(&channel, 0);
 
   // Receive every segment once, collecting damage.
-  std::vector<ReceivedSegment> segs;
+  std::vector<ReceivedSegment> segs(cycle.num_segments());
   for (uint32_t i = 0; i < cycle.num_segments(); ++i) {
-    segs.push_back(
-        broadcast::ReceiveSegmentAt(session, cycle.SegmentStart(i)));
+    broadcast::ReceiveSegmentAt(session, cycle.SegmentStart(i), &segs[i]);
   }
   std::vector<PendingRepair> pending;
   size_t damaged = 0;
@@ -100,8 +101,8 @@ TEST(RepairAllSegmentsTest, GivesUpAfterBudget) {
   // Total loss: nothing can ever be repaired.
   BroadcastChannel channel(&cycle, 1.0, 1);
   ClientSession session(&channel, 0);
-  ReceivedSegment seg =
-      broadcast::ReceiveSegmentAt(session, cycle.SegmentStart(1));
+  ReceivedSegment seg;
+  broadcast::ReceiveSegmentAt(session, cycle.SegmentStart(1), &seg);
   ASSERT_FALSE(seg.complete);
   std::vector<PendingRepair> pending = {{cycle.SegmentStart(1), &seg}};
   std::vector<MissingPacket> missing;

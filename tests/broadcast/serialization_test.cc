@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/node_records.h"
 #include "testing/test_graphs.h"
 
 namespace airindex::broadcast {
 namespace {
 
+using testing_support::ReadAllRecords;
 using testing_support::SmallNetwork;
 
 TEST(SerializationTest, SingleRecordRoundTrip) {
@@ -14,7 +16,7 @@ TEST(SerializationTest, SingleRecordRoundTrip) {
   std::vector<uint8_t> buf;
   EncodeNodeRecord(g, 7, &buf);
   EXPECT_EQ(buf.size(), NodeRecordBytes(g, 7));
-  auto records = DecodeNodeRecords(buf);
+  auto records = ReadAllRecords(buf);
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 1u);
   const NodeRecord& rec = (*records)[0];
@@ -34,7 +36,7 @@ TEST(SerializationTest, WholeNetworkRoundTrip) {
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) all.push_back(v);
   std::vector<uint8_t> buf = EncodeNodeRecords(g, all);
   EXPECT_EQ(buf.size(), NetworkDataBytes(g));
-  auto records = DecodeNodeRecords(buf);
+  auto records = ReadAllRecords(buf);
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), g.num_nodes());
   size_t arcs = 0;
@@ -47,7 +49,7 @@ TEST(SerializationTest, CoordinatesAreBitExact) {
   graph::Graph g = SmallNetwork(100, 160, 3);
   std::vector<uint8_t> buf;
   EncodeNodeRecord(g, 42, &buf);
-  auto records = DecodeNodeRecords(buf);
+  auto records = ReadAllRecords(buf);
   ASSERT_TRUE(records.ok());
   EXPECT_EQ(std::bit_cast<uint64_t>((*records)[0].coord.x),
             std::bit_cast<uint64_t>(g.Coord(42).x));
@@ -58,7 +60,7 @@ TEST(SerializationTest, TruncatedHeaderFails) {
   std::vector<uint8_t> buf;
   EncodeNodeRecord(g, 0, &buf);
   buf.resize(10);  // mid-header
-  EXPECT_FALSE(DecodeNodeRecords(buf).ok());
+  EXPECT_FALSE(ReadAllRecords(buf).ok());
 }
 
 TEST(SerializationTest, TruncatedAdjacencyFails) {
@@ -66,11 +68,11 @@ TEST(SerializationTest, TruncatedAdjacencyFails) {
   std::vector<uint8_t> buf;
   EncodeNodeRecord(g, 0, &buf);
   buf.pop_back();
-  EXPECT_FALSE(DecodeNodeRecords(buf).ok());
+  EXPECT_FALSE(ReadAllRecords(buf).ok());
 }
 
 TEST(SerializationTest, EmptyBufferDecodesToNothing) {
-  auto records = DecodeNodeRecords({});
+  auto records = ReadAllRecords({});
   ASSERT_TRUE(records.ok());
   EXPECT_TRUE(records->empty());
 }

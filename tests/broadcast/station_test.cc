@@ -144,7 +144,8 @@ TEST(ClientSessionWaitTest, SegmentDemandMarksContentStart) {
   ASSERT_EQ(cycle.SegmentStart(1), 5u);
   BroadcastChannel channel(&cycle, 0.0);
   ClientSession session(&channel, 0);
-  ReceivedSegment seg = ReceiveSegmentAt(session, 5);
+  ReceivedSegment seg;
+  ReceiveSegmentAt(session, 5, &seg);
   ASSERT_TRUE(seg.complete);
   EXPECT_EQ(session.wait_packets(), 5u);
   EXPECT_EQ(session.latency_packets(), 5u + 3u);
@@ -159,7 +160,8 @@ TEST(ClientSessionWaitTest, CompleteFromProbeHasZeroWait) {
   ClientSession session(&channel, 5);
   auto probe = session.ReceiveNext();
   ASSERT_TRUE(probe.has_value());
-  ReceivedSegment seg = CompleteSegmentFrom(session, *probe);
+  ReceivedSegment seg;
+  CompleteSegmentFrom(session, *probe, &seg);
   ASSERT_TRUE(seg.complete);
   EXPECT_EQ(session.wait_packets(), 0u);
   EXPECT_EQ(session.latency_packets(), 3u);
@@ -169,8 +171,9 @@ TEST(ClientSessionWaitTest, FirstMarkWins) {
   BroadcastCycle cycle = MakeCycle({500, 300, 700});
   BroadcastChannel channel(&cycle, 0.0);
   ClientSession session(&channel, 0);
-  ReceiveSegmentAt(session, 5);   // marks content at 5
-  ReceiveSegmentAt(session, 8);   // later demand must not move the mark
+  ReceivedSegment seg;
+  ReceiveSegmentAt(session, 5, &seg);  // marks content at 5
+  ReceiveSegmentAt(session, 8, &seg);  // later demand must not move the mark
   EXPECT_EQ(session.wait_packets(), 5u);
 }
 

@@ -30,6 +30,18 @@ Built Make(uint32_t nodes, uint32_t edges, uint64_t seed, uint32_t regions) {
   return {std::move(g), std::move(pre)};
 }
 
+/// Region membership of (i, j)'s needed-region set, read from its mask.
+std::vector<bool> NeededSet(const BorderPrecompute& pre, graph::RegionId i,
+                            graph::RegionId j) {
+  std::vector<uint64_t> mask(pre.words_per_pair());
+  pre.NeededRegionsMask(i, j, mask.data());
+  std::vector<bool> needed(pre.num_regions);
+  for (graph::RegionId k = 0; k < pre.num_regions; ++k) {
+    needed[k] = (mask[k / 64] >> (k % 64)) & 1;
+  }
+  return needed;
+}
+
 // The four arrays as the straightforward per-target parent walk computes
 // them: for every border source, one Dijkstra to the border targets, then a
 // walk from each reached target back up to the source, or-ing in the
@@ -54,16 +66,17 @@ ParentWalkReference ComputeByParentWalk(const graph::Graph& g,
   ref.max_rr.assign(static_cast<size_t>(R) * R, 0);
   ref.traversed.assign(static_cast<size_t>(R) * R * words, 0);
   ref.cross_border.assign(g.num_nodes(), 0);
+  algo::SearchWorkspace tree;
   for (graph::NodeId b : B) {
-    const algo::SearchTree tree = algo::DijkstraToTargets(g, b, B);
+    algo::DijkstraToTargets(g, b, B, tree);
     for (graph::NodeId b2 : B) {
-      const graph::Dist d = tree.dist[b2];
+      const graph::Dist d = tree.DistTo(b2);
       if (d == graph::kInfDist) continue;
       const size_t cell = static_cast<size_t>(region[b]) * R + region[b2];
       ref.min_rr[cell] = std::min(ref.min_rr[cell], d);
       ref.max_rr[cell] = std::max(ref.max_rr[cell], d);
       for (graph::NodeId v = b2; v != graph::kInvalidNode;
-           v = tree.parent[v]) {
+           v = tree.ParentOf(v)) {
         ref.traversed[cell * words + region[v] / 64] |=
             uint64_t{1} << (region[v] % 64);
         ref.cross_border[v] = 1;
@@ -339,11 +352,12 @@ TEST(BorderPrecomputeTest, MatrixMatchesDirectDijkstra) {
   const graph::RegionId ri = 1;
   for (graph::RegionId rj = 0; rj < 4; ++rj) {
     graph::Dist mn = graph::kInfDist, mx = 0;
+    algo::SearchWorkspace tree;
     for (graph::NodeId from : b.pre.borders.region_border[ri]) {
-      algo::SearchTree tree = algo::DijkstraAll(b.g, from);
+      algo::DijkstraAll(b.g, from, tree);
       for (graph::NodeId to : b.pre.borders.region_border[rj]) {
-        mn = std::min(mn, tree.dist[to]);
-        mx = std::max(mx, tree.dist[to]);
+        mn = std::min(mn, tree.DistTo(to));
+        mx = std::max(mx, tree.DistTo(to));
       }
     }
     EXPECT_EQ(b.pre.MinDist(ri, rj), mn) << rj;
@@ -365,9 +379,9 @@ TEST(BorderPrecomputeTest, TraversedIncludesEndpointsNeighbours) {
   // Needed set always contains both endpoint regions.
   for (graph::RegionId i = 0; i < 8; ++i) {
     for (graph::RegionId j = 0; j < 8; ++j) {
-      auto needed = b.pre.NeededRegions(i, j);
-      EXPECT_TRUE(std::find(needed.begin(), needed.end(), i) != needed.end());
-      EXPECT_TRUE(std::find(needed.begin(), needed.end(), j) != needed.end());
+      const std::vector<bool> needed = NeededSet(b.pre, i, j);
+      EXPECT_TRUE(needed[i]);
+      EXPECT_TRUE(needed[j]);
     }
   }
 }
@@ -408,17 +422,18 @@ TEST(BorderPrecomputeTest, NeededRegionsContainTrueShortestPathRegions) {
       if (bs == bt) continue;
       graph::Path p = algo::DijkstraPath(b.g, bs, bt);
       ASSERT_TRUE(p.found());
-      auto needed = b.pre.NeededRegions(i, j);
       // Recorded ties may differ; the invariant that must hold is that the
       // needed-set subgraph contains *some* path of optimal length. Verify
       // with a filtered Dijkstra.
-      std::vector<bool> region_ok(8, false);
-      for (graph::RegionId r : needed) region_ok[r] = true;
-      algo::SearchTree tree = algo::DijkstraSearch(
-          b.g, bs, bt, [&](graph::NodeId, const graph::Graph::Arc& arc) {
+      const std::vector<bool> region_ok = NeededSet(b.pre, i, j);
+      algo::SearchWorkspace ws;
+      algo::DijkstraSearch(
+          b.g, bs, bt,
+          [&](graph::NodeId, const graph::Graph::Arc& arc) {
             return region_ok[part.node_region[arc.to]];
-          });
-      EXPECT_EQ(tree.dist[bt], p.dist) << i << "->" << j;
+          },
+          ws);
+      EXPECT_EQ(ws.DistTo(bt), p.dist) << i << "->" << j;
       ++checked;
     }
   }

@@ -38,12 +38,10 @@ TEST_P(DecoderRobustnessTest, NodeRecordsSurviveTruncation) {
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<uint8_t> cut(buf.begin(),
                              buf.begin() + rng.NextBounded(buf.size() + 1));
-    auto res = broadcast::DecodeNodeRecords(cut);  // must not crash
-    if (res.ok()) {
-      for (const auto& rec : *res) {
-        EXPECT_LT(rec.arcs.size(), 70000u);
-      }
-    }
+    broadcast::NodeRecordCursor cursor(cut);  // must not crash
+    broadcast::NodeRecord rec;
+    while (cursor.Next(&rec)) EXPECT_LT(rec.arcs.size(), 70000u);
+    EXPECT_EQ(broadcast::ValidateNodeRecords(cut).ok(), cursor.status().ok());
   }
 }
 
@@ -75,10 +73,10 @@ TEST_P(DecoderRobustnessTest, EbIndexSurvivesCorruption) {
     auto bad = Corrupt(payload, rng, 1 + static_cast<int>(
                                              rng.NextBounded(6)));
     bad.resize(rng.NextBounded(bad.size() + 1));
-    auto res = EbIndex::Decode(bad);  // must not crash
-    if (res.ok()) {
-      EXPECT_GE(res->num_regions, 2u);
-      EXPECT_EQ(res->dir.size(), res->num_regions);
+    EbIndex res;
+    if (EbIndex::Decode(bad, &res).ok()) {  // must not crash
+      EXPECT_GE(res.num_regions, 2u);
+      EXPECT_EQ(res.dir.size(), res.num_regions);
     }
   }
 }
@@ -97,10 +95,10 @@ TEST_P(DecoderRobustnessTest, NrIndexSurvivesCorruption) {
     auto bad = Corrupt(payload, rng, 1 + static_cast<int>(
                                              rng.NextBounded(6)));
     bad.resize(rng.NextBounded(bad.size() + 1));
-    auto res = NrIndex::Decode(bad);  // must not crash
-    if (res.ok()) {
-      EXPECT_GE(res->num_regions, 2u);
-      EXPECT_LE(res->num_regions, 256u);
+    NrIndex res;
+    if (NrIndex::Decode(bad, &res).ok()) {  // must not crash
+      EXPECT_GE(res.num_regions, 2u);
+      EXPECT_LE(res.num_regions, 256u);
     }
   }
 }

@@ -35,17 +35,18 @@ TEST(EbIndexTest, EncodeDecodeRoundTrip) {
   EbIndex idx = MakeIndex(8);
   auto payload = idx.Encode();
   EXPECT_EQ(payload.size(), EbIndex::EncodedBytes(8, 2));
-  auto decoded = EbIndex::Decode(payload);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->num_regions, 8u);
-  EXPECT_EQ(decoded->num_nodes, 1000u);
-  EXPECT_EQ(decoded->splits, idx.splits);
-  EXPECT_EQ(decoded->min_rr, idx.min_rr);
-  EXPECT_EQ(decoded->max_rr, idx.max_rr);
-  EXPECT_EQ(decoded->copy_starts, idx.copy_starts);
+  EbIndex decoded;
+  const Status status = EbIndex::Decode(payload, &decoded);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(decoded.num_regions, 8u);
+  EXPECT_EQ(decoded.num_nodes, 1000u);
+  EXPECT_EQ(decoded.splits, idx.splits);
+  EXPECT_EQ(decoded.min_rr, idx.min_rr);
+  EXPECT_EQ(decoded.max_rr, idx.max_rr);
+  EXPECT_EQ(decoded.copy_starts, idx.copy_starts);
   for (uint32_t r = 0; r < 8; ++r) {
-    EXPECT_EQ(decoded->dir[r].cross_start, idx.dir[r].cross_start);
-    EXPECT_EQ(decoded->dir[r].local_packets, idx.dir[r].local_packets);
+    EXPECT_EQ(decoded.dir[r].cross_start, idx.dir[r].cross_start);
+    EXPECT_EQ(decoded.dir[r].local_packets, idx.dir[r].local_packets);
   }
 }
 
@@ -53,10 +54,11 @@ TEST(EbIndexTest, InfDistanceSurvivesRoundTrip) {
   EbIndex idx = MakeIndex(4);
   idx.min_rr[5] = graph::kInfDist;
   idx.max_rr[5] = graph::kInfDist;
-  auto decoded = EbIndex::Decode(idx.Encode());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->min_rr[5], graph::kInfDist);
-  EXPECT_EQ(decoded->max_rr[5], graph::kInfDist);
+  EbIndex decoded;
+  const Status status = EbIndex::Decode(idx.Encode(), &decoded);
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(decoded.min_rr[5], graph::kInfDist);
+  EXPECT_EQ(decoded.max_rr[5], graph::kInfDist);
 }
 
 TEST(EbIndexTest, CellOffsetsAreUniqueAndInMatrixArea) {
@@ -117,16 +119,18 @@ TEST(EbIndexTest, DecodeRejectsTruncation) {
   EbIndex idx = MakeIndex(4);
   auto payload = idx.Encode();
   payload.resize(EbIndex::EncodedBytes(4, 0) - 10);
-  EXPECT_FALSE(EbIndex::Decode(payload).ok());
-  EXPECT_FALSE(EbIndex::Decode({0x01}).ok());
+  EbIndex out;
+  EXPECT_FALSE(EbIndex::Decode(payload, &out).ok());
+  EXPECT_FALSE(EbIndex::Decode({0x01}, &out).ok());
 }
 
 TEST(EbIndexTest, SaturatesHugeDistances) {
   EbIndex idx = MakeIndex(4);
   idx.max_rr[0] = (1ull << 40);  // bigger than u32
-  auto decoded = EbIndex::Decode(idx.Encode());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->max_rr[0], EbIndex::kInfU32 - 1);
+  EbIndex decoded;
+  const Status status = EbIndex::Decode(idx.Encode(), &decoded);
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(decoded.max_rr[0], EbIndex::kInfU32 - 1);
 }
 
 }  // namespace

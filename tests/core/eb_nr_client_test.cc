@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "algo/dijkstra.h"
 #include "broadcast/channel.h"
 #include "core/border_precompute.h"
 #include "core/eb.h"
 #include "core/nr.h"
+#include "core/query_scratch.h"
 #include "partition/kd_tree.h"
 #include "testing/test_graphs.h"
 #include "workload/workload.h"
@@ -17,6 +20,7 @@ using testing_support::SmallNetwork;
 /// EB's pruning rule applied client-side must match a direct evaluation of
 /// the §4.2 inequality over the server's pre-computation.
 TEST(EbClientTest, ReceivedRegionCountMatchesPruningRule) {
+  QueryScratch scratch;
   graph::Graph g = SmallNetwork(500, 800, 701);
   auto kd = partition::KdTreePartitioner::Build(g, 8).value();
   auto pre = ComputeBorderPrecompute(g, kd.Partition(g)).value();
@@ -40,7 +44,8 @@ TEST(EbClientTest, ReceivedRegionCountMatchesPruningRule) {
         ++expected;
       }
     }
-    device::QueryMetrics m = eb->RunQuery(channel, MakeAirQuery(g, q));
+    device::QueryMetrics m =
+        eb->RunQuery(channel, MakeAirQuery(g, q), {}, &scratch);
     EXPECT_EQ(m.regions_received, expected)
         << q.source << "->" << q.target;
   }
@@ -50,6 +55,7 @@ TEST(EbClientTest, ReceivedRegionCountMatchesPruningRule) {
 /// farthest-apart regions can force EB to receive (almost) everything,
 /// while NR's needed set stays a subset.
 TEST(EbNrClientTest, NrNeverReceivesMoreRegionsThanEb) {
+  QueryScratch scratch;
   graph::Graph g = SmallNetwork(600, 960, 703);
   auto kd = partition::KdTreePartitioner::Build(g, 16).value();
   auto pre = ComputeBorderPrecompute(g, kd.Partition(g)).value();
@@ -60,16 +66,18 @@ TEST(EbNrClientTest, NrNeverReceivesMoreRegionsThanEb) {
 
   auto w = workload::GenerateWorkload(g, 25, 704).value();
   for (const auto& q : w.queries) {
-    auto m_eb = eb->RunQuery(eb_ch, MakeAirQuery(g, q));
-    auto m_nr = nr->RunQuery(nr_ch, MakeAirQuery(g, q));
+    auto m_eb = eb->RunQuery(eb_ch, MakeAirQuery(g, q), {}, &scratch);
+    auto m_nr = nr->RunQuery(nr_ch, MakeAirQuery(g, q), {}, &scratch);
     EXPECT_LE(m_nr.regions_received, m_eb.regions_received)
         << q.source << "->" << q.target;
   }
 }
 
 /// NR's needed set (the regions its chain actually receives, lossless)
-/// equals the pre-computation's NeededRegions for the query's region pair.
+/// equals the pre-computation's needed-region set for the query's region
+/// pair.
 TEST(NrClientTest, ChainVisitsExactlyTheNeededSet) {
+  QueryScratch scratch;
   graph::Graph g = SmallNetwork(500, 800, 705);
   auto kd = partition::KdTreePartitioner::Build(g, 8).value();
   auto pre = ComputeBorderPrecompute(g, kd.Partition(g)).value();
@@ -80,8 +88,12 @@ TEST(NrClientTest, ChainVisitsExactlyTheNeededSet) {
   for (const auto& q : w.queries) {
     const graph::RegionId rs = pre.part.node_region[q.source];
     const graph::RegionId rt = pre.part.node_region[q.target];
-    const size_t needed = pre.NeededRegions(rs, rt).size();
-    device::QueryMetrics m = nr->RunQuery(channel, MakeAirQuery(g, q));
+    std::vector<uint64_t> mask(pre.words_per_pair());
+    pre.NeededRegionsMask(rs, rt, mask.data());
+    size_t needed = 0;
+    for (uint64_t word : mask) needed += std::popcount(word);
+    device::QueryMetrics m =
+        nr->RunQuery(channel, MakeAirQuery(g, q), {}, &scratch);
     EXPECT_EQ(m.regions_received, needed) << q.source << "->" << q.target;
   }
 }
@@ -90,6 +102,7 @@ TEST(NrClientTest, ChainVisitsExactlyTheNeededSet) {
 /// starts) must work and stay exact — regression test for the
 /// tuned-in-at-index-start full-cycle sleep bug.
 TEST(EbNrClientTest, EveryTuneInPhaseIsExact) {
+  QueryScratch scratch;
   graph::Graph g = SmallNetwork(300, 480, 707);
   auto eb = EbSystem::Build(g, 8).value();
   auto nr = NrSystem::Build(g, 8).value();
@@ -104,7 +117,8 @@ TEST(EbNrClientTest, EveryTuneInPhaseIsExact) {
     const uint32_t total = sys->cycle().total_packets();
     for (uint32_t pos = 0; pos < total; pos += 7) {
       q.tune_phase = static_cast<double>(pos) / total;
-      device::QueryMetrics m = sys->RunQuery(channel, MakeAirQuery(g, q));
+      device::QueryMetrics m =
+          sys->RunQuery(channel, MakeAirQuery(g, q), {}, &scratch);
       ASSERT_EQ(m.distance, q.true_dist)
           << sys->name() << " phase " << q.tune_phase;
       // Latency must never exceed ~2 cycles at zero loss.
@@ -120,6 +134,7 @@ TEST(EbNrClientTest, EveryTuneInPhaseIsExact) {
 /// no repair cycles makes EB and NR give up early (index bytes lost for
 /// good); a dead channel makes them give up while probing for an index.
 TEST(EbNrClientTest, FailedQueriesReportTheirRadioCounters) {
+  QueryScratch scratch;
   graph::Graph g = SmallNetwork(400, 640, 709);
   auto eb = EbSystem::Build(g, 8).value();
   auto nr = NrSystem::Build(g, 8).value();
@@ -135,7 +150,8 @@ TEST(EbNrClientTest, FailedQueriesReportTheirRadioCounters) {
         broadcast::BroadcastChannel channel(
             &sys->cycle(), broadcast::LossModel::Independent(loss), 900 + i);
         const device::QueryMetrics m =
-            sys->RunQuery(channel, MakeAirQuery(g, w.queries[i]), options);
+            sys->RunQuery(
+                channel, MakeAirQuery(g, w.queries[i]), options, &scratch);
         if (m.ok) continue;
         ++failures;
         EXPECT_GT(m.tuning_packets, 0u)

@@ -27,19 +27,20 @@ TEST(NrIndexTest, EncodeDecodeRoundTrip) {
   NrIndex idx = MakeIndex(16, 5);
   auto payload = idx.Encode();
   EXPECT_EQ(payload.size(), NrIndex::EncodedBytes(16));
-  auto decoded = NrIndex::Decode(payload);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->num_regions, 16u);
-  EXPECT_EQ(decoded->num_nodes, 512u);
-  EXPECT_EQ(decoded->region_id, 5u);
-  EXPECT_EQ(decoded->splits, idx.splits);
-  EXPECT_EQ(decoded->next_region, idx.next_region);
-  ASSERT_EQ(decoded->geometry.size(), idx.geometry.size());
+  NrIndex decoded;
+  const Status status = NrIndex::Decode(payload, &decoded);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(decoded.num_regions, 16u);
+  EXPECT_EQ(decoded.num_nodes, 512u);
+  EXPECT_EQ(decoded.region_id, 5u);
+  EXPECT_EQ(decoded.splits, idx.splits);
+  EXPECT_EQ(decoded.next_region, idx.next_region);
+  ASSERT_EQ(decoded.geometry.size(), idx.geometry.size());
   for (size_t r = 0; r < idx.geometry.size(); ++r) {
-    EXPECT_EQ(decoded->geometry[r].cross_start, idx.geometry[r].cross_start);
-    EXPECT_EQ(decoded->geometry[r].cross_packets,
+    EXPECT_EQ(decoded.geometry[r].cross_start, idx.geometry[r].cross_start);
+    EXPECT_EQ(decoded.geometry[r].cross_packets,
               idx.geometry[r].cross_packets);
-    EXPECT_EQ(decoded->geometry[r].local_packets,
+    EXPECT_EQ(decoded.geometry[r].local_packets,
               idx.geometry[r].local_packets);
   }
 }
@@ -72,15 +73,17 @@ TEST(NrIndexTest, DecodeRejectsTruncation) {
   NrIndex idx = MakeIndex(8, 2);
   auto payload = idx.Encode();
   payload.resize(payload.size() - 5);
-  EXPECT_FALSE(NrIndex::Decode(payload).ok());
-  EXPECT_FALSE(NrIndex::Decode({1, 2, 3}).ok());
+  NrIndex out;
+  EXPECT_FALSE(NrIndex::Decode(payload, &out).ok());
+  EXPECT_FALSE(NrIndex::Decode({1, 2, 3}, &out).ok());
 }
 
 TEST(NrIndexTest, SupportsMaximumRegions) {
   NrIndex idx = MakeIndex(256, 255);
-  auto decoded = NrIndex::Decode(idx.Encode());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->num_regions, 256u);
+  NrIndex decoded;
+  const Status status = NrIndex::Decode(idx.Encode(), &decoded);
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(decoded.num_regions, 256u);
 }
 
 }  // namespace

@@ -51,10 +51,10 @@ TEST(PartialGraphTest, FullGraphDijkstraMatchesOriginal) {
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     pg.AddRecord(RecordOf(g, v));
   }
+  algo::SearchWorkspace ws;
   for (auto [s, t] : testing_support::RandomPairs(g, 10, 4)) {
-    algo::SearchTree tree =
-        algo::DijkstraSearch(pg, s, t, KnownEdgeFilter{&pg});
-    EXPECT_EQ(tree.dist[t], algo::DijkstraPath(g, s, t).dist);
+    algo::DijkstraSearch(pg, s, t, KnownEdgeFilter{&pg}, ws);
+    EXPECT_EQ(ws.DistTo(t), algo::DijkstraPath(g, s, t).dist);
   }
 }
 
@@ -63,9 +63,9 @@ TEST(PartialGraphTest, KnownEdgeFilterSkipsUnreceivedHeads) {
   PartialGraph pg;
   pg.AddRecord(RecordOf(g, 0));
   // Only node 0 known: Dijkstra must not escape through its arcs.
-  algo::SearchTree tree =
-      algo::DijkstraSearch(pg, 0, graph::kInvalidNode, KnownEdgeFilter{&pg});
-  EXPECT_EQ(tree.settled, 1u);
+  algo::SearchWorkspace ws;
+  algo::DijkstraSearch(pg, 0, graph::kInvalidNode, KnownEdgeFilter{&pg}, ws);
+  EXPECT_EQ(ws.settled(), 1u);
 }
 
 TEST(PartialGraphTest, MemoryGrowsWithContent) {

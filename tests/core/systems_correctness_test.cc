@@ -6,6 +6,7 @@
 #include "broadcast/channel.h"
 #include "core/eb.h"
 #include "core/nr.h"
+#include "core/query_scratch.h"
 #include "core/systems.h"
 #include "partition/kd_tree.h"
 #include "testing/test_graphs.h"
@@ -41,10 +42,12 @@ class SystemsCorrectnessTest : public ::testing::TestWithParam<uint64_t> {
 };
 
 TEST_P(SystemsCorrectnessTest, AllMethodsExactOnLosslessChannel) {
+  QueryScratch scratch;
   for (const auto& sys : systems_) {
     broadcast::BroadcastChannel channel(&sys->cycle(), 0.0);
     for (const auto& q : workload_.queries) {
-      device::QueryMetrics m = sys->RunQuery(channel, MakeAirQuery(g_, q));
+      device::QueryMetrics m =
+          sys->RunQuery(channel, MakeAirQuery(g_, q), {}, &scratch);
       EXPECT_TRUE(m.ok) << sys->name() << " " << q.source << "->" << q.target;
       EXPECT_EQ(m.distance, q.true_dist)
           << sys->name() << " " << q.source << "->" << q.target;
@@ -56,6 +59,7 @@ TEST_P(SystemsCorrectnessTest, AllMethodsExactOnLosslessChannel) {
 /// method built with CycleEncoding::kCompact returns the exact distance
 /// for every query, decoded through the real client paths.
 TEST_P(SystemsCorrectnessTest, AllMethodsExactWithCompactEncoding) {
+  QueryScratch scratch;
   SystemParams params;
   params.arcflag_regions = 8;
   params.eb_regions = 8;
@@ -69,7 +73,8 @@ TEST_P(SystemsCorrectnessTest, AllMethodsExactWithCompactEncoding) {
   for (const auto& sys : compact_systems) {
     broadcast::BroadcastChannel channel(&sys->cycle(), 0.0);
     for (const auto& q : workload_.queries) {
-      device::QueryMetrics m = sys->RunQuery(channel, MakeAirQuery(g_, q));
+      device::QueryMetrics m =
+          sys->RunQuery(channel, MakeAirQuery(g_, q), {}, &scratch);
       EXPECT_TRUE(m.ok) << sys->name() << " " << q.source << "->" << q.target;
       EXPECT_EQ(m.distance, q.true_dist)
           << sys->name() << " " << q.source << "->" << q.target;
@@ -78,6 +83,7 @@ TEST_P(SystemsCorrectnessTest, AllMethodsExactWithCompactEncoding) {
 }
 
 TEST_P(SystemsCorrectnessTest, EbAndNrExactWithMemoryBoundProcessing) {
+  QueryScratch scratch;
   ClientOptions opts;
   opts.memory_bound = true;
   for (const auto& sys : systems_) {
@@ -85,7 +91,7 @@ TEST_P(SystemsCorrectnessTest, EbAndNrExactWithMemoryBoundProcessing) {
     broadcast::BroadcastChannel channel(&sys->cycle(), 0.0);
     for (const auto& q : workload_.queries) {
       device::QueryMetrics m =
-          sys->RunQuery(channel, MakeAirQuery(g_, q), opts);
+          sys->RunQuery(channel, MakeAirQuery(g_, q), opts, &scratch);
       EXPECT_TRUE(m.ok) << sys->name();
       EXPECT_EQ(m.distance, q.true_dist)
           << sys->name() << " (memory-bound) " << q.source << "->"
@@ -95,6 +101,7 @@ TEST_P(SystemsCorrectnessTest, EbAndNrExactWithMemoryBoundProcessing) {
 }
 
 TEST_P(SystemsCorrectnessTest, EbExactWithoutCrossBorderOptimization) {
+  QueryScratch scratch;
   ClientOptions opts;
   opts.cross_border_opt = false;
   for (const auto& sys : systems_) {
@@ -102,7 +109,7 @@ TEST_P(SystemsCorrectnessTest, EbExactWithoutCrossBorderOptimization) {
     broadcast::BroadcastChannel channel(&sys->cycle(), 0.0);
     for (const auto& q : workload_.queries) {
       device::QueryMetrics m =
-          sys->RunQuery(channel, MakeAirQuery(g_, q), opts);
+          sys->RunQuery(channel, MakeAirQuery(g_, q), opts, &scratch);
       EXPECT_EQ(m.distance, q.true_dist);
     }
   }
@@ -114,6 +121,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SystemsCorrectnessTest,
 /// Same-region queries: the paper's methods must stay exact when source and
 /// destination fall into one region (our diagonal extension; DESIGN.md).
 TEST(SystemsEdgeCaseTest, SameRegionQueriesAreExact) {
+  QueryScratch scratch;
   graph::Graph g = SmallNetwork(400, 640, 777);
   auto eb = EbSystem::Build(g, 8).value();
   auto nr = NrSystem::Build(g, 8).value();
@@ -132,7 +140,8 @@ TEST(SystemsEdgeCaseTest, SameRegionQueriesAreExact) {
     for (AirSystem* sys : {static_cast<AirSystem*>(eb.get()),
                            static_cast<AirSystem*>(nr.get())}) {
       broadcast::BroadcastChannel channel(&sys->cycle(), 0.0);
-      device::QueryMetrics m = sys->RunQuery(channel, MakeAirQuery(g, q));
+      device::QueryMetrics m =
+          sys->RunQuery(channel, MakeAirQuery(g, q), {}, &scratch);
       EXPECT_TRUE(m.ok) << sys->name() << " region " << r;
       EXPECT_EQ(m.distance, q.true_dist) << sys->name() << " region " << r;
     }
@@ -142,6 +151,7 @@ TEST(SystemsEdgeCaseTest, SameRegionQueriesAreExact) {
 }
 
 TEST(SystemsEdgeCaseTest, AdjacentNodesQuery) {
+  QueryScratch scratch;
   graph::Graph g = SmallNetwork(300, 480, 778);
   auto eb = EbSystem::Build(g, 8).value();
   auto nr = NrSystem::Build(g, 8).value();
@@ -153,7 +163,8 @@ TEST(SystemsEdgeCaseTest, AdjacentNodesQuery) {
   for (AirSystem* sys : {static_cast<AirSystem*>(eb.get()),
                          static_cast<AirSystem*>(nr.get())}) {
     broadcast::BroadcastChannel channel(&sys->cycle(), 0.0);
-    device::QueryMetrics m = sys->RunQuery(channel, MakeAirQuery(g, q));
+    device::QueryMetrics m =
+        sys->RunQuery(channel, MakeAirQuery(g, q), {}, &scratch);
     EXPECT_EQ(m.distance, q.true_dist) << sys->name();
   }
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "broadcast/channel.h"
+#include "core/query_scratch.h"
 #include "core/systems.h"
 #include "testing/test_graphs.h"
 #include "workload/workload.h"
@@ -16,6 +17,7 @@ class SystemsLossTest
     : public ::testing::TestWithParam<std::tuple<double, uint64_t>> {};
 
 TEST_P(SystemsLossTest, AllMethodsExactUnderLoss) {
+  QueryScratch scratch;
   auto [loss, seed] = GetParam();
   graph::Graph g = SmallNetwork(350, 560, seed);
   SystemParams params;
@@ -32,7 +34,7 @@ TEST_P(SystemsLossTest, AllMethodsExactUnderLoss) {
     broadcast::BroadcastChannel channel(&sys->cycle(), loss, seed + 17);
     for (const auto& q : w.queries) {
       device::QueryMetrics m =
-          sys->RunQuery(channel, MakeAirQuery(g, q), opts);
+          sys->RunQuery(channel, MakeAirQuery(g, q), opts, &scratch);
       EXPECT_TRUE(m.ok) << sys->name() << " loss=" << loss;
       EXPECT_EQ(m.distance, q.true_dist)
           << sys->name() << " loss=" << loss << " " << q.source << "->"
@@ -47,6 +49,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(501u, 502u)));
 
 TEST(SystemsLossTest, LossIncreasesTuningTime) {
+  QueryScratch scratch;
   graph::Graph g = SmallNetwork(350, 560, 601);
   SystemParams params;
   params.eb_regions = 8;
@@ -61,9 +64,9 @@ TEST(SystemsLossTest, LossIncreasesTuningTime) {
     ClientOptions opts;
     opts.max_repair_cycles = 32;
     for (const auto& q : w.queries) {
-      clean += sys->RunQuery(clean_ch, MakeAirQuery(g, q), opts)
+      clean += sys->RunQuery(clean_ch, MakeAirQuery(g, q), opts, &scratch)
                    .tuning_packets;
-      lossy += sys->RunQuery(lossy_ch, MakeAirQuery(g, q), opts)
+      lossy += sys->RunQuery(lossy_ch, MakeAirQuery(g, q), opts, &scratch)
                    .tuning_packets;
     }
     EXPECT_GE(lossy, clean) << sys->name();
@@ -71,6 +74,7 @@ TEST(SystemsLossTest, LossIncreasesTuningTime) {
 }
 
 TEST(SystemsLossTest, AllMethodsExactUnderBurstLoss) {
+  QueryScratch scratch;
   // Wireless losses are bursty in practice; whole region segments can
   // vanish in one fade. Correctness must survive that too.
   graph::Graph g = SmallNetwork(300, 480, 621);
@@ -88,7 +92,7 @@ TEST(SystemsLossTest, AllMethodsExactUnderBurstLoss) {
         &sys->cycle(), broadcast::LossModel::Bursty(0.05, 12), 623);
     for (const auto& q : w.queries) {
       device::QueryMetrics m =
-          sys->RunQuery(channel, MakeAirQuery(g, q), opts);
+          sys->RunQuery(channel, MakeAirQuery(g, q), opts, &scratch);
       EXPECT_TRUE(m.ok) << sys->name();
       EXPECT_EQ(m.distance, q.true_dist) << sys->name();
     }
@@ -100,6 +104,7 @@ TEST(SystemsLossTest, AllMethodsExactUnderBurstLoss) {
 // opt-in ClientOptions::repair_header closes the gap; leaving it off must
 // reproduce the historical numbers byte-for-byte.
 TEST(SystemsLossTest, ArcFlagHeaderRepairClosesTheGap) {
+  QueryScratch scratch;
   graph::Graph g = SmallNetwork(350, 560, 641);
   SystemParams params;
   params.arcflag_regions = 16;  // 130-byte header: 2 packets at risk
@@ -118,8 +123,8 @@ TEST(SystemsLossTest, ArcFlagHeaderRepairClosesTheGap) {
     broadcast::BroadcastChannel channel(
         &af->cycle(), broadcast::LossModel::Independent(0.02), 643 + i);
     const AirQuery q = MakeAirQuery(g, w.queries[i]);
-    const device::QueryMetrics m_off = af->RunQuery(channel, q, off);
-    const device::QueryMetrics m_on = af->RunQuery(channel, q, on);
+    const device::QueryMetrics m_off = af->RunQuery(channel, q, off, &scratch);
+    const device::QueryMetrics m_on = af->RunQuery(channel, q, on, &scratch);
 
     if (!m_off.ok) ++failures_off;
     if (!m_on.ok) ++failures_on;
@@ -131,7 +136,8 @@ TEST(SystemsLossTest, ArcFlagHeaderRepairClosesTheGap) {
     // changes nothing unless switched on)...
     ClientOptions defaults;
     defaults.max_repair_cycles = 32;
-    device::QueryMetrics m_default = af->RunQuery(channel, q, defaults);
+    device::QueryMetrics m_default =
+        af->RunQuery(channel, q, defaults, &scratch);
     m_default.cpu_ms = m_off.cpu_ms;  // the one wall-clock field
     device::QueryMetrics m_off_stable = m_off;
     m_off_stable.cpu_ms = m_default.cpu_ms;
@@ -143,6 +149,7 @@ TEST(SystemsLossTest, ArcFlagHeaderRepairClosesTheGap) {
 }
 
 TEST(SystemsLossTest, MemoryBoundClientsSurviveLoss) {
+  QueryScratch scratch;
   graph::Graph g = SmallNetwork(300, 480, 611);
   SystemParams params;
   params.eb_regions = 8;
@@ -157,7 +164,7 @@ TEST(SystemsLossTest, MemoryBoundClientsSurviveLoss) {
     broadcast::BroadcastChannel channel(&sys->cycle(), 0.05, 613);
     for (const auto& q : w.queries) {
       device::QueryMetrics m =
-          sys->RunQuery(channel, MakeAirQuery(g, q), opts);
+          sys->RunQuery(channel, MakeAirQuery(g, q), opts, &scratch);
       EXPECT_EQ(m.distance, q.true_dist) << sys->name();
     }
   }

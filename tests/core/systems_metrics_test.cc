@@ -3,6 +3,7 @@
 #include "broadcast/channel.h"
 #include "core/eb.h"
 #include "core/nr.h"
+#include "core/query_scratch.h"
 #include "core/systems.h"
 #include "device/metrics.h"
 #include "testing/test_graphs.h"
@@ -35,10 +36,11 @@ Fixture MakeFixture(uint32_t nodes = 800, uint32_t edges = 1280,
 
 device::MetricsSummary RunAll(const Fixture& f, const AirSystem& sys,
                               ClientOptions opts = {}) {
+  QueryScratch scratch;
   broadcast::BroadcastChannel channel(&sys.cycle(), 0.0);
   std::vector<device::QueryMetrics> ms;
   for (const auto& q : f.w.queries) {
-    ms.push_back(sys.RunQuery(channel, MakeAirQuery(f.g, q), opts));
+    ms.push_back(sys.RunQuery(channel, MakeAirQuery(f.g, q), opts, &scratch));
   }
   return device::MetricsSummary::Of(ms);
 }
@@ -113,12 +115,14 @@ TEST(SystemsMetricsTest, FullCycleMethodsLatencyAboutOneCycle) {
 }
 
 TEST(SystemsMetricsTest, EbNrLatencyBounded) {
+  QueryScratch scratch;
   Fixture f = MakeFixture(500, 800, 905, 10);
   for (std::string_view name : {"EB", "NR"}) {
     const AirSystem& sys = Find(f, name);
     broadcast::BroadcastChannel channel(&sys.cycle(), 0.0);
     for (const auto& q : f.w.queries) {
-      device::QueryMetrics m = sys.RunQuery(channel, MakeAirQuery(f.g, q));
+      device::QueryMetrics m =
+          sys.RunQuery(channel, MakeAirQuery(f.g, q), {}, &scratch);
       // §4.2/§5.2 state latency "does not exceed one broadcast cycle".
       // That is approximate: the exact worst case adds the wait for the
       // first index and the trailing index read, so a needed region just
@@ -182,6 +186,7 @@ TEST(SystemsMetricsTest, EbInterleavingUsesMultipleCopies) {
 }
 
 TEST(SystemsMetricsTest, TuneInPositionClampsInclusivePhase) {
+  QueryScratch scratch;
   Fixture f = MakeFixture(400, 640, 910, 1);
   const AirSystem& sys = *f.systems.front();
   const auto total = sys.cycle().total_packets();
@@ -194,18 +199,21 @@ TEST(SystemsMetricsTest, TuneInPositionClampsInclusivePhase) {
   broadcast::BroadcastChannel channel(&sys.cycle(), 0.0);
   workload::Query q = f.w.queries.front();
   q.tune_phase = 1.0;
-  device::QueryMetrics m = sys.RunQuery(channel, MakeAirQuery(f.g, q));
+  device::QueryMetrics m =
+      sys.RunQuery(channel, MakeAirQuery(f.g, q), {}, &scratch);
   EXPECT_TRUE(m.ok);
   EXPECT_EQ(m.distance, q.true_dist);
 }
 
 TEST(SystemsMetricsTest, RegionsReceivedReported) {
+  QueryScratch scratch;
   Fixture f = MakeFixture(500, 800, 909, 6);
   for (std::string_view name : {"EB", "NR"}) {
     const AirSystem& sys = Find(f, name);
     broadcast::BroadcastChannel channel(&sys.cycle(), 0.0);
     for (const auto& q : f.w.queries) {
-      device::QueryMetrics m = sys.RunQuery(channel, MakeAirQuery(f.g, q));
+      device::QueryMetrics m =
+          sys.RunQuery(channel, MakeAirQuery(f.g, q), {}, &scratch);
       EXPECT_GE(m.regions_received, 1u) << name;
       EXPECT_LE(m.regions_received, 16u) << name;
     }

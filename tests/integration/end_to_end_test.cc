@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "broadcast/channel.h"
+#include "core/query_scratch.h"
 #include "core/systems.h"
 #include "device/energy.h"
 #include "graph/catalog.h"
@@ -14,6 +15,7 @@ namespace {
 /// build every system, run a workload through a lossy channel, and check
 /// correctness plus the paper's qualitative orderings end to end.
 TEST(EndToEndTest, MiniatureGermanyPipeline) {
+  core::QueryScratch scratch;
   auto g = graph::MakeNetwork(graph::DefaultNetwork(), 0.02).value();
   ASSERT_GT(g.num_nodes(), 500u);
   ASSERT_TRUE(g.IsStronglyConnected());
@@ -37,7 +39,7 @@ TEST(EndToEndTest, MiniatureGermanyPipeline) {
     double joules = 0;
     for (const auto& q : w.queries) {
       device::QueryMetrics m =
-          sys->RunQuery(channel, core::MakeAirQuery(g, q), opts);
+          sys->RunQuery(channel, core::MakeAirQuery(g, q), opts, &scratch);
       ASSERT_TRUE(m.ok) << sys->name();
       ASSERT_EQ(m.distance, q.true_dist) << sys->name();
       joules += energy.QueryJoules(m);
@@ -67,6 +69,7 @@ TEST(EndToEndTest, PrecomputeTimesAreReported) {
 }
 
 TEST(EndToEndTest, DeterministicReplay) {
+  core::QueryScratch scratch;
   auto g = testing_support::SmallNetwork(300, 480, 4242);
   auto systems = core::BuildSystems(g, core::SystemParams{
                                            .arcflag_regions = 8,
@@ -80,8 +83,8 @@ TEST(EndToEndTest, DeterministicReplay) {
   for (const auto& sys : systems) {
     broadcast::BroadcastChannel channel(&sys->cycle(), 0.05, 11);
     for (const auto& q : w.queries) {
-      auto a = sys->RunQuery(channel, core::MakeAirQuery(g, q));
-      auto b = sys->RunQuery(channel, core::MakeAirQuery(g, q));
+      auto a = sys->RunQuery(channel, core::MakeAirQuery(g, q), {}, &scratch);
+      auto b = sys->RunQuery(channel, core::MakeAirQuery(g, q), {}, &scratch);
       EXPECT_EQ(a.tuning_packets, b.tuning_packets) << sys->name();
       EXPECT_EQ(a.latency_packets, b.latency_packets) << sys->name();
       EXPECT_EQ(a.distance, b.distance) << sys->name();

@@ -27,6 +27,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,6 +39,7 @@
 #include "broadcast/channel.h"
 #include "broadcast/schedule.h"
 #include "common/flags.h"
+#include "core/query_scratch.h"
 #include "core/systems.h"
 #include "device/energy.h"
 #include "device/profile_catalog.h"
@@ -286,12 +289,12 @@ int Gen(int argc, char** argv) {
       if (!ParseUintFlag(arg, 7, &u)) return 2;
       spec.seed = u;
     } else if (std::strncmp(arg, "--levels=", 9) == 0) {
-      if (!ParseUintFlag(arg, 9, &u)) return 2;
+      if (!ParseUintFlag(arg, 9, &u, UINT32_MAX)) return 2;
       spec.highway_levels = static_cast<uint32_t>(u);
     } else if (std::strncmp(arg, "--jitter=", 9) == 0) {
       if (!ParseDoubleFlag(arg, 9, &spec.weight_jitter)) return 2;
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      if (!ParseUintFlag(arg, 10, &u)) return 2;
+      if (!ParseUintFlag(arg, 10, &u, UINT_MAX)) return 2;
       spec.threads = static_cast<unsigned>(u);
     } else if (std::strncmp(arg, "--out=", 6) == 0) {
       out_prefix = arg + 6;
@@ -537,8 +540,9 @@ int Query(int argc, char** argv) {
   }
   q.tune_phase = 0.5;
   broadcast::BroadcastChannel channel(&(*sys)->cycle(), 0.0);
+  core::QueryScratch scratch;
   device::QueryMetrics m =
-      (*sys)->RunQuery(channel, core::MakeAirQuery(*g, q));
+      (*sys)->RunQuery(channel, core::MakeAirQuery(*g, q), {}, &scratch);
   device::EnergyModel energy(device::DeviceProfile::J2mePhone(),
                              device::kBitrateStatic3G);
   std::printf("%s %u -> %u\n", argv[4], q.source, q.target);
@@ -611,7 +615,7 @@ int Run(int argc, char** argv) {
     } else if (std::strncmp(arg, "--loss=", 7) == 0) {
       if (!ParseDoubleFlag(arg, 7, &loss)) return Usage();
     } else if (std::strncmp(arg, "--burst=", 8) == 0) {
-      if (!ParseUintFlag(arg, 8, &u)) return Usage();
+      if (!ParseUintFlag(arg, 8, &u, UINT32_MAX)) return Usage();
       burst = u > 1 ? static_cast<uint32_t>(u) : 1;
     } else if (std::strncmp(arg, "--corrupt=", 10) == 0) {
       if (!ParseDoubleFlag(arg, 10, &corrupt)) return Usage();
@@ -626,16 +630,16 @@ int Run(int argc, char** argv) {
         return 2;
       }
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      if (!ParseUintFlag(arg, 10, &u)) return Usage();
+      if (!ParseUintFlag(arg, 10, &u, UINT_MAX)) return Usage();
       threads = static_cast<unsigned>(u);
     } else if (std::strncmp(arg, "--repeat=", 9) == 0) {
-      if (!ParseUintFlag(arg, 9, &u)) return Usage();
+      if (!ParseUintFlag(arg, 9, &u, UINT_MAX)) return Usage();
       repeat = u > 1 ? static_cast<unsigned>(u) : 1;
     } else if (std::strncmp(arg, "--regions=", 10) == 0) {
-      if (!ParseUintFlag(arg, 10, &u)) return Usage();
+      if (!ParseUintFlag(arg, 10, &u, UINT32_MAX)) return Usage();
       regions = static_cast<uint32_t>(u);
     } else if (std::strncmp(arg, "--landmarks=", 12) == 0) {
-      if (!ParseUintFlag(arg, 12, &u)) return Usage();
+      if (!ParseUintFlag(arg, 12, &u, UINT32_MAX)) return Usage();
       landmarks = static_cast<uint32_t>(u);
     } else if (std::strncmp(arg, "--systems=", 10) == 0) {
       names = SplitNames(arg + 10);
@@ -646,7 +650,7 @@ int Run(int argc, char** argv) {
     } else if (std::strncmp(arg, "--rate=", 7) == 0) {
       if (!ParseDoubleFlag(arg, 7, &rate)) return Usage();
     } else if (std::strncmp(arg, "--subchannels=", 14) == 0) {
-      if (!ParseUintFlag(arg, 14, &u)) return Usage();
+      if (!ParseUintFlag(arg, 14, &u, UINT32_MAX)) return Usage();
       if (u < 1) {
         std::fprintf(stderr, "--subchannels must be >= 1\n");
         return 2;
@@ -659,7 +663,7 @@ int Run(int argc, char** argv) {
         return 2;
       }
     } else if (std::strncmp(arg, "--sessions=", 11) == 0) {
-      if (!ParseUintFlag(arg, 11, &u)) return 2;
+      if (!ParseUintFlag(arg, 11, &u, UINT32_MAX)) return 2;
       if (u < 1) {
         std::fprintf(stderr, "--sessions must be >= 1\n");
         return 2;
@@ -695,26 +699,10 @@ int Run(int argc, char** argv) {
                  "batch engine has no shared station timeline)\n");
     return 2;
   }
-  if (engine != "event" &&
-      schedule.mode == sim::SchedulePolicy::Mode::kOnline) {
-    std::fprintf(stderr,
-                 "--schedule=online needs --engine=event (re-planning "
-                 "observes demand on the shared station timeline)\n");
-    return 2;
-  }
-  if (engine != "event" && (sessions > 1 || cache_bytes > 0)) {
-    std::fprintf(stderr,
-                 "--sessions/--cache-bytes need --engine=event (the batch "
-                 "engine replays every query on a private channel, so "
-                 "there is no client to keep warm)\n");
-    return 2;
-  }
-  if ((sessions > 1 || cache_bytes > 0) &&
-      schedule.mode == sim::SchedulePolicy::Mode::kOnline) {
-    std::fprintf(stderr,
-                 "--sessions/--cache-bytes are not supported with "
-                 "--schedule=online (the re-planner's demand estimator "
-                 "assumes one-shot arrivals)\n");
+  if (const Status combination = sim::CheckEngineCombination(
+          engine, schedule, sessions > 1 || cache_bytes > 0);
+      !combination.ok()) {
+    std::fprintf(stderr, "%s\n", combination.ToString().c_str());
     return 2;
   }
 
@@ -891,11 +879,11 @@ int RunScenario(int argc, char** argv) {
       file = arg + 7;
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
       uint64_t u = 0;
-      if (!ParseUintFlag(arg, 10, &u)) return Usage();
+      if (!ParseUintFlag(arg, 10, &u, UINT_MAX)) return Usage();
       threads = static_cast<unsigned>(u);
     } else if (std::strncmp(arg, "--repeat=", 9) == 0) {
       uint64_t u = 0;
-      if (!ParseUintFlag(arg, 9, &u)) return Usage();
+      if (!ParseUintFlag(arg, 9, &u, UINT_MAX)) return Usage();
       repeat = u > 1 ? static_cast<unsigned>(u) : 1;
     } else if (std::strncmp(arg, "--scale=", 8) == 0) {
       if (!ParseDoubleFlag(arg, 8, &scale_override)) return Usage();
