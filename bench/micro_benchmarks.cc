@@ -143,6 +143,12 @@ void BM_BorderPrecompute(benchmark::State& state) {
     benchmark::DoNotOptimize(pre.min_rr.data());
   }
   SetForestCounters(state, g, kd.Partition(g));
+  // The chain-contracted core the per-root searches run over.
+  const graph::ChainKernel kernel =
+      graph::ContractChains(graph::DecomposePendantForest(g).core);
+  state.counters["kernel_nodes"] = static_cast<double>(kernel.num_nodes());
+  state.counters["kernel_arcs"] = static_cast<double>(kernel.num_arcs());
+  state.counters["chains"] = static_cast<double>(kernel.chains.size());
 }
 // 128 regions need two mask words per region pair.
 BENCHMARK(BM_BorderPrecompute)->Arg(16)->Arg(32)->Arg(128)->Unit(

@@ -62,14 +62,6 @@ Path AStarPath(const G& g, NodeId source, NodeId target,
   return ExtractPath(ws, source, target);
 }
 
-/// Legacy convenience overload: throwaway workspace per call.
-template <typename G, typename LowerBound>
-Path AStarPath(const G& g, NodeId source, NodeId target,
-               LowerBound lower_bound, size_t* settled_out = nullptr) {
-  SearchWorkspace ws;
-  return AStarPath(g, source, target, lower_bound, ws, settled_out);
-}
-
 }  // namespace airindex::algo
 
 #endif  // AIRINDEX_ALGO_ASTAR_H_

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "algo/astar.h"
 #include "algo/dijkstra.h"
 #include "common/rng.h"
 
@@ -24,19 +23,28 @@ Result<LandmarkIndex> LandmarkIndex::Build(const graph::Graph& g,
   // Farthest-point selection: the first landmark is the node farthest from a
   // random start; each next landmark maximizes the minimum distance to the
   // already-chosen set. This is the selection heuristic of Goldberg &
-  // Harrelson that the paper cites.
-  NodeId start = static_cast<NodeId>(rng.NextBounded(n));
-  std::vector<Dist> min_dist(n, kInfDist);
+  // Harrelson that the paper cites. A landmark's forward search is both its
+  // distance vector and what the next round folds into `min_dist`, so
+  // selection costs one search beyond the vectors' own.
   SearchWorkspace ws;
-  NodeId current = start;
+  auto all_dists = [&](const graph::Graph& graph, NodeId source) {
+    DijkstraAll(graph, source, ws);
+    std::vector<Dist> dist(n);
+    for (NodeId v = 0; v < n; ++v) dist[v] = ws.DistTo(v);
+    return dist;
+  };
+  const NodeId start = static_cast<NodeId>(rng.NextBounded(n));
+  const std::vector<Dist> from_start = all_dists(g, start);
+  std::vector<Dist> min_dist(n, kInfDist);
+  idx.from_.reserve(num_landmarks);
   for (uint32_t l = 0; l < num_landmarks; ++l) {
-    DijkstraAll(g, current, ws);
-    NodeId farthest = current;
+    // Distances from the start (round 0) or from the last landmark.
+    const std::vector<Dist>& dist = l == 0 ? from_start : idx.from_.back();
+    NodeId farthest = l == 0 ? start : idx.landmarks_.back();
     Dist best = 0;
     for (NodeId v = 0; v < n; ++v) {
-      const Dist d = ws.DistTo(v);
-      if (d == kInfDist) continue;
-      min_dist[v] = std::min(min_dist[v], d);
+      if (dist[v] == kInfDist) continue;
+      min_dist[v] = std::min(min_dist[v], dist[v]);
       if (min_dist[v] >= best &&
           std::find(idx.landmarks_.begin(), idx.landmarks_.end(), v) ==
               idx.landmarks_.end()) {
@@ -49,26 +57,11 @@ Result<LandmarkIndex> LandmarkIndex::Build(const graph::Graph& g,
       min_dist.assign(n, kInfDist);
     }
     idx.landmarks_.push_back(farthest);
-    current = farthest;
-    // Fold the new landmark's distances in for the next selection round.
-    DijkstraAll(g, farthest, ws);
-    for (NodeId v = 0; v < n; ++v) {
-      min_dist[v] = std::min(min_dist[v], ws.DistTo(v));
-    }
+    idx.from_.push_back(all_dists(g, farthest));
   }
-
-  // One full search per landmark and direction, copied out of `ws`.
-  auto all_dists = [&](const graph::Graph& graph, NodeId source) {
-    DijkstraAll(graph, source, ws);
-    std::vector<Dist> dist(n);
-    for (NodeId v = 0; v < n; ++v) dist[v] = ws.DistTo(v);
-    return dist;
-  };
-  idx.from_.resize(num_landmarks);
-  idx.to_.resize(num_landmarks);
-  for (uint32_t l = 0; l < num_landmarks; ++l) {
-    idx.from_[l] = all_dists(g, idx.landmarks_[l]);
-    idx.to_[l] = all_dists(rev, idx.landmarks_[l]);
+  idx.to_.reserve(num_landmarks);
+  for (NodeId landmark : idx.landmarks_) {
+    idx.to_.push_back(all_dists(rev, landmark));
   }
   return idx;
 }
@@ -100,12 +93,6 @@ graph::Dist LandmarkIndex::LowerBound(graph::NodeId v,
     }
   }
   return best;
-}
-
-graph::Path LandmarkIndex::Query(const graph::Graph& g, graph::NodeId s,
-                                 graph::NodeId t, size_t* settled_out) const {
-  return AStarPath(
-      g, s, t, [this, t](NodeId v) { return LowerBound(v, t); }, settled_out);
 }
 
 size_t LandmarkIndex::MemoryBytes() const {

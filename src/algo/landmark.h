@@ -17,8 +17,9 @@ namespace airindex::algo {
 class LandmarkIndex {
  public:
   /// Builds an index with `num_landmarks` anchors chosen by farthest-point
-  /// selection (seeded deterministically), running 2*num_landmarks full
-  /// Dijkstras (forward + on the reverse graph).
+  /// selection (seeded deterministically), running 2*num_landmarks + 1 full
+  /// Dijkstras: one from a random start, then one per landmark forward and
+  /// one on the reverse graph.
   static Result<LandmarkIndex> Build(const graph::Graph& g,
                                      uint32_t num_landmarks,
                                      uint64_t seed = 17);
@@ -40,10 +41,6 @@ class LandmarkIndex {
   /// Admissible lower bound on d(v, t):
   ///   max_l max( d(v,L) - d(t,L),  d(L,t) - d(L,v) ).
   graph::Dist LowerBound(graph::NodeId v, graph::NodeId t) const;
-
-  /// Runs the Landmark query: A* guided by LowerBound.
-  graph::Path Query(const graph::Graph& g, graph::NodeId s, graph::NodeId t,
-                    size_t* settled_out = nullptr) const;
 
   /// Bytes of pre-computed data per node when broadcast: 2 distance values
   /// (to + from) of 4 bytes per landmark. Drives the LD cycle size (Table 1).

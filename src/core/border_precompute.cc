@@ -1,13 +1,14 @@
 #include "core/border_precompute.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <compare>
 #include <mutex>
 #include <numeric>
 #include <utility>
 
-#include "algo/dijkstra.h"
-#include "algo/search_workspace.h"
+#include "algo/d_ary_heap.h"
 #include "common/thread_pool.h"
 #include "graph/pendant_forest.h"
 
@@ -40,6 +41,30 @@ void SetBit(uint64_t* mask, graph::RegionId r) {
 void OrInto(uint64_t* dst, const uint64_t* src, size_t words) {
   for (size_t w = 0; w < words; ++w) dst[w] |= src[w];
 }
+
+/// Where a node falls in the core search's pop order, as far as parent
+/// ties need it (docs/perf.md). Nodes pop by distance. Within a distance,
+/// chain interiors pop in id order, and before a kernel node exactly when
+/// their id is below the largest kernel id popped at that distance up to
+/// and including that node. So a chain interior's key is (dist, its id, 0)
+/// and a kernel node's (dist, that largest id, its pop count), over core
+/// ids. Without zero-weight arcs the middle term is the node's own id.
+struct PopKey {
+  graph::Dist dist = graph::kInfDist;
+  graph::NodeId rank = graph::kInvalidNode;
+  uint32_t seq = 0;
+  auto operator<=>(const PopKey&) const = default;
+};
+
+/// How the kernel search reached a node: from kernel node `from` by a core
+/// arc (chain == kNoChain) or along `chain` from its end `side`. With
+/// from == kInvalidNode: the search's source (chain == kNoChain), or the
+/// end `side` of the source's own chain.
+struct Via {
+  graph::NodeId from = graph::kInvalidNode;
+  uint32_t chain : 31 = graph::ChainKernel::kNoChain;
+  uint32_t side : 1 = 0;
+};
 
 /// Per-node tables over the pendant forest, one linear sweep each. A core
 /// node keeps its own region and flags.
@@ -136,6 +161,62 @@ AttachedTargets BuildAttachedTargets(const graph::PendantForest& forest,
   return t;
 }
 
+/// Per-chain tables over the chain kernel.
+struct ChainTables {
+  /// words_per_pair() words per slot and side: the regions of the chain
+  /// interiors between the side's end and the slot's node, that node
+  /// included (side 0: positions 1..p, side 1: p..interior).
+  std::array<std::vector<uint64_t>, 2> mask;
+  /// The chains with an interior target (a core node with attached
+  /// targets), and per chain c its target positions
+  /// [target_offsets[c], target_offsets[c + 1]).
+  std::vector<uint32_t> target_chains;
+  std::vector<uint32_t> target_offsets;
+  std::vector<uint32_t> target_positions;
+  /// The kernel nodes a search must settle: those with attached targets
+  /// and the ends of target_chains.
+  std::vector<graph::NodeId> kernel_targets;
+};
+
+ChainTables BuildChainTables(const graph::ChainKernel& kernel,
+                             const std::vector<graph::RegionId>& core_region,
+                             const AttachedTargets& attached, size_t words) {
+  ChainTables t;
+  for (std::vector<uint64_t>& mask : t.mask) {
+    mask.assign(kernel.path.size() * words, 0);
+  }
+  t.target_offsets.assign(kernel.chains.size() + 1, 0);
+  std::vector<uint8_t> needed(kernel.num_nodes(), 0);
+  for (uint32_t c = 0; c < kernel.chains.size(); ++c) {
+    const uint32_t b = kernel.chains[c].begin;
+    const uint32_t m = kernel.chains[c].interior;
+    for (uint32_t p = 1; p <= m; ++p) {
+      uint64_t* mask = t.mask[0].data() + (b + p) * words;
+      std::copy(mask - words, mask, mask);
+      SetBit(mask, core_region[kernel.path[b + p]]);
+      if (attached.Any(kernel.path[b + p])) t.target_positions.push_back(p);
+    }
+    for (uint32_t p = m; p >= 1; --p) {
+      uint64_t* mask = t.mask[1].data() + (b + p) * words;
+      std::copy(mask + words, mask + 2 * words, mask);
+      SetBit(mask, core_region[kernel.path[b + p]]);
+    }
+    t.target_offsets[c + 1] =
+        static_cast<uint32_t>(t.target_positions.size());
+    if (t.target_offsets[c + 1] != t.target_offsets[c]) {
+      t.target_chains.push_back(c);
+      needed[kernel.End(c, 0)] = 1;
+      needed[kernel.End(c, 1)] = 1;
+    }
+  }
+  for (graph::NodeId k = 0; k < kernel.num_nodes(); ++k) {
+    if (needed[k] || attached.Any(kernel.kernel_nodes[k])) {
+      t.kernel_targets.push_back(k);
+    }
+  }
+  return t;
+}
+
 }  // namespace
 
 void BorderPrecompute::NeededRegionsMask(graph::RegionId i, graph::RegionId j,
@@ -176,16 +257,23 @@ Result<BorderPrecompute> ComputeBorderPrecompute(
   // the tree's root. So a border source's search splits into its own tree,
   // where paths are tree paths, and the rest, which it reaches through its
   // root: one search over the core from that root serves every source
-  // hanging from it. docs/perf.md argues why this reproduces the
-  // full-graph search's distances and shortest-path tree exactly.
+  // hanging from it. That search runs over the core with its chains
+  // contracted and finds each chain interior from the chain's two ends.
+  // docs/perf.md argues why this reproduces the full-graph search's
+  // distances and shortest-path tree exactly.
   const graph::PendantForest forest = graph::DecomposePendantForest(g);
   const size_t core_n = forest.core_nodes.size();
+  const graph::ChainKernel kernel = graph::ContractChains(forest.core);
+  const size_t kernel_n = kernel.num_nodes();
+  std::vector<graph::RegionId> core_region(core_n);
+  for (graph::NodeId c = 0; c < core_n; ++c) {
+    core_region[c] = region[forest.core_nodes[c]];
+  }
   const ForestTables tables = BuildForestTables(forest, pre);
   const AttachedTargets attached = BuildAttachedTargets(forest, pre, tables);
-  std::vector<graph::NodeId> core_targets;
-  for (graph::NodeId c = 0; c < core_n; ++c) {
-    if (attached.Any(c)) core_targets.push_back(c);
-  }
+  const ChainTables chain_tables =
+      BuildChainTables(kernel, core_region, attached, words);
+  constexpr uint32_t kNoChain = graph::ChainKernel::kNoChain;
 
   // Border nodes grouped by root; a group's sources are consecutive.
   std::vector<graph::NodeId> sources = pre.borders.border_nodes;
@@ -203,21 +291,36 @@ Result<BorderPrecompute> ComputeBorderPrecompute(
   const size_t num_groups = group_begin.size();
   group_begin.push_back(sources.size());
 
-  // One search workspace + one set of accumulators per worker thread,
-  // reused across every group the worker claims. Groups are claimed as
-  // chunks of kGroupChunk from a shared atomic cursor (work stealing):
-  // per-group cost is skewed (a core search, plus one tree walk and row
-  // merge per source, and some roots carry many sources). Merging is
-  // commutative (min/max/or), so results are byte-identical regardless of
-  // which worker ran which group — pinned by core.precompute_parallel_test.
+  // One search state + one set of accumulators per worker thread, reused
+  // across every group the worker claims. Groups are claimed as chunks of
+  // kGroupChunk from a shared atomic cursor (work stealing): per-group
+  // cost is skewed (a kernel search, plus one tree walk and row merge per
+  // source, and some roots carry many sources). Merging is commutative
+  // (min/max/or), so results are byte-identical regardless of which
+  // worker ran which group — pinned by core.precompute_parallel_test.
   constexpr size_t kGroupChunk = 8;
   struct WorkerState {
-    algo::SearchWorkspace ws;
-    // Per core node, `words` words: the regions on the core tree path from
-    // the group's root. Only settled nodes hold meaningful entries.
-    std::vector<uint64_t> core_mask;
-    // Per core node: a settled target lies in its core subtree.
-    std::vector<uint8_t> core_below;
+    // The kernel search. Per kernel node: its distance, its (tentative)
+    // parent link, its key once settled, whether it is a target still to
+    // settle or above a reached target, and (`words` words) the regions on
+    // its path from the root.
+    algo::DAryHeap<std::pair<graph::Dist, graph::NodeId>> heap;
+    std::vector<graph::NodeId> settle_order;
+    std::vector<graph::Dist> dist;
+    std::vector<Via> via;
+    std::vector<PopKey> popped;
+    std::vector<uint8_t> pending;
+    std::vector<uint8_t> below;
+    std::vector<uint64_t> kernel_mask;
+    // A root inside a chain: per position of its chain, the distance and
+    // (`words` words) the path regions from the root along the chain.
+    std::vector<graph::Dist> chain_dist;
+    std::vector<uint64_t> chain_mask;
+    // One target's path regions.
+    std::vector<uint64_t> target_mask;
+    // Per side and chain: the most interiors, counted from that end, that
+    // lie on a path to a reached target. Max-merged after the pool joins.
+    std::array<std::vector<uint32_t>, 2> reach;
     // Per core node: a search from outside its tree settled it, so the
     // tree paths down to the border nodes it reaches are recorded.
     std::vector<uint8_t> entered;
@@ -243,8 +346,13 @@ Result<BorderPrecompute> ComputeBorderPrecompute(
   };
   std::vector<WorkerState> workers(ResolveWorkers(num_groups, num_threads));
   for (WorkerState& state : workers) {
-    state.core_mask.resize(core_n * words);
-    state.core_below.resize(core_n);
+    state.via.resize(kernel_n);
+    state.popped.resize(kernel_n);
+    state.kernel_mask.resize(kernel_n * words);
+    state.target_mask.resize(words);
+    for (std::vector<uint32_t>& reach : state.reach) {
+      reach.assign(kernel.chains.size(), 0);
+    }
     state.entered.assign(core_n, 0);
     state.walk_from.resize(n);
     state.walk_dist.resize(n);
@@ -253,33 +361,24 @@ Result<BorderPrecompute> ComputeBorderPrecompute(
     state.cross_border.assign(n, 0);
   }
 
-  // Fills the group's out_* row from one core search from `root` and
-  // marks the core paths to the settled targets cross-border. Like the
+  // Fills the group's out_* row from one kernel search from `root` and
+  // marks the paths to the reached targets cross-border. Like the
   // per-source searches it replaces, a forward sweep over the settle
-  // order gives each node its path's regions and a reverse sweep marks
-  // the nodes with a target below.
+  // order gives each kernel node its path's regions and a reverse sweep
+  // marks the nodes with a target below; a chain interior takes both from
+  // the end it is reached from.
   auto search_beyond_root = [&](WorkerState& state, graph::NodeId root) {
     state.out_min.assign(R, graph::kInfDist);
     state.out_max.assign(R, 0);
     state.out_masks.assign(static_cast<size_t>(R) * words, 0);
     const graph::NodeId rc = forest.core_id[root];
-    algo::DijkstraToTargets(forest.core, rc, core_targets, state.ws);
-    const std::vector<graph::NodeId>& order = state.ws.settle_order();
-    for (graph::NodeId c : order) {
-      uint64_t* mask = state.core_mask.data() + c * words;
-      const graph::NodeId p = state.ws.ParentOf(c);
-      if (p == graph::kInvalidNode) {
-        std::fill(mask, mask + words, 0);
-      } else {
-        const uint64_t* parent_mask = state.core_mask.data() + p * words;
-        std::copy(parent_mask, parent_mask + words, mask);
-      }
-      SetBit(mask, region[forest.core_nodes[c]]);
-      // The root's own tree is the walk's.
-      state.core_below[c] = c != rc && attached.Any(c);
-      if (!state.core_below[c]) continue;
+    bool found = false;
+    // Adds the targets hanging from core node c, reached at distance d
+    // along a path through the regions `mask`.
+    auto reach_target = [&](graph::NodeId c, graph::Dist d,
+                            const uint64_t* mask) {
+      found = true;
       state.entered[c] = 1;
-      const graph::Dist d = state.ws.DistTo(c);
       for (uint32_t e = attached.offsets[c]; e < attached.offsets[c + 1];
            ++e) {
         const AttachedTargets::Entry& entry = attached.entries[e];
@@ -291,13 +390,241 @@ Result<BorderPrecompute> ComputeBorderPrecompute(
         OrInto(row, mask, words);
         OrInto(row, attached.masks.data() + e * words, words);
       }
+    };
+    auto mark = [&](graph::NodeId c) {
+      state.cross_border[forest.core_nodes[c]] = 1;
+    };
+
+    state.heap.clear();
+    state.settle_order.clear();
+    state.dist.assign(kernel_n, graph::kInfDist);
+    state.pending.assign(kernel_n, 0);
+    state.below.assign(kernel_n, 0);
+    for (graph::NodeId k : chain_tables.kernel_targets) state.pending[k] = 1;
+    size_t remaining = chain_tables.kernel_targets.size();
+    // For a root inside a chain: that chain, its first slot and interior
+    // count, and the root's position there.
+    const uint32_t root_chain = kernel.chain_of[rc];
+    uint32_t rb = 0;
+    uint32_t rm = 0;
+    uint32_t rp = 0;
+    // The key of position p of the root's chain, reached from the root.
+    auto walk_key = [&](uint32_t p) {
+      return PopKey{state.chain_dist[p], kernel.path[rb + p], 0};
+    };
+    // The key of the node a parent link leaves from: `from` itself, or the
+    // last interior of the chain it comes along.
+    auto link_key = [&](const Via& via) {
+      if (via.chain == kNoChain) {
+        return via.from == graph::kInvalidNode ? PopKey{0, rc, 0}
+                                               : state.popped[via.from];
+      }
+      if (via.from == graph::kInvalidNode) {
+        return walk_key(via.side == 0 ? 1 : rm);
+      }
+      const graph::ChainKernel::Chain& chain = kernel.chains[via.chain];
+      const uint32_t last = chain.begin + (via.side == 0 ? chain.interior : 1);
+      return PopKey{state.dist[via.from] + kernel.from_end[via.side][last],
+                    kernel.path[last], 0};
+    };
+    // A strict improvement wins, as in Dijkstra; an equal distance wins
+    // when the node its link leaves from pops earlier in the core search.
+    // Every such node pops before k does, so k's link is final once k
+    // pops.
+    auto relax = [&](graph::NodeId k, graph::Dist d, const Via& via) {
+      graph::Dist& dist = state.dist[k];
+      if (d < dist) {
+        dist = d;
+        state.via[k] = via;
+        state.heap.push({d, k});
+      } else if (d == dist && link_key(via) < link_key(state.via[k])) {
+        state.via[k] = via;
+      }
+    };
+
+    // A root inside a chain: walk the chain from it to both ends, which
+    // seed the search.
+    if (root_chain == kNoChain) {
+      relax(kernel.kernel_id[rc], 0, Via{});
+    } else {
+      rb = kernel.chains[root_chain].begin;
+      rm = kernel.chains[root_chain].interior;
+      rp = kernel.position[rc];
+      state.chain_dist.resize(rm + 2);
+      state.chain_mask.assign((rm + 2) * words, 0);
+      state.chain_dist[rp] = 0;
+      SetBit(state.chain_mask.data() + rp * words, core_region[rc]);
+      auto extend = [&](uint32_t p, uint32_t from, graph::Dist step) {
+        state.chain_dist[p] = graph::AddDist(state.chain_dist[from], step);
+        uint64_t* mask = state.chain_mask.data() + p * words;
+        OrInto(mask, state.chain_mask.data() + from * words, words);
+        SetBit(mask, core_region[kernel.path[rb + p]]);
+      };
+      for (uint32_t p = rp; p-- > 0;) {
+        extend(p, p + 1, kernel.step[1][rb + p]);
+      }
+      for (uint32_t p = rp + 1; p <= rm + 1; ++p) {
+        extend(p, p - 1, kernel.step[0][rb + p - 1]);
+      }
+      for (uint32_t side = 0; side < 2; ++side) {
+        const graph::Dist d = state.chain_dist[side == 0 ? 0 : rm + 1];
+        if (d != graph::kInfDist) {
+          relax(kernel.End(root_chain, side), d,
+                Via{graph::kInvalidNode, root_chain, side});
+        }
+      }
     }
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      if (!state.core_below[*it]) continue;
-      state.cross_border[forest.core_nodes[*it]] = 1;
-      const graph::NodeId p = state.ws.ParentOf(*it);
-      if (p != graph::kInvalidNode) state.core_below[p] = 1;
+
+    graph::Dist level = graph::kInfDist;
+    graph::NodeId level_max = 0;
+    uint32_t seq = 0;
+    while (!state.heap.empty() && remaining > 0) {
+      const auto [d, k] = state.heap.top();
+      state.heap.pop();
+      if (d != state.dist[k]) continue;  // stale entry
+      state.settle_order.push_back(k);
+      const graph::NodeId c = kernel.kernel_nodes[k];
+      level_max = d == level ? std::max(level_max, c) : c;
+      level = d;
+      state.popped[k] = {d, level_max, seq++};
+      if (state.pending[k]) --remaining;
+      for (const graph::ChainKernel::Arc& arc : kernel.OutArcs(k)) {
+        relax(arc.to, d + arc.weight, Via{k, arc.chain, arc.side});
+      }
     }
+
+    for (graph::NodeId k : state.settle_order) {
+      uint64_t* mask = state.kernel_mask.data() + k * words;
+      const Via& via = state.via[k];
+      if (via.from != graph::kInvalidNode) {
+        const uint64_t* from_mask =
+            state.kernel_mask.data() + via.from * words;
+        std::copy(from_mask, from_mask + words, mask);
+        if (via.chain != kNoChain) {
+          const graph::ChainKernel::Chain& chain = kernel.chains[via.chain];
+          OrInto(mask,
+                 chain_tables.mask[0].data() +
+                     (chain.begin + chain.interior) * words,
+                 words);
+        }
+      } else if (via.chain != kNoChain) {
+        const uint64_t* walk =
+            state.chain_mask.data() + (via.side == 0 ? 0 : rm + 1) * words;
+        std::copy(walk, walk + words, mask);
+      } else {
+        std::fill(mask, mask + words, 0);
+      }
+      const graph::NodeId c = kernel.kernel_nodes[k];
+      SetBit(mask, core_region[c]);
+      // The root's own tree is the walk's.
+      if (c != rc && attached.Any(c)) {
+        state.below[k] = 1;
+        reach_target(c, state.dist[k], mask);
+      }
+    }
+
+    // Chain interior targets. The key of position p of chain c reached
+    // from its end `side` (reached at `end_dist`), and the target at p
+    // reached that way at distance d.
+    auto chain_key = [&](uint32_t c, int side, uint32_t p,
+                         graph::Dist end_dist) {
+      const graph::ChainKernel::Chain& chain = kernel.chains[c];
+      if (p == (side == 0 ? 0 : chain.interior + 1)) {
+        return state.popped[kernel.End(c, side)];
+      }
+      const uint32_t slot = chain.begin + p;
+      return PopKey{end_dist + kernel.from_end[side][slot],
+                    kernel.path[slot], 0};
+    };
+    auto reach_from_end = [&](uint32_t c, int side, uint32_t p,
+                              graph::Dist d) {
+      const graph::ChainKernel::Chain& chain = kernel.chains[c];
+      const graph::NodeId end = kernel.End(c, side);
+      const uint32_t slot = chain.begin + p;
+      uint64_t* mask = state.target_mask.data();
+      const uint64_t* end_mask = state.kernel_mask.data() + end * words;
+      std::copy(end_mask, end_mask + words, mask);
+      OrInto(mask, chain_tables.mask[side].data() + slot * words, words);
+      reach_target(kernel.path[slot], d, mask);
+      state.below[end] = 1;
+      uint32_t& reach = state.reach[side][c];
+      reach = std::max(reach, side == 0 ? p : chain.interior + 1 - p);
+    };
+    for (uint32_t c : chain_tables.target_chains) {
+      const uint32_t b = kernel.chains[c].begin;
+      // The ends are kernel targets, so the search settled them if it
+      // reached them.
+      const graph::Dist de[2] = {state.dist[kernel.End(c, 0)],
+                                 state.dist[kernel.End(c, 1)]};
+      for (uint32_t i = chain_tables.target_offsets[c];
+           i < chain_tables.target_offsets[c + 1]; ++i) {
+        const uint32_t p = chain_tables.target_positions[i];
+        if (c != root_chain) {
+          const graph::Dist d0 =
+              graph::AddDist(de[0], kernel.from_end[0][b + p]);
+          const graph::Dist d1 =
+              graph::AddDist(de[1], kernel.from_end[1][b + p]);
+          if (d0 == graph::kInfDist && d1 == graph::kInfDist) continue;
+          // At the meeting point both chain neighbours are parents; the
+          // one that pops first wins.
+          int side = d0 < d1 ? 0 : 1;
+          if (d0 == d1) {
+            side = chain_key(c, 0, p - 1, de[0]) <
+                           chain_key(c, 1, p + 1, de[1])
+                       ? 0
+                       : 1;
+          }
+          reach_from_end(c, side, p, side == 0 ? d0 : d1);
+          continue;
+        }
+        if (p == rp) continue;
+        // On the root's chain: from the root directly, or around through
+        // the end on p's side of it.
+        const int side = p < rp ? 0 : 1;
+        const graph::Dist from_root = state.chain_dist[p];
+        const graph::Dist around =
+            graph::AddDist(de[side], kernel.from_end[side][b + p]);
+        if (from_root == graph::kInfDist && around == graph::kInfDist) {
+          continue;
+        }
+        const uint32_t toward_root = side == 0 ? p + 1 : p - 1;
+        const uint32_t toward_end = side == 0 ? p - 1 : p + 1;
+        if (from_root < around ||
+            (from_root == around &&
+             walk_key(toward_root) <
+                 chain_key(c, side, toward_end, de[side]))) {
+          reach_target(kernel.path[b + p], from_root,
+                       state.chain_mask.data() + p * words);
+          for (uint32_t q = std::min(p, rp); q <= std::max(p, rp); ++q) {
+            if (q != rp) mark(kernel.path[b + q]);
+          }
+        } else {
+          reach_from_end(c, side, p, around);
+        }
+      }
+    }
+
+    for (auto it = state.settle_order.rbegin();
+         it != state.settle_order.rend(); ++it) {
+      const graph::NodeId k = *it;
+      if (!state.below[k]) continue;
+      mark(kernel.kernel_nodes[k]);
+      const Via& via = state.via[k];
+      if (via.from != graph::kInvalidNode) {
+        state.below[via.from] = 1;
+        if (via.chain != kNoChain) {
+          state.reach[via.side][via.chain] =
+              kernel.chains[via.chain].interior;
+        }
+      } else if (via.chain != kNoChain) {
+        // An end of the root's chain: the interiors between it and the
+        // root.
+        const uint32_t lo = via.side == 0 ? 1 : rp + 1;
+        const uint32_t hi = via.side == 0 ? rp : rm + 1;
+        for (uint32_t q = lo; q < hi; ++q) mark(kernel.path[rb + q]);
+      }
+    }
+    if (found) state.cross_border[root] = 1;
   };
 
   // Adds the targets in b's own tree, its root included, to the row: a
@@ -417,11 +744,29 @@ Result<BorderPrecompute> ComputeBorderPrecompute(
       num_threads);
 
   std::vector<uint8_t> entered(core_n, 0);
+  std::array<std::vector<uint32_t>, 2> reach;
+  for (std::vector<uint32_t>& r : reach) r.assign(kernel.chains.size(), 0);
   for (const WorkerState& state : workers) {
     for (size_t v = 0; v < n; ++v) {
       pre.cross_border[v] |= state.cross_border[v];
     }
     for (size_t c = 0; c < core_n; ++c) entered[c] |= state.entered[c];
+    for (int side = 0; side < 2; ++side) {
+      for (size_t c = 0; c < kernel.chains.size(); ++c) {
+        reach[side][c] = std::max(reach[side][c], state.reach[side][c]);
+      }
+    }
+  }
+  // The chain interiors on paths to reached targets: a run from each end.
+  for (uint32_t c = 0; c < kernel.chains.size(); ++c) {
+    const uint32_t b = kernel.chains[c].begin;
+    const uint32_t m = kernel.chains[c].interior;
+    for (uint32_t p = 1; p <= reach[0][c]; ++p) {
+      pre.cross_border[forest.core_nodes[kernel.path[b + p]]] = 1;
+    }
+    for (uint32_t p = m + 1 - reach[1][c]; p <= m; ++p) {
+      pre.cross_border[forest.core_nodes[kernel.path[b + p]]] = 1;
+    }
   }
   // A search that entered a tree at its root recorded the tree paths down
   // to every border node the root reaches.

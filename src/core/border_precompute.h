@@ -72,15 +72,19 @@ struct BorderPrecompute {
 };
 
 /// Runs the pre-computation over the graph's pendant-forest decomposition
-/// (graph::DecomposePendantForest), work-stealing chunks of root groups
-/// across up to `num_threads` workers (0 = hardware concurrency). Border
-/// nodes are grouped by the core node their pendant tree hangs from; each
-/// group costs one DijkstraToTargets over the core from that root plus two
-/// sweeps over its settle order, and each source adds a walk over its own
-/// tree and an O(num_regions * words_per_pair()) row merge. The result
-/// equals one full-graph search per border node (the test oracle). All
-/// merge steps are commutative (min/max/bitwise-or), so the result is
-/// byte-identical for every thread count, including serial.
+/// (graph::DecomposePendantForest) with the core's chains contracted
+/// (graph::ContractChains), work-stealing chunks of root groups across up
+/// to `num_threads` workers (0 = hardware concurrency). Border nodes are
+/// grouped by the core node their pendant tree hangs from; each group
+/// costs one search over the chain kernel from that root (seeded from the
+/// two ends of its chain when the root is a chain interior), two sweeps
+/// over its settle order and O(1) per chain interior with attached border
+/// nodes: O((kernel nodes + arcs) log + targets) rather than a search over
+/// the whole core. Each source adds a walk over its own tree and an
+/// O(num_regions * words_per_pair()) row merge. The result equals one
+/// full-graph search per border node (the test oracle). All merge steps
+/// are commutative (min/max/bitwise-or), so the result is byte-identical
+/// for every thread count, including serial.
 Result<BorderPrecompute> ComputeBorderPrecompute(
     const graph::Graph& g, partition::Partitioning part,
     unsigned num_threads = 0);

@@ -21,8 +21,26 @@ Dist LightestArc(const Graph& g, NodeId from, NodeId to) {
   return best;
 }
 
-Dist AddDist(Dist a, Dist b) {
-  return a == kInfDist || b == kInfDist ? kInfDist : a + b;
+/// Calls fn(u) once per distinct neighbour u of v (`rev` is g reversed): a
+/// merge of the sorted out- and in-spans that skips repeats.
+template <typename Fn>
+void ForEachNeighbour(const Graph& g, const Graph& rev, NodeId v, Fn&& fn) {
+  const std::span<const Graph::Arc> out = g.OutArcs(v);
+  const std::span<const Graph::Arc> in = rev.OutArcs(v);
+  size_t i = 0;
+  size_t j = 0;
+  NodeId last = kInvalidNode;
+  while (i < out.size() || j < in.size()) {
+    NodeId u;
+    if (j == in.size() || (i < out.size() && out[i].to <= in[j].to)) {
+      u = out[i++].to;
+    } else {
+      u = in[j++].to;
+    }
+    if (u == last) continue;
+    last = u;
+    fn(u);
+  }
 }
 
 }  // namespace
@@ -31,33 +49,12 @@ PendantForest DecomposePendantForest(const Graph& g) {
   const size_t n = g.num_nodes();
   const Graph rev = g.Reversed();
 
-  // Calls fn(u) once per distinct neighbour u of v: a merge of the sorted
-  // out- and in-spans that skips repeats.
-  auto for_each_neighbour = [&](NodeId v, auto&& fn) {
-    const std::span<const Graph::Arc> out = g.OutArcs(v);
-    const std::span<const Graph::Arc> in = rev.OutArcs(v);
-    size_t i = 0;
-    size_t j = 0;
-    NodeId last = kInvalidNode;
-    while (i < out.size() || j < in.size()) {
-      NodeId u;
-      if (j == in.size() || (i < out.size() && out[i].to <= in[j].to)) {
-        u = out[i++].to;
-      } else {
-        u = in[j++].to;
-      }
-      if (u == last) continue;
-      last = u;
-      fn(u);
-    }
-  };
-
   PendantForest f;
   f.parent.assign(n, kInvalidNode);
   std::vector<uint32_t> degree(n, 0);
   std::deque<NodeId> queue;
   for (NodeId v = 0; v < n; ++v) {
-    for_each_neighbour(v, [&](NodeId) { ++degree[v]; });
+    ForEachNeighbour(g, rev, v, [&](NodeId) { ++degree[v]; });
     if (degree[v] == 1) queue.push_back(v);
   }
   // A queued node whose last neighbour was removed first has degree 0 by
@@ -70,7 +67,7 @@ PendantForest DecomposePendantForest(const Graph& g) {
     if (degree[v] != 1) continue;
     removed[v] = 1;
     f.peel_order.push_back(v);
-    for_each_neighbour(v, [&](NodeId u) {
+    ForEachNeighbour(g, rev, v, [&](NodeId u) {
       if (removed[u]) return;
       f.parent[v] = u;
       if (--degree[u] == 1) queue.push_back(u);
@@ -127,6 +124,137 @@ PendantForest DecomposePendantForest(const Graph& g) {
   // graph.
   f.core = Graph::Build(std::move(core_coords), core_edges).value();
   return f;
+}
+
+ChainKernel ContractChains(const Graph& g) {
+  const size_t n = g.num_nodes();
+  const Graph rev = g.Reversed();
+
+  // Per node: its first two distinct neighbours (all of them for a chain
+  // interior).
+  std::vector<std::array<NodeId, 2>> neighbours(n);
+  std::vector<uint8_t> is_kernel(n, 0);
+  for (NodeId v = 0; v < n; ++v) {
+    uint32_t degree = 0;
+    ForEachNeighbour(g, rev, v, [&](NodeId u) {
+      if (degree < 2) neighbours[v][degree] = u;
+      ++degree;
+    });
+    bool zero_arc = false;
+    for (const Graph::Arc& a : g.OutArcs(v)) zero_arc |= a.weight == 0;
+    for (const Graph::Arc& a : rev.OutArcs(v)) zero_arc |= a.weight == 0;
+    is_kernel[v] = degree != 2 || zero_arc;
+  }
+
+  ChainKernel k;
+  k.chain_of.assign(n, ChainKernel::kNoChain);
+  k.position.assign(n, 0);
+  // Records the chain that leaves kernel node `start` through its interior
+  // neighbour `first`, up to the next kernel node.
+  auto trace = [&](NodeId start, NodeId first) {
+    const auto c = static_cast<uint32_t>(k.chains.size());
+    ChainKernel::Chain chain;
+    chain.begin = static_cast<uint32_t>(k.path.size());
+    k.path.push_back(start);
+    NodeId prev = start;
+    NodeId cur = first;
+    while (!is_kernel[cur]) {
+      k.chain_of[cur] = c;
+      k.position[cur] = ++chain.interior;
+      k.path.push_back(cur);
+      const NodeId next = neighbours[cur][0] == prev ? neighbours[cur][1]
+                                                     : neighbours[cur][0];
+      prev = cur;
+      cur = next;
+    }
+    k.path.push_back(cur);
+    k.chains.push_back(chain);
+  };
+  for (NodeId v = 0; v < n; ++v) {
+    if (!is_kernel[v]) continue;
+    ForEachNeighbour(g, rev, v, [&](NodeId u) {
+      if (!is_kernel[u] && k.chain_of[u] == ChainKernel::kNoChain) {
+        trace(v, u);
+      }
+    });
+  }
+  // The interiors left over form cycles without a kernel node; each cycle
+  // keeps its smallest node as one, and becomes a chain from it to itself.
+  for (NodeId v = 0; v < n; ++v) {
+    if (is_kernel[v] || k.chain_of[v] != ChainKernel::kNoChain) continue;
+    is_kernel[v] = 1;
+    trace(v, neighbours[v][0]);
+  }
+
+  k.kernel_id.assign(n, kInvalidNode);
+  for (NodeId v = 0; v < n; ++v) {
+    if (!is_kernel[v]) continue;
+    k.kernel_id[v] = static_cast<NodeId>(k.kernel_nodes.size());
+    k.kernel_nodes.push_back(v);
+  }
+
+  const size_t slots = k.path.size();
+  for (int side = 0; side < 2; ++side) {
+    k.from_end[side].assign(slots, kInfDist);
+    k.step[side].assign(slots, kInfDist);
+  }
+  for (const ChainKernel::Chain& chain : k.chains) {
+    const uint32_t b = chain.begin;
+    const uint32_t last = chain.interior + 1;
+    for (uint32_t p = 0; p < last; ++p) {
+      k.step[0][b + p] = LightestArc(g, k.path[b + p], k.path[b + p + 1]);
+      k.step[1][b + p] = LightestArc(g, k.path[b + p + 1], k.path[b + p]);
+    }
+    k.from_end[0][b] = 0;
+    for (uint32_t p = 1; p <= last; ++p) {
+      k.from_end[0][b + p] =
+          AddDist(k.from_end[0][b + p - 1], k.step[0][b + p - 1]);
+    }
+    k.from_end[1][b + last] = 0;
+    for (uint32_t p = last; p-- > 0;) {
+      k.from_end[1][b + p] =
+          AddDist(k.from_end[1][b + p + 1], k.step[1][b + p]);
+    }
+  }
+
+  // Kernel arcs as (from, arc), then a counting sort by `from`.
+  std::vector<std::pair<NodeId, ChainKernel::Arc>> arcs;
+  for (NodeId v : k.kernel_nodes) {
+    const NodeId from = k.kernel_id[v];
+    const size_t first = arcs.size();
+    // Spans are sorted by target, so parallel arcs are adjacent.
+    for (const Graph::Arc& a : g.OutArcs(v)) {
+      if (!is_kernel[a.to] || a.to == v) continue;
+      const NodeId to = k.kernel_id[a.to];
+      if (arcs.size() > first && arcs.back().second.to == to) {
+        arcs.back().second.weight =
+            std::min<Dist>(arcs.back().second.weight, a.weight);
+      } else {
+        arcs.push_back({from, {to, ChainKernel::kNoChain, 0, a.weight}});
+      }
+    }
+  }
+  for (uint32_t c = 0; c < k.chains.size(); ++c) {
+    const ChainKernel::Chain& chain = k.chains[c];
+    for (uint8_t side = 0; side < 2; ++side) {
+      const NodeId from = k.End(c, side);
+      const NodeId to = k.End(c, 1 - side);
+      const Dist total =
+          k.from_end[side][chain.begin + (side == 0 ? chain.interior + 1 : 0)];
+      // A chain from a node back to itself never shortens a way to it.
+      if (from == to || total == kInfDist) continue;
+      arcs.push_back({from, {to, c, side, total}});
+    }
+  }
+  k.arc_offsets_.assign(k.kernel_nodes.size() + 1, 0);
+  for (const auto& [from, arc] : arcs) ++k.arc_offsets_[from + 1];
+  std::partial_sum(k.arc_offsets_.begin(), k.arc_offsets_.end(),
+                   k.arc_offsets_.begin());
+  k.arcs_.resize(arcs.size());
+  std::vector<uint32_t> cursor(k.arc_offsets_.begin(),
+                               k.arc_offsets_.end() - 1);
+  for (const auto& [from, arc] : arcs) k.arcs_[cursor[from]++] = arc;
+  return k;
 }
 
 }  // namespace airindex::graph

@@ -21,6 +21,11 @@ inline constexpr RegionId kInvalidRegion =
     std::numeric_limits<RegionId>::max();
 inline constexpr Dist kInfDist = std::numeric_limits<Dist>::max();
 
+/// a + b, or kInfDist when either is (an unreachable leg).
+inline constexpr Dist AddDist(Dist a, Dist b) {
+  return a == kInfDist || b == kInfDist ? kInfDist : a + b;
+}
+
 /// Euclidean coordinates of a network node (paper's <id, x, y>).
 struct Point {
   double x = 0.0;

@@ -4,7 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
+#include <string_view>
 
 #include "device/energy.h"
 #include "device/profile_catalog.h"
@@ -49,6 +51,19 @@ Result<uint32_t> U32Entry(const JsonValue& v, uint32_t min,
                                    std::to_string(min) + ", 4294967295]");
   }
   return static_cast<uint32_t>(v.number);
+}
+
+/// GetUint64Or for a field narrower than 64 bits: a value past `max` is
+/// rejected by the field's name instead of wrapping in the narrowing cast.
+Result<uint64_t> GetUintAtMostOr(const JsonValue& obj, std::string_view key,
+                                 uint64_t fallback, uint64_t max,
+                                 const std::string& field) {
+  AIRINDEX_ASSIGN_OR_RETURN(uint64_t v, GetUint64Or(obj, key, fallback));
+  if (v > max) {
+    return Status::InvalidArgument(field + " must be at most " +
+                                   std::to_string(max));
+  }
+  return v;
 }
 
 const std::vector<std::string>& AllSystems() {
@@ -410,7 +425,8 @@ Result<workload::WorkloadSpec> WorkloadSpecFromJson(const JsonValue& obj) {
     }
     AIRINDEX_ASSIGN_OR_RETURN(
         uint64_t per_session,
-        GetUint64Or(it->second, "queries", w.session.queries));
+        GetUintAtMostOr(it->second, "queries", w.session.queries, kU32Max,
+                        "session queries"));
     if (per_session == 0) {
       return Status::InvalidArgument("session queries must be >= 1");
     }
@@ -458,8 +474,10 @@ Result<ClientGroupSpec> GroupFromJson(const JsonValue& obj) {
     }
     AIRINDEX_ASSIGN_OR_RETURN(g.loss.rate,
                               GetNumberOr(it->second, "rate", 0.0));
-    AIRINDEX_ASSIGN_OR_RETURN(uint64_t burst,
-                              GetUint64Or(it->second, "burst_len", 1));
+    AIRINDEX_ASSIGN_OR_RETURN(
+        uint64_t burst,
+        GetUintAtMostOr(it->second, "burst_len", 1, kU32Max,
+                        "loss burst_len"));
     g.loss.burst_len = static_cast<uint32_t>(burst);
     if (g.loss.burst_len == 0) {
       return Status::InvalidArgument("loss burst_len must be >= 1");
@@ -482,10 +500,13 @@ Result<ClientGroupSpec> GroupFromJson(const JsonValue& obj) {
     }
     AIRINDEX_ASSIGN_OR_RETURN(
         uint64_t data,
-        GetUint64Or(it->second, "data_per_group", g.fec.data_per_group));
+        GetUintAtMostOr(it->second, "data_per_group", g.fec.data_per_group,
+                        kU32Max, "fec data_per_group"));
     AIRINDEX_ASSIGN_OR_RETURN(
         uint64_t parity,
-        GetUint64Or(it->second, "parity_per_group", g.fec.parity_per_group));
+        GetUintAtMostOr(it->second, "parity_per_group",
+                        g.fec.parity_per_group, kU32Max,
+                        "fec parity_per_group"));
     g.fec.data_per_group = static_cast<uint32_t>(data);
     g.fec.parity_per_group = static_cast<uint32_t>(parity);
     if (!g.fec.Valid()) {
@@ -511,8 +532,10 @@ Result<ClientGroupSpec> GroupFromJson(const JsonValue& obj) {
         GetBoolOr(c, "cross_border_opt", g.client.cross_border_opt));
     AIRINDEX_ASSIGN_OR_RETURN(
         uint64_t repair,
-        GetUint64Or(c, "max_repair_cycles",
-                    static_cast<uint64_t>(g.client.max_repair_cycles)));
+        GetUintAtMostOr(c, "max_repair_cycles",
+                        static_cast<uint64_t>(g.client.max_repair_cycles),
+                        std::numeric_limits<int>::max(),
+                        "client max_repair_cycles"));
     g.client.max_repair_cycles = static_cast<int>(repair);
     AIRINDEX_ASSIGN_OR_RETURN(
         g.client.repair_header,
@@ -588,18 +611,18 @@ Result<SchedulePolicy> ScheduleFromJson(const JsonValue& obj) {
 
 Result<core::SystemParams> ParamsFromJson(const JsonValue& obj) {
   core::SystemParams p;
-  AIRINDEX_ASSIGN_OR_RETURN(
-      uint64_t v, GetUint64Or(obj, "arcflag_regions", p.arcflag_regions));
-  p.arcflag_regions = static_cast<uint32_t>(v);
-  AIRINDEX_ASSIGN_OR_RETURN(v, GetUint64Or(obj, "eb_regions", p.eb_regions));
-  p.eb_regions = static_cast<uint32_t>(v);
-  AIRINDEX_ASSIGN_OR_RETURN(v, GetUint64Or(obj, "nr_regions", p.nr_regions));
-  p.nr_regions = static_cast<uint32_t>(v);
-  AIRINDEX_ASSIGN_OR_RETURN(v, GetUint64Or(obj, "landmarks", p.landmarks));
-  p.landmarks = static_cast<uint32_t>(v);
-  AIRINDEX_ASSIGN_OR_RETURN(v,
-                            GetUint64Or(obj, "hiti_regions", p.hiti_regions));
-  p.hiti_regions = static_cast<uint32_t>(v);
+  auto read = [&](std::string_view key, uint32_t* field) -> Status {
+    AIRINDEX_ASSIGN_OR_RETURN(
+        uint64_t v, GetUintAtMostOr(obj, key, *field, kU32Max,
+                                    "params " + std::string(key)));
+    *field = static_cast<uint32_t>(v);
+    return Status::OK();
+  };
+  AIRINDEX_RETURN_IF_ERROR(read("arcflag_regions", &p.arcflag_regions));
+  AIRINDEX_RETURN_IF_ERROR(read("eb_regions", &p.eb_regions));
+  AIRINDEX_RETURN_IF_ERROR(read("nr_regions", &p.nr_regions));
+  AIRINDEX_RETURN_IF_ERROR(read("landmarks", &p.landmarks));
+  AIRINDEX_RETURN_IF_ERROR(read("hiti_regions", &p.hiti_regions));
   return p;
 }
 
@@ -633,8 +656,10 @@ Result<Scenario> ScenarioFromJson(std::string_view json) {
     return Status::InvalidArgument("unknown engine \"" + s.engine +
                                    "\" (batch|event)");
   }
-  AIRINDEX_ASSIGN_OR_RETURN(uint64_t subs,
-                            GetUint64Or(root, "subchannels", s.subchannels));
+  AIRINDEX_ASSIGN_OR_RETURN(
+      uint64_t subs,
+      GetUintAtMostOr(root, "subchannels", s.subchannels, kU32Max,
+                      "subchannels"));
   if (subs == 0) {
     return Status::InvalidArgument("subchannels must be >= 1");
   }

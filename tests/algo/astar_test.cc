@@ -15,8 +15,9 @@ using testing_support::SmallNetwork;
 
 TEST(AStarTest, ZeroBoundEqualsDijkstra) {
   graph::Graph g = SmallNetwork();
+  SearchWorkspace ws;
   for (auto [s, t] : RandomPairs(g, 20, 77)) {
-    Path astar = AStarPath(g, s, t, [](graph::NodeId) { return 0; });
+    Path astar = AStarPath(g, s, t, [](graph::NodeId) { return 0; }, ws);
     Path dijkstra = DijkstraPath(g, s, t);
     EXPECT_EQ(astar.dist, dijkstra.dist);
   }
@@ -39,13 +40,14 @@ TEST(AStarTest, ExactBoundSettlesOnlyPathNodes) {
   graph::Graph rev = g.Reversed();
   SearchWorkspace to_t;
   DijkstraAll(rev, t, to_t);
+  SearchWorkspace ws;
   size_t settled_exact = 0;
   Path p = AStarPath(
-      g, s, t, [&](graph::NodeId v) { return to_t.DistTo(v); },
+      g, s, t, [&](graph::NodeId v) { return to_t.DistTo(v); }, ws,
       &settled_exact);
   size_t settled_zero = 0;
   AStarPath(
-      g, s, t, [](graph::NodeId) { return 0; }, &settled_zero);
+      g, s, t, [](graph::NodeId) { return 0; }, ws, &settled_zero);
   ASSERT_TRUE(p.found());
   EXPECT_LT(settled_exact, settled_zero);
 }
@@ -60,9 +62,10 @@ TEST(AStarTest, AdmissibleEuclideanBoundRemainsExact) {
     const double d = std::hypot(a.x - b.x, a.y - b.y);
     return static_cast<graph::Dist>(d > 2 ? d - 2 : 0);
   };
+  SearchWorkspace ws;
   for (auto [s, t] : RandomPairs(g, 20, 78)) {
-    Path astar =
-        AStarPath(g, s, t, [&](graph::NodeId v) { return euclid_lb(v, t); });
+    Path astar = AStarPath(
+        g, s, t, [&](graph::NodeId v) { return euclid_lb(v, t); }, ws);
     Path dijkstra = DijkstraPath(g, s, t);
     EXPECT_EQ(astar.dist, dijkstra.dist) << s << "->" << t;
   }
@@ -70,8 +73,9 @@ TEST(AStarTest, AdmissibleEuclideanBoundRemainsExact) {
 
 TEST(AStarTest, PathEdgesExist) {
   graph::Graph g = SmallNetwork();
+  SearchWorkspace ws;
   for (auto [s, t] : RandomPairs(g, 10, 79)) {
-    Path p = AStarPath(g, s, t, [](graph::NodeId) { return 0; });
+    Path p = AStarPath(g, s, t, [](graph::NodeId) { return 0; }, ws);
     ASSERT_TRUE(p.found());
     EXPECT_EQ(PathLength(g, p.nodes), p.dist);
   }

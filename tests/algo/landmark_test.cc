@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "algo/astar.h"
 #include "algo/dijkstra.h"
+#include "common/rng.h"
 #include "testing/test_graphs.h"
 
 namespace airindex::algo {
@@ -46,6 +50,62 @@ TEST(LandmarkTest, DistanceVectorsMatchDijkstra) {
   }
 }
 
+// Farthest-point selection by its definition: a full search from every
+// landmark chosen so far, folded into the minimum distance to the set, and
+// the first landmark the node farthest from a random start.
+std::vector<graph::NodeId> FarthestPointLandmarks(const graph::Graph& g,
+                                                  uint32_t count,
+                                                  uint64_t seed) {
+  const size_t n = g.num_nodes();
+  Rng rng(seed);
+  const auto start = static_cast<graph::NodeId>(rng.NextBounded(n));
+  std::vector<graph::NodeId> chosen;
+  SearchWorkspace ws;
+  for (uint32_t l = 0; l < count; ++l) {
+    std::vector<graph::Dist> min_dist(n, graph::kInfDist);
+    std::vector<graph::NodeId> sources = chosen;
+    if (l == 0) sources = {start};
+    for (graph::NodeId source : sources) {
+      DijkstraAll(g, source, ws);
+      for (graph::NodeId v = 0; v < n; ++v) {
+        min_dist[v] = std::min(min_dist[v], ws.DistTo(v));
+      }
+    }
+    // Candidates are the nodes the last source reaches; ties go to the
+    // largest id.
+    graph::NodeId farthest = sources.back();
+    graph::Dist best = 0;
+    for (graph::NodeId v = 0; v < n; ++v) {
+      if (ws.DistTo(v) == graph::kInfDist ||
+          std::find(chosen.begin(), chosen.end(), v) != chosen.end()) {
+        continue;
+      }
+      if (min_dist[v] >= best) {
+        best = min_dist[v];
+        farthest = v;
+      }
+    }
+    chosen.push_back(farthest);
+  }
+  return chosen;
+}
+
+TEST(LandmarkTest, SelectionMatchesFarthestPointDefinition) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    // One-way arcs leave some nodes unreachable from some landmarks.
+    const graph::Graph g = testing_support::RandomTreeHeavyGraph(seed).g;
+    const uint32_t count = std::min<uint32_t>(5, g.num_nodes());
+    auto idx = LandmarkIndex::Build(g, count, seed);
+    ASSERT_TRUE(idx.ok());
+    EXPECT_EQ(idx->landmarks(), FarthestPointLandmarks(g, count, seed));
+  }
+  const graph::Graph g = SmallNetwork(300, 480, 4);
+  auto idx = LandmarkIndex::Build(g, 8, 17);
+  ASSERT_TRUE(idx.ok());
+  EXPECT_EQ(idx->landmarks(), FarthestPointLandmarks(g, 8, 17));
+}
+
 /// The key ALT property: the bound never overestimates.
 class LandmarkBoundTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -63,8 +123,10 @@ TEST_P(LandmarkBoundTest, QueryIsExact) {
   graph::Graph g = SmallNetwork(250, 400, GetParam() + 100);
   auto idx = LandmarkIndex::Build(g, 4, GetParam());
   ASSERT_TRUE(idx.ok());
+  SearchWorkspace ws;
   for (auto [s, t] : RandomPairs(g, 15, GetParam() + 13)) {
-    Path p = idx->Query(g, s, t);
+    Path p = AStarPath(
+        g, s, t, [&](graph::NodeId v) { return idx->LowerBound(v, t); }, ws);
     EXPECT_EQ(p.dist, DijkstraPath(g, s, t).dist);
     EXPECT_EQ(PathLength(g, p.nodes), p.dist);
   }
@@ -81,7 +143,9 @@ TEST(LandmarkTest, QueryUsuallySettlesFewerThanDijkstra) {
   SearchWorkspace ws;
   for (auto [s, t] : RandomPairs(g, 30, 32)) {
     size_t settled = 0;
-    idx->Query(g, s, t, &settled);
+    AStarPath(
+        g, s, t, [&](graph::NodeId v) { return idx->LowerBound(v, t); }, ws,
+        &settled);
     alt_total += settled;
     DijkstraSearch(g, s, t, AllEdges{}, ws);
     dj_total += ws.settled();

@@ -326,6 +326,186 @@ TEST(BorderPrecomputeTest, MatchesParentWalkOnRandomTreeHeavyGraphs) {
   }
 }
 
+// The cases below pin the search over the chain-contracted core: chain
+// interiors are found from their chain's two ends, and ties between them
+// must resolve as the plain search's pop order does.
+
+TEST(BorderPrecomputeTest, MatchesParentWalkAtAChainMeetingPoint) {
+  // Source 0 reaches kernel nodes 1 and 2 at distance 1 each; the chain
+  // 1 - 3 - 6 - 5 - 4 - 7 - 2 between them meets at the border node 5,
+  // reached at 4 through 6 (region 3) and through 4 (region 4). Node 4
+  // pops before 6, so the path comes from 2's side. Node 8 makes 0, 1 and
+  // 2 kernel nodes.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 1, 1);
+  AddBoth(&arcs, 0, 2, 1);
+  AddBoth(&arcs, 0, 8, 1);
+  AddBoth(&arcs, 8, 1, 3);
+  AddBoth(&arcs, 8, 2, 3);
+  AddBoth(&arcs, 1, 3, 1);
+  AddBoth(&arcs, 3, 6, 1);
+  AddBoth(&arcs, 6, 5, 1);
+  AddBoth(&arcs, 5, 4, 1);
+  AddBoth(&arcs, 4, 7, 1);
+  AddBoth(&arcs, 7, 2, 1);
+  const graph::Graph g = FromArcs(9, arcs);
+  const partition::Partitioning part = partition::MakePartitioning(
+      {1, 0, 0, 3, 4, 2, 3, 4, 0}, 5);
+  ExpectMatchesParentWalkAtOneAndFourThreads(g, part);
+  auto pre = ComputeBorderPrecompute(g, part);
+  ASSERT_TRUE(pre.ok());
+  EXPECT_TRUE(pre->TraversesRegion(1, 2, 4));
+  EXPECT_FALSE(pre->TraversesRegion(1, 2, 3));
+}
+
+TEST(BorderPrecomputeTest, MatchesParentWalkWithTwoEqualChainsIntoOneNode) {
+  // Kernel nodes 0 and 1 are joined by an arc of 10 and two chains of
+  // total 3, 0 - 2 - 5 - 1 (traced first) and 0 - 3 - 4 - 1, whose nodes
+  // are no border nodes. The border nodes are 0 and 1 and the leaves 6
+  // and 7 on them. From 0, chain 0-2-5-1 relaxes 1 first, but 4 pops
+  // before 5, so 1's parent is 4; from 1, 2 pops before 3, so 0's parent
+  // is 2. Each chain thus lies on one direction's paths.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 1, 10);
+  AddBoth(&arcs, 0, 2, 1);
+  AddBoth(&arcs, 2, 5, 1);
+  AddBoth(&arcs, 5, 1, 1);
+  AddBoth(&arcs, 0, 3, 1);
+  AddBoth(&arcs, 3, 4, 1);
+  AddBoth(&arcs, 4, 1, 1);
+  AddBoth(&arcs, 0, 6, 1);
+  AddBoth(&arcs, 1, 7, 1);
+  const graph::Graph g = FromArcs(8, arcs);
+  const partition::Partitioning part =
+      partition::MakePartitioning({0, 0, 0, 0, 0, 0, 2, 1}, 3);
+  ExpectMatchesParentWalkAtOneAndFourThreads(g, part);
+  auto pre = ComputeBorderPrecompute(g, part);
+  ASSERT_TRUE(pre.ok());
+  for (graph::NodeId v : {2u, 3u, 4u, 5u}) {
+    EXPECT_FALSE(pre->borders.is_border[v]) << v;
+    EXPECT_TRUE(pre->cross_border[v]) << v;
+  }
+}
+
+TEST(BorderPrecomputeTest, MatchesParentWalkWithOneWayAndZeroWeightChains) {
+  // Kernel nodes 0 and 5 (joined by an arc of 4) and three chains between
+  // them: 0 -> 1 -> 2 -> 5 one way; 0 - 3 - 4 - 5 whose zero-weight step
+  // 3 - 4 makes 3 and 4 kernel nodes; and 5 - 6 - 7 - 0 where 6 -> 7 has
+  // no arc back, so 6 is reached from 5 only.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 5, 4);
+  arcs.push_back({0, 1, 1});
+  arcs.push_back({1, 2, 2});
+  arcs.push_back({2, 5, 1});
+  AddBoth(&arcs, 0, 3, 2);
+  AddBoth(&arcs, 3, 4, 0);
+  arcs.push_back({4, 5, 1});
+  AddBoth(&arcs, 5, 6, 1);
+  arcs.push_back({6, 7, 1});
+  AddBoth(&arcs, 7, 0, 2);
+  const graph::Graph g = FromArcs(8, arcs);
+  const partition::Partitioning part = partition::MakePartitioning(
+      {0, 1, 1, 2, 2, 0, 3, 3}, 4);
+  ExpectMatchesParentWalkAtOneAndFourThreads(g, part);
+}
+
+TEST(BorderPrecomputeTest, MatchesParentWalkWithParallelArcsInAChain) {
+  // Kernel nodes 0 and 1, joined by an arc of 6 and two chains; the chain
+  // 0 - 2 - 3 - 1 has parallel arcs 2 -> 3 of 3 and 1 (the lighter counts)
+  // and a single 3 -> 2 of 2.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 1, 6);
+  AddBoth(&arcs, 0, 2, 1);
+  arcs.push_back({2, 3, 3});
+  arcs.push_back({2, 3, 1});
+  arcs.push_back({3, 2, 2});
+  AddBoth(&arcs, 3, 1, 1);
+  AddBoth(&arcs, 0, 4, 2);
+  arcs.push_back({4, 1, 1});
+  arcs.push_back({4, 1, 2});
+  arcs.push_back({1, 4, 1});
+  const graph::Graph g = FromArcs(5, arcs);
+  const partition::Partitioning part =
+      partition::MakePartitioning({0, 1, 2, 3, 2}, 4);
+  ExpectMatchesParentWalkAtOneAndFourThreads(g, part);
+}
+
+TEST(BorderPrecomputeTest, MatchesParentWalkWithAChainFromANodeToItself) {
+  // Kernel node 0 carries two loops, 0 - 1 - 2 - 3 - 0 (2 is reached at
+  // equal distance both ways round) and 0 - 4 - 5 - 0.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 1, 1);
+  AddBoth(&arcs, 1, 2, 1);
+  AddBoth(&arcs, 2, 3, 1);
+  AddBoth(&arcs, 3, 0, 1);
+  AddBoth(&arcs, 0, 4, 2);
+  AddBoth(&arcs, 4, 5, 1);
+  arcs.push_back({5, 0, 1});
+  const graph::Graph g = FromArcs(6, arcs);
+  const partition::Partitioning part =
+      partition::MakePartitioning({0, 1, 2, 1, 3, 3}, 4);
+  ExpectMatchesParentWalkAtOneAndFourThreads(g, part);
+}
+
+TEST(BorderPrecomputeTest, MatchesParentWalkOnACycleWithoutKernelNodes) {
+  // A ring 0 - 1 - 2 - 3 - 4 - 0 of degree-2 nodes (its smallest node
+  // becomes the kernel node) and a one-way ring 5 -> 6 -> 7 -> 5.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 1, 1);
+  AddBoth(&arcs, 1, 2, 2);
+  AddBoth(&arcs, 2, 3, 1);
+  AddBoth(&arcs, 3, 4, 1);
+  AddBoth(&arcs, 4, 0, 1);
+  arcs.push_back({5, 6, 1});
+  arcs.push_back({6, 7, 1});
+  arcs.push_back({7, 5, 1});
+  const graph::Graph g = FromArcs(8, arcs);
+  const partition::Partitioning part = partition::MakePartitioning(
+      {0, 0, 1, 1, 2, 0, 1, 2}, 3);
+  ExpectMatchesParentWalkAtOneAndFourThreads(g, part);
+}
+
+TEST(BorderPrecomputeTest, MatchesParentWalkWithARootInsideAChain) {
+  // Kernel nodes 0 and 1 (an arc and the chain 0 - 5 - 1 between them)
+  // and the chain 0 - 2 - 3 - 4 - 1. The pendant tree 3 - 6 - 7 hangs from
+  // the chain interior 3, and the border node 4 is an interior too: 3
+  // reaches 4 at 4 directly and around through 2, 0 and 1.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 1, 1);
+  AddBoth(&arcs, 0, 5, 2);
+  AddBoth(&arcs, 5, 1, 2);
+  AddBoth(&arcs, 0, 2, 1);
+  AddBoth(&arcs, 2, 3, 1);
+  AddBoth(&arcs, 3, 4, 3);
+  AddBoth(&arcs, 4, 1, 1);
+  AddBoth(&arcs, 3, 6, 1);
+  AddBoth(&arcs, 6, 7, 1);
+  const graph::Graph g = FromArcs(8, arcs);
+  const partition::Partitioning part = partition::MakePartitioning(
+      {0, 0, 0, 0, 1, 0, 0, 2}, 3);
+  ExpectMatchesParentWalkAtOneAndFourThreads(g, part);
+}
+
+TEST(BorderPrecomputeTest, MatchesParentWalkOnRandomChainHeavyGraphs) {
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    const testing_support::PartitionedGraph pg =
+        testing_support::RandomChainHeavyGraph(seed);
+    ExpectMatchesParentWalkAtOneAndFourThreads(pg.g, pg.part);
+  }
+}
+
+TEST(BorderPrecomputeTest, MatchesParentWalkOnRandomChainHeavyGraphsWithZeros) {
+  // Zero-weight arcs turn chain nodes into kernel nodes and tie kernel
+  // nodes at one distance, where the pop order is no longer by id.
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    const testing_support::PartitionedGraph pg =
+        testing_support::RandomChainHeavyGraph(seed, /*min_weight=*/0);
+    ExpectMatchesParentWalkAtOneAndFourThreads(pg.g, pg.part);
+  }
+}
+
 TEST(BorderPrecomputeTest, MatchesParentWalkOnGermany) {
   const graph::Graph g =
       graph::MakeNetwork(graph::FindNetwork("Germany").value(), 0.1).value();

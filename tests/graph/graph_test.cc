@@ -203,6 +203,79 @@ TEST(PendantForestTest, SplitsCoreAndTrees) {
   EXPECT_TRUE(children(1).empty());
 }
 
+TEST(ChainKernelTest, ContractsChainsLoopsAndCycles) {
+  // Hubs 0 and 3 are joined by an arc of 7 and the chain 0 - 1 - 2 - 3
+  // (parallel arcs 0 -> 1 of 5 and 2, and 1 -> 2 one way); 3 carries the
+  // loop 3 - 4 - 5 - 3. The zero-weight arc 6 - 7 makes the degree-2 nodes
+  // 6 and 7 kernel nodes, and the ring 8 - 9 - 10 keeps 8 as one.
+  GraphBuilder b;
+  for (int i = 0; i < 11; ++i) b.AddNode({static_cast<double>(i), 0.0});
+  b.AddArc(0, 1, 5);
+  b.AddArc(0, 1, 2);
+  b.AddArc(1, 0, 3);
+  b.AddArc(1, 2, 4);
+  b.AddBidirectional(2, 3, 1);
+  b.AddBidirectional(0, 3, 7);
+  b.AddBidirectional(3, 4, 1);
+  b.AddBidirectional(4, 5, 2);
+  b.AddBidirectional(5, 3, 1);
+  b.AddBidirectional(0, 6, 1);
+  b.AddBidirectional(6, 7, 0);
+  b.AddBidirectional(7, 3, 1);
+  b.AddBidirectional(8, 9, 1);
+  b.AddBidirectional(9, 10, 1);
+  b.AddBidirectional(10, 8, 1);
+  const Graph g = std::move(b).Build().value();
+  const ChainKernel k = ContractChains(g);
+
+  EXPECT_EQ(k.kernel_nodes, (std::vector<NodeId>{0, 3, 6, 7, 8}));
+  EXPECT_EQ(k.kernel_id[3], 1u);
+  EXPECT_EQ(k.kernel_id[1], kInvalidNode);
+  ASSERT_EQ(k.chains.size(), 3u);
+
+  // The chain 0 - 1 - 2 - 3, traced from 0.
+  const uint32_t a = k.chain_of[1];
+  EXPECT_EQ(k.chain_of[2], a);
+  EXPECT_EQ(k.position[1], 1u);
+  EXPECT_EQ(k.position[2], 2u);
+  EXPECT_EQ(k.chains[a].interior, 2u);
+  EXPECT_EQ(k.End(a, 0), k.kernel_id[0]);
+  EXPECT_EQ(k.End(a, 1), k.kernel_id[3]);
+  const uint32_t begin = k.chains[a].begin;
+  const Dist inf = kInfDist;
+  auto slots = [&](const std::vector<Dist>& v) {
+    return std::vector<Dist>(v.begin() + begin, v.begin() + begin + 4);
+  };
+  EXPECT_EQ(slots(k.from_end[0]), (std::vector<Dist>{0, 2, 6, 7}));
+  EXPECT_EQ(slots(k.from_end[1]), (std::vector<Dist>{inf, inf, 1, 0}));
+  EXPECT_EQ(k.step[0][begin], 2u);  // the lighter parallel arc
+  EXPECT_EQ(k.step[1][begin + 1], inf);
+
+  // The loop on 3 and the ring's chain from 8 back to itself.
+  const uint32_t loop = k.chain_of[4];
+  EXPECT_EQ(k.End(loop, 0), k.kernel_id[3]);
+  EXPECT_EQ(k.End(loop, 1), k.kernel_id[3]);
+  const uint32_t ring = k.chain_of[9];
+  EXPECT_EQ(k.End(ring, 0), k.kernel_id[8]);
+  EXPECT_EQ(k.End(ring, 1), k.kernel_id[8]);
+
+  // Eight arcs between kernel nodes (0 - 3, 0 - 6, 6 - 7 and 7 - 3, both
+  // ways) and the chain from 0 to 3, which runs one way only; a loop gives
+  // no arc.
+  EXPECT_EQ(k.num_arcs(), 9u);
+  bool chain_arc = false;
+  for (const ChainKernel::Arc& arc : k.OutArcs(k.kernel_id[0])) {
+    if (arc.chain != ChainKernel::kNoChain) {
+      chain_arc = true;
+      EXPECT_EQ(arc.chain, a);
+      EXPECT_EQ(arc.side, 0u);
+      EXPECT_EQ(arc.to, k.kernel_id[3]);
+      EXPECT_EQ(arc.weight, 7u);
+    }
+  }
+  EXPECT_TRUE(chain_arc);
+}
+
 TEST(PendantForestTest, TwoCoreGraphHasNoPendantNodes) {
   const PendantForest f = DecomposePendantForest(Diamond());
   EXPECT_EQ(f.core_nodes.size(), 4u);

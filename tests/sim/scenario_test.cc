@@ -596,6 +596,50 @@ TEST(ScenarioSpecJsonTest, RejectsNumbersOutsideTheirUint32Fields) {
   rejects(R"({"mode": "flat"})", "[0.5]", "source_regions");
 }
 
+TEST(ScenarioSpecJsonTest, RejectsIntegersPastTheirNarrowFields) {
+  // Integer fields stored narrower than 64 bits are bounded by name before
+  // the cast: 2^32 + 8 regions would otherwise build with 8, and a wrapped
+  // FEC shape could pass FecScheme::Valid.
+  auto parse = [](const std::string& top, const std::string& group) {
+    return ScenarioFromJson(
+        R"({"schema": "airindex.sim.scenario/v1", "name": "x", )" + top +
+        R"("groups": [{"name": "g", "queries": 1)" + group + "}]}");
+  };
+  auto rejects = [&](const std::string& top, const std::string& group,
+                     const std::string& field) {
+    auto s = parse(top, group);
+    ASSERT_FALSE(s.ok()) << top << group;
+    EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(s.status().ToString().find(field), std::string::npos)
+        << s.status().ToString();
+  };
+  ASSERT_TRUE(parse(R"("subchannels": 4294967295, "params": {"nr_regions":
+                      4294967295, "landmarks": 4294967295}, )",
+                    R"(, "client": {"max_repair_cycles": 2147483647},
+                       "loss": {"burst_len": 4294967295},
+                       "workload": {"session": {"queries": 4294967295}})")
+                  .ok());
+
+  for (const char* key : {"arcflag_regions", "eb_regions", "nr_regions",
+                          "landmarks", "hiti_regions"}) {
+    rejects(R"("params": {")" + std::string(key) + R"(": 4294967304}, )", "",
+            key);
+  }
+  rejects(R"("subchannels": 4294967297, )", "", "subchannels");
+  rejects("", R"(, "loss": {"rate": 0.1, "burst_len": 4294967297})",
+          "burst_len");
+  rejects("",
+          R"(, "fec": {"data_per_group": 4294967298, "parity_per_group": 1})",
+          "data_per_group");
+  rejects("",
+          R"(, "fec": {"data_per_group": 4, "parity_per_group": 4294967297})",
+          "parity_per_group");
+  rejects("", R"(, "workload": {"session": {"queries": 4294967297}})",
+          "session queries");
+  rejects("", R"(, "client": {"max_repair_cycles": 2147483648})",
+          "max_repair_cycles");
+}
+
 TEST(ScenarioSpecJsonTest, DecodesStandardStringEscapes) {
   // Hand-written spec files may use any standard JSON escape, not just
   // the \" and \\ this library's writers emit.

@@ -1,6 +1,7 @@
 #ifndef AIRINDEX_TESTS_TESTING_TEST_GRAPHS_H_
 #define AIRINDEX_TESTS_TESTING_TEST_GRAPHS_H_
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -97,6 +98,91 @@ inline PartitionedGraph RandomTreeHeavyGraph(uint64_t seed) {
   }
   return {FromArcs(n, arcs),
           partition::MakePartitioning(std::move(node_region), regions)};
+}
+
+/// A small random graph that is mostly chains: 2 to 7 hubs joined by 3 to
+/// 10 links (some from a hub back to itself), each split into a chain of
+/// up to 5 nodes, sometimes a ring with no hub, and a few pendant leaves.
+/// Each step is two-way (often with different weights each way), one-way,
+/// or two-way plus a parallel arc, with weights in [min_weight, 2], so
+/// equal-distance ties are common. Node ids are shuffled so hubs and chain
+/// nodes interleave; 2 to 5 regions, mostly one per link. Exercises the
+/// chain contraction of the border pre-computation.
+inline PartitionedGraph RandomChainHeavyGraph(uint64_t seed,
+                                              graph::Weight min_weight = 1) {
+  Rng rng(seed);
+  const auto regions = static_cast<uint32_t>(2 + rng.NextBounded(4));
+  auto random_region = [&] {
+    return static_cast<graph::RegionId>(rng.NextBounded(regions));
+  };
+  auto weight = [&] {
+    return static_cast<graph::Weight>(min_weight +
+                                      rng.NextBounded(3 - min_weight));
+  };
+  std::vector<graph::RegionId> node_region;
+  auto new_node = [&](graph::RegionId r) {
+    node_region.push_back(r);
+    return static_cast<graph::NodeId>(node_region.size() - 1);
+  };
+  std::vector<graph::EdgeTriplet> arcs;
+  auto step = [&](graph::NodeId a, graph::NodeId b) {
+    switch (rng.NextBounded(8)) {
+      case 0: arcs.push_back({a, b, weight()}); break;
+      case 1: arcs.push_back({b, a, weight()}); break;
+      case 2:
+        AddBoth(&arcs, a, b, weight());
+        arcs.push_back({a, b, weight()});
+        break;
+      default:
+        arcs.push_back({a, b, weight()});
+        arcs.push_back({b, a, weight()});
+        break;
+    }
+  };
+  auto chain = [&](graph::NodeId a, graph::NodeId b, uint64_t len) {
+    const graph::RegionId r = random_region();
+    graph::NodeId prev = a;
+    for (uint64_t i = 0; i < len; ++i) {
+      const graph::NodeId v =
+          new_node(rng.NextBounded(4) == 0 ? random_region() : r);
+      step(prev, v);
+      prev = v;
+    }
+    step(prev, b);
+  };
+
+  const uint64_t hubs = 2 + rng.NextBounded(6);
+  for (uint64_t h = 0; h < hubs; ++h) new_node(random_region());
+  for (uint64_t links = 3 + rng.NextBounded(8); links > 0; --links) {
+    const auto a = static_cast<graph::NodeId>(rng.NextBounded(hubs));
+    const auto b = static_cast<graph::NodeId>(rng.NextBounded(hubs));
+    // A loop needs two chain nodes to be a cycle.
+    chain(a, b, std::max<uint64_t>(rng.NextBounded(6), a == b ? 2 : 0));
+  }
+  if (rng.NextBounded(3) == 0) {
+    const graph::NodeId ring = new_node(random_region());
+    chain(ring, ring, 2 + rng.NextBounded(4));
+  }
+  for (uint64_t leaves = rng.NextBounded(4); leaves > 0; --leaves) {
+    const auto at = static_cast<graph::NodeId>(
+        rng.NextBounded(node_region.size()));
+    step(at, new_node(random_region()));
+  }
+
+  const size_t n = node_region.size();
+  std::vector<graph::NodeId> relabel(n);
+  for (size_t v = 0; v < n; ++v) relabel[v] = static_cast<graph::NodeId>(v);
+  for (size_t v = n; v > 1; --v) {
+    std::swap(relabel[v - 1], relabel[rng.NextBounded(v)]);
+  }
+  for (graph::EdgeTriplet& arc : arcs) {
+    arc.from = relabel[arc.from];
+    arc.to = relabel[arc.to];
+  }
+  std::vector<graph::RegionId> region(n);
+  for (size_t v = 0; v < n; ++v) region[relabel[v]] = node_region[v];
+  return {FromArcs(n, arcs),
+          partition::MakePartitioning(std::move(region), regions)};
 }
 
 }  // namespace airindex::testing_support
