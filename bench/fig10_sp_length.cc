@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   params.eb_regions = 32;
   params.nr_regions = 32;
   params.landmarks = 4;
-  auto systems = core::SystemRegistry::Global().GetAll(g, params).value();
+  auto systems = core::BuildSystems(g, params).value();
   auto w = workload::GenerateWorkload(g, opts.queries, opts.seed).value();
   auto buckets = workload::BucketizeByLength(w, 4);
   const graph::Dist max_dist = workload::MaxTrueDist(w);

@@ -8,6 +8,8 @@
 // vectors blow the cycle up as landmarks increase.
 
 #include <cstdio>
+#include <memory>
+#include <vector>
 
 #include "common/harness.h"
 #include "common/options.h"
@@ -35,11 +37,10 @@ int main(int argc, char** argv) {
   const uint32_t regions[4] = {16, 32, 64, 128};
   const uint32_t landmarks[4] = {2, 4, 8, 16};
 
-  auto& registry = core::SystemRegistry::Global();
   std::vector<Row> rows;
   // Dijkstra reference (independent of the sweep).
   {
-    auto dj = registry.Get(g, "DJ").value();
+    auto dj = core::BuildSystem(g, "DJ", {}).value();
     auto m = bench::RunQueries(*dj, g, w, opts.Loss(), opts.seed, {},
                                opts.threads, opts.repeat);
     rows.push_back({"-", "DJ", device::MetricsSummary::Of(m)});
@@ -52,10 +53,13 @@ int main(int argc, char** argv) {
     params.eb_regions = regions[i];
     params.arcflag_regions = regions[i];
     params.landmarks = landmarks[i];
+    // NR stays alive while EB builds, so EB reuses its border
+    // pre-computation.
+    std::vector<std::unique_ptr<core::AirSystem>> systems;
     for (const char* method : {"NR", "EB", "AF", "LD"}) {
-      auto sys = registry.Get(g, method, params).value();
-      auto m = bench::RunQueries(*sys, g, w, opts.Loss(), opts.seed, {},
-                                 opts.threads, opts.repeat);
+      systems.push_back(core::BuildSystem(g, method, params).value());
+      auto m = bench::RunQueries(*systems.back(), g, w, opts.Loss(),
+                                 opts.seed, {}, opts.threads, opts.repeat);
       rows.push_back({cfg, method, device::MetricsSummary::Of(m)});
     }
   }

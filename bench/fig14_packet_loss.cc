@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   params.eb_regions = 32;
   params.nr_regions = 32;
   params.landmarks = 4;
-  auto systems = core::SystemRegistry::Global().GetAll(g, params).value();
+  auto systems = core::BuildSystems(g, params).value();
   auto w = workload::GenerateWorkload(g, opts.queries, opts.seed).value();
 
   const double rates[5] = {0.001, 0.005, 0.01, 0.05, 0.10};

@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <set>
+#include <string_view>
 
 #include "algo/arc_flags.h"
 #include "algo/dijkstra.h"
@@ -14,7 +15,6 @@
 #include "core/border_precompute.h"
 #include "core/dijkstra_on_air.h"
 #include "core/full_cycle.h"
-#include "core/nr.h"
 #include "core/query_scratch.h"
 #include "core/systems.h"
 #include "graph/catalog.h"
@@ -35,6 +35,30 @@ const graph::Graph& BenchGraph() {
       *new graph::Graph(graph::MakeNetwork(graph::DefaultNetwork(), 0.1)
                             .value());
   return g;
+}
+
+// The fixture system of `method` (DJ, NR, EB or AF) on BenchGraph() with
+// default parameters, built on first use and kept for the process lifetime
+// like the graph. The NR system outlives every later EB build, which so
+// reuses its border pre-computation.
+const core::AirSystem& BenchSystem(std::string_view method) {
+  auto build = [](std::string_view name) {
+    return core::BuildSystem(BenchGraph(), name, {}).value().release();
+  };
+  if (method == "DJ") {
+    static const core::AirSystem* dj = build("DJ");
+    return *dj;
+  }
+  if (method == "NR") {
+    static const core::AirSystem* nr = build("NR");
+    return *nr;
+  }
+  if (method == "EB") {
+    static const core::AirSystem* eb = build("EB");
+    return *eb;
+  }
+  static const core::AirSystem* af = build("AF");
+  return *af;
 }
 
 void BM_DijkstraFull(benchmark::State& state) {
@@ -173,8 +197,8 @@ BENCHMARK(BM_ArcFlagBuild)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 // NR then EB through BuildSystem on one thread, both systems dropped each
 // iteration: the pair shares one border pre-computation, and dropping them
 // expires it, so every iteration computes it exactly once. Registered ahead
-// of the benches whose registry-held NR systems would keep a computation on
-// this graph alive.
+// of the benches whose BenchSystem("NR") fixture would keep a computation
+// on this graph alive.
 void BM_BuildNrEb(benchmark::State& state) {
   const graph::Graph& g = BenchGraph();
   core::SystemParams params;
@@ -212,16 +236,14 @@ BENCHMARK(BM_CycleBuildDj)->Unit(benchmark::kMillisecond);
 
 void BM_NrClientQuery(benchmark::State& state) {
   const graph::Graph& g = BenchGraph();
-  static const auto& nr =
-      *new std::unique_ptr<core::NrSystem>(
-          core::NrSystem::Build(g, 32).value());
+  const core::AirSystem& nr = BenchSystem("NR");
   static const auto& w =
       *new workload::Workload(workload::GenerateWorkload(g, 64, 9).value());
-  broadcast::BroadcastChannel channel(&nr->cycle(), 0.0);
+  broadcast::BroadcastChannel channel(&nr.cycle(), 0.0);
   core::QueryScratch scratch;
   size_t qi = 0;
   for (auto _ : state) {
-    auto m = nr->RunQuery(channel, core::MakeAirQuery(g, w.queries[qi]), {},
+    auto m = nr.RunQuery(channel, core::MakeAirQuery(g, w.queries[qi]), {},
                           &scratch);
     benchmark::DoNotOptimize(m.distance);
     qi = (qi + 1) % w.queries.size();
@@ -237,8 +259,7 @@ BENCHMARK(BM_NrClientQuery)->Unit(benchmark::kMillisecond);
 void RunQueryBench(benchmark::State& state, const char* method,
                    bool use_scratch) {
   const graph::Graph& g = BenchGraph();
-  const core::AirSystem& sys =
-      *core::SystemRegistry::Global().Get(g, method).value();
+  const core::AirSystem& sys = BenchSystem(method);
   static const auto& w =
       *new workload::Workload(workload::GenerateWorkload(g, 64, 9).value());
   broadcast::BroadcastChannel channel(&sys.cycle(), 0.0);
@@ -286,8 +307,7 @@ BENCHMARK(BM_RunQueryEbScratch)->Unit(benchmark::kMillisecond);
 // packets heard per second, so 1e9 / items_per_second is ns per packet.
 void BM_ReceiveFullCycle(benchmark::State& state) {
   const char* method = state.range(0) == 0 ? "DJ" : "AF";
-  const core::AirSystem& sys =
-      *core::SystemRegistry::Global().Get(BenchGraph(), method).value();
+  const core::AirSystem& sys = BenchSystem(method);
   const broadcast::BroadcastCycle& cycle = sys.cycle();
   broadcast::BroadcastChannel channel(
       &cycle, static_cast<double>(state.range(1)) / 1000.0, 7);
@@ -323,8 +343,8 @@ BENCHMARK(BM_ReceiveFullCycle)
 // 1e9 / items_per_second is ns per arc.
 void BM_DecodeArcFlags(benchmark::State& state) {
   const graph::Graph& g = BenchGraph();
-  const auto& af = static_cast<const core::ArcFlagOnAir&>(
-      *core::SystemRegistry::Global().Get(g, "AF").value());
+  const auto& af =
+      static_cast<const core::ArcFlagOnAir&>(BenchSystem("AF"));
   const uint32_t regions = af.index().num_regions();
   const broadcast::BroadcastCycle& cycle = af.cycle();
   std::vector<broadcast::ReceivedSegment> flag_segments;
@@ -352,14 +372,6 @@ void BM_DecodeArcFlags(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeArcFlags)->Unit(benchmark::kMicrosecond);
 
-// Shared fixture for the engine benchmarks. The leaked Global() registry
-// keeps the NR system alive for the process lifetime.
-const core::AirSystem& SimBenchSystem() {
-  static const core::AirSystem& nr =
-      *core::SystemRegistry::Global().Get(BenchGraph(), "NR").value();
-  return nr;
-}
-
 const workload::Workload& SimBenchWorkload() {
   static const auto& w = *new workload::Workload(
       workload::GenerateWorkload(BenchGraph(), 128, 9).value());
@@ -380,7 +392,7 @@ void SimulatorThroughput(benchmark::State& state, double loss_rate) {
   so.deterministic = true;
   sim::Simulator simulator(BenchGraph(), so);
   for (auto _ : state) {
-    auto r = simulator.RunSystem(SimBenchSystem(), w);
+    auto r = simulator.RunSystem(BenchSystem("NR"), w);
     benchmark::DoNotOptimize(r.aggregate.tuning_packets.mean);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -433,7 +445,7 @@ void EventEngineFleet(benchmark::State& state, double loss_rate,
   eo.deterministic = true;
   sim::EventEngine engine(BenchGraph(), eo);
   for (auto _ : state) {
-    auto r = engine.RunSystem(SimBenchSystem(), w);
+    auto r = engine.RunSystem(BenchSystem("NR"), w);
     benchmark::DoNotOptimize(r.aggregate.wait_ms.mean);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -457,31 +469,5 @@ BENCHMARK(BM_EventEngineFleetNrLossySharded)
     ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-
-// Registry hit-path contention: every simulation worker resolves its
-// systems through SystemRegistry::Get, so a hot Get must not serialize
-// readers. The threaded sweep pins the shared-lock fast path (a hit while
-// the cache is under capacity takes no exclusive lock); before the fix,
-// every hit took the write lock to stamp recency and the threads=4 row
-// collapsed to the single-lock rate. A hit reads the graph's cached
-// graph::Fingerprint (hashed once, by the warm-up Get) before any lock is
-// taken.
-void BM_RegistryGetHit(benchmark::State& state) {
-  const graph::Graph& g = BenchGraph();
-  // Warm the entry once so the measured loop is pure hits.
-  benchmark::DoNotOptimize(
-      core::SystemRegistry::Global().Get(g, "DJ").value().get());
-  for (auto _ : state) {
-    auto sys = core::SystemRegistry::Global().Get(g, "DJ").value();
-    benchmark::DoNotOptimize(sys.get());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RegistryGetHit)
-    ->Threads(1)
-    ->Threads(2)
-    ->Threads(4)
-    ->Threads(8)
-    ->UseRealTime();
 
 }  // namespace

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   params.include_spq = !opts.no_heavy;
   params.include_hiti = !opts.no_heavy;
 
-  auto systems = core::SystemRegistry::Global().GetAll(g, params);
+  auto systems = core::BuildSystems(g, params);
   if (!systems.ok()) {
     std::fprintf(stderr, "%s\n", systems.status().ToString().c_str());
     return 1;

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     params.eb_regions = 32;
     params.nr_regions = 32;
     params.landmarks = 4;
-    auto systems = core::SystemRegistry::Global().GetAll(g, params);
+    auto systems = core::BuildSystems(g, params);
     if (!systems.ok()) {
       std::fprintf(stderr, "%s\n", systems.status().ToString().c_str());
       return 1;
@@ -63,8 +63,6 @@ int main(int argc, char** argv) {
                 spec.name.c_str(), g.num_nodes(), g.num_arcs() / 2,
                 cell[0].c_str(), cell[1].c_str(), cell[2].c_str(),
                 cell[3].c_str(), cell[4].c_str());
-    // The graph dies with this loop iteration; drop its cached systems.
-    core::SystemRegistry::Global().Clear();
   }
   std::printf(
       "\n# paper: AF/LD only Milan+Germany; DJ up to Argentina; EB up to\n"

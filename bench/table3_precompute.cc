@@ -31,14 +31,12 @@ int main(int argc, char** argv) {
     auto kd = partition::KdTreePartitioner::Build(g, 32).value();
     auto pre = core::ComputeBorderPrecompute(g, kd.Partition(g)).value();
 
-    auto& registry = core::SystemRegistry::Global();
-    auto af = registry.Get(g, "AF").value();
-    auto ld = registry.Get(g, "LD").value();
+    auto af = core::BuildSystem(g, "AF", {}).value();
+    auto ld = core::BuildSystem(g, "LD", {}).value();
 
     std::printf("%-14s %12.3f %12.3f %12.3f\n", spec.name.c_str(),
                 pre.seconds, af->precompute_seconds(),
                 ld->precompute_seconds());
-    registry.Clear();  // the graph dies with this loop iteration
   }
   std::printf(
       "\n# paper (full scale, 3 GHz single core): Germany 61.8/58.1/1.0;\n"

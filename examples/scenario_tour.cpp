@@ -39,8 +39,8 @@ int main() {
   }
   std::printf("\n%s", sim::ScenarioToText(*result).c_str());
   std::printf(
-      "\nEvery group ran through the same broadcast cycles (built once via\n"
-      "the system registry); the fleet table re-aggregates the combined\n"
+      "\nEvery group ran through the same broadcast cycles (built once for\n"
+      "the whole fleet); the fleet table re-aggregates the combined\n"
       "per-query samples with each group's own device energy model.\n");
   return 0;
 }

@@ -64,41 +64,6 @@ void DijkstraSearch(const G& g, NodeId source, NodeId target,
   }
 }
 
-/// Single-source Dijkstra that stops once every node in `targets` is
-/// settled, run inside the caller's workspace. Used by the border-pair
-/// pre-computation, where only border-to-border distances matter. Also
-/// records the settle order (ws.settle_order()), which lets the caller
-/// sweep the shortest-path tree instead of walking parent chains.
-template <typename G>
-void DijkstraToTargets(const G& g, NodeId source,
-                       const std::vector<NodeId>& targets,
-                       SearchWorkspace& ws) {
-  ws.BeginSearch(g.num_nodes());
-  size_t remaining = 0;
-  for (NodeId t : targets) {
-    if (ws.MarkPending(t)) ++remaining;
-  }
-
-  auto& heap = ws.heap();
-  ws.TryImprove(source, 0, kInvalidNode);
-  heap.push({0, source});
-  while (!heap.empty() && remaining > 0) {
-    auto [d, v] = heap.top();
-    heap.pop();
-    if (d != ws.TentativeDist(v)) continue;
-    ws.CountSettled();
-    ws.RecordSettled(v);
-    if (ws.IsPending(v)) {
-      ws.ClearPending(v);
-      --remaining;
-    }
-    for (const auto& arc : g.OutArcs(v)) {
-      Dist nd = d + arc.weight;
-      if (ws.TryImprove(arc.to, nd, v)) heap.push({nd, arc.to});
-    }
-  }
-}
-
 /// Full single-source Dijkstra (settles every reachable node) in the
 /// caller's workspace.
 template <typename G>

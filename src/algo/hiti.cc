@@ -174,9 +174,9 @@ Result<HiTiIndex> HiTiIndex::Build(const graph::Graph& g,
     }
 
     // One Dijkstra per border node of this sub-graph, parallel.
-    ParallelFor(
+    ParallelForWorker(
         nb,
-        [&](size_t i) {
+        [&](unsigned, size_t i) {
           const uint32_t src = local.local_of.at(sub.border[i]);
           LocalGraph::LocalTree tree = local.Dijkstra(src);
           for (size_t j = 0; j < nb; ++j) {

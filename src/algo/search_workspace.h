@@ -13,9 +13,8 @@
 namespace airindex::algo {
 
 /// Reusable storage for shortest-path searches (Dijkstra / A*): tentative
-/// distances, parent pointers, the frontier heap, and the target-pending
-/// set and settle order of DijkstraToTargets. A fresh search costs O(n)
-/// just to initialize dist/parent; a workspace instead stamps every write
+/// distances, parent pointers and the frontier heap. A fresh search costs
+/// O(n) just to initialize dist/parent; a workspace instead stamps every write
 /// with a generation counter and bumps the counter in BeginSearch, so
 /// per-search reset is O(1) and a reused workspace allocates nothing in
 /// steady state (arrays only grow to the largest graph seen).
@@ -25,7 +24,11 @@ namespace airindex::algo {
 /// — results read back through DistTo/ParentOf are only valid until the
 /// next BeginSearch. The search kernels in dijkstra.h / astar.h run inside
 /// a workspace passed by the caller.
-class SearchWorkspace {
+///
+/// Cache-line aligned: workers keep their workspaces side by side (one per
+/// worker in a vector), and the heap ends and counters a search writes on
+/// every step must not share a line with another worker's.
+class alignas(64) SearchWorkspace {
  public:
   /// Heap entry of the Dijkstra kernels: (tentative distance, node).
   /// Lexicographic pair order is a strict total order over the pushed
@@ -53,7 +56,6 @@ class SearchWorkspace {
   void BeginSearch(size_t n) {
     if (n > stamp_.size()) {
       stamp_.resize(n, 0);
-      pending_stamp_.resize(n, 0);
       dist_.resize(n);
       parent_.resize(n);
     }
@@ -62,13 +64,7 @@ class SearchWorkspace {
       std::fill(stamp_.begin(), stamp_.end(), 0);
       generation_ = 1;
     }
-    ++pending_generation_;
-    if (pending_generation_ == 0) {
-      std::fill(pending_stamp_.begin(), pending_stamp_.end(), 0);
-      pending_generation_ = 1;
-    }
     settled_ = 0;
-    settle_order_.clear();
     heap_.clear();
     astar_heap_.clear();
   }
@@ -95,14 +91,6 @@ class SearchWorkspace {
   /// Nodes settled by the current search (the paper's client-CPU proxy).
   size_t settled() const { return settled_; }
 
-  /// The nodes DijkstraToTargets settled, in settle order: distances are
-  /// non-decreasing and every node comes after its parent, so one forward
-  /// (or reverse) sweep visits the shortest-path tree top-down (bottom-up).
-  /// The other kernels do not record it and leave it empty.
-  const std::vector<graph::NodeId>& settle_order() const {
-    return settle_order_;
-  }
-
   // --- Kernel API (used by the search templates; callers normally only
   // --- read results through the accessors above). `v` must be < the `n`
   // --- of the last BeginSearch.
@@ -127,21 +115,6 @@ class SearchWorkspace {
 
   void CountSettled() { ++settled_; }
 
-  /// Appends `v` to settle_order().
-  void RecordSettled(graph::NodeId v) { settle_order_.push_back(v); }
-
-  /// Target-pending set of DijkstraToTargets. MarkPending returns false if
-  /// `v` was already pending in this search (duplicate target).
-  bool MarkPending(graph::NodeId v) {
-    if (pending_stamp_[v] == pending_generation_) return false;
-    pending_stamp_[v] = pending_generation_;
-    return true;
-  }
-  bool IsPending(graph::NodeId v) const {
-    return pending_stamp_[v] == pending_generation_;
-  }
-  void ClearPending(graph::NodeId v) { pending_stamp_[v] = 0; }
-
   DAryHeap<HeapItem>& heap() { return heap_; }
   DAryHeap<AStarItem>& astar_heap() { return astar_heap_; }
 
@@ -149,11 +122,8 @@ class SearchWorkspace {
   std::vector<graph::Dist> dist_;
   std::vector<graph::NodeId> parent_;
   std::vector<uint32_t> stamp_;
-  std::vector<uint32_t> pending_stamp_;
   uint32_t generation_ = 0;
-  uint32_t pending_generation_ = 0;
   size_t settled_ = 0;
-  std::vector<graph::NodeId> settle_order_;
   DAryHeap<HeapItem> heap_;
   DAryHeap<AStarItem> astar_heap_;
 };

@@ -16,32 +16,6 @@ unsigned ResolveWorkers(size_t count, unsigned num_threads) {
       1, std::min<size_t>(ResolveThreads(num_threads), count)));
 }
 
-void ParallelForWorker(
-    size_t count, const std::function<void(unsigned, size_t)>& fn,
-    unsigned num_threads) {
-  if (count == 0) return;
-  const unsigned threads = ResolveWorkers(count, num_threads);
-
-  if (threads <= 1) {
-    for (size_t i = 0; i < count; ++i) fn(0, i);
-    return;
-  }
-
-  std::atomic<size_t> next{0};
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t]() {
-      for (;;) {
-        size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) return;
-        fn(t, i);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-}
-
 void ParallelForChunked(
     size_t count, size_t chunk,
     const std::function<void(unsigned, size_t, size_t)>& fn,
@@ -72,10 +46,13 @@ void ParallelForChunked(
   for (auto& w : workers) w.join();
 }
 
-void ParallelFor(size_t count, const std::function<void(size_t)>& fn,
-                 unsigned num_threads) {
-  ParallelForWorker(
-      count, [&fn](unsigned, size_t i) { fn(i); }, num_threads);
+void ParallelForWorker(
+    size_t count, const std::function<void(unsigned, size_t)>& fn,
+    unsigned num_threads) {
+  ParallelForChunked(
+      count, /*chunk=*/1,
+      [&fn](unsigned worker, size_t begin, size_t) { fn(worker, begin); },
+      num_threads);
 }
 
 }  // namespace airindex

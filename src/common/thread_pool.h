@@ -14,25 +14,21 @@ namespace airindex {
 /// effective worker count.
 unsigned ResolveThreads(unsigned num_threads);
 
-/// Worker count ParallelFor/ParallelForWorker will actually use for `count`
-/// iterations and a requested `num_threads` (0 = hardware concurrency,
-/// clamped to `count`, at least 1). Callers that keep per-worker state
-/// (e.g. one core::QueryScratch per worker) size it with this.
+/// Worker count ParallelForWorker/ParallelForChunked will actually use for
+/// `count` iterations and a requested `num_threads` (0 = hardware
+/// concurrency, clamped to `count`, at least 1). Callers that keep
+/// per-worker state (e.g. one core::QueryScratch per worker) size it with
+/// this.
 unsigned ResolveWorkers(size_t count, unsigned num_threads);
 
-/// Runs `fn(i)` for every i in [0, count) across up to `num_threads` worker
-/// threads (0 = hardware concurrency). Blocks until all iterations finish.
-/// Used by the server-side pre-computation (one Dijkstra per border node /
-/// landmark / source), which is embarrassingly parallel.
-void ParallelFor(size_t count, const std::function<void(size_t)>& fn,
-                 unsigned num_threads = 0);
-
-/// Like ParallelFor but also hands `fn` the worker index in
-/// [0, ResolveWorkers(count, num_threads)). The worker index is stable for
-/// the duration of the call, so `fn` may index per-worker scratch with it;
+/// Runs `fn(worker, i)` for every i in [0, count) across up to
+/// `num_threads` worker threads (0 = hardware concurrency), handing `fn`
+/// the worker index in [0, ResolveWorkers(count, num_threads)). Blocks
+/// until all iterations finish. The worker index is stable for the
+/// duration of the call, so `fn` may index per-worker scratch with it;
 /// which iterations land on which worker is scheduling-dependent, so
 /// results must not depend on the partition (see the AirSystem scratch
-/// contract).
+/// contract). ParallelForChunked with a chunk of 1.
 void ParallelForWorker(
     size_t count, const std::function<void(unsigned, size_t)>& fn,
     unsigned num_threads = 0);

@@ -204,7 +204,7 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
   algo::DijkstraSearch(pg, query.source, t, flagged, s.search);
   const graph::Dist dist = s.search.DistTo(t);
   run.cpu_ms += sw.ElapsedMs();
-  return run.Finish(dist, receive_status.ok() && dist != graph::kInfDist);
+  return run.FinishFullCycle(dist, receive_status, num_nodes_);
 }
 
 }  // namespace airindex::core

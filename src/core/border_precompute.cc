@@ -305,7 +305,7 @@ Result<BorderPrecompute> ComputeBorderPrecompute(
     // settle or above a reached target, and (`words` words) the regions on
     // its path from the root.
     algo::DAryHeap<std::pair<graph::Dist, graph::NodeId>> heap;
-    std::vector<graph::NodeId> settle_order;
+    std::vector<graph::NodeId> settled;
     std::vector<graph::Dist> dist;
     std::vector<Via> via;
     std::vector<PopKey> popped;
@@ -396,7 +396,7 @@ Result<BorderPrecompute> ComputeBorderPrecompute(
     };
 
     state.heap.clear();
-    state.settle_order.clear();
+    state.settled.clear();
     state.dist.assign(kernel_n, graph::kInfDist);
     state.pending.assign(kernel_n, 0);
     state.below.assign(kernel_n, 0);
@@ -482,7 +482,7 @@ Result<BorderPrecompute> ComputeBorderPrecompute(
       const auto [d, k] = state.heap.top();
       state.heap.pop();
       if (d != state.dist[k]) continue;  // stale entry
-      state.settle_order.push_back(k);
+      state.settled.push_back(k);
       const graph::NodeId c = kernel.kernel_nodes[k];
       level_max = d == level ? std::max(level_max, c) : c;
       level = d;
@@ -493,7 +493,7 @@ Result<BorderPrecompute> ComputeBorderPrecompute(
       }
     }
 
-    for (graph::NodeId k : state.settle_order) {
+    for (graph::NodeId k : state.settled) {
       uint64_t* mask = state.kernel_mask.data() + k * words;
       const Via& via = state.via[k];
       if (via.from != graph::kInvalidNode) {
@@ -604,8 +604,7 @@ Result<BorderPrecompute> ComputeBorderPrecompute(
       }
     }
 
-    for (auto it = state.settle_order.rbegin();
-         it != state.settle_order.rend(); ++it) {
+    for (auto it = state.settled.rbegin(); it != state.settled.rend(); ++it) {
       const graph::NodeId k = *it;
       if (!state.below[k]) continue;
       mark(kernel.kernel_nodes[k]);

@@ -91,4 +91,12 @@ device::QueryMetrics ClientRun::Finish(graph::Dist distance, bool ok) const {
   return m;
 }
 
+device::QueryMetrics ClientRun::FinishFullCycle(graph::Dist distance,
+                                                const Status& receive,
+                                                size_t network_nodes) const {
+  return Finish(distance,
+                receive.ok() && distance != graph::kInfDist &&
+                    scratch_.partial_graph.known_count() >= network_nodes);
+}
+
 }  // namespace airindex::core

@@ -8,6 +8,7 @@
 
 #include "broadcast/channel.h"
 #include "broadcast/serialization.h"
+#include "common/status.h"
 #include "core/air_system.h"
 #include "core/query_scratch.h"
 #include "device/memory_tracker.h"
@@ -110,6 +111,16 @@ class ClientRun {
   /// the caller's to set on the result. Failed queries report what the
   /// radio did too: call Finish(graph::kInfDist, false).
   device::QueryMetrics Finish(graph::Dist distance, bool ok) const;
+
+  /// Finish for the full-cycle methods (DJ, LD, AF, SPQ, HiTi): ok only
+  /// when the `receive` status is ok, the search reached the target, and
+  /// the decoded records cover the system's `network_nodes` nodes. A
+  /// segment the cycle lacks never arrives and one Decodable refuses adds
+  /// nothing, both with the receive status ok; a search over the remaining
+  /// records can still reach the target, over a longer path.
+  device::QueryMetrics FinishFullCycle(graph::Dist distance,
+                                       const Status& receive,
+                                       size_t network_nodes) const;
 
   broadcast::ClientSession session;
   device::MemoryTracker memory;

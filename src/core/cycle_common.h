@@ -25,13 +25,12 @@ inline constexpr uint32_t kNetworkChunkNodes = 512;
 /// every reproduction number was measured with and stays the default —
 /// kCompact is the continental-scale option (see broadcast/serialization.h).
 /// The encoding is baked into the built cycle, remembered by the system,
-/// and applied to all its client-side decoding; it is part of the
-/// SystemRegistry cache key.
+/// and applied to all its client-side decoding.
 ///
 /// `precompute_threads` caps the server-side pre-computation workers
 /// (0 = hardware concurrency). It never affects the built bytes — the
-/// precompute merge is commutative, pinned by test — so it is deliberately
-/// NOT part of the registry key.
+/// precompute merge is commutative, pinned by test — so EB and NR builds
+/// of any thread counts share one core::SharedBorderPrecompute.
 struct BuildConfig {
   broadcast::CycleEncoding encoding = broadcast::CycleEncoding::kLegacy;
   unsigned precompute_threads = 0;

@@ -12,6 +12,7 @@ Result<std::unique_ptr<DijkstraOnAir>> DijkstraOnAir::Build(
     const graph::Graph& g, const BuildConfig& config) {
   auto sys = std::unique_ptr<DijkstraOnAir>(new DijkstraOnAir());
   sys->encoding_ = config.encoding;
+  sys->num_nodes_ = static_cast<uint32_t>(g.num_nodes());
   broadcast::CycleBuilder builder;
   AppendNetworkSegments(g, &builder, kNetworkChunkNodes, config.encoding);
   AIRINDEX_ASSIGN_OR_RETURN(sys->cycle_, std::move(builder).Finalize(
@@ -47,7 +48,7 @@ device::QueryMetrics DijkstraOnAir::RunQuery(
                        s.search);
   const graph::Dist dist = s.search.DistTo(query.target);
   run.cpu_ms += sw.ElapsedMs();
-  return run.Finish(dist, receive_status.ok() && dist != graph::kInfDist);
+  return run.FinishFullCycle(dist, receive_status, num_nodes_);
 }
 
 }  // namespace airindex::core

@@ -31,6 +31,7 @@ class DijkstraOnAir : public AirSystem {
   DijkstraOnAir() = default;
 
   broadcast::BroadcastCycle cycle_;
+  uint32_t num_nodes_ = 0;
   broadcast::CycleEncoding encoding_ = broadcast::CycleEncoding::kLegacy;
 };
 

@@ -161,7 +161,7 @@ device::QueryMetrics HiTiOnAir::RunQuery(
     }
   }
   run.cpu_ms += sw.ElapsedMs();
-  return run.Finish(dist, receive_status.ok() && dist != graph::kInfDist);
+  return run.FinishFullCycle(dist, receive_status, num_nodes_);
 }
 
 }  // namespace airindex::core

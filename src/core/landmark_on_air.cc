@@ -173,7 +173,7 @@ device::QueryMetrics LandmarkOnAir::RunQuery(
   algo::AStarSearch(pg, query.source, query.target, lower_bound, s.search);
   const graph::Dist dist = s.search.DistTo(query.target);
   run.cpu_ms += sw.ElapsedMs();
-  return run.Finish(dist, receive_status.ok() && dist != graph::kInfDist);
+  return run.FinishFullCycle(dist, receive_status, num_nodes_);
 }
 
 }  // namespace airindex::core

@@ -1,7 +1,7 @@
 #include "core/nr.h"
 
-#include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "common/byte_io.h"
 #include "core/client_run.h"
@@ -14,13 +14,13 @@ namespace {
 using broadcast::PayloadPackets;
 using broadcast::ReceivedSegment;
 
-bool RangeOkClamped(const ReceivedSegment& seg, size_t begin, size_t end) {
-  return seg.RangeOk(begin, std::min(end, seg.payload.size()));
-}
-
-bool RangeOkClamped(const ReceivedSegment& seg,
-                    std::pair<size_t, size_t> range) {
-  return RangeOkClamped(seg, range.first, range.second);
+/// Whether the index bytes `range` arrived. A range not wholly inside the
+/// payload is not intact: a segment shorter than an index (another segment
+/// a wrong directory pointed at) holds no such bytes.
+bool RangeIntact(const ReceivedSegment& seg,
+                 std::pair<size_t, size_t> range) {
+  return range.second <= seg.payload.size() &&
+         seg.RangeOk(range.first, range.second);
 }
 
 /// Reads a geometry entry straight out of a (possibly holey) index payload.
@@ -176,6 +176,13 @@ device::QueryMetrics NrSystem::RunQuery(
     return start.has_value();
   };
 
+  // Receives the index a geometry entry points at. False when the segment
+  // there is no index: the directory belongs to another cycle.
+  auto fetch_index = [&](uint32_t start, ReceivedSegment* out) {
+    region.Fetch(start, out);
+    return out->type == broadcast::SegmentType::kLocalIndex;
+  };
+
   std::vector<uint8_t>& received = s.region_flags;
   received.clear();
   bool mapped = false;
@@ -211,7 +218,7 @@ device::QueryMetrics NrSystem::RunQuery(
               : 0;
       const bool header_ok =
           reg_count >= 2 && reg_count <= 256 &&
-          RangeOkClamped(*idx_seg, NrIndex::SplitsRange(reg_count));
+          RangeIntact(*idx_seg, NrIndex::SplitsRange(reg_count));
       if (!header_ok) {
         if (!receive_some_index(idx_seg)) return region.Fail();
         continue;
@@ -244,7 +251,7 @@ device::QueryMetrics NrSystem::RunQuery(
     // [rs][rt] plus one geometry entry are needed (§5.1's point: per local
     // index the client reads one value).
     const bool cell_ok =
-        RangeOkClamped(*idx_seg, NrIndex::CellRange(R, rs, rt));
+        RangeIntact(*idx_seg, NrIndex::CellRange(R, rs, rt));
     graph::RegionId region_id = 0;
     NrIndex::RegionGeometry geom;
     bool have_geom = false;
@@ -254,7 +261,7 @@ device::QueryMetrics NrSystem::RunQuery(
           idx_seg->payload[NrIndex::CellRange(R, rs, rt).first];
       if (next_r >= R) return region.Fail();
       if (received[next_r]) break;  // client already possesses R_nxt
-      if (RangeOkClamped(*idx_seg, NrIndex::PositionRange(R, next_r))) {
+      if (RangeIntact(*idx_seg, NrIndex::PositionRange(R, next_r))) {
         region_id = next_r;
         geom = ReadGeometry(*idx_seg, R, next_r);
         have_geom = true;
@@ -265,8 +272,7 @@ device::QueryMetrics NrSystem::RunQuery(
       // lost. Receive the region adjacent to this index anyway; its
       // geometry entry is in the same index.
       region_id = static_cast<graph::RegionId>(expected_id);
-      if (RangeOkClamped(*idx_seg,
-                         NrIndex::PositionRange(R, region_id))) {
+      if (RangeIntact(*idx_seg, NrIndex::PositionRange(R, region_id))) {
         geom = ReadGeometry(*idx_seg, R, region_id);
         have_geom = true;
       } else {
@@ -280,7 +286,7 @@ device::QueryMetrics NrSystem::RunQuery(
         idx_start =
             (geom.cross_start + geom.cross_packets + geom.local_packets) %
             total;
-        region.Fetch(idx_start, idx_seg);
+        if (!fetch_index(idx_start, idx_seg)) return region.Fail();
         expected_id = (expected_id + 1) % static_cast<int>(R);
         progressed = true;
         continue;
@@ -299,7 +305,7 @@ device::QueryMetrics NrSystem::RunQuery(
     const uint32_t next_idx_start =
         (geom.cross_start + geom.cross_packets + geom.local_packets) % total;
     ReceivedSegment* next_idx = s.segments.Acquire();
-    region.Fetch(next_idx_start, next_idx);
+    if (!fetch_index(next_idx_start, next_idx)) return region.Fail();
     received[region_id] = 1;
     progressed = true;
     s.segments.Recycle(idx_seg);

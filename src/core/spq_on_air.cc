@@ -160,7 +160,7 @@ device::QueryMetrics SpqOnAir::RunQuery(
     dist = idx.Query(pg, query.source, query.target).dist;
   }
   run.cpu_ms += sw.ElapsedMs();
-  return run.Finish(dist, receive_status.ok() && dist != graph::kInfDist);
+  return run.FinishFullCycle(dist, receive_status, num_nodes_);
 }
 
 }  // namespace airindex::core

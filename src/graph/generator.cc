@@ -299,9 +299,9 @@ Result<Graph> GenerateRoadNetwork(const GenSpec& spec) {
   // kd-tree splits are not degenerate. Pure per-node hash => any thread
   // count yields the same bytes.
   std::vector<Point> pts(n);
-  ParallelFor(
+  ParallelForWorker(
       rows,
-      [&](size_t r) {
+      [&](unsigned, size_t r) {
         for (uint32_t c = 0; c < cols; ++c) {
           const uint64_t v = r * cols + c;
           if (v >= n) break;
@@ -317,9 +317,9 @@ Result<Graph> GenerateRoadNetwork(const GenSpec& spec) {
   // function of the spec) and concatenated in row order, so the arc list —
   // and hence the built CSR — is independent of the thread count.
   std::vector<std::vector<EdgeTriplet>> row_edges(rows);
-  ParallelFor(
+  ParallelForWorker(
       rows,
-      [&](size_t r) {
+      [&](unsigned, size_t r) {
         auto& out = row_edges[r];
         auto add_undirected = [&](uint32_t a, uint32_t b, double scale) {
           const Weight w = JitteredWeight(pts[a], pts[b], scale,

@@ -67,8 +67,6 @@ size_t Graph::MemoryBytes() const {
 }
 
 uint64_t Fingerprint(const Graph& g) {
-  const uint64_t cached = g.fingerprint_.load();
-  if (cached != 0) return cached;
   // One multiply-xorshift step per 64-bit word (each step is a bijection of
   // the state for a fixed word), then a splitmix64 finalizer.
   uint64_t h = 0x243F6A8885A308D3ULL;
@@ -91,7 +89,6 @@ uint64_t Fingerprint(const Graph& g) {
   h ^= h >> 27;
   h *= 0x94D049BB133111EBULL;
   h ^= h >> 31;
-  g.fingerprint_.store(h);
   return h;
 }
 

@@ -1,7 +1,6 @@
 #ifndef AIRINDEX_GRAPH_GRAPH_H_
 #define AIRINDEX_GRAPH_GRAPH_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -32,36 +31,6 @@ class Graph {
   };
 
   Graph() = default;
-  // Spelled out for the cached fingerprint: a copy carries it, a moved-from
-  // graph (left empty) forgets it.
-  Graph(const Graph& other)
-      : offsets_(other.offsets_),
-        arcs_(other.arcs_),
-        coords_(other.coords_),
-        fingerprint_(other.fingerprint_.load()) {}
-  Graph& operator=(const Graph& other) {
-    if (this != &other) {
-      offsets_ = other.offsets_;
-      arcs_ = other.arcs_;
-      coords_ = other.coords_;
-      fingerprint_.store(other.fingerprint_.load());
-    }
-    return *this;
-  }
-  Graph(Graph&& other) noexcept
-      : offsets_(std::move(other.offsets_)),
-        arcs_(std::move(other.arcs_)),
-        coords_(std::move(other.coords_)),
-        fingerprint_(other.fingerprint_.exchange(0)) {}
-  Graph& operator=(Graph&& other) noexcept {
-    if (this != &other) {
-      offsets_ = std::move(other.offsets_);
-      arcs_ = std::move(other.arcs_);
-      coords_ = std::move(other.coords_);
-      fingerprint_.store(other.fingerprint_.exchange(0));
-    }
-    return *this;
-  }
 
   /// Builds a graph from node coordinates and directed edge triplets.
   /// Rejects out-of-range endpoints and self-loops.
@@ -110,18 +79,13 @@ class Graph {
   AlignedVector<uint32_t> offsets_;  // size num_nodes()+1
   AlignedVector<Arc> arcs_;
   std::vector<Point> coords_;
-  // Fingerprint(*this) once computed, 0 before (a graph whose hash is 0
-  // recomputes it on every call). Racing first calls store the same value.
-  mutable std::atomic<uint64_t> fingerprint_{0};
 };
 
 /// 64-bit content hash of `g`: node and arc counts, every CSR offset, every
 /// arc's (to, weight) and every coordinate's bit pattern, in O(n + m). Equal
 /// graphs hash equal wherever they live, so caches of derived structures
 /// key on it instead of on a graph's address (which a freed graph's
-/// successor can reuse). Computed on the first call and cached in the
-/// Graph, so later calls are O(1); thread-safe. Graphs that are never
-/// looked up (ArcFlag's per-query rebuilds) never pay for it.
+/// successor can reuse).
 uint64_t Fingerprint(const Graph& g);
 
 /// Incremental edge-list builder (convenience wrapper over Graph::Build).

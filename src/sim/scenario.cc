@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -176,12 +177,7 @@ Result<ScenarioResult> ScenarioRunner::Run(const Scenario& s) const {
                             graph::FindNetwork(s.network));
   AIRINDEX_ASSIGN_OR_RETURN(graph::Graph g,
                             graph::MakeNetwork(spec, s.scale));
-  auto result = Run(s, g);
-  // Registry keys are the graph's content fingerprint, so the entries stay
-  // valid after this frame's graph dies; they are evicted only to free the
-  // systems built for a run that no longer needs them.
-  core::SystemRegistry::Global().Evict(g);
-  return result;
+  return Run(s, g);
 }
 
 Result<ScenarioResult> ScenarioRunner::Run(const Scenario& s,
@@ -230,12 +226,13 @@ Result<ScenarioResult> ScenarioRunner::Run(const Scenario& s,
     }
   }
 
-  // One build per (method, knob) across all groups, via the registry.
-  core::SharedSystems shared;
+  // One build per system across all groups. Every system lives until the
+  // run ends, so EB's build reuses NR's border pre-computation.
+  std::vector<std::unique_ptr<core::AirSystem>> built;
   for (const std::string& name : systems) {
-    AIRINDEX_ASSIGN_OR_RETURN(
-        auto sys, core::SystemRegistry::Global().Get(g, name, s.params));
-    shared.push_back(std::move(sys));
+    AIRINDEX_ASSIGN_OR_RETURN(auto sys,
+                              core::BuildSystem(g, name, s.params));
+    built.push_back(std::move(sys));
   }
 
   ScenarioResult result;
@@ -296,7 +293,7 @@ Result<ScenarioResult> ScenarioRunner::Run(const Scenario& s,
       eo.cache_bytes = s.cache_bytes;
       EventEngine event_engine(g, eo);
       result.threads = event_engine.effective_threads();
-      for (const auto& sys : shared) {
+      for (const auto& sys : built) {
         gr.systems.push_back(event_engine.RunSystem(*sys, w));
       }
     } else {
@@ -315,7 +312,7 @@ Result<ScenarioResult> ScenarioRunner::Run(const Scenario& s,
       so.encoding = s.params.build.encoding;
       Simulator simulator(g, so);
       result.threads = simulator.effective_threads();
-      for (const auto& sys : shared) {
+      for (const auto& sys : built) {
         gr.systems.push_back(simulator.RunSystem(*sys, w));
       }
     }

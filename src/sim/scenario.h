@@ -145,7 +145,7 @@ Result<SystemResult> MergeGroupResults(std::span<const GroupResult> groups,
                                        size_t sys_index);
 
 /// Executes scenarios: compiles groups into workloads, builds each system
-/// once across all groups via core::SystemRegistry, fans every group
+/// once across all groups with core::BuildSystem, fans every group
 /// through sim::Simulator, and merges the fleet view.
 class ScenarioRunner {
  public:
@@ -166,11 +166,11 @@ class ScenarioRunner {
   ScenarioRunner() = default;
   explicit ScenarioRunner(RunOptions options) : options_(options) {}
 
-  /// Loads the scenario's catalog network, runs, and evicts the network's
-  /// registry entries afterwards (the graph dies with this call).
+  /// Loads the scenario's catalog network and runs on it.
   Result<ScenarioResult> Run(const Scenario& s) const;
 
-  /// Runs against a caller-owned graph (registry entries are kept).
+  /// Runs against a caller-owned graph. The systems are built here and
+  /// die with this call.
   Result<ScenarioResult> Run(const Scenario& s, const graph::Graph& g) const;
 
  private:

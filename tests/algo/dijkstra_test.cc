@@ -82,18 +82,6 @@ TEST(DijkstraTest, EdgeFilterBlocksPath) {
   EXPECT_EQ(ws.DistTo(4), graph::kInfDist);
 }
 
-TEST(DijkstraTest, MultiTargetStopsWhenAllSettled) {
-  graph::Graph g = SmallNetwork();
-  std::vector<graph::NodeId> targets = {1, 2, 3};
-  SearchWorkspace tree, full;
-  DijkstraToTargets(g, 0, targets, tree);
-  DijkstraAll(g, 0, full);
-  for (graph::NodeId t : targets) {
-    EXPECT_EQ(tree.DistTo(t), full.DistTo(t));
-  }
-  EXPECT_LE(tree.settled(), full.settled());
-}
-
 TEST(DijkstraTest, PathLengthDetectsMissingHop) {
   graph::Graph g = Line();
   EXPECT_EQ(PathLength(g, {0, 2}), graph::kInfDist);  // no direct edge

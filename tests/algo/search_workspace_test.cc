@@ -70,68 +70,6 @@ TEST(SearchWorkspaceTest, ReusedMatchesFreshBitExactly) {
   }
 }
 
-TEST(SearchWorkspaceTest, ToTargetsReusedMatchesFresh) {
-  graph::Graph g = SmallNetwork(400, 640, 7);
-  std::vector<graph::NodeId> targets = {3, 17, 17, 255, 399};  // incl. dup
-  SearchWorkspace ws;
-  for (graph::NodeId s : {0u, 5u, 123u}) {
-    SearchWorkspace fresh;
-    DijkstraToTargets(g, s, targets, fresh);
-    DijkstraToTargets(g, s, targets, ws);
-    EXPECT_EQ(fresh.settled(), ws.settled());
-    for (graph::NodeId t : targets) {
-      EXPECT_EQ(fresh.DistTo(t), ws.DistTo(t));
-    }
-  }
-}
-
-// DijkstraToTargets records the settle order: one entry per settled node,
-// by non-decreasing distance, each node after its parent. A reused
-// workspace records the same tree a fresh one does at every node, with
-// exact distances wherever a node was settled.
-TEST(SearchWorkspaceTest, ToTargetsRecordsSettleOrder) {
-  graph::Graph g = SmallNetwork(400, 640, 7);
-  std::vector<graph::NodeId> targets = {3, 17, 17, 255, 399};  // incl. dup
-  SearchWorkspace ws;
-  for (graph::NodeId s : {0u, 5u, 123u}) {
-    SearchWorkspace fresh, full;
-    DijkstraToTargets(g, s, targets, fresh);
-    DijkstraAll(g, s, full);
-    DijkstraToTargets(g, s, targets, ws);
-    const std::vector<graph::NodeId>& order = ws.settle_order();
-    ASSERT_EQ(order.size(), ws.settled());
-    ASSERT_FALSE(order.empty());
-    EXPECT_EQ(order.front(), s);
-
-    std::vector<bool> seen(g.num_nodes(), false);
-    graph::Dist prev = 0;
-    for (graph::NodeId v : order) {
-      EXPECT_FALSE(seen[v]) << "node " << v << " settled twice";
-      EXPECT_GE(ws.DistTo(v), prev) << "node " << v;
-      prev = ws.DistTo(v);
-      const graph::NodeId p = ws.ParentOf(v);
-      if (v == s) {
-        EXPECT_EQ(p, graph::kInvalidNode);
-      } else {
-        ASSERT_NE(p, graph::kInvalidNode) << "node " << v;
-        EXPECT_TRUE(seen[p]) << "parent of " << v << " settled later";
-      }
-      seen[v] = true;
-      EXPECT_EQ(full.DistTo(v), fresh.DistTo(v)) << "node " << v;
-    }
-    for (graph::NodeId t : targets) EXPECT_TRUE(seen[t]) << "target " << t;
-
-    EXPECT_EQ(fresh.settled(), ws.settled());
-    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      ASSERT_EQ(fresh.DistTo(v), ws.DistTo(v)) << "node " << v;
-      ASSERT_EQ(fresh.ParentOf(v), ws.ParentOf(v)) << "node " << v;
-    }
-  }
-  // The other kernels record nothing, and a new search drops the old order.
-  DijkstraSearch(g, 0, 17, AllEdges{}, ws);
-  EXPECT_TRUE(ws.settle_order().empty());
-}
-
 // Reuse across many searches — including searches over graphs of different
 // sizes — must never leak state between runs.
 TEST(SearchWorkspaceTest, ReuseAcrossGraphSizesIsClean) {

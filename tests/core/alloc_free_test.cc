@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 #include <tuple>
@@ -21,6 +22,7 @@
 #include "core/query_scratch.h"
 #include "core/systems.h"
 #include "graph/catalog.h"
+#include "testing/air_systems.h"
 #include "workload/workload.h"
 
 namespace {
@@ -100,16 +102,29 @@ void operator delete[](void* p, std::align_val_t,
 namespace airindex::core {
 namespace {
 
+const graph::Graph& Germany() {
+  static const graph::Graph& g = *new graph::Graph(
+      graph::MakeNetwork(graph::FindNetwork("Germany").value(), 0.1)
+          .value());
+  return g;
+}
+
+/// The system of `method`, built once per binary with the other default
+/// methods.
+const AirSystem* System(const std::string& method) {
+  static const auto& systems = *new std::vector<std::unique_ptr<AirSystem>>(
+      BuildSystems(Germany(), {}).value());
+  return testing_support::FindSystem(systems, method);
+}
+
 class AllocFreeTest
     : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(AllocFreeTest, WarmScratchQueriesDoNotAllocate) {
   const auto& [method, loss] = GetParam();
-  static const graph::Graph& g = *new graph::Graph(
-      graph::MakeNetwork(graph::FindNetwork("Germany").value(), 0.1)
-          .value());
-  auto sys = SystemRegistry::Global().Get(g, method);
-  ASSERT_TRUE(sys.ok()) << sys.status().ToString();
+  const graph::Graph& g = Germany();
+  const AirSystem* sys = System(method);
+  ASSERT_NE(sys, nullptr) << method;
   auto w = workload::GenerateWorkload(g, 24, 3);
   ASSERT_TRUE(w.ok());
 
@@ -119,7 +134,7 @@ TEST_P(AllocFreeTest, WarmScratchQueriesDoNotAllocate) {
   channels.reserve(w->queries.size());
   std::vector<AirQuery> queries;
   for (size_t i = 0; i < w->queries.size(); ++i) {
-    channels.emplace_back(&(*sys)->cycle(), loss, 77 + i);
+    channels.emplace_back(&sys->cycle(), loss, 77 + i);
     queries.push_back(MakeAirQuery(g, w->queries[i]));
   }
 
@@ -130,7 +145,7 @@ TEST_P(AllocFreeTest, WarmScratchQueriesDoNotAllocate) {
       // The first pass warms the scratch to every query's shape.
       const uint64_t before = t_allocations;
       const device::QueryMetrics m =
-          (*sys)->RunQuery(channels[i], queries[i], {}, &scratch);
+          sys->RunQuery(channels[i], queries[i], {}, &scratch);
       const uint64_t allocations = t_allocations - before;
       if (pass == 0) continue;
       EXPECT_EQ(allocations, 0u) << method << " loss=" << loss << " query "

@@ -43,11 +43,13 @@ std::vector<bool> NeededSet(const BorderPrecompute& pre, graph::RegionId i,
 }
 
 // The four arrays as the straightforward per-target parent walk computes
-// them: for every border source, one Dijkstra to the border targets, then a
-// walk from each reached target back up to the source, or-ing in the
-// region of and marking cross-border every node on the way. This is the
-// O(|B|^2 * path length) definition ComputeBorderPrecompute's settle-order
-// sweeps must reproduce exactly.
+// them: for every border source, one full Dijkstra, then a walk from each
+// reached target back up to the source, or-ing in the region of and
+// marking cross-border every node on the way. (A search stopped once every
+// border target settles leaves them the same parents: the kernel's pop
+// order is a pure function of the graph.) This is the O(|B|^2 * path
+// length) definition ComputeBorderPrecompute's settle-order sweeps must
+// reproduce exactly.
 struct ParentWalkReference {
   std::vector<graph::Dist> min_rr;
   std::vector<graph::Dist> max_rr;
@@ -68,7 +70,7 @@ ParentWalkReference ComputeByParentWalk(const graph::Graph& g,
   ref.cross_border.assign(g.num_nodes(), 0);
   algo::SearchWorkspace tree;
   for (graph::NodeId b : B) {
-    algo::DijkstraToTargets(g, b, B, tree);
+    algo::DijkstraAll(g, b, tree);
     for (graph::NodeId b2 : B) {
       const graph::Dist d = tree.DistTo(b2);
       if (d == graph::kInfDist) continue;

@@ -13,16 +13,17 @@
 #include <tuple>
 #include <vector>
 
-#include "broadcast/channel.h"
 #include "broadcast/cycle.h"
 #include "common/byte_io.h"
-#include "core/query_scratch.h"
 #include "core/systems.h"
 #include "graph/catalog.h"
+#include "testing/air_systems.h"
 #include "workload/workload.h"
 
 namespace airindex::core {
 namespace {
+
+using testing_support::Rewritten;
 
 constexpr size_t kQueries = 8;
 
@@ -33,28 +34,21 @@ const graph::Graph& Germany() {
   return g;
 }
 
-std::shared_ptr<const AirSystem> System(const std::string& method) {
-  SystemParams params;
-  params.arcflag_regions = 32;
-  params.hiti_regions = 32;
-  params.include_spq = true;
-  params.include_hiti = true;
-  auto sys = SystemRegistry::Global().Get(Germany(), method, params);
-  EXPECT_TRUE(sys.ok()) << sys.status().ToString();
-  return sys.ok() ? *sys : nullptr;
-}
-
-/// `cycle` with every segment passed through `rewrite`, which edits the
-/// segment in place and returns false to drop it.
-template <typename Rewrite>
-broadcast::BroadcastCycle Rewritten(const broadcast::BroadcastCycle& cycle,
-                                    Rewrite rewrite) {
-  broadcast::CycleBuilder builder;
-  for (size_t i = 0; i < cycle.num_segments(); ++i) {
-    broadcast::Segment seg = cycle.segment(i);
-    if (rewrite(seg)) builder.Add(std::move(seg));
-  }
-  return std::move(builder).Finalize(/*require_index=*/false).value();
+/// The system of `method`, built once per binary with the others it
+/// covers.
+const AirSystem* System(const std::string& method) {
+  static const auto& systems = *new std::vector<std::unique_ptr<AirSystem>>(
+      [] {
+        SystemParams params;
+        params.arcflag_regions = 32;
+        params.hiti_regions = 32;
+        std::vector<std::unique_ptr<AirSystem>> built;
+        for (const char* name : {"AF", "SPQ", "HiTi"}) {
+          built.push_back(BuildSystem(Germany(), name, params).value());
+        }
+        return built;
+      }());
+  return testing_support::FindSystem(systems, method);
 }
 
 void SetU32(std::vector<uint8_t>& buf, size_t offset, uint32_t v) {
@@ -67,21 +61,9 @@ void SetU32(std::vector<uint8_t>& buf, size_t offset, uint32_t v) {
 /// ok; each ok answer must equal Dijkstra's distance.
 size_t OkAnswers(const AirSystem& sys, const broadcast::BroadcastCycle& cycle,
                  const std::string& label) {
-  auto w = workload::GenerateWorkload(Germany(), kQueries, 17);
-  EXPECT_TRUE(w.ok());
-  if (!w.ok()) return 0;
-  broadcast::BroadcastChannel channel(&cycle, 0.0);
-  QueryScratch scratch;
-  size_t ok = 0;
-  for (const workload::Query& q : w->queries) {
-    const device::QueryMetrics m =
-        sys.RunQuery(channel, MakeAirQuery(Germany(), q), {}, &scratch);
-    if (!m.ok) continue;
-    ++ok;
-    EXPECT_EQ(m.distance, q.true_dist)
-        << label << " " << q.source << "->" << q.target;
-  }
-  return ok;
+  static const auto& w = *new workload::Workload(
+      workload::GenerateWorkload(Germany(), kQueries, 17).value());
+  return testing_support::OkAnswers(sys, Germany(), w, cycle, label);
 }
 
 enum class BadArc { kSelfLoop, kHeadPastNodes };

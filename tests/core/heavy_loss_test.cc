@@ -9,36 +9,53 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "broadcast/channel.h"
 #include "core/query_scratch.h"
 #include "core/systems.h"
 #include "graph/catalog.h"
+#include "testing/air_systems.h"
 #include "workload/workload.h"
 
 namespace airindex::core {
 namespace {
+
+const graph::Graph& Germany() {
+  static const graph::Graph& g = *new graph::Graph(
+      graph::MakeNetwork(graph::FindNetwork("Germany").value(), 0.1)
+          .value());
+  return g;
+}
+
+/// The system of `method`, built once per binary with every other method
+/// and the CLI's `run` knobs.
+const AirSystem* System(const std::string& method) {
+  static const auto& systems = *new std::vector<std::unique_ptr<AirSystem>>(
+      [] {
+        SystemParams params;
+        params.nr_regions = 32;
+        params.eb_regions = 32;
+        params.arcflag_regions = 32;
+        params.hiti_regions = 32;
+        params.include_spq = true;
+        params.include_hiti = true;
+        return BuildSystems(Germany(), params).value();
+      }());
+  return testing_support::FindSystem(systems, method);
+}
 
 class HeavyLossTest
     : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(HeavyLossTest, QueriesReturnAndOkAnswersAreExact) {
   const auto& [method, loss] = GetParam();
-  static const graph::Graph& g = *new graph::Graph(
-      graph::MakeNetwork(graph::FindNetwork("Germany").value(), 0.1)
-          .value());
-  // The CLI's `run` knobs.
-  SystemParams params;
-  params.nr_regions = 32;
-  params.eb_regions = 32;
-  params.arcflag_regions = 32;
-  params.hiti_regions = 32;
-  params.include_spq = true;
-  params.include_hiti = true;
-  auto sys = SystemRegistry::Global().Get(g, method, params);
-  ASSERT_TRUE(sys.ok()) << sys.status().ToString();
+  const graph::Graph& g = Germany();
+  const AirSystem* sys = System(method);
+  ASSERT_NE(sys, nullptr) << method;
   auto w = workload::GenerateWorkload(g, 48, 11);
   ASSERT_TRUE(w.ok());
 
@@ -50,9 +67,9 @@ TEST_P(HeavyLossTest, QueriesReturnAndOkAnswersAreExact) {
     for (size_t i = 0; i < w->queries.size(); ++i) {
       const workload::Query& q = w->queries[i];
       // A loss stream per query, as the batch engine draws them.
-      broadcast::BroadcastChannel channel(&(*sys)->cycle(), loss, 1000 + i);
+      broadcast::BroadcastChannel channel(&sys->cycle(), loss, 1000 + i);
       const device::QueryMetrics m =
-          (*sys)->RunQuery(channel, MakeAirQuery(g, q), options, &scratch);
+          sys->RunQuery(channel, MakeAirQuery(g, q), options, &scratch);
       if (!m.ok) continue;
       ++ok;
       EXPECT_EQ(m.distance, q.true_dist)

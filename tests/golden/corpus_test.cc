@@ -220,8 +220,10 @@ std::string ConfigLine(const std::string& network, const Config& c) {
   return line;
 }
 
+using Systems = std::vector<std::unique_ptr<core::AirSystem>>;
+
 sim::BatchResult RunConfig(const graph::Graph& g, const Config& c,
-                           const core::SharedSystems& systems,
+                           const Systems& systems,
                            const workload::Workload& w,
                            const std::vector<double>& demand,
                            unsigned threads) {
@@ -342,10 +344,12 @@ void CheckNetwork(const Result<graph::Graph>& g, const std::string& tag) {
   params.landmarks = 4;
   params.include_spq = true;
   params.include_hiti = true;
-  auto legacy = core::SystemRegistry::Global().GetAll(*g, params);
+  // The legacy systems stay alive while the compact ones build, so both
+  // encodings share NR's and EB's border pre-computation.
+  auto legacy = core::BuildSystems(*g, params);
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
   params.build.encoding = broadcast::CycleEncoding::kCompact;
-  auto compact = core::SystemRegistry::Global().GetAll(*g, params);
+  auto compact = core::BuildSystems(*g, params);
   ASSERT_TRUE(compact.ok()) << compact.status().ToString();
   ASSERT_EQ(legacy->size(), 7u);
 
@@ -361,7 +365,7 @@ void CheckNetwork(const Result<graph::Graph>& g, const std::string& tag) {
       workload::DestinationWeights(g->num_nodes(), zipf);
 
   for (const Config& c : Matrix()) {
-    const core::SharedSystems& systems = c.compact ? *compact : *legacy;
+    const Systems& systems = c.compact ? *compact : *legacy;
     const workload::Workload& w = c.disks ? *w_zipf : *w_uniform;
     const std::vector<double> no_demand;
     const std::string config_line = ConfigLine(tag, c);
@@ -376,7 +380,6 @@ void CheckNetwork(const Result<graph::Graph>& g, const std::string& tag) {
       }
     }
   }
-  core::SystemRegistry::Global().Evict(*g);
 }
 
 TEST(GoldenCorpusTest, Germany) {

@@ -127,31 +127,6 @@ TEST(GraphTest, FingerprintFollowsContentNotAddress) {
             Fingerprint(Graph::Build(g.coords(), reweighted).value()));
 }
 
-TEST(GraphTest, CachedFingerprintTravelsWithCopiesNotMovedFromGraphs) {
-  const uint64_t empty = Fingerprint(Graph());
-  Graph g = Diamond();
-  const uint64_t diamond = Fingerprint(g);  // computed and cached here
-  Graph copy = g;
-  EXPECT_EQ(Fingerprint(copy), diamond);
-  Graph assigned;
-  assigned = g;
-  EXPECT_EQ(Fingerprint(assigned), diamond);
-
-  Graph moved = std::move(g);
-  EXPECT_EQ(Fingerprint(moved), diamond);
-  EXPECT_EQ(g.num_nodes(), 0u);  // NOLINT(bugprone-use-after-move)
-  EXPECT_EQ(Fingerprint(g), empty);
-  Graph move_assigned;
-  move_assigned = std::move(copy);
-  EXPECT_EQ(Fingerprint(move_assigned), diamond);
-  EXPECT_EQ(Fingerprint(copy), empty);  // NOLINT(bugprone-use-after-move)
-
-  // A cached value never outlives the content it was computed from: an
-  // assignment replaces both.
-  assigned = Graph();
-  EXPECT_EQ(Fingerprint(assigned), empty);
-}
-
 TEST(PendantForestTest, SplitsCoreAndTrees) {
   // A triangle 0 - 1 - 2 with the tree 0 - 3 - {4, 5} (3 -> 5 one-way) and
   // the leaf 6 on 2 (two parallel arcs 2 -> 6, one arc back); a separate

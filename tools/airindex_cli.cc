@@ -723,10 +723,12 @@ int Run(int argc, char** argv) {
   params.arcflag_regions = regions;
   params.hiti_regions = regions;
   params.landmarks = landmarks;
-  std::vector<std::shared_ptr<const core::AirSystem>> systems;
+  // Every system lives until the run ends, so EB's build reuses NR's
+  // border pre-computation.
+  std::vector<std::unique_ptr<core::AirSystem>> systems;
   std::vector<const core::AirSystem*> system_ptrs;
   for (const std::string& name : names) {
-    auto sys = core::SystemRegistry::Global().Get(*g, name, params);
+    auto sys = core::BuildSystem(*g, name, params);
     if (!sys.ok()) {
       std::fprintf(stderr, "%s\n", sys.status().ToString().c_str());
       return 1;
