@@ -12,6 +12,7 @@
 #include "core/systems.h"
 #include "device/energy.h"
 #include "graph/catalog.h"
+#include "sim/aggregate.h"
 #include "workload/workload.h"
 
 using namespace airindex;  // NOLINT: example binary
@@ -28,7 +29,7 @@ int main() {
   params.eb_regions = 16;
   params.nr_regions = 16;
   params.landmarks = 4;
-  auto systems = core::BuildSystems(city, params).value();
+  auto systems = core::BuildSystems(city, core::kMainSystems, params).value();
 
   // 60 commuters asking for routes at random instants.
   auto commuters = workload::GenerateWorkload(city, 60, 2024).value();
@@ -42,21 +43,18 @@ int main() {
   for (const auto& sys : systems) {
     broadcast::BroadcastChannel channel(&sys->cycle(), 0.0);
     std::vector<device::QueryMetrics> metrics;
-    double joules = 0;
     for (const auto& q : commuters.queries) {
-      auto m =
-          sys->RunQuery(channel, core::MakeAirQuery(city, q), {}, &scratch);
-      joules += energy.QueryJoules(m);
-      metrics.push_back(m);
+      metrics.push_back(
+          sys->RunQuery(channel, core::MakeAirQuery(city, q), {}, &scratch));
     }
-    auto s = device::MetricsSummary::Of(metrics);
+    const auto a = sim::Aggregate::Of(sys->name(), metrics, energy);
     std::printf("%-6s %12.0f %12.2f %10.0f %10.2f %10.3f\n",
-                std::string(sys->name()).c_str(), s.avg_tuning_packets,
+                a.system.c_str(), a.tuning_packets.mean,
                 device::CycleSeconds(
-                    static_cast<uint64_t>(s.avg_latency_packets),
+                    static_cast<uint64_t>(a.latency_packets.mean),
                     device::kBitrateStatic3G),
-                s.avg_peak_memory_bytes / 1024.0, s.avg_cpu_ms,
-                joules / static_cast<double>(commuters.queries.size()));
+                a.peak_memory_bytes.mean / 1024.0, a.cpu_ms.mean,
+                a.energy_joules.mean);
   }
   std::printf(
       "\nSelective tuning (NR, EB) receives a handful of regions instead\n"

@@ -24,7 +24,7 @@ namespace airindex::core {
 /// The paper precomputes paths between border nodes of *different* regions;
 /// we additionally include same-region border pairs, which defines the
 /// diagonal of A and keeps both methods exact when source and destination
-/// fall into the same region (see DESIGN.md).
+/// fall into the same region (see docs/reproduction.md).
 struct BorderPrecompute {
   partition::Partitioning part;
   partition::BorderInfo borders;

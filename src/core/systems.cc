@@ -10,13 +10,6 @@
 
 namespace airindex::core {
 
-std::vector<std::string_view> SystemNames(const SystemParams& params) {
-  std::vector<std::string_view> names = {"DJ", "NR", "EB", "LD", "AF"};
-  if (params.include_spq) names.push_back("SPQ");
-  if (params.include_hiti) names.push_back("HiTi");
-  return names;
-}
-
 Result<std::unique_ptr<AirSystem>> BuildSystem(const graph::Graph& g,
                                                std::string_view method,
                                                const SystemParams& params) {
@@ -59,9 +52,10 @@ Result<std::unique_ptr<AirSystem>> BuildSystem(const graph::Graph& g,
 }
 
 Result<std::vector<std::unique_ptr<AirSystem>>> BuildSystems(
-    const graph::Graph& g, const SystemParams& params) {
+    const graph::Graph& g, std::span<const std::string_view> names,
+    const SystemParams& params) {
   std::vector<std::unique_ptr<AirSystem>> systems;
-  for (std::string_view name : SystemNames(params)) {
+  for (std::string_view name : names) {
     AIRINDEX_ASSIGN_OR_RETURN(auto sys, BuildSystem(g, name, params));
     systems.push_back(std::move(sys));
   }

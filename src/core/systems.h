@@ -1,7 +1,9 @@
 #ifndef AIRINDEX_CORE_SYSTEMS_H_
 #define AIRINDEX_CORE_SYSTEMS_H_
 
+#include <array>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,10 +23,6 @@ struct SystemParams {
   uint32_t nr_regions = 32;
   uint32_t landmarks = 4;
   uint32_t hiti_regions = 32;
-  /// SPQ/HiTi pre-computation is all-pairs-ish; skip them for large inputs
-  /// unless the experiment needs their cycle sizes (Table 1).
-  bool include_spq = false;
-  bool include_hiti = false;
 
   /// Cycle encoding and build-time parallelism knobs shared by every
   /// method (see BuildConfig).
@@ -33,9 +31,14 @@ struct SystemParams {
   bool operator==(const SystemParams&) const = default;
 };
 
-/// Method names in the paper's Table 1 order, honouring the params'
-/// include_spq/include_hiti flags: DJ, NR, EB, LD, AF (, SPQ, HiTi).
-std::vector<std::string_view> SystemNames(const SystemParams& params);
+/// Every method's paper name, in Table 1 order.
+inline constexpr std::array<std::string_view, 7> kAllSystems = {
+    "DJ", "NR", "EB", "LD", "AF", "SPQ", "HiTi"};
+
+/// The first five of kAllSystems: the paper's main comparison, without
+/// SPQ and HiTi, whose pre-computation is all-pairs-flavoured.
+inline constexpr std::span<const std::string_view> kMainSystems =
+    std::span(kAllSystems).first(5);
 
 /// Builds one method by its paper name ("DJ", "NR", "EB", "LD", "AF",
 /// "SPQ", "HiTi"), taking its knob from `params`.
@@ -43,12 +46,12 @@ Result<std::unique_ptr<AirSystem>> BuildSystem(const graph::Graph& g,
                                                std::string_view method,
                                                const SystemParams& params);
 
-/// Builds the evaluated systems in the paper's Table 1 order
-/// (DJ, NR, EB, LD, AF, then optionally SPQ and HiTi). NR is alive while
-/// EB builds, so the two share one border pre-computation
-/// (core::SharedBorderPrecompute).
+/// Builds the named methods in the given order. Every system stays alive
+/// until all are built, so EB reuses NR's border pre-computation
+/// (core::SharedBorderPrecompute) when NR comes first.
 Result<std::vector<std::unique_ptr<AirSystem>>> BuildSystems(
-    const graph::Graph& g, const SystemParams& params);
+    const graph::Graph& g, std::span<const std::string_view> names,
+    const SystemParams& params);
 
 }  // namespace airindex::core
 

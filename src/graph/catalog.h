@@ -35,7 +35,7 @@ Result<NetworkSpec> FindNetwork(std::string_view name);
 /// Generates the synthetic replica of `spec`, optionally scaled down.
 /// `scale` multiplies both node and edge counts (edge count floored at
 /// nodes-1 so the network stays connected); scale=1.0 reproduces the paper's
-/// exact sizes. See DESIGN.md §4 for why synthetic replicas preserve the
+/// exact sizes. See docs/reproduction.md for why synthetic replicas keep the
 /// paper's observable behaviour.
 Result<Graph> MakeNetwork(const NetworkSpec& spec, double scale = 1.0);
 

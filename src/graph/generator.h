@@ -18,7 +18,7 @@ namespace airindex::graph {
 /// filled with the shortest unused nearest-neighbour links. Edge weights are
 /// rounded Euclidean lengths, so the triangle-inequality locality that makes
 /// road-network pruning work (short detours, metric-ish distances) is
-/// preserved. See DESIGN.md §4 (Substitutions).
+/// preserved. See docs/reproduction.md (Substitutions).
 struct GeneratorOptions {
   /// Number of nodes (> 1).
   uint32_t num_nodes = 1000;

@@ -12,7 +12,7 @@ namespace airindex::partition {
 /// Regular-grid partitioning (§4.1's "straightforward approach"): a k x m
 /// grid of equi-sized cells over the network extent. The paper dismisses it
 /// because cell populations are highly skewed; we keep it as the ablation
-/// baseline (bench_ablation_partitioning).
+/// baseline (`airindex_cli paper ablation-partitioning`).
 class GridPartitioner {
  public:
   /// Builds a cols x rows grid covering the bounding box of `g`'s nodes.

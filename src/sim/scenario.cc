@@ -67,16 +67,11 @@ Result<uint64_t> GetUintAtMostOr(const JsonValue& obj, std::string_view key,
   return v;
 }
 
-const std::vector<std::string>& AllSystems() {
-  static const std::vector<std::string> kAll = {"DJ", "NR", "EB",  "LD",
-                                                "AF", "SPQ", "HiTi"};
-  return kAll;
-}
-
 }  // namespace
 
 std::vector<std::string> Scenario::EffectiveSystems() const {
-  return systems.empty() ? AllSystems() : systems;
+  if (!systems.empty()) return systems;
+  return {core::kAllSystems.begin(), core::kAllSystems.end()};
 }
 
 Result<std::vector<size_t>> ResolveGroupCounts(const Scenario& s) {

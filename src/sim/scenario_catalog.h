@@ -18,8 +18,8 @@ namespace airindex::sim {
 ///   lossy-tunnel        — twin groups differing only in loss model
 ///                         (independent vs bursty at the same rate)
 ///   mixed-fleet         — smartphones, sensors, and feature phones at once
-/// Every entry runs all seven systems at smoke-test scale; benches and the
-/// CLI override scale/queries for bigger runs.
+/// Every entry runs all seven systems at smoke-test scale; the CLI's
+/// `scenario` and `paper` commands override scale/queries for bigger runs.
 std::span<const Scenario> ScenarioCatalog();
 
 /// Looks a built-in scenario up by name; InvalidArgument lists the known

@@ -42,18 +42,5 @@ TEST(FlagsTest, UintHonoursMax) {
   EXPECT_FALSE(ParseUint("<nodes>", "4294967296", &u, 0xFFFFFFFFull));
 }
 
-TEST(FlagsTest, FlagFormNamesTheFlag) {
-  testing::internal::CaptureStderr();
-  double d = 0.0;
-  EXPECT_FALSE(ParseDoubleFlag("--loss=abc", 7, &d));
-  EXPECT_EQ(testing::internal::GetCapturedStderr(),
-            "invalid value for --loss: \"abc\"\n");
-  testing::internal::CaptureStderr();
-  uint64_t u = 0;
-  EXPECT_TRUE(ParseUintFlag("--queries=12", 10, &u));
-  EXPECT_EQ(u, 12u);
-  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
-}
-
 }  // namespace
 }  // namespace airindex

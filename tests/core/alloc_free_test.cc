@@ -113,7 +113,7 @@ const graph::Graph& Germany() {
 /// methods.
 const AirSystem* System(const std::string& method) {
   static const auto& systems = *new std::vector<std::unique_ptr<AirSystem>>(
-      BuildSystems(Germany(), {}).value());
+      BuildSystems(Germany(), kMainSystems, {}).value());
   return testing_support::FindSystem(systems, method);
 }
 

@@ -50,9 +50,7 @@ Fleet MakeFleet(const std::string& network, double scale) {
   params.eb_regions = 16;
   params.arcflag_regions = 16;
   params.hiti_regions = 16;
-  params.include_spq = true;
-  params.include_hiti = true;
-  f.systems = BuildSystems(f.g, params).value();
+  f.systems = BuildSystems(f.g, kAllSystems, params).value();
   return f;
 }
 

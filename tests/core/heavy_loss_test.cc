@@ -41,9 +41,7 @@ const AirSystem* System(const std::string& method) {
         params.eb_regions = 32;
         params.arcflag_regions = 32;
         params.hiti_regions = 32;
-        params.include_spq = true;
-        params.include_hiti = true;
-        return BuildSystems(Germany(), params).value();
+        return BuildSystems(Germany(), kAllSystems, params).value();
       }());
   return testing_support::FindSystem(systems, method);
 }

@@ -30,9 +30,7 @@ class SystemsCorrectnessTest : public ::testing::TestWithParam<uint64_t> {
     params.nr_regions = 8;
     params.landmarks = 3;
     params.hiti_regions = 8;
-    params.include_spq = true;
-    params.include_hiti = true;
-    systems_ = BuildSystems(g_, params).value();
+    systems_ = BuildSystems(g_, kAllSystems, params).value();
     workload_ = workload::GenerateWorkload(g_, 12, GetParam() + 55).value();
   }
 
@@ -66,10 +64,8 @@ TEST_P(SystemsCorrectnessTest, AllMethodsExactWithCompactEncoding) {
   params.nr_regions = 8;
   params.landmarks = 3;
   params.hiti_regions = 8;
-  params.include_spq = true;
-  params.include_hiti = true;
   params.build.encoding = broadcast::CycleEncoding::kCompact;
-  auto compact_systems = BuildSystems(g_, params).value();
+  auto compact_systems = BuildSystems(g_, kAllSystems, params).value();
   for (const auto& sys : compact_systems) {
     broadcast::BroadcastChannel channel(&sys->cycle(), 0.0);
     for (const auto& q : workload_.queries) {
@@ -119,7 +115,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SystemsCorrectnessTest,
                          ::testing::Values(101, 102, 103));
 
 /// Same-region queries: the paper's methods must stay exact when source and
-/// destination fall into one region (our diagonal extension; DESIGN.md).
+/// destination fall into one region (our diagonal extension; see
+/// docs/reproduction.md).
 TEST(SystemsEdgeCaseTest, SameRegionQueriesAreExact) {
   QueryScratch scratch;
   graph::Graph g = SmallNetwork(400, 640, 777);

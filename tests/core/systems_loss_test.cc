@@ -25,7 +25,7 @@ TEST_P(SystemsLossTest, AllMethodsExactUnderLoss) {
   params.eb_regions = 8;
   params.nr_regions = 8;
   params.landmarks = 3;
-  auto systems = BuildSystems(g, params).value();
+  auto systems = BuildSystems(g, kMainSystems, params).value();
   auto w = workload::GenerateWorkload(g, 8, seed + 9).value();
 
   ClientOptions opts;
@@ -54,7 +54,7 @@ TEST(SystemsLossTest, LossIncreasesTuningTime) {
   SystemParams params;
   params.eb_regions = 8;
   params.nr_regions = 8;
-  auto systems = BuildSystems(g, params).value();
+  auto systems = BuildSystems(g, kMainSystems, params).value();
   auto w = workload::GenerateWorkload(g, 10, 602).value();
 
   for (const auto& sys : systems) {
@@ -83,7 +83,7 @@ TEST(SystemsLossTest, AllMethodsExactUnderBurstLoss) {
   params.eb_regions = 8;
   params.nr_regions = 8;
   params.landmarks = 3;
-  auto systems = BuildSystems(g, params).value();
+  auto systems = BuildSystems(g, kMainSystems, params).value();
   auto w = workload::GenerateWorkload(g, 6, 622).value();
   ClientOptions opts;
   opts.max_repair_cycles = 64;
@@ -154,7 +154,7 @@ TEST(SystemsLossTest, MemoryBoundClientsSurviveLoss) {
   SystemParams params;
   params.eb_regions = 8;
   params.nr_regions = 8;
-  auto systems = BuildSystems(g, params).value();
+  auto systems = BuildSystems(g, kMainSystems, params).value();
   auto w = workload::GenerateWorkload(g, 6, 612).value();
   ClientOptions opts;
   opts.memory_bound = true;

@@ -16,7 +16,7 @@ TEST(BuildSystemsTest, FollowsTableOneOrder) {
   params.arcflag_regions = 8;
   params.landmarks = 3;
 
-  auto systems = BuildSystems(g, params);
+  auto systems = BuildSystems(g, kMainSystems, params);
   ASSERT_TRUE(systems.ok());
   ASSERT_EQ(systems->size(), 5u);
   const char* order[5] = {"DJ", "NR", "EB", "LD", "AF"};
@@ -30,15 +30,24 @@ TEST(BuildSystemTest, UnknownMethodIsAnError) {
   EXPECT_FALSE(BuildSystem(g, "XX", {}).ok());
 }
 
-TEST(SystemNamesTest, HeavyMethodsAreOptIn) {
-  SystemParams params;
-  EXPECT_EQ(SystemNames(params).size(), 5u);
-  params.include_spq = true;
-  params.include_hiti = true;
-  auto names = SystemNames(params);
-  ASSERT_EQ(names.size(), 7u);
-  EXPECT_EQ(names[5], "SPQ");
-  EXPECT_EQ(names[6], "HiTi");
+TEST(BuildSystemsTest, BuildsTheNamedMethodsInTheGivenOrder) {
+  graph::Graph g = SmallNetwork(300, 480, 21);
+  const std::string_view names[] = {"EB", "DJ"};
+  auto systems = BuildSystems(g, names, {});
+  ASSERT_TRUE(systems.ok());
+  ASSERT_EQ(systems->size(), 2u);
+  EXPECT_EQ((*systems)[0]->name(), "EB");
+  EXPECT_EQ((*systems)[1]->name(), "DJ");
+  const std::string_view unknown[] = {"DJ", "XX"};
+  EXPECT_FALSE(BuildSystems(g, unknown, {}).ok());
+}
+
+TEST(AllSystemsTest, MainFiveLeadTheTableOneList) {
+  ASSERT_EQ(kAllSystems.size(), 7u);
+  EXPECT_EQ(kAllSystems[5], "SPQ");
+  EXPECT_EQ(kAllSystems[6], "HiTi");
+  ASSERT_EQ(kMainSystems.size(), 5u);
+  EXPECT_EQ(kMainSystems.data(), kAllSystems.data());
 }
 
 }  // namespace

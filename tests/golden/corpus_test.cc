@@ -342,14 +342,12 @@ void CheckNetwork(const Result<graph::Graph>& g, const std::string& tag) {
   params.arcflag_regions = 32;
   params.hiti_regions = 32;
   params.landmarks = 4;
-  params.include_spq = true;
-  params.include_hiti = true;
   // The legacy systems stay alive while the compact ones build, so both
   // encodings share NR's and EB's border pre-computation.
-  auto legacy = core::BuildSystems(*g, params);
+  auto legacy = core::BuildSystems(*g, core::kAllSystems, params);
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
   params.build.encoding = broadcast::CycleEncoding::kCompact;
-  auto compact = core::BuildSystems(*g, params);
+  auto compact = core::BuildSystems(*g, core::kAllSystems, params);
   ASSERT_TRUE(compact.ok()) << compact.status().ToString();
   ASSERT_EQ(legacy->size(), 7u);
 

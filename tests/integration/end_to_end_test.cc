@@ -25,7 +25,7 @@ TEST(EndToEndTest, MiniatureGermanyPipeline) {
   params.eb_regions = 16;
   params.nr_regions = 16;
   params.landmarks = 4;
-  auto systems = core::BuildSystems(g, params).value();
+  auto systems = core::BuildSystems(g, core::kMainSystems, params).value();
   auto w = workload::GenerateWorkload(g, 15, 42).value();
 
   device::EnergyModel energy(device::DeviceProfile::J2mePhone(),
@@ -58,7 +58,7 @@ TEST(EndToEndTest, PrecomputeTimesAreReported) {
   params.nr_regions = 8;
   params.arcflag_regions = 8;
   params.landmarks = 2;
-  auto systems = core::BuildSystems(g, params).value();
+  auto systems = core::BuildSystems(g, core::kMainSystems, params).value();
   for (const auto& sys : systems) {
     if (sys->name() == "DJ") {
       EXPECT_EQ(sys->precompute_seconds(), 0.0);
@@ -71,13 +71,14 @@ TEST(EndToEndTest, PrecomputeTimesAreReported) {
 TEST(EndToEndTest, DeterministicReplay) {
   core::QueryScratch scratch;
   auto g = testing_support::SmallNetwork(300, 480, 4242);
-  auto systems = core::BuildSystems(g, core::SystemParams{
-                                           .arcflag_regions = 8,
-                                           .eb_regions = 8,
-                                           .nr_regions = 8,
-                                           .landmarks = 2,
-                                           .build = {},
-                                       })
+  auto systems = core::BuildSystems(g, core::kMainSystems,
+                                    core::SystemParams{
+                                        .arcflag_regions = 8,
+                                        .eb_regions = 8,
+                                        .nr_regions = 8,
+                                        .landmarks = 2,
+                                        .build = {},
+                                    })
                      .value();
   auto w = workload::GenerateWorkload(g, 5, 4243).value();
   for (const auto& sys : systems) {

@@ -37,9 +37,7 @@ const Fixture& SharedFixture() {
     params.nr_regions = 8;
     params.landmarks = 3;
     params.hiti_regions = 8;
-    params.include_spq = true;
-    params.include_hiti = true;
-    fx->systems = core::BuildSystems(fx->g, params).value();
+    fx->systems = core::BuildSystems(fx->g, core::kAllSystems, params).value();
     workload::WorkloadSpec spec;
     spec.count = 12;
     spec.seed = 78;

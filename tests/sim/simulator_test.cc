@@ -28,9 +28,7 @@ class SimulatorDeterminismTest : public ::testing::Test {
     params.nr_regions = 8;
     params.landmarks = 3;
     params.hiti_regions = 8;
-    params.include_spq = true;
-    params.include_hiti = true;
-    systems_ = core::BuildSystems(g_, params).value();
+    systems_ = core::BuildSystems(g_, core::kAllSystems, params).value();
     workload_ = workload::GenerateWorkload(g_, 16, 99).value();
   }
 
@@ -93,7 +91,7 @@ TEST(QueryLossSeedTest, DerivedStreamsAreStableAndDistinct) {
 
 TEST(SimulatorBatchTest, RunCoversEverySystemInOrder) {
   graph::Graph g = SmallNetwork(300, 480, 5);
-  auto systems = core::BuildSystems(g, {}).value();
+  auto systems = core::BuildSystems(g, core::kMainSystems, {}).value();
   auto w = workload::GenerateWorkload(g, 8, 11).value();
 
   std::vector<const core::AirSystem*> ptrs;

@@ -24,16 +24,25 @@
 //       Run a declarative scenario: a heterogeneous fleet of client
 //       groups (device profiles, loss models, workload mixes) against
 //       the systems under test, reported per group and fleet-wide.
+//
+//   airindex_cli paper <experiment>... | all [flags]
+//       Reproduce the paper's tables, figures and ablations (tools/paper.h
+//       holds the table of experiments).
+//
+// The flag-taking commands (gen, run, scenario, paper) read their flags
+// from one table, kFlags; each command lists the entries it accepts.
 
 #include <algorithm>
 #include <cerrno>
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "broadcast/channel.h"
@@ -52,6 +61,7 @@
 #include "sim/scenario_catalog.h"
 #include "sim/simulator.h"
 #include "workload/workload.h"
+#include "paper.h"
 
 using namespace airindex;  // NOLINT: CLI binary
 
@@ -146,7 +156,19 @@ void PrintUsage(std::FILE* out) {
                "override\n"
                "      the spec for quick smoke runs, --engine and "
                "--schedule\n"
-               "      override the spec's engine/schedule fields.\n");
+               "      override the spec's engine/schedule fields.\n"
+               "  airindex_cli paper <experiment>... | all [--scale=F] "
+               "[--queries=N]\n"
+               "      [--seed=N] [--loss=F] [--burst=N] [--corrupt=F] "
+               "[--threads=N]\n"
+               "      [--repeat=N]\n"
+               "      Reproduce the paper's results; experiments: table1 "
+               "table2 table3\n"
+               "      fig10 fig11 fig12 fig13 fig14 ablation-crossborder\n"
+               "      ablation-partitioning (defaults --scale=0.2 "
+               "--queries=100\n"
+               "      --threads=1; --scale=1 --queries=400 is the paper's "
+               "setting).\n");
 }
 
 int Usage() {
@@ -232,6 +254,303 @@ bool ParseScheduleFlag(const char* value, sim::SchedulePolicy* out) {
   return fail();
 }
 
+/// Splits a comma-separated --systems= value into views of `csv`.
+std::vector<std::string_view> SplitNames(std::string_view csv) {
+  std::vector<std::string_view> names;
+  while (!csv.empty()) {
+    const size_t comma = std::min(csv.find(','), csv.size());
+    if (comma > 0) names.push_back(csv.substr(0, comma));
+    csv.remove_prefix(std::min(comma + 1, csv.size()));
+  }
+  return names;
+}
+
+/// Every value the flag-taking commands read. The initializers are `run`'s
+/// defaults; the other commands set the ones they differ in before
+/// parsing.
+struct Flags {
+  double scale = 0.2;
+  size_t queries = 100;
+  uint64_t seed = 20100913;
+  double loss = 0.0;
+  uint32_t burst = 1;
+  double corrupt = 0.0;
+  unsigned threads = 0;  // all cores: the engine's reason to exist
+  unsigned repeat = 1;
+  bool json = false;
+  std::string json_path;  // empty: the JSON document goes to stdout
+  bool deterministic = false;
+  std::string engine = "batch";
+  sim::SchedulePolicy schedule;
+  bool has_schedule = false;
+  // run
+  double fec_rate = 0.0;
+  uint32_t regions = 32;
+  uint32_t landmarks = 4;
+  std::vector<std::string_view> systems{core::kMainSystems.begin(),
+                                        core::kMainSystems.end()};
+  std::string arrival = "none";
+  double rate = 50.0;
+  uint32_t subchannels = 1;
+  double zipf = 0.0;
+  uint32_t sessions = 1;
+  uint64_t cache_bytes = 0;
+  // scenario
+  bool list = false;
+  std::string name;
+  std::string file;
+  // gen
+  uint32_t nodes = 0;
+  uint32_t levels = graph::GenSpec{}.highway_levels;
+  double jitter = graph::GenSpec{}.weight_jitter;
+  std::string out;
+};
+
+using Name = std::string_view;
+using Value = const char*;
+
+/// How one flag parsed. kBadValue: the value did not parse and the parser
+/// printed `invalid value for NAME: "VALUE"`. kFatal: the value parsed but
+/// is out of the flag's range, and the reason is printed.
+enum class Parsed { kOk, kBadValue, kFatal };
+
+struct Flag {
+  std::string_view name;
+  /// kSwitch takes the bare name, kValue only NAME=VALUE, kOptional both.
+  enum Form { kSwitch, kValue, kOptional } form;
+  /// A bad value exits 2 without the usage text, even in a command that
+  /// prints it.
+  bool quiet;
+  /// `value` is the text after '=', null for a bare name.
+  Parsed (*parse)(Name name, Value value, Flags* f);
+};
+
+Parsed Double(Name name, Value value, double* out) {
+  return ParseDouble(name, value, out) ? Parsed::kOk : Parsed::kBadValue;
+}
+
+/// Strict unsigned parse into a T; a value past T is rejected by name
+/// instead of wrapping in the cast.
+template <typename T>
+Parsed Uint(Name name, Value value, T* out) {
+  uint64_t u = 0;
+  if (!ParseUint(name, value, &u, std::numeric_limits<T>::max())) {
+    return Parsed::kBadValue;
+  }
+  *out = static_cast<T>(u);
+  return Parsed::kOk;
+}
+
+/// A count where 0 and 1 both mean "once".
+template <typename T>
+Parsed AtLeastOne(Name name, Value value, T* out) {
+  const Parsed p = Uint(name, value, out);
+  if (*out < 1) *out = 1;
+  return p;
+}
+
+/// kOk when the parsed value is in range, else prints `reason`.
+Parsed InRange(bool in_range, const char* reason) {
+  if (in_range) return Parsed::kOk;
+  std::fprintf(stderr, "%s\n", reason);
+  return Parsed::kFatal;
+}
+
+Parsed Text(Value value, std::string* out) {
+  *out = value;
+  return Parsed::kOk;
+}
+
+Parsed Set(bool* out) {
+  *out = true;
+  return Parsed::kOk;
+}
+
+/// The one flag table of the CLI.
+constexpr Flag kFlags[] = {
+    {"--scale", Flag::kValue, false,
+     [](Name n, Value v, Flags* f) { return Double(n, v, &f->scale); }},
+    {"--queries", Flag::kValue, false,
+     [](Name n, Value v, Flags* f) { return Uint(n, v, &f->queries); }},
+    {"--seed", Flag::kValue, false,
+     [](Name n, Value v, Flags* f) { return Uint(n, v, &f->seed); }},
+    {"--loss", Flag::kValue, false,
+     [](Name n, Value v, Flags* f) { return Double(n, v, &f->loss); }},
+    {"--burst", Flag::kValue, false,
+     [](Name n, Value v, Flags* f) { return AtLeastOne(n, v, &f->burst); }},
+    {"--corrupt", Flag::kValue, false,
+     [](Name n, Value v, Flags* f) {
+       if (Double(n, v, &f->corrupt) != Parsed::kOk) return Parsed::kBadValue;
+       return InRange(f->corrupt >= 0.0 && f->corrupt < 1.0,
+                      "--corrupt must be in [0, 1)");
+     }},
+    {"--threads", Flag::kValue, false,
+     [](Name n, Value v, Flags* f) { return Uint(n, v, &f->threads); }},
+    {"--repeat", Flag::kValue, false,
+     [](Name n, Value v, Flags* f) { return AtLeastOne(n, v, &f->repeat); }},
+    {"--json", Flag::kOptional, false,
+     [](Name, Value v, Flags* f) {
+       f->json = true;
+       return Text(v != nullptr ? v : "", &f->json_path);
+     }},
+    {"--deterministic", Flag::kSwitch, false,
+     [](Name, Value, Flags* f) { return Set(&f->deterministic); }},
+    {"--engine", Flag::kValue, false,
+     [](Name, Value v, Flags* f) { return Text(v, &f->engine); }},
+    {"--schedule", Flag::kValue, true,
+     [](Name, Value v, Flags* f) {
+       if (!ParseScheduleFlag(v, &f->schedule)) return Parsed::kBadValue;
+       return Set(&f->has_schedule);
+     }},
+    {"--fec-rate", Flag::kValue, false,
+     [](Name n, Value v, Flags* f) {
+       if (Double(n, v, &f->fec_rate) != Parsed::kOk) return Parsed::kBadValue;
+       return InRange(f->fec_rate >= 0.0 && f->fec_rate <= 1.0,
+                      "--fec-rate must be in [0, 1]");
+     }},
+    {"--regions", Flag::kValue, false,
+     [](Name n, Value v, Flags* f) { return Uint(n, v, &f->regions); }},
+    {"--landmarks", Flag::kValue, false,
+     [](Name n, Value v, Flags* f) { return Uint(n, v, &f->landmarks); }},
+    {"--systems", Flag::kValue, false,
+     [](Name, Value v, Flags* f) {
+       f->systems = SplitNames(v);
+       return Parsed::kOk;
+     }},
+    {"--arrival", Flag::kValue, false,
+     [](Name, Value v, Flags* f) { return Text(v, &f->arrival); }},
+    {"--rate", Flag::kValue, false,
+     [](Name n, Value v, Flags* f) { return Double(n, v, &f->rate); }},
+    {"--subchannels", Flag::kValue, false,
+     [](Name n, Value v, Flags* f) {
+       if (Uint(n, v, &f->subchannels) != Parsed::kOk) return Parsed::kBadValue;
+       return InRange(f->subchannels >= 1, "--subchannels must be >= 1");
+     }},
+    {"--zipf", Flag::kValue, false,
+     [](Name n, Value v, Flags* f) {
+       if (Double(n, v, &f->zipf) != Parsed::kOk) return Parsed::kBadValue;
+       return InRange(f->zipf >= 0.0, "--zipf must be >= 0");
+     }},
+    {"--sessions", Flag::kValue, true,
+     [](Name n, Value v, Flags* f) {
+       if (Uint(n, v, &f->sessions) != Parsed::kOk) return Parsed::kBadValue;
+       return InRange(f->sessions >= 1, "--sessions must be >= 1");
+     }},
+    {"--cache-bytes", Flag::kValue, true,
+     [](Name n, Value v, Flags* f) { return Uint(n, v, &f->cache_bytes); }},
+    {"--list", Flag::kSwitch, false,
+     [](Name, Value, Flags* f) { return Set(&f->list); }},
+    {"--name", Flag::kValue, false,
+     [](Name, Value v, Flags* f) { return Text(v, &f->name); }},
+    {"--file", Flag::kValue, false,
+     [](Name, Value v, Flags* f) { return Text(v, &f->file); }},
+    {"--nodes", Flag::kValue, false,
+     [](Name n, Value v, Flags* f) {
+       uint64_t u = 0;
+       if (Uint(n, v, &u) != Parsed::kOk) return Parsed::kBadValue;
+       f->nodes = static_cast<uint32_t>(u);
+       return InRange(u >= 2 && u <= 0xFFFFFFFFull,
+                      "--nodes must be in [2, 2^32)");
+     }},
+    {"--levels", Flag::kValue, false,
+     [](Name n, Value v, Flags* f) { return Uint(n, v, &f->levels); }},
+    {"--jitter", Flag::kValue, false,
+     [](Name n, Value v, Flags* f) { return Double(n, v, &f->jitter); }},
+    {"--out", Flag::kValue, false,
+     [](Name, Value v, Flags* f) { return Text(v, &f->out); }},
+};
+
+/// The kFlags entries one command accepts, and how it reports a bad one.
+struct CommandFlags {
+  std::span<const std::string_view> accepted;
+  /// A bad value or an unknown flag prints the usage text (exit 2). Off
+  /// (gen): a bad value exits 2 after its own message, and an unknown flag
+  /// is named.
+  bool usage_on_error;
+};
+
+constexpr std::string_view kGenFlags[] = {
+    "--nodes", "--seed", "--levels", "--jitter", "--threads", "--out"};
+constexpr std::string_view kRunFlags[] = {
+    "--scale", "--queries", "--seed", "--loss", "--burst", "--corrupt",
+    "--fec-rate", "--threads", "--repeat", "--regions", "--landmarks",
+    "--systems", "--engine", "--arrival", "--rate", "--subchannels",
+    "--zipf", "--sessions", "--cache-bytes", "--schedule", "--json",
+    "--deterministic"};
+constexpr std::string_view kScenarioFlags[] = {
+    "--list", "--engine", "--schedule", "--name", "--file", "--threads",
+    "--repeat", "--scale", "--queries", "--json", "--deterministic"};
+/// `run`'s loss and workload flags; no system or engine knob, since each
+/// experiment fixes its own.
+constexpr std::string_view kPaperFlags[] = {
+    "--scale", "--queries", "--seed", "--loss",
+    "--burst", "--corrupt", "--threads", "--repeat"};
+
+/// The kFlags entry `arg` names (bare or with "=value") among `accepted`;
+/// `value` is set to the text after '=', or null.
+const Flag* MatchFlag(std::string_view arg,
+                      std::span<const std::string_view> accepted,
+                      const char** value) {
+  for (const Flag& flag : kFlags) {
+    if (!arg.starts_with(flag.name) ||
+        std::find(accepted.begin(), accepted.end(), flag.name) ==
+            accepted.end()) {
+      continue;
+    }
+    const std::string_view rest = arg.substr(flag.name.size());
+    if (rest.empty() && flag.form != Flag::kValue) {
+      *value = nullptr;
+      return &flag;
+    }
+    if (rest.starts_with('=') && flag.form != Flag::kSwitch) {
+      *value = arg.data() + flag.name.size() + 1;
+      return &flag;
+    }
+  }
+  return nullptr;
+}
+
+/// Parses argv[first..argc) into `f`. Returns -1 when every argument
+/// parsed, else the exit code.
+int ParseFlags(int argc, char** argv, int first, const CommandFlags& command,
+               Flags* f) {
+  for (int i = first; i < argc; ++i) {
+    const char* value = nullptr;
+    const Flag* flag = MatchFlag(argv[i], command.accepted, &value);
+    if (flag == nullptr) {
+      if (command.usage_on_error) return Usage();
+      std::fprintf(stderr, "unknown flag \"%s\"\n", argv[i]);
+      return 2;
+    }
+    switch (flag->parse(flag->name, value, f)) {
+      case Parsed::kOk:
+        break;
+      case Parsed::kBadValue:
+        return command.usage_on_error && !flag->quiet ? Usage() : 2;
+      case Parsed::kFatal:
+        return 2;
+    }
+  }
+  return -1;
+}
+
+/// Writes a JSON report to --json=FILE, or to stdout for a bare --json.
+int EmitJson(const Flags& f, const std::string& json) {
+  if (f.json_path.empty()) {
+    std::fputs(json.c_str(), stdout);
+    return 0;
+  }
+  std::FILE* out = std::fopen(f.json_path.c_str(), "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "cannot open %s\n", f.json_path.c_str());
+    return 1;
+  }
+  std::fputs(json.c_str(), out);
+  std::fclose(out);
+  std::printf("wrote %s\n", f.json_path.c_str());
+  return 0;
+}
+
 /// Byte totals of a cycle split into index vs data segments — the numbers
 /// a user sizes run's --cache-bytes from (the session cache keeps whole
 /// segments, index slot first).
@@ -260,7 +579,7 @@ CycleBytes CycleBytesOf(const broadcast::BroadcastCycle& cycle) {
 }
 
 Result<std::unique_ptr<core::AirSystem>> BuildMethod(
-    const graph::Graph& g, const std::string& method, uint32_t regions,
+    const graph::Graph& g, std::string_view method, uint32_t regions,
     broadcast::CycleEncoding encoding = broadcast::CycleEncoding::kLegacy) {
   core::SystemParams params;
   params.nr_regions = regions;
@@ -272,48 +591,30 @@ Result<std::unique_ptr<core::AirSystem>> BuildMethod(
 }
 
 int Gen(int argc, char** argv) {
-  graph::GenSpec spec;
-  spec.num_nodes = 0;
-  std::string out_prefix;
-  uint64_t u = 0;
-  for (int i = 2; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--nodes=", 8) == 0) {
-      if (!ParseUintFlag(arg, 8, &u)) return 2;
-      if (u < 2 || u > 0xFFFFFFFFull) {
-        std::fprintf(stderr, "--nodes must be in [2, 2^32)\n");
-        return 2;
-      }
-      spec.num_nodes = static_cast<uint32_t>(u);
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      if (!ParseUintFlag(arg, 7, &u)) return 2;
-      spec.seed = u;
-    } else if (std::strncmp(arg, "--levels=", 9) == 0) {
-      if (!ParseUintFlag(arg, 9, &u, UINT32_MAX)) return 2;
-      spec.highway_levels = static_cast<uint32_t>(u);
-    } else if (std::strncmp(arg, "--jitter=", 9) == 0) {
-      if (!ParseDoubleFlag(arg, 9, &spec.weight_jitter)) return 2;
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      if (!ParseUintFlag(arg, 10, &u, UINT_MAX)) return 2;
-      spec.threads = static_cast<unsigned>(u);
-    } else if (std::strncmp(arg, "--out=", 6) == 0) {
-      out_prefix = arg + 6;
-    } else {
-      std::fprintf(stderr, "unknown flag \"%s\"\n", arg);
-      return 2;
-    }
+  Flags f;
+  f.seed = graph::GenSpec{}.seed;
+  f.threads = graph::GenSpec{}.threads;
+  if (const int rc = ParseFlags(argc, argv, 2, {kGenFlags, false}, &f);
+      rc >= 0) {
+    return rc;
   }
-  if (spec.num_nodes == 0 || out_prefix.empty()) {
+  if (f.nodes == 0 || f.out.empty()) {
     std::fprintf(stderr, "gen requires --nodes= and --out=\n");
     return 2;
   }
+  graph::GenSpec spec;
+  spec.num_nodes = f.nodes;
+  spec.seed = f.seed;
+  spec.highway_levels = f.levels;
+  spec.weight_jitter = f.jitter;
+  spec.threads = f.threads;
   auto g = graph::GenerateRoadNetwork(spec);
   if (!g.ok()) {
     std::fprintf(stderr, "%s\n", g.status().ToString().c_str());
     return 1;
   }
-  const std::string gr = out_prefix + ".gr";
-  const std::string co = out_prefix + ".co";
+  const std::string gr = f.out + ".gr";
+  const std::string co = f.out + ".co";
   Status st = graph::SaveDimacs(*g, gr.c_str(), co.c_str());
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
@@ -396,15 +697,15 @@ int Inspect(int argc, char** argv) {
                 argv[2], scale, g->num_nodes(), g->num_arcs());
     std::printf("%-5s %9s %12s %9s %12s %12s\n", "sys", "idx segs",
                 "idx bytes", "data segs", "data bytes", "max seg");
-    for (const char* m :
-         {"DJ", "NR", "EB", "LD", "AF", "SPQ", "HiTi"}) {
+    for (std::string_view m : core::kAllSystems) {
       auto sys = BuildMethod(*g, m, regions, encoding);
       if (!sys.ok()) {
         std::fprintf(stderr, "%s\n", sys.status().ToString().c_str());
         return 1;
       }
       const CycleBytes b = CycleBytesOf((*sys)->cycle());
-      std::printf("%-5s %9zu %12zu %9zu %12zu %12zu\n", m,
+      std::printf("%-5.*s %9zu %12zu %9zu %12zu %12zu\n",
+                  static_cast<int>(m.size()), m.data(),
                   b.index_segments, b.index_bytes, b.data_segments,
                   b.data_bytes, b.max_segment_bytes);
     }
@@ -559,138 +860,20 @@ int Query(int argc, char** argv) {
   return m.ok ? 0 : 1;
 }
 
-/// Splits a comma-separated --systems= value.
-std::vector<std::string> SplitNames(const char* csv) {
-  std::vector<std::string> names;
-  std::string current;
-  for (const char* p = csv; *p != '\0'; ++p) {
-    if (*p == ',') {
-      if (!current.empty()) names.push_back(current);
-      current.clear();
-    } else {
-      current += *p;
-    }
-  }
-  if (!current.empty()) names.push_back(current);
-  return names;
-}
-
 int Run(int argc, char** argv) {
   if (argc < 3) return Usage();
-  double scale = 0.2;
-  size_t queries = 100;
-  uint64_t seed = 20100913;
-  double loss = 0.0;
-  double corrupt = 0.0;
-  double fec_rate = 0.0;
-  uint32_t burst = 1;
-  unsigned threads = 0;  // all cores: the engine's reason to exist
-  uint32_t regions = 32;
-  uint32_t landmarks = 4;
-  unsigned repeat = 1;
-  bool deterministic = false;
-  bool emit_json = false;
-  std::string json_path;
-  std::string engine = "batch";
-  std::string arrival = "none";
-  double rate = 50.0;
-  uint32_t subchannels = 1;
-  double zipf = 0.0;
-  uint32_t sessions = 1;
-  uint64_t cache_bytes = 0;
-  sim::SchedulePolicy schedule;
-  std::vector<std::string> names = {"DJ", "NR", "EB", "LD", "AF"};
-
-  uint64_t u = 0;  // strict-parse staging for the narrow unsigned knobs
-
-  for (int i = 3; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--scale=", 8) == 0) {
-      if (!ParseDoubleFlag(arg, 8, &scale)) return Usage();
-    } else if (std::strncmp(arg, "--queries=", 10) == 0) {
-      if (!ParseUintFlag(arg, 10, &u)) return Usage();
-      queries = static_cast<size_t>(u);
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      if (!ParseUintFlag(arg, 7, &seed)) return Usage();
-    } else if (std::strncmp(arg, "--loss=", 7) == 0) {
-      if (!ParseDoubleFlag(arg, 7, &loss)) return Usage();
-    } else if (std::strncmp(arg, "--burst=", 8) == 0) {
-      if (!ParseUintFlag(arg, 8, &u, UINT32_MAX)) return Usage();
-      burst = u > 1 ? static_cast<uint32_t>(u) : 1;
-    } else if (std::strncmp(arg, "--corrupt=", 10) == 0) {
-      if (!ParseDoubleFlag(arg, 10, &corrupt)) return Usage();
-      if (!(corrupt >= 0.0) || corrupt >= 1.0) {
-        std::fprintf(stderr, "--corrupt must be in [0, 1)\n");
-        return 2;
-      }
-    } else if (std::strncmp(arg, "--fec-rate=", 11) == 0) {
-      if (!ParseDoubleFlag(arg, 11, &fec_rate)) return Usage();
-      if (!(fec_rate >= 0.0) || fec_rate > 1.0) {
-        std::fprintf(stderr, "--fec-rate must be in [0, 1]\n");
-        return 2;
-      }
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      if (!ParseUintFlag(arg, 10, &u, UINT_MAX)) return Usage();
-      threads = static_cast<unsigned>(u);
-    } else if (std::strncmp(arg, "--repeat=", 9) == 0) {
-      if (!ParseUintFlag(arg, 9, &u, UINT_MAX)) return Usage();
-      repeat = u > 1 ? static_cast<unsigned>(u) : 1;
-    } else if (std::strncmp(arg, "--regions=", 10) == 0) {
-      if (!ParseUintFlag(arg, 10, &u, UINT32_MAX)) return Usage();
-      regions = static_cast<uint32_t>(u);
-    } else if (std::strncmp(arg, "--landmarks=", 12) == 0) {
-      if (!ParseUintFlag(arg, 12, &u, UINT32_MAX)) return Usage();
-      landmarks = static_cast<uint32_t>(u);
-    } else if (std::strncmp(arg, "--systems=", 10) == 0) {
-      names = SplitNames(arg + 10);
-    } else if (std::strncmp(arg, "--engine=", 9) == 0) {
-      engine = arg + 9;
-    } else if (std::strncmp(arg, "--arrival=", 10) == 0) {
-      arrival = arg + 10;
-    } else if (std::strncmp(arg, "--rate=", 7) == 0) {
-      if (!ParseDoubleFlag(arg, 7, &rate)) return Usage();
-    } else if (std::strncmp(arg, "--subchannels=", 14) == 0) {
-      if (!ParseUintFlag(arg, 14, &u, UINT32_MAX)) return Usage();
-      if (u < 1) {
-        std::fprintf(stderr, "--subchannels must be >= 1\n");
-        return 2;
-      }
-      subchannels = static_cast<uint32_t>(u);
-    } else if (std::strncmp(arg, "--zipf=", 7) == 0) {
-      if (!ParseDoubleFlag(arg, 7, &zipf)) return Usage();
-      if (!(zipf >= 0.0)) {
-        std::fprintf(stderr, "--zipf must be >= 0\n");
-        return 2;
-      }
-    } else if (std::strncmp(arg, "--sessions=", 11) == 0) {
-      if (!ParseUintFlag(arg, 11, &u, UINT32_MAX)) return 2;
-      if (u < 1) {
-        std::fprintf(stderr, "--sessions must be >= 1\n");
-        return 2;
-      }
-      sessions = static_cast<uint32_t>(u);
-    } else if (std::strncmp(arg, "--cache-bytes=", 14) == 0) {
-      if (!ParseUintFlag(arg, 14, &cache_bytes)) return 2;
-    } else if (std::strncmp(arg, "--schedule=", 11) == 0) {
-      if (!ParseScheduleFlag(arg + 11, &schedule)) return 2;
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      emit_json = true;
-      json_path = arg + 7;
-    } else if (std::strcmp(arg, "--json") == 0) {
-      emit_json = true;
-    } else if (std::strcmp(arg, "--deterministic") == 0) {
-      deterministic = true;
-    } else {
-      return Usage();
-    }
+  Flags f;
+  if (const int rc = ParseFlags(argc, argv, 3, {kRunFlags, true}, &f);
+      rc >= 0) {
+    return rc;
   }
-  if (names.empty()) return Usage();
-  if (!sim::IsKnownEngine(engine)) {
+  if (f.systems.empty()) return Usage();
+  if (!sim::IsKnownEngine(f.engine)) {
     std::fprintf(stderr, "unknown engine \"%s\" (batch|event)\n",
-                 engine.c_str());
+                 f.engine.c_str());
     return 2;
   }
-  if (engine != "event" && (arrival != "none" || subchannels > 1)) {
+  if (f.engine != "event" && (f.arrival != "none" || f.subchannels > 1)) {
     // The batch engine replays a private channel per query and would
     // silently ignore arrival timing / station sharding — refuse instead
     // of printing numbers that do not measure what the flags imply.
@@ -700,7 +883,7 @@ int Run(int argc, char** argv) {
     return 2;
   }
   if (const Status combination = sim::CheckEngineCombination(
-          engine, schedule, sessions > 1 || cache_bytes > 0);
+          f.engine, f.schedule, f.sessions > 1 || f.cache_bytes > 0);
       !combination.ok()) {
     std::fprintf(stderr, "%s\n", combination.ToString().c_str());
     return 2;
@@ -711,108 +894,92 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
     return 1;
   }
-  auto g = graph::MakeNetwork(*spec, scale);
+  auto g = graph::MakeNetwork(*spec, f.scale);
   if (!g.ok()) {
     std::fprintf(stderr, "%s\n", g.status().ToString().c_str());
     return 1;
   }
 
   core::SystemParams params;
-  params.nr_regions = regions;
-  params.eb_regions = regions;
-  params.arcflag_regions = regions;
-  params.hiti_regions = regions;
-  params.landmarks = landmarks;
-  // Every system lives until the run ends, so EB's build reuses NR's
-  // border pre-computation.
-  std::vector<std::unique_ptr<core::AirSystem>> systems;
-  std::vector<const core::AirSystem*> system_ptrs;
-  for (const std::string& name : names) {
-    auto sys = core::BuildSystem(*g, name, params);
-    if (!sys.ok()) {
-      std::fprintf(stderr, "%s\n", sys.status().ToString().c_str());
-      return 1;
-    }
-    system_ptrs.push_back(sys->get());
-    systems.push_back(std::move(sys).value());
+  params.nr_regions = f.regions;
+  params.eb_regions = f.regions;
+  params.arcflag_regions = f.regions;
+  params.hiti_regions = f.regions;
+  params.landmarks = f.landmarks;
+  auto systems = core::BuildSystems(*g, f.systems, params);
+  if (!systems.ok()) {
+    std::fprintf(stderr, "%s\n", systems.status().ToString().c_str());
+    return 1;
   }
+  std::vector<const core::AirSystem*> system_ptrs;
+  for (const auto& sys : *systems) system_ptrs.push_back(sys.get());
 
   workload::WorkloadSpec wspec;
-  wspec.count = queries;
-  wspec.seed = seed;
-  if (zipf > 0.0) {
+  wspec.count = f.queries;
+  wspec.seed = f.seed;
+  if (f.zipf > 0.0) {
     wspec.dest = workload::WorkloadSpec::Dest::kZipf;
-    wspec.zipf_s = zipf;
+    wspec.zipf_s = f.zipf;
   }
-  auto arrival_kind = workload::ParseArrivalKind(arrival);
+  auto arrival_kind = workload::ParseArrivalKind(f.arrival);
   if (!arrival_kind.ok()) {
     std::fprintf(stderr, "%s\n", arrival_kind.status().ToString().c_str());
     return 2;
   }
   wspec.arrival.kind = *arrival_kind;
-  wspec.arrival.rate_per_second = rate;
+  wspec.arrival.rate_per_second = f.rate;
   auto w = workload::GenerateWorkload(*g, wspec);
   if (!w.ok()) {
     std::fprintf(stderr, "%s\n", w.status().ToString().c_str());
     return 1;
   }
 
-  const broadcast::FecScheme fec = broadcast::FecScheme::OfRate(fec_rate);
+  const broadcast::FecScheme fec = broadcast::FecScheme::OfRate(f.fec_rate);
+  const broadcast::LossModel loss =
+      broadcast::LossModel::Of(f.loss, f.burst, f.corrupt);
   // Static disk planning weights content by the run's analytic destination
   // distribution (uniform demand plans the flat timeline).
   std::vector<double> schedule_demand;
-  if (schedule.mode == sim::SchedulePolicy::Mode::kStatic) {
+  if (f.schedule.mode == sim::SchedulePolicy::Mode::kStatic) {
     schedule_demand = workload::DestinationWeights(g->num_nodes(), wspec);
   }
   sim::BatchResult batch;
-  if (engine == "event") {
+  if (f.engine == "event") {
     sim::EventOptions eo;
-    eo.threads = threads;
-    eo.repeat = repeat;
-    eo.loss = broadcast::LossModel::Of(loss, burst, corrupt);
+    eo.threads = f.threads;
+    eo.repeat = f.repeat;
+    eo.loss = loss;
     eo.fec = fec;
-    eo.station_seed = seed;
-    eo.subchannels = subchannels;
-    eo.deterministic = deterministic;
-    eo.schedule = schedule;
+    eo.station_seed = f.seed;
+    eo.subchannels = f.subchannels;
+    eo.deterministic = f.deterministic;
+    eo.schedule = f.schedule;
     eo.schedule_demand = schedule_demand;
     eo.encoding = params.build.encoding;
-    eo.session.queries = sessions;
-    eo.cache_bytes = static_cast<size_t>(cache_bytes);
+    eo.session.queries = f.sessions;
+    eo.cache_bytes = static_cast<size_t>(f.cache_bytes);
     sim::EventEngine event_engine(*g, eo);
     batch = event_engine.Run(system_ptrs, *w);
   } else {
     sim::SimOptions so;
-    so.threads = threads;
-    so.repeat = repeat;
-    so.loss = broadcast::LossModel::Of(loss, burst, corrupt);
+    so.threads = f.threads;
+    so.repeat = f.repeat;
+    so.loss = loss;
     so.fec = fec;
-    so.loss_seed = seed;
-    so.deterministic = deterministic;
-    so.schedule = schedule;
+    so.loss_seed = f.seed;
+    so.deterministic = f.deterministic;
+    so.schedule = f.schedule;
     so.schedule_demand = schedule_demand;
     so.encoding = params.build.encoding;
     sim::Simulator simulator(*g, so);
     batch = simulator.Run(system_ptrs, *w);
   }
 
-  if (emit_json) {
-    const std::string json = sim::ToJson(batch);
-    if (json_path.empty()) {
-      std::fputs(json.c_str(), stdout);
-    } else {
-      std::FILE* f = std::fopen(json_path.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-        return 1;
-      }
-      std::fputs(json.c_str(), f);
-      std::fclose(f);
-      std::printf("wrote %s\n", json_path.c_str());
-    }
+  if (f.json) {
+    if (EmitJson(f, sim::ToJson(batch)) != 0) return 1;
   } else {
-    std::printf("# %s at scale %.2f: %zu nodes, %zu arcs\n", argv[2], scale,
-                g->num_nodes(), g->num_arcs());
+    std::printf("# %s at scale %.2f: %zu nodes, %zu arcs\n", argv[2],
+                f.scale, g->num_nodes(), g->num_arcs());
     std::fputs(sim::ToText(batch).c_str(), stdout);
   }
   for (const auto& r : batch.systems) {
@@ -852,64 +1019,21 @@ int ListScenarios() {
 }
 
 int RunScenario(int argc, char** argv) {
-  bool list = false;
-  std::string name;
-  std::string file;
-  unsigned threads = 0;
-  unsigned repeat = 1;
-  bool deterministic = false;
-  bool emit_json = false;
-  std::string json_path;
-  std::string engine_override;
-  double scale_override = 0.0;
-  size_t queries_override = 0;
-  sim::SchedulePolicy schedule_override;
-  bool has_schedule_override = false;
-
-  for (int i = 2; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--list") == 0) {
-      list = true;
-    } else if (std::strncmp(arg, "--engine=", 9) == 0) {
-      engine_override = arg + 9;
-    } else if (std::strncmp(arg, "--schedule=", 11) == 0) {
-      if (!ParseScheduleFlag(arg + 11, &schedule_override)) return 2;
-      has_schedule_override = true;
-    } else if (std::strncmp(arg, "--name=", 7) == 0) {
-      name = arg + 7;
-    } else if (std::strncmp(arg, "--file=", 7) == 0) {
-      file = arg + 7;
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      uint64_t u = 0;
-      if (!ParseUintFlag(arg, 10, &u, UINT_MAX)) return Usage();
-      threads = static_cast<unsigned>(u);
-    } else if (std::strncmp(arg, "--repeat=", 9) == 0) {
-      uint64_t u = 0;
-      if (!ParseUintFlag(arg, 9, &u, UINT_MAX)) return Usage();
-      repeat = u > 1 ? static_cast<unsigned>(u) : 1;
-    } else if (std::strncmp(arg, "--scale=", 8) == 0) {
-      if (!ParseDoubleFlag(arg, 8, &scale_override)) return Usage();
-    } else if (std::strncmp(arg, "--queries=", 10) == 0) {
-      uint64_t u = 0;
-      if (!ParseUintFlag(arg, 10, &u)) return Usage();
-      queries_override = static_cast<size_t>(u);
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      emit_json = true;
-      json_path = arg + 7;
-    } else if (std::strcmp(arg, "--json") == 0) {
-      emit_json = true;
-    } else if (std::strcmp(arg, "--deterministic") == 0) {
-      deterministic = true;
-    } else {
-      return Usage();
-    }
+  // --scale and --queries override the spec only when given.
+  Flags f;
+  f.scale = 0.0;
+  f.queries = 0;
+  f.engine.clear();
+  if (const int rc = ParseFlags(argc, argv, 2, {kScenarioFlags, true}, &f);
+      rc >= 0) {
+    return rc;
   }
-  if (list) return ListScenarios();
-  if (name.empty() == file.empty()) return Usage();  // exactly one source
+  if (f.list) return ListScenarios();
+  if (f.name.empty() == f.file.empty()) return Usage();  // exactly one source
 
   sim::Scenario scenario;
-  if (!name.empty()) {
-    auto found = sim::FindScenario(name);
+  if (!f.name.empty()) {
+    auto found = sim::FindScenario(f.name);
     if (!found.ok()) {
       std::fprintf(stderr, "%s\n", found.status().ToString().c_str());
       return 1;
@@ -917,7 +1041,7 @@ int RunScenario(int argc, char** argv) {
     scenario = std::move(found).value();
   } else {
     std::string text;
-    if (!ReadFile(file.c_str(), &text)) return 1;
+    if (!ReadFile(f.file.c_str(), &text)) return 1;
     auto parsed = sim::ScenarioFromJson(text);
     if (!parsed.ok()) {
       std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
@@ -925,9 +1049,9 @@ int RunScenario(int argc, char** argv) {
     }
     scenario = std::move(parsed).value();
   }
-  if (has_schedule_override) scenario.schedule = schedule_override;
-  if (scale_override > 0.0) scenario.scale = scale_override;
-  if (queries_override > 0) {
+  if (f.has_schedule) scenario.schedule = f.schedule;
+  if (f.scale > 0.0) scenario.scale = f.scale;
+  if (f.queries > 0) {
     // Rescale the fleet: explicit group counts become weights so the
     // override budget splits in the spec's proportions.
     for (auto& g : scenario.groups) {
@@ -936,34 +1060,22 @@ int RunScenario(int argc, char** argv) {
         g.queries = 0;
       }
     }
-    scenario.total_queries = queries_override;
+    scenario.total_queries = f.queries;
   }
 
   sim::ScenarioRunner::RunOptions ro;
-  ro.threads = threads;
-  ro.repeat = repeat;
-  ro.deterministic = deterministic;
-  ro.engine = engine_override;
+  ro.threads = f.threads;
+  ro.repeat = f.repeat;
+  ro.deterministic = f.deterministic;
+  ro.engine = f.engine;
   auto result = sim::ScenarioRunner(ro).Run(scenario);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
   }
 
-  if (emit_json) {
-    const std::string json = sim::ScenarioReportToJson(*result);
-    if (json_path.empty()) {
-      std::fputs(json.c_str(), stdout);
-    } else {
-      std::FILE* f = std::fopen(json_path.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-        return 1;
-      }
-      std::fputs(json.c_str(), f);
-      std::fclose(f);
-      std::printf("wrote %s\n", json_path.c_str());
-    }
+  if (f.json) {
+    if (EmitJson(f, sim::ScenarioReportToJson(*result)) != 0) return 1;
   } else {
     std::fputs(sim::ScenarioToText(*result).c_str(), stdout);
   }
@@ -978,6 +1090,53 @@ int RunScenario(int argc, char** argv) {
     }
     if (fleet.aggregate.queries > 0 &&
         fleet.aggregate.failures == fleet.aggregate.queries) {
+      return 1;
+    }
+  }
+  return 0;
+}
+
+int Paper(int argc, char** argv) {
+  std::vector<const paper::Experiment*> chosen;
+  int i = 2;
+  for (; i < argc && std::strncmp(argv[i], "--", 2) != 0; ++i) {
+    if (std::strcmp(argv[i], "all") == 0) {
+      for (const paper::Experiment& e : paper::Experiments()) {
+        chosen.push_back(&e);
+      }
+    } else if (const paper::Experiment* e = paper::FindExperiment(argv[i])) {
+      chosen.push_back(e);
+    } else {
+      std::fprintf(stderr, "unknown experiment \"%s\" (", argv[i]);
+      for (const paper::Experiment& known : paper::Experiments()) {
+        std::fprintf(stderr, "%.*s | ", static_cast<int>(known.name.size()),
+                     known.name.data());
+      }
+      std::fprintf(stderr, "all)\n");
+      return 2;
+    }
+  }
+  if (chosen.empty()) return Usage();
+  Flags f;
+  f.threads = 1;
+  if (const int rc = ParseFlags(argc, argv, i, {kPaperFlags, true}, &f);
+      rc >= 0) {
+    return rc;
+  }
+  paper::Options o;
+  o.scale = f.scale;
+  o.queries = f.queries;
+  o.seed = f.seed;
+  o.loss = f.loss;
+  o.burst = f.burst;
+  o.corrupt = f.corrupt;
+  o.threads = f.threads;
+  o.repeat = f.repeat;
+  for (const paper::Experiment* e : chosen) {
+    if (const Status st = paper::Run(*e, o); !st.ok()) {
+      std::fflush(stdout);
+      std::fprintf(stderr, "%.*s: %s\n", static_cast<int>(e->name.size()),
+                   e->name.data(), st.ToString().c_str());
       return 1;
     }
   }
@@ -999,5 +1158,6 @@ int main(int argc, char** argv) {
   if (std::strcmp(argv[1], "query") == 0) return Query(argc, argv);
   if (std::strcmp(argv[1], "run") == 0) return Run(argc, argv);
   if (std::strcmp(argv[1], "scenario") == 0) return RunScenario(argc, argv);
+  if (std::strcmp(argv[1], "paper") == 0) return Paper(argc, argv);
   return Usage();
 }
