@@ -51,12 +51,6 @@ size_t BroadcastCycle::TotalPayloadBytes() const {
   return bytes;
 }
 
-uint32_t CycleBuilder::Add(Segment segment) {
-  packets_ += segment.PacketCount();
-  segments_.push_back(std::move(segment));
-  return static_cast<uint32_t>(segments_.size() - 1);
-}
-
 Result<BroadcastCycle> CycleBuilder::Finalize(bool require_index) && {
   if (segments_.empty()) {
     return Status::FailedPrecondition("cannot finalize an empty cycle");
@@ -73,6 +67,8 @@ Result<BroadcastCycle> CycleBuilder::Finalize(bool require_index) && {
   }
   BroadcastCycle cycle;
   cycle.segments_ = std::move(segments_);
+  cycle.encoding_ = encoding_;
+  cycle.data_layout_ = data_layout_;
   cycle.starts_.reserve(cycle.segments_.size() + 1);
   uint32_t pos = 0;
   for (const auto& s : cycle.segments_) {

@@ -2,6 +2,7 @@
 #define AIRINDEX_BROADCAST_CYCLE_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "broadcast/packet.h"
@@ -21,11 +22,24 @@ struct Segment {
   uint32_t PacketCount() const { return PayloadPackets(payload.size()); }
 };
 
+/// What a cycle's kNetworkData segments carry: bare node-record blobs (the
+/// full-cycle methods) or §4.1 region payloads, a border list ahead of the
+/// records (EB, NR; core/region_data.h).
+enum class DataLayout : uint8_t { kRecords, kRegion };
+
 /// An immutable, fully laid-out broadcast cycle: the server's program that
 /// repeats forever on the channel (Fig. 1). Built once by a method's server
-/// via CycleBuilder; the channel serves PacketView's out of it.
+/// via CycleBuilder; the channel serves PacketView's out of it. The cycle
+/// states its own data format, fixed by the server that built it: every
+/// reader of its network data (clients, the schedule planner) asks the
+/// cycle instead of being told.
 class BroadcastCycle {
  public:
+  /// Wire encoding of every record the cycle carries.
+  CycleEncoding encoding() const { return encoding_; }
+  /// What the kNetworkData segments hold.
+  DataLayout data_layout() const { return data_layout_; }
+
   uint32_t total_packets() const { return total_packets_; }
   size_t num_segments() const { return segments_.size(); }
 
@@ -67,17 +81,22 @@ class BroadcastCycle {
   /// kNoIndex when the cycle has none. Filled by CycleBuilder::Finalize.
   std::vector<uint32_t> next_index_;
   uint32_t total_packets_ = 0;
+  CycleEncoding encoding_ = CycleEncoding::kLegacy;
+  DataLayout data_layout_ = DataLayout::kRecords;
 };
 
-/// Accumulates segments and lays the cycle out.
+/// Accumulates segments and lays the cycle out, stamped with the data
+/// format the segments were encoded in.
 class CycleBuilder {
  public:
-  /// Appends a segment; returns its ordinal.
-  uint32_t Add(Segment segment);
+  explicit CycleBuilder(CycleEncoding encoding = CycleEncoding::kLegacy,
+                        DataLayout data_layout = DataLayout::kRecords)
+      : encoding_(encoding), data_layout_(data_layout) {}
 
-  /// Number of packets the segments added so far will occupy.
-  uint32_t PacketsSoFar() const { return packets_; }
-  size_t num_segments() const { return segments_.size(); }
+  CycleEncoding encoding() const { return encoding_; }
+
+  /// Appends a segment.
+  void Add(Segment segment) { segments_.push_back(std::move(segment)); }
 
   /// Lays out the cycle. Fails if empty or if no index segment exists while
   /// `require_index` (headers could not be populated).
@@ -85,7 +104,8 @@ class CycleBuilder {
 
  private:
   std::vector<Segment> segments_;
-  uint32_t packets_ = 0;
+  CycleEncoding encoding_;
+  DataLayout data_layout_;
 };
 
 }  // namespace airindex::broadcast

@@ -31,6 +31,13 @@ inline constexpr uint32_t PayloadPackets(size_t bytes) {
 /// every file with it) rather than as an unexplained diff.
 inline constexpr uint32_t kCycleFormatVersion = 1;
 
+/// Which wire format a broadcast cycle's payloads use (the layouts are
+/// documented in broadcast/serialization.h).
+enum class CycleEncoding : uint8_t {
+  kLegacy = 0,
+  kCompact = 1,
+};
+
 /// What a packet's payload belongs to. The broadcast cycle is a sequence of
 /// *segments*, each packetized separately (a packet never mixes segments —
 /// this is also how the paper separates adjacency data from pre-computed

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "broadcast/packet.h"
 #include "common/result.h"
 #include "graph/graph.h"
 #include "graph/types.h"
@@ -47,12 +48,6 @@ struct NodeRecord {
   graph::NodeId id = graph::kInvalidNode;
   graph::Point coord;
   std::vector<graph::Graph::Arc> arcs;
-};
-
-/// Which wire format a broadcast cycle's payloads use.
-enum class CycleEncoding : uint8_t {
-  kLegacy = 0,
-  kCompact = 1,
 };
 
 /// First byte of every compact record blob.

@@ -78,9 +78,10 @@ struct QueryScratch;
 /// the caller-owned QueryScratch passed in: scratch is explicit, never
 /// hidden in the system, so the immutability guarantee is unchanged. A
 /// scratch instance itself is single-threaded — callers that fan out give
-/// each worker thread its own (sim::Simulator keeps one per worker and
-/// reuses it across the thread's whole query slice), and results are
-/// byte-identical whether a scratch is shared across queries or fresh.
+/// each worker thread its own (sim::TimedFanOut, both engines' fan-out,
+/// keeps one per worker and reuses it across the worker's whole slice),
+/// and results are byte-identical whether a scratch is shared across
+/// queries or fresh.
 /// Implementers of new methods must preserve both guarantees; the way to
 /// do so is to build RunQuery on core::ClientRun (core/client_run.h),
 /// which owns the per-query session, memory account and scratch binding
@@ -109,35 +110,16 @@ class AirSystem {
   virtual double precompute_seconds() const { return 0.0; }
 };
 
-/// Absolute tune-in position for a query phase on this system's cycle.
-/// Phases are nominally in [0, 1); an inclusive 1.0 (or floating-point
-/// round-up) is clamped to the last packet instead of indexing one past
-/// the cycle end.
-inline uint64_t TuneInPosition(const broadcast::BroadcastCycle& cycle,
-                               double phase) {
-  const uint64_t total = cycle.total_packets();
-  if (total == 0) return 0;
-  const auto pos = static_cast<uint64_t>(phase * static_cast<double>(total));
-  return pos >= total ? total - 1 : pos;
-}
-
-/// Where a query's client session starts on this system's timeline: the
+/// Where a query's client session starts on the channel's timeline: the
 /// absolute arrival position when the query carries one (shared-station
-/// model), else the phase-relative tune-in (private-replay model). Every
-/// RunQuery implementation opens its session here, so both engines drive
-/// the same client code.
-inline uint64_t StartPosition(const broadcast::BroadcastCycle& cycle,
-                              const AirQuery& query) {
-  return query.arrival_pos != kNoArrivalPos
-             ? query.arrival_pos
-             : TuneInPosition(cycle, query.tune_phase);
-}
-
-/// Channel-aware StartPosition: phase-relative tune-ins map onto the
+/// model), else the phase-relative tune-in (private-replay model) on the
 /// channel's *session* timeline — the macro cycle when a broadcast-disk
-/// schedule is on, the flat cycle otherwise (where it reduces to the cycle
-/// overload exactly). RunQuery implementations use this form so a private
-/// replay spreads its phases over the whole transmitted pattern.
+/// schedule is on, the flat cycle otherwise — so a private replay spreads
+/// its phases over the whole transmitted pattern. Phases are nominally in
+/// [0, 1); an inclusive 1.0 (or floating-point round-up) is clamped to the
+/// last packet instead of indexing one past the end. Every RunQuery
+/// implementation opens its session here, so both engines drive the same
+/// client code.
 inline uint64_t StartPosition(const broadcast::BroadcastChannel& channel,
                               const AirQuery& query) {
   if (query.arrival_pos != kNoArrivalPos) return query.arrival_pos;

@@ -26,7 +26,6 @@ constexpr size_t kHeaderFixedBytes = 8;
 Result<std::unique_ptr<ArcFlagOnAir>> ArcFlagOnAir::Build(
     const graph::Graph& g, uint32_t num_regions, const BuildConfig& config) {
   auto sys = std::unique_ptr<ArcFlagOnAir>(new ArcFlagOnAir());
-  sys->encoding_ = config.encoding;
   sys->num_regions_ = num_regions;
   sys->num_nodes_ = static_cast<uint32_t>(g.num_nodes());
   sys->num_arcs_ = static_cast<uint32_t>(g.num_arcs());
@@ -45,8 +44,8 @@ Result<std::unique_ptr<ArcFlagOnAir>> ArcFlagOnAir::Build(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 
-  broadcast::CycleBuilder builder;
-  AppendNetworkSegments(g, &builder, kNetworkChunkNodes, config.encoding);
+  broadcast::CycleBuilder builder(config.encoding);
+  AppendNetworkSegments(g, &builder);
 
   // Header: region count + node/arc counts + kd split values (the client
   // locates the target's region from these and its received coordinate).
@@ -143,7 +142,7 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
       [&](broadcast::ReceivedSegment& seg) {
         device::Stopwatch sw;
         if (seg.type == broadcast::SegmentType::kNetworkData) {
-          run.DecodeIntoPartialGraph(seg, encoding_, &rebuild);
+          run.DecodeIntoPartialGraph(seg, &rebuild);
           memory.Release(seg.payload.size());
         } else if (seg.segment_id == kHeaderSegment) {
           // Only a header of this system's region count is usable; its

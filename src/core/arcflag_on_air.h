@@ -47,7 +47,6 @@ class ArcFlagOnAir : public AirSystem {
   broadcast::BroadcastCycle cycle_;
   algo::ArcFlagIndex index_;
   std::vector<double> splits_;
-  broadcast::CycleEncoding encoding_ = broadcast::CycleEncoding::kLegacy;
   uint32_t num_regions_ = 0;
   uint32_t num_nodes_ = 0;
   uint32_t num_arcs_ = 0;

@@ -32,26 +32,26 @@ std::optional<uint32_t> ClientRun::ReceiveNextIndex(
   return std::nullopt;
 }
 
-bool ClientRun::Decodable(const broadcast::ReceivedSegment& seg,
-                          broadcast::CycleEncoding encoding,
-                          Payload payload) const {
+bool ClientRun::Decodable(const broadcast::ReceivedSegment& seg) const {
   if (!seg.complete) return false;
+  const broadcast::BroadcastCycle& cycle = session.cycle();
   return MemoValidate(scratch_.decode_cache, seg, [&] {
-    return (payload == Payload::kRegion
-                ? ValidateRegionData(seg.payload, encoding)
-                : broadcast::ValidateNodeRecords(seg.payload, encoding))
+    return (cycle.data_layout() == broadcast::DataLayout::kRegion
+                ? ValidateRegionData(seg.payload, cycle.encoding())
+                : broadcast::ValidateNodeRecords(seg.payload,
+                                                 cycle.encoding()))
         .ok();
   });
 }
 
 void ClientRun::DecodeIntoPartialGraph(const broadcast::ReceivedSegment& seg,
-                                       broadcast::CycleEncoding encoding,
                                        CsrRebuild* rebuild) {
-  if (!Decodable(seg, encoding)) return;
+  if (!Decodable(seg)) return;
   QueryScratch& s = scratch_;
   size_t records = 0, arcs = 0, id_bound = 0, head_bound = 0;
   bool self_loop = false;
-  broadcast::NodeRecordCursor cursor(seg.payload, encoding);
+  broadcast::NodeRecordCursor cursor(seg.payload,
+                                     session.cycle().encoding());
   while (cursor.Next(&s.record)) {
     const broadcast::NodeRecord& rec = s.record;
     s.partial_graph.AddRecord(rec);

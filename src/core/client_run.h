@@ -83,27 +83,20 @@ class ClientRun {
   std::optional<uint32_t> ReceiveNextIndex(broadcast::ReceivedSegment* out,
                                            int max_probes);
 
-  /// What a network-data segment carries: bare node records (the
-  /// full-cycle methods) or a §4.1 region payload, a border list ahead of
-  /// the records (EB, NR; core/region_data.h).
-  enum class Payload { kRecords, kRegion };
-
   /// The gate every decode of network data passes: the segment is
-  /// complete, and its payload is well-formed (memoized through
+  /// complete, and its payload is well-formed in the cycle's own format
+  /// (BroadcastCycle::encoding and data_layout; memoized through
   /// scratch().decode_cache). An incomplete segment, force-delivered once
   /// the repair budget ran out, has zero bytes for holes that can still
   /// parse, as garbage ids and arcs; the receive already reports DataLoss
   /// for it.
-  bool Decodable(const broadcast::ReceivedSegment& seg,
-                 broadcast::CycleEncoding encoding,
-                 Payload payload = Payload::kRecords) const;
+  bool Decodable(const broadcast::ReceivedSegment& seg) const;
 
-  /// Decodes a network-data segment into scratch().partial_graph. With a
+  /// Decodes a record-blob segment into scratch().partial_graph. With a
   /// `rebuild` (AF, SPQ, HiTi), also charges the edge list it models to
   /// `memory` and grows its counts and extent. A segment Decodable rejects
   /// adds nothing.
   void DecodeIntoPartialGraph(const broadcast::ReceivedSegment& seg,
-                              broadcast::CycleEncoding encoding,
                               CsrRebuild* rebuild = nullptr);
 
   /// The query's metrics: every radio, memory and cache field from this

@@ -24,19 +24,18 @@ bool ReadKdSplits(const broadcast::ReceivedSegment& seg, uint32_t regions,
 }
 
 uint32_t AppendNetworkSegments(const graph::Graph& g,
-                               broadcast::CycleBuilder* builder,
-                               uint32_t chunk_nodes,
-                               broadcast::CycleEncoding encoding) {
+                               broadcast::CycleBuilder* builder) {
   uint32_t segments = 0;
   std::vector<graph::NodeId> chunk;
-  chunk.reserve(chunk_nodes);
+  chunk.reserve(kNetworkChunkNodes);
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     chunk.push_back(v);
-    if (chunk.size() == chunk_nodes || v + 1 == g.num_nodes()) {
+    if (chunk.size() == kNetworkChunkNodes || v + 1 == g.num_nodes()) {
       broadcast::Segment seg;
       seg.type = broadcast::SegmentType::kNetworkData;
       seg.id = segments;
-      seg.payload = broadcast::EncodeNodeRecords(g, chunk, encoding);
+      seg.payload =
+          broadcast::EncodeNodeRecords(g, chunk, builder->encoding());
       builder->Add(std::move(seg));
       ++segments;
       chunk.clear();

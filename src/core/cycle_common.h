@@ -24,8 +24,8 @@ inline constexpr uint32_t kNetworkChunkNodes = 512;
 /// `encoding` selects the cycle payload wire format; kLegacy is the format
 /// every reproduction number was measured with and stays the default —
 /// kCompact is the continental-scale option (see broadcast/serialization.h).
-/// The encoding is baked into the built cycle, remembered by the system,
-/// and applied to all its client-side decoding.
+/// The encoding is baked into the built cycle, which states it
+/// (BroadcastCycle::encoding) to every client and planner that decodes it.
 ///
 /// `precompute_threads` caps the server-side pre-computation workers
 /// (0 = hardware concurrency). It never affects the built bytes — the
@@ -38,13 +38,11 @@ struct BuildConfig {
   bool operator==(const BuildConfig&) const = default;
 };
 
-/// Appends the whole network as chunked kNetworkData segments (node-id
-/// order), each chunk encoded with `encoding`. Returns the number of
-/// segments added.
-uint32_t AppendNetworkSegments(
-    const graph::Graph& g, broadcast::CycleBuilder* builder,
-    uint32_t chunk_nodes = kNetworkChunkNodes,
-    broadcast::CycleEncoding encoding = broadcast::CycleEncoding::kLegacy);
+/// Appends the whole network as kNetworkData segments of kNetworkChunkNodes
+/// nodes (node-id order), each a record blob in the builder's encoding.
+/// Returns the number of segments added.
+uint32_t AppendNetworkSegments(const graph::Graph& g,
+                               broadcast::CycleBuilder* builder);
 
 /// Reads the kd splits of a full-cycle header (AF, HiTi): a u16 region
 /// count, `fixed` more bytes, then one f64 per split, regions - 1 of them.

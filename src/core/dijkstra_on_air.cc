@@ -11,10 +11,9 @@ namespace airindex::core {
 Result<std::unique_ptr<DijkstraOnAir>> DijkstraOnAir::Build(
     const graph::Graph& g, const BuildConfig& config) {
   auto sys = std::unique_ptr<DijkstraOnAir>(new DijkstraOnAir());
-  sys->encoding_ = config.encoding;
   sys->num_nodes_ = static_cast<uint32_t>(g.num_nodes());
-  broadcast::CycleBuilder builder;
-  AppendNetworkSegments(g, &builder, kNetworkChunkNodes, config.encoding);
+  broadcast::CycleBuilder builder(config.encoding);
+  AppendNetworkSegments(g, &builder);
   AIRINDEX_ASSIGN_OR_RETURN(sys->cycle_, std::move(builder).Finalize(
                                              /*require_index=*/false));
   return sys;
@@ -36,7 +35,7 @@ device::QueryMetrics DijkstraOnAir::RunQuery(
       [&](broadcast::ReceivedSegment& seg) {
         device::Stopwatch sw;
         const size_t before = pg.MemoryBytes();
-        run.DecodeIntoPartialGraph(seg, encoding_);
+        run.DecodeIntoPartialGraph(seg);
         memory.Charge(pg.MemoryBytes() - before);
         memory.Release(seg.payload.size());
         run.cpu_ms += sw.ElapsedMs();

@@ -32,7 +32,6 @@ class DijkstraOnAir : public AirSystem {
 
   broadcast::BroadcastCycle cycle_;
   uint32_t num_nodes_ = 0;
-  broadcast::CycleEncoding encoding_ = broadcast::CycleEncoding::kLegacy;
 };
 
 }  // namespace airindex::core

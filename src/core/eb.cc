@@ -84,7 +84,6 @@ Result<std::unique_ptr<EbSystem>> EbSystem::BuildFromPrecompute(
     const BuildConfig& config) {
   const uint32_t R = pre.num_regions;
   auto sys = std::unique_ptr<EbSystem>(new EbSystem());
-  sys->encoding_ = config.encoding;
   sys->precompute_seconds_ = pre.seconds;
 
   // Recover the split sequence from the partitioning's kd tree: the
@@ -173,7 +172,8 @@ Result<std::unique_ptr<EbSystem>> EbSystem::BuildFromPrecompute(
   if (PayloadPackets(index_payload.size()) != index_packets) {
     return Status::Internal("EB index size drifted during layout");
   }
-  broadcast::CycleBuilder builder;
+  broadcast::CycleBuilder builder(config.encoding,
+                                   broadcast::DataLayout::kRegion);
   uint32_t copy_id = 0;
   for (graph::RegionId r = 0; r < R; ++r) {
     if (copy_before[r]) {
@@ -206,7 +206,7 @@ device::QueryMetrics EbSystem::RunQuery(
     const broadcast::BroadcastChannel& channel, const AirQuery& query,
     const ClientOptions& options, QueryScratch* scratch) const {
   ClientRun run(channel, StartPosition(channel, query), options, *scratch);
-  RegionClient region(run, query, options, encoding_,
+  RegionClient region(run, query, options,
                       RegionClient::CacheOrder::kWholeRegion);
   broadcast::ClientSession& session = run.session;
   QueryScratch& s = run.scratch();

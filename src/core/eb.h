@@ -67,7 +67,6 @@ class EbSystem : public AirSystem {
 
   broadcast::BroadcastCycle cycle_;
   EbIndex index_;
-  broadcast::CycleEncoding encoding_ = broadcast::CycleEncoding::kLegacy;
   uint32_t interleaving_m_ = 1;
   double precompute_seconds_ = 0.0;
   /// Holding the shared pre-computation keeps it available to the other

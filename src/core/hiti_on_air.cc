@@ -28,7 +28,6 @@ Result<std::unique_ptr<HiTiOnAir>> HiTiOnAir::Build(const graph::Graph& g,
                                                     uint32_t num_regions,
                                                     const BuildConfig& config) {
   auto sys = std::unique_ptr<HiTiOnAir>(new HiTiOnAir());
-  sys->encoding_ = config.encoding;
   sys->num_regions_ = num_regions;
   sys->num_nodes_ = static_cast<uint32_t>(g.num_nodes());
 
@@ -44,8 +43,8 @@ Result<std::unique_ptr<HiTiOnAir>> HiTiOnAir::Build(const graph::Graph& g,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 
-  broadcast::CycleBuilder builder;
-  AppendNetworkSegments(g, &builder, kNetworkChunkNodes, config.encoding);
+  broadcast::CycleBuilder builder(config.encoding);
+  AppendNetworkSegments(g, &builder);
 
   // Header: region count + node count + kd splits.
   {
@@ -102,7 +101,7 @@ device::QueryMetrics HiTiOnAir::RunQuery(
         // A segment with holes (the repair budget ran out) would read zero
         // bytes as counts and ids; the receive reports DataLoss for it.
         if (seg.type == broadcast::SegmentType::kNetworkData) {
-          run.DecodeIntoPartialGraph(seg, encoding_, &rebuild);
+          run.DecodeIntoPartialGraph(seg, &rebuild);
         } else if (seg.segment_id == kHeaderSegment) {
           // Only a header of this system's region count is usable; a u32
           // node count sits between the count and the splits.

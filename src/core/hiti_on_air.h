@@ -40,7 +40,6 @@ class HiTiOnAir : public AirSystem {
   broadcast::BroadcastCycle cycle_;
   algo::HiTiIndex index_;
   std::vector<double> splits_;
-  broadcast::CycleEncoding encoding_ = broadcast::CycleEncoding::kLegacy;
   uint32_t num_regions_ = 0;
   uint32_t num_nodes_ = 0;
   double precompute_seconds_ = 0.0;

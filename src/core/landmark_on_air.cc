@@ -33,7 +33,6 @@ Result<std::unique_ptr<LandmarkOnAir>> LandmarkOnAir::Build(
     const graph::Graph& g, uint32_t num_landmarks, uint64_t seed,
     const BuildConfig& config) {
   auto sys = std::unique_ptr<LandmarkOnAir>(new LandmarkOnAir());
-  sys->encoding_ = config.encoding;
   sys->num_nodes_ = static_cast<uint32_t>(g.num_nodes());
 
   const auto start = std::chrono::steady_clock::now();
@@ -45,8 +44,8 @@ Result<std::unique_ptr<LandmarkOnAir>> LandmarkOnAir::Build(
 
   const algo::LandmarkIndex& idx = sys->index_;
   const uint32_t k = idx.num_landmarks();
-  broadcast::CycleBuilder builder;
-  AppendNetworkSegments(g, &builder, kNetworkChunkNodes, config.encoding);
+  broadcast::CycleBuilder builder(config.encoding);
+  AppendNetworkSegments(g, &builder);
 
   // Header: landmark count + node count + landmark ids.
   {
@@ -137,7 +136,7 @@ device::QueryMetrics LandmarkOnAir::RunQuery(
         device::Stopwatch sw;
         if (seg.type == broadcast::SegmentType::kNetworkData) {
           const size_t before = pg.MemoryBytes();
-          run.DecodeIntoPartialGraph(seg, encoding_);
+          run.DecodeIntoPartialGraph(seg);
           memory.Charge(pg.MemoryBytes() - before);
         } else {
           handle_aux(seg);

@@ -41,7 +41,6 @@ class LandmarkOnAir : public AirSystem {
 
   broadcast::BroadcastCycle cycle_;
   algo::LandmarkIndex index_;
-  broadcast::CycleEncoding encoding_ = broadcast::CycleEncoding::kLegacy;
   uint32_t num_nodes_ = 0;
   double precompute_seconds_ = 0.0;
 };

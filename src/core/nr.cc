@@ -60,7 +60,6 @@ Result<std::unique_ptr<NrSystem>> NrSystem::BuildFromPrecompute(
     return Status::InvalidArgument("NR supports at most 256 regions");
   }
   auto sys = std::unique_ptr<NrSystem>(new NrSystem());
-  sys->encoding_ = config.encoding;
   sys->precompute_seconds_ = pre.seconds;
   AIRINDEX_ASSIGN_OR_RETURN(auto kd,
                             partition::KdTreePartitioner::Build(g, R));
@@ -131,7 +130,8 @@ Result<std::unique_ptr<NrSystem>> NrSystem::BuildFromPrecompute(
   }
 
   // Assemble.
-  broadcast::CycleBuilder builder;
+  broadcast::CycleBuilder builder(config.encoding,
+                                   broadcast::DataLayout::kRegion);
   for (graph::RegionId m = 0; m < R; ++m) {
     broadcast::Segment idx_seg;
     idx_seg.type = broadcast::SegmentType::kLocalIndex;
@@ -160,7 +160,7 @@ device::QueryMetrics NrSystem::RunQuery(
     const broadcast::BroadcastChannel& channel, const AirQuery& query,
     const ClientOptions& options, QueryScratch* scratch) const {
   ClientRun run(channel, StartPosition(channel, query), options, *scratch);
-  RegionClient region(run, query, options, encoding_,
+  RegionClient region(run, query, options,
                       RegionClient::CacheOrder::kOnReceive);
   broadcast::ClientSession& session = run.session;
   QueryScratch& s = run.scratch();

@@ -63,7 +63,6 @@ class NrSystem : public AirSystem {
 
   broadcast::BroadcastCycle cycle_;
   std::vector<NrIndex> indexes_;
-  broadcast::CycleEncoding encoding_ = broadcast::CycleEncoding::kLegacy;
   double precompute_seconds_ = 0.0;
   /// Holding the shared pre-computation keeps it available to the other
   /// method's Build() on an equal graph for as long as this system lives.

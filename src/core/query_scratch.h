@@ -86,10 +86,10 @@ struct RegionStash {
 /// client computes (the golden test in tests/sim pins this).
 ///
 /// Ownership contract: a QueryScratch is single-threaded — one scratch per
-/// worker thread, never shared concurrently (sim::Simulator keeps one per
-/// worker and reuses it across the thread's whole query slice). RunQuery
-/// resets it on entry, so callers never clean up between queries; contents
-/// are meaningless between calls.
+/// worker thread, never shared concurrently (sim::TimedFanOut, both
+/// engines' fan-out, keeps one per worker and reuses it across the
+/// worker's whole slice). RunQuery resets it on entry, so callers never
+/// clean up between queries; contents are meaningless between calls.
 struct QueryScratch {
   /// Dijkstra / A* state (dist, parent, frontier heaps).
   algo::SearchWorkspace search;

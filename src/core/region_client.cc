@@ -12,14 +12,11 @@ namespace airindex::core {
 using broadcast::ReceivedSegment;
 
 RegionClient::RegionClient(ClientRun& run, const AirQuery& query,
-                           const ClientOptions& options,
-                           broadcast::CycleEncoding encoding,
-                           CacheOrder order)
+                           const ClientOptions& options, CacheOrder order)
     : run_(run),
       s_(run.scratch()),
       query_(query),
       options_(options),
-      encoding_(encoding),
       order_(order),
       cache_on_(s_.session.Ready(run.session.channel())),
       super_(query.source, query.target) {}
@@ -68,20 +65,19 @@ void RegionClient::ReceiveRegion(uint32_t cross_start,
 void RegionClient::Ingest(ReceivedSegment& cross, ReceivedSegment* local) {
   device::Stopwatch sw;
   device::MemoryTracker& memory = run_.memory;
-  constexpr ClientRun::Payload kRegion = ClientRun::Payload::kRegion;
+  const broadcast::CycleEncoding encoding = run_.session.cycle().encoding();
   // Streams a segment that passed the gate, record by record.
   auto for_each_record = [&](const ReceivedSegment& seg, auto&& add) {
-    auto cursor = RegionDataView(seg.payload, encoding_).records();
+    auto cursor = RegionDataView(seg.payload, encoding).records();
     while (cursor.Next(&s_.record)) add(s_.record);
   };
-  if (run_.Decodable(cross, encoding_, kRegion)) {
-    const bool local_ok =
-        local != nullptr && run_.Decodable(*local, encoding_, kRegion);
+  if (run_.Decodable(cross)) {
+    const bool local_ok = local != nullptr && run_.Decodable(*local);
     if (options_.memory_bound) {
       // §6.1: the region is materialized, collapsed into super-edges and
       // dropped; the materialized copy is part of the modeled charge.
       RegionData region;
-      const RegionDataView view(cross.payload, encoding_);
+      const RegionDataView view(cross.payload, encoding);
       for (size_t i = 0; i < view.border_count(); ++i) {
         region.border.push_back(view.BorderAt(i));
       }

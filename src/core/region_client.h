@@ -43,8 +43,7 @@ class RegionClient {
   /// Binds the session cache to the channel of `run` (SessionCache::Ready)
   /// for the query `run` serves; construct it before any cache consult.
   RegionClient(ClientRun& run, const AirQuery& query,
-               const ClientOptions& options,
-               broadcast::CycleEncoding encoding, CacheOrder order);
+               const ClientOptions& options, CacheOrder order);
 
   /// Whether the session cache is on for this query.
   bool cache_on() const { return cache_on_; }
@@ -77,7 +76,6 @@ class RegionClient {
   QueryScratch& s_;
   const AirQuery& query_;
   const ClientOptions& options_;
-  const broadcast::CycleEncoding encoding_;
   const CacheOrder order_;
   const bool cache_on_;
   SuperEdgeProcessor super_;

@@ -62,7 +62,6 @@ int32_t DecodeCellImpl(const std::vector<uint8_t>& buf, size_t* pos,
 Result<std::unique_ptr<SpqOnAir>> SpqOnAir::Build(const graph::Graph& g,
                                                   const BuildConfig& config) {
   auto sys = std::unique_ptr<SpqOnAir>(new SpqOnAir());
-  sys->encoding_ = config.encoding;
   sys->num_nodes_ = static_cast<uint32_t>(g.num_nodes());
 
   const auto start = std::chrono::steady_clock::now();
@@ -73,8 +72,8 @@ Result<std::unique_ptr<SpqOnAir>> SpqOnAir::Build(const graph::Graph& g,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 
-  broadcast::CycleBuilder builder;
-  AppendNetworkSegments(g, &builder, kNetworkChunkNodes, config.encoding);
+  broadcast::CycleBuilder builder(config.encoding);
+  AppendNetworkSegments(g, &builder);
 
   {
     broadcast::Segment seg;
@@ -122,7 +121,7 @@ device::QueryMetrics SpqOnAir::RunQuery(
       [&](broadcast::ReceivedSegment& seg) {
         device::Stopwatch sw;
         if (seg.type == broadcast::SegmentType::kNetworkData) {
-          run.DecodeIntoPartialGraph(seg, encoding_, &rebuild);
+          run.DecodeIntoPartialGraph(seg, &rebuild);
         } else if (seg.segment_id == kHeaderSegment) {
           if (seg.complete && seg.payload.size() >= 32) {
             root[0] = std::bit_cast<double>(GetU64(seg.payload.data()));

@@ -37,7 +37,6 @@ class SpqOnAir : public AirSystem {
 
   broadcast::BroadcastCycle cycle_;
   std::unique_ptr<algo::SpqIndex> index_;
-  broadcast::CycleEncoding encoding_ = broadcast::CycleEncoding::kLegacy;
   uint32_t num_nodes_ = 0;
   double precompute_seconds_ = 0.0;
 };

@@ -1,12 +1,10 @@
 #include "sim/event_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <deque>
 #include <numeric>
 #include <optional>
 
-#include "common/thread_pool.h"
 #include "core/query_scratch.h"
 #include "sim/fan_out.h"
 
@@ -30,10 +28,6 @@ broadcast::StationOptions StationOptionsOf(
 
 }  // namespace
 
-unsigned EventEngine::effective_threads() const {
-  return ResolveThreads(options_.threads);
-}
-
 broadcast::Station EventEngine::MakeStation(
     const core::AirSystem& sys) const {
   return broadcast::Station(&sys.cycle(), StationOptionsOf(options_, nullptr));
@@ -52,8 +46,7 @@ SystemResult EventEngine::RunSystem(const core::AirSystem& sys,
   // Static broadcast-disk schedule: planned once from the analytic demand
   // profile and transmitted for the whole run.
   const std::optional<broadcast::BroadcastSchedule> sched =
-      StaticSchedule(sys.cycle(), options_.schedule_demand, options_.schedule,
-                     options_.encoding);
+      StaticSchedule(sys.cycle(), options_.schedule_demand, options_.schedule);
   const broadcast::Station station(
       &sys.cycle(),
       StationOptionsOf(options_, sched.has_value() ? &*sched : nullptr));
@@ -76,8 +69,7 @@ SystemResult EventEngine::RunSystem(const core::AirSystem& sys,
       std::max<uint32_t>(1u, options_.session.queries);
   core::DecodedSlotCache decode_cache(station.channel(0).cycle_version());
   TimedFanOut(
-      (n + per_session - 1) / per_session, options_.threads, options_.repeat,
-      energy_model(),
+      (n + per_session - 1) / per_session, options_,
       [&](core::QueryScratch& sc, size_t sidx) {
         sc.session.BeginSession(options_.cache_bytes);
         sc.decode_cache = options_.cache_bytes > 0 ? &decode_cache : nullptr;
@@ -131,9 +123,8 @@ SystemResult EventEngine::RunSystemOnline(const core::AirSystem& sys,
   // assigned the station of its arrival epoch with an epoch-relative
   // arrival instant, so the parallel phase below is a pure per-query map —
   // byte-identical for any thread count.
-  OnlineReplanner planner(
-      &cycle, NodeGroups(cycle, graph_->num_nodes(), options_.encoding),
-      options_.schedule);
+  OnlineReplanner planner(&cycle, NodeGroups(cycle, graph_->num_nodes()),
+                          options_.schedule);
   std::deque<broadcast::BroadcastSchedule> schedules;
   std::deque<broadcast::Station> stations;
   auto push_station = [&](const broadcast::ScheduleSpec& spec) {
@@ -192,7 +183,7 @@ SystemResult EventEngine::RunSystemOnline(const core::AirSystem& sys,
   }
 
   TimedFanOut(
-      n, options_.threads, options_.repeat, energy_model(),
+      n, options_,
       [&](core::QueryScratch& sc, size_t i) {
         const broadcast::Station& st = *station_of[i];
         const double local_ms = arrival[i] - epoch_start_of[i];
@@ -213,26 +204,15 @@ SystemResult EventEngine::RunSystemOnline(const core::AirSystem& sys,
 BatchResult EventEngine::Run(
     std::span<const core::AirSystem* const> systems,
     const workload::Workload& w) const {
-  BatchResult batch;
+  BatchResult batch =
+      RunBatch(options_, systems, w, [&](const core::AirSystem& sys) {
+        return RunSystem(sys, w);
+      });
   batch.engine = "event";
-  batch.num_queries = w.queries.size();
-  batch.threads = effective_threads();
-  batch.loss_rate = options_.loss.rate;
-  batch.loss_burst_len = options_.loss.burst_len;
-  batch.corrupt_bit = options_.loss.corrupt_bit;
   batch.loss_seed = options_.station_seed;
   batch.subchannels = options_.subchannels;
-  batch.fec = options_.fec;
-  batch.schedule_mode = std::string(ScheduleModeName(options_.schedule.mode));
   batch.session_queries = std::max(1u, options_.session.queries);
   batch.cache_bytes = options_.cache_bytes;
-  const auto start = std::chrono::steady_clock::now();
-  for (const core::AirSystem* sys : systems) {
-    batch.systems.push_back(RunSystem(*sys, w));
-  }
-  batch.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
   return batch;
 }
 

@@ -8,7 +8,9 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 
+#include "common/thread_pool.h"
 #include "device/energy.h"
 #include "device/profile_catalog.h"
 #include "graph/catalog.h"
@@ -269,47 +271,34 @@ Result<ScenarioResult> ScenarioRunner::Run(const Scenario& s,
             ? gr.spec.loss_seed
             : DeriveSeed(s.seed, kLossSalt, engine == "event" ? 0 : gi);
     gr.loss_seed = channel_seed;
+    EngineOptions base;
+    base.threads = options_.threads;
+    base.repeat = options_.repeat;
+    base.loss = gr.spec.loss;
+    base.fec = gr.spec.fec;
+    base.client = gr.spec.client;
+    base.profile = profile;
+    base.bits_per_second = gr.spec.bits_per_second;
+    base.deterministic = options_.deterministic;
+    base.schedule = s.schedule;
+    base.schedule_demand = schedule_demand;
+    result.threads = ResolveThreads(base.threads);
+    auto run_on = [&](const auto& sim_engine) {
+      for (const auto& sys : built) {
+        gr.systems.push_back(sim_engine.RunSystem(*sys, w));
+      }
+    };
     if (engine == "event") {
-      EventOptions eo;
-      eo.threads = options_.threads;
-      eo.repeat = options_.repeat;
-      eo.loss = gr.spec.loss;
-      eo.fec = gr.spec.fec;
+      EventOptions eo(std::move(base));
       eo.station_seed = channel_seed;
       eo.subchannels = result.subchannels;
-      eo.client = gr.spec.client;
-      eo.profile = profile;
-      eo.bits_per_second = gr.spec.bits_per_second;
-      eo.deterministic = options_.deterministic;
-      eo.schedule = s.schedule;
-      eo.schedule_demand = schedule_demand;
-      eo.encoding = s.params.build.encoding;
       eo.session = wspec.session;
       eo.cache_bytes = s.cache_bytes;
-      EventEngine event_engine(g, eo);
-      result.threads = event_engine.effective_threads();
-      for (const auto& sys : built) {
-        gr.systems.push_back(event_engine.RunSystem(*sys, w));
-      }
+      run_on(EventEngine(g, std::move(eo)));
     } else {
-      SimOptions so;
-      so.threads = options_.threads;
-      so.repeat = options_.repeat;
-      so.loss = gr.spec.loss;
-      so.fec = gr.spec.fec;
+      SimOptions so(std::move(base));
       so.loss_seed = channel_seed;
-      so.client = gr.spec.client;
-      so.profile = profile;
-      so.bits_per_second = gr.spec.bits_per_second;
-      so.deterministic = options_.deterministic;
-      so.schedule = s.schedule;
-      so.schedule_demand = schedule_demand;
-      so.encoding = s.params.build.encoding;
-      Simulator simulator(g, so);
-      result.threads = simulator.effective_threads();
-      for (const auto& sys : built) {
-        gr.systems.push_back(simulator.RunSystem(*sys, w));
-      }
+      run_on(Simulator(g, std::move(so)));
     }
     result.num_queries += counts[gi];
     result.groups.push_back(std::move(gr));

@@ -146,7 +146,8 @@ Result<SystemResult> MergeGroupResults(std::span<const GroupResult> groups,
 
 /// Executes scenarios: compiles groups into workloads, builds each system
 /// once across all groups with core::BuildSystem, fans every group
-/// through sim::Simulator, and merges the fleet view.
+/// through the run's engine (sim::Simulator or sim::EventEngine), and
+/// merges the fleet view.
 class ScenarioRunner {
  public:
   struct RunOptions {
@@ -156,7 +157,7 @@ class ScenarioRunner {
     /// Zero the wall-clock cpu_ms field for bit-reproducible aggregates.
     bool deterministic = false;
     /// Run each group's batch N times, reporting min-of-N wall time (see
-    /// SimOptions::repeat).
+    /// EngineOptions::repeat).
     unsigned repeat = 1;
     /// Engine override: "batch" or "event"; empty uses the scenario's own
     /// engine field.

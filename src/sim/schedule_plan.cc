@@ -104,42 +104,11 @@ broadcast::ScheduleSpec AuditSpec(const broadcast::BroadcastCycle& cycle,
                                 : broadcast::ScheduleSpec::Flat();
 }
 
-}  // namespace
-
-std::vector<uint32_t> NodeGroups(const broadcast::BroadcastCycle& cycle,
-                                 size_t num_nodes,
-                                 broadcast::CycleEncoding encoding) {
-  std::vector<uint32_t> group_of_node(num_nodes, kUnmappedGroup);
-  const std::vector<uint32_t> group_of_segment =
-      broadcast::CycleGroups(cycle);
-  auto place = [&](graph::NodeId id, uint32_t group) {
-    if (id < num_nodes && group_of_node[id] == kUnmappedGroup) {
-      group_of_node[id] = group;
-    }
-  };
-  broadcast::NodeRecord record;
-  for (uint32_t si = 0; si < cycle.num_segments(); ++si) {
-    const broadcast::Segment& seg = cycle.segment(si);
-    if (seg.type != broadcast::SegmentType::kNetworkData) continue;
-    // Region payloads (EB/NR) carry a border header before the record
-    // area; everything else is a bare record blob. Try the region layout
-    // first — its fixed-width header makes a false accept of a bare blob
-    // effectively impossible, and vice versa the validators reject.
-    auto region = core::DecodeRegionData(seg.payload, encoding);
-    if (region.ok()) {
-      for (const auto& rec : region->records) {
-        place(rec.id, group_of_segment[si]);
-      }
-      continue;
-    }
-    // An opaque payload contributes no mapping.
-    if (!broadcast::ValidateNodeRecords(seg.payload, encoding).ok()) continue;
-    broadcast::NodeRecordCursor cursor(seg.payload, encoding);
-    while (cursor.Next(&record)) place(record.id, group_of_segment[si]);
-  }
-  return group_of_node;
-}
-
+/// Folds per-node demand weights into per-group weights: a group's weight
+/// is the summed weight of the nodes its segments carry, plus an even
+/// share of the unmapped mass (so index-only groups keep a positive floor
+/// from the planner's epsilon instead of starving). `node_weight` may be
+/// empty (uniform demand).
 std::vector<double> GroupDemandWeights(
     const broadcast::BroadcastCycle& cycle,
     const std::vector<uint32_t>& group_of_node,
@@ -170,14 +139,44 @@ std::vector<double> GroupDemandWeights(
   return w;
 }
 
+}  // namespace
+
+std::vector<uint32_t> NodeGroups(const broadcast::BroadcastCycle& cycle,
+                                 size_t num_nodes) {
+  std::vector<uint32_t> group_of_node(num_nodes, kUnmappedGroup);
+  const std::vector<uint32_t> group_of_segment =
+      broadcast::CycleGroups(cycle);
+  const broadcast::CycleEncoding encoding = cycle.encoding();
+  const bool region = cycle.data_layout() == broadcast::DataLayout::kRegion;
+  broadcast::NodeRecord record;
+  for (uint32_t si = 0; si < cycle.num_segments(); ++si) {
+    const broadcast::Segment& seg = cycle.segment(si);
+    if (seg.type != broadcast::SegmentType::kNetworkData) continue;
+    // An undecodable payload contributes no mapping.
+    if (!(region ? core::ValidateRegionData(seg.payload, encoding)
+                 : broadcast::ValidateNodeRecords(seg.payload, encoding))
+             .ok()) {
+      continue;
+    }
+    broadcast::NodeRecordCursor cursor =
+        region ? core::RegionDataView(seg.payload, encoding).records()
+               : broadcast::NodeRecordCursor(seg.payload, encoding);
+    while (cursor.Next(&record)) {
+      if (record.id < num_nodes && group_of_node[record.id] == kUnmappedGroup) {
+        group_of_node[record.id] = group_of_segment[si];
+      }
+    }
+  }
+  return group_of_node;
+}
+
 broadcast::ScheduleSpec PlanStaticSpec(const broadcast::BroadcastCycle& cycle,
                                        std::span<const double> node_weight,
-                                       const SchedulePolicy& policy,
-                                       broadcast::CycleEncoding encoding) {
+                                       const SchedulePolicy& policy) {
   const std::vector<uint32_t> group_of_segment =
       broadcast::CycleGroups(cycle);
   const std::vector<uint32_t> group_of_node =
-      NodeGroups(cycle, node_weight.size(), encoding);
+      NodeGroups(cycle, node_weight.size());
   std::vector<double> demand =
       GroupDemandWeights(cycle, group_of_node, node_weight);
   if (DataDemandCv(cycle, demand) < policy.min_skew) {
@@ -268,10 +267,9 @@ bool OnlineReplanner::Replan() {
 
 std::optional<broadcast::BroadcastSchedule> StaticSchedule(
     const broadcast::BroadcastCycle& cycle, std::span<const double> demand,
-    const SchedulePolicy& policy, broadcast::CycleEncoding encoding) {
+    const SchedulePolicy& policy) {
   if (policy.mode != SchedulePolicy::Mode::kStatic) return std::nullopt;
-  broadcast::ScheduleSpec spec =
-      PlanStaticSpec(cycle, demand, policy, encoding);
+  broadcast::ScheduleSpec spec = PlanStaticSpec(cycle, demand, policy);
   if (spec.flat()) return std::nullopt;
   auto compiled =
       broadcast::BroadcastSchedule::Compile(&cycle, std::move(spec));

@@ -8,7 +8,6 @@
 
 #include "broadcast/cycle.h"
 #include "broadcast/schedule.h"
-#include "broadcast/serialization.h"
 #include "graph/types.h"
 
 namespace airindex::sim {
@@ -57,29 +56,17 @@ inline constexpr uint32_t kUnmappedGroup = ~uint32_t{0};
 
 /// Maps every node to the interleave group (broadcast::CycleGroups) whose
 /// data segments carry its record, by decoding each kNetworkData payload
-/// (region layout first, bare record blob as fallback). Nodes found in
-/// several groups keep the first; nodes found nowhere (or in undecodable
-/// segments) map to kUnmappedGroup.
+/// in the cycle's own format (BroadcastCycle::data_layout and encoding).
+/// Nodes found in several groups keep the first; nodes found nowhere (or
+/// in undecodable segments) map to kUnmappedGroup.
 std::vector<uint32_t> NodeGroups(const broadcast::BroadcastCycle& cycle,
-                                 size_t num_nodes,
-                                 broadcast::CycleEncoding encoding);
-
-/// Folds per-node demand weights into per-group weights: a group's weight
-/// is the summed weight of the nodes its segments carry, plus an even
-/// share of the unmapped mass (so index-only groups keep a positive floor
-/// from the planner's epsilon instead of starving). `node_weight` may be
-/// empty (uniform demand).
-std::vector<double> GroupDemandWeights(
-    const broadcast::BroadcastCycle& cycle,
-    const std::vector<uint32_t>& group_of_node,
-    std::span<const double> node_weight);
+                                 size_t num_nodes);
 
 /// The static planner: square-root-rule spec for `cycle` under the given
 /// per-node demand profile. An empty/uniform profile yields the flat spec.
 broadcast::ScheduleSpec PlanStaticSpec(const broadcast::BroadcastCycle& cycle,
                                        std::span<const double> node_weight,
-                                       const SchedulePolicy& policy,
-                                       broadcast::CycleEncoding encoding);
+                                       const SchedulePolicy& policy);
 
 /// The static broadcast-disk schedule of `cycle`, planned once from the
 /// analytic demand profile. Empty when the policy is not kStatic, or when
@@ -87,7 +74,7 @@ broadcast::ScheduleSpec PlanStaticSpec(const broadcast::BroadcastCycle& cycle,
 /// schedule-free, bit for bit the flat timeline.
 std::optional<broadcast::BroadcastSchedule> StaticSchedule(
     const broadcast::BroadcastCycle& cycle, std::span<const double> demand,
-    const SchedulePolicy& policy, broadcast::CycleEncoding encoding);
+    const SchedulePolicy& policy);
 
 /// The online demand estimator: counts destination demand per interleave
 /// group as queries arrive, and re-plans the spec at epoch boundaries from

@@ -1,9 +1,7 @@
 #include "sim/simulator.h"
 
-#include <chrono>
 #include <optional>
 
-#include "common/thread_pool.h"
 #include "core/query_scratch.h"
 #include "sim/fan_out.h"
 
@@ -33,10 +31,6 @@ Status CheckEngineCombination(std::string_view engine,
   return Status::OK();
 }
 
-unsigned Simulator::effective_threads() const {
-  return ResolveThreads(options_.threads);
-}
-
 uint64_t QueryLossSeed(uint64_t base_seed, size_t index) {
   // SplitMix64 over the batch seed and the query ordinal.
   uint64_t z = base_seed + 0x9E3779B97f4A7C15ULL * (index + 1);
@@ -56,8 +50,7 @@ SystemResult Simulator::RunSystem(const core::AirSystem& sys,
   // here (no shared timeline); callers reject it before reaching the
   // engine, and a policy that slips through degrades to flat.
   const std::optional<broadcast::BroadcastSchedule> sched =
-      StaticSchedule(sys.cycle(), options_.schedule_demand, options_.schedule,
-                     options_.encoding);
+      StaticSchedule(sys.cycle(), options_.schedule_demand, options_.schedule);
   const broadcast::BroadcastSchedule* schedule =
       sched.has_value() ? &*sched : nullptr;
 
@@ -68,7 +61,7 @@ SystemResult Simulator::RunSystem(const core::AirSystem& sys,
   const bool fec_on = options_.fec.enabled();
 
   TimedFanOut(
-      w.queries.size(), options_.threads, options_.repeat, energy_model(),
+      w.queries.size(), options_,
       [&](core::QueryScratch& scratch, size_t i) {
         broadcast::BroadcastChannel channel(
             &sys.cycle(), options_.loss,
@@ -86,22 +79,11 @@ SystemResult Simulator::RunSystem(const core::AirSystem& sys,
 
 BatchResult Simulator::Run(std::span<const core::AirSystem* const> systems,
                            const workload::Workload& w) const {
-  BatchResult batch;
-  batch.num_queries = w.queries.size();
-  batch.threads = effective_threads();
-  batch.loss_rate = options_.loss.rate;
-  batch.loss_burst_len = options_.loss.burst_len;
-  batch.corrupt_bit = options_.loss.corrupt_bit;
+  BatchResult batch =
+      RunBatch(options_, systems, w, [&](const core::AirSystem& sys) {
+        return RunSystem(sys, w);
+      });
   batch.loss_seed = options_.loss_seed;
-  batch.fec = options_.fec;
-  batch.schedule_mode = std::string(ScheduleModeName(options_.schedule.mode));
-  const auto start = std::chrono::steady_clock::now();
-  for (const core::AirSystem* sys : systems) {
-    batch.systems.push_back(RunSystem(*sys, w));
-  }
-  batch.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
   return batch;
 }
 

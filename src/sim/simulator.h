@@ -5,6 +5,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "broadcast/channel.h"
@@ -19,24 +20,24 @@
 
 namespace airindex::sim {
 
-/// Configuration of one simulation batch: how many client threads to fan
-/// the workload across, the channel loss model, and the device the energy
-/// figures are computed for.
-struct SimOptions {
-  /// Worker threads the clients are spread over (0 = hardware concurrency).
+/// The settings both engines read — sim::Simulator (per-query private
+/// replays) and sim::EventEngine (one shared station timeline) — declared
+/// once, so a caller that can run either fills them once and adds only the
+/// engine's own fields (SimOptions, EventOptions).
+struct EngineOptions {
+  /// Worker threads the clients are spread over (0 = hardware
+  /// concurrency). Results are bit-identical for every thread count.
   unsigned threads = 1;
   /// Channel loss model shared by every client (drop rate, fade bursts,
   /// and the per-bit corruption rate all live here).
   broadcast::LossModel loss = broadcast::LossModel::None();
-  /// Base seed of the per-query loss streams (see QueryLossSeed).
-  uint64_t loss_seed = 0x10552;
-  /// Station-side forward error correction applied to every channel.
+  /// Station-side forward error correction (parity 0 = off).
   broadcast::FecScheme fec = {};
   /// Per-client device configuration.
   core::ClientOptions client;
   /// Device whose radio/CPU power figures price each query.
   device::DeviceProfile profile = device::DeviceProfile::J2mePhone();
-  /// Broadcast bitrate used for the energy model.
+  /// Broadcast bitrate of the channel and of the energy model.
   double bits_per_second = device::kBitrateStatic3G;
   /// Zeroes the wall-clock-measured cpu_ms field of every query so
   /// aggregates are bit-reproducible across runs and thread counts (the
@@ -54,16 +55,23 @@ struct SimOptions {
   /// square-root-rule spec per system from `schedule_demand`; kOnline is
   /// the event engine's re-planning mode (rejected by the batch engine —
   /// per-query private replays have no shared timeline to observe demand
-  /// on).
+  /// on; see CheckEngineCombination).
   SchedulePolicy schedule;
   /// Per-node destination demand the static planner weights groups by
   /// (workload::DestinationWeights of the run's spec; scenario runs merge
   /// their groups' distributions count-weighted). Empty = uniform, which
   /// plans the flat spec.
   std::vector<double> schedule_demand;
-  /// Wire encoding of the cycles' payloads (the planner decodes data
-  /// segments to map nodes to interleave groups).
-  broadcast::CycleEncoding encoding = broadcast::CycleEncoding::kLegacy;
+};
+
+/// The batch engine's options: the shared settings plus the seed of its
+/// per-query loss streams.
+struct SimOptions : EngineOptions {
+  SimOptions() = default;
+  explicit SimOptions(EngineOptions base) : EngineOptions(std::move(base)) {}
+
+  /// Base seed of the per-query loss streams (see QueryLossSeed).
+  uint64_t loss_seed = 0x10552;
 };
 
 /// One system's outcome over a workload.
@@ -97,8 +105,8 @@ struct BatchResult {
   /// sim::EventEngine).
   std::string engine = "batch";
   size_t num_queries = 0;
-  /// Effective worker count (a SimOptions::threads of 0 is resolved to the
-  /// hardware concurrency before being recorded here).
+  /// Effective worker count (an EngineOptions::threads of 0 is resolved to
+  /// the hardware concurrency before being recorded here).
   unsigned threads = 1;
   /// The full channel loss model (not just the rate): bursty runs were
   /// previously reported as if their losses were independent.
@@ -145,29 +153,17 @@ uint64_t QueryLossSeed(uint64_t base_seed, size_t index);
 /// thread pool against one shared read-only system + cycle. Results are
 /// deterministic for every thread count (see QueryLossSeed and the
 /// AirSystem thread-safety contract in air_system.h); cpu_ms is the one
-/// wall-clock-measured field, zeroed under SimOptions::deterministic.
-///
-/// Each worker thread owns one core::QueryScratch, reused across the
-/// thread's whole query slice — the engine's steady state therefore runs
-/// the allocation-free client path. Scratch never affects results (metrics
-/// are byte-identical to fresh-scratch runs; pinned by the golden test in
-/// tests/sim), so determinism across thread counts is preserved.
+/// wall-clock-measured field, zeroed under EngineOptions::deterministic.
+/// Each worker reuses one core::QueryScratch across its slice
+/// (TimedFanOut), so the steady state runs the allocation-free client path.
 class Simulator {
  public:
   /// `g` must outlive the simulator.
   Simulator(const graph::Graph& g, SimOptions options)
-      : graph_(&g), options_(options) {}
-
-  const SimOptions& options() const { return options_; }
-  device::EnergyModel energy_model() const {
-    return device::EnergyModel(options_.profile, options_.bits_per_second);
-  }
-  /// Worker count actually used (options().threads with 0 resolved to the
-  /// hardware concurrency).
-  unsigned effective_threads() const;
+      : graph_(&g), options_(std::move(options)) {}
 
   /// Runs every workload query through `sys`, one simulated client per
-  /// query, across options().threads workers.
+  /// query, across the options' threads.
   SystemResult RunSystem(const core::AirSystem& sys,
                          const workload::Workload& w) const;
 

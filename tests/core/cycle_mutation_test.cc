@@ -28,6 +28,7 @@ namespace {
 using testing_support::FindSystem;
 using testing_support::OkAnswers;
 using testing_support::Rebuilt;
+using testing_support::Rewritten;
 
 /// Most segments mutated per system, spaced evenly over the cycle.
 constexpr size_t kMaxSegments = 80;
@@ -111,7 +112,7 @@ std::optional<broadcast::BroadcastCycle> Mutated(
       payload.resize(payload.size() / 2);
       break;
   }
-  return Rebuilt(std::move(segments));
+  return Rebuilt(cycle, std::move(segments));
 }
 
 class CycleMutationTest
@@ -125,6 +126,12 @@ TEST_P(CycleMutationTest, QueriesReturnAndOkAnswersAreExact) {
   ASSERT_NE(sys, nullptr) << method;
   const broadcast::BroadcastCycle& own = sys->cycle();
   ASSERT_EQ(OkAnswers(*sys, f.g, f.w, own, "own cycle"), f.w.queries.size());
+  // Laid out again unmutated, the cycle keeps its data format and answers
+  // every query, so the mutations below are read as the system reads them.
+  ASSERT_EQ(OkAnswers(*sys, f.g, f.w,
+                      Rewritten(own, [](broadcast::Segment&) { return true; }),
+                      "rebuilt cycle"),
+            f.w.queries.size());
 
   const size_t n = own.num_segments();
   const size_t step =

@@ -196,11 +196,16 @@ TEST(SystemsMetricsTest, TuneInPositionClampsInclusivePhase) {
   const auto total = sys.cycle().total_packets();
   // phase == 1.0 used to index one past the cycle end; it must clamp to
   // the last packet, and every query built from it must still succeed.
-  EXPECT_EQ(TuneInPosition(sys.cycle(), 1.0), total - 1);
-  EXPECT_EQ(TuneInPosition(sys.cycle(), 0.0), 0u);
-  EXPECT_LT(TuneInPosition(sys.cycle(), 0.999999999), total);
-
   broadcast::BroadcastChannel channel(&sys.cycle(), 0.0);
+  auto start_at = [&](double phase) {
+    AirQuery aq;
+    aq.tune_phase = phase;
+    return StartPosition(channel, aq);
+  };
+  EXPECT_EQ(start_at(1.0), total - 1);
+  EXPECT_EQ(start_at(0.0), 0u);
+  EXPECT_LT(start_at(0.999999999), total);
+
   workload::Query q = f.w.queries.front();
   q.tune_phase = 1.0;
   device::QueryMetrics m =

@@ -37,6 +37,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "broadcast/channel.h"
@@ -229,37 +230,24 @@ sim::BatchResult RunConfig(const graph::Graph& g, const Config& c,
                            unsigned threads) {
   std::vector<const core::AirSystem*> ptrs;
   for (const auto& s : systems) ptrs.push_back(s.get());
-  const broadcast::CycleEncoding encoding =
-      c.compact ? broadcast::CycleEncoding::kCompact
-                : broadcast::CycleEncoding::kLegacy;
-  sim::SchedulePolicy schedule;
-  if (c.disks) schedule.mode = sim::SchedulePolicy::Mode::kStatic;
+  sim::EngineOptions base;
+  base.threads = threads;
+  base.loss = c.loss;
+  base.fec = broadcast::FecScheme::OfRate(c.fec_rate);
+  base.deterministic = true;
+  if (c.disks) base.schedule.mode = sim::SchedulePolicy::Mode::kStatic;
+  base.schedule_demand = demand;
+  base.client.memory_bound = c.memory_bound;
   if (c.event) {
-    sim::EventOptions eo;
-    eo.threads = threads;
-    eo.loss = c.loss;
-    eo.fec = broadcast::FecScheme::OfRate(c.fec_rate);
+    sim::EventOptions eo(std::move(base));
     eo.station_seed = kSeed;
-    eo.deterministic = true;
-    eo.schedule = schedule;
-    eo.schedule_demand = demand;
-    eo.encoding = encoding;
     eo.session.queries = c.session_queries;
     eo.cache_bytes = c.cache_bytes;
-    eo.client.memory_bound = c.memory_bound;
-    return sim::EventEngine(g, eo).Run(ptrs, w);
+    return sim::EventEngine(g, std::move(eo)).Run(ptrs, w);
   }
-  sim::SimOptions so;
-  so.threads = threads;
-  so.loss = c.loss;
-  so.fec = broadcast::FecScheme::OfRate(c.fec_rate);
+  sim::SimOptions so(std::move(base));
   so.loss_seed = kSeed;
-  so.deterministic = true;
-  so.schedule = schedule;
-  so.schedule_demand = demand;
-  so.encoding = encoding;
-  so.client.memory_bound = c.memory_bound;
-  return sim::Simulator(g, so).Run(ptrs, w);
+  return sim::Simulator(g, std::move(so)).Run(ptrs, w);
 }
 
 std::string FileText(const std::string& config_line,

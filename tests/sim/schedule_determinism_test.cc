@@ -158,8 +158,8 @@ TEST(ScheduleDeterminismTest, AdoptedStaticSpecNeverRegressesWaitProfile) {
   SchedulePolicy policy;
   policy.mode = SchedulePolicy::Mode::kStatic;
   for (const auto& sys : f.systems) {
-    const broadcast::ScheduleSpec spec = PlanStaticSpec(
-        sys->cycle(), f.demand, policy, broadcast::CycleEncoding::kLegacy);
+    const broadcast::ScheduleSpec spec =
+        PlanStaticSpec(sys->cycle(), f.demand, policy);
     if (spec.flat()) continue;
     auto compiled = broadcast::BroadcastSchedule::Compile(&sys->cycle(), spec);
     ASSERT_TRUE(compiled.ok()) << sys->name();

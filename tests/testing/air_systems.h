@@ -22,10 +22,12 @@
 namespace airindex::testing_support {
 
 /// The cycle CycleBuilder lays out from `segments`, in order, whether or
-/// not one is an index.
+/// not one is an index, in the data format of `source` (the cycle the
+/// segments came from): a rewritten region cycle stays one.
 inline broadcast::BroadcastCycle Rebuilt(
+    const broadcast::BroadcastCycle& source,
     std::vector<broadcast::Segment> segments) {
-  broadcast::CycleBuilder builder;
+  broadcast::CycleBuilder builder(source.encoding(), source.data_layout());
   for (broadcast::Segment& seg : segments) builder.Add(std::move(seg));
   return std::move(builder).Finalize(/*require_index=*/false).value();
 }
@@ -40,7 +42,7 @@ broadcast::BroadcastCycle Rewritten(const broadcast::BroadcastCycle& cycle,
     broadcast::Segment seg = cycle.segment(i);
     if (rewrite(seg)) segments.push_back(std::move(seg));
   }
-  return Rebuilt(std::move(segments));
+  return Rebuilt(cycle, std::move(segments));
 }
 
 /// Runs `w` over a lossless channel of `cycle` and returns how many queries

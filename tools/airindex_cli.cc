@@ -43,6 +43,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "broadcast/channel.h"
@@ -769,7 +770,7 @@ int Inspect(int argc, char** argv) {
     const std::vector<double> demand =
         workload::DestinationWeights(g->num_nodes(), dspec);
     broadcast::ScheduleSpec sspec =
-        sim::PlanStaticSpec(cycle, demand, schedule, encoding);
+        sim::PlanStaticSpec(cycle, demand, schedule);
     if (sspec.flat()) {
       std::printf("schedule: planner collapsed to the flat cycle "
                   "(demand too even for %u disks)\n",
@@ -934,45 +935,30 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
-  const broadcast::FecScheme fec = broadcast::FecScheme::OfRate(f.fec_rate);
-  const broadcast::LossModel loss =
-      broadcast::LossModel::Of(f.loss, f.burst, f.corrupt);
+  sim::EngineOptions base;
+  base.threads = f.threads;
+  base.repeat = f.repeat;
+  base.loss = broadcast::LossModel::Of(f.loss, f.burst, f.corrupt);
+  base.fec = broadcast::FecScheme::OfRate(f.fec_rate);
+  base.deterministic = f.deterministic;
+  base.schedule = f.schedule;
   // Static disk planning weights content by the run's analytic destination
   // distribution (uniform demand plans the flat timeline).
-  std::vector<double> schedule_demand;
   if (f.schedule.mode == sim::SchedulePolicy::Mode::kStatic) {
-    schedule_demand = workload::DestinationWeights(g->num_nodes(), wspec);
+    base.schedule_demand = workload::DestinationWeights(g->num_nodes(), wspec);
   }
   sim::BatchResult batch;
   if (f.engine == "event") {
-    sim::EventOptions eo;
-    eo.threads = f.threads;
-    eo.repeat = f.repeat;
-    eo.loss = loss;
-    eo.fec = fec;
+    sim::EventOptions eo(std::move(base));
     eo.station_seed = f.seed;
     eo.subchannels = f.subchannels;
-    eo.deterministic = f.deterministic;
-    eo.schedule = f.schedule;
-    eo.schedule_demand = schedule_demand;
-    eo.encoding = params.build.encoding;
     eo.session.queries = f.sessions;
     eo.cache_bytes = static_cast<size_t>(f.cache_bytes);
-    sim::EventEngine event_engine(*g, eo);
-    batch = event_engine.Run(system_ptrs, *w);
+    batch = sim::EventEngine(*g, std::move(eo)).Run(system_ptrs, *w);
   } else {
-    sim::SimOptions so;
-    so.threads = f.threads;
-    so.repeat = f.repeat;
-    so.loss = loss;
-    so.fec = fec;
+    sim::SimOptions so(std::move(base));
     so.loss_seed = f.seed;
-    so.deterministic = f.deterministic;
-    so.schedule = f.schedule;
-    so.schedule_demand = schedule_demand;
-    so.encoding = params.build.encoding;
-    sim::Simulator simulator(*g, so);
-    batch = simulator.Run(system_ptrs, *w);
+    batch = sim::Simulator(*g, std::move(so)).Run(system_ptrs, *w);
   }
 
   if (f.json) {

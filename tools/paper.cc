@@ -54,10 +54,17 @@ Result<graph::Graph> LoadNetwork(std::string_view name, const Options& o) {
   return g;
 }
 
+/// With o.repeat > 1, prints `r`'s min-of-N engine time as a `#` line:
+/// the tables print only the simulated metrics.
+void PrintRepeat(const sim::SystemResult& r, const Options& o) {
+  if (o.repeat > 1) {
+    std::printf("# %s: %.3f s min-of-%u (%.0f q/s)\n", r.system.c_str(),
+                r.wall_seconds, o.repeat, r.queries_per_second);
+  }
+}
+
 /// Runs every workload query through `sys` on the batch engine, one
-/// simulated client per query across o.threads workers. With o.repeat > 1
-/// the min-of-N engine time is printed as a `#` line: the tables print
-/// only the simulated metrics.
+/// simulated client per query across o.threads workers (PrintRepeat).
 sim::SystemResult Measure(const core::AirSystem& sys, const graph::Graph& g,
                           const workload::Workload& w, const Options& o,
                           broadcast::LossModel loss, uint64_t loss_seed,
@@ -68,11 +75,22 @@ sim::SystemResult Measure(const core::AirSystem& sys, const graph::Graph& g,
   so.loss = loss;
   so.loss_seed = loss_seed;
   so.client = client;
-  sim::SystemResult result = sim::Simulator(g, so).RunSystem(sys, w);
-  if (o.repeat > 1) {
-    std::printf("# %s: %.3f s min-of-%u (%.0f q/s)\n", result.system.c_str(),
-                result.wall_seconds, o.repeat, result.queries_per_second);
-  }
+  sim::SystemResult result =
+      sim::Simulator(g, std::move(so)).RunSystem(sys, w);
+  PrintRepeat(result, o);
+  return result;
+}
+
+/// Runs `scenario` with o.threads workers, each group's batch o.repeat
+/// times (PrintRepeat, per fleet system).
+Result<sim::ScenarioResult> RunScenario(const sim::Scenario& scenario,
+                                        const Options& o) {
+  sim::ScenarioRunner::RunOptions ro;
+  ro.threads = o.threads;
+  ro.repeat = o.repeat;
+  AIRINDEX_ASSIGN_OR_RETURN(sim::ScenarioResult result,
+                            sim::ScenarioRunner(ro).Run(scenario));
+  for (const sim::SystemResult& r : result.fleet) PrintRepeat(r, o);
   return result;
 }
 
@@ -288,15 +306,11 @@ Status Fig12(const Experiment& e, const Options& o, const graph::Graph*) {
     // per-group stream) so --seed reproduces earlier fig12 runs.
     group.workload.seed = o.seed;
   }
-  sim::ScenarioRunner::RunOptions ro;
-  ro.threads = o.threads;
-  const sim::ScenarioRunner runner(ro);
-
   std::printf("%-14s %-6s %12s %10s %12s %10s %6s\n", "network", "method",
               "tuning[pkt]", "mem[MB]", "latency[pkt]", "cpu[ms]", "fits");
   for (const auto& spec : graph::PaperNetworks()) {
     base.network = spec.name;
-    auto result = runner.Run(base);
+    auto result = RunScenario(base, o);
     if (!result.ok()) {
       return Status(result.status().code(),
                     spec.name + ": " + result.status().message());
@@ -330,10 +344,8 @@ Status Fig13(const Experiment& e, const Options& o, const graph::Graph*) {
     group.workload.seed = o.seed;
     group.loss_seed = o.seed;
   }
-  sim::ScenarioRunner::RunOptions ro;
-  ro.threads = o.threads;
   AIRINDEX_ASSIGN_OR_RETURN(sim::ScenarioResult result,
-                            sim::ScenarioRunner(ro).Run(scenario));
+                            RunScenario(scenario, o));
 
   std::printf("%-22s %12s %10s\n", "configuration", "mem[MB]", "cpu[ms]");
   // Per system in the paper's NR-then-EB order, group "with-precomp"
@@ -511,45 +523,45 @@ constexpr double kFig14Rates[] = {0.001, 0.005, 0.01, 0.05, 0.10};
 
 const Experiment kExperiments[] = {
     {"table1", "Table 1: broadcast cycle length (Germany)", "Germany",
-     core::kAllSystems, {}, Table1,
+     core::kAllSystems, false, {}, Table1,
      "# paper (full scale): DJ 14019, NR 14260, EB 15299, LD 21236,\n"
      "#                      AF 29233, SPQ 52337, HiTi 58138 packets\n"},
     {"table2", "Table 2: method applicability per network", "",
-     core::kMainSystems, {}, Table2,
+     core::kMainSystems, true, {}, Table2,
      "# paper: AF/LD only Milan+Germany; DJ up to Argentina; EB up to\n"
      "# India; NR all five. Y(x.xx) = fits, peak MB in parentheses.\n"},
     {"table3", "Table 3: pre-computation time (seconds)", "", kTable3Systems,
-     {}, Table3,
+     false, {}, Table3,
      "# paper (full scale, 3 GHz single core): Germany 61.8/58.1/1.0;\n"
      "# San Francisco 6332/2165/5.3 seconds. Ours is multi-threaded, so\n"
      "# absolute values are lower; growth with network size is the shape\n"
      "# to compare.\n"},
     {"fig10", "Figure 10: effect of shortest-path length (Germany)",
-     "Germany", core::kMainSystems, {}, Fig10,
+     "Germany", core::kMainSystems, true, {}, Fig10,
      "# paper shape: NR << EB << DJ < LD < AF in tuning/memory; EB\n"
      "# grows with path length; NR latency < DJ latency.\n"},
     {"fig11", "Figure 11: fine-tuning regions/landmarks (Germany)",
-     "Germany", kFig11Systems, {}, Fig11,
+     "Germany", kFig11Systems, true, {}, Fig11,
      "# paper shape: EB/NR best around 32 regions; EB/NR latency grows\n"
      "# with regions; LD degrades as landmarks increase.\n"},
     {"fig12", "Figure 12: performance across networks", "",
-     core::kMainSystems, {}, Fig12,
+     core::kMainSystems, true, {}, Fig12,
      "# paper shape: all metrics grow with network size; NR lowest\n"
      "# everywhere and the only method fitting San Francisco.\n"},
     {"fig13", "Figure 13: client-side pre-computation (memory-bound mode)",
-     "", kFig13Systems, {}, Fig13,
+     "", kFig13Systems, true, {}, Fig13,
      "# paper shape: w/ precomp lowers peak memory ~35% for both EB\n"
      "# and NR; CPU cost rises (pre-computation during reception).\n"},
     {"fig14", "Figure 14: effect of packet loss (Germany)", "Germany",
-     core::kMainSystems, kFig14Rates, Fig14,
+     core::kMainSystems, true, kFig14Rates, Fig14,
      "# paper shape: NR wins at every loss rate; degradation is\n"
      "# proportional to a method's tuning time.\n"},
     {"ablation-crossborder", "Ablation: EB cross-border/local segment split",
-     "Germany", {}, {}, AblationCrossBorder,
+     "Germany", {}, true, {}, AblationCrossBorder,
      "# paper: the optimization reduces tuning time ~20%.\n"},
     {"ablation-partitioning",
-     "Ablation: kd-tree vs regular-grid partitioning", "Germany", {}, {},
-     AblationPartitioning,
+     "Ablation: kd-tree vs regular-grid partitioning", "Germany", {}, false,
+     {}, AblationPartitioning,
      "# expected: kd-tree balances populations (max/min close to 1)\n"
      "# while the grid is skewed, which is the paper's reason to use\n"
      "# kd-tree partitioning.\n"},
@@ -567,22 +579,18 @@ const Experiment* FindExperiment(std::string_view name) {
 }
 
 Status Run(const Experiment& e, const Options& o) {
-  std::string loss;
-  if (e.loss_sweep.empty()) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.4f", o.loss);
-    loss = buf;
-  } else {
-    for (double rate : e.loss_sweep) {
-      if (!loss.empty()) loss += ',';
-      loss += Percent(rate);
-    }
-  }
   std::printf("==================================================\n");
   std::printf("%.*s\n", static_cast<int>(e.title.size()), e.title.data());
-  std::printf("scale=%.2f queries=%zu seed=%llu loss=%s", o.scale, o.queries,
-              static_cast<unsigned long long>(o.seed), loss.c_str());
-  if (o.burst > 1) std::printf(" burst=%u", o.burst);
+  std::printf("scale=%.2f queries=%zu seed=%llu", o.scale, o.queries,
+              static_cast<unsigned long long>(o.seed));
+  if (e.lossy) {
+    std::printf(" loss=");
+    if (e.loss_sweep.empty()) std::printf("%.4f", o.loss);
+    for (size_t i = 0; i < e.loss_sweep.size(); ++i) {
+      std::printf("%s%s", i > 0 ? "," : "", Percent(e.loss_sweep[i]).c_str());
+    }
+    if (o.burst > 1) std::printf(" burst=%u", o.burst);
+  }
   std::printf("\n==================================================\n");
 
   std::optional<graph::Graph> g;

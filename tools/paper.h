@@ -58,6 +58,9 @@ struct Experiment {
   /// paper's §7 knobs: ArcFlag 16 regions, EB/NR/HiTi 32, Landmark 4);
   /// fig11 sweeps the knobs of its methods.
   std::span<const std::string_view> systems;
+  /// Whether the routine runs queries over a channel of --loss and
+  /// --burst; the header names the loss model only then.
+  bool lossy;
   /// Loss rates swept in place of --loss (fig14); the header names them.
   std::span<const double> loss_sweep;
   /// Prints the experiment's table. `g` is the loaded `network`, or null.
