@@ -12,15 +12,23 @@
 // loss, bursty 2%x8 loss, FEC 0.125 with bit corruption at 2% loss, a
 // broadcast-disk schedule, the compact encoding, the event engine with
 // 4-query sessions and 50 MB caches, §6.1 memory-bound clients at 2% loss,
-// and the event engine with bursty 2%x4 loss, 8-query sessions and
-// 256 KiB caches (perfbench's lossy-session-fleet shape) or 48 KiB ones.
-// Every corpus cycle fits in 256 KiB; only the 48 KiB caches evict, so
-// only they see the order in which EB stores a region's segments. Every
-// configuration runs at 1 and at 4 threads, and both must match the same
-// file. The lattice is there for its ties: the catalog networks' jittered
-// weights almost never give a node two shortest-path predecessors at equal
-// distance, so they cannot see a change in how the search heap breaks
-// ties.
+// the event engine with bursty 2%x4 loss, 8-query sessions and 256 KiB
+// caches (perfbench's lossy-session-fleet shape) or 48 KiB ones, and the
+// event engine's two scheduled stations: static broadcast disks, and an
+// online schedule re-planned every cycle from zipf[1.2] destinations
+// arriving as a Poisson stream of 2 clients/s. Every corpus cycle fits in
+// 256 KiB; only the 48 KiB caches evict, so only they see the order in
+// which EB stores a region's segments. Every configuration runs at 1 and
+// at 4 threads, and both must match the same file. The lattice is there
+// for its ties: the catalog networks' jittered weights almost never give a
+// node two shortest-path predecessors at equal distance, so they cannot
+// see a change in how the search heap breaks ties.
+//
+// The online column only pins the re-planning path if the station does
+// re-plan: on every network some system's per-query packet counts must
+// differ from the same workload on the flat schedule (EB's do on all
+// three). Without an arrival process they would not, since every
+// phase-derived arrival falls in the first epoch.
 //
 // On a mismatch the test writes the file it computed into its build
 // directory and prints the path. Regenerating the corpus means copying that
@@ -28,6 +36,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -51,6 +60,7 @@
 #include "sim/aggregate.h"
 #include "sim/event_engine.h"
 #include "sim/report.h"
+#include "sim/schedule_plan.h"
 #include "sim/simulator.h"
 #include "workload/workload.h"
 
@@ -59,6 +69,9 @@ namespace {
 
 constexpr size_t kQueries = 48;
 constexpr uint64_t kSeed = 20100913;
+/// The online column's epoch, in cycles: the shortest, so the station
+/// re-plans as often as it can.
+constexpr uint32_t kReplanCycles = 1;
 
 /// FNV-1a over 64-bit little-endian words.
 class Digest {
@@ -165,12 +178,22 @@ struct Config {
   bool event = false;
   broadcast::LossModel loss = broadcast::LossModel::None();
   double fec_rate = 0.0;
-  bool disks = false;
+  sim::SchedulePolicy::Mode schedule = sim::SchedulePolicy::Mode::kFlat;
   bool compact = false;
   uint32_t session_queries = 1;
   size_t cache_bytes = 0;
   bool memory_bound = false;
+  /// Zipf destinations at the workload's default exponent, or at
+  /// `zipf_s` when it is set.
+  bool zipf = false;
+  double zipf_s = 0.0;
+  /// Poisson arrivals per second on the station clock (0: phase-derived
+  /// arrivals).
+  double poisson_rate = 0.0;
 };
+
+constexpr auto kStatic = sim::SchedulePolicy::Mode::kStatic;
+constexpr auto kOnline = sim::SchedulePolicy::Mode::kOnline;
 
 std::vector<Config> Matrix() {
   std::vector<Config> m;
@@ -181,7 +204,7 @@ std::vector<Config> Matrix() {
   m.push_back({.name = "fec125_corrupt",
                .loss = broadcast::LossModel::Of(0.02, 1, 2e-5),
                .fec_rate = 0.125});
-  m.push_back({.name = "disks", .disks = true});
+  m.push_back({.name = "disks", .schedule = kStatic, .zipf = true});
   m.push_back({.name = "compact", .compact = true});
   m.push_back({.name = "event_sessions",
                .event = true,
@@ -200,7 +223,28 @@ std::vector<Config> Matrix() {
                .loss = broadcast::LossModel::Of(0.02, 4),
                .session_queries = 8,
                .cache_bytes = 48u << 10});
+  m.push_back({.name = "event_disks",
+               .event = true,
+               .schedule = kStatic,
+               .zipf = true});
+  m.push_back({.name = "event_online",
+               .event = true,
+               .schedule = kOnline,
+               .zipf = true,
+               .zipf_s = 1.2,
+               .poisson_rate = 2.0});
   return m;
+}
+
+const char* ScheduleName(sim::SchedulePolicy::Mode mode) {
+  switch (mode) {
+    case kStatic:
+      return "disks";
+    case kOnline:
+      return "online";
+    default:
+      return "flat";
+  }
 }
 
 std::string ConfigLine(const std::string& network, const Config& c) {
@@ -213,12 +257,38 @@ std::string ConfigLine(const std::string& network, const Config& c) {
       network.c_str(), kQueries,
       static_cast<unsigned long long>(kSeed), c.event ? "event" : "batch",
       c.loss.rate, c.loss.burst_len, c.loss.corrupt_bit, c.fec_rate,
-      c.disks ? "disks" : "flat", c.disks ? "zipf" : "uniform",
+      ScheduleName(c.schedule), c.zipf ? "zipf" : "uniform",
       c.compact ? "compact" : "legacy", c.session_queries, c.cache_bytes);
   std::string line = buf;
   // Appended only when set, so the older columns' files keep their bytes.
   if (c.memory_bound) line += " client=memory_bound";
+  if (c.schedule == kOnline) {
+    line += " replan_cycles=" + std::to_string(kReplanCycles);
+  }
+  if (c.zipf_s > 0.0) {
+    std::snprintf(buf, sizeof(buf), " zipf_s=%g", c.zipf_s);
+    line += buf;
+  }
+  if (c.poisson_rate > 0.0) {
+    std::snprintf(buf, sizeof(buf), " arrival=poisson rate=%g",
+                  c.poisson_rate);
+    line += buf;
+  }
   return line;
+}
+
+/// The workload of column `c`.
+workload::WorkloadSpec WorkloadOf(const Config& c) {
+  workload::WorkloadSpec spec;
+  spec.count = kQueries;
+  spec.seed = kSeed;
+  if (c.zipf) spec.dest = workload::WorkloadSpec::Dest::kZipf;
+  if (c.zipf_s > 0.0) spec.zipf_s = c.zipf_s;
+  if (c.poisson_rate > 0.0) {
+    spec.arrival.kind = workload::ArrivalSpec::Kind::kPoisson;
+    spec.arrival.rate_per_second = c.poisson_rate;
+  }
+  return spec;
 }
 
 using Systems = std::vector<std::unique_ptr<core::AirSystem>>;
@@ -235,7 +305,8 @@ sim::BatchResult RunConfig(const graph::Graph& g, const Config& c,
   base.loss = c.loss;
   base.fec = broadcast::FecScheme::OfRate(c.fec_rate);
   base.deterministic = true;
-  if (c.disks) base.schedule.mode = sim::SchedulePolicy::Mode::kStatic;
+  base.schedule.mode = c.schedule;
+  base.schedule.replan_cycles = kReplanCycles;
   base.schedule_demand = demand;
   base.client.memory_bound = c.memory_bound;
   if (c.event) {
@@ -339,31 +410,45 @@ void CheckNetwork(const Result<graph::Graph>& g, const std::string& tag) {
   ASSERT_TRUE(compact.ok()) << compact.status().ToString();
   ASSERT_EQ(legacy->size(), 7u);
 
-  workload::WorkloadSpec uniform;
-  uniform.count = kQueries;
-  uniform.seed = kSeed;
-  workload::WorkloadSpec zipf = uniform;
-  zipf.dest = workload::WorkloadSpec::Dest::kZipf;
-  auto w_uniform = workload::GenerateWorkload(*g, uniform);
-  auto w_zipf = workload::GenerateWorkload(*g, zipf);
-  ASSERT_TRUE(w_uniform.ok() && w_zipf.ok());
-  const std::vector<double> zipf_demand =
-      workload::DestinationWeights(g->num_nodes(), zipf);
-
   for (const Config& c : Matrix()) {
     const Systems& systems = c.compact ? *compact : *legacy;
-    const workload::Workload& w = c.disks ? *w_zipf : *w_uniform;
-    const std::vector<double> no_demand;
+    const workload::WorkloadSpec spec = WorkloadOf(c);
+    auto w = workload::GenerateWorkload(*g, spec);
+    ASSERT_TRUE(w.ok()) << w.status().ToString();
+    // Only the static planner reads an analytic demand profile.
+    const std::vector<double> demand =
+        c.schedule == kStatic
+            ? workload::DestinationWeights(g->num_nodes(), spec)
+            : std::vector<double>{};
     const std::string config_line = ConfigLine(tag, c);
+    sim::BatchResult serial;
     for (unsigned threads : {1u, 4u}) {
-      const sim::BatchResult batch = RunConfig(
-          *g, c, systems, w, c.disks ? zipf_demand : no_demand, threads);
+      sim::BatchResult batch = RunConfig(*g, c, systems, *w, demand, threads);
       ASSERT_EQ(batch.systems.size(), systems.size());
       for (size_t i = 0; i < systems.size(); ++i) {
         const sim::SystemResult& r = batch.systems[i];
         ExpectGolden(tag + "_" + c.name + "_" + r.system + ".txt",
                      FileText(config_line, *systems[i], r), threads);
       }
+      if (threads == 1) serial = std::move(batch);
+    }
+    if (c.schedule == kOnline) {
+      // Epoch-relative arrival instants round differently from absolute
+      // ones, so every digest differs from flat's; only a re-planned
+      // timeline moves packet counts.
+      Config flat = c;
+      flat.schedule = sim::SchedulePolicy::Mode::kFlat;
+      const sim::BatchResult fixed = RunConfig(*g, flat, systems, *w, {}, 1);
+      size_t replanned = 0;
+      for (size_t i = 0; i < systems.size(); ++i) {
+        replanned += !std::ranges::equal(
+            serial.systems[i].per_query, fixed.systems[i].per_query, {},
+            &device::QueryMetrics::latency_packets,
+            &device::QueryMetrics::latency_packets);
+      }
+      EXPECT_GT(replanned, 0u)
+          << tag << " " << c.name << " never re-planned: every system "
+          << "matches the flat schedule";
     }
   }
 }
