@@ -110,7 +110,6 @@ class BroadcastChannel {
   /// decoded under an old version is ever served against a new one.
   uint64_t cycle_version() const { return cycle_version_; }
   double loss_rate() const { return loss_.rate; }
-  const LossModel& loss_model() const { return loss_; }
   uint64_t slot_stride() const { return slot_stride_; }
   uint64_t slot_offset() const { return slot_offset_; }
   const FecLayout& fec() const { return fec_; }

@@ -32,6 +32,37 @@ std::vector<uint32_t> GroupPacketCounts(
   return packets;
 }
 
+std::vector<uint32_t> SpinLadder(uint32_t disks,
+                                 std::vector<uint32_t> rates) {
+  disks = std::max(disks, 1u);
+  if (rates.empty()) {
+    for (uint32_t d = 0; d < disks; ++d) {
+      rates.push_back(1u << (disks - 1 - d));
+    }
+  } else {
+    std::sort(rates.begin(), rates.end(), std::greater<>());
+  }
+  for (uint32_t& r : rates) {
+    if (r == 0) r = 1;
+  }
+  return rates;
+}
+
+Result<uint64_t> MacroMinorCycles(const std::vector<uint32_t>& spins) {
+  uint64_t lcm = 1;
+  for (uint32_t r : spins) {
+    if (r == 0) return Status::InvalidArgument("disk spin rate must be >= 1");
+    lcm = std::lcm(lcm, static_cast<uint64_t>(r));
+    if (lcm > BroadcastSchedule::kMaxMacroMinorCycles) {
+      return Status::InvalidArgument(
+          "spin rates produce a macro cycle (their LCM) beyond " +
+          std::to_string(BroadcastSchedule::kMaxMacroMinorCycles) +
+          " minor cycles");
+    }
+  }
+  return lcm;
+}
+
 Result<BroadcastSchedule> BroadcastSchedule::Compile(
     const BroadcastCycle* cycle, ScheduleSpec spec) {
   if (cycle == nullptr || cycle->total_packets() == 0) {
@@ -52,16 +83,7 @@ Result<BroadcastSchedule> BroadcastSchedule::Compile(
         " groups, cycle has " + std::to_string(s.num_groups_));
   }
   const auto num_disks = static_cast<uint32_t>(spec.spin.size());
-  uint64_t lcm = 1;
-  for (uint32_t r : spec.spin) {
-    if (r == 0) return Status::InvalidArgument("disk spin rate must be >= 1");
-    lcm = std::lcm(lcm, static_cast<uint64_t>(r));
-    if (lcm > kMaxMacroMinorCycles) {
-      return Status::InvalidArgument(
-          "spin rates produce a macro cycle beyond " +
-          std::to_string(kMaxMacroMinorCycles) + " minor cycles");
-    }
-  }
+  AIRINDEX_ASSIGN_OR_RETURN(const uint64_t lcm, MacroMinorCycles(spec.spin));
   for (uint32_t d : spec.disk_of_group) {
     if (d >= num_disks) {
       return Status::InvalidArgument("group assigned to unknown disk " +
@@ -299,17 +321,7 @@ ScheduleSpec SquareRootSpec(const std::vector<double>& group_weight,
   ScheduleSpec spec;
   const size_t n = group_weight.size();
   if (n == 0 || group_packets.size() != n) return spec;
-  if (disks == 0) disks = 1;
-  if (rates.empty()) {
-    for (uint32_t d = 0; d < disks; ++d) {
-      rates.push_back(1u << (disks - 1 - d));
-    }
-  } else {
-    std::sort(rates.begin(), rates.end(), std::greater<>());
-  }
-  for (uint32_t& r : rates) {
-    if (r == 0) r = 1;
-  }
+  rates = SpinLadder(disks, std::move(rates));
 
   // sqrt(p / l) per group, with a pinch of smoothing so groups no query
   // happened to hit keep a nonzero frequency.

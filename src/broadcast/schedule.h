@@ -41,6 +41,15 @@ uint32_t NumGroups(const std::vector<uint32_t>& group_of_segment);
 std::vector<uint32_t> GroupPacketCounts(
     const BroadcastCycle& cycle, const std::vector<uint32_t>& group_of_segment);
 
+/// The spin rates a planner assigns groups to, fastest first: `rates`
+/// (a zero rate read as 1), or {2^(disks-1), ..., 2, 1} when empty.
+std::vector<uint32_t> SpinLadder(uint32_t disks, std::vector<uint32_t> rates);
+
+/// LCM(spins), the macro cycle in minor cycles; fails when a spin is 0 or
+/// the LCM exceeds BroadcastSchedule::kMaxMacroMinorCycles. The one check
+/// of a ladder, made by Compile and by the schedule parsers.
+Result<uint64_t> MacroMinorCycles(const std::vector<uint32_t>& spins);
+
 /// A compiled broadcast-disk timeline: the deterministic slot program the
 /// station transmits instead of the flat cycle. The macro cycle holds
 /// spin[disk(g)] repetitions of every group g; each repetition is placed
@@ -61,7 +70,7 @@ std::vector<uint32_t> GroupPacketCounts(
 class BroadcastSchedule {
  public:
   /// Compiles `spec` against `cycle`. Fails on malformed specs (group/disk
-  /// vector size mismatch, zero spins, LCM beyond kMaxMacroMinorCycles).
+  /// vector size mismatch, spins MacroMinorCycles refuses).
   /// `cycle` must outlive the schedule. A flat spec compiles to the
   /// identity timeline (macro == cycle, slot i carries position i).
   static Result<BroadcastSchedule> Compile(const BroadcastCycle* cycle,
@@ -164,10 +173,9 @@ WaitProfile ScheduleWaitProfile(const BroadcastSchedule& schedule);
 /// probability p and occupying l packets wants broadcast frequency
 /// ∝ sqrt(p / l). Spins are the per-group frequencies normalized to the
 /// least-demanded group and quantized to the nearest spin rate in
-/// `rates` (log-space nearest). Empty `rates` selects the power-of-two
-/// ladder {2^(disks-1), ..., 2, 1}. Disk d spins at the d-th fastest rate;
-/// a uniform demand profile collapses every group onto the spin-1 disk —
-/// the identity timeline.
+/// SpinLadder(disks, rates) (log-space nearest). Disk d spins at the d-th
+/// fastest rate; a uniform demand profile collapses every group onto the
+/// spin-1 disk — the identity timeline.
 ScheduleSpec SquareRootSpec(const std::vector<double>& group_weight,
                             const std::vector<uint32_t>& group_packets,
                             uint32_t disks,

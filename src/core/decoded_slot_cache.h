@@ -1,7 +1,6 @@
 #ifndef AIRINDEX_CORE_DECODED_SLOT_CACHE_H_
 #define AIRINDEX_CORE_DECODED_SLOT_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <shared_mutex>
@@ -48,12 +47,8 @@ class DecodedSlotCache {
     {
       std::shared_lock<std::shared_mutex> lock(mu_);
       auto it = verdicts_.find(segment_index);
-      if (it != verdicts_.end()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
-      }
+      if (it != verdicts_.end()) return it->second;
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
     const bool verdict = fn();
     {
       std::unique_lock<std::shared_mutex> lock(mu_);
@@ -62,16 +57,10 @@ class DecodedSlotCache {
     return verdict;
   }
 
-  /// Decodes shared so far (for engine-level reporting).
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-
  private:
   const uint64_t cycle_version_;
   std::shared_mutex mu_;
   std::unordered_map<uint32_t, bool> verdicts_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
 };
 
 /// Memoized validation of a received segment: complete segments route

@@ -5,6 +5,7 @@
 
 #include "common/byte_io.h"
 #include "core/client_run.h"
+#include "core/nr_index.h"
 #include "core/region_client.h"
 #include "partition/kd_tree.h"
 
@@ -95,9 +96,9 @@ Result<std::unique_ptr<NrSystem>> NrSystem::BuildFromPrecompute(
   // the pre-computation; A^m[i][j] = first needed region at or after m.
   // next_at is computed by a backward sweep over two concatenated periods
   // (resolving the wrap-around).
-  sys->indexes_.assign(R, NrIndex{});
+  std::vector<NrIndex> indexes(R);
   for (graph::RegionId m = 0; m < R; ++m) {
-    auto& idx = sys->indexes_[m];
+    auto& idx = indexes[m];
     idx.num_regions = R;
     idx.num_nodes = static_cast<uint32_t>(g.num_nodes());
     idx.region_id = m;
@@ -123,7 +124,7 @@ Result<std::unique_ptr<NrSystem>> NrSystem::BuildFromPrecompute(
         next_at[m] = next;
       }
       for (graph::RegionId m = 0; m < R; ++m) {
-        sys->indexes_[m].next_region[static_cast<size_t>(i) * R + j] =
+        indexes[m].next_region[static_cast<size_t>(i) * R + j] =
             next_at[m];
       }
     }
@@ -137,7 +138,7 @@ Result<std::unique_ptr<NrSystem>> NrSystem::BuildFromPrecompute(
     idx_seg.type = broadcast::SegmentType::kLocalIndex;
     idx_seg.id = m;
     idx_seg.is_index = true;
-    idx_seg.payload = sys->indexes_[m].Encode();
+    idx_seg.payload = indexes[m].Encode();
     builder.Add(std::move(idx_seg));
     broadcast::Segment cross_seg;
     cross_seg.type = broadcast::SegmentType::kNetworkData;

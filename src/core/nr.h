@@ -7,7 +7,6 @@
 #include "core/air_system.h"
 #include "core/border_precompute.h"
 #include "core/cycle_common.h"
-#include "core/nr_index.h"
 #include "graph/graph.h"
 
 namespace airindex::core {
@@ -49,9 +48,6 @@ class NrSystem : public AirSystem {
                                 QueryScratch* scratch) const override;
   double precompute_seconds() const override { return precompute_seconds_; }
 
-  /// The local index preceding region m (server-side introspection).
-  const NrIndex& local_index(graph::RegionId m) const { return indexes_[m]; }
-
   /// The shared pre-computation Build() took from SharedBorderPrecompute
   /// (null when built by BuildFromPrecompute).
   const std::shared_ptr<const BorderPrecompute>& precompute() const {
@@ -62,7 +58,6 @@ class NrSystem : public AirSystem {
   NrSystem() = default;
 
   broadcast::BroadcastCycle cycle_;
-  std::vector<NrIndex> indexes_;
   double precompute_seconds_ = 0.0;
   /// Holding the shared pre-computation keeps it available to the other
   /// method's Build() on an equal graph for as long as this system lives.

@@ -52,8 +52,6 @@ class SegmentArena {
     }
   }
 
-  size_t slot_count() const { return slots_.size(); }
-
  private:
   std::deque<broadcast::ReceivedSegment> slots_;
   std::vector<broadcast::ReceivedSegment*> free_;

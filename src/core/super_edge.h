@@ -40,9 +40,6 @@ class SuperEdgeProcessor {
     return overlay_arc_count_ * 16 + overlay_.size() * 16;
   }
 
-  size_t overlay_nodes() const { return overlay_.size(); }
-  size_t overlay_arcs() const { return overlay_arc_count_; }
-
  private:
   void AddOverlayArc(graph::NodeId from, graph::NodeId to, graph::Dist d);
 

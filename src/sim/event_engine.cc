@@ -26,6 +26,88 @@ broadcast::StationOptions StationOptionsOf(
   return so;
 }
 
+/// What a run transmits and when each query arrives: the stations, and for
+/// every query the station of its arrival epoch and its arrival instant on
+/// that station's clock. A flat or static schedule is one station for the
+/// whole run; an online schedule adds one per adopted spec. The plan is
+/// built serially, before any query runs, so the fan-out over it is a pure
+/// per-session map — byte-identical for any thread count.
+struct EpochPlan {
+  /// What each station transmits (empty: the flat cycle); the stations
+  /// point into it.
+  std::deque<std::optional<broadcast::BroadcastSchedule>> schedules;
+  std::deque<broadcast::Station> stations;
+  std::vector<const broadcast::Station*> station_of;
+  std::vector<double> arrival_ms;
+
+  const broadcast::Station* AddStation(
+      const EventOptions& o, const broadcast::BroadcastCycle& cycle,
+      std::optional<broadcast::BroadcastSchedule> schedule) {
+    const auto& s = schedules.emplace_back(std::move(schedule));
+    stations.emplace_back(&cycle, StationOptionsOf(o, s ? &*s : nullptr));
+    return &stations.back();
+  }
+};
+
+/// Plans `w` on `cycle` under the engine options `o`.
+EpochPlan PlanEpochs(const EventOptions& o, bool online, size_t num_nodes,
+                     const broadcast::BroadcastCycle& cycle,
+                     const workload::Workload& w) {
+  EpochPlan plan;
+  const size_t n = w.queries.size();
+  std::optional<OnlineReplanner> planner;
+  if (online) planner.emplace(&cycle, NodeGroups(cycle, num_nodes), o.schedule);
+  const broadcast::Station* station = plan.AddStation(
+      o, cycle,
+      online ? CompileSchedule(cycle, planner->spec())
+             : StaticSchedule(cycle, o.schedule_demand, o.schedule));
+  plan.station_of.assign(n, station);
+
+  // Arrival instant on the first station's clock: the process timestamp
+  // when present, else the phase-derived fallback (one cycle's worth of
+  // arrivals).
+  plan.arrival_ms.resize(n);
+  const double cycle_ms = station->CycleMs();
+  for (size_t i = 0; i < n; ++i) {
+    const workload::Query& wq = w.queries[i];
+    plan.arrival_ms[i] =
+        wq.arrival_ms >= 0.0 ? wq.arrival_ms : wq.tune_phase * cycle_ms;
+  }
+  if (!online) return plan;
+
+  // The epoch walk: arrivals in time order; at each epoch boundary the
+  // re-planner may adopt a new spec, which stands up a new station whose
+  // clock restarts at the boundary. Each query takes the station of its
+  // arrival epoch, and its arrival becomes epoch-relative as it is
+  // assigned.
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return plan.arrival_ms[a] < plan.arrival_ms[b];
+  });
+  const auto replan_cycles =
+      static_cast<double>(std::max(1u, o.schedule.replan_cycles));
+  double epoch_start = 0.0;
+  for (size_t k = 0; k < n;) {
+    const double epoch_ms = replan_cycles * station->CycleMs();
+    // A cycle of no duration never ends its epoch.
+    const bool endless = !(epoch_ms > 0.0);
+    const double epoch_end = epoch_start + epoch_ms;
+    for (; k < n && (endless || plan.arrival_ms[order[k]] < epoch_end); ++k) {
+      const size_t i = order[k];
+      plan.station_of[i] = station;
+      plan.arrival_ms[i] -= epoch_start;
+      planner->ObserveDestination(w.queries[i].target);
+    }
+    if (k < n && planner->Replan()) {
+      station =
+          plan.AddStation(o, cycle, CompileSchedule(cycle, planner->spec()));
+    }
+    epoch_start = epoch_end;
+  }
+  return plan;
+}
+
 }  // namespace
 
 broadcast::Station EventEngine::MakeStation(
@@ -35,53 +117,42 @@ broadcast::Station EventEngine::MakeStation(
 
 SystemResult EventEngine::RunSystem(const core::AirSystem& sys,
                                     const workload::Workload& w) const {
-  if (options_.schedule.mode == SchedulePolicy::Mode::kOnline) {
-    return RunSystemOnline(sys, w);
-  }
-
   SystemResult result;
   result.system = std::string(sys.name());
   result.per_query.resize(w.queries.size());
 
-  // Static broadcast-disk schedule: planned once from the analytic demand
-  // profile and transmitted for the whole run.
-  const std::optional<broadcast::BroadcastSchedule> sched =
-      StaticSchedule(sys.cycle(), options_.schedule_demand, options_.schedule);
-  const broadcast::Station station(
-      &sys.cycle(),
-      StationOptionsOf(options_, sched.has_value() ? &*sched : nullptr));
-  const double pkt_ms = station.PacketMs();
-  const double slot_ms = station.SlotMs();
-  const double cycle_ms = station.CycleMs();
+  const bool online = options_.schedule.mode == SchedulePolicy::Mode::kOnline;
+  const EpochPlan plan =
+      PlanEpochs(options_, online, graph_->num_nodes(), sys.cycle(), w);
   const bool fec_on = options_.fec.enabled();
 
   // Persistent-client sessions: a run of session.queries consecutive
-  // workload queries becomes one client that stays tuned to the station
+  // workload queries becomes one client that stays tuned to its station
   // across them, carrying its SessionCache. A one-shot fleet is sessions
-  // of one query with the cache off. Each session is one worker's
-  // sequential chain — the arrival of query j+1 is the completion instant
-  // of query j plus think time — and sessions are mutually independent, so
-  // the fleet fans across threads bit-identically. The per-station decode
-  // memo is shared by every co-listening client; it only affects cpu_ms
-  // (already outside the determinism contract).
+  // of one query with the cache off, and an online plan runs one: a
+  // session's later arrivals depend on answers the plan cannot know in
+  // advance. Each session is one worker's sequential chain — the arrival
+  // of query j+1 is the completion instant of query j plus think time —
+  // and sessions are mutually independent, so the fleet fans across
+  // threads bit-identically. The per-station decode memo is shared by
+  // every co-listening client; it only affects cpu_ms (already outside the
+  // determinism contract).
   const size_t n = w.queries.size();
   const uint32_t per_session =
-      std::max<uint32_t>(1u, options_.session.queries);
-  core::DecodedSlotCache decode_cache(station.channel(0).cycle_version());
+      online ? 1u : std::max<uint32_t>(1u, options_.session.queries);
+  const size_t cache_bytes = online ? 0 : options_.cache_bytes;
+  core::DecodedSlotCache decode_cache(
+      plan.stations.front().channel(0).cycle_version());
   TimedFanOut(
       (n + per_session - 1) / per_session, options_,
       [&](core::QueryScratch& sc, size_t sidx) {
-        sc.session.BeginSession(options_.cache_bytes);
-        sc.decode_cache = options_.cache_bytes > 0 ? &decode_cache : nullptr;
+        sc.session.BeginSession(cache_bytes);
+        sc.decode_cache = cache_bytes > 0 ? &decode_cache : nullptr;
         const size_t first = sidx * per_session;
         const size_t last = std::min(n, first + per_session);
+        const broadcast::Station& station = *plan.station_of[first];
         const uint32_t sub = station.SubchannelOf(sidx);
-        // Arrival instant on the station clock: the process timestamp when
-        // present, else the phase-derived fallback (one cycle's worth of
-        // arrivals).
-        double arrival_ms = w.queries[first].arrival_ms >= 0.0
-                                ? w.queries[first].arrival_ms
-                                : w.queries[first].tune_phase * cycle_ms;
+        double arrival_ms = plan.arrival_ms[first];
         for (size_t i = first; i < last; ++i) {
           core::AirQuery q = core::MakeAirQuery(*graph_, w.queries[i]);
           q.arrival_pos = station.PositionAt(arrival_ms, sub);
@@ -95,107 +166,13 @@ SystemResult EventEngine::RunSystem(const core::AirSystem& sys,
           const bool silent = m.tuning_packets == 0 && m.latency_packets == 0;
           const double boundary_ms =
               silent ? 0.0 : station.TimeAtMs(q.arrival_pos, sub) - arrival_ms;
-          PriceLatency(m, boundary_ms, pkt_ms, slot_ms, fec_on);
-          if (options_.deterministic) m.cpu_ms = 0.0;
+          PriceLatency(m, boundary_ms, station.PacketMs(), station.SlotMs(),
+                       fec_on);
           result.per_query[i] = m;
           // Next query of the session arrives once this answer landed and
           // the client thought about it.
           arrival_ms += m.wait_ms + m.listen_ms + options_.session.think_ms;
         }
-      },
-      result);
-  return result;
-}
-
-SystemResult EventEngine::RunSystemOnline(const core::AirSystem& sys,
-                                          const workload::Workload& w) const {
-  SystemResult result;
-  result.system = std::string(sys.name());
-  result.per_query.resize(w.queries.size());
-
-  const broadcast::BroadcastCycle& cycle = sys.cycle();
-  const size_t n = w.queries.size();
-  const bool fec_on = options_.fec.enabled();
-
-  // Epoch plan (serial, deterministic): walk arrivals in time order; at
-  // each epoch boundary the re-planner may adopt a new spec, which stands
-  // up a new station whose clock restarts at the boundary. Every query is
-  // assigned the station of its arrival epoch with an epoch-relative
-  // arrival instant, so the parallel phase below is a pure per-query map —
-  // byte-identical for any thread count.
-  OnlineReplanner planner(&cycle, NodeGroups(cycle, graph_->num_nodes()),
-                          options_.schedule);
-  std::deque<broadcast::BroadcastSchedule> schedules;
-  std::deque<broadcast::Station> stations;
-  auto push_station = [&](const broadcast::ScheduleSpec& spec) {
-    const broadcast::BroadcastSchedule* schedule = nullptr;
-    if (!spec.flat()) {
-      auto compiled = broadcast::BroadcastSchedule::Compile(&cycle, spec);
-      if (compiled.ok()) {
-        schedules.push_back(std::move(compiled).value());
-        schedule = &schedules.back();
-      }
-    }
-    stations.emplace_back(&cycle, StationOptionsOf(options_, schedule));
-    return &stations.back();
-  };
-  const broadcast::Station* station = push_station(planner.spec());
-  const double flat_cycle_ms = station->CycleMs();
-
-  std::vector<double> arrival(n);
-  for (size_t i = 0; i < n; ++i) {
-    const workload::Query& wq = w.queries[i];
-    arrival[i] =
-        wq.arrival_ms >= 0.0 ? wq.arrival_ms : wq.tune_phase * flat_cycle_ms;
-  }
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return arrival[a] < arrival[b];
-  });
-
-  std::vector<const broadcast::Station*> station_of(n, station);
-  std::vector<double> epoch_start_of(n, 0.0);
-  const auto replan_cycles =
-      static_cast<double>(std::max(1u, options_.schedule.replan_cycles));
-  double epoch_start = 0.0;
-  size_t k = 0;
-  while (k < n) {
-    const double epoch_ms = replan_cycles * station->CycleMs();
-    if (!(epoch_ms > 0.0)) {
-      for (; k < n; ++k) {
-        station_of[order[k]] = station;
-        epoch_start_of[order[k]] = epoch_start;
-      }
-      break;
-    }
-    const double epoch_end = epoch_start + epoch_ms;
-    while (k < n && arrival[order[k]] < epoch_end) {
-      const size_t i = order[k];
-      station_of[i] = station;
-      epoch_start_of[i] = epoch_start;
-      planner.ObserveDestination(w.queries[i].target);
-      ++k;
-    }
-    if (k == n) break;
-    if (planner.Replan()) station = push_station(planner.spec());
-    epoch_start = epoch_end;
-  }
-
-  TimedFanOut(
-      n, options_,
-      [&](core::QueryScratch& sc, size_t i) {
-        const broadcast::Station& st = *station_of[i];
-        const double local_ms = arrival[i] - epoch_start_of[i];
-        const uint32_t sub = st.SubchannelOf(i);
-        core::AirQuery q = core::MakeAirQuery(*graph_, w.queries[i]);
-        q.arrival_pos = st.PositionAt(local_ms, sub);
-        device::QueryMetrics m =
-            sys.RunQuery(st.channel(sub), q, options_.client, &sc);
-        const double boundary_ms = st.TimeAtMs(q.arrival_pos, sub) - local_ms;
-        PriceLatency(m, boundary_ms, st.PacketMs(), st.SlotMs(), fec_on);
-        if (options_.deterministic) m.cpu_ms = 0.0;
-        result.per_query[i] = m;
       },
       result);
   return result;

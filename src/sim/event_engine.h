@@ -34,7 +34,7 @@ struct EventOptions : EngineOptions {
   /// queries are posed by one persistent client whose SessionCache
   /// (budgeted by `cache_bytes`) carries decoded segments across them.
   /// queries = 1 with cache_bytes = 0 is the one-shot fleet, byte-identical
-  /// to builds without sessions. Ignored by the kOnline scheduling path
+  /// to builds without sessions. An online plan runs the one-shot fleet
   /// (callers validate; see CheckEngineCombination).
   workload::WorkloadSpec::SessionSpec session;
   /// Per-client session cache budget in payload bytes (0 = caching off).
@@ -57,6 +57,12 @@ struct EventOptions : EngineOptions {
 /// useful packet) and listen_ms (retrieval from there), on the station
 /// clock. Workloads without an arrival process fall back to phase-derived
 /// arrivals: tune_phase * cycle duration, one cycle's worth of arrivals.
+///
+/// RunSystem plans, then runs one loop. The epoch plan stands up the
+/// stations — one for a flat or static schedule, one per adopted spec of
+/// an online one, whose clock starts at its epoch — and gives every query
+/// its station and its arrival on that clock. One fan-out over client
+/// sessions then prices every query against its own epoch's station.
 ///
 /// Determinism: a query's outcome is a pure function of (query, station),
 /// never of scheduling — broadcast is one-way, so clients cannot perturb
@@ -82,7 +88,7 @@ class EventEngine {
   broadcast::Station MakeStation(const core::AirSystem& sys) const;
 
   /// Runs every workload query as one client arriving on the shared
-  /// station timeline of `sys`.
+  /// station timeline of `sys` (one station per epoch of an online plan).
   SystemResult RunSystem(const core::AirSystem& sys,
                          const workload::Workload& w) const;
 
@@ -92,12 +98,6 @@ class EventEngine {
                   const workload::Workload& w) const;
 
  private:
-  /// The kOnline path: epoch-partitions the fleet by arrival instant,
-  /// re-planning the station timeline at each epoch boundary from the
-  /// demand observed so far.
-  SystemResult RunSystemOnline(const core::AirSystem& sys,
-                               const workload::Workload& w) const;
-
   const graph::Graph* graph_;
   EventOptions options_;
 };

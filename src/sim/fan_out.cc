@@ -29,6 +29,9 @@ void TimedFanOut(
             .count();
     best_wall = rep == 0 ? wall : std::min(best_wall, wall);
   }
+  if (options.deterministic) {
+    for (device::QueryMetrics& m : result.per_query) m.cpu_ms = 0.0;
+  }
   result.wall_seconds = best_wall;
   result.queries_per_second =
       best_wall > 0.0 ? static_cast<double>(result.per_query.size()) / best_wall

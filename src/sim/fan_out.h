@@ -18,9 +18,10 @@ namespace airindex::sim {
 /// and runs `body(scratch, unit)` for every unit in [0, units)
 /// options.repeat times (at least once). Then fills `result`: wall_seconds
 /// is the fastest pass, queries_per_second counts result.per_query over
-/// it, and aggregate summarizes result.per_query under the options' device
-/// and bitrate. A unit is one query or one session; the body writes its
-/// queries' slots of result.per_query.
+/// it, every cpu_ms is zeroed under options.deterministic, and aggregate
+/// summarizes result.per_query under the options' device and bitrate. A
+/// unit is one query or one session; the body writes its queries' slots
+/// of result.per_query.
 void TimedFanOut(
     size_t units, const EngineOptions& options,
     const std::function<void(core::QueryScratch&, size_t)>& body,

@@ -10,6 +10,7 @@
 #include <string_view>
 #include <utility>
 
+#include "broadcast/schedule.h"
 #include "common/thread_pool.h"
 #include "device/energy.h"
 #include "device/profile_catalog.h"
@@ -565,6 +566,11 @@ Result<SchedulePolicy> ScheduleFromJson(const JsonValue& obj) {
       return Status::InvalidArgument(
           "schedule rates must list one spin per disk");
     }
+  }
+  if (auto cycles = broadcast::MacroMinorCycles(
+          broadcast::SpinLadder(p.disks, p.rates));
+      !cycles.ok()) {
+    return Status::InvalidArgument("schedule " + cycles.status().message());
   }
   AIRINDEX_ASSIGN_OR_RETURN(
       uint64_t replan, GetUint64Or(obj, "replan_cycles", p.replan_cycles));

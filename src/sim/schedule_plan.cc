@@ -90,10 +90,8 @@ double DataDemandCv(const broadcast::BroadcastCycle& cycle,
 /// would only stretch their sweep.
 broadcast::ScheduleSpec AuditSpec(const broadcast::BroadcastCycle& cycle,
                                   broadcast::ScheduleSpec candidate) {
-  if (candidate.flat()) return candidate;
-  auto compiled =
-      broadcast::BroadcastSchedule::Compile(&cycle, candidate);
-  if (!compiled.ok()) return broadcast::ScheduleSpec::Flat();
+  const auto compiled = CompileSchedule(cycle, candidate);
+  if (!compiled.has_value()) return broadcast::ScheduleSpec::Flat();
   const broadcast::WaitProfile flat = broadcast::FlatWaitProfile(cycle);
   const broadcast::WaitProfile sched =
       broadcast::ScheduleWaitProfile(*compiled);
@@ -172,7 +170,9 @@ std::vector<uint32_t> NodeGroups(const broadcast::BroadcastCycle& cycle,
 
 broadcast::ScheduleSpec PlanStaticSpec(const broadcast::BroadcastCycle& cycle,
                                        std::span<const double> node_weight,
-                                       const SchedulePolicy& policy) {
+                                       const SchedulePolicy& policy,
+                                       bool* audit_flat) {
+  if (audit_flat != nullptr) *audit_flat = false;
   const std::vector<uint32_t> group_of_segment =
       broadcast::CycleGroups(cycle);
   const std::vector<uint32_t> group_of_node =
@@ -184,11 +184,13 @@ broadcast::ScheduleSpec PlanStaticSpec(const broadcast::BroadcastCycle& cycle,
   }
   const std::vector<double> weights = BlendIndexDemand(
       std::move(demand), GroupIndexShare(cycle, group_of_segment));
-  return AuditSpec(
-      cycle, broadcast::SquareRootSpec(
-                 weights,
-                 broadcast::GroupPacketCounts(cycle, group_of_segment),
-                 policy.disks, policy.rates));
+  broadcast::ScheduleSpec candidate = broadcast::SquareRootSpec(
+      weights, broadcast::GroupPacketCounts(cycle, group_of_segment),
+      policy.disks, policy.rates);
+  if (candidate.flat()) return candidate;
+  broadcast::ScheduleSpec audited = AuditSpec(cycle, std::move(candidate));
+  if (audit_flat != nullptr) *audit_flat = audited.flat();
+  return audited;
 }
 
 OnlineReplanner::OnlineReplanner(const broadcast::BroadcastCycle* cycle,
@@ -209,7 +211,6 @@ OnlineReplanner::OnlineReplanner(const broadcast::BroadcastCycle* cycle,
 }
 
 void OnlineReplanner::ObserveDestination(graph::NodeId dest) {
-  ++observations_;
   if (dest < group_of_node_.size() &&
       group_of_node_[dest] != kUnmappedGroup) {
     epoch_[group_of_node_[dest]] += 1.0;
@@ -265,16 +266,20 @@ bool OnlineReplanner::Replan() {
   return true;
 }
 
-std::optional<broadcast::BroadcastSchedule> StaticSchedule(
-    const broadcast::BroadcastCycle& cycle, std::span<const double> demand,
-    const SchedulePolicy& policy) {
-  if (policy.mode != SchedulePolicy::Mode::kStatic) return std::nullopt;
-  broadcast::ScheduleSpec spec = PlanStaticSpec(cycle, demand, policy);
+std::optional<broadcast::BroadcastSchedule> CompileSchedule(
+    const broadcast::BroadcastCycle& cycle, broadcast::ScheduleSpec spec) {
   if (spec.flat()) return std::nullopt;
   auto compiled =
       broadcast::BroadcastSchedule::Compile(&cycle, std::move(spec));
   if (!compiled.ok()) return std::nullopt;
   return std::move(compiled).value();
+}
+
+std::optional<broadcast::BroadcastSchedule> StaticSchedule(
+    const broadcast::BroadcastCycle& cycle, std::span<const double> demand,
+    const SchedulePolicy& policy) {
+  if (policy.mode != SchedulePolicy::Mode::kStatic) return std::nullopt;
+  return CompileSchedule(cycle, PlanStaticSpec(cycle, demand, policy));
 }
 
 }  // namespace airindex::sim

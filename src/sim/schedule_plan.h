@@ -64,14 +64,22 @@ std::vector<uint32_t> NodeGroups(const broadcast::BroadcastCycle& cycle,
 
 /// The static planner: square-root-rule spec for `cycle` under the given
 /// per-node demand profile. An empty/uniform profile yields the flat spec.
+/// When `audit_flat` is set, it tells whether the plan audit, rather than
+/// too even a demand, made the spec flat.
 broadcast::ScheduleSpec PlanStaticSpec(const broadcast::BroadcastCycle& cycle,
                                        std::span<const double> node_weight,
-                                       const SchedulePolicy& policy);
+                                       const SchedulePolicy& policy,
+                                       bool* audit_flat = nullptr);
+
+/// The timeline `cycle` airs under `spec`. Empty for the flat spec (or
+/// one that does not compile): the channel then stays schedule-free, bit
+/// for bit the flat timeline.
+std::optional<broadcast::BroadcastSchedule> CompileSchedule(
+    const broadcast::BroadcastCycle& cycle, broadcast::ScheduleSpec spec);
 
 /// The static broadcast-disk schedule of `cycle`, planned once from the
 /// analytic demand profile. Empty when the policy is not kStatic, or when
-/// the planner collapses to the flat spec: the channel then stays
-/// schedule-free, bit for bit the flat timeline.
+/// the planner collapses to the flat spec.
 std::optional<broadcast::BroadcastSchedule> StaticSchedule(
     const broadcast::BroadcastCycle& cycle, std::span<const double> demand,
     const SchedulePolicy& policy);
@@ -99,7 +107,6 @@ class OnlineReplanner {
 
   /// The currently adopted spec (flat until a re-plan adopts otherwise).
   const broadcast::ScheduleSpec& spec() const { return spec_; }
-  uint64_t observations() const { return observations_; }
 
  private:
   const broadcast::BroadcastCycle* cycle_;
@@ -112,7 +119,6 @@ class OnlineReplanner {
   /// EWMA demand estimate and the current epoch's raw counts, per group.
   std::vector<double> ewma_;
   std::vector<double> epoch_;
-  uint64_t observations_ = 0;
   broadcast::ScheduleSpec spec_;
 };
 

@@ -25,8 +25,8 @@ Status CheckEngineCombination(std::string_view engine,
   if (sessions && online) {
     return Status::InvalidArgument(
         "persistent-client sessions and session caches are not supported "
-        "with the online schedule (its demand estimator assumes one-shot "
-        "arrivals)");
+        "with the online schedule (its epoch plan fixes every arrival up "
+        "front, and a session's later arrivals depend on its answers)");
   }
   return Status::OK();
 }
@@ -70,7 +70,6 @@ SystemResult Simulator::RunSystem(const core::AirSystem& sys,
             sys.RunQuery(channel, core::MakeAirQuery(*graph_, w.queries[i]),
                          options_.client, &scratch);
         PriceLatency(m, 0.0, pkt_ms, pkt_ms, fec_on);
-        if (options_.deterministic) m.cpu_ms = 0.0;
         result.per_query[i] = m;
       },
       result);

@@ -134,6 +134,26 @@ TEST(ScheduleTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(BroadcastSchedule::Compile(&cycle, huge).ok());
 }
 
+TEST(ScheduleTest, MacroMinorCyclesBoundsTheLadder) {
+  // The power-of-two ladder of 13 disks is the longest that compiles; 14
+  // disks start at 2^13.
+  EXPECT_EQ(SpinLadder(3, {}), (std::vector<uint32_t>{4, 2, 1}));
+  EXPECT_EQ(SpinLadder(2, {1, 5}), (std::vector<uint32_t>{5, 1}));
+  ASSERT_TRUE(MacroMinorCycles(SpinLadder(13, {})).ok());
+  EXPECT_EQ(*MacroMinorCycles(SpinLadder(13, {})),
+            BroadcastSchedule::kMaxMacroMinorCycles);
+  EXPECT_EQ(*MacroMinorCycles({6, 4, 1}), 12u);
+  for (const std::vector<uint32_t>& spins :
+       {SpinLadder(14, {}), std::vector<uint32_t>{13, 11, 7, 5, 3}}) {
+    const auto cycles = MacroMinorCycles(spins);
+    ASSERT_FALSE(cycles.ok());
+    EXPECT_NE(cycles.status().message().find("beyond 4096 minor cycles"),
+              std::string::npos)
+        << cycles.status().ToString();
+  }
+  EXPECT_FALSE(MacroMinorCycles({2, 0}).ok());
+}
+
 TEST(ScheduleTest, NextSlotOfFindsTheNextRepetitionNotTheNextCycle) {
   BroadcastCycle cycle = MakeCycle(8, 300, 4);
   const std::vector<uint32_t> groups = CycleGroups(cycle);

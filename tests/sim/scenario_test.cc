@@ -596,6 +596,28 @@ TEST(ScenarioSpecJsonTest, RejectsNumbersOutsideTheirUint32Fields) {
   rejects(R"({"mode": "flat"})", "[0.5]", "source_regions");
 }
 
+TEST(ScenarioSpecJsonTest, RejectsDiskLaddersThatCannotCompile) {
+  // A ladder whose macro cycle is too long to compile would run the flat
+  // cycle while the report says "static".
+  auto parse = [](const std::string& schedule) {
+    return ScenarioFromJson(
+        R"({"schema": "airindex.sim.scenario/v1", "name": "x",
+            "schedule": )" +
+        schedule + R"(, "groups": [{"name": "g", "queries": 1}]})");
+  };
+  EXPECT_TRUE(parse(R"({"mode": "disks", "disks": 13})").ok());
+  for (const char* schedule :
+       {R"({"mode": "disks", "disks": 14})",
+        R"({"mode": "disks", "disks": 5, "rates": [13, 11, 7, 5, 3]})"}) {
+    auto s = parse(schedule);
+    ASSERT_FALSE(s.ok()) << schedule;
+    EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(s.status().message().find("beyond 4096 minor cycles"),
+              std::string::npos)
+        << s.status().ToString();
+  }
+}
+
 TEST(ScenarioSpecJsonTest, RejectsIntegersPastTheirNarrowFields) {
   // Integer fields stored narrower than 64 bits are bounded by name before
   // the cast: 2^32 + 8 regions would otherwise build with 8, and a wrapped

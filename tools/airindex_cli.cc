@@ -202,6 +202,16 @@ bool ParseScheduleFlag(const char* value, sim::SchedulePolicy* out) {
   if (v == "flat") return true;
   if (v.rfind("disks", 0) == 0) {
     out->mode = sim::SchedulePolicy::Mode::kStatic;
+    // A ladder whose macro cycle cannot compile would run flat while the
+    // report says "static".
+    auto compiles = [&]() {
+      const auto cycles = broadcast::MacroMinorCycles(
+          broadcast::SpinLadder(out->disks, out->rates));
+      if (cycles.ok()) return true;
+      std::fprintf(stderr, "invalid --schedule value \"%s\": %s\n", value,
+                   cycles.status().message().c_str());
+      return false;
+    };
     const char* rest = value + 5;
     if (*rest == '\0') return true;
     if (*rest != ':') return fail();
@@ -210,7 +220,7 @@ bool ParseScheduleFlag(const char* value, sim::SchedulePolicy* out) {
     unsigned long k = 0;
     if (!number(rest, &end, &k) || k < 1 || k > 16) return fail();
     out->disks = static_cast<uint32_t>(k);
-    if (*end == '\0') return true;
+    if (*end == '\0') return compiles();
     if (*end != ':') return fail();
     rest = end + 1;
     while (*rest != '\0') {
@@ -228,7 +238,7 @@ bool ParseScheduleFlag(const char* value, sim::SchedulePolicy* out) {
                    out->disks, out->rates.size());
       return false;
     }
-    return true;
+    return compiles();
   }
   if (v.rfind("online", 0) == 0) {
     out->mode = sim::SchedulePolicy::Mode::kOnline;
@@ -769,11 +779,14 @@ int Inspect(int argc, char** argv) {
     dspec.seed = 20100913;
     const std::vector<double> demand =
         workload::DestinationWeights(g->num_nodes(), dspec);
+    bool audit_flat = false;
     broadcast::ScheduleSpec sspec =
-        sim::PlanStaticSpec(cycle, demand, schedule);
+        sim::PlanStaticSpec(cycle, demand, schedule, &audit_flat);
     if (sspec.flat()) {
-      std::printf("schedule: planner collapsed to the flat cycle "
-                  "(demand too even for %u disks)\n",
+      std::printf("schedule: planner collapsed to the flat cycle (%s %u "
+                  "disks)\n",
+                  audit_flat ? "no plan shortens the wait for an index on"
+                             : "demand too even for",
                   schedule.disks);
     } else {
       auto compiled = broadcast::BroadcastSchedule::Compile(&cycle, sspec);

@@ -521,47 +521,51 @@ constexpr std::string_view kFig11Systems[] = {"NR", "EB", "AF", "LD"};
 constexpr std::string_view kFig13Systems[] = {"EB", "NR"};
 constexpr double kFig14Rates[] = {0.001, 0.005, 0.01, 0.05, 0.10};
 
+constexpr auto kNetwork = Experiment::Reads::kNetwork;
+constexpr auto kWorkload = Experiment::Reads::kWorkload;
+constexpr auto kLossyWorkload = Experiment::Reads::kLossyWorkload;
+
 const Experiment kExperiments[] = {
     {"table1", "Table 1: broadcast cycle length (Germany)", "Germany",
-     core::kAllSystems, false, {}, Table1,
+     core::kAllSystems, kNetwork, {}, Table1,
      "# paper (full scale): DJ 14019, NR 14260, EB 15299, LD 21236,\n"
      "#                      AF 29233, SPQ 52337, HiTi 58138 packets\n"},
     {"table2", "Table 2: method applicability per network", "",
-     core::kMainSystems, true, {}, Table2,
+     core::kMainSystems, kLossyWorkload, {}, Table2,
      "# paper: AF/LD only Milan+Germany; DJ up to Argentina; EB up to\n"
      "# India; NR all five. Y(x.xx) = fits, peak MB in parentheses.\n"},
     {"table3", "Table 3: pre-computation time (seconds)", "", kTable3Systems,
-     false, {}, Table3,
+     kNetwork, {}, Table3,
      "# paper (full scale, 3 GHz single core): Germany 61.8/58.1/1.0;\n"
      "# San Francisco 6332/2165/5.3 seconds. Ours is multi-threaded, so\n"
      "# absolute values are lower; growth with network size is the shape\n"
      "# to compare.\n"},
     {"fig10", "Figure 10: effect of shortest-path length (Germany)",
-     "Germany", core::kMainSystems, true, {}, Fig10,
+     "Germany", core::kMainSystems, kLossyWorkload, {}, Fig10,
      "# paper shape: NR << EB << DJ < LD < AF in tuning/memory; EB\n"
      "# grows with path length; NR latency < DJ latency.\n"},
     {"fig11", "Figure 11: fine-tuning regions/landmarks (Germany)",
-     "Germany", kFig11Systems, true, {}, Fig11,
+     "Germany", kFig11Systems, kLossyWorkload, {}, Fig11,
      "# paper shape: EB/NR best around 32 regions; EB/NR latency grows\n"
      "# with regions; LD degrades as landmarks increase.\n"},
     {"fig12", "Figure 12: performance across networks", "",
-     core::kMainSystems, true, {}, Fig12,
+     core::kMainSystems, kLossyWorkload, {}, Fig12,
      "# paper shape: all metrics grow with network size; NR lowest\n"
      "# everywhere and the only method fitting San Francisco.\n"},
     {"fig13", "Figure 13: client-side pre-computation (memory-bound mode)",
-     "", kFig13Systems, true, {}, Fig13,
+     "", kFig13Systems, kLossyWorkload, {}, Fig13,
      "# paper shape: w/ precomp lowers peak memory ~35% for both EB\n"
      "# and NR; CPU cost rises (pre-computation during reception).\n"},
     {"fig14", "Figure 14: effect of packet loss (Germany)", "Germany",
-     core::kMainSystems, true, kFig14Rates, Fig14,
+     core::kMainSystems, kLossyWorkload, kFig14Rates, Fig14,
      "# paper shape: NR wins at every loss rate; degradation is\n"
      "# proportional to a method's tuning time.\n"},
     {"ablation-crossborder", "Ablation: EB cross-border/local segment split",
-     "Germany", {}, true, {}, AblationCrossBorder,
+     "Germany", {}, kLossyWorkload, {}, AblationCrossBorder,
      "# paper: the optimization reduces tuning time ~20%.\n"},
     {"ablation-partitioning",
-     "Ablation: kd-tree vs regular-grid partitioning", "Germany", {}, false,
-     {}, AblationPartitioning,
+     "Ablation: kd-tree vs regular-grid partitioning", "Germany", {},
+     kWorkload, {}, AblationPartitioning,
      "# expected: kd-tree balances populations (max/min close to 1)\n"
      "# while the grid is skewed, which is the paper's reason to use\n"
      "# kd-tree partitioning.\n"},
@@ -581,15 +585,19 @@ const Experiment* FindExperiment(std::string_view name) {
 Status Run(const Experiment& e, const Options& o) {
   std::printf("==================================================\n");
   std::printf("%.*s\n", static_cast<int>(e.title.size()), e.title.data());
-  std::printf("scale=%.2f queries=%zu seed=%llu", o.scale, o.queries,
-              static_cast<unsigned long long>(o.seed));
-  if (e.lossy) {
+  std::printf("scale=%.2f", o.scale);
+  if (e.reads != Experiment::Reads::kNetwork) {
+    std::printf(" queries=%zu seed=%llu", o.queries,
+                static_cast<unsigned long long>(o.seed));
+  }
+  if (e.reads == Experiment::Reads::kLossyWorkload) {
     std::printf(" loss=");
     if (e.loss_sweep.empty()) std::printf("%.4f", o.loss);
     for (size_t i = 0; i < e.loss_sweep.size(); ++i) {
       std::printf("%s%s", i > 0 ? "," : "", Percent(e.loss_sweep[i]).c_str());
     }
     if (o.burst > 1) std::printf(" burst=%u", o.burst);
+    if (o.corrupt > 0.0) std::printf(" corrupt=%g", o.corrupt);
   }
   std::printf("\n==================================================\n");
 

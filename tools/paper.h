@@ -58,9 +58,11 @@ struct Experiment {
   /// paper's §7 knobs: ArcFlag 16 regions, EB/NR/HiTi 32, Landmark 4);
   /// fig11 sweeps the knobs of its methods.
   std::span<const std::string_view> systems;
-  /// Whether the routine runs queries over a channel of --loss and
-  /// --burst; the header names the loss model only then.
-  bool lossy;
+  /// What the routine reads beyond --scale, which is what the header
+  /// names: nothing more (cycles, pre-computation), a workload of
+  /// --queries at --seed, or that workload over a channel of --loss,
+  /// --burst and --corrupt.
+  enum class Reads { kNetwork, kWorkload, kLossyWorkload } reads;
   /// Loss rates swept in place of --loss (fig14); the header names them.
   std::span<const double> loss_sweep;
   /// Prints the experiment's table. `g` is the loaded `network`, or null.
