@@ -338,6 +338,168 @@ TEST(ArcFlagOracleTest, MatchesOnRandomTreeHeavyGraphs) {
   }
 }
 
+// The cases below pin the flags on chains, the runs of nodes with two
+// distinct neighbours between junctions: a backward search reaches a chain
+// interior from the chain's two ends, and ties between them must resolve
+// as the plain search's pop order does.
+
+TEST(ArcFlagOracleTest, MatchesAtAChainMeetingPoint) {
+  // The search toward 0 reaches 1 and 2 at distance 1 each; the chain
+  // 1 - 3 - 6 - 5 - 4 - 7 - 2 between them meets at the border node 5,
+  // reached at 4 through 6 and through 4. Node 4 pops before 6, so 5's
+  // flag toward 0 goes on its arc to 4. Node 8 makes 0, 1 and 2 junctions.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 1, 1);
+  AddBoth(&arcs, 0, 2, 1);
+  AddBoth(&arcs, 0, 8, 1);
+  AddBoth(&arcs, 8, 1, 3);
+  AddBoth(&arcs, 8, 2, 3);
+  AddBoth(&arcs, 1, 3, 1);
+  AddBoth(&arcs, 3, 6, 1);
+  AddBoth(&arcs, 6, 5, 1);
+  AddBoth(&arcs, 5, 4, 1);
+  AddBoth(&arcs, 4, 7, 1);
+  AddBoth(&arcs, 7, 2, 1);
+  const graph::Graph g = FromArcs(9, arcs);
+  ExpectFlagsMatchFullGraphSearches(
+      g, partition::MakePartitioning({1, 0, 0, 3, 4, 2, 3, 4, 0}, 5));
+}
+
+TEST(ArcFlagOracleTest, MatchesWithTwoEqualChainsIntoOneNode) {
+  // Junctions 0 and 1 are joined by an arc of 10 and two chains of total
+  // 3, 0 - 2 - 5 - 1 and 0 - 3 - 4 - 1. The border nodes are 0, 1 and the
+  // leaves 6 and 7 on them. Toward 0, 1 is relaxed through 5 first, but 4
+  // pops before 5, so 1's flag toward 0 goes on its arc to 4; toward 1, 2
+  // pops before 3, so 0's goes on its arc to 2.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 1, 10);
+  AddBoth(&arcs, 0, 2, 1);
+  AddBoth(&arcs, 2, 5, 1);
+  AddBoth(&arcs, 5, 1, 1);
+  AddBoth(&arcs, 0, 3, 1);
+  AddBoth(&arcs, 3, 4, 1);
+  AddBoth(&arcs, 4, 1, 1);
+  AddBoth(&arcs, 0, 6, 1);
+  AddBoth(&arcs, 1, 7, 1);
+  const graph::Graph g = FromArcs(8, arcs);
+  ExpectFlagsMatchFullGraphSearches(
+      g, partition::MakePartitioning({0, 0, 0, 0, 0, 0, 2, 1}, 3));
+}
+
+TEST(ArcFlagOracleTest, MatchesWithOneWayAndZeroWeightChains) {
+  // Junctions 0 and 5 (joined by an arc of 4) and three chains between
+  // them: 0 -> 1 -> 2 -> 5 one way; 0 - 3 - 4 - 5 whose zero-weight step
+  // 3 - 4 makes 3 and 4 junctions; and 5 - 6 - 7 - 0 where 6 -> 7 has no
+  // arc back.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 5, 4);
+  arcs.push_back({0, 1, 1});
+  arcs.push_back({1, 2, 2});
+  arcs.push_back({2, 5, 1});
+  AddBoth(&arcs, 0, 3, 2);
+  AddBoth(&arcs, 3, 4, 0);
+  arcs.push_back({4, 5, 1});
+  AddBoth(&arcs, 5, 6, 1);
+  arcs.push_back({6, 7, 1});
+  AddBoth(&arcs, 7, 0, 2);
+  const graph::Graph g = FromArcs(8, arcs);
+  ExpectFlagsMatchFullGraphSearches(
+      g, partition::MakePartitioning({0, 1, 1, 2, 2, 0, 3, 3}, 4));
+}
+
+TEST(ArcFlagOracleTest, MatchesWithParallelArcsInAChain) {
+  // Junctions 0 and 1, joined by an arc of 6 and two chains; the chain
+  // 0 - 2 - 3 - 1 has parallel arcs 2 -> 3 of 3 and 1 (the flag goes on
+  // the lighter) and a single 3 -> 2 of 2.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 1, 6);
+  AddBoth(&arcs, 0, 2, 1);
+  arcs.push_back({2, 3, 3});
+  arcs.push_back({2, 3, 1});
+  arcs.push_back({3, 2, 2});
+  AddBoth(&arcs, 3, 1, 1);
+  AddBoth(&arcs, 0, 4, 2);
+  arcs.push_back({4, 1, 1});
+  arcs.push_back({4, 1, 2});
+  arcs.push_back({1, 4, 1});
+  const graph::Graph g = FromArcs(5, arcs);
+  ExpectFlagsMatchFullGraphSearches(
+      g, partition::MakePartitioning({0, 1, 2, 3, 2}, 4));
+}
+
+TEST(ArcFlagOracleTest, MatchesWithAChainFromANodeToItself) {
+  // Junction 0 carries two loops, 0 - 1 - 2 - 3 - 0 (2 is reached at
+  // equal distance both ways round) and 0 - 4 - 5 - 0.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 1, 1);
+  AddBoth(&arcs, 1, 2, 1);
+  AddBoth(&arcs, 2, 3, 1);
+  AddBoth(&arcs, 3, 0, 1);
+  AddBoth(&arcs, 0, 4, 2);
+  AddBoth(&arcs, 4, 5, 1);
+  arcs.push_back({5, 0, 1});
+  const graph::Graph g = FromArcs(6, arcs);
+  ExpectFlagsMatchFullGraphSearches(
+      g, partition::MakePartitioning({0, 1, 2, 1, 3, 3}, 4));
+}
+
+TEST(ArcFlagOracleTest, MatchesOnACycleWithoutJunctions) {
+  // A ring 0 - 1 - 2 - 3 - 4 - 0 of nodes with two neighbours each and a
+  // one-way ring 5 -> 6 -> 7 -> 5.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 1, 1);
+  AddBoth(&arcs, 1, 2, 2);
+  AddBoth(&arcs, 2, 3, 1);
+  AddBoth(&arcs, 3, 4, 1);
+  AddBoth(&arcs, 4, 0, 1);
+  arcs.push_back({5, 6, 1});
+  arcs.push_back({6, 7, 1});
+  arcs.push_back({7, 5, 1});
+  const graph::Graph g = FromArcs(8, arcs);
+  ExpectFlagsMatchFullGraphSearches(
+      g, partition::MakePartitioning({0, 0, 1, 1, 2, 0, 1, 2}, 3));
+}
+
+TEST(ArcFlagOracleTest, MatchesWithARootInsideAChain) {
+  // Junctions 0 and 1 (an arc and the chain 0 - 5 - 1 between them) and
+  // the chain 0 - 2 - 3 - 4 - 1. The pendant tree 3 - 6 - 7 hangs from the
+  // chain interior 3, so the searches from 6 and 7 start at 3; 4 reaches
+  // 3 at 3 directly, and at 4 around through 1, 0 and 2.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 1, 1);
+  AddBoth(&arcs, 0, 5, 2);
+  AddBoth(&arcs, 5, 1, 2);
+  AddBoth(&arcs, 0, 2, 1);
+  AddBoth(&arcs, 2, 3, 1);
+  AddBoth(&arcs, 3, 4, 3);
+  AddBoth(&arcs, 4, 1, 1);
+  AddBoth(&arcs, 3, 6, 1);
+  AddBoth(&arcs, 6, 7, 1);
+  const graph::Graph g = FromArcs(8, arcs);
+  ExpectFlagsMatchFullGraphSearches(
+      g, partition::MakePartitioning({0, 0, 0, 0, 1, 0, 0, 2}, 3));
+}
+
+TEST(ArcFlagOracleTest, MatchesOnRandomChainHeavyGraphs) {
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    const testing_support::PartitionedGraph pg =
+        testing_support::RandomChainHeavyGraph(seed);
+    ExpectFlagsMatchFullGraphSearches(pg.g, pg.part);
+  }
+}
+
+TEST(ArcFlagOracleTest, MatchesOnRandomChainHeavyGraphsWithZeros) {
+  // Zero-weight arcs turn chain nodes into junctions and tie junctions at
+  // one distance, where the pop order is no longer by id.
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    const testing_support::PartitionedGraph pg =
+        testing_support::RandomChainHeavyGraph(seed, /*min_weight=*/0);
+    ExpectFlagsMatchFullGraphSearches(pg.g, pg.part);
+  }
+}
+
 // Every query on the random tree-heavy graphs, whose parallel arcs come in
 // either weight order, answers with Dijkstra's distance.
 TEST(ArcFlagTest, AllPairsMatchDijkstraOnRandomTreeHeavyGraphs) {
