@@ -191,6 +191,23 @@ void BM_ArcFlagBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(idx.ArcWords(0));
   }
   SetForestCounters(state, g, part);
+  // The reversed core with its chains contracted, which the per-root
+  // searches run over, and the roots inside a chain, which walk it out to
+  // both ends.
+  const graph::PendantForest forest = graph::DecomposePendantForest(g);
+  const graph::ChainKernel kernel =
+      graph::ContractChains(forest.core.Reversed());
+  std::set<graph::NodeId> interior_roots;
+  for (graph::NodeId b : partition::ComputeBorders(g, part).border_nodes) {
+    const graph::NodeId root = forest.core_id[forest.root[b]];
+    if (kernel.kernel_id[root] == graph::kInvalidNode) {
+      interior_roots.insert(root);
+    }
+  }
+  state.counters["kernel_nodes"] = static_cast<double>(kernel.num_nodes());
+  state.counters["chains"] = static_cast<double>(kernel.chains.size());
+  state.counters["interior_roots"] =
+      static_cast<double>(interior_roots.size());
 }
 BENCHMARK(BM_ArcFlagBuild)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 

@@ -1,10 +1,12 @@
 #include "algo/arc_flags.h"
 
 #include <algorithm>
+#include <array>
 #include <span>
 
 #include "algo/dijkstra.h"
 #include "common/thread_pool.h"
+#include "graph/kernel_search.h"
 #include "graph/pendant_forest.h"
 #include "partition/partitioning.h"
 
@@ -145,11 +147,15 @@ Result<ArcFlagIndex> ArcFlagIndex::Build(
     }
   }
 
-  // One backward search over the core per root with sources. Every core
-  // node it settles, the root aside, reaches the root's sources through
-  // its parent there: flag that arc for them. The search's parents are the
-  // full-graph search's (strict-improvement relaxation, and core ids keep
-  // the nodes' order, so the (dist, node) pop order is the same).
+  // One backward search per root with sources, over the reversed core
+  // with its chains contracted (graph::KernelSearch, the border
+  // pre-computation's search). Every node it reaches, the root aside,
+  // reaches the root's sources through its search parent: flag the arc to
+  // it. A kernel node's parent link is one kernel arc, so the arc to flag
+  // is looked up once per kernel arc. A chain's interiors reached from
+  // each end form a run from that end; per root only the run lengths are
+  // recorded, and one sweep per chain after the pool joins flags them.
+  // docs/perf.md argues why the flags equal the per-source searches'.
   std::vector<graph::NodeId> roots;
   for (graph::NodeId c = 0; c < core_n; ++c) {
     const uint64_t* mask = &root_mask[forest.core_nodes[c] * words];
@@ -157,49 +163,161 @@ Result<ArcFlagIndex> ArcFlagIndex::Build(
       roots.push_back(c);
     }
   }
-  const graph::Graph core_rev = forest.core.Reversed();
+  const graph::ChainKernel kernel =
+      graph::ContractChains(forest.core.Reversed());
+  constexpr uint32_t kNoChain = graph::ChainKernel::kNoChain;
+  // The arc of g from core node `from` to core node `to`.
+  auto core_arc = [&](graph::NodeId from, graph::NodeId to) {
+    return ArcIndexOf(g, forest.core_nodes[from], forest.core_nodes[to]);
+  };
+  // Per chain slot begin + p, p <= interior, and side: the arc flagged at
+  // the node reached over that step. Side 0: the node at p + 1, reached
+  // from p, flags its arc to p; side 1: the node at p, reached from p + 1,
+  // flags its arc to p + 1. Unset where the step does not exist.
+  std::array<std::vector<size_t>, 2> step_arc;
+  for (std::vector<size_t>& arcs : step_arc) arcs.assign(kernel.path.size(), 0);
+  for (const graph::ChainKernel::Chain& chain : kernel.chains) {
+    for (uint32_t slot = chain.begin; slot <= chain.begin + chain.interior;
+         ++slot) {
+      const graph::NodeId here = kernel.path[slot];
+      const graph::NodeId next = kernel.path[slot + 1];
+      if (kernel.step[0][slot] != graph::kInfDist) {
+        step_arc[0][slot] = core_arc(next, here);
+      }
+      if (kernel.step[1][slot] != graph::kInfDist) {
+        step_arc[1][slot] = core_arc(here, next);
+      }
+    }
+  }
+  // The arc flagged at the node a chain's walk ends on at its end `side`:
+  // the end's arc to the chain's first interior on that side.
+  auto end_arc = [&](uint32_t c, int side) {
+    const graph::ChainKernel::Chain& chain = kernel.chains[c];
+    return side == 0 ? step_arc[1][chain.begin]
+                     : step_arc[0][chain.begin + chain.interior];
+  };
+  // Per kernel arc: the arc flagged at the kernel node it reaches.
+  std::vector<size_t> link_arc(kernel.num_arcs());
+  for (graph::NodeId k = 0; k < kernel.num_nodes(); ++k) {
+    for (const graph::ChainKernel::Arc& arc : kernel.OutArcs(k)) {
+      link_arc[kernel.ArcIndex(arc)] =
+          arc.chain == kNoChain
+              ? core_arc(kernel.kernel_nodes[arc.to], kernel.kernel_nodes[k])
+              : end_arc(arc.chain, 1 - arc.side);
+    }
+  }
+
   // Work stealing over the roots, chunks of kRootChunk. Each worker ORs
-  // into its own flags over the core's arcs, merged after the pool joins,
-  // so the result is the same at any thread count.
+  // into its own flags, `reach` and runs, merged after the pool joins, so
+  // the result is the same at any thread count.
   constexpr size_t kRootChunk = 4;
   struct WorkerState {
-    SearchWorkspace ws;
-    std::vector<uint64_t> core_flags;
+    explicit WorkerState(const graph::ChainKernel& kernel) : search(kernel) {}
+    graph::KernelSearch search;
+    std::vector<uint64_t> flags;
+    // Per core id, `words` words: the regions of the sources at the roots
+    // whose search reached it, its own root's aside.
+    std::vector<uint64_t> reach;
+    // Per side and chain slot begin + p (`words` words): the regions of
+    // the roots whose run from that side ends at position p.
+    std::array<std::vector<uint64_t>, 2> runs;
   };
-  const size_t core_words = forest.core.num_arcs() * words;
-  std::vector<WorkerState> workers(ResolveWorkers(roots.size(), num_threads));
-  for (WorkerState& state : workers) state.core_flags.assign(core_words, 0);
+  std::vector<WorkerState> workers;
+  for (unsigned w = ResolveWorkers(roots.size(), num_threads); w > 0; --w) {
+    WorkerState& state = workers.emplace_back(kernel);
+    state.flags.assign(idx.flags_.size(), 0);
+    state.reach.assign(core_n * words, 0);
+    for (std::vector<uint64_t>& runs : state.runs) {
+      runs.assign(kernel.path.size() * words, 0);
+    }
+  }
   ParallelForChunked(
       roots.size(), kRootChunk,
       [&](unsigned worker, size_t begin, size_t end) {
         WorkerState& state = workers[worker];
+        graph::KernelSearch& search = state.search;
+        auto flag = [&](size_t arc, graph::NodeId reached,
+                        const uint64_t* mask) {
+          OrInto(&state.flags[arc * words], mask, words);
+          OrInto(&state.reach[reached * words], mask, words);
+        };
         for (size_t i = begin; i < end; ++i) {
           const graph::NodeId rc = roots[i];
           const uint64_t* mask = &root_mask[forest.core_nodes[rc] * words];
-          DijkstraAll(core_rev, rc, state.ws);
-          for (graph::NodeId c = 0; c < core_n; ++c) {
-            const graph::NodeId p = state.ws.ParentOf(c);
-            if (p == graph::kInvalidNode) continue;
-            OrInto(&state.core_flags[ArcIndexOf(forest.core, c, p) * words],
-                   mask, words);
+          search.RunAll(rc);
+          for (graph::NodeId k : search.settled()) {
+            const graph::KernelSearch::Via& via = search.via(k);
+            if (via.from != graph::kInvalidNode) {
+              flag(link_arc[via.arc], kernel.kernel_nodes[k], mask);
+            } else if (via.chain != kNoChain) {
+              flag(end_arc(via.chain, via.side), kernel.kernel_nodes[k],
+                   mask);
+            }
+          }
+          const uint32_t sc = search.source_chain();
+          for (uint32_t c = 0; c < kernel.chains.size(); ++c) {
+            if (c == sc) continue;
+            const graph::ChainKernel::Chain& chain = kernel.chains[c];
+            const std::array<uint32_t, 2> runs = search.Runs(c);
+            if (runs[0] > 0) {
+              OrInto(&state.runs[0][(chain.begin + runs[0]) * words], mask,
+                     words);
+            }
+            if (runs[1] > 0) {
+              OrInto(&state.runs[1][(chain.begin + chain.interior + 1 -
+                                     runs[1]) *
+                                    words],
+                     mask, words);
+            }
+          }
+          // The root's own chain: a walk from the root out to both ends.
+          if (sc == kNoChain) continue;
+          const graph::ChainKernel::Chain& chain = kernel.chains[sc];
+          for (uint32_t p = 1; p <= chain.interior; ++p) {
+            if (p == search.source_position()) continue;
+            const graph::KernelSearch::InteriorReach r =
+                search.Interior(sc, p);
+            if (r.dist == graph::kInfDist) continue;
+            const uint32_t slot = chain.begin + p;
+            flag(r.side == 0 ? step_arc[0][slot - 1] : step_arc[1][slot],
+                 kernel.path[slot], mask);
           }
         }
       },
       num_threads);
-  std::vector<uint64_t>& core_flags = workers.front().core_flags;
+  WorkerState& merged = workers.front();
   for (size_t k = 1; k < workers.size(); ++k) {
-    OrInto(core_flags.data(), workers[k].core_flags.data(), core_words);
+    OrInto(merged.flags.data(), workers[k].flags.data(), merged.flags.size());
+    OrInto(merged.reach.data(), workers[k].reach.data(), merged.reach.size());
+    for (int side = 0; side < 2; ++side) {
+      OrInto(merged.runs[side].data(), workers[k].runs[side].data(),
+             merged.runs[side].size());
+    }
   }
-  // Per core id, `words` words: the regions of the sources at the other
-  // roots whose search settled it. Each such search flagged exactly one of
-  // its arcs.
-  std::vector<uint64_t> reach(core_n * words, 0);
-  for (graph::NodeId c = 0; c < core_n; ++c) {
-    for (const graph::Graph::Arc& arc : forest.core.OutArcs(c)) {
-      const uint64_t* mask = &core_flags[forest.core.ArcIndex(arc) * words];
-      OrInto(flag_words(forest.core_nodes[c], forest.core_nodes[arc.to]),
-             mask, words);
-      OrInto(&reach[c * words], mask, words);
+  OrInto(idx.flags_.data(), merged.flags.data(), idx.flags_.size());
+  std::vector<uint64_t>& reach = merged.reach;
+  // An interior lies on every run from its side that reaches at least as
+  // far: a suffix OR of the run ends per chain and side.
+  std::vector<uint64_t> acc(words);
+  auto sweep = [&](uint32_t slot, int side, size_t arc) {
+    OrInto(acc.data(), &merged.runs[side][slot * words], words);
+    if (std::all_of(acc.begin(), acc.end(),
+                    [](uint64_t w) { return w == 0; })) {
+      return;
+    }
+    OrInto(&idx.flags_[arc * words], acc.data(), words);
+    OrInto(&reach[kernel.path[slot] * words], acc.data(), words);
+  };
+  for (const graph::ChainKernel::Chain& chain : kernel.chains) {
+    const uint32_t first = chain.begin + 1;
+    const uint32_t last = chain.begin + chain.interior;
+    std::fill(acc.begin(), acc.end(), 0);
+    for (uint32_t slot = last; slot >= first; --slot) {
+      sweep(slot, 0, step_arc[0][slot - 1]);
+    }
+    std::fill(acc.begin(), acc.end(), 0);
+    for (uint32_t slot = first; slot <= last; ++slot) {
+      sweep(slot, 1, step_arc[1][slot]);
     }
   }
 

@@ -29,11 +29,12 @@ namespace airindex::algo {
 class ArcFlagIndex {
  public:
   /// `node_region[v]` maps each node to its region id in
-  /// [0, num_regions). Works on the network's 2-core: one backward
-  /// Dijkstra over the core per root that border nodes reach (a core
-  /// border node is its own root), on up to `num_threads` workers
-  /// (0 = hardware concurrency), then linear passes over the pendant
-  /// trees. The flags do not depend on `num_threads`.
+  /// [0, num_regions). Works on the network's 2-core with its chains
+  /// contracted: one backward graph::KernelSearch per root that border
+  /// nodes reach (a core border node is its own root), on up to
+  /// `num_threads` workers (0 = one per available CPU), then one sweep
+  /// per chain and linear passes over the pendant trees. The flags do not
+  /// depend on `num_threads`.
   static Result<ArcFlagIndex> Build(const graph::Graph& g,
                                     const std::vector<graph::RegionId>&
                                         node_region,

@@ -8,8 +8,8 @@
 #include <numeric>
 #include <utility>
 
-#include "algo/d_ary_heap.h"
 #include "common/thread_pool.h"
+#include "graph/kernel_search.h"
 #include "graph/pendant_forest.h"
 
 namespace airindex::core {
@@ -41,30 +41,6 @@ void SetBit(uint64_t* mask, graph::RegionId r) {
 void OrInto(uint64_t* dst, const uint64_t* src, size_t words) {
   for (size_t w = 0; w < words; ++w) dst[w] |= src[w];
 }
-
-/// Where a node falls in the core search's pop order, as far as parent
-/// ties need it (docs/perf.md). Nodes pop by distance. Within a distance,
-/// chain interiors pop in id order, and before a kernel node exactly when
-/// their id is below the largest kernel id popped at that distance up to
-/// and including that node. So a chain interior's key is (dist, its id, 0)
-/// and a kernel node's (dist, that largest id, its pop count), over core
-/// ids. Without zero-weight arcs the middle term is the node's own id.
-struct PopKey {
-  graph::Dist dist = graph::kInfDist;
-  graph::NodeId rank = graph::kInvalidNode;
-  uint32_t seq = 0;
-  auto operator<=>(const PopKey&) const = default;
-};
-
-/// How the kernel search reached a node: from kernel node `from` by a core
-/// arc (chain == kNoChain) or along `chain` from its end `side`. With
-/// from == kInvalidNode: the search's source (chain == kNoChain), or the
-/// end `side` of the source's own chain.
-struct Via {
-  graph::NodeId from = graph::kInvalidNode;
-  uint32_t chain : 31 = graph::ChainKernel::kNoChain;
-  uint32_t side : 1 = 0;
-};
 
 /// Per-node tables over the pendant forest, one linear sweep each. A core
 /// node keeps its own region and flags.
@@ -300,21 +276,14 @@ Result<BorderPrecompute> ComputeBorderPrecompute(
   // worker ran which group — pinned by core.precompute_parallel_test.
   constexpr size_t kGroupChunk = 8;
   struct WorkerState {
-    // The kernel search. Per kernel node: its distance, its (tentative)
-    // parent link, its key once settled, whether it is a target still to
-    // settle or above a reached target, and (`words` words) the regions on
-    // its path from the root.
-    algo::DAryHeap<std::pair<graph::Dist, graph::NodeId>> heap;
-    std::vector<graph::NodeId> settled;
-    std::vector<graph::Dist> dist;
-    std::vector<Via> via;
-    std::vector<PopKey> popped;
-    std::vector<uint8_t> pending;
+    explicit WorkerState(const graph::ChainKernel& kernel) : search(kernel) {}
+    // The kernel search, and per kernel node whether a reached target lies
+    // above it and (`words` words) the regions on its path from the root.
+    graph::KernelSearch search;
     std::vector<uint8_t> below;
     std::vector<uint64_t> kernel_mask;
-    // A root inside a chain: per position of its chain, the distance and
-    // (`words` words) the path regions from the root along the chain.
-    std::vector<graph::Dist> chain_dist;
+    // A root inside a chain: per position of its chain, the path regions
+    // from the root along the chain (`words` words).
     std::vector<uint64_t> chain_mask;
     // One target's path regions.
     std::vector<uint64_t> target_mask;
@@ -344,10 +313,11 @@ Result<BorderPrecompute> ComputeBorderPrecompute(
     // Nodes this worker found cross-border; OR-merged after the pool joins.
     std::vector<uint8_t> cross_border;
   };
-  std::vector<WorkerState> workers(ResolveWorkers(num_groups, num_threads));
+  std::vector<WorkerState> workers;
+  for (unsigned w = ResolveWorkers(num_groups, num_threads); w > 0; --w) {
+    workers.emplace_back(kernel);
+  }
   for (WorkerState& state : workers) {
-    state.via.resize(kernel_n);
-    state.popped.resize(kernel_n);
     state.kernel_mask.resize(kernel_n * words);
     state.target_mask.resize(words);
     for (std::vector<uint32_t>& reach : state.reach) {
@@ -395,107 +365,33 @@ Result<BorderPrecompute> ComputeBorderPrecompute(
       state.cross_border[forest.core_nodes[c]] = 1;
     };
 
-    state.heap.clear();
-    state.settled.clear();
-    state.dist.assign(kernel_n, graph::kInfDist);
-    state.pending.assign(kernel_n, 0);
+    graph::KernelSearch& search = state.search;
+    search.Run(rc, chain_tables.kernel_targets);
     state.below.assign(kernel_n, 0);
-    for (graph::NodeId k : chain_tables.kernel_targets) state.pending[k] = 1;
-    size_t remaining = chain_tables.kernel_targets.size();
     // For a root inside a chain: that chain, its first slot and interior
     // count, and the root's position there.
-    const uint32_t root_chain = kernel.chain_of[rc];
+    const uint32_t root_chain = search.source_chain();
     uint32_t rb = 0;
     uint32_t rm = 0;
     uint32_t rp = 0;
-    // The key of position p of the root's chain, reached from the root.
-    auto walk_key = [&](uint32_t p) {
-      return PopKey{state.chain_dist[p], kernel.path[rb + p], 0};
-    };
-    // The key of the node a parent link leaves from: `from` itself, or the
-    // last interior of the chain it comes along.
-    auto link_key = [&](const Via& via) {
-      if (via.chain == kNoChain) {
-        return via.from == graph::kInvalidNode ? PopKey{0, rc, 0}
-                                               : state.popped[via.from];
-      }
-      if (via.from == graph::kInvalidNode) {
-        return walk_key(via.side == 0 ? 1 : rm);
-      }
-      const graph::ChainKernel::Chain& chain = kernel.chains[via.chain];
-      const uint32_t last = chain.begin + (via.side == 0 ? chain.interior : 1);
-      return PopKey{state.dist[via.from] + kernel.from_end[via.side][last],
-                    kernel.path[last], 0};
-    };
-    // A strict improvement wins, as in Dijkstra; an equal distance wins
-    // when the node its link leaves from pops earlier in the core search.
-    // Every such node pops before k does, so k's link is final once k
-    // pops.
-    auto relax = [&](graph::NodeId k, graph::Dist d, const Via& via) {
-      graph::Dist& dist = state.dist[k];
-      if (d < dist) {
-        dist = d;
-        state.via[k] = via;
-        state.heap.push({d, k});
-      } else if (d == dist && link_key(via) < link_key(state.via[k])) {
-        state.via[k] = via;
-      }
-    };
-
-    // A root inside a chain: walk the chain from it to both ends, which
-    // seed the search.
-    if (root_chain == kNoChain) {
-      relax(kernel.kernel_id[rc], 0, Via{});
-    } else {
+    if (root_chain != kNoChain) {
       rb = kernel.chains[root_chain].begin;
       rm = kernel.chains[root_chain].interior;
-      rp = kernel.position[rc];
-      state.chain_dist.resize(rm + 2);
+      rp = search.source_position();
       state.chain_mask.assign((rm + 2) * words, 0);
-      state.chain_dist[rp] = 0;
       SetBit(state.chain_mask.data() + rp * words, core_region[rc]);
-      auto extend = [&](uint32_t p, uint32_t from, graph::Dist step) {
-        state.chain_dist[p] = graph::AddDist(state.chain_dist[from], step);
+      auto extend = [&](uint32_t p, uint32_t from) {
         uint64_t* mask = state.chain_mask.data() + p * words;
         OrInto(mask, state.chain_mask.data() + from * words, words);
         SetBit(mask, core_region[kernel.path[rb + p]]);
       };
-      for (uint32_t p = rp; p-- > 0;) {
-        extend(p, p + 1, kernel.step[1][rb + p]);
-      }
-      for (uint32_t p = rp + 1; p <= rm + 1; ++p) {
-        extend(p, p - 1, kernel.step[0][rb + p - 1]);
-      }
-      for (uint32_t side = 0; side < 2; ++side) {
-        const graph::Dist d = state.chain_dist[side == 0 ? 0 : rm + 1];
-        if (d != graph::kInfDist) {
-          relax(kernel.End(root_chain, side), d,
-                Via{graph::kInvalidNode, root_chain, side});
-        }
-      }
+      for (uint32_t p = rp; p-- > 0;) extend(p, p + 1);
+      for (uint32_t p = rp + 1; p <= rm + 1; ++p) extend(p, p - 1);
     }
 
-    graph::Dist level = graph::kInfDist;
-    graph::NodeId level_max = 0;
-    uint32_t seq = 0;
-    while (!state.heap.empty() && remaining > 0) {
-      const auto [d, k] = state.heap.top();
-      state.heap.pop();
-      if (d != state.dist[k]) continue;  // stale entry
-      state.settled.push_back(k);
-      const graph::NodeId c = kernel.kernel_nodes[k];
-      level_max = d == level ? std::max(level_max, c) : c;
-      level = d;
-      state.popped[k] = {d, level_max, seq++};
-      if (state.pending[k]) --remaining;
-      for (const graph::ChainKernel::Arc& arc : kernel.OutArcs(k)) {
-        relax(arc.to, d + arc.weight, Via{k, arc.chain, arc.side});
-      }
-    }
-
-    for (graph::NodeId k : state.settled) {
+    for (graph::NodeId k : search.settled()) {
       uint64_t* mask = state.kernel_mask.data() + k * words;
-      const Via& via = state.via[k];
+      const graph::KernelSearch::Via& via = search.via(k);
       if (via.from != graph::kInvalidNode) {
         const uint64_t* from_mask =
             state.kernel_mask.data() + via.from * words;
@@ -519,23 +415,12 @@ Result<BorderPrecompute> ComputeBorderPrecompute(
       // The root's own tree is the walk's.
       if (c != rc && attached.Any(c)) {
         state.below[k] = 1;
-        reach_target(c, state.dist[k], mask);
+        reach_target(c, search.dist(k), mask);
       }
     }
 
-    // Chain interior targets. The key of position p of chain c reached
-    // from its end `side` (reached at `end_dist`), and the target at p
-    // reached that way at distance d.
-    auto chain_key = [&](uint32_t c, int side, uint32_t p,
-                         graph::Dist end_dist) {
-      const graph::ChainKernel::Chain& chain = kernel.chains[c];
-      if (p == (side == 0 ? 0 : chain.interior + 1)) {
-        return state.popped[kernel.End(c, side)];
-      }
-      const uint32_t slot = chain.begin + p;
-      return PopKey{end_dist + kernel.from_end[side][slot],
-                    kernel.path[slot], 0};
-    };
+    // Chain interior targets: the target at position p of chain c reached
+    // from its end `side` at distance d.
     auto reach_from_end = [&](uint32_t c, int side, uint32_t p,
                               graph::Dist d) {
       const graph::ChainKernel::Chain& chain = kernel.chains[c];
@@ -550,65 +435,34 @@ Result<BorderPrecompute> ComputeBorderPrecompute(
       uint32_t& reach = state.reach[side][c];
       reach = std::max(reach, side == 0 ? p : chain.interior + 1 - p);
     };
+    // The ends of every target chain are kernel targets, so the search
+    // settled them if it reached them.
     for (uint32_t c : chain_tables.target_chains) {
       const uint32_t b = kernel.chains[c].begin;
-      // The ends are kernel targets, so the search settled them if it
-      // reached them.
-      const graph::Dist de[2] = {state.dist[kernel.End(c, 0)],
-                                 state.dist[kernel.End(c, 1)]};
       for (uint32_t i = chain_tables.target_offsets[c];
            i < chain_tables.target_offsets[c + 1]; ++i) {
         const uint32_t p = chain_tables.target_positions[i];
-        if (c != root_chain) {
-          const graph::Dist d0 =
-              graph::AddDist(de[0], kernel.from_end[0][b + p]);
-          const graph::Dist d1 =
-              graph::AddDist(de[1], kernel.from_end[1][b + p]);
-          if (d0 == graph::kInfDist && d1 == graph::kInfDist) continue;
-          // At the meeting point both chain neighbours are parents; the
-          // one that pops first wins.
-          int side = d0 < d1 ? 0 : 1;
-          if (d0 == d1) {
-            side = chain_key(c, 0, p - 1, de[0]) <
-                           chain_key(c, 1, p + 1, de[1])
-                       ? 0
-                       : 1;
-          }
-          reach_from_end(c, side, p, side == 0 ? d0 : d1);
+        if (c == root_chain && p == rp) continue;
+        const graph::KernelSearch::InteriorReach r = search.Interior(c, p);
+        if (r.dist == graph::kInfDist) continue;
+        if (!r.from_source) {
+          reach_from_end(c, r.side, p, r.dist);
           continue;
         }
-        if (p == rp) continue;
-        // On the root's chain: from the root directly, or around through
-        // the end on p's side of it.
-        const int side = p < rp ? 0 : 1;
-        const graph::Dist from_root = state.chain_dist[p];
-        const graph::Dist around =
-            graph::AddDist(de[side], kernel.from_end[side][b + p]);
-        if (from_root == graph::kInfDist && around == graph::kInfDist) {
-          continue;
-        }
-        const uint32_t toward_root = side == 0 ? p + 1 : p - 1;
-        const uint32_t toward_end = side == 0 ? p - 1 : p + 1;
-        if (from_root < around ||
-            (from_root == around &&
-             walk_key(toward_root) <
-                 chain_key(c, side, toward_end, de[side]))) {
-          reach_target(kernel.path[b + p], from_root,
-                       state.chain_mask.data() + p * words);
-          for (uint32_t q = std::min(p, rp); q <= std::max(p, rp); ++q) {
-            if (q != rp) mark(kernel.path[b + q]);
-          }
-        } else {
-          reach_from_end(c, side, p, around);
+        reach_target(kernel.path[b + p], r.dist,
+                     state.chain_mask.data() + p * words);
+        for (uint32_t q = std::min(p, rp); q <= std::max(p, rp); ++q) {
+          if (q != rp) mark(kernel.path[b + q]);
         }
       }
     }
 
-    for (auto it = state.settled.rbegin(); it != state.settled.rend(); ++it) {
+    const std::span<const graph::NodeId> settled = search.settled();
+    for (auto it = settled.rbegin(); it != settled.rend(); ++it) {
       const graph::NodeId k = *it;
       if (!state.below[k]) continue;
       mark(kernel.kernel_nodes[k]);
-      const Via& via = state.via[k];
+      const graph::KernelSearch::Via& via = search.via(k);
       if (via.from != graph::kInvalidNode) {
         state.below[via.from] = 1;
         if (via.chain != kNoChain) {

@@ -134,6 +134,12 @@ struct ChainKernel {
     return {arcs_.data() + arc_offsets_[k], arcs_.data() + arc_offsets_[k + 1]};
   }
 
+  /// The position of `arc`, an element of some OutArcs span, among all
+  /// kernel arcs: an index in [0, num_arcs()).
+  size_t ArcIndex(const Arc& arc) const {
+    return static_cast<size_t>(&arc - arcs_.data());
+  }
+
   /// The kernel id of chain c's end on `side`.
   NodeId End(uint32_t c, int side) const {
     const Chain& ch = chains[c];
