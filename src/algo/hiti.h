@@ -52,7 +52,7 @@ class HiTiIndex {
 
   /// Builds the index bottom-up over the kd hierarchy. One local Dijkstra
   /// per (sub-graph, border node) pair, on up to `num_threads` workers
-  /// (0 = hardware concurrency).
+  /// (0 = one per available CPU).
   static Result<HiTiIndex> Build(const graph::Graph& g,
                                  const partition::KdTreePartitioner& kd,
                                  unsigned num_threads = 0);

@@ -37,7 +37,7 @@ class SpqIndex {
   };
 
   /// Builds the full index: one all-targets Dijkstra plus one quadtree per
-  /// node (on up to `num_threads` workers, 0 = hardware concurrency).
+  /// node (on up to `num_threads` workers, 0 = one per available CPU).
   /// Memory grows with num_nodes * quadtree size, so use BuildSizeOnly for
   /// large networks when only the footprint matters.
   static Result<SpqIndex> Build(const graph::Graph& g,

@@ -1,11 +1,20 @@
 #include "common/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 
 namespace airindex {
 
 unsigned ResolveThreads(unsigned num_threads) {
   if (num_threads != 0) return num_threads;
+  // The CPUs this thread may run on: hardware_concurrency() counts every
+  // CPU of the machine, also under a pin (taskset, a cgroup cpuset).
+  cpu_set_t cpus;
+  if (sched_getaffinity(0, sizeof(cpus), &cpus) == 0) {
+    const int count = CPU_COUNT(&cpus);
+    if (count > 0) return static_cast<unsigned>(count);
+  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }

@@ -9,20 +9,22 @@
 
 namespace airindex {
 
-/// The "0 = hardware concurrency" thread-count policy on its own (at least
-/// 1, no per-call clamp): what the simulation engines report as their
-/// effective worker count.
+/// The "0 = one per available CPU" thread-count policy on its own (at
+/// least 1, no per-call clamp): what the simulation engines report as
+/// their effective worker count. The available CPUs are those in the
+/// calling thread's affinity mask (so a `taskset` pin counts), or the
+/// machine's hardware concurrency where the mask cannot be read.
 unsigned ResolveThreads(unsigned num_threads);
 
 /// Worker count ParallelForWorker/ParallelForChunked will actually use for
-/// `count` iterations and a requested `num_threads` (0 = hardware
-/// concurrency, clamped to `count`, at least 1). Callers that keep
+/// `count` iterations and a requested `num_threads` (0 = one per available
+/// CPU, clamped to `count`, at least 1). Callers that keep
 /// per-worker state (e.g. one core::QueryScratch per worker) size it with
 /// this.
 unsigned ResolveWorkers(size_t count, unsigned num_threads);
 
 /// Runs `fn(worker, i)` for every i in [0, count) across up to
-/// `num_threads` worker threads (0 = hardware concurrency), handing `fn`
+/// `num_threads` worker threads (0 = one per available CPU), handing `fn`
 /// the worker index in [0, ResolveWorkers(count, num_threads)). Blocks
 /// until all iterations finish. The worker index is stable for the
 /// duration of the call, so `fn` may index per-worker scratch with it;

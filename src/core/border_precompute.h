@@ -74,7 +74,7 @@ struct BorderPrecompute {
 /// Runs the pre-computation over the graph's pendant-forest decomposition
 /// (graph::DecomposePendantForest) with the core's chains contracted
 /// (graph::ContractChains), work-stealing chunks of root groups across up
-/// to `num_threads` workers (0 = hardware concurrency). Border nodes are
+/// to `num_threads` workers (0 = one per available CPU). Border nodes are
 /// grouped by the core node their pendant tree hangs from; each group
 /// costs one search over the chain kernel from that root (seeded from the
 /// two ends of its chain when the root is a chain interior), two sweeps

@@ -28,7 +28,7 @@ inline constexpr uint32_t kNetworkChunkNodes = 512;
 /// (BroadcastCycle::encoding) to every client and planner that decodes it.
 ///
 /// `precompute_threads` caps the server-side pre-computation workers
-/// (0 = hardware concurrency). It never affects the built bytes — the
+/// (0 = one per available CPU). It never affects the built bytes — the
 /// precompute merge is commutative, pinned by test — so EB and NR builds
 /// of any thread counts share one core::SharedBorderPrecompute.
 struct BuildConfig {

@@ -67,7 +67,7 @@ struct GenSpec {
   double weight_jitter = 0.25;
   /// Side length of the square covered by the grid.
   double extent = 100000.0;
-  /// Generator worker threads (0 = hardware concurrency). Output does not
+  /// Generator worker threads (0 = one per available CPU). Output does not
   /// depend on this.
   unsigned threads = 0;
 };

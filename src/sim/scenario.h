@@ -151,7 +151,7 @@ Result<SystemResult> MergeGroupResults(std::span<const GroupResult> groups,
 class ScenarioRunner {
  public:
   struct RunOptions {
-    /// Worker threads (0 = hardware concurrency). Aggregates are
+    /// Worker threads (0 = one per available CPU). Aggregates are
     /// bit-identical for every thread count.
     unsigned threads = 1;
     /// Zero the wall-clock cpu_ms field for bit-reproducible aggregates.

@@ -25,8 +25,8 @@ namespace airindex::sim {
 /// once, so a caller that can run either fills them once and adds only the
 /// engine's own fields (SimOptions, EventOptions).
 struct EngineOptions {
-  /// Worker threads the clients are spread over (0 = hardware
-  /// concurrency). Results are bit-identical for every thread count.
+  /// Worker threads the clients are spread over (0 = one per available
+  /// CPU). Results are bit-identical for every thread count.
   unsigned threads = 1;
   /// Channel loss model shared by every client (drop rate, fade bursts,
   /// and the per-bit corruption rate all live here).
@@ -106,7 +106,7 @@ struct BatchResult {
   std::string engine = "batch";
   size_t num_queries = 0;
   /// Effective worker count (an EngineOptions::threads of 0 is resolved to
-  /// the hardware concurrency before being recorded here).
+  /// one per available CPU before being recorded here).
   unsigned threads = 1;
   /// The full channel loss model (not just the rate): bursty runs were
   /// previously reported as if their losses were independent.

@@ -1,13 +1,46 @@
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 namespace airindex {
 namespace {
+
+// A thread count of 0 means one per CPU the process may run on, so a pin
+// (taskset, a cpuset) narrows it. The test narrows its own affinity mask
+// to one CPU, then to two where the mask has two, and restores the mask
+// before it checks anything.
+TEST(ResolveThreadsTest, CountsTheCpusInTheAffinityMask) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  const int available = CPU_COUNT(&saved);
+  std::vector<int> cpus;
+  for (int c = 0; c < CPU_SETSIZE && cpus.size() < 2; ++c) {
+    if (CPU_ISSET(c, &saved)) cpus.push_back(c);
+  }
+  ASSERT_FALSE(cpus.empty());
+  auto resolve_pinned = [&](size_t count) {
+    cpu_set_t narrow;
+    CPU_ZERO(&narrow);
+    for (size_t i = 0; i < count; ++i) CPU_SET(cpus[i], &narrow);
+    EXPECT_EQ(sched_setaffinity(0, sizeof(narrow), &narrow), 0);
+    const unsigned threads = ResolveThreads(0);
+    const unsigned workers = ResolveWorkers(100, 0);
+    EXPECT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    return std::pair(threads, workers);
+  };
+  EXPECT_EQ(resolve_pinned(1), std::pair(1u, 1u));
+  if (cpus.size() == 2) {
+    EXPECT_EQ(resolve_pinned(2), std::pair(2u, 2u));
+  }
+  EXPECT_EQ(ResolveThreads(0), static_cast<unsigned>(available));
+  EXPECT_EQ(ResolveThreads(3), 3u);
+}
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   const size_t n = 10000;

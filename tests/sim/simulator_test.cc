@@ -98,7 +98,7 @@ TEST(SimulatorBatchTest, RunCoversEverySystemInOrder) {
   for (const auto& s : systems) ptrs.push_back(s.get());
 
   SimOptions so;
-  so.threads = 0;  // hardware concurrency
+  so.threads = 0;  // one per available CPU
   so.deterministic = true;
   BatchResult batch = Simulator(g, so).Run(ptrs, w);
 

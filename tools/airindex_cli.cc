@@ -105,8 +105,8 @@ void PrintUsage(std::FILE* out) {
                "      [--zipf=F] [--sessions=N] [--cache-bytes=N]\n"
                "      Simulate a batch of clients through the parallel "
                "engine\n"
-               "      (--threads=0 uses all cores; --burst=N groups losses "
-               "into\n"
+               "      (--threads=0 uses every available CPU; --burst=N groups "
+               "losses into\n"
                "      N-packet fade bursts; --corrupt=F flips bits at rate "
                "F\n"
                "      per bit — CRC-detected corrupt packets count "
@@ -286,7 +286,7 @@ struct Flags {
   double loss = 0.0;
   uint32_t burst = 1;
   double corrupt = 0.0;
-  unsigned threads = 0;  // all cores: the engine's reason to exist
+  unsigned threads = 0;  // every available CPU: the engine's reason to exist
   unsigned repeat = 1;
   bool json = false;
   std::string json_path;  // empty: the JSON document goes to stdout

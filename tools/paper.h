@@ -29,7 +29,7 @@ struct Options {
   uint32_t burst = 1;
   /// Per-bit corruption rate of packets that survive erasure.
   double corrupt = 0.0;
-  /// Simulation worker threads (0 = hardware concurrency). The engine is
+  /// Simulation worker threads (0 = one per available CPU). The engine is
   /// bit-deterministic across thread counts; only the wall-clock cpu_ms
   /// columns vary.
   unsigned threads = 1;
