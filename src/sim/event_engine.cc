@@ -77,9 +77,10 @@ EpochPlan PlanEpochs(const EventOptions& o, bool online, size_t num_nodes,
 
   // The epoch walk: arrivals in time order; at each epoch boundary the
   // re-planner may adopt a new spec, which stands up a new station whose
-  // clock restarts at the boundary. Each query takes the station of its
-  // arrival epoch, and its arrival becomes epoch-relative as it is
-  // assigned.
+  // clock starts at the boundary. Each query takes the station of its
+  // arrival epoch, and its arrival becomes relative to that station's
+  // start as it is assigned: an epoch that adopts nothing keeps the
+  // station and its clock.
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -88,6 +89,7 @@ EpochPlan PlanEpochs(const EventOptions& o, bool online, size_t num_nodes,
   const auto replan_cycles =
       static_cast<double>(std::max(1u, o.schedule.replan_cycles));
   double epoch_start = 0.0;
+  double station_start = 0.0;
   for (size_t k = 0; k < n;) {
     const double epoch_ms = replan_cycles * station->CycleMs();
     // A cycle of no duration never ends its epoch.
@@ -96,12 +98,13 @@ EpochPlan PlanEpochs(const EventOptions& o, bool online, size_t num_nodes,
     for (; k < n && (endless || plan.arrival_ms[order[k]] < epoch_end); ++k) {
       const size_t i = order[k];
       plan.station_of[i] = station;
-      plan.arrival_ms[i] -= epoch_start;
+      plan.arrival_ms[i] -= station_start;
       planner->ObserveDestination(w.queries[i].target);
     }
     if (k < n && planner->Replan()) {
       station =
           plan.AddStation(o, cycle, CompileSchedule(cycle, planner->spec()));
+      station_start = epoch_end;
     }
     epoch_start = epoch_end;
   }

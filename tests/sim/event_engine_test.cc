@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -88,6 +89,50 @@ TEST(EventEngineTest, Threads1And4BitIdenticalAcrossAllSystems) {
           << a.system << " query " << i;
     }
     EXPECT_EQ(a.aggregate, b.aggregate) << a.system;
+  }
+}
+
+// An online run whose re-planner never adopts a spec stays on its first
+// station, which airs the flat schedule, for the whole run: every query
+// must be priced exactly as in the flat run, across many epoch boundaries.
+// A clock restarted at each boundary would map one instant of the one
+// station to different slots in different epochs.
+TEST(EventEngineTest, OnlineRunThatNeverAdoptsMatchesTheFlatRun) {
+  const Fixture& f = SharedFixture();
+  std::vector<const core::AirSystem*> ptrs;
+  for (const auto& s : f.systems) ptrs.push_back(s.get());
+
+  // About 48 arrivals over 12 cycles of the longest cycle, so every system
+  // crosses several one-cycle epochs.
+  EventOptions flat = LossyOptions();
+  double longest_ms = 0.0;
+  for (const core::AirSystem* sys : ptrs) {
+    longest_ms = std::max(
+        longest_ms, EventEngine(f.g, flat).MakeStation(*sys).CycleMs());
+  }
+  ASSERT_GT(longest_ms, 0.0);
+  workload::WorkloadSpec spec;
+  spec.count = 48;
+  spec.seed = 79;
+  spec.arrival.kind = workload::ArrivalSpec::Kind::kPoisson;
+  spec.arrival.rate_per_second = 4.0 * 1000.0 / longest_ms;
+  const workload::Workload w = workload::GenerateWorkload(f.g, spec).value();
+
+  EventOptions online = flat;
+  online.schedule.mode = SchedulePolicy::Mode::kOnline;
+  online.schedule.replan_cycles = 1;
+  online.schedule.min_skew = 1e9;  // no demand is skewed enough to adopt
+  const BatchResult want = EventEngine(f.g, flat).Run(ptrs, w);
+  const BatchResult got = EventEngine(f.g, online).Run(ptrs, w);
+  EXPECT_EQ(got.schedule_mode, "online");
+  ASSERT_EQ(got.systems.size(), want.systems.size());
+  for (size_t i = 0; i < want.systems.size(); ++i) {
+    ASSERT_EQ(got.systems[i].per_query.size(),
+              want.systems[i].per_query.size());
+    for (size_t q = 0; q < want.systems[i].per_query.size(); ++q) {
+      EXPECT_EQ(got.systems[i].per_query[q], want.systems[i].per_query[q])
+          << want.systems[i].system << " query " << q;
+    }
   }
 }
 
