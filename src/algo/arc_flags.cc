@@ -258,16 +258,14 @@ Result<ArcFlagIndex> ArcFlagIndex::Build(
           for (uint32_t c = 0; c < kernel.chains.size(); ++c) {
             if (c == sc) continue;
             const graph::ChainKernel::Chain& chain = kernel.chains[c];
+            // Each run's last position. An empty run lands on the chain's
+            // end, which the sweep skips.
             const std::array<uint32_t, 2> runs = search.Runs(c);
-            if (runs[0] > 0) {
-              OrInto(&state.runs[0][(chain.begin + runs[0]) * words], mask,
-                     words);
-            }
-            if (runs[1] > 0) {
-              OrInto(&state.runs[1][(chain.begin + chain.interior + 1 -
-                                     runs[1]) *
-                                    words],
-                     mask, words);
+            const uint32_t last[2] = {
+                chain.begin + runs[0],
+                chain.begin + chain.interior + 1 - runs[1]};
+            for (int side = 0; side < 2; ++side) {
+              OrInto(&state.runs[side][last[side] * words], mask, words);
             }
           }
           // The root's own chain: a walk from the root out to both ends.
@@ -297,14 +295,11 @@ Result<ArcFlagIndex> ArcFlagIndex::Build(
   OrInto(idx.flags_.data(), merged.flags.data(), idx.flags_.size());
   std::vector<uint64_t>& reach = merged.reach;
   // An interior lies on every run from its side that reaches at least as
-  // far: a suffix OR of the run ends per chain and side.
+  // far: a suffix OR of the run ends per chain and side. (Where no run
+  // reaches, the OR is zero and the unset step arc is left as it is.)
   std::vector<uint64_t> acc(words);
   auto sweep = [&](uint32_t slot, int side, size_t arc) {
     OrInto(acc.data(), &merged.runs[side][slot * words], words);
-    if (std::all_of(acc.begin(), acc.end(),
-                    [](uint64_t w) { return w == 0; })) {
-      return;
-    }
     OrInto(&idx.flags_[arc * words], acc.data(), words);
     OrInto(&reach[kernel.path[slot] * words], acc.data(), words);
   };

@@ -315,9 +315,7 @@ Result<BorderPrecompute> ComputeBorderPrecompute(
   };
   std::vector<WorkerState> workers;
   for (unsigned w = ResolveWorkers(num_groups, num_threads); w > 0; --w) {
-    workers.emplace_back(kernel);
-  }
-  for (WorkerState& state : workers) {
+    WorkerState& state = workers.emplace_back(kernel);
     state.kernel_mask.resize(kernel_n * words);
     state.target_mask.resize(words);
     for (std::vector<uint32_t>& reach : state.reach) {
