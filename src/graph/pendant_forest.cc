@@ -192,6 +192,10 @@ ChainKernel ContractChains(const Graph& g) {
     k.kernel_id[v] = static_cast<NodeId>(k.kernel_nodes.size());
     k.kernel_nodes.push_back(v);
   }
+  for (ChainKernel::Chain& chain : k.chains) {
+    chain.ends = {k.kernel_id[k.path[chain.begin]],
+                  k.kernel_id[k.path[chain.begin + chain.interior + 1]]};
+  }
 
   const size_t slots = k.path.size();
   for (int side = 0; side < 2; ++side) {

@@ -95,6 +95,8 @@ struct ChainKernel {
   struct Chain {
     uint32_t begin = 0;
     uint32_t interior = 0;
+    /// The kernel ids of positions 0 and interior + 1.
+    std::array<NodeId, 2> ends = {kInvalidNode, kInvalidNode};
   };
 
   /// A kernel arc: the lightest arc between two kernel nodes
@@ -141,10 +143,7 @@ struct ChainKernel {
   }
 
   /// The kernel id of chain c's end on `side`.
-  NodeId End(uint32_t c, int side) const {
-    const Chain& ch = chains[c];
-    return kernel_id[path[ch.begin + (side == 0 ? 0 : ch.interior + 1)]];
-  }
+  NodeId End(uint32_t c, int side) const { return chains[c].ends[side]; }
 
  private:
   friend ChainKernel ContractChains(const Graph& g);
