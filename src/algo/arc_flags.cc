@@ -151,11 +151,11 @@ Result<ArcFlagIndex> ArcFlagIndex::Build(
   // with its chains contracted (graph::KernelSearch, the border
   // pre-computation's search). Every node it reaches, the root aside,
   // reaches the root's sources through its search parent: flag the arc to
-  // it. A kernel node's parent link is one kernel arc, so the arc to flag
-  // is looked up once per kernel arc. A chain's interiors reached from
-  // each end form a run from that end; per root only the run lengths are
-  // recorded, and one sweep per chain after the pool joins flags them.
-  // docs/perf.md argues why the flags equal the per-source searches'.
+  // it. Per root, a kernel node's parent link is one kernel arc, and a
+  // chain's interiors reached from each end form a run from that end, so
+  // the workers only OR masks per kernel arc and per run end; the arcs
+  // are flagged once, after the pool joins. docs/perf.md argues why the
+  // flags equal the per-source searches'.
   std::vector<graph::NodeId> roots;
   for (graph::NodeId c = 0; c < core_n; ++c) {
     const uint64_t* mask = &root_mask[forest.core_nodes[c] * words];
@@ -166,69 +166,32 @@ Result<ArcFlagIndex> ArcFlagIndex::Build(
   const graph::ChainKernel kernel =
       graph::ContractChains(forest.core.Reversed());
   constexpr uint32_t kNoChain = graph::ChainKernel::kNoChain;
-  // The arc of g from core node `from` to core node `to`.
-  auto core_arc = [&](graph::NodeId from, graph::NodeId to) {
-    return ArcIndexOf(g, forest.core_nodes[from], forest.core_nodes[to]);
-  };
-  // Per chain slot begin + p, p <= interior, and side: the arc flagged at
-  // the node reached over that step. Side 0: the node at p + 1, reached
-  // from p, flags its arc to p; side 1: the node at p, reached from p + 1,
-  // flags its arc to p + 1. Unset where the step does not exist.
-  std::array<std::vector<size_t>, 2> step_arc;
-  for (std::vector<size_t>& arcs : step_arc) arcs.assign(kernel.path.size(), 0);
-  for (const graph::ChainKernel::Chain& chain : kernel.chains) {
-    for (uint32_t slot = chain.begin; slot <= chain.begin + chain.interior;
-         ++slot) {
-      const graph::NodeId here = kernel.path[slot];
-      const graph::NodeId next = kernel.path[slot + 1];
-      if (kernel.step[0][slot] != graph::kInfDist) {
-        step_arc[0][slot] = core_arc(next, here);
-      }
-      if (kernel.step[1][slot] != graph::kInfDist) {
-        step_arc[1][slot] = core_arc(here, next);
-      }
-    }
-  }
-  // The arc flagged at the node a chain's walk ends on at its end `side`:
-  // the end's arc to the chain's first interior on that side.
-  auto end_arc = [&](uint32_t c, int side) {
-    const graph::ChainKernel::Chain& chain = kernel.chains[c];
-    return side == 0 ? step_arc[1][chain.begin]
-                     : step_arc[0][chain.begin + chain.interior];
-  };
-  // Per kernel arc: the arc flagged at the kernel node it reaches.
-  std::vector<size_t> link_arc(kernel.num_arcs());
-  for (graph::NodeId k = 0; k < kernel.num_nodes(); ++k) {
-    for (const graph::ChainKernel::Arc& arc : kernel.OutArcs(k)) {
-      link_arc[kernel.ArcIndex(arc)] =
-          arc.chain == kNoChain
-              ? core_arc(kernel.kernel_nodes[arc.to], kernel.kernel_nodes[k])
-              : end_arc(arc.chain, 1 - arc.side);
-    }
-  }
+  const size_t slots = kernel.path.size();
 
   // Work stealing over the roots, chunks of kRootChunk. Each worker ORs
-  // into its own flags, `reach` and runs, merged after the pool joins, so
-  // the result is the same at any thread count.
+  // into its own masks, merged after the pool joins, so the result is the
+  // same at any thread count.
   constexpr size_t kRootChunk = 4;
   struct WorkerState {
     explicit WorkerState(const graph::ChainKernel& kernel) : search(kernel) {}
     graph::KernelSearch search;
-    std::vector<uint64_t> flags;
-    // Per core id, `words` words: the regions of the sources at the roots
-    // whose search reached it, its own root's aside.
-    std::vector<uint64_t> reach;
+    // Per kernel arc (`words` words): the regions of the roots whose
+    // search reached the arc's head over it.
+    std::vector<uint64_t> links;
     // Per side and chain slot begin + p (`words` words): the regions of
-    // the roots whose run from that side ends at position p.
+    // the roots whose search reached position p from p - 1 (side 0) or
+    // p + 1 (side 1), walking the root's own chain...
+    std::array<std::vector<uint64_t>, 2> walks;
+    // ...and of the roots whose run from that side ends at position p.
     std::array<std::vector<uint64_t>, 2> runs;
   };
   std::vector<WorkerState> workers;
   for (unsigned w = ResolveWorkers(roots.size(), num_threads); w > 0; --w) {
     WorkerState& state = workers.emplace_back(kernel);
-    state.flags.assign(idx.flags_.size(), 0);
-    state.reach.assign(core_n * words, 0);
-    for (std::vector<uint64_t>& runs : state.runs) {
-      runs.assign(kernel.path.size() * words, 0);
+    state.links.assign(kernel.num_arcs() * words, 0);
+    for (int side = 0; side < 2; ++side) {
+      state.walks[side].assign(slots * words, 0);
+      state.runs[side].assign(slots * words, 0);
     }
   }
   ParallelForChunked(
@@ -236,11 +199,6 @@ Result<ArcFlagIndex> ArcFlagIndex::Build(
       [&](unsigned worker, size_t begin, size_t end) {
         WorkerState& state = workers[worker];
         graph::KernelSearch& search = state.search;
-        auto flag = [&](size_t arc, graph::NodeId reached,
-                        const uint64_t* mask) {
-          OrInto(&state.flags[arc * words], mask, words);
-          OrInto(&state.reach[reached * words], mask, words);
-        };
         for (size_t i = begin; i < end; ++i) {
           const graph::NodeId rc = roots[i];
           const uint64_t* mask = &root_mask[forest.core_nodes[rc] * words];
@@ -248,10 +206,13 @@ Result<ArcFlagIndex> ArcFlagIndex::Build(
           for (graph::NodeId k : search.settled()) {
             const graph::KernelSearch::Via& via = search.via(k);
             if (via.from != graph::kInvalidNode) {
-              flag(link_arc[via.arc], kernel.kernel_nodes[k], mask);
+              OrInto(&state.links[via.arc * words], mask, words);
             } else if (via.chain != kNoChain) {
-              flag(end_arc(via.chain, via.side), kernel.kernel_nodes[k],
-                   mask);
+              // An end of the root's chain, reached from its neighbour.
+              const graph::ChainKernel::Chain& chain = kernel.chains[via.chain];
+              const uint32_t slot =
+                  chain.begin + (via.side == 0 ? 0 : chain.interior + 1);
+              OrInto(&state.walks[1 - via.side][slot * words], mask, words);
             }
           }
           const uint32_t sc = search.source_chain();
@@ -276,43 +237,82 @@ Result<ArcFlagIndex> ArcFlagIndex::Build(
             const graph::KernelSearch::InteriorReach r =
                 search.Interior(sc, p);
             if (r.dist == graph::kInfDist) continue;
-            const uint32_t slot = chain.begin + p;
-            flag(r.side == 0 ? step_arc[0][slot - 1] : step_arc[1][slot],
-                 kernel.path[slot], mask);
+            OrInto(&state.walks[r.side][(chain.begin + p) * words], mask,
+                   words);
           }
         }
       },
       num_threads);
   WorkerState& merged = workers.front();
   for (size_t k = 1; k < workers.size(); ++k) {
-    OrInto(merged.flags.data(), workers[k].flags.data(), merged.flags.size());
-    OrInto(merged.reach.data(), workers[k].reach.data(), merged.reach.size());
+    OrInto(merged.links.data(), workers[k].links.data(), merged.links.size());
     for (int side = 0; side < 2; ++side) {
+      OrInto(merged.walks[side].data(), workers[k].walks[side].data(),
+             merged.walks[side].size());
       OrInto(merged.runs[side].data(), workers[k].runs[side].data(),
              merged.runs[side].size());
     }
   }
-  OrInto(idx.flags_.data(), merged.flags.data(), idx.flags_.size());
-  std::vector<uint64_t>& reach = merged.reach;
-  // An interior lies on every run from its side that reaches at least as
-  // far: a suffix OR of the run ends per chain and side. (Where no run
-  // reaches, the OR is zero and the unset step arc is left as it is.)
+
+  // Per core id, `words` words: the regions of the sources at the roots
+  // whose search reached it, its own root's aside. Each such search
+  // flagged exactly one of its arcs, the one toward its search parent.
+  std::vector<uint64_t> reach(core_n * words, 0);
+  // The arc of g from core node `from` to core node `to`.
+  auto core_arc = [&](graph::NodeId from, graph::NodeId to) {
+    return ArcIndexOf(g, forest.core_nodes[from], forest.core_nodes[to]);
+  };
+  auto flag = [&](size_t arc, graph::NodeId reached, const uint64_t* mask) {
+    OrInto(&idx.flags_[arc * words], mask, words);
+    OrInto(&reach[reached * words], mask, words);
+  };
+  for (graph::NodeId k = 0; k < kernel.num_nodes(); ++k) {
+    for (const graph::ChainKernel::Arc& arc : kernel.OutArcs(k)) {
+      const uint64_t* mask = &merged.links[kernel.ArcIndex(arc) * words];
+      if (std::all_of(mask, mask + words, [](uint64_t w) { return w == 0; })) {
+        continue;
+      }
+      const graph::NodeId to = kernel.kernel_nodes[arc.to];
+      if (arc.chain == kNoChain) {
+        flag(core_arc(to, kernel.kernel_nodes[k]), to, mask);
+        continue;
+      }
+      // Over a chain: the end reached from the chain's last interior, as
+      // if walked; the sweep below flags its arc.
+      const graph::ChainKernel::Chain& chain = kernel.chains[arc.chain];
+      const uint32_t slot =
+          arc.side == 0 ? chain.begin + chain.interior + 1 : chain.begin;
+      OrInto(&merged.walks[arc.side][slot * words], mask, words);
+    }
+  }
+  // Per chain and side, from the far end inward: an interior lies on
+  // every run from its side that reaches at least as far (a suffix OR of
+  // the run ends), and a walk or an end's link adds its own position.
   std::vector<uint64_t> acc(words);
-  auto sweep = [&](uint32_t slot, int side, size_t arc) {
+  std::vector<uint64_t> bits(words);
+  auto sweep = [&](uint32_t slot, int side) {
     OrInto(acc.data(), &merged.runs[side][slot * words], words);
-    OrInto(&idx.flags_[arc * words], acc.data(), words);
-    OrInto(&reach[kernel.path[slot] * words], acc.data(), words);
+    const uint64_t* walk = &merged.walks[side][slot * words];
+    for (size_t w = 0; w < words; ++w) bits[w] = acc[w] | walk[w];
+    if (std::all_of(bits.begin(), bits.end(),
+                    [](uint64_t w) { return w == 0; })) {
+      return;
+    }
+    const graph::NodeId here = kernel.path[slot];
+    flag(side == 0 ? core_arc(here, kernel.path[slot - 1])
+                   : core_arc(here, kernel.path[slot + 1]),
+         here, bits.data());
   };
   for (const graph::ChainKernel::Chain& chain : kernel.chains) {
-    const uint32_t first = chain.begin + 1;
-    const uint32_t last = chain.begin + chain.interior;
     std::fill(acc.begin(), acc.end(), 0);
-    for (uint32_t slot = last; slot >= first; --slot) {
-      sweep(slot, 0, step_arc[0][slot - 1]);
+    for (uint32_t slot = chain.begin + chain.interior + 1; slot > chain.begin;
+         --slot) {
+      sweep(slot, 0);
     }
     std::fill(acc.begin(), acc.end(), 0);
-    for (uint32_t slot = first; slot <= last; ++slot) {
-      sweep(slot, 1, step_arc[1][slot]);
+    for (uint32_t slot = chain.begin; slot <= chain.begin + chain.interior;
+         ++slot) {
+      sweep(slot, 1);
     }
   }
 
