@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <compare>
 #include <mutex>
 #include <numeric>
 #include <utility>

@@ -2,6 +2,7 @@
 #define AIRINDEX_GRAPH_KERNEL_SEARCH_H_
 
 #include <array>
+#include <compare>
 #include <cstdint>
 #include <span>
 #include <utility>

@@ -83,7 +83,7 @@ PendantForest DecomposePendantForest(const Graph& g);
 /// Chain interiors thus have positive arcs only, to their two chain
 /// neighbours, so a search over the kernel finds every interior's
 /// distance and shortest-path parent from the chain's two ends (see
-/// core::ComputeBorderPrecompute and docs/perf.md).
+/// graph::KernelSearch and docs/perf.md).
 struct ChainKernel {
   /// Chain ids fit in 31 bits (see Arc).
   static constexpr uint32_t kNoChain = 0x7FFFFFFF;
