@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "graph/generator.h"
+
 namespace airindex::graph {
 namespace {
 
@@ -56,6 +61,52 @@ TEST(CatalogTest, SameSpecSameGraph) {
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->num_nodes(), b->num_nodes());
   EXPECT_DOUBLE_EQ(a->Coord(0).x, b->Coord(0).x);
+}
+
+// The replicas every experiment, test and golden file is built from, pinned
+// by content hash, so a change to the generator that moves one graph byte
+// fails here first.
+TEST(CatalogTest, ReplicaFingerprintsArePinned) {
+  struct Pin {
+    std::string network;
+    double scale;
+    uint64_t fingerprint;
+  };
+  const Pin pins[] = {
+      {"Milan", 1.0, 0x3B4FA28B630970D5ULL},
+      {"Germany", 1.0, 0xEAC638E18CB82030ULL},
+      {"Argentina", 1.0, 0x7F633F4931CAB2D4ULL},
+      {"India", 1.0, 0xDEFC50E4E49F413CULL},
+      {"SanFrancisco", 1.0, 0xF115A6F8A061363DULL},
+      {"Germany", 0.05, 0x7888D7D665FCDA99ULL},
+      {"Germany", 0.1, 0x68EBE832B7AA9AA3ULL},
+      {"Milan", 0.2, 0x0A228D9FA09FCDC4ULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.network + " at " + std::to_string(pin.scale));
+    auto g = MakeNetwork(FindNetwork(pin.network).value(), pin.scale);
+    ASSERT_TRUE(g.ok()) << g.status().ToString();
+    EXPECT_EQ(Fingerprint(*g), pin.fingerprint);
+  }
+
+  // Sparse candidate pools: two nearest neighbours per node leave 9 and 85
+  // components after Kruskal, so the bridge step runs.
+  struct OptionsPin {
+    GeneratorOptions options;
+    uint64_t fingerprint;
+  };
+  const OptionsPin option_pins[] = {
+      {{.num_nodes = 300, .num_edges = 330, .seed = 10, .knn = 2},
+       0xBDEE39109C38EB97ULL},
+      {{.num_nodes = 2000, .num_edges = 2200, .seed = 8, .knn = 2},
+       0xB5B28BC12CE3A465ULL},
+  };
+  for (const OptionsPin& pin : option_pins) {
+    SCOPED_TRACE(::testing::Message() << pin.options.num_nodes << " nodes");
+    auto g = GenerateRoadNetwork(pin.options);
+    ASSERT_TRUE(g.ok()) << g.status().ToString();
+    EXPECT_EQ(Fingerprint(*g), pin.fingerprint);
+  }
 }
 
 }  // namespace
