@@ -255,6 +255,8 @@ Result<Graph> GenerateRoadNetwork(const GeneratorOptions& options) {
         add_edge(v, best_u, best);
         --components;
       }
+      // The union may have re-rooted node 0's component.
+      root0 = dsu.Find(0);
     }
   }
 

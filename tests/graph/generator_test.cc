@@ -143,5 +143,35 @@ TEST(GeneratorTest, DenseNetworkSucceeds) {
   EXPECT_TRUE(g->IsStronglyConnected());
 }
 
+TEST(GeneratorTest, BridgesEveryComponent) {
+  // One nearest neighbour per node leaves about a third of the nodes as
+  // separate components after Kruskal, so the bridge step does most of the
+  // work, and its unions re-root node 0's component.
+  for (uint32_t n : {50u, 200u, 1000u}) {
+    for (uint64_t seed : {1u, 3u, 7u}) {
+      SCOPED_TRACE(::testing::Message() << n << " nodes, seed " << seed);
+      GeneratorOptions opts;
+      opts.num_nodes = n;
+      opts.num_edges = n - 1;
+      opts.seed = seed;
+      opts.knn = 1;
+      auto g = GenerateRoadNetwork(opts);
+      ASSERT_TRUE(g.ok()) << g.status().ToString();
+      EXPECT_EQ(g->num_nodes(), n);
+      EXPECT_EQ(g->num_arcs(), 2 * size_t{n - 1});
+      EXPECT_TRUE(g->IsStronglyConnected());
+      std::set<std::pair<NodeId, NodeId>> edges;
+      for (NodeId v = 0; v < g->num_nodes(); ++v) {
+        for (const auto& arc : g->OutArcs(v)) {
+          if (v < arc.to) {
+            EXPECT_TRUE(edges.emplace(v, arc.to).second)
+                << "duplicate edge " << v << " - " << arc.to;
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace airindex::graph
