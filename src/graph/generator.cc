@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <numeric>
-#include <unordered_set>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -70,27 +71,25 @@ class PointGrid {
     }
   }
 
-  /// Returns the `k` nearest points to pts_[v] (excluding v itself),
-  /// expanding ring-by-ring until enough candidates are found.
-  std::vector<uint32_t> KNearest(uint32_t v, uint32_t k) const {
-    std::vector<std::pair<double, uint32_t>> found;
+  /// Writes the `out.size()` nearest points to pts_[v] (excluding v itself)
+  /// into `out`, nearest first and ties by id, expanding ring by ring until
+  /// enough candidates are found. There must be that many other points.
+  void KNearest(uint32_t v, std::span<uint32_t> out) {
+    found_.clear();
     const Point& p = pts_[v];
     const int cx = CellX(p);
     const int cy = CellY(p);
     const int max_ring = static_cast<int>(cells_per_side_);
     for (int ring = 0; ring <= max_ring; ++ring) {
-      CollectRing(cx, cy, ring, v, &found);
+      CollectRing(cx, cy, ring, v);
       // A candidate in ring r is guaranteed closer than anything in ring
       // r+2, so once we have k candidates after scanning one extra ring the
       // k nearest are exact.
-      if (found.size() >= k && ring >= 1) break;
+      if (found_.size() >= out.size() && ring >= 1) break;
     }
-    std::sort(found.begin(), found.end());
-    if (found.size() > k) found.resize(k);
-    std::vector<uint32_t> ids;
-    ids.reserve(found.size());
-    for (auto& [d, id] : found) ids.push_back(id);
-    return ids;
+    const auto kth = found_.begin() + static_cast<ptrdiff_t>(out.size());
+    std::partial_sort(found_.begin(), kth, found_.end());
+    for (size_t i = 0; i < out.size(); ++i) out[i] = found_[i].second;
   }
 
  private:
@@ -106,8 +105,7 @@ class PointGrid {
                          std::max(0, static_cast<int>(p.y / cell_size_)));
   }
 
-  void CollectRing(int cx, int cy, int ring, uint32_t self,
-                   std::vector<std::pair<double, uint32_t>>* out) const {
+  void CollectRing(int cx, int cy, int ring, uint32_t self) {
     const int lo_x = cx - ring, hi_x = cx + ring;
     const int lo_y = cy - ring, hi_y = cy + ring;
     for (int y = lo_y; y <= hi_y; ++y) {
@@ -121,7 +119,7 @@ class PointGrid {
         for (uint32_t id :
              buckets_[static_cast<size_t>(y) * cells_per_side_ + x]) {
           if (id == self) continue;
-          out->emplace_back(EuclidDist(pts_[self], pts_[id]), id);
+          found_.emplace_back(EuclidDist(pts_[self], pts_[id]), id);
         }
       }
     }
@@ -131,7 +129,54 @@ class PointGrid {
   uint32_t cells_per_side_;
   double cell_size_;
   std::vector<std::vector<uint32_t>> buckets_;
+  std::vector<std::pair<double, uint32_t>> found_;  // KNearest's scratch
 };
+
+/// A candidate undirected edge and its Euclidean length.
+struct Cand {
+  double len;
+  uint32_t a, b;
+};
+
+/// Candidate undirected edges: the `knn` nearest neighbours of every node,
+/// each pair once, sorted by length. Equal lengths end in an order that
+/// std::sort derives from the admission order, so that order is part of
+/// the output.
+std::vector<Cand> NearestNeighbourCandidates(const std::vector<Point>& pts,
+                                             double extent, uint32_t knn) {
+  const auto n = static_cast<uint32_t>(pts.size());
+  knn = std::min(knn, n - 1);
+  // Row v holds v's knn nearest ids, nearest first.
+  std::vector<uint32_t> nearest(size_t{n} * knn);
+  auto row = [&](uint32_t v) {
+    return std::span(nearest).subspan(size_t{v} * knn, knn);
+  };
+  PointGrid grid(pts, extent);
+  for (uint32_t v = 0; v < n; ++v) grid.KNearest(v, row(v));
+
+  // Rows are read in node order, so the pair {v, u} is first seen at v
+  // unless u < v and u's row already named v. Admitting it only at its
+  // first sighting gives the order a seen-set over the rows would give.
+  auto admitted = [&](uint32_t v, uint32_t u) {
+    if (u > v) return true;
+    const auto r = row(u);
+    return std::find(r.begin(), r.end(), v) == r.end();
+  };
+  size_t count = 0;
+  for (uint32_t v = 0; v < n; ++v) {
+    for (uint32_t u : row(v)) count += admitted(v, u);
+  }
+  std::vector<Cand> cands;
+  cands.reserve(count);
+  for (uint32_t v = 0; v < n; ++v) {
+    for (uint32_t u : row(v)) {
+      if (admitted(v, u)) cands.push_back({EuclidDist(pts[v], pts[u]), v, u});
+    }
+  }
+  std::sort(cands.begin(), cands.end(),
+            [](const Cand& x, const Cand& y) { return x.len < y.len; });
+  return cands;
+}
 
 uint64_t UndirectedKey(uint32_t a, uint32_t b) {
   if (a > b) std::swap(a, b);
@@ -185,28 +230,8 @@ Result<Graph> GenerateRoadNetwork(const GeneratorOptions& options) {
     p.y = rng.NextDouble() * options.extent;
   }
 
-  PointGrid grid(pts, options.extent);
-
-  // Candidate undirected edges: k nearest neighbours of every node, deduped.
-  struct Cand {
-    double len;
-    uint32_t a, b;
-  };
-  std::vector<Cand> cands;
-  cands.reserve(static_cast<size_t>(n) * options.knn / 2);
-  {
-    std::unordered_set<uint64_t> seen;
-    seen.reserve(static_cast<size_t>(n) * options.knn);
-    for (uint32_t v = 0; v < n; ++v) {
-      for (uint32_t u : grid.KNearest(v, options.knn)) {
-        if (seen.insert(UndirectedKey(v, u)).second) {
-          cands.push_back({EuclidDist(pts[v], pts[u]), v, u});
-        }
-      }
-    }
-  }
-  std::sort(cands.begin(), cands.end(),
-            [](const Cand& x, const Cand& y) { return x.len < y.len; });
+  const std::vector<Cand> cands =
+      NearestNeighbourCandidates(pts, options.extent, options.knn);
 
   // Kruskal over candidates: short edges first => road-like local links.
   DisjointSets dsu(n);
@@ -232,10 +257,9 @@ Result<Graph> GenerateRoadNetwork(const GeneratorOptions& options) {
 
   // kNN graphs on uniform points are almost always connected, but bridge any
   // leftover components explicitly: link each remaining component's first
-  // node to its nearest node in the giant component.
+  // node to its nearest node in node 0's component. Kruskal has seen every
+  // candidate by now, so each bridge joins two components and is new.
   if (components > 1) {
-    std::unordered_set<uint64_t> have;
-    for (const auto& c : cands) have.insert(UndirectedKey(c.a, c.b));
     uint32_t root0 = dsu.Find(0);
     for (uint32_t v = 0; v < n && components > 1; ++v) {
       if (dsu.Find(v) == root0) continue;
@@ -251,10 +275,8 @@ Result<Graph> GenerateRoadNetwork(const GeneratorOptions& options) {
         }
       }
       dsu.Union(v, best_u);
-      if (have.insert(UndirectedKey(v, best_u)).second) {
-        add_edge(v, best_u, best);
-        --components;
-      }
+      add_edge(v, best_u, best);
+      --components;
       // The union may have re-rooted node 0's component.
       root0 = dsu.Find(0);
     }
