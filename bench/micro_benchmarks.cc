@@ -242,6 +242,16 @@ void BM_NetworkGeneration(benchmark::State& state) {
 BENCHMARK(BM_NetworkGeneration)->Arg(1000)->Arg(10000)->Unit(
     benchmark::kMillisecond);
 
+// The full Germany replica, built through graph::MakeNetwork as every
+// set-up builds its network.
+void BM_NetworkGenerationGermany(benchmark::State& state) {
+  for (auto _ : state) {
+    auto g = graph::MakeNetwork(graph::DefaultNetwork()).value();
+    benchmark::DoNotOptimize(g.num_arcs());
+  }
+}
+BENCHMARK(BM_NetworkGenerationGermany)->Unit(benchmark::kMillisecond);
+
 void BM_CycleBuildDj(benchmark::State& state) {
   const graph::Graph& g = BenchGraph();
   for (auto _ : state) {
