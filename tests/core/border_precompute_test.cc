@@ -471,7 +471,7 @@ TEST(BorderPrecomputeTest, MatchesParentWalkWithARootInsideAChain) {
   // Kernel nodes 0 and 1 (an arc and the chain 0 - 5 - 1 between them)
   // and the chain 0 - 2 - 3 - 4 - 1. The pendant tree 3 - 6 - 7 hangs from
   // the chain interior 3, and the border node 4 is an interior too: 3
-  // reaches 4 at 4 directly and around through 2, 0 and 1.
+  // reaches 4 at 3 directly and at 4 around through 2, 0 and 1.
   std::vector<graph::EdgeTriplet> arcs;
   AddBoth(&arcs, 0, 1, 1);
   AddBoth(&arcs, 0, 5, 2);
@@ -479,6 +479,26 @@ TEST(BorderPrecomputeTest, MatchesParentWalkWithARootInsideAChain) {
   AddBoth(&arcs, 0, 2, 1);
   AddBoth(&arcs, 2, 3, 1);
   AddBoth(&arcs, 3, 4, 3);
+  AddBoth(&arcs, 4, 1, 1);
+  AddBoth(&arcs, 3, 6, 1);
+  AddBoth(&arcs, 6, 7, 1);
+  const graph::Graph g = FromArcs(8, arcs);
+  const partition::Partitioning part = partition::MakePartitioning(
+      {0, 0, 0, 0, 1, 0, 0, 2}, 3);
+  ExpectMatchesParentWalkAtOneAndFourThreads(g, part);
+}
+
+TEST(BorderPrecomputeTest, MatchesParentWalkWithATieOnTheRootsChain) {
+  // The graph above with 3 - 4 weighted 4: the root 3 now reaches the
+  // border node 4 at 4 both directly and around through 2, 0 and 1, so
+  // the tie inside the root's own chain decides 4's parent.
+  std::vector<graph::EdgeTriplet> arcs;
+  AddBoth(&arcs, 0, 1, 1);
+  AddBoth(&arcs, 0, 5, 2);
+  AddBoth(&arcs, 5, 1, 2);
+  AddBoth(&arcs, 0, 2, 1);
+  AddBoth(&arcs, 2, 3, 1);
+  AddBoth(&arcs, 3, 4, 4);
   AddBoth(&arcs, 4, 1, 1);
   AddBoth(&arcs, 3, 6, 1);
   AddBoth(&arcs, 6, 7, 1);
