@@ -154,9 +154,9 @@ std::vector<Cand> NearestNeighbourCandidates(const std::vector<Point>& pts,
   PointGrid grid(pts, extent);
   for (uint32_t v = 0; v < n; ++v) grid.KNearest(v, row(v));
 
-  // Rows are read in node order, so the pair {v, u} is first seen at v
-  // unless u < v and u's row already named v. Admitting it only at its
-  // first sighting gives the order a seen-set over the rows would give.
+  // Rows are read in node order, and the pair {v, u} appears only in rows
+  // v and u, so it is first seen at v unless u < v and u's row names v.
+  // Each pair is admitted at its first sighting.
   auto admitted = [&](uint32_t v, uint32_t u) {
     if (u > v) return true;
     const auto r = row(u);

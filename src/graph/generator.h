@@ -43,8 +43,8 @@ Result<Graph> GenerateRoadNetwork(const GeneratorOptions& options);
 
 /// Parameters for the continental-scale generator (the million-node path).
 ///
-/// Unlike GeneratorOptions (kNN candidates + Kruskal, with hashing and
-/// sorting constants that bite at 1e6 nodes), this builds a road-like
+/// Unlike GeneratorOptions (kNN candidates + Kruskal, with a candidate
+/// sort whose constant bites at 1e6 nodes), this builds a road-like
 /// network directly: a rectangular grid base layer (surface streets) plus
 /// `highway_levels` shortcut overlays (level l adds row/column shortcuts of
 /// stride 4^l at ~0.6x Euclidean weight — long-haul edges that Dijkstra
