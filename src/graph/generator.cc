@@ -71,9 +71,10 @@ class PointGrid {
     }
   }
 
-  /// Writes the `out.size()` nearest points to pts_[v] (excluding v itself)
-  /// into `out`, nearest first and ties by id, expanding ring by ring until
-  /// enough candidates are found. There must be that many other points.
+  /// Writes to `out` the `out.size()` points nearest to pts_[v] (excluding
+  /// v itself) among those in the rings of cells scanned, nearest first and
+  /// ties by id. Rings are scanned outwards until at least ring 1 is done
+  /// and enough points are found. There must be that many other points.
   void KNearest(uint32_t v, std::span<uint32_t> out) {
     found_.clear();
     const Point& p = pts_[v];
@@ -82,9 +83,8 @@ class PointGrid {
     const int max_ring = static_cast<int>(cells_per_side_);
     for (int ring = 0; ring <= max_ring; ++ring) {
       CollectRing(cx, cy, ring, v);
-      // A candidate in ring r is guaranteed closer than anything in ring
-      // r+2, so once we have k candidates after scanning one extra ring the
-      // k nearest are exact.
+      // Not an exact kNN: a point in ring r+1 can be nearer than one found
+      // in ring r. Every catalog replica is built from these rows.
       if (found_.size() >= out.size() && ring >= 1) break;
     }
     const auto kth = found_.begin() + static_cast<ptrdiff_t>(out.size());
