@@ -76,8 +76,9 @@ void DijkstraAll(const G& g, NodeId source, SearchWorkspace& ws) {
 /// was not reached.
 Path ExtractPath(const SearchWorkspace& ws, NodeId source, NodeId target);
 
-/// Point-to-point shortest path on a full graph (the paper's baseline query
-/// and the ground truth used by every test).
+/// Point-to-point shortest path on a full graph: the paper's baseline
+/// query, and the reference the tests check every other search against,
+/// the workload ground truth (graph::DistanceOracle) included.
 template <typename G>
 Path DijkstraPath(const G& g, NodeId source, NodeId target) {
   SearchWorkspace ws;

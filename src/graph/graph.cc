@@ -49,16 +49,22 @@ Result<Graph> Graph::Build(std::vector<Point> coords,
 }
 
 Graph Graph::Reversed() const {
-  std::vector<EdgeTriplet> rev;
-  rev.reserve(arcs_.size());
-  for (NodeId v = 0; v < num_nodes(); ++v) {
-    for (const Arc& a : OutArcs(v)) {
-      rev.push_back({a.to, v, a.weight});
-    }
+  // A counting sort of the arcs by target. Sources are visited in
+  // ascending order, so every reversed span comes out sorted by its
+  // target, parallel arcs in their original order: the graph Build makes
+  // of the reversed triplets, without the triplets or Build's sort.
+  const size_t n = num_nodes();
+  Graph r;
+  r.coords_ = coords_;
+  r.offsets_.assign(n + 1, 0);
+  for (const Arc& a : arcs_) ++r.offsets_[a.to + 1];
+  std::partial_sum(r.offsets_.begin(), r.offsets_.end(), r.offsets_.begin());
+  r.arcs_.resize(arcs_.size());
+  std::vector<uint32_t> cursor(r.offsets_.begin(), r.offsets_.end() - 1);
+  for (NodeId v = 0; v < n; ++v) {
+    for (const Arc& a : OutArcs(v)) r.arcs_[cursor[a.to]++] = {v, a.weight};
   }
-  auto res = Build(coords_, rev);
-  // Reversing a valid graph cannot fail.
-  return std::move(res).value();
+  return r;
 }
 
 size_t Graph::MemoryBytes() const {

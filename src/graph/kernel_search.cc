@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 namespace airindex::graph {
 
@@ -190,6 +191,76 @@ std::array<uint32_t, 2> KernelSearch::Runs(uint32_t c) const {
     runs[side] = lo;
   }
   return runs;
+}
+
+DistanceOracle::DistanceOracle(const Graph& g) {
+  Graph core;
+  {
+    // Only the tree links and the core outlive the decomposition.
+    PendantForest forest = DecomposePendantForest(g);
+    root_core_id_.resize(g.num_nodes());
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      root_core_id_[v] = forest.core_id[forest.root[v]];
+    }
+    parent_ = std::move(forest.parent);
+    up_step_ = std::move(forest.up_step);
+    down_step_ = std::move(forest.down_step);
+    core = std::move(forest.core);
+  }
+  kernel_ = ContractChains(core);
+}
+
+DistanceOracle::Searcher::Searcher(const DistanceOracle& oracle)
+    : oracle_(&oracle),
+      search_(oracle.kernel_),
+      marked_(oracle.parent_.size(), 0) {}
+
+Dist DistanceOracle::Searcher::Distance(NodeId s, NodeId t) {
+  const DistanceOracle& o = *oracle_;
+  const NodeId from = o.root_core_id_[s];
+  const NodeId to = o.root_core_id_[t];
+  if (from == to) return TreeDistance(s, t);
+  // s up to its root and t's root down to t.
+  Dist up = 0;
+  for (NodeId v = s; o.parent_[v] != kInvalidNode; v = o.parent_[v]) {
+    up = AddDist(up, o.up_step_[v]);
+  }
+  Dist down = 0;
+  for (NodeId v = t; o.parent_[v] != kInvalidNode; v = o.parent_[v]) {
+    down = AddDist(o.down_step_[v], down);
+  }
+  if (up == kInfDist || down == kInfDist) return kInfDist;
+  const ChainKernel& kernel = o.kernel_;
+  Dist core = kInfDist;
+  if (const NodeId k = kernel.kernel_id[to]; k != kInvalidNode) {
+    search_.Run(from, {&k, 1});
+    core = search_.dist(k);
+  } else {
+    // t's root inside a chain: the search settles both of the chain's ends.
+    const uint32_t c = kernel.chain_of[to];
+    const std::array<NodeId, 2>& ends = kernel.chains[c].ends;
+    const size_t distinct = ends[0] == ends[1] ? 1 : 2;
+    search_.Run(from, {ends.data(), distinct});
+    core = search_.Interior(c, kernel.position[to]).dist;
+  }
+  return AddDist(AddDist(up, core), down);
+}
+
+Dist DistanceOracle::Searcher::TreeDistance(NodeId s, NodeId t) {
+  const DistanceOracle& o = *oracle_;
+  // The root's parent is kInvalidNode, so each walk ends after the root.
+  for (NodeId v = s; v != kInvalidNode; v = o.parent_[v]) marked_[v] = 1;
+  NodeId lca = t;
+  Dist down = 0;
+  for (; !marked_[lca]; lca = o.parent_[lca]) {
+    down = AddDist(o.down_step_[lca], down);
+  }
+  Dist up = 0;
+  for (NodeId v = s; v != lca; v = o.parent_[v]) {
+    up = AddDist(up, o.up_step_[v]);
+  }
+  for (NodeId v = s; v != kInvalidNode; v = o.parent_[v]) marked_[v] = 0;
+  return AddDist(up, down);
 }
 
 }  // namespace airindex::graph

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "algo/d_ary_heap.h"
+#include "graph/graph.h"
 #include "graph/pendant_forest.h"
 #include "graph/types.h"
 
@@ -120,6 +121,51 @@ class KernelSearch {
   /// For a source inside a chain: per position, the distance from the
   /// source along the chain.
   std::vector<Dist> walk_dist_;
+};
+
+/// Exact point-to-point distances over a graph, answered on its chain
+/// kernel. A node's pendant tree meets the rest of the network only at its
+/// root (graph::PendantForest), so a path between two trees runs s -> its
+/// root -> the other root -> t, and a path inside one tree is the tree
+/// path. The part between the roots is one KernelSearch over the core's
+/// ChainKernel, stopped once the target root is known: at its kernel node,
+/// or at the two ends of the chain it lies inside. The oracle is immutable
+/// once built and shared by every thread; each thread queries through a
+/// Searcher of its own.
+class DistanceOracle {
+ public:
+  explicit DistanceOracle(const Graph& g);
+  // Searchers point into the kernel.
+  DistanceOracle(const DistanceOracle&) = delete;
+  DistanceOracle& operator=(const DistanceOracle&) = delete;
+
+  /// One thread's reusable query state: a KernelSearch and a per-node mark
+  /// for the tree walk. Allocates nothing in steady state.
+  class Searcher {
+   public:
+    explicit Searcher(const DistanceOracle& oracle);
+
+    /// The shortest-path distance s -> t, kInfDist when t is unreachable.
+    Dist Distance(NodeId s, NodeId t);
+
+   private:
+    /// s -> t for two nodes of one pendant tree: up from s to their lowest
+    /// common ancestor, then down to t.
+    Dist TreeDistance(NodeId s, NodeId t);
+
+    const DistanceOracle* oracle_;
+    KernelSearch search_;
+    std::vector<uint8_t> marked_;
+  };
+
+ private:
+  /// Per node: the core id of its root, its PendantForest parent (the
+  /// walk toward the root), and the arcs to and from that parent.
+  std::vector<NodeId> root_core_id_;
+  std::vector<NodeId> parent_;
+  std::vector<Dist> up_step_;
+  std::vector<Dist> down_step_;
+  ChainKernel kernel_;
 };
 
 }  // namespace airindex::graph

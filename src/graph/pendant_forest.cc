@@ -47,31 +47,34 @@ void ForEachNeighbour(const Graph& g, const Graph& rev, NodeId v, Fn&& fn) {
 
 PendantForest DecomposePendantForest(const Graph& g) {
   const size_t n = g.num_nodes();
-  const Graph rev = g.Reversed();
 
   PendantForest f;
   f.parent.assign(n, kInvalidNode);
-  std::vector<uint32_t> degree(n, 0);
-  std::deque<NodeId> queue;
-  for (NodeId v = 0; v < n; ++v) {
-    ForEachNeighbour(g, rev, v, [&](NodeId) { ++degree[v]; });
-    if (degree[v] == 1) queue.push_back(v);
-  }
-  // A queued node whose last neighbour was removed first has degree 0 by
-  // the time it is popped: it is the last node of a tree component and
-  // stays as that tree's root.
   std::vector<uint8_t> removed(n, 0);
-  while (!queue.empty()) {
-    const NodeId v = queue.front();
-    queue.pop_front();
-    if (degree[v] != 1) continue;
-    removed[v] = 1;
-    f.peel_order.push_back(v);
-    ForEachNeighbour(g, rev, v, [&](NodeId u) {
-      if (removed[u]) return;
-      f.parent[v] = u;
-      if (--degree[u] == 1) queue.push_back(u);
-    });
+  {
+    // The peeling's scratch is freed before the core is built.
+    const Graph rev = g.Reversed();
+    std::vector<uint32_t> degree(n, 0);
+    std::deque<NodeId> queue;
+    for (NodeId v = 0; v < n; ++v) {
+      ForEachNeighbour(g, rev, v, [&](NodeId) { ++degree[v]; });
+      if (degree[v] == 1) queue.push_back(v);
+    }
+    // A queued node whose last neighbour was removed first has degree 0 by
+    // the time it is popped: it is the last node of a tree component and
+    // stays as that tree's root.
+    while (!queue.empty()) {
+      const NodeId v = queue.front();
+      queue.pop_front();
+      if (degree[v] != 1) continue;
+      removed[v] = 1;
+      f.peel_order.push_back(v);
+      ForEachNeighbour(g, rev, v, [&](NodeId u) {
+        if (removed[u]) return;
+        f.parent[v] = u;
+        if (--degree[u] == 1) queue.push_back(u);
+      });
+    }
   }
 
   f.core_id.assign(n, kInvalidNode);
@@ -104,15 +107,23 @@ PendantForest DecomposePendantForest(const Graph& g) {
   std::partial_sum(f.child_offsets_.begin(), f.child_offsets_.end(),
                    f.child_offsets_.begin());
   f.children_.resize(f.peel_order.size());
-  std::vector<NodeId> cursor(f.child_offsets_.begin(),
-                             f.child_offsets_.end() - 1);
-  for (NodeId v = 0; v < n; ++v) {
-    if (removed[v]) f.children_[cursor[f.parent[v]]++] = v;
+  {
+    std::vector<NodeId> cursor(f.child_offsets_.begin(),
+                               f.child_offsets_.end() - 1);
+    for (NodeId v = 0; v < n; ++v) {
+      if (removed[v]) f.children_[cursor[f.parent[v]]++] = v;
+    }
   }
 
   std::vector<Point> core_coords;
   core_coords.reserve(f.core_nodes.size());
+  // Reserved exactly: the list is as large as the core's arcs.
+  size_t core_arcs = 0;
+  for (NodeId v : f.core_nodes) {
+    for (const Graph::Arc& arc : g.OutArcs(v)) core_arcs += !removed[arc.to];
+  }
   std::vector<EdgeTriplet> core_edges;
+  core_edges.reserve(core_arcs);
   for (NodeId v : f.core_nodes) {
     core_coords.push_back(g.Coord(v));
     for (const Graph::Arc& arc : g.OutArcs(v)) {
@@ -128,62 +139,66 @@ PendantForest DecomposePendantForest(const Graph& g) {
 
 ChainKernel ContractChains(const Graph& g) {
   const size_t n = g.num_nodes();
-  const Graph rev = g.Reversed();
-
-  // Per node: its first two distinct neighbours (all of them for a chain
-  // interior).
-  std::vector<std::array<NodeId, 2>> neighbours(n);
   std::vector<uint8_t> is_kernel(n, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    uint32_t degree = 0;
-    ForEachNeighbour(g, rev, v, [&](NodeId u) {
-      if (degree < 2) neighbours[v][degree] = u;
-      ++degree;
-    });
-    bool zero_arc = false;
-    for (const Graph::Arc& a : g.OutArcs(v)) zero_arc |= a.weight == 0;
-    for (const Graph::Arc& a : rev.OutArcs(v)) zero_arc |= a.weight == 0;
-    is_kernel[v] = degree != 2 || zero_arc;
-  }
-
   ChainKernel k;
-  k.chain_of.assign(n, ChainKernel::kNoChain);
-  k.position.assign(n, 0);
-  // Records the chain that leaves kernel node `start` through its interior
-  // neighbour `first`, up to the next kernel node.
-  auto trace = [&](NodeId start, NodeId first) {
-    const auto c = static_cast<uint32_t>(k.chains.size());
-    ChainKernel::Chain chain;
-    chain.begin = static_cast<uint32_t>(k.path.size());
-    k.path.push_back(start);
-    NodeId prev = start;
-    NodeId cur = first;
-    while (!is_kernel[cur]) {
-      k.chain_of[cur] = c;
-      k.position[cur] = ++chain.interior;
-      k.path.push_back(cur);
-      const NodeId next = neighbours[cur][0] == prev ? neighbours[cur][1]
-                                                     : neighbours[cur][0];
-      prev = cur;
-      cur = next;
+  {
+    // The tracing's scratch is freed before the kernel arcs are built.
+    const Graph rev = g.Reversed();
+
+    // Per node: its first two distinct neighbours (all of them for a chain
+    // interior).
+    std::vector<std::array<NodeId, 2>> neighbours(n);
+    for (NodeId v = 0; v < n; ++v) {
+      uint32_t degree = 0;
+      ForEachNeighbour(g, rev, v, [&](NodeId u) {
+        if (degree < 2) neighbours[v][degree] = u;
+        ++degree;
+      });
+      bool zero_arc = false;
+      for (const Graph::Arc& a : g.OutArcs(v)) zero_arc |= a.weight == 0;
+      for (const Graph::Arc& a : rev.OutArcs(v)) zero_arc |= a.weight == 0;
+      is_kernel[v] = degree != 2 || zero_arc;
     }
-    k.path.push_back(cur);
-    k.chains.push_back(chain);
-  };
-  for (NodeId v = 0; v < n; ++v) {
-    if (!is_kernel[v]) continue;
-    ForEachNeighbour(g, rev, v, [&](NodeId u) {
-      if (!is_kernel[u] && k.chain_of[u] == ChainKernel::kNoChain) {
-        trace(v, u);
+
+    k.chain_of.assign(n, ChainKernel::kNoChain);
+    k.position.assign(n, 0);
+    // Records the chain that leaves kernel node `start` through its
+    // interior neighbour `first`, up to the next kernel node.
+    auto trace = [&](NodeId start, NodeId first) {
+      const auto c = static_cast<uint32_t>(k.chains.size());
+      ChainKernel::Chain chain;
+      chain.begin = static_cast<uint32_t>(k.path.size());
+      k.path.push_back(start);
+      NodeId prev = start;
+      NodeId cur = first;
+      while (!is_kernel[cur]) {
+        k.chain_of[cur] = c;
+        k.position[cur] = ++chain.interior;
+        k.path.push_back(cur);
+        const NodeId next = neighbours[cur][0] == prev ? neighbours[cur][1]
+                                                       : neighbours[cur][0];
+        prev = cur;
+        cur = next;
       }
-    });
-  }
-  // The interiors left over form cycles without a kernel node; each cycle
-  // keeps its smallest node as one, and becomes a chain from it to itself.
-  for (NodeId v = 0; v < n; ++v) {
-    if (is_kernel[v] || k.chain_of[v] != ChainKernel::kNoChain) continue;
-    is_kernel[v] = 1;
-    trace(v, neighbours[v][0]);
+      k.path.push_back(cur);
+      k.chains.push_back(chain);
+    };
+    for (NodeId v = 0; v < n; ++v) {
+      if (!is_kernel[v]) continue;
+      ForEachNeighbour(g, rev, v, [&](NodeId u) {
+        if (!is_kernel[u] && k.chain_of[u] == ChainKernel::kNoChain) {
+          trace(v, u);
+        }
+      });
+    }
+    // The interiors left over form cycles without a kernel node; each
+    // cycle keeps its smallest node as one, and becomes a chain from it to
+    // itself.
+    for (NodeId v = 0; v < n; ++v) {
+      if (is_kernel[v] || k.chain_of[v] != ChainKernel::kNoChain) continue;
+      is_kernel[v] = 1;
+      trace(v, neighbours[v][0]);
+    }
   }
 
   k.kernel_id.assign(n, kInvalidNode);

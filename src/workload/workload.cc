@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <mutex>
 #include <numeric>
+#include <optional>
 
-#include "algo/dijkstra.h"
-#include "algo/search_workspace.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "graph/kernel_search.h"
 #include "partition/kd_tree.h"
 
 namespace airindex::workload {
@@ -129,14 +130,21 @@ Result<Workload> GenerateWorkload(const graph::Graph& g,
       w.queries[i].arrival_ms = arrivals[i];
     }
   }
-  // Ground truth: one reused search workspace per worker, so a query costs
-  // its early-exit search and nothing else.
-  std::vector<algo::SearchWorkspace> workspaces(ResolveWorkers(spec.count, 0));
+  // Ground truth: one shared oracle, and one searcher per worker, so a
+  // query costs its search on the chain kernel and nothing else. The first
+  // worker to start builds the oracle, and each worker its own searcher, so
+  // their memory lies in the workers' heaps (docs/perf.md, "Workload
+  // ground truth").
+  std::optional<graph::DistanceOracle> oracle;
+  std::once_flag built;
+  std::vector<std::optional<graph::DistanceOracle::Searcher>> searchers(
+      ResolveWorkers(spec.count, 0));
   ParallelForWorker(spec.count, [&](unsigned worker, size_t i) {
+    std::call_once(built, [&] { oracle.emplace(g); });
+    auto& searcher = searchers[worker];
+    if (!searcher) searcher.emplace(*oracle);
     auto& q = w.queries[i];
-    algo::SearchWorkspace& ws = workspaces[worker];
-    algo::DijkstraSearch(g, q.source, q.target, algo::AllEdges{}, ws);
-    q.true_dist = ws.DistTo(q.target);
+    q.true_dist = searcher->Distance(q.source, q.target);
   });
   for (const auto& q : w.queries) {
     if (q.true_dist == graph::kInfDist) {

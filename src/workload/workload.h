@@ -15,7 +15,8 @@ namespace airindex::workload {
 struct Query {
   graph::NodeId source = graph::kInvalidNode;
   graph::NodeId target = graph::kInvalidNode;
-  /// Ground-truth distance (plain Dijkstra on the full graph).
+  /// Ground-truth distance: the exact shortest-path distance source ->
+  /// target over the full graph (graph::DistanceOracle).
   graph::Dist true_dist = graph::kInfDist;
   /// When the client tunes in, as a fraction of the broadcast cycle
   /// (method cycles differ in length, so the instant is stored
@@ -85,9 +86,10 @@ struct WorkloadSpec {
   bool operator==(const WorkloadSpec&) const = default;
 };
 
-/// Generates a workload per `spec` with ground truth (Dijkstras run in
-/// parallel; the sampling pass is serial, so results are identical for
-/// every thread count). A default-constructed spec reproduces the paper's
+/// Generates a workload per `spec` with ground truth (one
+/// graph::DistanceOracle, queried in parallel; the sampling pass is serial,
+/// so results are identical for every thread count). FailedPrecondition
+/// when some sampled pair is unreachable. A default-constructed spec reproduces the paper's
 /// population — and the exact query sequence of the (count, seed) overload.
 Result<Workload> GenerateWorkload(const graph::Graph& g,
                                   const WorkloadSpec& spec);

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "graph/pendant_forest.h"
+#include "testing/test_graphs.h"
 
 namespace airindex::graph {
 namespace {
@@ -64,6 +68,38 @@ TEST(GraphTest, ReversedSwapsDirection) {
   ASSERT_EQ(rev.OutDegree(1), 1u);
   EXPECT_EQ(rev.OutArcs(1)[0].to, 0u);
   EXPECT_EQ(rev.OutArcs(1)[0].weight, 7u);
+}
+
+/// g's transpose as Build makes it from the reversed arcs.
+Graph BuildReversed(const Graph& g) {
+  std::vector<EdgeTriplet> reversed;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (const Graph::Arc& arc : g.OutArcs(v)) {
+      reversed.push_back({arc.to, v, arc.weight});
+    }
+  }
+  return Graph::Build(g.coords(), reversed).value();
+}
+
+TEST(GraphTest, ReversedIsBuildOfTheReversedArcs) {
+  // Parallel arcs (0 -> 1 twice, in input order) and one-way arcs.
+  const Graph g =
+      Graph::Build({{0, 0}, {1, 0}, {2, 0}, {3, 0}},
+                   {{0, 1, 4}, {2, 1, 1}, {0, 1, 3}, {1, 0, 2}, {3, 1, 5},
+                    {0, 2, 6}, {2, 3, 7}, {3, 0, 8}})
+          .value();
+  const Graph rev = g.Reversed();
+  EXPECT_EQ(Fingerprint(rev), Fingerprint(BuildReversed(g)));
+  ASSERT_EQ(rev.OutDegree(1), 4u);
+  EXPECT_EQ(rev.OutArcs(1)[0].weight, 4u);
+  EXPECT_EQ(rev.OutArcs(1)[1].weight, 3u);
+  EXPECT_EQ(rev.OutArcs(1)[2].to, 2u);
+  EXPECT_EQ(rev.OutArcs(1)[3].to, 3u);
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    const Graph h = testing_support::RandomTreeHeavyGraph(seed).g;
+    EXPECT_EQ(Fingerprint(h.Reversed()), Fingerprint(BuildReversed(h)))
+        << "seed " << seed;
+  }
 }
 
 TEST(GraphTest, StronglyConnectedDiamond) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "algo/dijkstra.h"
+#include "graph/catalog.h"
 #include "partition/kd_tree.h"
 #include "testing/test_graphs.h"
 
@@ -97,6 +98,40 @@ TEST(WorkloadTest, TinyGraphRejected) {
   b.AddNode({0, 0});
   graph::Graph g = std::move(b).Build().value();
   EXPECT_FALSE(GenerateWorkload(g, 5, 1).ok());
+}
+
+// The lossy fleet's population: zipf 1.1 hotspots, sources in kd cells 0
+// and 1 of 16.
+TEST(WorkloadTest, FleetGroundTruthMatchesDijkstraPaths) {
+  const graph::Graph g =
+      graph::MakeNetwork(graph::FindNetwork("Germany").value(), 0.1).value();
+  WorkloadSpec spec;
+  spec.count = 2048;
+  spec.dest = WorkloadSpec::Dest::kZipf;
+  spec.zipf_s = 1.1;
+  spec.source = WorkloadSpec::Source::kClustered;
+  spec.partition_regions = 16;
+  spec.source_regions = {0, 1};
+  auto w = GenerateWorkload(g, spec);
+  ASSERT_TRUE(w.ok());
+  ASSERT_EQ(w->queries.size(), 2048u);
+  for (const auto& q : w->queries) {
+    EXPECT_EQ(q.true_dist, algo::DijkstraPath(g, q.source, q.target).dist)
+        << q.source << " -> " << q.target;
+  }
+}
+
+TEST(WorkloadTest, OneWayDeadEndRejected) {
+  // The cycle 0 - 1 - 2 and the one-way 2 -> 3: node 3 reaches nothing.
+  std::vector<graph::EdgeTriplet> arcs;
+  testing_support::AddBoth(&arcs, 0, 1, 1);
+  testing_support::AddBoth(&arcs, 1, 2, 1);
+  testing_support::AddBoth(&arcs, 2, 0, 1);
+  arcs.push_back({2, 3, 1});
+  const graph::Graph g = testing_support::FromArcs(4, arcs);
+  auto w = GenerateWorkload(g, 50, 1);
+  ASSERT_FALSE(w.ok());
+  EXPECT_EQ(w.status().code(), StatusCode::kFailedPrecondition);
 }
 
 // ---------------------------------------------------------------------------
