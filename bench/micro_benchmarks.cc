@@ -346,7 +346,7 @@ void BM_ReceiveFullCycle(benchmark::State& state) {
     Status status = core::ReceiveFullCycle(
         session, memory,
         [](const broadcast::ReceivedSegment&) { return false; },
-        [&memory](broadcast::ReceivedSegment& seg) {
+        [&memory](const broadcast::ReceivedSegment& seg) {
           memory.Release(seg.payload.size());
         },
         /*max_repair_cycles=*/0, scratch);

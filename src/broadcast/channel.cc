@@ -57,6 +57,22 @@ uint32_t ClientSession::ListenGroupParity(uint64_t group_member_pos) {
   return heard;
 }
 
+ReceivedSegment::ReceivedSegment(const ReceivedSegment& other) {
+  *this = other;
+}
+
+ReceivedSegment& ReceivedSegment::operator=(const ReceivedSegment& other) {
+  if (this == &other) return *this;
+  segment_index = other.segment_index;
+  type = other.type;
+  segment_id = other.segment_id;
+  storage.assign(other.payload.begin(), other.payload.end());
+  payload = storage;
+  packet_ok = other.packet_ok;
+  complete = other.complete;
+  return *this;
+}
+
 bool ReceivedSegment::RangeOk(size_t begin, size_t end) const {
   if (begin >= end) return true;
   const size_t first = begin / kPayloadSize;
@@ -73,7 +89,7 @@ void AcceptPacket(const PacketView& view, ReceivedSegment* out) {
     return;
   }
   out->packet_ok[view.seq] = true;
-  std::memcpy(out->payload.data() +
+  std::memcpy(out->storage.data() +
                   static_cast<size_t>(view.seq) * kPayloadSize,
               view.chunk.data(), view.chunk.size());
 }
@@ -93,7 +109,8 @@ void PrimeSegment(const BroadcastCycle& cycle, uint32_t si,
   out->segment_index = si;
   out->type = seg.type;
   out->segment_id = seg.id;
-  out->payload.assign(seg.payload.size(), 0);
+  out->storage.assign(seg.payload.size(), 0);
+  out->payload = out->storage;
   out->packet_ok.assign(seg.PacketCount(), false);
 }
 

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "broadcast/cycle.h"
 #include "broadcast/fec.h"
@@ -409,15 +411,35 @@ class FecGroupRun {
   uint64_t missing_[kMaxGroup];
 };
 
-/// A segment reassembled from the air: the payload plus a per-packet
+/// A segment received from the air: its bytes plus a per-packet
 /// completeness mask (false where the packet was lost).
+///
+/// `payload` is read-only. It views the station's own bytes
+/// (`cycle.segment(segment_index).payload`) when the full-cycle receive
+/// delivers a complete segment, and assembled bytes otherwise: `storage`
+/// after the region clients' packet-by-packet receive and in a copy (a
+/// session-cache entry), the receive's own buffer for a full-cycle segment
+/// delivered with holes (zeros there). A view of the station lives as long
+/// as the channel's cycle; no receiver keeps one past its query.
+///
+/// A copy owns its bytes: it copies `payload` into its own `storage`,
+/// whatever the source viewed. A move keeps the source's buffer, so a
+/// view of the source's `storage` stays valid.
 struct ReceivedSegment {
   uint32_t segment_index = 0;
   SegmentType type = SegmentType::kNetworkData;
   uint32_t segment_id = 0;
-  std::vector<uint8_t> payload;
+  std::span<const uint8_t> payload;
+  std::vector<uint8_t> storage;
   std::vector<bool> packet_ok;
   bool complete = false;
+
+  ReceivedSegment() = default;
+  ReceivedSegment(const ReceivedSegment& other);
+  ReceivedSegment& operator=(const ReceivedSegment& other);
+  ReceivedSegment(ReceivedSegment&&) noexcept = default;
+  ReceivedSegment& operator=(ReceivedSegment&&) noexcept = default;
+  ~ReceivedSegment() = default;
 
   /// True iff the payload byte range [begin, end) was carried by packets
   /// that all arrived.
@@ -425,8 +447,9 @@ struct ReceivedSegment {
 };
 
 /// The packet-accept step of every receive and repair below: copies `view`
-/// into `out` only when it is a packet of the segment `out` assembles (the
-/// same segment index, seq inside the buffer). Any other counts as lost.
+/// into `out->storage` only when it is a packet of the segment `out`
+/// assembles (the same segment index, seq inside the buffer). Any other
+/// counts as lost.
 void AcceptPacket(const PacketView& view, ReceivedSegment* out);
 
 /// Sleeps to `segment_start` (a cycle position) and listens to every packet
@@ -434,7 +457,7 @@ void AcceptPacket(const PacketView& view, ReceivedSegment* out);
 /// bytes and a false mask entry; retry policy is the caller's.
 /// A start past the cycle yields an incomplete segment no repair completes.
 ///
-/// Overwrites `*out`, reusing its payload/mask buffers, so a receive into a
+/// Overwrites `*out`, reusing its storage/mask buffers, so a receive into a
 /// core::QueryScratch segment arena allocates nothing.
 void ReceiveSegmentAt(ClientSession& session, uint32_t segment_start,
                       ReceivedSegment* out);

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "broadcast/packet.h"
@@ -78,7 +79,7 @@ std::vector<uint8_t> EncodeNodeRecords(
 Status ValidateNodeRecords(const uint8_t* data, size_t size,
                            CycleEncoding encoding = CycleEncoding::kLegacy);
 inline Status ValidateNodeRecords(
-    const std::vector<uint8_t>& buf,
+    std::span<const uint8_t> buf,
     CycleEncoding encoding = CycleEncoding::kLegacy) {
   return ValidateNodeRecords(buf.data(), buf.size(), encoding);
 }
@@ -95,7 +96,7 @@ class NodeRecordCursor {
   NodeRecordCursor(const uint8_t* data, size_t size,
                    CycleEncoding encoding = CycleEncoding::kLegacy)
       : data_(data), size_(size), encoding_(encoding) {}
-  explicit NodeRecordCursor(const std::vector<uint8_t>& buf,
+  explicit NodeRecordCursor(std::span<const uint8_t> buf,
                             CycleEncoding encoding = CycleEncoding::kLegacy)
       : NodeRecordCursor(buf.data(), buf.size(), encoding) {}
 

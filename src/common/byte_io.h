@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 namespace airindex {
@@ -79,7 +80,7 @@ class ByteReader {
  public:
   ByteReader(const uint8_t* data, size_t size)
       : data_(data), size_(size), pos_(0) {}
-  explicit ByteReader(const std::vector<uint8_t>& buf)
+  explicit ByteReader(std::span<const uint8_t> buf)
       : ByteReader(buf.data(), buf.size()) {}
 
   size_t remaining() const { return size_ - pos_; }

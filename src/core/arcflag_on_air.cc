@@ -139,7 +139,7 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
                seg.type == broadcast::SegmentType::kAuxData &&
                seg.segment_id == kHeaderSegment;
       },
-      [&](broadcast::ReceivedSegment& seg) {
+      [&](const broadcast::ReceivedSegment& seg) {
         device::Stopwatch sw;
         if (seg.type == broadcast::SegmentType::kNetworkData) {
           run.DecodeIntoPartialGraph(seg, &rebuild);

@@ -32,7 +32,7 @@ device::QueryMetrics DijkstraOnAir::RunQuery(
       [](const broadcast::ReceivedSegment&) {
         return true;  // all data is adjacency
       },
-      [&](broadcast::ReceivedSegment& seg) {
+      [&](const broadcast::ReceivedSegment& seg) {
         device::Stopwatch sw;
         const size_t before = pg.MemoryBytes();
         run.DecodeIntoPartialGraph(seg);

@@ -101,13 +101,13 @@ std::vector<uint8_t> EbIndex::Encode() const {
   return out;
 }
 
-uint32_t EbIndex::CheckedRegions(const std::vector<uint8_t>& payload) {
+uint32_t EbIndex::CheckedRegions(std::span<const uint8_t> payload) {
   if (payload.size() < 6) return 0;
   const uint32_t R = GetU16(payload.data());
   return R >= 2 && payload.size() >= EncodedBytes(R, 0) ? R : 0;
 }
 
-bool EbIndex::DecodeSplits(const std::vector<uint8_t>& payload,
+bool EbIndex::DecodeSplits(std::span<const uint8_t> payload,
                            EbIndex* out) {
   const uint32_t R = CheckedRegions(payload);
   if (R == 0) return false;
@@ -122,7 +122,7 @@ bool EbIndex::DecodeSplits(const std::vector<uint8_t>& payload,
   return true;
 }
 
-bool EbIndex::DecodeCopyStarts(const std::vector<uint8_t>& payload,
+bool EbIndex::DecodeCopyStarts(std::span<const uint8_t> payload,
                                EbIndex* out) {
   const uint32_t R = CheckedRegions(payload);
   if (R == 0) return false;
@@ -141,7 +141,7 @@ bool EbIndex::DecodeCopyStarts(const std::vector<uint8_t>& payload,
   return true;
 }
 
-Status EbIndex::Decode(const std::vector<uint8_t>& payload, EbIndex* out) {
+Status EbIndex::Decode(std::span<const uint8_t> payload, EbIndex* out) {
   if (!DecodeSplits(payload, out)) {
     return Status::DataLoss("EB index shorter than its region count needs");
   }

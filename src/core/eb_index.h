@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <utility>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -62,7 +63,7 @@ class EbIndex {
   std::vector<uint8_t> Encode() const;
   /// Decodes into an existing index, reusing its vector capacity (the
   /// allocation-free client path). `*out` is unspecified on failure.
-  static Status Decode(const std::vector<uint8_t>& payload, EbIndex* out);
+  static Status Decode(std::span<const uint8_t> payload, EbIndex* out);
 
   /// The parts of Decode a client reads before every byte it needs has
   /// arrived: the header and kd splits (to map its endpoints to regions),
@@ -70,8 +71,8 @@ class EbIndex {
   /// returns false where Decode fails, and fills only its own fields of
   /// `*out`. They allocate nothing once `*out` has held an index, the
   /// failure included: a client calls them on payloads with holes.
-  static bool DecodeSplits(const std::vector<uint8_t>& payload, EbIndex* out);
-  static bool DecodeCopyStarts(const std::vector<uint8_t>& payload,
+  static bool DecodeSplits(std::span<const uint8_t> payload, EbIndex* out);
+  static bool DecodeCopyStarts(std::span<const uint8_t> payload,
                                EbIndex* out);
 
   /// Serialized size for a given region and copy count (fixed-width
@@ -101,7 +102,7 @@ class EbIndex {
   /// The region count the payload's header names, or 0 when it names
   /// fewer than two or more than the payload holds the header, matrix and
   /// directory of (every decode fails there).
-  static uint32_t CheckedRegions(const std::vector<uint8_t>& payload);
+  static uint32_t CheckedRegions(std::span<const uint8_t> payload);
 };
 
 }  // namespace airindex::core

@@ -1,7 +1,8 @@
 #ifndef AIRINDEX_CORE_FULL_CYCLE_H_
 #define AIRINDEX_CORE_FULL_CYCLE_H_
 
-#include <cstring>
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "broadcast/channel.h"
@@ -11,18 +12,28 @@
 
 namespace airindex::core {
 
-/// Reusable buffers of ReceiveFullCycle: the per-segment reassembly state.
-/// A scratch that lives across queries (core::QueryScratch) keeps each
-/// segment's payload/mask allocation, so a steady-state full-cycle client
-/// reassembles without touching the allocator. Callbacks that retain a
-/// delivered segment's buffers (by moving them out) simply cost that
-/// segment a fresh allocation next query.
+/// Reusable state of ReceiveFullCycle: per cycle segment, the metadata,
+/// packet mask and received count of what was heard, never its bytes. A
+/// segment that completes is delivered as a view of the station's own
+/// bytes, which are the bytes every packet of it carried (both receive
+/// steps and the FEC fill take chunks of the same cycle, and a corrupted
+/// packet that passes its CRC is the station's view). The one byte buffer,
+/// `holes`, materializes a segment delivered incomplete.
+///
+/// A scratch that lives across queries (core::QueryScratch) keeps these
+/// allocations, so a steady-state full-cycle client receives without
+/// touching the allocator.
 struct FullCycleScratch {
+  /// Segment `si`'s metadata and mask; `payload` is set only while the
+  /// segment is handed to the callback.
   std::vector<broadcast::ReceivedSegment> partial;
   std::vector<uint32_t> received_packets;
   std::vector<uint8_t> delivered;
   /// Whether `partial[si]` was (re-)initialized for the current call.
   std::vector<uint8_t> primed;
+  /// The bytes of the segment being delivered with holes: the station's
+  /// bytes at received packets, zeros at holes.
+  std::vector<uint8_t> holes;
 };
 
 /// Shared client loop of the full-cycle methods (§3.2: Dijkstra, ArcFlag,
@@ -33,18 +44,19 @@ struct FullCycleScratch {
 /// is the callback's job to release `payload.size()` once it has consumed
 /// (decoded) the segment.
 ///
-/// `on_segment` receives the segment as an lvalue reference into the
-/// scratch; it may read it in place (the allocation-free path) or move
-/// buffers out to retain them. Segments with lost packets are re-listened
-/// to on subsequent cycles when `must_repair(seg)` is true (adjacency data
-/// must be complete, §6.2; the predicate sees the whole ReceivedSegment so
-/// a method can single out e.g. its header segment); otherwise they are
-/// delivered incomplete (packet_ok flags show the holes) so the
-/// method-specific fallback can apply.
+/// `on_segment` receives a const reference valid for the call only: a
+/// complete segment's `payload` views `cycle.segment(si).payload`, an
+/// incomplete one's the scratch's `holes`. A callback that keeps the
+/// bytes copies the segment (a copy owns its bytes). Segments with lost
+/// packets are re-listened to on subsequent cycles when `must_repair(seg)`
+/// is true (adjacency data must be complete, §6.2; the predicate sees the
+/// segment's metadata and mask, so a method can single out e.g. its header
+/// segment); otherwise they are delivered incomplete (packet_ok flags show
+/// the holes) so the method-specific fallback can apply.
 ///
-/// `s` holds the reassembly buffers; one that lives across queries keeps
-/// the client off the allocator. Generic callables avoid the
-/// std::function type-erasure allocation the old interface paid per call.
+/// `s` holds the reception state; one that lives across queries keeps the
+/// client off the allocator. Generic callables avoid the std::function
+/// type-erasure allocation the old interface paid per call.
 template <typename MustRepair, typename OnSegment>
 Status ReceiveFullCycle(broadcast::ClientSession& session,
                         device::MemoryTracker& memory,
@@ -60,7 +72,7 @@ Status ReceiveFullCycle(broadcast::ClientSession& session,
   s.delivered.assign(num_segments, 0);
   s.primed.assign(num_segments, 0);
 
-  auto ensure_buffer = [&](uint32_t si) {
+  auto ensure_primed = [&](uint32_t si) {
     if (s.primed[si]) return;
     s.primed[si] = 1;
     ReceivedSegment& seg = s.partial[si];
@@ -69,33 +81,47 @@ Status ReceiveFullCycle(broadcast::ClientSession& session,
     seg.type = src.type;
     seg.segment_id = src.id;
     seg.complete = false;
-    seg.payload.assign(src.payload.size(), 0);
     seg.packet_ok.assign(src.PacketCount(), false);
   };
 
   auto ingest = [&](const broadcast::PacketView& view) {
     const uint32_t si = view.segment_index;
-    ensure_buffer(si);
+    ensure_primed(si);
     ReceivedSegment& seg = s.partial[si];
     if (seg.packet_ok[view.seq]) return;
     seg.packet_ok[view.seq] = true;
     ++s.received_packets[si];
     memory.Charge(view.chunk.size());
-    std::memcpy(seg.payload.data() +
-                    static_cast<size_t>(view.seq) * broadcast::kPayloadSize,
-                view.chunk.data(), view.chunk.size());
   };
 
   size_t delivered_count = 0;
   auto try_deliver = [&](uint32_t si, bool force) {
     if (s.delivered[si]) return;
-    ensure_buffer(si);
+    ensure_primed(si);
     ReceivedSegment& seg = s.partial[si];
     seg.complete = s.received_packets[si] == seg.packet_ok.size();
     if (!seg.complete && !force) return;
     s.delivered[si] = 1;
     ++delivered_count;
-    on_segment(seg);
+    const std::vector<uint8_t>& bytes = cycle.segment(si).payload;
+    if (seg.complete) {
+      seg.payload = bytes;
+    } else {
+      // The bytes a packet-by-packet copy would hold: the chunks of the
+      // packets heard, zeros at the holes.
+      s.holes.assign(bytes.size(), 0);
+      for (size_t p = 0; p < seg.packet_ok.size(); ++p) {
+        if (!seg.packet_ok[p]) continue;
+        const size_t begin = p * broadcast::kPayloadSize;
+        const size_t end =
+            std::min(begin + broadcast::kPayloadSize, bytes.size());
+        std::copy(bytes.begin() + begin, bytes.begin() + end,
+                  s.holes.begin() + begin);
+      }
+      seg.payload = s.holes;
+    }
+    on_segment(std::as_const(seg));
+    seg.payload = {};
   };
 
   // One pass over the whole cycle. A full-cycle client consumes every
@@ -103,8 +129,8 @@ Status ReceiveFullCycle(broadcast::ClientSession& session,
   // With FEC on, each parity group is settled as the sweep crosses its
   // boundary: a lost packet whose group decodes is reconstructed here, in
   // the same pass, and never reaches the repair cycles below. The decoder
-  // state is fixed-size (stack-resident POD) and the reconstructed bytes
-  // land in the scratch's segment buffers — no allocation either way.
+  // state is fixed-size (stack-resident POD) and a reconstructed packet
+  // only sets its mask bit — no allocation either way.
   session.MarkContentStart();
   const uint32_t total = cycle.total_packets();
   // On a scheduled channel one pass over "the whole cycle" means one macro
@@ -138,7 +164,7 @@ Status ReceiveFullCycle(broadcast::ClientSession& session,
     bool anything_missing = false;
     for (uint32_t si = 0; si < num_segments; ++si) {
       if (s.delivered[si]) continue;
-      ensure_buffer(si);
+      ensure_primed(si);
       if (!must_repair(s.partial[si])) continue;
       anything_missing = true;
       for (uint32_t p = 0; p < s.partial[si].packet_ok.size(); ++p) {
@@ -157,7 +183,7 @@ Status ReceiveFullCycle(broadcast::ClientSession& session,
   Status status = Status::OK();
   for (uint32_t si = 0; si < num_segments; ++si) {
     if (s.delivered[si]) continue;
-    ensure_buffer(si);
+    ensure_primed(si);
     if (must_repair(s.partial[si]) && !s.partial[si].complete &&
         s.received_packets[si] != s.partial[si].packet_ok.size()) {
       status = Status::DataLoss(
@@ -175,13 +201,15 @@ Status ReceiveFullCycle(broadcast::ClientSession& session,
 /// the radio never wakes. Replay is in segment-index order (= broadcast
 /// order, so callbacks with ordering expectations — e.g. Landmark's
 /// header-before-vectors — see the same sequence as a lossless cold pass)
-/// and hands each callback a *copy* (callbacks are free to mutate or move
-/// buffers out). Payload bytes are charged to `memory` as if
-/// they had streamed in; callbacks release them as usual.
+/// and hands each callback the cached entry itself, read in place (the
+/// callback does not store into the cache, so the entry stays put).
+/// Payload bytes are charged to `memory` as if they had streamed in;
+/// callbacks release them as usual.
 ///
 /// Anything short of a full cache — cold session, evictions, a cycle
 /// segment that never completed — runs the historical cold loop, storing
-/// each segment that completes into the cache *before* delivery.
+/// a copy of each segment that completes into the cache *before* delivery
+/// (the cache owns its bytes: no view of the station outlives the query).
 template <typename MustRepair, typename OnSegment>
 Status ReceiveFullCycleCached(broadcast::ClientSession& session,
                               device::MemoryTracker& memory,
@@ -205,16 +233,16 @@ Status ReceiveFullCycleCached(broadcast::ClientSession& session,
     }
   }
   if (all_cached) {
-    broadcast::ReceivedSegment replay;
     for (uint32_t si = 0; si < num_segments; ++si) {
-      cache->Load(cycle.SegmentStart(si), &replay);
-      memory.Charge(replay.payload.size());
-      on_segment(replay);
+      const broadcast::ReceivedSegment& seg =
+          *cache->Find(cycle.SegmentStart(si));
+      memory.Charge(seg.payload.size());
+      on_segment(seg);
     }
     cache->CountHit(num_segments);
     return Status::OK();
   }
-  auto storing = [&](broadcast::ReceivedSegment& seg) {
+  auto storing = [&](const broadcast::ReceivedSegment& seg) {
     if (seg.complete) {
       cache->Store(cycle.SegmentStart(seg.segment_index), seg);
     }

@@ -96,7 +96,7 @@ device::QueryMetrics HiTiOnAir::RunQuery(
       [](const broadcast::ReceivedSegment&) {
         return true;  // the index must be complete to be usable
       },
-      [&](broadcast::ReceivedSegment& seg) {
+      [&](const broadcast::ReceivedSegment& seg) {
         device::Stopwatch sw;
         // A segment with holes (the repair budget ran out) would read zero
         // bytes as counts and ids; the receive reports DataLoss for it.

@@ -132,7 +132,7 @@ device::QueryMetrics LandmarkOnAir::RunQuery(
         // Only adjacency must be complete; lost vectors degrade the bound.
         return seg.type == broadcast::SegmentType::kNetworkData;
       },
-      [&](broadcast::ReceivedSegment& seg) {
+      [&](const broadcast::ReceivedSegment& seg) {
         device::Stopwatch sw;
         if (seg.type == broadcast::SegmentType::kNetworkData) {
           const size_t before = pg.MemoryBytes();

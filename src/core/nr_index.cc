@@ -28,7 +28,7 @@ std::vector<uint8_t> NrIndex::Encode() const {
   return out;
 }
 
-Status NrIndex::Decode(const std::vector<uint8_t>& payload, NrIndex* out) {
+Status NrIndex::Decode(std::span<const uint8_t> payload, NrIndex* out) {
   if (payload.size() < 8) return Status::DataLoss("truncated NR index");
   out->num_regions = GetU16(payload.data());
   out->num_nodes = GetU32(payload.data() + 2);

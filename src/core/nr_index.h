@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <utility>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -51,7 +52,7 @@ class NrIndex {
   std::vector<uint8_t> Encode() const;
   /// Decodes into an existing index, reusing its vector capacity (the
   /// allocation-free client path). `*out` is unspecified on failure.
-  static Status Decode(const std::vector<uint8_t>& payload, NrIndex* out);
+  static Status Decode(std::span<const uint8_t> payload, NrIndex* out);
 
   static size_t EncodedBytes(uint32_t num_regions);
 

@@ -25,7 +25,7 @@ namespace airindex::core {
 /// the §6.2 repair stash). Acquire() hands out slots with stable addresses
 /// (deque-backed — stash entries keep pointers across later Acquires);
 /// Recycle() returns a slot for reuse within the same query, Reset() frees
-/// every slot logically while keeping all payload/mask allocations, so a
+/// every slot logically while keeping all storage/mask allocations, so a
 /// reused arena stops allocating once it has seen the query shape.
 class SegmentArena {
  public:
@@ -99,7 +99,8 @@ struct QueryScratch {
   SegmentArena segments;
   /// Their damaged regions awaiting repair.
   RegionStash stash;
-  /// Segment buffers of the full-cycle clients (DJ/LD/AF/SPQ/HiTi).
+  /// Reception state of the full-cycle clients (DJ/LD/AF/SPQ/HiTi):
+  /// packet masks, no copy of the cycle's bytes.
   FullCycleScratch full_cycle;
   /// Streaming-decode record (arc storage reused across records).
   broadcast::NodeRecord record;

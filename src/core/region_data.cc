@@ -26,7 +26,7 @@ std::vector<uint8_t> EncodeRegionData(
   return out;
 }
 
-Result<RegionData> DecodeRegionData(const std::vector<uint8_t>& payload,
+Result<RegionData> DecodeRegionData(std::span<const uint8_t> payload,
                                     broadcast::CycleEncoding encoding) {
   if (payload.size() < 2) return Status::DataLoss("truncated region header");
   ByteReader reader(payload);
@@ -48,7 +48,7 @@ Result<RegionData> DecodeRegionData(const std::vector<uint8_t>& payload,
   return data;
 }
 
-Status ValidateRegionData(const std::vector<uint8_t>& payload,
+Status ValidateRegionData(std::span<const uint8_t> payload,
                           broadcast::CycleEncoding encoding) {
   if (payload.size() < 2) return Status::DataLoss("truncated region header");
   const size_t border_count = GetU16(payload.data());
@@ -61,7 +61,7 @@ Status ValidateRegionData(const std::vector<uint8_t>& payload,
                                         encoding);
 }
 
-RegionDataView::RegionDataView(const std::vector<uint8_t>& payload,
+RegionDataView::RegionDataView(std::span<const uint8_t> payload,
                                broadcast::CycleEncoding encoding)
     : data_(payload.data()),
       size_(payload.size()),

@@ -2,6 +2,7 @@
 #define AIRINDEX_CORE_REGION_DATA_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "broadcast/serialization.h"
@@ -35,13 +36,13 @@ std::vector<uint8_t> EncodeRegionData(
 
 /// Decodes a region payload. Fails on truncation.
 Result<RegionData> DecodeRegionData(
-    const std::vector<uint8_t>& payload,
+    std::span<const uint8_t> payload,
     broadcast::CycleEncoding encoding = broadcast::CycleEncoding::kLegacy);
 
 /// Checks a region payload is well-formed (the exact checks
 /// DecodeRegionData applies) without materializing it.
 Status ValidateRegionData(
-    const std::vector<uint8_t>& payload,
+    std::span<const uint8_t> payload,
     broadcast::CycleEncoding encoding = broadcast::CycleEncoding::kLegacy);
 
 /// Zero-copy view over a *validated* region payload: the border list read
@@ -53,7 +54,7 @@ class RegionDataView {
   /// `payload` must outlive the view and have passed ValidateRegionData
   /// with the same `encoding`.
   explicit RegionDataView(
-      const std::vector<uint8_t>& payload,
+      std::span<const uint8_t> payload,
       broadcast::CycleEncoding encoding = broadcast::CycleEncoding::kLegacy);
 
   size_t border_count() const { return border_count_; }

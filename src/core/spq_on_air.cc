@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <chrono>
+#include <span>
 
 #include "common/byte_io.h"
 #include "core/client_run.h"
@@ -34,7 +35,7 @@ void EncodeCell(const algo::SpqIndex::Tree& tree, int32_t cell,
 }
 
 /// Recursive decoder; returns the new cell's index or -1 on truncation.
-int32_t DecodeCellImpl(const std::vector<uint8_t>& buf, size_t* pos,
+int32_t DecodeCellImpl(std::span<const uint8_t> buf, size_t* pos,
                        algo::SpqIndex::Tree* tree) {
   if (*pos >= buf.size()) return -1;
   const uint8_t tag = buf[(*pos)++];
@@ -118,7 +119,7 @@ device::QueryMetrics SpqOnAir::RunQuery(
   Status receive_status = ReceiveFullCycleCached(
       run.session, memory, &s.session,
       [](const broadcast::ReceivedSegment&) { return true; },
-      [&](broadcast::ReceivedSegment& seg) {
+      [&](const broadcast::ReceivedSegment& seg) {
         device::Stopwatch sw;
         if (seg.type == broadcast::SegmentType::kNetworkData) {
           run.DecodeIntoPartialGraph(seg, &rebuild);

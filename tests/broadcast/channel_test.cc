@@ -244,7 +244,8 @@ TEST(ReceiveSegmentTest, StartPastTheCycleYieldsAnIncompleteSegment) {
 
 TEST(ReceivedSegmentTest, RangeOkBoundaries) {
   ReceivedSegment seg;
-  seg.payload.assign(3 * kPayloadSize, 0);
+  seg.storage.assign(3 * kPayloadSize, 0);
+  seg.payload = seg.storage;
   seg.packet_ok = {true, false, true};
   EXPECT_TRUE(seg.RangeOk(0, kPayloadSize));
   EXPECT_FALSE(seg.RangeOk(0, kPayloadSize + 1));

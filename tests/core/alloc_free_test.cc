@@ -3,7 +3,8 @@
 // from malloc/aligned_alloc, back to free), so a warm QueryScratch can be
 // held to zero allocations per RunQuery.
 //
-// Covered: DJ, LD, AF, NR and EB, lossless and at 2% loss. Not yet
+// Covered: DJ, LD, AF, NR and EB, lossless and at 2% loss, and the payload
+// bytes a warm full-cycle scratch keeps after lossless queries. Not yet
 // allocation-free, so not covered: SPQ (it decodes every quadtree of the
 // cycle into fresh vectors) and HiTi (its tables, node labels and overlay
 // maps), per query.
@@ -154,6 +155,40 @@ TEST_P(AllocFreeTest, WarmScratchQueriesDoNotAllocate) {
     }
   }
   EXPECT_GT(ok, 0u) << method;
+}
+
+/// Payload bytes the scratch's full-cycle state owns: every segment's
+/// storage and the buffer for segments delivered with holes.
+size_t FullCycleOwnedBytes(const FullCycleScratch& s) {
+  size_t bytes = s.holes.capacity();
+  for (const broadcast::ReceivedSegment& seg : s.partial) {
+    bytes += seg.storage.capacity();
+  }
+  return bytes;
+}
+
+// A lossless full-cycle query hears every segment whole and reads its
+// bytes where the station keeps them: the warm scratch holds masks, no
+// copy of the cycle.
+TEST(FullCycleScratchTest, LosslessQueriesKeepNoPayloadBytes) {
+  const graph::Graph& g = Germany();
+  auto w = workload::GenerateWorkload(g, 4, 5);
+  ASSERT_TRUE(w.ok());
+  for (const std::string method : {"DJ", "LD", "AF"}) {
+    const AirSystem* sys = System(method);
+    ASSERT_NE(sys, nullptr) << method;
+    broadcast::BroadcastChannel channel(&sys->cycle(), 0.0);
+    QueryScratch scratch;
+    for (const workload::Query& q : w->queries) {
+      const device::QueryMetrics m =
+          sys->RunQuery(channel, MakeAirQuery(g, q), {}, &scratch);
+      EXPECT_TRUE(m.ok) << method;
+      EXPECT_EQ(scratch.full_cycle.partial.size(),
+                sys->cycle().num_segments())
+          << method;
+      EXPECT_EQ(FullCycleOwnedBytes(scratch.full_cycle), 0u) << method;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -92,7 +92,8 @@ TEST(ArcFlagClientTest, SegmentDecodeMatchesScalarDecodeWithLostPackets) {
     broadcast::ReceivedSegment seg;
     seg.type = broadcast::SegmentType::kAuxData;
     seg.segment_id = 1;  // arcs from 0
-    seg.payload = RandomWire(rng, arcs, regions);
+    seg.storage = RandomWire(rng, arcs, regions);
+    seg.payload = seg.storage;
     const size_t packets =
         (seg.payload.size() + broadcast::kPayloadSize - 1) /
         broadcast::kPayloadSize;
@@ -105,7 +106,7 @@ TEST(ArcFlagClientTest, SegmentDecodeMatchesScalarDecodeWithLostPackets) {
              b < std::min(seg.payload.size(),
                           (p + 1) * broadcast::kPayloadSize);
              ++b) {
-          seg.payload[b] = 0;
+          seg.storage[b] = 0;
         }
       }
     }

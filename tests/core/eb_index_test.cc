@@ -121,7 +121,7 @@ TEST(EbIndexTest, DecodeRejectsTruncation) {
   payload.resize(EbIndex::EncodedBytes(4, 0) - 10);
   EbIndex out;
   EXPECT_FALSE(EbIndex::Decode(payload, &out).ok());
-  EXPECT_FALSE(EbIndex::Decode({0x01}, &out).ok());
+  EXPECT_FALSE(EbIndex::Decode(std::vector<uint8_t>{0x01}, &out).ok());
 }
 
 TEST(EbIndexTest, SaturatesHugeDistances) {

@@ -45,8 +45,8 @@ TEST(FullCycleTest, DeliversEverySegmentOnce) {
   std::map<uint32_t, ReceivedSegment> got;
   Status st = ReceiveFullCycle(
       session, mem, [](const broadcast::ReceivedSegment&) { return true; },
-      [&](ReceivedSegment& seg) {
-        EXPECT_TRUE(got.emplace(seg.segment_index, std::move(seg)).second);
+      [&](const ReceivedSegment& seg) {
+        EXPECT_TRUE(got.emplace(seg.segment_index, seg).second);
       },
       4, scratch);
   ASSERT_TRUE(st.ok());
@@ -69,8 +69,8 @@ TEST(FullCycleTest, RepairsLostDataSegments) {
   std::map<uint32_t, ReceivedSegment> got;
   Status st = ReceiveFullCycle(
       session, mem, [](const broadcast::ReceivedSegment& s) { return s.type == SegmentType::kNetworkData; },
-      [&](ReceivedSegment& seg) {
-        got.emplace(seg.segment_index, std::move(seg));
+      [&](const ReceivedSegment& seg) {
+        got.emplace(seg.segment_index, seg);
       },
       16, scratch);
   ASSERT_TRUE(st.ok());
@@ -92,7 +92,7 @@ TEST(FullCycleTest, NonRepairableSegmentsDeliveredIncomplete) {
   bool any_incomplete_aux = false;
   Status st = ReceiveFullCycle(
       session, mem, [](const broadcast::ReceivedSegment& s) { return s.type == SegmentType::kNetworkData; },
-      [&](ReceivedSegment& seg) {
+      [&](const ReceivedSegment& seg) {
         if (seg.type == SegmentType::kAuxData && !seg.complete) {
           any_incomplete_aux = true;
         }
@@ -111,7 +111,7 @@ TEST(FullCycleTest, ChargesRawBytesToMemory) {
   FullCycleScratch scratch;
   ReceiveFullCycle(
       session, mem, [](const broadcast::ReceivedSegment&) { return true; },
-      [](ReceivedSegment&) {}, 2, scratch);
+      [](const ReceivedSegment&) {}, 2, scratch);
   EXPECT_GE(mem.peak(), cycle.TotalPayloadBytes());
 }
 

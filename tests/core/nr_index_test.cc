@@ -75,7 +75,7 @@ TEST(NrIndexTest, DecodeRejectsTruncation) {
   payload.resize(payload.size() - 5);
   NrIndex out;
   EXPECT_FALSE(NrIndex::Decode(payload, &out).ok());
-  EXPECT_FALSE(NrIndex::Decode({1, 2, 3}, &out).ok());
+  EXPECT_FALSE(NrIndex::Decode(std::vector<uint8_t>{1, 2, 3}, &out).ok());
 }
 
 TEST(NrIndexTest, SupportsMaximumRegions) {

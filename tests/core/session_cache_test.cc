@@ -46,7 +46,8 @@ broadcast::ReceivedSegment MakeSeg(uint32_t segment_index, size_t bytes,
   seg.segment_index = segment_index;
   seg.type = broadcast::SegmentType::kNetworkData;
   seg.segment_id = segment_index;
-  seg.payload.assign(bytes, fill);
+  seg.storage.assign(bytes, fill);
+  seg.payload = seg.storage;
   seg.packet_ok.assign((bytes + broadcast::kPayloadSize - 1) /
                            broadcast::kPayloadSize,
                        complete);
