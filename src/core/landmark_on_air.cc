@@ -88,40 +88,43 @@ device::QueryMetrics LandmarkOnAir::RunQuery(
   QueryScratch& s = run.scratch();
   device::MemoryTracker& memory = run.memory;
   PartialGraph& pg = s.partial_graph;
+  // The header's landmark count k and node count n: the vectors cover
+  // nodes 0 .. n - 1, whatever the system's own node count.
   uint32_t k = 0;
-  // to_vec[l * n + v] = d(v, L_l); from_vec likewise d(L_l, v).
-  std::vector<graph::Dist>& to_vec = s.ld_to;
-  std::vector<graph::Dist>& from_vec = s.ld_from;
+  uint32_t n = 0;
+  // to_vec[v * k + l] = d(v, L_l) and from_vec likewise d(L_l, v), as the
+  // u32 values broadcast (kInfU32 for unreachable).
+  std::vector<uint32_t>& to_vec = s.ld_to;
+  std::vector<uint32_t>& from_vec = s.ld_from;
   to_vec.clear();
   from_vec.clear();
 
   auto handle_aux = [&](const broadcast::ReceivedSegment& seg) {
     if (seg.segment_id == kHeaderSegment) {
-      if (!seg.complete) return;  // no landmarks -> zero bounds
+      // No landmarks -> zero bounds.
+      if (!seg.complete || seg.payload.size() < 6) return;
       ByteReader reader(seg.payload);
       k = reader.ReadU16();
-      const uint32_t n = reader.ReadU32();
+      n = reader.ReadU32();
       // The landmark ids follow; the bounds need only the vectors.
-      to_vec.assign(static_cast<size_t>(k) * n, graph::kInfDist);
-      from_vec.assign(static_cast<size_t>(k) * n, graph::kInfDist);
-      memory.Charge(to_vec.size() * 4 * 2);  // client stores u32 vectors
+      to_vec.assign(static_cast<size_t>(k) * n, kInfU32);
+      from_vec.assign(static_cast<size_t>(k) * n, kInfU32);
+      memory.Charge(to_vec.size() * 4 * 2);
       return;
     }
     if (k == 0) return;  // header lost: vectors unusable (§6.2 fallback)
-    const uint32_t first = (seg.segment_id - 1) * kVecChunkNodes;
+    const uint64_t first =
+        static_cast<uint64_t>(seg.segment_id - 1) * kVecChunkNodes;
     const size_t stride = static_cast<size_t>(k) * 8;
-    const uint32_t count =
-        static_cast<uint32_t>(seg.payload.size() / stride);
-    for (uint32_t i = 0; i < count; ++i) {
+    const size_t count = seg.payload.size() / stride;
+    for (size_t i = 0; i < count && first + i < n; ++i) {
       const size_t off = i * stride;
       // Skip vectors touched by a lost packet (lower bound falls back to 0).
       if (!seg.RangeOk(off, off + stride)) continue;
-      const graph::NodeId v = first + i;
+      const size_t base = (first + i) * k;
       for (uint32_t l = 0; l < k; ++l) {
-        to_vec[static_cast<size_t>(l) * num_nodes_ + v] =
-            Unsaturate(GetU32(seg.payload.data() + off + 4 * l));
-        from_vec[static_cast<size_t>(l) * num_nodes_ + v] =
-            Unsaturate(GetU32(seg.payload.data() + off + 4 * (k + l)));
+        to_vec[base + l] = GetU32(seg.payload.data() + off + 4 * l);
+        from_vec[base + l] = GetU32(seg.payload.data() + off + 4 * (k + l));
       }
     }
   };
@@ -149,13 +152,16 @@ device::QueryMetrics LandmarkOnAir::RunQuery(
   device::Stopwatch sw;
   const graph::NodeId t = query.target;
   auto lower_bound = [&](graph::NodeId v) -> graph::Dist {
+    // A node the header's vectors do not cover gets 0, still admissible.
+    if (v >= n || t >= n) return 0;
+    const size_t vb = static_cast<size_t>(v) * k;
+    const size_t tb = static_cast<size_t>(t) * k;
     graph::Dist best = 0;
     for (uint32_t l = 0; l < k; ++l) {
-      const size_t base = static_cast<size_t>(l) * num_nodes_;
-      const graph::Dist v_to = to_vec[base + v];
-      const graph::Dist t_to = to_vec[base + t];
-      const graph::Dist v_from = from_vec[base + v];
-      const graph::Dist t_from = from_vec[base + t];
+      const graph::Dist v_to = Unsaturate(to_vec[vb + l]);
+      const graph::Dist t_to = Unsaturate(to_vec[tb + l]);
+      const graph::Dist v_from = Unsaturate(from_vec[vb + l]);
+      const graph::Dist t_from = Unsaturate(from_vec[tb + l]);
       if (v_to != graph::kInfDist && t_to != graph::kInfDist && v_to > t_to) {
         best = std::max(best, v_to - t_to);
       }

@@ -115,9 +115,10 @@ struct QueryScratch {
   std::vector<graph::RegionId> needed_regions;
   /// NR's received-region flags.
   std::vector<uint8_t> region_flags;
-  /// LD's landmark distance vectors (k * n entries each).
-  std::vector<graph::Dist> ld_to;
-  std::vector<graph::Dist> ld_from;
+  /// LD's landmark distance vectors: k * n u32 entries each, node-major,
+  /// as broadcast (k and n from the header heard).
+  std::vector<uint32_t> ld_to;
+  std::vector<uint32_t> ld_from;
   /// AF's flag words in the server's CSR arc order (ArcFlagWords per
   /// arc), each received node's first CSR arc index, and the kd splits.
   std::vector<uint64_t> af_flags;

@@ -2,7 +2,8 @@
 // HiTi; core::CsrRebuild) on cycles rewritten with CycleBuilder: a network
 // record the rebuild rejects, and HiTi headers and tables that do not fit
 // the system. Every query must return, the rewritten cycles must fail
-// every query, and every answer reported ok must be exact.
+// every query, and every answer reported ok must be exact. Also LD with a
+// header that names fewer nodes than the network.
 
 #include <gtest/gtest.h>
 
@@ -43,7 +44,7 @@ const AirSystem* System(const std::string& method) {
         params.arcflag_regions = 32;
         params.hiti_regions = 32;
         std::vector<std::unique_ptr<AirSystem>> built;
-        for (const char* name : {"AF", "SPQ", "HiTi"}) {
+        for (const char* name : {"AF", "SPQ", "HiTi", "LD"}) {
           built.push_back(BuildSystem(Germany(), name, params).value());
         }
         return built;
@@ -168,6 +169,28 @@ TEST(HiTiClientTest, ForeignHeaderOrTableFailsEveryQuery) {
         return !(IsHiTiAux(seg) && seg.id == table);
       });
   EXPECT_EQ(OkAnswers(*sys, missing, "missing table"), 0u);
+}
+
+// LD's header names the node count its distance vectors cover. A header
+// naming half the network's nodes sizes the client's vectors for half:
+// the vectors past them are skipped and their nodes get a bound of 0,
+// which is still admissible, so every answer stays exact.
+TEST(LandmarkClientTest, HeaderWithFewerNodesKeepsAnswersExact) {
+  const auto sys = System("LD");
+  ASSERT_NE(sys, nullptr);
+  const auto half = static_cast<uint32_t>(Germany().num_nodes() / 2);
+  bool rewritten = false;
+  const broadcast::BroadcastCycle cycle =
+      Rewritten(sys->cycle(), [&](broadcast::Segment& seg) {
+        if (seg.type == broadcast::SegmentType::kAuxData && seg.id == 0) {
+          EXPECT_EQ(GetU32(seg.payload.data() + 2), Germany().num_nodes());
+          SetU32(seg.payload, 2, half);
+          rewritten = true;
+        }
+        return true;
+      });
+  ASSERT_TRUE(rewritten);
+  EXPECT_EQ(OkAnswers(*sys, cycle, "half header"), kQueries);
 }
 
 }  // namespace
