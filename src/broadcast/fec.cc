@@ -49,25 +49,53 @@ uint64_t FecLayout::LogicalAtOrAfterSlot(uint64_t fs) const {
 
 namespace {
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+/// Slicing-by-8 tables of the reflected CRC-32 polynomial 0xEDB88320:
+/// `t[0]` is the bytewise table, and `t[k][i]` is `t[k - 1][i]` advanced
+/// by one zero byte, the CRC contribution of byte `i` followed by k zero
+/// bytes.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+CrcTables MakeCrcTables() {
+  CrcTables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < 8; ++k) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+uint32_t LoadLe32(const uint8_t* p) {
+  return uint32_t{p[0]} | uint32_t{p[1]} << 8 | uint32_t{p[2]} << 16 |
+         uint32_t{p[3]} << 24;
 }
 
 }  // namespace
 
 uint32_t Crc32(std::span<const uint8_t> bytes) {
-  static const std::array<uint32_t, 256> kTable = MakeCrcTable();
+  static const CrcTables kT = MakeCrcTables();
   uint32_t crc = 0xFFFFFFFFu;
-  for (uint8_t b : bytes) {
-    crc = kTable[(crc ^ b) & 0xFFu] ^ (crc >> 8);
+  const uint8_t* p = bytes.data();
+  size_t n = bytes.size();
+  // Eight bytes per step: the first four fold into the running CRC, and
+  // each byte looks up the table that shifts it past the bytes after it.
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = LoadLe32(p) ^ crc;
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = kT[7][lo & 0xFFu] ^ kT[6][(lo >> 8) & 0xFFu] ^
+          kT[5][(lo >> 16) & 0xFFu] ^ kT[4][lo >> 24] ^
+          kT[3][hi & 0xFFu] ^ kT[2][(hi >> 8) & 0xFFu] ^
+          kT[1][(hi >> 16) & 0xFFu] ^ kT[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = kT[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

@@ -10,11 +10,13 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "broadcast/channel.h"
 #include "broadcast/cycle.h"
 #include "broadcast/station.h"
+#include "common/rng.h"
 
 namespace airindex::broadcast {
 namespace {
@@ -111,6 +113,40 @@ TEST(Crc32Test, CheckVectorAndSingleBitSensitivity) {
     std::memcpy(flipped, buf, sizeof(buf));
     flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
     EXPECT_NE(Crc32(flipped), clean) << "bit " << bit;
+  }
+}
+
+/// The bytewise CRC-32 (reflected polynomial 0xEDB88320), one table
+/// lookup per byte: the reference the table-sliced Crc32 must match.
+uint32_t BytewiseCrc32(const std::vector<uint8_t>& bytes) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    table[i] = c;
+  }
+  uint32_t crc = 0xFFFFFFFFu;
+  for (uint8_t b : bytes) crc = table[(crc ^ b) & 0xFFu] ^ (crc >> 8);
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceOnRandomBuffers) {
+  Rng rng(2024);
+  for (size_t len = 0; len <= 300; ++len) {
+    for (int rep = 0; rep < 3; ++rep) {
+      std::vector<uint8_t> buf(len);
+      for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextBounded(256));
+      EXPECT_EQ(Crc32(buf), BytewiseCrc32(buf)) << "length " << len;
+      // Every alignment of the eight-byte steps, too.
+      if (len > 3) {
+        const std::vector<uint8_t> tail(buf.begin() + 3, buf.end());
+        EXPECT_EQ(Crc32(std::span<const uint8_t>(buf).subspan(3)),
+                  BytewiseCrc32(tail))
+            << "length " << len << " from 3";
+      }
+    }
   }
 }
 
