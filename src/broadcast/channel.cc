@@ -57,18 +57,15 @@ uint32_t ClientSession::ListenGroupParity(uint64_t group_member_pos) {
   return heard;
 }
 
-ReceivedSegment::ReceivedSegment(const ReceivedSegment& other) {
-  *this = other;
-}
-
 ReceivedSegment& ReceivedSegment::operator=(const ReceivedSegment& other) {
   if (this == &other) return *this;
   segment_index = other.segment_index;
   type = other.type;
   segment_id = other.segment_id;
-  storage.assign(other.payload.begin(), other.payload.end());
-  payload = storage;
+  storage = other.storage;
+  payload = materialized() ? std::span<const uint8_t>(storage) : other.payload;
   packet_ok = other.packet_ok;
+  received = other.received;
   complete = other.complete;
   return *this;
 }
@@ -83,42 +80,62 @@ bool ReceivedSegment::RangeOk(size_t begin, size_t end) const {
   return last < packet_ok.size();
 }
 
-void AcceptPacket(const PacketView& view, ReceivedSegment* out) {
-  if (view.segment_index != out->segment_index ||
-      view.seq >= out->packet_ok.size()) {
-    return;
-  }
-  out->packet_ok[view.seq] = true;
-  std::memcpy(out->storage.data() +
-                  static_cast<size_t>(view.seq) * kPayloadSize,
-              view.chunk.data(), view.chunk.size());
-}
-
-namespace {
-
-bool AllArrived(const std::vector<bool>& packet_ok) {
-  return std::all_of(packet_ok.begin(), packet_ok.end(),
-                     [](bool b) { return b; });
-}
-
-/// Points `out` at segment `si` of the cycle: zeroed payload, every packet
-/// missing.
 void PrimeSegment(const BroadcastCycle& cycle, uint32_t si,
                   ReceivedSegment* out) {
   const Segment& seg = cycle.segment(si);
   out->segment_index = si;
   out->type = seg.type;
   out->segment_id = seg.id;
-  out->storage.assign(seg.payload.size(), 0);
-  out->payload = out->storage;
+  out->payload = {};
+  out->storage.clear();
   out->packet_ok.assign(seg.PacketCount(), false);
+  out->received = 0;
+  out->complete = false;
 }
 
+bool AcceptPacket(const PacketView& view, ReceivedSegment* out) {
+  if (view.segment_index != out->segment_index ||
+      view.seq >= out->packet_ok.size() || out->packet_ok[view.seq]) {
+    return false;
+  }
+  out->packet_ok[view.seq] = true;
+  ++out->received;
+  if (out->materialized()) {
+    std::memcpy(out->storage.data() +
+                    static_cast<size_t>(view.seq) * kPayloadSize,
+                view.chunk.data(), view.chunk.size());
+  }
+  return true;
+}
+
+void SettleSegment(const BroadcastCycle& cycle, ReceivedSegment* seg) {
+  seg->complete = seg->received == seg->packet_ok.size();
+  if (seg->materialized() || seg->segment_index >= cycle.num_segments()) {
+    return;
+  }
+  const std::vector<uint8_t>& bytes = cycle.segment(seg->segment_index).payload;
+  if (seg->complete) {
+    seg->payload = bytes;
+    return;
+  }
+  seg->storage.assign(bytes.size(), 0);
+  for (size_t p = 0; p < seg->packet_ok.size(); ++p) {
+    if (!seg->packet_ok[p]) continue;
+    const size_t begin = p * kPayloadSize;
+    const size_t end = std::min(begin + kPayloadSize, bytes.size());
+    std::copy(bytes.begin() + begin, bytes.begin() + end,
+              seg->storage.begin() + begin);
+  }
+  seg->payload = seg->storage;
+}
+
+namespace {
+
 /// Listens from the session cursor, which is at packet `from` of the
-/// segment `out` is primed for, to the segment's end, then settles
-/// `complete`. With FEC on, a decoded parity group hands back exactly what
-/// the station transmitted; `heard_before` opens the group run with the
-/// packet behind the cursor, which the caller already accepted.
+/// segment `out` is primed for, to the segment's end, then settles it.
+/// With FEC on, a decoded parity group hands back exactly what the station
+/// transmitted; `heard_before` opens the group run with the packet behind
+/// the cursor, which the caller already accepted.
 void ListenToSegmentEnd(ClientSession& session, uint32_t from,
                         bool heard_before, ReceivedSegment* out) {
   const bool fec_on = session.channel().fec().enabled();
@@ -137,7 +154,7 @@ void ListenToSegmentEnd(ClientSession& session, uint32_t from,
     if (view.has_value()) AcceptPacket(*view, out);
   }
   if (fec_on) fec_run.Flush(session, fill);
-  out->complete = AllArrived(out->packet_ok);
+  SettleSegment(session.cycle(), out);
 }
 
 }  // namespace
@@ -184,7 +201,7 @@ bool RepairSegment(ClientSession& session, uint32_t segment_start,
       auto view = session.ReceiveNext();
       if (view.has_value()) AcceptPacket(*view, seg);
     }
-    seg->complete = AllArrived(seg->packet_ok);
+    SettleSegment(cycle, seg);
     if (seg->complete) return true;
   }
   return false;

@@ -411,20 +411,17 @@ class FecGroupRun {
   uint64_t missing_[kMaxGroup];
 };
 
-/// A segment received from the air: its bytes plus a per-packet
-/// completeness mask (false where the packet was lost).
+/// A segment received from the air: a per-packet mask of what arrived,
+/// and how many did, over the station's bytes.
 ///
-/// `payload` is read-only. It views the station's own bytes
-/// (`cycle.segment(segment_index).payload`) when the full-cycle receive
-/// delivers a complete segment, and assembled bytes otherwise: `storage`
-/// after the region clients' packet-by-packet receive and in a copy (a
-/// session-cache entry), the receive's own buffer for a full-cycle segment
-/// delivered with holes (zeros there). A view of the station lives as long
-/// as the channel's cycle; no receiver keeps one past its query.
-///
-/// A copy owns its bytes: it copies `payload` into its own `storage`,
-/// whatever the source viewed. A move keeps the source's buffer, so a
-/// view of the source's `storage` stays valid.
+/// `payload` is read-only. Every accepted packet is a chunk of the cycle,
+/// so a complete segment views `cycle.segment(segment_index).payload`. A
+/// segment read while still incomplete is materialized once into
+/// `storage` (the station's bytes at packets heard, zeros at holes);
+/// repairs copy into it and it stays materialized, so EB's repair from
+/// another index copy reads what it heard. A copy of a materialized
+/// segment owns its bytes, a copy of a view views the station; a move
+/// keeps the source's buffer.
 struct ReceivedSegment {
   uint32_t segment_index = 0;
   SegmentType type = SegmentType::kNetworkData;
@@ -432,33 +429,46 @@ struct ReceivedSegment {
   std::span<const uint8_t> payload;
   std::vector<uint8_t> storage;
   std::vector<bool> packet_ok;
+  /// Packets of `packet_ok` that arrived.
+  uint32_t received = 0;
   bool complete = false;
 
   ReceivedSegment() = default;
-  ReceivedSegment(const ReceivedSegment& other);
+  ReceivedSegment(const ReceivedSegment& other) { *this = other; }
   ReceivedSegment& operator=(const ReceivedSegment& other);
   ReceivedSegment(ReceivedSegment&&) noexcept = default;
   ReceivedSegment& operator=(ReceivedSegment&&) noexcept = default;
-  ~ReceivedSegment() = default;
+
+  /// Whether `payload` is `storage` rather than the station's bytes.
+  bool materialized() const { return !storage.empty(); }
 
   /// True iff the payload byte range [begin, end) was carried by packets
   /// that all arrived.
   bool RangeOk(size_t begin, size_t end) const;
 };
 
-/// The packet-accept step of every receive and repair below: copies `view`
-/// into `out->storage` only when it is a packet of the segment `out`
-/// assembles (the same segment index, seq inside the buffer). Any other
-/// counts as lost.
-void AcceptPacket(const PacketView& view, ReceivedSegment* out);
+/// The receive steps every receive and repair below, the full-cycle
+/// receive and the session cache share. PrimeSegment points `out` at
+/// segment `si` of the cycle, every packet missing and no payload, reusing
+/// its buffers.
+void PrimeSegment(const BroadcastCycle& cycle, uint32_t si,
+                  ReceivedSegment* out);
+
+/// Marks `view` heard when it is an unheard packet of the segment `out`
+/// assembles (same segment index, seq inside the mask), copying its chunk
+/// only into a materialized segment. Returns whether it was accepted; any
+/// other packet counts as lost.
+bool AcceptPacket(const PacketView& view, ReceivedSegment* out);
+
+/// Sets `complete` from the count and points `payload` as ReceivedSegment
+/// says, materializing an incomplete segment on first settle. A segment
+/// index past the cycle stays incomplete with no payload.
+void SettleSegment(const BroadcastCycle& cycle, ReceivedSegment* seg);
 
 /// Sleeps to `segment_start` (a cycle position) and listens to every packet
-/// of the segment that starts there. Lost packets leave zeroed payload
-/// bytes and a false mask entry; retry policy is the caller's.
-/// A start past the cycle yields an incomplete segment no repair completes.
-///
-/// Overwrites `*out`, reusing its storage/mask buffers, so a receive into a
-/// core::QueryScratch segment arena allocates nothing.
+/// of the segment that starts there into `*out`, reusing its buffers.
+/// Lost packets leave holes; retry policy is the caller's. A start past
+/// the cycle yields an incomplete segment no repair completes.
 void ReceiveSegmentAt(ClientSession& session, uint32_t segment_start,
                       ReceivedSegment* out);
 

@@ -39,8 +39,7 @@ void RepairIndexPackets(broadcast::ClientSession& session,
       if (view.has_value()) broadcast::AcceptPacket(*view, seg);
     }
   }
-  seg->complete = std::all_of(seg->packet_ok.begin(), seg->packet_ok.end(),
-                              [](bool b) { return b; });
+  broadcast::SettleSegment(cycle, seg);
 }
 
 /// Overwrites `*out` with the packets covering the needed byte ranges that

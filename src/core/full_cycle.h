@@ -1,7 +1,6 @@
 #ifndef AIRINDEX_CORE_FULL_CYCLE_H_
 #define AIRINDEX_CORE_FULL_CYCLE_H_
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -12,25 +11,18 @@
 
 namespace airindex::core {
 
-/// Reusable state of ReceiveFullCycle: per cycle segment, the metadata,
-/// packet mask and received count of what was heard, never its bytes. A
-/// segment that completes is delivered as a view of the station's own
-/// bytes, which are the bytes every packet of it carried (both receive
-/// steps and the FEC fill take chunks of the same cycle, and a corrupted
-/// packet that passes its CRC is the station's view). The one byte buffer,
-/// `holes`, materializes a segment delivered incomplete.
+/// Reusable state of ReceiveFullCycle: per cycle segment, a mask the
+/// shared receive steps (broadcast::PrimeSegment / AcceptPacket /
+/// SettleSegment) fill, so a segment that completes views the station's
+/// bytes. A segment delivered incomplete materializes in `holes`.
 ///
 /// A scratch that lives across queries (core::QueryScratch) keeps these
 /// allocations, so a steady-state full-cycle client receives without
 /// touching the allocator.
 struct FullCycleScratch {
-  /// Segment `si`'s metadata and mask; `payload` is set only while the
-  /// segment is handed to the callback.
+  /// Segment `si` as received, handed to the callback on delivery.
   std::vector<broadcast::ReceivedSegment> partial;
-  std::vector<uint32_t> received_packets;
   std::vector<uint8_t> delivered;
-  /// Whether `partial[si]` was (re-)initialized for the current call.
-  std::vector<uint8_t> primed;
   /// The bytes of the segment being delivered with holes: the station's
   /// bytes at received packets, zeros at holes.
   std::vector<uint8_t> holes;
@@ -46,17 +38,13 @@ struct FullCycleScratch {
 ///
 /// `on_segment` receives a const reference valid for the call only: a
 /// complete segment's `payload` views `cycle.segment(si).payload`, an
-/// incomplete one's the scratch's `holes`. A callback that keeps the
-/// bytes copies the segment (a copy owns its bytes). Segments with lost
-/// packets are re-listened to on subsequent cycles when `must_repair(seg)`
-/// is true (adjacency data must be complete, §6.2; the predicate sees the
-/// segment's metadata and mask, so a method can single out e.g. its header
-/// segment); otherwise they are delivered incomplete (packet_ok flags show
-/// the holes) so the method-specific fallback can apply.
-///
-/// `s` holds the reception state; one that lives across queries keeps the
-/// client off the allocator. Generic callables avoid the std::function
-/// type-erasure allocation the old interface paid per call.
+/// incomplete one's the scratch's `holes` (a copy of it owns its bytes).
+/// Segments with lost packets are re-listened to on subsequent cycles when
+/// `must_repair(seg)` is true (adjacency data must be complete, §6.2; the
+/// predicate sees the segment's metadata and mask, so a method can single
+/// out e.g. its header segment); otherwise they are delivered incomplete
+/// (packet_ok flags show the holes) so the method-specific fallback can
+/// apply.
 template <typename MustRepair, typename OnSegment>
 Status ReceiveFullCycle(broadcast::ClientSession& session,
                         device::MemoryTracker& memory,
@@ -68,59 +56,32 @@ Status ReceiveFullCycle(broadcast::ClientSession& session,
   const size_t num_segments = cycle.num_segments();
 
   s.partial.resize(num_segments);
-  s.received_packets.assign(num_segments, 0);
   s.delivered.assign(num_segments, 0);
-  s.primed.assign(num_segments, 0);
-
-  auto ensure_primed = [&](uint32_t si) {
-    if (s.primed[si]) return;
-    s.primed[si] = 1;
-    ReceivedSegment& seg = s.partial[si];
-    const broadcast::Segment& src = cycle.segment(si);
-    seg.segment_index = si;
-    seg.type = src.type;
-    seg.segment_id = src.id;
-    seg.complete = false;
-    seg.packet_ok.assign(src.PacketCount(), false);
-  };
+  for (uint32_t si = 0; si < num_segments; ++si) {
+    broadcast::PrimeSegment(cycle, si, &s.partial[si]);
+  }
 
   auto ingest = [&](const broadcast::PacketView& view) {
-    const uint32_t si = view.segment_index;
-    ensure_primed(si);
-    ReceivedSegment& seg = s.partial[si];
-    if (seg.packet_ok[view.seq]) return;
-    seg.packet_ok[view.seq] = true;
-    ++s.received_packets[si];
-    memory.Charge(view.chunk.size());
+    if (broadcast::AcceptPacket(view, &s.partial[view.segment_index])) {
+      memory.Charge(view.chunk.size());
+    }
   };
 
   size_t delivered_count = 0;
   auto try_deliver = [&](uint32_t si, bool force) {
-    if (s.delivered[si]) return;
-    ensure_primed(si);
     ReceivedSegment& seg = s.partial[si];
-    seg.complete = s.received_packets[si] == seg.packet_ok.size();
-    if (!seg.complete && !force) return;
+    if (s.delivered[si] || (seg.received != seg.packet_ok.size() && !force)) {
+      return;
+    }
     s.delivered[si] = 1;
     ++delivered_count;
-    const std::vector<uint8_t>& bytes = cycle.segment(si).payload;
-    if (seg.complete) {
-      seg.payload = bytes;
-    } else {
-      // The bytes a packet-by-packet copy would hold: the chunks of the
-      // packets heard, zeros at the holes.
-      s.holes.assign(bytes.size(), 0);
-      for (size_t p = 0; p < seg.packet_ok.size(); ++p) {
-        if (!seg.packet_ok[p]) continue;
-        const size_t begin = p * broadcast::kPayloadSize;
-        const size_t end =
-            std::min(begin + broadcast::kPayloadSize, bytes.size());
-        std::copy(bytes.begin() + begin, bytes.begin() + end,
-                  s.holes.begin() + begin);
-      }
-      seg.payload = s.holes;
-    }
+    // Settled in the borrowed shared buffer: a complete segment leaves it
+    // empty and views the station, one with holes materializes there.
+    s.holes.clear();
+    std::swap(seg.storage, s.holes);
+    broadcast::SettleSegment(cycle, &seg);
     on_segment(std::as_const(seg));
+    std::swap(seg.storage, s.holes);
     seg.payload = {};
   };
 
@@ -164,7 +125,6 @@ Status ReceiveFullCycle(broadcast::ClientSession& session,
     bool anything_missing = false;
     for (uint32_t si = 0; si < num_segments; ++si) {
       if (s.delivered[si]) continue;
-      ensure_primed(si);
       if (!must_repair(s.partial[si])) continue;
       anything_missing = true;
       for (uint32_t p = 0; p < s.partial[si].packet_ok.size(); ++p) {
@@ -183,9 +143,8 @@ Status ReceiveFullCycle(broadcast::ClientSession& session,
   Status status = Status::OK();
   for (uint32_t si = 0; si < num_segments; ++si) {
     if (s.delivered[si]) continue;
-    ensure_primed(si);
-    if (must_repair(s.partial[si]) && !s.partial[si].complete &&
-        s.received_packets[si] != s.partial[si].packet_ok.size()) {
+    const ReceivedSegment& seg = s.partial[si];
+    if (must_repair(seg) && seg.received != seg.packet_ok.size()) {
       status = Status::DataLoss(
           "segment still incomplete after repair budget");
     }
@@ -196,56 +155,48 @@ Status ReceiveFullCycle(broadcast::ClientSession& session,
 
 /// Session-cache-aware wrapper around ReceiveFullCycle — the warm path of
 /// the full-cycle methods. When `cache` is armed (see core::SessionCache)
-/// and holds a complete copy of *every* cycle segment, the client replays
-/// the cached copies without listening at all: zero tuning, zero latency,
-/// the radio never wakes. Replay is in segment-index order (= broadcast
-/// order, so callbacks with ordering expectations — e.g. Landmark's
-/// header-before-vectors — see the same sequence as a lossless cold pass)
-/// and hands each callback the cached entry itself, read in place (the
-/// callback does not store into the cache, so the entry stays put).
-/// Payload bytes are charged to `memory` as if they had streamed in;
-/// callbacks release them as usual.
+/// and holds *every* cycle segment, the client replays them without
+/// listening at all: zero tuning, zero latency, the radio never wakes.
+/// Replay is in segment-index order (= broadcast order, so callbacks with
+/// ordering expectations — e.g. Landmark's header-before-vectors — see the
+/// same sequence as a lossless cold pass) and hands each callback what a
+/// lossless receive delivers: the segment complete, viewing the station's
+/// bytes. Payload bytes are charged to `memory` as if they had streamed
+/// in; callbacks release them as usual.
 ///
 /// Anything short of a full cache — cold session, evictions, a cycle
-/// segment that never completed — runs the historical cold loop, storing
-/// a copy of each segment that completes into the cache *before* delivery
-/// (the cache owns its bytes: no view of the station outlives the query).
+/// segment that never completed — runs the cold loop, storing each segment
+/// that completes before delivery.
 template <typename MustRepair, typename OnSegment>
 Status ReceiveFullCycleCached(broadcast::ClientSession& session,
                               device::MemoryTracker& memory,
                               SessionCache* cache, MustRepair&& must_repair,
                               OnSegment&& on_segment, int max_repair_cycles,
                               FullCycleScratch& scratch) {
-  const bool cache_on =
-      cache != nullptr && cache->Ready(session.channel());
-  if (!cache_on) {
+  if (cache == nullptr || !cache->Ready(session.channel())) {
     return ReceiveFullCycle(session, memory, must_repair, on_segment,
                             max_repair_cycles, scratch);
   }
   const broadcast::BroadcastCycle& cycle = session.cycle();
   const uint32_t num_segments =
       static_cast<uint32_t>(cycle.num_segments());
-  bool all_cached = num_segments > 0;
-  for (uint32_t si = 0; si < num_segments; ++si) {
-    if (!cache->Has(cycle.SegmentStart(si))) {
-      all_cached = false;
-      break;
-    }
+  uint32_t cached = 0;
+  while (cached < num_segments && cache->Has(cycle.SegmentStart(cached))) {
+    ++cached;
   }
-  if (all_cached) {
+  if (num_segments > 0 && cached == num_segments) {
+    scratch.partial.resize(num_segments);
     for (uint32_t si = 0; si < num_segments; ++si) {
-      const broadcast::ReceivedSegment& seg =
-          *cache->Find(cycle.SegmentStart(si));
+      broadcast::ReceivedSegment& seg = scratch.partial[si];
+      cache->Load(cycle.SegmentStart(si), &seg);
       memory.Charge(seg.payload.size());
-      on_segment(seg);
+      on_segment(std::as_const(seg));
     }
     cache->CountHit(num_segments);
     return Status::OK();
   }
   auto storing = [&](const broadcast::ReceivedSegment& seg) {
-    if (seg.complete) {
-      cache->Store(cycle.SegmentStart(seg.segment_index), seg);
-    }
+    cache->Store(cycle.SegmentStart(seg.segment_index), seg);
     on_segment(seg);
   };
   return ReceiveFullCycle(session, memory, must_repair, storing,

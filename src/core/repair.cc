@@ -38,9 +38,7 @@ bool RepairAllSegments(broadcast::ClientSession& session,
       if (view.has_value()) broadcast::AcceptPacket(*view, m.seg);
     }
     for (const PendingRepair& p : pending) {
-      p.seg->complete =
-          std::all_of(p.seg->packet_ok.begin(), p.seg->packet_ok.end(),
-                      [](bool b) { return b; });
+      broadcast::SettleSegment(session.cycle(), p.seg);
     }
   }
   return std::all_of(pending.begin(), pending.end(),

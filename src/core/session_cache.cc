@@ -4,7 +4,7 @@ namespace airindex::core {
 
 void SessionCache::BeginSession(size_t budget_bytes) {
   budget_bytes_ = budget_bytes;
-  bound_ = false;
+  cycle_ = nullptr;
   ClearContent();
   query_hits_ = 0;
 }
@@ -13,68 +13,80 @@ bool SessionCache::Ready(const broadcast::BroadcastChannel& channel) {
   if (budget_bytes_ == 0) return false;
   const broadcast::BroadcastCycle* cycle = &channel.cycle();
   const uint64_t version = channel.cycle_version();
-  if (!bound_ || cycle != cycle_ || version != cycle_version_) {
+  if (cycle != cycle_ || version != cycle_version_) {
     // A different cycle object or a bumped cycle_version means the world
     // this cache describes is gone — drop everything rather than serve a
     // stale segment.
     ClearContent();
     cycle_ = cycle;
     cycle_version_ = version;
-    bound_ = true;
+    links_.assign(cycle->num_segments(), Link{});
   }
   return true;
 }
 
 void SessionCache::ClearContent() {
-  lru_.clear();
-  map_.clear();
+  head_ = kNone;
+  tail_ = kNone;
+  entries_ = 0;
   used_bytes_ = 0;
   has_index_ = false;
   index_start_ = 0;
 }
 
-const broadcast::ReceivedSegment* SessionCache::Find(uint32_t segment_start) {
-  auto it = map_.find(segment_start);
-  if (it == map_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  return &it->second->seg;
+uint32_t SessionCache::SegmentOf(uint32_t segment_start) const {
+  if (cycle_ == nullptr || segment_start >= cycle_->total_packets()) {
+    return kNone;
+  }
+  const uint32_t si = cycle_->SegmentAt(segment_start);
+  return cycle_->SegmentStart(si) == segment_start ? si : kNone;
+}
+
+void SessionCache::Unlink(uint32_t si) {
+  Link& link = links_[si];
+  (link.prev == kNone ? head_ : links_[link.prev].next) = link.next;
+  (link.next == kNone ? tail_ : links_[link.next].prev) = link.prev;
+  link = Link{};
+  --entries_;
+  used_bytes_ -= cycle_->segment(si).payload.size();
+}
+
+void SessionCache::PushFront(uint32_t si) {
+  links_[si] = Link{kNone, head_, true};
+  (head_ == kNone ? tail_ : links_[head_].prev) = si;
+  head_ = si;
+  ++entries_;
+  used_bytes_ += cycle_->segment(si).payload.size();
 }
 
 bool SessionCache::Load(uint32_t segment_start,
                         broadcast::ReceivedSegment* out) {
-  const broadcast::ReceivedSegment* seg = Find(segment_start);
-  if (seg == nullptr) return false;
-  *out = *seg;
+  const uint32_t si = SegmentOf(segment_start);
+  if (si == kNone || !links_[si].cached) return false;
+  Unlink(si);  // refresh recency
+  PushFront(si);
+  broadcast::PrimeSegment(*cycle_, si, out);
+  out->packet_ok.flip();
+  out->received = static_cast<uint32_t>(out->packet_ok.size());
+  broadcast::SettleSegment(*cycle_, out);
   return true;
 }
 
 void SessionCache::EvictToFit(size_t incoming_bytes) {
-  while (used_bytes_ + incoming_bytes > budget_bytes_ && !lru_.empty()) {
-    const Entry& victim = lru_.back();
-    used_bytes_ -= victim.seg.payload.size();
-    map_.erase(victim.start);
-    lru_.pop_back();
+  while (used_bytes_ + incoming_bytes > budget_bytes_ && tail_ != kNone) {
+    Unlink(tail_);
   }
 }
 
 void SessionCache::Store(uint32_t segment_start,
                          const broadcast::ReceivedSegment& seg) {
-  if (!seg.complete) return;
-  const size_t bytes = seg.payload.size();
+  const uint32_t si = SegmentOf(segment_start);
+  if (!seg.complete || si == kNone || si != seg.segment_index) return;
+  const size_t bytes = cycle_->segment(si).payload.size();
   if (bytes > budget_bytes_) return;  // would evict the whole session
-  auto it = map_.find(segment_start);
-  if (it != map_.end()) {
-    used_bytes_ -= it->second->seg.payload.size();
-    EvictToFit(bytes);
-    it->second->seg = seg;
-    used_bytes_ += bytes;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
+  if (links_[si].cached) Unlink(si);
   EvictToFit(bytes);
-  lru_.push_front(Entry{segment_start, seg});
-  map_.emplace(segment_start, lru_.begin());
-  used_bytes_ += bytes;
+  PushFront(si);
 }
 
 void SessionCache::StoreIndex(uint32_t segment_start,

@@ -3,8 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "broadcast/channel.h"
 
@@ -15,12 +14,14 @@ namespace airindex::core {
 /// handful of region segments should not doze for them again on its next
 /// query — the cache keeps
 ///   * a bounded LRU of fully received segments, keyed by the segment's
-///     flat-cycle start packet (the stable identity of a segment within
-///     one cycle version), and
-///   * a dedicated slot for the client's entry index segment (EB/NR),
-///     which may be *incomplete* — the per-packet mask travels with it, so
-///     a later query's repair pass can fill the holes on air instead of
-///     re-listening from scratch.
+///     flat-cycle start packet. A complete segment is the station's bytes
+///     (broadcast::ReceivedSegment), so an entry is a link in the recency
+///     order, one per segment of the bound cycle kept across sessions, and
+///     a hit hands back a view of the station; and
+///   * a dedicated slot for the client's entry index segment (EB/NR), a
+///     copy that may be *incomplete* (then owning its bytes) — the mask
+///     travels with it, so a later query's repair pass can fill the holes
+///     on air instead of re-listening from scratch.
 ///
 /// The cache is disabled by default (budget 0): every RunQuery path checks
 /// Ready() and falls through to the historical cold behaviour, so clients
@@ -50,26 +51,25 @@ class SessionCache {
 
   // -- segment LRU -------------------------------------------------------
 
-  /// Whether a complete copy of the segment starting at flat-cycle packet
-  /// `segment_start` is cached (no recency bump).
+  /// Whether the segment starting at flat-cycle packet `segment_start` is
+  /// cached (no recency bump).
   bool Has(uint32_t segment_start) const {
-    return map_.find(segment_start) != map_.end();
+    const uint32_t si = SegmentOf(segment_start);
+    return si != kNone && links_[si].cached;
   }
 
-  /// Cached segment or nullptr; a hit refreshes LRU recency. The pointer
-  /// is valid until the next Store/BeginSession/Ready-invalidation.
-  const broadcast::ReceivedSegment* Find(uint32_t segment_start);
-
-  /// Copies the cached segment into `*out` (reusing its buffers).
+  /// Fills `*out` (reusing its buffers) with the cached segment, complete
+  /// and viewing the station's bytes, and refreshes its LRU recency.
   /// Returns false on miss.
   bool Load(uint32_t segment_start, broadcast::ReceivedSegment* out);
 
-  /// Copies a *complete* segment into the LRU, evicting least-recently
-  /// used entries until the payload budget holds it. Incomplete segments
-  /// and segments larger than the whole budget are ignored.
+  /// Enters a *complete* segment starting at `segment_start` into the LRU,
+  /// evicting least-recently used entries until the payload budget holds
+  /// it. Incomplete segments, segments that start elsewhere and segments
+  /// larger than the whole budget are ignored.
   void Store(uint32_t segment_start, const broadcast::ReceivedSegment& seg);
 
-  size_t entry_count() const { return map_.size(); }
+  size_t entry_count() const { return entries_; }
   size_t used_bytes() const { return used_bytes_; }
 
   // -- entry-index slot (EB/NR) -----------------------------------------
@@ -99,22 +99,32 @@ class SessionCache {
   uint64_t query_hits() const { return query_hits_; }
 
  private:
-  struct Entry {
-    uint32_t start = 0;
-    broadcast::ReceivedSegment seg;
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  /// Segment `si`'s place in the LRU list.
+  struct Link {
+    uint32_t prev = kNone;
+    uint32_t next = kNone;
+    bool cached = false;
   };
 
+  /// The bound cycle's segment that starts at `segment_start`, or kNone.
+  uint32_t SegmentOf(uint32_t segment_start) const;
   void ClearContent();
+  void Unlink(uint32_t si);
+  void PushFront(uint32_t si);
   void EvictToFit(size_t incoming_bytes);
 
   size_t budget_bytes_ = 0;
+  /// The bound cycle; null until Ready() binds one.
   const broadcast::BroadcastCycle* cycle_ = nullptr;
   uint64_t cycle_version_ = 0;
-  bool bound_ = false;
 
-  /// Front = most recently used.
-  std::list<Entry> lru_;
-  std::unordered_map<uint32_t, std::list<Entry>::iterator> map_;
+  /// `head_` is the most recently used entry, `tail_` the next evicted.
+  std::vector<Link> links_;
+  uint32_t head_ = kNone;
+  uint32_t tail_ = kNone;
+  size_t entries_ = 0;
   size_t used_bytes_ = 0;
 
   broadcast::ReceivedSegment index_seg_;

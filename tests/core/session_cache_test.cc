@@ -12,8 +12,9 @@
 namespace airindex::core {
 namespace {
 
-// A five-segment cycle: one index segment followed by four data segments
-// of two packets each, enough structure to exercise segment identities.
+// A six-segment cycle: one index segment followed by four data segments
+// of two packets each and one of four, enough structure to exercise
+// segment identities.
 broadcast::BroadcastCycle MakeCycle() {
   broadcast::CycleBuilder builder;
   broadcast::Segment index;
@@ -29,6 +30,11 @@ broadcast::BroadcastCycle MakeCycle() {
                         static_cast<uint8_t>(0x20 + i));
     builder.Add(data);
   }
+  broadcast::Segment large;
+  large.type = broadcast::SegmentType::kNetworkData;
+  large.id = 4;
+  large.payload.assign(4 * broadcast::kPayloadSize, 0x30);
+  builder.Add(large);
   return std::move(builder).Finalize().value();
 }
 
@@ -40,6 +46,18 @@ broadcast::BroadcastChannel MakeChannel(const broadcast::BroadcastCycle& cycle,
       cycle_version);
 }
 
+// Segment `si` of the channel's cycle, received whole: it views the
+// station's bytes.
+broadcast::ReceivedSegment Receive(const broadcast::BroadcastChannel& chan,
+                                   uint32_t si) {
+  broadcast::ClientSession session(&chan, 0);
+  broadcast::ReceivedSegment seg;
+  broadcast::ReceiveSegmentAt(session, chan.cycle().SegmentStart(si), &seg);
+  EXPECT_TRUE(seg.complete);
+  return seg;
+}
+
+// A segment built by hand, owning its bytes.
 broadcast::ReceivedSegment MakeSeg(uint32_t segment_index, size_t bytes,
                                    uint8_t fill, bool complete = true) {
   broadcast::ReceivedSegment seg;
@@ -80,16 +98,22 @@ TEST(SessionCacheTest, StoreThenLoadRoundTrips) {
   ASSERT_TRUE(cache.Ready(chan));
 
   const uint32_t start = cycle.SegmentStart(1);
-  cache.Store(start, MakeSeg(1, kSegBytes, 0xAB));
+  cache.Store(start, Receive(chan, 1));
   EXPECT_TRUE(cache.Has(start));
   EXPECT_EQ(cache.entry_count(), 1u);
   EXPECT_EQ(cache.used_bytes(), kSegBytes);
 
+  // A hit is the segment complete, viewing the station's bytes.
   broadcast::ReceivedSegment out;
   ASSERT_TRUE(cache.Load(start, &out));
   EXPECT_TRUE(out.complete);
+  EXPECT_EQ(out.segment_index, 1u);
+  EXPECT_EQ(out.received, 2u);
+  EXPECT_EQ(out.packet_ok, std::vector<bool>(2, true));
+  EXPECT_FALSE(out.materialized());
   ASSERT_EQ(out.payload.size(), kSegBytes);
-  EXPECT_EQ(out.payload.front(), 0xAB);
+  EXPECT_EQ(out.payload.data(), cycle.segment(1).payload.data());
+  EXPECT_EQ(out.payload.front(), 0x20);
   EXPECT_FALSE(cache.Load(cycle.SegmentStart(2), &out));
 }
 
@@ -105,9 +129,9 @@ TEST(SessionCacheTest, OneSegmentBudgetEvictsThePreviousSegment) {
 
   const uint32_t a = cycle.SegmentStart(1);
   const uint32_t b = cycle.SegmentStart(2);
-  cache.Store(a, MakeSeg(1, kSegBytes, 0xA1));
+  cache.Store(a, Receive(chan, 1));
   EXPECT_TRUE(cache.Has(a));
-  cache.Store(b, MakeSeg(2, kSegBytes, 0xB2));
+  cache.Store(b, Receive(chan, 2));
   EXPECT_FALSE(cache.Has(a));
   EXPECT_TRUE(cache.Has(b));
   EXPECT_EQ(cache.entry_count(), 1u);
@@ -115,10 +139,10 @@ TEST(SessionCacheTest, OneSegmentBudgetEvictsThePreviousSegment) {
 
   broadcast::ReceivedSegment out;
   ASSERT_TRUE(cache.Load(b, &out));
-  EXPECT_EQ(out.payload.front(), 0xB2);
+  EXPECT_EQ(out.payload.front(), 0x21);
 }
 
-TEST(SessionCacheTest, FindRefreshesRecencySoTheHitSurvivesEviction) {
+TEST(SessionCacheTest, LoadRefreshesRecencySoTheHitSurvivesEviction) {
   broadcast::BroadcastCycle cycle = MakeCycle();
   broadcast::BroadcastChannel chan = MakeChannel(cycle, 0);
 
@@ -129,14 +153,52 @@ TEST(SessionCacheTest, FindRefreshesRecencySoTheHitSurvivesEviction) {
   const uint32_t a = cycle.SegmentStart(1);
   const uint32_t b = cycle.SegmentStart(2);
   const uint32_t c = cycle.SegmentStart(3);
-  cache.Store(a, MakeSeg(1, kSegBytes, 0xA1));
-  cache.Store(b, MakeSeg(2, kSegBytes, 0xB2));
+  cache.Store(a, Receive(chan, 1));
+  cache.Store(b, Receive(chan, 2));
   // Touch `a` so `b` is now the least recently used, then overflow.
-  ASSERT_NE(cache.Find(a), nullptr);
-  cache.Store(c, MakeSeg(3, kSegBytes, 0xC3));
+  broadcast::ReceivedSegment out;
+  ASSERT_TRUE(cache.Load(a, &out));
+  cache.Store(c, Receive(chan, 3));
   EXPECT_TRUE(cache.Has(a));
   EXPECT_FALSE(cache.Has(b));
   EXPECT_TRUE(cache.Has(c));
+}
+
+TEST(SessionCacheTest, StoringACachedSegmentAgainRefreshesItsRecency) {
+  broadcast::BroadcastCycle cycle = MakeCycle();
+  broadcast::BroadcastChannel chan = MakeChannel(cycle, 0);
+
+  SessionCache cache;
+  cache.BeginSession(2 * kSegBytes);
+  ASSERT_TRUE(cache.Ready(chan));
+
+  const uint32_t a = cycle.SegmentStart(1);
+  const uint32_t b = cycle.SegmentStart(2);
+  const uint32_t c = cycle.SegmentStart(3);
+  cache.Store(a, Receive(chan, 1));
+  cache.Store(b, Receive(chan, 2));
+  cache.Store(a, Receive(chan, 1));
+  EXPECT_EQ(cache.entry_count(), 2u);
+  EXPECT_EQ(cache.used_bytes(), 2 * kSegBytes);
+  cache.Store(c, Receive(chan, 3));
+  EXPECT_TRUE(cache.Has(a));
+  EXPECT_FALSE(cache.Has(b));
+  EXPECT_TRUE(cache.Has(c));
+}
+
+TEST(SessionCacheTest, SegmentsNotStartingAtTheirKeyAreNotCached) {
+  broadcast::BroadcastCycle cycle = MakeCycle();
+  broadcast::BroadcastChannel chan = MakeChannel(cycle, 0);
+
+  SessionCache cache;
+  cache.BeginSession(64u << 10);
+  ASSERT_TRUE(cache.Ready(chan));
+
+  cache.Store(cycle.SegmentStart(2), Receive(chan, 1));
+  cache.Store(cycle.SegmentStart(1) + 1, Receive(chan, 1));
+  cache.Store(cycle.total_packets(), Receive(chan, 1));
+  EXPECT_EQ(cache.entry_count(), 0u);
+  EXPECT_FALSE(cache.Has(cycle.SegmentStart(1) + 1));
 }
 
 TEST(SessionCacheTest, IncompleteAndOverBudgetSegmentsAreNotCached) {
@@ -154,8 +216,8 @@ TEST(SessionCacheTest, IncompleteAndOverBudgetSegmentsAreNotCached) {
 
   // Larger than the whole budget: ignored, and nothing already cached is
   // evicted to make room for it.
-  cache.Store(a, MakeSeg(1, kSegBytes, 0xA1));
-  cache.Store(cycle.SegmentStart(2), MakeSeg(2, 2 * kSegBytes, 0xB2));
+  cache.Store(a, Receive(chan, 1));
+  cache.Store(cycle.SegmentStart(5), Receive(chan, 5));
   EXPECT_TRUE(cache.Has(a));
   EXPECT_EQ(cache.entry_count(), 1u);
 }
@@ -170,7 +232,7 @@ TEST(SessionCacheTest, StaleCycleVersionIsNeverServed) {
   ASSERT_TRUE(cache.Ready(v0));
 
   const uint32_t start = cycle.SegmentStart(1);
-  cache.Store(start, MakeSeg(1, kSegBytes, 0xA1));
+  cache.Store(start, Receive(v0, 1));
   cache.StoreIndex(cycle.SegmentStart(0),
                    MakeSeg(0, broadcast::kPayloadSize, 0x11));
   ASSERT_TRUE(cache.Has(start));
@@ -185,7 +247,7 @@ TEST(SessionCacheTest, StaleCycleVersionIsNeverServed) {
   EXPECT_EQ(cache.used_bytes(), 0u);
 
   // Entries stored under version 1 survive a re-consult against version 1.
-  cache.Store(start, MakeSeg(1, kSegBytes, 0xB2));
+  cache.Store(start, Receive(v1, 1));
   ASSERT_TRUE(cache.Ready(v1));
   EXPECT_TRUE(cache.Has(start));
 }
@@ -199,7 +261,7 @@ TEST(SessionCacheTest, RebindingToADifferentCycleClearsContent) {
   SessionCache cache;
   cache.BeginSession(64u << 10);
   ASSERT_TRUE(cache.Ready(on_first));
-  cache.Store(first.SegmentStart(1), MakeSeg(1, kSegBytes, 0xA1));
+  cache.Store(first.SegmentStart(1), Receive(on_first, 1));
   ASSERT_TRUE(cache.Has(first.SegmentStart(1)));
 
   ASSERT_TRUE(cache.Ready(on_second));
