@@ -41,6 +41,8 @@ class SegmentArena {
 
   void Recycle(broadcast::ReceivedSegment* seg) { free_.push_back(seg); }
 
+  const std::deque<broadcast::ReceivedSegment>& slots() const { return slots_; }
+
   void Reset() {
     free_.clear();
     free_.reserve(slots_.size());

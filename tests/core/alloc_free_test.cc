@@ -3,11 +3,11 @@
 // from malloc/aligned_alloc, back to free), so a warm QueryScratch can be
 // held to zero allocations per RunQuery.
 //
-// Covered: DJ, LD, AF, NR and EB, lossless and at 2% loss, and the payload
-// bytes a warm full-cycle scratch keeps after lossless queries. Not yet
-// allocation-free, so not covered: SPQ (it decodes every quadtree of the
-// cycle into fresh vectors) and HiTi (its tables, node labels and overlay
-// maps), per query.
+// Covered: DJ, LD, AF, NR and EB, lossless and at 2% loss, the same with
+// the session cache armed, and the payload bytes a warm scratch keeps
+// after lossless queries. Not yet allocation-free, so not covered: SPQ
+// (it decodes every quadtree of the cycle into fresh vectors) and HiTi
+// (its tables, node labels and overlay maps), per query.
 
 #include <gtest/gtest.h>
 
@@ -157,26 +157,78 @@ TEST_P(AllocFreeTest, WarmScratchQueriesDoNotAllocate) {
   EXPECT_GT(ok, 0u) << method;
 }
 
-/// Payload bytes the scratch's full-cycle state owns: every segment's
-/// storage and the buffer for segments delivered with holes.
-size_t FullCycleOwnedBytes(const FullCycleScratch& s) {
-  size_t bytes = s.holes.capacity();
-  for (const broadcast::ReceivedSegment& seg : s.partial) {
+// A warm client session, with the session cache armed as the fleet arms
+// it (256 KiB, eight queries per session), stores, hits and repairs
+// without the allocator: the cache's entries are links that survive
+// BeginSession and hold no bytes. The lossy case is the fleet's channel:
+// bursts of 4, bit corruption and FEC 16+2.
+TEST_P(AllocFreeTest, WarmSessionQueriesDoNotAllocate) {
+  const auto& [method, loss] = GetParam();
+  const graph::Graph& g = Germany();
+  const AirSystem* sys = System(method);
+  ASSERT_NE(sys, nullptr) << method;
+  auto w = workload::GenerateWorkload(g, 64, 3);
+  ASSERT_TRUE(w.ok());
+
+  std::vector<broadcast::BroadcastChannel> channels;
+  channels.reserve(w->queries.size());
+  std::vector<AirQuery> queries;
+  for (size_t i = 0; i < w->queries.size(); ++i) {
+    if (loss == 0.0) {
+      channels.emplace_back(&sys->cycle(), 0.0, 77 + i);
+    } else {
+      channels.emplace_back(&sys->cycle(),
+                            broadcast::LossModel::Of(loss, 4, 2e-5), 77 + i,
+                            broadcast::FecScheme{16, 2});
+    }
+    queries.push_back(MakeAirQuery(g, w->queries[i]));
+  }
+
+  constexpr size_t kSessionQueries = 8;
+  QueryScratch scratch;
+  size_t ok = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const uint64_t before = t_allocations;
+      if (i % kSessionQueries == 0) scratch.session.BeginSession(256u << 10);
+      const device::QueryMetrics m =
+          sys->RunQuery(channels[i], queries[i], {}, &scratch);
+      const uint64_t allocations = t_allocations - before;
+      if (pass == 0) continue;
+      EXPECT_EQ(allocations, 0u) << method << " loss=" << loss << " query "
+                                 << i;
+      ok += m.ok;
+    }
+  }
+  EXPECT_GT(ok, 0u) << method;
+  EXPECT_GT(scratch.session.entry_count(), 0u) << method;
+}
+
+/// Payload bytes the scratch owns: the storage of every segment of the
+/// full-cycle state and of the segment arena (the stash points into the
+/// arena), and the buffer for segments delivered with holes.
+size_t OwnedPayloadBytes(const QueryScratch& s) {
+  size_t bytes = s.full_cycle.holes.capacity();
+  for (const broadcast::ReceivedSegment& seg : s.full_cycle.partial) {
+    bytes += seg.storage.capacity();
+  }
+  for (const broadcast::ReceivedSegment& seg : s.segments.slots()) {
     bytes += seg.storage.capacity();
   }
   return bytes;
 }
 
-// A lossless full-cycle query hears every segment whole and reads its
+// A lossless query hears every segment it demands whole and reads its
 // bytes where the station keeps them: the warm scratch holds masks, no
-// copy of the cycle.
+// copy of the cycle, for the full-cycle and the region clients alike.
 TEST(FullCycleScratchTest, LosslessQueriesKeepNoPayloadBytes) {
   const graph::Graph& g = Germany();
   auto w = workload::GenerateWorkload(g, 4, 5);
   ASSERT_TRUE(w.ok());
-  for (const std::string method : {"DJ", "LD", "AF"}) {
+  for (const std::string method : {"DJ", "LD", "AF", "NR", "EB"}) {
     const AirSystem* sys = System(method);
     ASSERT_NE(sys, nullptr) << method;
+    const bool full_cycle = method != "NR" && method != "EB";
     broadcast::BroadcastChannel channel(&sys->cycle(), 0.0);
     QueryScratch scratch;
     for (const workload::Query& q : w->queries) {
@@ -184,9 +236,10 @@ TEST(FullCycleScratchTest, LosslessQueriesKeepNoPayloadBytes) {
           sys->RunQuery(channel, MakeAirQuery(g, q), {}, &scratch);
       EXPECT_TRUE(m.ok) << method;
       EXPECT_EQ(scratch.full_cycle.partial.size(),
-                sys->cycle().num_segments())
+                full_cycle ? sys->cycle().num_segments() : 0)
           << method;
-      EXPECT_EQ(FullCycleOwnedBytes(scratch.full_cycle), 0u) << method;
+      EXPECT_EQ(scratch.segments.slots().empty(), full_cycle) << method;
+      EXPECT_EQ(OwnedPayloadBytes(scratch), 0u) << method;
     }
   }
 }
